@@ -47,14 +47,11 @@ from .errors import (
     VarintError,
 )
 from .integrators import (
-    ArclengthMonitor,
     DiscretePartials,
-    KeplerMonitor,
     Monitor,
     ReferenceSolution,
     StepRecord,
     Trajectory,
-    UnitMonitor,
     avi_calibrate_delta_a,
     avi_run,
     avi_step,
@@ -66,8 +63,6 @@ from .integrators import (
     make_monitor,
     midpoint_fixed_run,
     midpoint_fixed_step,
-    monitor_arclength,
-    monitor_kepler,
     reference_solve,
 )
 from .models import (
@@ -82,7 +77,6 @@ from .models import (
     kepler_initial_state,
     make_model,
     model_names,
-    potential_derivs,
 )
 from .precision import DOUBLE, PrecisionContext, with_precision
 from .solvers import SolverConfig, SolveReport, fd_jacobian, newton_solve

@@ -187,7 +187,7 @@ def discrete_residual(model, prev: Tuple, mid: Tuple, nxt: Tuple, delta_a) -> Re
         raise NonMonotoneTimeError("points must have strictly increasing times")
     left = discrete_partials_midpoint(model, t_m, q_m, t_0, q_0)
     right = discrete_partials_midpoint(model, t_0, q_0, t_p, q_p)
-    return ResidualPair(psi_el=left.d4 + right.d2, psi_e=left.d3 + right.d1)
+    return ResidualPair(psi_el=left.d4 + right.d2, psi_e=right.d1 - left.d1)
 
 
 def modified_rhs_order2(model: LagrangianModel, jet: Jet1D) -> Real:

@@ -62,7 +62,6 @@ class ExperimentConfig:
     condition_warn: float = 1e12
     digits: int = 16
     outdir: str = "out"
-    seed: int = 0
     reference: bool = True
     reltol: float = 1e-12
     abstol: float = 1e-14
@@ -114,7 +113,7 @@ class ExperimentConfig:
 
 
 _BOOL_KEYS = {"reference"}
-_INT_KEYS = {"max_iter", "digits", "seed"}
+_INT_KEYS = {"max_iter", "digits"}
 _STR_KEYS = {"problem", "integrator", "outdir"}
 
 
@@ -228,7 +227,6 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
         "tol": scfg.tol,
         "digits": cfg.digits,
         "T_final": cfg.final_time(),
-        "seed": cfg.seed,
     }
     started = time.perf_counter()
     try:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -182,7 +182,7 @@ def write_error_series_csv(series_list: List[ErrorSeries], path, ctx: PrecisionC
     write_csv(path, header, rows, ctx)
 
 
-def write_stats_csv(traj: Trajectory, path, extra: Optional[dict] = None):
+def write_stats_csv(traj: Trajectory, path):
     ctx = context_for(traj)
     stats = timestep_stats(traj)
     tele = telescoping_bound_check(traj)
@@ -199,6 +199,4 @@ def write_stats_csv(traj: Trajectory, path, extra: Optional[dict] = None):
         "telescoping_rhs": tele.rhs,
         "telescoping_holds": tele.holds,
     }
-    if extra:
-        row.update(extra)
     write_csv(path, list(row.keys()), [list(row.values())], ctx)

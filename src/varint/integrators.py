@@ -19,11 +19,19 @@
       (p_{k+1}-p_k)/da = -g(q_av) H_q(q_av, p_av),
       (t_{k+1}-t_k)/da =  g(q_av),
 
-  with arithmetic midpoints q_av, p_av and the auxiliary momentum held at
-  -H(q_0, p_0).
+  with arithmetic midpoints q_av, p_av.  The unit monitor g = 1 reduces it
+  to the fixed-step midpoint rule.
 
 * A fixed-step implicit midpoint integrator (Lagrangian form) and a dense
   adaptive Runge-Kutta reference solver.
+
+Three shared pieces carry the stepping schemes.  ``_increment`` is the
+midpoint kernel: (v, Mv, (h/2) grad V(mid), mid) from (q_k, dq, h), under
+the partials of L_d, the EpAVI and fixed-momentum residuals and the step
+updates.  ``_march`` is the run driver: it steps until t >= T_final, aborts
+on a step below the resolution of t, and raises every failure as an
+:class:`IntegrationError` carrying the partial trajectory.  :class:`Monitor`
+is the AVI density dt/da = g(q), built by :func:`make_monitor`.
 
 All implicit solves use the step increments (dq, h) as unknowns: the
 residuals are then insensitive to the absolute magnitude of t, which keeps
@@ -34,7 +42,7 @@ period.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -49,8 +57,8 @@ from .errors import (
     VarintError,
 )
 from .models import DOUBLE, ExtendedState, LagrangianModel, make_model
-from .precision import Real, inf_norm
-from .solvers import SolverConfig, newton_solve
+from .precision import Real
+from .solvers import SolveReport, SolverConfig, newton_solve
 
 # -- discrete Lagrangian and its partials --------------------------------------
 
@@ -59,57 +67,55 @@ from .solvers import SolverConfig, newton_solve
 class DiscretePartials:
     """Partial derivatives of the midpoint L_d at one step pair.
 
-    d1 = dL_d/dt_k (scalar), d2 = dL_d/dq_k, d3 = dL_d/dt_{k+1} (scalar),
+    d1 = dL_d/dt_k (scalar; dL_d/dt_{k+1} = -d1), d2 = dL_d/dq_k,
     d4 = dL_d/dq_{k+1}.
     """
 
     d1: Real
     d2: np.ndarray
-    d3: Real
     d4: np.ndarray
+
+
+def _step_length(t_k, t_k1):
+    h = t_k1 - t_k
+    if h <= 0:
+        raise NonMonotoneTimeError(f"t_{{k+1}} - t_k = {h} must be positive")
+    return h
 
 
 def discrete_lagrangian_midpoint(model: LagrangianModel, t_k, q_k, t_k1, q_k1) -> Real:
     """(t_{k+1} - t_k) * L(midpoint configuration, difference velocity)."""
-    h = t_k1 - t_k
-    if h <= 0:
-        raise NonMonotoneTimeError(f"t_{{k+1}} - t_k = {h} must be positive")
-    v = (q_k1 - q_k) / h
-    return h * model.lagrangian((q_k + q_k1) / 2, v)
+    h = _step_length(t_k, t_k1)
+    return h * model.lagrangian((q_k + q_k1) / 2, (q_k1 - q_k) / h)
 
 
-def _increment_partials(model, q_k, dq, h) -> DiscretePartials:
-    """Partials evaluated from the step increments (dq, h).
+def _increment(model, q_k, dq, h):
+    """Midpoint kernel of the step increments: (v, Mv, (h/2) grad V(mid), mid).
 
-    Mathematically identical to :func:`discrete_partials_midpoint`, but
-    avoids re-differencing the endpoints, which would cost ulp(t)/h in the
-    velocity and dominate the per-step energy defect late in a run.
+    Working from (dq, h) instead of re-differencing the endpoints avoids an
+    ulp(t)/h error in the velocity, which would dominate the per-step energy
+    defect late in a run.
     """
     v = dq / h
     mid = q_k + dq / 2
-    Mv = np.dot(model.M, v)
-    grad = model.potential_gradient(mid)
-    kinetic = (v * Mv).sum() / 2
-    pot = model.potential(mid)
-    return DiscretePartials(
-        d1=kinetic + pot,
-        d2=-Mv - (h / 2) * grad,
-        d3=-kinetic - pot,
-        d4=Mv - (h / 2) * grad,
-    )
+    return v, np.dot(model.M, v), (h / 2) * model.potential_gradient(mid), mid
+
+
+def _discrete_energy(model, v, Mv, mid) -> Real:
+    """D1 L_d = v'Mv/2 + V(mid) from the kernel values."""
+    return (v * Mv).sum() / 2 + model.potential(mid)
 
 
 def discrete_partials_midpoint(model: LagrangianModel, t_k, q_k, t_k1, q_k1) -> DiscretePartials:
     """Closed-form partials of the midpoint L_d for separable models.
 
     With v the difference velocity and V evaluated at the configuration
-    midpoint:  d1 = v'Mv/2 + V = -d3  (the discrete energy), and
+    midpoint:  d1 = v'Mv/2 + V  (the discrete energy), and
     d2 = -Mv - (h/2) grad V,  d4 = Mv - (h/2) grad V.
     """
-    h = t_k1 - t_k
-    if h <= 0:
-        raise NonMonotoneTimeError(f"t_{{k+1}} - t_k = {h} must be positive")
-    return _increment_partials(model, q_k, q_k1 - q_k, h)
+    v, Mv, half_grad, mid = _increment(model, q_k, q_k1 - q_k, _step_length(t_k, t_k1))
+    d1 = _discrete_energy(model, v, Mv, mid)
+    return DiscretePartials(d1=d1, d2=-Mv - half_grad, d4=Mv - half_grad)
 
 
 # -- trajectories ----------------------------------------------------------------
@@ -125,6 +131,11 @@ class StepRecord:
     delta_a: Optional[Real] = None
     condition_estimate: float = 0.0
     stalled: bool = False
+
+
+def _record(h, report: SolveReport, delta_a=None) -> StepRecord:
+    return StepRecord(h, report.residual_norm, report.iterations, delta_a,
+                      report.condition_estimate, report.stalled)
 
 
 @dataclass
@@ -147,11 +158,44 @@ class Trajectory:
     def step_sizes(self) -> np.ndarray:
         return np.array([float(r.h) for r in self.steps])
 
-    def validate(self) -> "Trajectory":
-        ts = [s.t for s in self.states]
-        if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
-            raise NonMonotoneTimeError("trajectory times are not strictly increasing")
-        return self
+
+# -- the run driver -----------------------------------------------------------------
+
+
+def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfig]) -> SolverConfig:
+    """Reject a bad start state or span before any solve; default the solver config."""
+    state0.validate(model.n)
+    if T_final < state0.t:
+        raise ConfigurationError("T_final must not precede the initial time")
+    return cfg or SolverConfig.for_context(model.ctx)
+
+
+def _march(model, name, step: Callable, state0, h, T_final, cfg, **meta) -> Trajectory:
+    """Apply ``step(state, h_prev) -> (state, record)`` until t >= T_final.
+
+    ``h_prev`` is the previous record's h, and ``h`` before the first step.
+    A step below the resolution of t means the adaptation collapsed (e.g. a
+    monitor decaying to zero) and aborts the run instead of looping towards
+    t = const.
+    """
+    meta = {"integrator": name, "model": model.name, "params": dict(model.params), **meta,
+            "T_final": float(T_final), "tol": float(cfg.tol), "digits": model.ctx.digits}
+    traj = Trajectory(states=[state0], meta=meta)
+    state = state0
+    while state.t < T_final:
+        try:
+            new_state, record = step(state, h)
+            if record.h < 64 * model.ctx.eps * (1 + abs(float(new_state.t))):
+                raise NonMonotoneTimeError(
+                    f"time step {float(record.h):.3e} underflowed at t = {float(new_state.t):.6g}"
+                )
+        except VarintError as exc:
+            message = f"{name} run aborted at t = {float(state.t):.6g} after {len(traj.steps)} steps: {exc}"
+            raise IntegrationError(message, trajectory=traj, cause=exc) from exc
+        state, h = new_state, record.h
+        traj.states.append(state)
+        traj.steps.append(record)
+    return traj
 
 
 # -- EpAVI ------------------------------------------------------------------------
@@ -163,13 +207,10 @@ def _epavi_system(model, state):
     M, p_k, E_k, q_k = model.M, state.p, state.E, state.q
 
     def residual(z):
-        dq, h = z[:n], z[n]
-        v = dq / h
-        mid = q_k + dq / 2
-        grad = model.potential_gradient(mid)
+        v, Mv, half_grad, mid = _increment(model, q_k, z[:n], z[n])
         out = np.empty(n + 1, dtype=z.dtype)
-        out[:n] = np.dot(M, v) + (h / 2) * grad - p_k
-        out[n] = (v * np.dot(M, v)).sum() / 2 + model.potential(mid) - E_k
+        out[:n] = Mv + half_grad - p_k
+        out[n] = _discrete_energy(model, v, Mv, mid) - E_k
         return out
 
     def jacobian(z):
@@ -218,17 +259,11 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
                 if attempt == 1:
                     raise
         dq, h = report.solution[:n], report.solution[n]
-        parts = _increment_partials(model, state.q, dq, h)
-        new_state = ExtendedState(t=state.t + h, q=state.q + dq, p=parts.d4, E=-parts.d3)
-
-    record = StepRecord(
-        h=h,
-        residual_norm=report.residual_norm,
-        iterations=report.iterations,
-        condition_estimate=report.condition_estimate,
-        stalled=report.stalled,
-    )
-    return new_state, record
+        v, Mv, half_grad, mid = _increment(model, state.q, dq, h)
+        new_state = ExtendedState(
+            t=state.t + h, q=state.q + dq, p=Mv - half_grad, E=_discrete_energy(model, v, Mv, mid)
+        )
+    return new_state, _record(h, report)
 
 
 def initial_discrete_energy(model: LagrangianModel, state: ExtendedState, h0, cfg: SolverConfig) -> Real:
@@ -241,18 +276,13 @@ def initial_discrete_energy(model: LagrangianModel, state: ExtendedState, h0, cf
     this level, and its first solution lands on h = h0.
     """
     with model.ctx.activate():
-        dq = _solve_fixed_momentum(model, state, h0, cfg)
-        return _increment_partials(model, state.q, dq, h0).d1
+        dq = _solve_fixed_momentum(model, state, h0, cfg).solution
+        v, Mv, _, mid = _increment(model, state.q, dq, h0)
+        return _discrete_energy(model, v, Mv, mid)
 
 
-def epavi_run(
-    model: LagrangianModel,
-    state0: ExtendedState,
-    h0,
-    T_final,
-    cfg: Optional[SolverConfig] = None,
-    init_energy: bool = True,
-) -> Trajectory:
+def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,
+              cfg: Optional[SolverConfig] = None, init_energy: bool = True) -> Trajectory:
     """March EpAVI steps until t >= T_final.
 
     The Newton guess for each step is the previously accepted h (h0 for the
@@ -260,11 +290,7 @@ def epavi_run(
     h0-consistent discrete level (see :func:`initial_discrete_energy`);
     disable it only when continuing from an earlier run.
     """
-    cfg = cfg or SolverConfig.for_context(model.ctx)
-    state0.validate(model.n)
-    if T_final < state0.t:
-        raise ConfigurationError("T_final must not precede the initial time")
-
+    cfg = _run_config(model, state0, T_final, cfg)
     if init_energy and T_final > state0.t:
         try:
             state0 = replace(state0, E=initial_discrete_energy(model, state0, h0, cfg))
@@ -274,64 +300,27 @@ def epavi_run(
                 trajectory=Trajectory(states=[state0]),
                 cause=exc,
             ) from exc
-
-    traj = Trajectory(
-        states=[state0],
-        meta={
-            "integrator": "epavi",
-            "model": model.name,
-            "params": dict(model.params),
-            "h0": float(h0),
-            "T_final": float(T_final),
-            "tol": float(cfg.tol),
-            "digits": model.ctx.digits,
-        },
-    )
-    state, h_guess = state0, h0
-    while state.t < T_final:
-        try:
-            state, record = epavi_step(model, state, h_guess, cfg)
-            _check_step_underflow(model, state, record)
-        except VarintError as exc:
-            raise IntegrationError(
-                f"epavi run aborted at t = {float(state.t):.6g} after "
-                f"{len(traj.steps)} steps: {exc}",
-                trajectory=traj,
-                cause=exc,
-            ) from exc
-        traj.states.append(state)
-        traj.steps.append(record)
-        h_guess = record.h
-    return traj
-
-
-def _check_step_underflow(model, state, record):
-    # a step below resolution means the adaptation collapsed (e.g. a monitor
-    # decaying to zero); abort instead of looping towards t = const
-    if record.h < 64 * model.ctx.eps * (1 + abs(float(state.t))):
-        raise NonMonotoneTimeError(f"time step {float(record.h):.3e} underflowed at t = {float(state.t):.6g}")
+    step = lambda state, h: epavi_step(model, state, h, cfg)
+    return _march(model, "epavi", step, state0, h0, T_final, cfg, h0=float(h0))
 
 
 # -- fixed-step implicit midpoint (Lagrangian form) -------------------------------
 
 
-def _solve_fixed_momentum(model, state, h, cfg):
+def _solve_fixed_momentum(model, state, h, cfg) -> SolveReport:
     """Solve -D2 L_d = p_k for the configuration increment at fixed h."""
-    n = model.n
     M, p_k, q_k = model.M, state.p, state.q
 
     def residual(dq):
-        v = dq / h
-        mid = q_k + dq / 2
-        return np.dot(M, v) + (h / 2) * model.potential_gradient(mid) - p_k
+        _, Mv, half_grad, _ = _increment(model, q_k, dq, h)
+        return Mv + half_grad - p_k
 
     def jacobian(dq):
         mid = q_k + dq / 2
         return M / h + (h / 4) * model.potential_hessian(mid)
 
     z0 = h * np.dot(model.M_inv, p_k)
-    report = newton_solve(residual, z0, cfg, model.ctx, jacobian=jacobian)
-    return report.solution
+    return newton_solve(residual, z0, cfg, model.ctx, jacobian=jacobian)
 
 
 def midpoint_fixed_step(model: LagrangianModel, state: ExtendedState, h, cfg: SolverConfig):
@@ -339,143 +328,87 @@ def midpoint_fixed_step(model: LagrangianModel, state: ExtendedState, h, cfg: So
     if h <= 0:
         raise ConfigurationError("step size must be positive")
     with model.ctx.activate():
-        dq = _solve_fixed_momentum(model, state, h, cfg)
-        parts = _increment_partials(model, state.q, dq, h)
-        q1 = state.q + dq
-        p1 = parts.d4
+        report = _solve_fixed_momentum(model, state, h, cfg)
+        dq = report.solution
+        _, Mv, half_grad, _ = _increment(model, state.q, dq, h)
+        q1, p1 = state.q + dq, Mv - half_grad
         new_state = ExtendedState(t=state.t + h, q=q1, p=p1, E=model.hamiltonian(q1, p1))
-        v = dq / h
-        res = inf_norm(np.dot(model.M, v) + (h / 2) * model.potential_gradient(state.q + dq / 2) - state.p)
-    return new_state, StepRecord(h=h, residual_norm=res, iterations=0)
+    return new_state, _record(h, report)
 
 
 def midpoint_fixed_run(model, state0, h, T_final, cfg=None) -> Trajectory:
-    cfg = cfg or SolverConfig.for_context(model.ctx)
-    state0.validate(model.n)
-    traj = Trajectory(
-        states=[state0],
-        meta={
-            "integrator": "midpoint_fixed",
-            "model": model.name,
-            "params": dict(model.params),
-            "h0": float(h),
-            "T_final": float(T_final),
-            "tol": float(cfg.tol),
-            "digits": model.ctx.digits,
-        },
-    )
-    state = state0
-    while state.t < T_final:
-        try:
-            state, record = midpoint_fixed_step(model, state, h, cfg)
-        except VarintError as exc:
-            raise IntegrationError(
-                f"midpoint run aborted after {len(traj.steps)} steps: {exc}",
-                trajectory=traj,
-                cause=exc,
-            ) from exc
-        traj.states.append(state)
-        traj.steps.append(record)
-    return traj
+    cfg = _run_config(model, state0, T_final, cfg)
+    step = lambda state, _: midpoint_fixed_step(model, state, h, cfg)
+    return _march(model, "midpoint_fixed", step, state0, h, T_final, cfg, h0=float(h))
 
 
 # -- monitor functions -------------------------------------------------------------
 
 
-def monitor_arclength(model: LagrangianModel, q, H0) -> Real:
-    """Arclength monitor g1 = (2(H0 - V) + grad V' M^{-1} grad V)^(-1/2)."""
-    grad = model.potential_gradient(q)
-    radicand = 2 * (H0 - model.potential(q)) + (grad * np.dot(model.M_inv, grad)).sum()
-    if radicand <= 0:
-        raise MonitorDomainError(f"arclength monitor radicand {radicand} is not positive")
-    return 1 / model.ctx.sqrt(radicand)
-
-
-def monitor_kepler(q) -> Real:
-    """Second-law monitor g2 = q'q (vanishes only at the origin)."""
-    return (q * q).sum()
-
-
+@dataclass(frozen=True)
 class Monitor:
-    """Positive time-reparametrization density dt/da = g(q)."""
+    """Positive time-reparametrization density dt/da = g(q); see :func:`make_monitor`."""
 
-    identifier = "unit"
-
-    def __call__(self, q) -> Real:
-        return 1
-
-
-class UnitMonitor(Monitor):
-    identifier = "unit"
-
-
-class ArclengthMonitor(Monitor):
-    identifier = "g1"
-
-    def __init__(self, model: LagrangianModel, H0):
-        self.model = model
-        self.H0 = H0
-
-    def __call__(self, q) -> Real:
-        return monitor_arclength(self.model, q, self.H0)
-
-
-class KeplerMonitor(Monitor):
-    identifier = "g2"
-
-    def __call__(self, q) -> Real:
-        return monitor_kepler(q)
+    identifier: str
+    g: Callable
 
 
 def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Monitor:
+    """Monitor by name.
+
+    ``g1`` (alias ``arclength``) is the arclength monitor
+    (2(H0 - V) + grad V' M^{-1} grad V)^(-1/2) with H0 = H(q_0, p_0);
+    ``g2`` (alias ``kepler``) is the second-law monitor q'q; ``unit`` is 1.
+    """
     key = {"g1": "g1", "arclength": "g1", "g2": "g2", "kepler": "g2", "unit": "unit"}.get(name)
     if key == "g1":
-        return ArclengthMonitor(model, model.hamiltonian(state0.q, state0.p))
+        H0 = model.hamiltonian(state0.q, state0.p)
+
+        def arclength(q) -> Real:
+            grad = model.potential_gradient(q)
+            radicand = 2 * (H0 - model.potential(q)) + (grad * np.dot(model.M_inv, grad)).sum()
+            if radicand <= 0:
+                raise MonitorDomainError(f"arclength monitor radicand {radicand} is not positive")
+            return 1 / model.ctx.sqrt(radicand)
+
+        return Monitor("g1", arclength)
     if key == "g2":
-        return KeplerMonitor()
+        return Monitor("g2", lambda q: (q * q).sum())
     if key == "unit":
-        return UnitMonitor()
+        return Monitor("unit", lambda q: 1)
     raise ConfigurationError(f"unknown monitor {name!r}")
 
 
 # -- AVI ----------------------------------------------------------------------------
 
 
-def avi_step(
-    model: LagrangianModel,
-    monitor: Monitor,
-    state: ExtendedState,
-    p_t,
-    delta_a,
-    cfg: SolverConfig,
-):
+def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, delta_a, cfg: SolverConfig):
     """One implicit-midpoint step of the monitor-rescaled system.
 
     Unknowns are the increments (dq, dp); the physical-time update
-    t_{k+1} = t_k + da * g(q_av) is explicit afterwards.  ``p_t`` (held at
-    -H(q_0, p_0)) does not enter the update equations; it is the conserved
-    momentum conjugate to physical time in the transformed picture.
+    t_{k+1} = t_k + da * g(q_av) is explicit afterwards.
     """
     if delta_a <= 0:
         raise ConfigurationError("delta_a must be positive")
     ctx = model.ctx
     n = model.n
     q_k, p_k = state.q, state.p
+    g = monitor.g
 
     def residual(z):
         dq, dp = z[:n], z[n:]
         q_av = q_k + dq / 2
         p_av = p_k + dp / 2
-        g = monitor(q_av)
-        if g <= 0:
-            raise MonitorDomainError(f"monitor value {g} is not positive")
+        g_av = g(q_av)
+        if g_av <= 0:
+            raise MonitorDomainError(f"monitor value {g_av} is not positive")
         out = np.empty(2 * n, dtype=z.dtype)
-        out[:n] = dq / delta_a - g * np.dot(model.M_inv, p_av)
-        out[n:] = dp / delta_a + g * model.potential_gradient(q_av)
+        out[:n] = dq / delta_a - g_av * np.dot(model.M_inv, p_av)
+        out[n:] = dp / delta_a + g_av * model.potential_gradient(q_av)
         return out
 
     with ctx.activate():
-        g0 = monitor(q_k)
+        g0 = g(q_k)
         if g0 <= 0:
             raise MonitorDomainError(f"monitor value {g0} at the step start is not positive")
         z0 = np.empty(2 * n, dtype=float if ctx.is_native else object)
@@ -483,21 +416,12 @@ def avi_step(
         z0[n:] = -delta_a * g0 * model.potential_gradient(q_k)
         report = newton_solve(residual, z0, cfg, ctx)
         dq, dp = report.solution[:n], report.solution[n:]
-        h = delta_a * monitor(q_k + dq / 2)
+        h = delta_a * g(q_k + dq / 2)
         if h <= 0:
             raise NonMonotoneTimeError(f"monitor produced a non-positive time step {h}")
         q1, p1 = q_k + dq, p_k + dp
         new_state = ExtendedState(t=state.t + h, q=q1, p=p1, E=model.hamiltonian(q1, p1))
-
-    record = StepRecord(
-        h=h,
-        residual_norm=report.residual_norm,
-        iterations=report.iterations,
-        delta_a=delta_a,
-        condition_estimate=report.condition_estimate,
-        stalled=report.stalled,
-    )
-    return new_state, record
+    return new_state, _record(h, report, delta_a)
 
 
 def avi_calibrate_delta_a(model, monitor, state0, h0, cfg: Optional[SolverConfig] = None) -> Real:
@@ -510,74 +434,39 @@ def avi_calibrate_delta_a(model, monitor, state0, h0, cfg: Optional[SolverConfig
     if h0 <= 0:
         raise ConfigurationError("h0 must be positive")
     with model.ctx.activate():
-        g0 = monitor(state0.q)
+        g0 = monitor.g(state0.q)
         if g0 <= 0:
             raise MonitorDomainError(f"monitor value {g0} at the initial state is not positive")
         delta_a = h0 / g0
-        p_t = -model.hamiltonian(state0.q, state0.p)
         for _ in range(5):
-            _, record = avi_step(model, monitor, state0, p_t, delta_a, cfg)
+            _, record = avi_step(model, monitor, state0, delta_a, cfg)
             if abs(record.h - h0) <= 0.01 * h0:
                 break
             delta_a = delta_a * (h0 / record.h)
     return delta_a
 
 
-def avi_run(
-    model: LagrangianModel,
-    monitor: Monitor,
-    state0: ExtendedState,
-    T_final,
-    cfg: Optional[SolverConfig] = None,
-    h0=None,
-    delta_a=None,
-) -> Trajectory:
+def avi_run(model: LagrangianModel, monitor: Monitor, state0: ExtendedState, T_final,
+            cfg: Optional[SolverConfig] = None, h0=None, delta_a=None) -> Trajectory:
     """Fixed-da monitor-adaptive run until t >= T_final.
 
     ``delta_a`` may be given directly; otherwise it is calibrated so the
     first physical step matches ``h0``.  Recorded energies are H(q_k, p_k).
     """
-    cfg = cfg or SolverConfig.for_context(model.ctx)
-    state0.validate(model.n)
+    cfg = _run_config(model, state0, T_final, cfg)
     if delta_a is None:
         if h0 is None:
             raise ConfigurationError("avi_run needs either h0 or delta_a")
         delta_a = avi_calibrate_delta_a(model, monitor, state0, h0, cfg)
-    if T_final < state0.t:
-        raise ConfigurationError("T_final must not precede the initial time")
-
     with model.ctx.activate():
         state0 = replace(state0, E=model.hamiltonian(state0.q, state0.p))
-        p_t = -state0.E
-    traj = Trajectory(
-        states=[state0],
-        meta={
-            "integrator": f"avi_{monitor.identifier}",
-            "model": model.name,
-            "params": dict(model.params),
-            "monitor": monitor.identifier,
-            "h0": float(h0) if h0 is not None else float(delta_a),
-            "delta_a": float(delta_a),
-            "T_final": float(T_final),
-            "tol": float(cfg.tol),
-            "digits": model.ctx.digits,
-        },
+    step = lambda state, _: avi_step(model, monitor, state, delta_a, cfg)
+    return _march(
+        model, f"avi_{monitor.identifier}", step, state0, delta_a, T_final, cfg,
+        monitor=monitor.identifier,
+        h0=float(h0) if h0 is not None else float(delta_a),
+        delta_a=float(delta_a),
     )
-    state = state0
-    while state.t < T_final:
-        try:
-            state, record = avi_step(model, monitor, state, p_t, delta_a, cfg)
-            _check_step_underflow(model, state, record)
-        except VarintError as exc:
-            raise IntegrationError(
-                f"avi run aborted at t = {float(state.t):.6g} after "
-                f"{len(traj.steps)} steps: {exc}",
-                trajectory=traj,
-                cause=exc,
-            ) from exc
-        traj.states.append(state)
-        traj.steps.append(record)
-    return traj
 
 
 # -- dense reference solution --------------------------------------------------------

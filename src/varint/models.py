@@ -182,21 +182,6 @@ def kepler_initial_state(e: float, ctx: PrecisionContext = DOUBLE) -> ExtendedSt
         return ExtendedState(t=ctx.real(0), q=q, p=p, E=kepler_hamiltonian(q, p, ctx))
 
 
-def potential_derivs(model: LagrangianModel, q, order: int):
-    """Analytic potential derivative of the given order (0..3) at q."""
-    if order == 0:
-        return model.potential(q)
-    if order == 1:
-        return model.potential_gradient(q)
-    if order == 2:
-        return model.potential_hessian(q)
-    if order == 3:
-        if model.n != 1:
-            raise UnsupportedOrderError("third derivative requires a 1-DOF model")
-        return model.potential_third(q)
-    raise UnsupportedOrderError(f"derivative order {order} not supported")
-
-
 def angular_momentum(q, p) -> Real:
     """Planar angular momentum Lz = q1 p2 - q2 p1."""
     return q[0] * p[1] - q[1] * p[0]

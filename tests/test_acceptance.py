@@ -17,7 +17,6 @@ from varint import (
     Pendulum,
     SineProfile,
     SolverConfig,
-    UnitMonitor,
     angular_momentum,
     avi_run,
     avi_step,
@@ -195,7 +194,7 @@ def test_criterion_11_unit_monitor_equals_fixed_midpoint():
     cfg = SolverConfig(tol=1e-13)
     h = 0.1
     T = 100 * h
-    avi = avi_run(model, UnitMonitor(), s0, T - h / 2, cfg, delta_a=h)
+    avi = avi_run(model, make_monitor("unit", model, s0), s0, T - h / 2, cfg, delta_a=h)
     fixed = midpoint_fixed_run(model, s0, h, T - h / 2, cfg)
     n = min(len(avi.states), len(fixed.states))
     worst = max(
@@ -217,7 +216,7 @@ def test_criterion_12_one_step_map_determinant():
     boot = replace(state, E=initial_discrete_energy(model, state, 0.1, cfg))
     _, rec_ep = epavi_step(model, boot, 0.1, cfg)
     monitor = make_monitor("g1", model, state)
-    _, rec_av = avi_step(model, monitor, state, -state.E, 0.1, cfg)
+    _, rec_av = avi_step(model, monitor, state, 0.1, cfg)
 
     dets = {}
     for label, h in (("epavi", rec_ep.h), ("avi", rec_av.h)):

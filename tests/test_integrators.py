@@ -7,12 +7,12 @@ import pytest
 from varint import (
     ConfigurationError,
     HarmonicOscillator,
+    IntegrationError,
     KeplerTwoBody,
     MonitorDomainError,
     NonMonotoneTimeError,
     Pendulum,
     SolverConfig,
-    UnitMonitor,
     angular_momentum,
     avi_calibrate_delta_a,
     avi_run,
@@ -26,8 +26,6 @@ from varint import (
     make_monitor,
     midpoint_fixed_run,
     midpoint_fixed_step,
-    monitor_arclength,
-    monitor_kepler,
     reference_solve,
 )
 from varint.models import ExtendedState
@@ -73,7 +71,8 @@ def test_discrete_partials_oscillator_value():
     model = HarmonicOscillator()
     parts = discrete_partials_midpoint(model, 0.0, np.array([0.0]), 0.1, np.array([0.1]))
     assert parts.d1 == pytest.approx(0.50125, abs=1e-15)
-    assert parts.d3 == pytest.approx(-0.50125, abs=1e-15)
+    # dL_d/dt_{k+1} = -d1
+    assert -parts.d1 == pytest.approx(-0.50125, abs=1e-15)
 
 
 def test_discrete_partials_free_particle_at_rest():
@@ -107,7 +106,7 @@ def test_discrete_partials_match_finite_differences(model_case):
         fd_d1 = (Ld(t_k + step, q_k, t_k1, q_k1) - Ld(t_k - step, q_k, t_k1, q_k1)) / (2 * step)
         fd_d3 = (Ld(t_k, q_k, t_k1 + step, q_k1) - Ld(t_k, q_k, t_k1 - step, q_k1)) / (2 * step)
         assert parts.d1 == pytest.approx(fd_d1, rel=1e-6, abs=1e-9)
-        assert parts.d3 == pytest.approx(fd_d3, rel=1e-6, abs=1e-9)
+        assert -parts.d1 == pytest.approx(fd_d3, rel=1e-6, abs=1e-9)
         for j in range(model.n):
             dq = np.zeros(model.n)
             dq[j] = step
@@ -134,14 +133,14 @@ def test_epavi_single_step_energy_defect():
 
 
 def test_epavi_step_energy_update_is_consistent():
-    # re-evaluating -D3 at the accepted step is the oracle for E_{k+1}
+    # re-evaluating -D3 = D1 at the accepted step is the oracle for E_{k+1}
     model = HarmonicOscillator()
     s0 = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.2]), E=0.0)
     state = replace(s0, E=initial_discrete_energy(model, s0, 0.05, CFG13))
     new_state, record = epavi_step(model, state, 0.05, CFG13)
     parts = discrete_partials_midpoint(model, state.t, state.q, new_state.t, new_state.q)
-    assert new_state.E == pytest.approx(-parts.d3, rel=1e-12)
-    assert abs(-parts.d3 - state.E) <= 10 * CFG13.tol
+    assert new_state.E == pytest.approx(parts.d1, rel=1e-12)
+    assert abs(parts.d1 - state.E) <= 10 * CFG13.tol
 
 
 def test_epavi_rejects_bad_h_guess():
@@ -161,7 +160,7 @@ def test_epavi_run_short_invariants():
     model = KeplerTwoBody()
     s = kepler_initial_state(0.7)
     traj = epavi_run(model, s, 1e-3, 0.05, CFG15)
-    traj.validate()
+    assert np.all(np.diff(traj.times()) > 0)
     E = traj.energies()
     for a, b in zip(E, E[1:]):
         assert abs(b - a) <= 10 * CFG15.tol
@@ -184,30 +183,33 @@ def test_epavi_guess_insensitivity():
 
 
 def test_monitor_arclength_kepler_value():
-    # radicand is exactly 10459/81 at the e=0.7 perihelion
+    # radicand is exactly 10459/81 at the e=0.7 perihelion, where H0 = -1/2
     model = KeplerTwoBody()
-    g = monitor_arclength(model, np.array([0.3, 0.0]), -0.5)
+    g = make_monitor("g1", model, kepler_initial_state(0.7)).g(np.array([0.3, 0.0]))
     assert g == pytest.approx(9.0 / math.sqrt(10459.0), rel=1e-12)
     assert g == pytest.approx(0.0880, abs=5e-5)
 
 
 def test_monitor_arclength_free_particle_unit_speed():
     model = HarmonicOscillator(k=0.0)
-    g = monitor_arclength(model, np.array([0.3]), 0.5)
+    s0 = ExtendedState(t=0.0, q=np.array([0.0]), p=np.array([1.0]), E=0.5)  # H0 = 1/2
+    g = make_monitor("arclength", model, s0).g(np.array([0.3]))
     assert g == pytest.approx(1.0, rel=1e-14)
 
 
 def test_monitor_arclength_domain_error():
     # at the pendulum equilibrium V = H0 and grad V = 0: zero radicand
     model = Pendulum()
+    s0 = ExtendedState(t=0.0, q=np.array([0.0]), p=np.array([0.0]), E=-1.0)  # H0 = -1
     with pytest.raises(MonitorDomainError):
-        monitor_arclength(model, np.array([0.0]), -1.0)
+        make_monitor("g1", model, s0).g(np.array([0.0]))
 
 
 def test_monitor_kepler_values():
-    assert monitor_kepler(np.array([1.0, 0.0])) == 1.0
-    assert monitor_kepler(np.array([0.3, 0.0])) == pytest.approx(0.09)
-    assert monitor_kepler(np.array([0.0, 0.0])) == 0.0
+    g2 = make_monitor("kepler", KeplerTwoBody(), kepler_initial_state(0.1)).g
+    assert g2(np.array([1.0, 0.0])) == 1.0
+    assert g2(np.array([0.3, 0.0])) == pytest.approx(0.09)
+    assert g2(np.array([0.0, 0.0])) == 0.0
 
 
 # -- AVI --------------------------------------------------------------------------
@@ -217,7 +219,7 @@ def test_avi_unit_monitor_reduces_to_fixed_midpoint():
     model = HarmonicOscillator()
     s0 = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.5)
     h = 0.1
-    avi_state, rec = avi_step(model, UnitMonitor(), s0, -0.5, h, CFG13)
+    avi_state, rec = avi_step(model, make_monitor("unit", model, s0), s0, h, CFG13)
     mid_state, _ = midpoint_fixed_step(model, s0, h, CFG13)
     assert rec.h == pytest.approx(h, abs=1e-16)
     assert avi_state.q[0] == pytest.approx(mid_state.q[0], abs=1e-13)
@@ -227,7 +229,7 @@ def test_avi_unit_monitor_reduces_to_fixed_midpoint():
 def test_avi_calibration_unit_monitor():
     model = HarmonicOscillator()
     s0 = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.5)
-    da = avi_calibrate_delta_a(model, UnitMonitor(), s0, 1e-3, CFG13)
+    da = avi_calibrate_delta_a(model, make_monitor("unit", model, s0), s0, 1e-3, CFG13)
     assert da == pytest.approx(1e-3, rel=1e-12)
 
 
@@ -245,7 +247,7 @@ def test_avi_calibration_realizes_h0():
     s0 = kepler_initial_state(0.7)
     monitor = make_monitor("g2", model, s0)
     da = avi_calibrate_delta_a(model, monitor, s0, 1e-3, CFG13)
-    _, rec = avi_step(model, monitor, s0, 0.5, da, CFG13)
+    _, rec = avi_step(model, monitor, s0, da, CFG13)
     assert abs(rec.h - 1e-3) <= 0.01 * 1e-3
 
 
@@ -256,14 +258,14 @@ def test_avi_monitor_domain_error_propagates():
     monitor = make_monitor("g1", model, s0)
     bad = ExtendedState(t=0.0, q=np.array([3.0]), p=np.array([0.0]), E=0.0)
     with pytest.raises(MonitorDomainError):
-        avi_step(model, monitor, bad, 0.0, 0.1, CFG13)
+        avi_step(model, monitor, bad, 0.1, CFG13)
 
 
 def test_avi_run_records_delta_a():
     model = KeplerTwoBody()
     s0 = kepler_initial_state(0.1)
     traj = avi_run(model, make_monitor("g2", model, s0), s0, 0.05, CFG13, h0=1e-3)
-    traj.validate()
+    assert np.all(np.diff(traj.times()) > 0)
     assert all(rec.delta_a == traj.meta["delta_a"] for rec in traj.steps)
     # realized step over fictitious step is the monitor value: bounded t'(a)
     for rec in traj.steps:
@@ -279,6 +281,46 @@ def test_midpoint_fixed_run_constant_steps():
     traj = midpoint_fixed_run(model, s0, 0.1, 1.0, CFG13)
     hs = traj.step_sizes()
     assert np.allclose(hs, 0.1, atol=1e-15)
+
+
+def test_midpoint_fixed_records_the_solve():
+    model = HarmonicOscillator()
+    s0 = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.5)
+    traj = midpoint_fixed_run(model, s0, 0.1, 1.0, CFG13)
+    assert len(traj.steps) >= 10
+    for rec in traj.steps:
+        assert rec.iterations >= 1
+        assert rec.residual_norm <= CFG13.tol
+        assert rec.condition_estimate > 0
+
+
+# -- run driver -------------------------------------------------------------------
+
+
+def test_run_aborts_on_step_underflow():
+    # a step below the resolution of t would take ~1e15 steps to reach T_final
+    s0 = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.5)
+    with pytest.raises(IntegrationError) as info:
+        midpoint_fixed_run(HarmonicOscillator(), s0, 1e-15, 1.0)
+    assert isinstance(info.value.cause, NonMonotoneTimeError)
+    assert str(info.value).startswith("midpoint_fixed run aborted at t = 0 after 0 steps: ")
+    assert len(info.value.trajectory.states) == 1
+
+
+@pytest.mark.parametrize("integrator", ["epavi", "avi", "midpoint_fixed"])
+def test_runs_check_span_before_any_solve(integrator):
+    # T_final precedes t0; at the pendulum top the g1 monitor is undefined,
+    # so an AVI calibration run before the check would raise MonitorDomainError
+    model = Pendulum()
+    s0 = ExtendedState(t=1.0, q=np.array([3.0]), p=np.array([0.0]), E=1.0)
+    with pytest.raises(ConfigurationError):
+        if integrator == "epavi":
+            epavi_run(model, s0, 0.1, 0.5, CFG13)
+        elif integrator == "avi":
+            monitor = make_monitor("g1", model, replace(s0, q=np.array([0.1])))
+            avi_run(model, monitor, s0, 0.5, CFG13, h0=0.1)
+        else:
+            midpoint_fixed_run(model, s0, 0.1, 0.5, CFG13)
 
 
 # -- reference solver ----------------------------------------------------------------

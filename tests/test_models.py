@@ -14,7 +14,6 @@ from varint import (
     kepler_hamiltonian,
     kepler_initial_state,
     make_model,
-    potential_derivs,
     with_precision,
 )
 
@@ -74,38 +73,36 @@ def test_initial_energy_exact_over_eccentricities():
         assert abs(kepler_hamiltonian(s.q, s.p) + 0.5) < 8 * eps * max(1.0, kinetic)
 
 
-def test_potential_derivs_oscillator():
+def test_potential_methods_oscillator():
     model = HarmonicOscillator(k=1.0, m=1.0)
     q = np.array([2.0])
-    assert potential_derivs(model, q, 0) == pytest.approx(2.0)
-    assert potential_derivs(model, q, 1)[0] == pytest.approx(2.0)
-    assert potential_derivs(model, q, 2)[0, 0] == pytest.approx(1.0)
-    assert potential_derivs(model, q, 3) == 0.0
+    assert model.potential(q) == pytest.approx(2.0)
+    assert model.potential_gradient(q)[0] == pytest.approx(2.0)
+    assert model.potential_hessian(q)[0, 0] == pytest.approx(1.0)
+    assert model.potential_third(q) == 0.0
 
 
-def test_potential_derivs_pendulum_equilibrium():
+def test_potential_methods_pendulum_equilibrium():
     model = Pendulum()
     q = np.array([0.0])
-    assert potential_derivs(model, q, 0) == pytest.approx(-1.0)
-    assert potential_derivs(model, q, 1)[0] == 0.0
-    assert potential_derivs(model, q, 2)[0, 0] == pytest.approx(1.0)
-    assert potential_derivs(model, q, 3) == 0.0
+    assert model.potential(q) == pytest.approx(-1.0)
+    assert model.potential_gradient(q)[0] == 0.0
+    assert model.potential_hessian(q)[0, 0] == pytest.approx(1.0)
+    assert model.potential_third(q) == 0.0
 
 
-def test_potential_derivs_kepler_values():
+def test_potential_methods_kepler_values():
     model = KeplerTwoBody()
     q = np.array([0.3, 0.0])
-    assert potential_derivs(model, q, 0) == pytest.approx(-10.0 / 3.0)
-    grad = potential_derivs(model, q, 1)
+    assert model.potential(q) == pytest.approx(-10.0 / 3.0)
+    grad = model.potential_gradient(q)
     assert grad[0] == pytest.approx(100.0 / 9.0)
     assert grad[1] == 0.0
 
 
 def test_third_derivative_needs_1dof():
     with pytest.raises(UnsupportedOrderError):
-        potential_derivs(KeplerTwoBody(), np.array([1.0, 0.0]), 3)
-    with pytest.raises(UnsupportedOrderError):
-        potential_derivs(HarmonicOscillator(), np.array([1.0]), 4)
+        KeplerTwoBody().potential_third(np.array([1.0, 0.0]))
 
 
 def _sample_points(model, rng, count):
