@@ -58,7 +58,6 @@ class ExperimentConfig:
     periods: Optional[float] = None
     tol: Optional[float] = None
     max_iter: int = 50
-    fd_step: Optional[float] = None
     condition_warn: float = 1e12
     digits: int = 16
     outdir: str = "out"
@@ -164,8 +163,6 @@ def _solver_config(cfg: ExperimentConfig, ctx) -> SolverConfig:
     overrides = {"max_iter": cfg.max_iter, "condition_warn": cfg.condition_warn}
     if cfg.tol is not None:
         overrides["tol"] = cfg.tol
-    if cfg.fd_step is not None:
-        overrides["fd_step"] = cfg.fd_step
     return SolverConfig.for_context(ctx, **overrides)
 
 

@@ -31,12 +31,13 @@ the partials of L_d, the EpAVI and fixed-momentum residuals and the step
 updates.  ``_march`` is the run driver: it steps until t >= T_final, aborts
 on a step below the resolution of t, and raises every failure as an
 :class:`IntegrationError` carrying the partial trajectory.  :class:`Monitor`
-is the AVI density dt/da = g(q), built by :func:`make_monitor`.
+is the AVI density dt/da = g(q) with its gradient, built by
+:func:`make_monitor`.
 
 All implicit solves use the step increments (dq, h) as unknowns: the
 residuals are then insensitive to the absolute magnitude of t, which keeps
 the attainable residual floor at the representation level over a full
-period.
+period.  Every solve is given its analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -282,16 +283,15 @@ def initial_discrete_energy(model: LagrangianModel, state: ExtendedState, h0, cf
 
 
 def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,
-              cfg: Optional[SolverConfig] = None, init_energy: bool = True) -> Trajectory:
+              cfg: Optional[SolverConfig] = None) -> Trajectory:
     """March EpAVI steps until t >= T_final.
 
     The Newton guess for each step is the previously accepted h (h0 for the
-    first).  With ``init_energy`` the starting state's E is replaced by the
-    h0-consistent discrete level (see :func:`initial_discrete_energy`);
-    disable it only when continuing from an earlier run.
+    first).  The starting state's E is replaced by the h0-consistent
+    discrete level (see :func:`initial_discrete_energy`).
     """
     cfg = _run_config(model, state0, T_final, cfg)
-    if init_energy and T_final > state0.t:
+    if T_final > state0.t:
         try:
             state0 = replace(state0, E=initial_discrete_energy(model, state0, h0, cfg))
         except VarintError as exc:
@@ -347,39 +347,83 @@ def midpoint_fixed_run(model, state0, h, T_final, cfg=None) -> Trajectory:
 
 @dataclass(frozen=True)
 class Monitor:
-    """Positive time-reparametrization density dt/da = g(q); see :func:`make_monitor`."""
+    """Positive time-reparametrization density dt/da = g(q) and its gradient
+    ``grad(q)``; see :func:`make_monitor`."""
 
     identifier: str
     g: Callable
+    grad: Callable
 
 
 def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Monitor:
     """Monitor by name.
 
     ``g1`` (alias ``arclength``) is the arclength monitor
-    (2(H0 - V) + grad V' M^{-1} grad V)^(-1/2) with H0 = H(q_0, p_0);
-    ``g2`` (alias ``kepler``) is the second-law monitor q'q; ``unit`` is 1.
+    g = R^(-1/2), R = 2(H0 - V) + grad V' M^{-1} grad V, with H0 = H(q_0, p_0)
+    and gradient g^3 (grad V - hess V M^{-1} grad V);
+    ``g2`` (alias ``kepler``) is the second-law monitor q'q with gradient 2q;
+    ``unit`` is 1 with gradient 0.
     """
     key = {"g1": "g1", "arclength": "g1", "g2": "g2", "kepler": "g2", "unit": "unit"}.get(name)
     if key == "g1":
         H0 = model.hamiltonian(state0.q, state0.p)
 
-        def arclength(q) -> Real:
+        def arclength(q):
+            """(g, grad V, M^{-1} grad V) at q."""
             grad = model.potential_gradient(q)
-            radicand = 2 * (H0 - model.potential(q)) + (grad * np.dot(model.M_inv, grad)).sum()
+            Minv_grad = np.dot(model.M_inv, grad)
+            radicand = 2 * (H0 - model.potential(q)) + (grad * Minv_grad).sum()
             if radicand <= 0:
                 raise MonitorDomainError(f"arclength monitor radicand {radicand} is not positive")
-            return 1 / model.ctx.sqrt(radicand)
+            return 1 / model.ctx.sqrt(radicand), grad, Minv_grad
 
-        return Monitor("g1", arclength)
+        def arclength_grad(q) -> np.ndarray:
+            g, grad, Minv_grad = arclength(q)
+            return g ** 3 * (grad - np.dot(model.potential_hessian(q), Minv_grad))
+
+        return Monitor("g1", lambda q: arclength(q)[0], arclength_grad)
     if key == "g2":
-        return Monitor("g2", lambda q: (q * q).sum())
+        return Monitor("g2", lambda q: (q * q).sum(), lambda q: 2 * q)
     if key == "unit":
-        return Monitor("unit", lambda q: 1)
+        return Monitor("unit", lambda q: 1, lambda q: 0 * q)
     raise ConfigurationError(f"unknown monitor {name!r}")
 
 
 # -- AVI ----------------------------------------------------------------------------
+
+
+def _avi_system(model, monitor, state, delta_a):
+    """Residual and analytic Jacobian in the increments z = (dq, dp)."""
+    n = model.n
+    M_inv, q_k, p_k, g = model.M_inv, state.q, state.p, monitor.g
+    eye_da = model.ctx.identity(n) / delta_a
+
+    def residual(z):
+        dq, dp = z[:n], z[n:]
+        q_av = q_k + dq / 2
+        p_av = p_k + dp / 2
+        g_av = g(q_av)
+        if g_av <= 0:
+            raise MonitorDomainError(f"monitor value {g_av} is not positive")
+        out = np.empty(2 * n, dtype=z.dtype)
+        out[:n] = dq / delta_a - g_av * np.dot(M_inv, p_av)
+        out[n:] = dp / delta_a + g_av * model.potential_gradient(q_av)
+        return out
+
+    def jacobian(z):
+        q_av = q_k + z[:n] / 2
+        p_av = p_k + z[n:] / 2
+        half_g = g(q_av) / 2
+        half_grad_g = monitor.grad(q_av) / 2
+        J = np.empty((2 * n, 2 * n), dtype=z.dtype)
+        J[:n, :n] = eye_da - np.outer(np.dot(M_inv, p_av), half_grad_g)
+        J[:n, n:] = -half_g * M_inv
+        J[n:, :n] = (np.outer(model.potential_gradient(q_av), half_grad_g)
+                     + half_g * model.potential_hessian(q_av))
+        J[n:, n:] = eye_da
+        return J
+
+    return residual, jacobian
 
 
 def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, delta_a, cfg: SolverConfig):
@@ -395,26 +439,15 @@ def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, del
     q_k, p_k = state.q, state.p
     g = monitor.g
 
-    def residual(z):
-        dq, dp = z[:n], z[n:]
-        q_av = q_k + dq / 2
-        p_av = p_k + dp / 2
-        g_av = g(q_av)
-        if g_av <= 0:
-            raise MonitorDomainError(f"monitor value {g_av} is not positive")
-        out = np.empty(2 * n, dtype=z.dtype)
-        out[:n] = dq / delta_a - g_av * np.dot(model.M_inv, p_av)
-        out[n:] = dp / delta_a + g_av * model.potential_gradient(q_av)
-        return out
-
     with ctx.activate():
         g0 = g(q_k)
         if g0 <= 0:
             raise MonitorDomainError(f"monitor value {g0} at the step start is not positive")
+        residual, jacobian = _avi_system(model, monitor, state, delta_a)
         z0 = np.empty(2 * n, dtype=float if ctx.is_native else object)
         z0[:n] = delta_a * g0 * np.dot(model.M_inv, p_k)
         z0[n:] = -delta_a * g0 * model.potential_gradient(q_k)
-        report = newton_solve(residual, z0, cfg, ctx)
+        report = newton_solve(residual, z0, cfg, ctx, jacobian=jacobian)
         dq, dp = report.solution[:n], report.solution[n:]
         h = delta_a * g(q_k + dq / 2)
         if h <= 0:

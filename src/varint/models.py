@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError, UnsupportedOrderError
-from .precision import DOUBLE, PrecisionContext, Real
+from .precision import DOUBLE, PrecisionContext, Real, all_finite
 
 #: Reject configurations closer to the gravitational singularity than this;
 #: trajectories in scope never approach collision, so hitting the guard
@@ -36,8 +35,7 @@ class ExtendedState:
             raise ConfigurationError("q and p must have equal dimension")
         if n is not None and len(self.q) != n:
             raise ConfigurationError(f"state dimension {len(self.q)} != model dimension {n}")
-        components = [self.t, self.E, *self.q, *self.p]
-        if not all(mpmath.isfinite(c) for c in components):
+        if not all_finite([self.t, self.E, *self.q, *self.p]):
             raise ConfigurationError("state has non-finite components")
         return self
 
@@ -85,6 +83,7 @@ class KeplerTwoBody(LagrangianModel):
 
     def __init__(self, ctx: PrecisionContext = DOUBLE):
         super().__init__(2, np.eye(2), ctx)
+        self._eye = ctx.identity(2)
 
     def _radius(self, q) -> Real:
         r = self.ctx.sqrt((q * q).sum())
@@ -101,7 +100,7 @@ class KeplerTwoBody(LagrangianModel):
 
     def potential_hessian(self, q) -> np.ndarray:
         r = self._radius(q)
-        return self.ctx.identity(2) / r ** 3 - 3 * np.outer(q, q) / r ** 5
+        return self._eye / r ** 3 - 3 * np.outer(q, q) / r ** 5
 
 
 class HarmonicOscillator(LagrangianModel):

@@ -18,6 +18,7 @@ from typing import Union
 import mpmath
 import numpy as np
 from mpmath import mpf
+from scipy.linalg import lapack
 
 from .errors import ConfigurationError, IllPosednessError
 
@@ -129,12 +130,13 @@ class PrecisionContext:
     # -- linear algebra (systems here are tiny: n+1 or 2n unknowns) ----------
 
     def solve(self, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b``; raises :class:`IllPosednessError` when singular."""
+        """Solve ``A x = b`` by LU with partial pivoting; raises
+        :class:`IllPosednessError` when a pivot is exactly zero."""
         if self.is_native:
-            try:
-                return np.linalg.solve(A, b)
-            except np.linalg.LinAlgError as exc:
-                raise IllPosednessError(f"singular Jacobian: {exc}") from exc
+            lu, piv, info = lapack.dgetrf(A)
+            if info > 0:
+                raise IllPosednessError(f"singular Jacobian: LU pivot {info} is zero")
+            return lapack.dgetrs(lu, piv, b)[0]
         try:
             sol = mpmath.lu_solve(mpmath.matrix(A.tolist()), mpmath.matrix(list(b)))
         except ZeroDivisionError as exc:
@@ -142,12 +144,19 @@ class PrecisionContext:
         return np.array([sol[i] for i in range(len(b))], dtype=object)
 
     def cond_inf(self, A: np.ndarray) -> float:
-        """Infinity-norm condition estimate; ``inf`` for a singular matrix."""
+        """Infinity-norm condition estimate; ``inf`` for a singular matrix.
+
+        In double precision ||A^{-1}|| is the Hager/Higham estimate from the
+        LU factors (LAPACK ``dgecon``, Higham, ACM TOMS 14, 1988): a lower
+        bound, in practice within a factor of 3 of the exact value, at no
+        inverse.  The extended path inverts exactly.
+        """
         if self.is_native:
-            try:
-                return float(np.linalg.norm(A, np.inf) * np.linalg.norm(np.linalg.inv(A), np.inf))
-            except np.linalg.LinAlgError:
+            lu, _, info = lapack.dgetrf(A)
+            if info > 0:
                 return math.inf
+            rcond = float(lapack.dgecon(lu, np.abs(A).sum(axis=1).max(), norm="I")[0])
+            return 1 / rcond if rcond > 0 else math.inf
         M = mpmath.matrix(A.tolist())
         try:
             return float(mpmath.mnorm(M, "inf") * mpmath.mnorm(M ** -1, "inf"))
@@ -186,3 +195,15 @@ def inf_norm(v) -> Real:
     """Max-abs of a scalar or vector, generic over both scalar types."""
     a = np.abs(v)
     return a.max() if isinstance(a, np.ndarray) else a
+
+
+def all_finite(v) -> bool:
+    """Whether every component of a scalar or vector is finite.
+
+    Float arrays are checked in one vectorised call; only object arrays of
+    context scalars go through ``mpmath.isfinite`` one element at a time.
+    """
+    a = np.asarray(v)
+    if a.dtype == object:
+        return all(mpmath.isfinite(c) for c in a.flat)
+    return bool(np.isfinite(a).all())

@@ -6,6 +6,9 @@ Jacobian and singularity is reported as a distinct error.  In double
 precision the residual of the energy equation bottoms out a few ulp above
 zero; the solver therefore accepts a stalled iterate whose residual lies
 within ``stall_factor`` of the tolerance instead of looping forever.
+
+Every integrator passes analytic partials; :func:`fd_jacobian` is the
+fallback for callers that have none.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -22,7 +24,7 @@ from .errors import (
     NonconvergenceError,
     SingularityError,
 )
-from .precision import DOUBLE, PrecisionContext, Real, inf_norm
+from .precision import DOUBLE, PrecisionContext, Real, all_finite, inf_norm
 
 #: Domain errors that mark a trial point as infeasible during damping.
 _DOMAIN_ERRORS = (SingularityError, MonitorDomainError)
@@ -86,7 +88,7 @@ def fd_jacobian(F: Callable, x: np.ndarray, fd_step, ctx: PrecisionContext = DOU
         cols.append((F(xp) - F(xm)) / (2 * d))
     J = np.empty((len(cols[0]), n), dtype=object if not ctx.is_native else float)
     for j, col in enumerate(cols):
-        if not all(mpmath.isfinite(c) for c in col):
+        if not all_finite(col):
             raise NonconvergenceError(f"non-finite residual while differencing column {j}")
         J[:, j] = col
     return J
@@ -124,7 +126,7 @@ def _newton_solve(F, x0, cfg, ctx, jacobian, feasible):
 
     x = x0.copy()
     Fx = F(x)
-    if not all(mpmath.isfinite(c) for c in Fx):
+    if not all_finite(Fx):
         raise NonconvergenceError("residual not finite at the initial guess")
     r = inf_norm(Fx)
 
@@ -151,7 +153,7 @@ def _newton_solve(F, x0, cfg, ctx, jacobian, feasible):
                 Fn = F(xn)
             except _DOMAIN_ERRORS:
                 continue
-            if not all(mpmath.isfinite(c) for c in Fn):
+            if not all_finite(Fn):
                 continue
             rn = inf_norm(Fn)
             if best is None or rn < best[2]:

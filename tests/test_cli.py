@@ -137,11 +137,14 @@ def test_main_run_oscillator(tmp_path, capsys):
 def test_solver_keys_flow_through(tmp_path):
     cfg = parse_config(None, [
         "problem=oscillator", "integrator=epavi", "h0=0.05", "T_final=0.5",
-        "tol=1e-11", "max_iter=30", "fd_step=1e-6", "condition_warn=1e10",
+        "tol=1e-11", "max_iter=30", "condition_warn=1e10",
         f"outdir={tmp_path}", "reference=false",
     ])
-    assert cfg.fd_step == 1e-6 and cfg.condition_warn == 1e10
+    assert cfg.condition_warn == 1e10
     assert run_experiment(cfg)["success"]
+    # every integrator has analytic partials, so there is no FD step to set
+    with pytest.raises(ConfigurationError, match="unknown config key 'fd_step'"):
+        parse_config(None, ["fd_step=1e-6"])
 
 
 def test_suite_h0_sensitivity_parallel(tmp_path):

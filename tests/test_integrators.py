@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import varint.solvers
 from varint import (
     ConfigurationError,
     HarmonicOscillator,
@@ -212,6 +213,20 @@ def test_monitor_kepler_values():
     assert g2(np.array([0.0, 0.0])) == 0.0
 
 
+@pytest.mark.parametrize("name", ["g1", "g2", "unit"])
+def test_monitor_grad_matches_central_differences(name):
+    model = KeplerTwoBody()
+    rng = np.random.default_rng(11)
+    d = 1e-6
+    for _ in range(20):
+        r, theta = rng.uniform(0.3, 1.7), rng.uniform(0.0, 2 * np.pi)
+        q = np.array([r * np.cos(theta), r * np.sin(theta)])
+        s0 = ExtendedState(t=0.0, q=q, p=rng.uniform(-1.5, 1.5, 2), E=0.0)
+        monitor = make_monitor(name, model, s0)
+        fd = np.array([(monitor.g(q + d * e) - monitor.g(q - d * e)) / (2 * d) for e in np.eye(2)])
+        assert np.max(np.abs(monitor.grad(q) - fd)) <= 1e-7 * (1 + np.max(np.abs(fd)))
+
+
 # -- AVI --------------------------------------------------------------------------
 
 
@@ -270,6 +285,26 @@ def test_avi_run_records_delta_a():
     # realized step over fictitious step is the monitor value: bounded t'(a)
     for rec in traj.steps:
         assert 1e-3 <= rec.h / rec.delta_a <= 1e3
+
+
+@pytest.mark.parametrize("integrator", ["epavi", "avi_g1", "avi_g2", "avi_unit", "midpoint_fixed"])
+def test_integrators_never_reach_fd_jacobian(monkeypatch, integrator):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fd_jacobian reached")
+
+    monkeypatch.setattr(varint.solvers, "fd_jacobian", forbidden)
+    with pytest.raises(AssertionError, match="fd_jacobian reached"):
+        varint.solvers.newton_solve(lambda x: x * x - 4.0, np.array([3.0]), CFG13)
+    model = KeplerTwoBody()
+    s0 = kepler_initial_state(0.7)
+    if integrator == "epavi":
+        traj = epavi_run(model, s0, 1e-3, 0.02, CFG13)
+    elif integrator == "midpoint_fixed":
+        traj = midpoint_fixed_run(model, s0, 1e-3, 0.02, CFG13)
+    else:
+        monitor = make_monitor(integrator[4:], model, s0)
+        traj = avi_run(model, monitor, s0, 0.02, CFG13, h0=1e-3)
+    assert traj.states[-1].t >= 0.02 and all(rec.iterations >= 1 for rec in traj.steps)
 
 
 # -- fixed midpoint -----------------------------------------------------------------

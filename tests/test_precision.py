@@ -1,8 +1,11 @@
+import math
+
 import mpmath
+import numpy as np
 import pytest
 
-from varint import ConfigurationError, kepler_hamiltonian, with_precision
-from varint.precision import DOUBLE, inf_norm
+from varint import ConfigurationError, IllPosednessError, kepler_hamiltonian, with_precision
+from varint.precision import DOUBLE, all_finite, inf_norm
 
 
 def test_native_context_below_17_digits():
@@ -73,3 +76,34 @@ def test_solve_small_system_both_paths():
 
 def test_cond_inf_identity():
     assert DOUBLE.cond_inf(DOUBLE.identity(3)) == pytest.approx(1.0)
+
+
+def test_double_solve_singular_raises():
+    with pytest.raises(IllPosednessError):
+        DOUBLE.solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0]))
+
+
+def test_double_cond_inf_singular_is_inf():
+    assert DOUBLE.cond_inf(np.array([[1.0, 2.0], [2.0, 4.0]])) == math.inf
+    assert DOUBLE.cond_inf(np.zeros((3, 3))) == math.inf
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_double_cond_inf_brackets_exact(n):
+    # the LU-based estimate is a lower bound, within a factor 3 in practice
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        A = rng.standard_normal((n, n)) + n * np.eye(n)
+        exact = np.linalg.norm(A, np.inf) * np.linalg.norm(np.linalg.inv(A), np.inf)
+        est = DOUBLE.cond_inf(A)
+        assert exact / 3 <= est <= exact * (1 + 1e-12)
+
+
+def test_all_finite_both_scalar_types():
+    assert all_finite(np.array([1.0, -2.0]))
+    assert not all_finite(np.array([1.0, np.nan]))
+    assert not all_finite([0.0, np.inf])
+    ctx = with_precision(18)
+    assert all_finite(ctx.array([1, 2]))
+    assert not all_finite(np.array([ctx.real(1), mpmath.mpf("inf")], dtype=object))
+    assert all_finite(ctx.real(3)) and not all_finite(float("nan"))

@@ -11,10 +11,11 @@ from varint import (
     fd_jacobian,
     initial_discrete_energy,
     kepler_initial_state,
+    make_monitor,
     newton_solve,
     with_precision,
 )
-from varint.integrators import _epavi_system
+from varint.integrators import _avi_system, _epavi_system
 from varint.models import ExtendedState
 
 
@@ -77,6 +78,33 @@ def test_fd_jacobian_matches_analytic_epavi_partials():
     assert np.max(np.abs(J_fd - J_an)) <= 1e-6 * np.max(np.abs(J_an))
 
 
+def _random_kepler_state(rng, ctx):
+    r, theta = rng.uniform(0.3, 1.7), rng.uniform(0.0, 2 * np.pi)
+    q = ctx.array([r * np.cos(theta), r * np.sin(theta)])
+    p = ctx.array(list(rng.uniform(-1.5, 1.5, 2)))
+    return ExtendedState(t=ctx.real(0), q=q, p=p, E=ctx.real(0))
+
+
+@pytest.mark.parametrize("digits,fd_step,rel", [(16, 1e-6, 1e-9), (18, 1e-7, 1e-12)])
+@pytest.mark.parametrize("monitor", ["g1", "g2", "unit"])
+def test_fd_jacobian_matches_analytic_avi_partials(monitor, digits, fd_step, rel):
+    # the monitor-gradient terms are ~1e-3 of the I/da diagonal, so a
+    # wrong or missing grad g fails this bound by orders of magnitude
+    ctx = with_precision(digits)
+    model = KeplerTwoBody(ctx)
+    rng = np.random.default_rng(7)
+    with ctx.activate():
+        for _ in range(20):
+            state = _random_kepler_state(rng, ctx)
+            mon = make_monitor(monitor, model, state)
+            delta_a = ctx.real(1e-3) / mon.g(state.q)
+            residual, jacobian = _avi_system(model, mon, state, delta_a)
+            z = ctx.array(list(1e-3 * rng.standard_normal(4)))
+            J_an = jacobian(z)
+            J_fd = fd_jacobian(residual, z, fd_step, ctx)
+            assert np.max(np.abs(J_fd - J_an)) <= rel * np.max(np.abs(J_an))
+
+
 @pytest.mark.parametrize(
     "F,root,guess",
     [
@@ -115,6 +143,34 @@ def test_stall_acceptance_within_factor():
     report = newton_solve(lambda x: x * x + c, np.array([0.5]), SolverConfig(tol=1e-16))
     assert report.stalled and not report.converged
     assert report.residual_norm <= 10 * 1e-16
+
+
+@pytest.mark.parametrize("digits", [16, 18])
+def test_nan_damping_trial_is_skipped(digits):
+    # F is NaN beyond x = 3; the full Newton step from 0.1 lands at 5.05,
+    # so the first damping trial is NaN and the solver halves past it
+    ctx = with_precision(digits)
+    nan = ctx.real("nan")
+    trials = []
+
+    def F(x):
+        trials.append(x[0])
+        return np.array([nan if x[0] > 3 else x[0] * x[0] - 1], dtype=x.dtype)
+
+    x0 = ctx.array([0.1])
+    report = newton_solve(F, x0, SolverConfig.for_context(ctx), ctx, jacobian=lambda x: 2 * x.reshape(1, 1))
+    assert any(t > 3 for t in trials)
+    assert report.converged
+    assert abs(float(report.solution[0]) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("digits", [16, 18])
+def test_nan_initial_residual_raises(digits):
+    ctx = with_precision(digits)
+    nan = ctx.real("nan")
+    with pytest.raises(NonconvergenceError, match="initial guess"):
+        newton_solve(lambda x: np.array([nan], dtype=x.dtype), ctx.array([0.5]),
+                     SolverConfig.for_context(ctx), ctx)
 
 
 def test_config_validation():
