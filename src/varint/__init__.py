@@ -8,14 +8,10 @@ in double or extended precision.
 """
 
 from .bea import (
-    DEFAULT_DELTA_A_LIST,
     IdentityProfile,
     Jet1D,
     LinearProfile,
-    OrderEstimate,
-    ResidualPair,
     SineProfile,
-    TimeProfile,
     discrete_residual,
     lemma1_reparametrization_check,
     meshed_lagrangian_order2,
@@ -24,9 +20,6 @@ from .bea import (
     residual_order_estimate,
 )
 from .diagnostics import (
-    ErrorSeries,
-    StepStats,
-    TelescopingReport,
     energy_error_series,
     hamiltonian_error_series,
     telescoping_bound_check,
@@ -47,10 +40,6 @@ from .errors import (
     VarintError,
 )
 from .integrators import (
-    DiscretePartials,
-    Monitor,
-    ReferenceSolution,
-    StepRecord,
     Trajectory,
     avi_calibrate_delta_a,
     avi_run,
@@ -66,17 +55,13 @@ from .integrators import (
     reference_solve,
 )
 from .models import (
-    ExtendedState,
     HarmonicOscillator,
     KeplerTwoBody,
-    LagrangianModel,
     Pendulum,
     angular_momentum,
-    initial_state,
     kepler_hamiltonian,
     kepler_initial_state,
     make_model,
-    model_names,
 )
 from .precision import DOUBLE, PrecisionContext, with_precision
 from .solvers import SolverConfig, SolveReport, fd_jacobian, newton_solve

@@ -99,7 +99,7 @@ def _increment(model, q_k, dq, h):
     """
     v = dq / h
     mid = q_k + dq / 2
-    return v, np.dot(model.M, v), (h / 2) * model.potential_gradient(mid), mid
+    return v, np.dot(model.M, v), model.potential_gradient(mid) * (h / 2), mid
 
 
 def _discrete_energy(model, v, Mv, mid) -> Real:
@@ -222,7 +222,7 @@ def _epavi_system(model, state):
         hess = model.potential_hessian(mid)
         Mv = np.dot(M, v)
         J = np.empty((n + 1, n + 1), dtype=z.dtype)
-        J[:n, :n] = M / h + (h / 4) * hess
+        J[:n, :n] = M / h + hess * (h / 4)
         J[:n, n] = -Mv / h + grad / 2
         J[n, :n] = Mv / h + grad / 2
         J[n, n] = -(v * Mv).sum() / h
@@ -249,7 +249,7 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
     with ctx.activate():
         for attempt, hg in enumerate((h_guess, h_guess / 2)):
             z0 = np.empty(n + 1, dtype=float if ctx.is_native else object)
-            z0[:n] = hg * np.dot(model.M_inv, state.p)
+            z0[:n] = np.dot(model.M_inv, state.p) * hg
             z0[n] = hg * (1 if ctx.is_native else ctx.real(1))
             try:
                 report = newton_solve(
@@ -317,9 +317,9 @@ def _solve_fixed_momentum(model, state, h, cfg) -> SolveReport:
 
     def jacobian(dq):
         mid = q_k + dq / 2
-        return M / h + (h / 4) * model.potential_hessian(mid)
+        return M / h + model.potential_hessian(mid) * (h / 4)
 
-    z0 = h * np.dot(model.M_inv, p_k)
+    z0 = np.dot(model.M_inv, p_k) * h
     return newton_solve(residual, z0, cfg, model.ctx, jacobian=jacobian)
 
 
@@ -347,8 +347,9 @@ def midpoint_fixed_run(model, state0, h, T_final, cfg=None) -> Trajectory:
 
 @dataclass(frozen=True)
 class Monitor:
-    """Positive time-reparametrization density dt/da = g(q) and its gradient
-    ``grad(q)``; see :func:`make_monitor`."""
+    """Positive time-reparametrization density dt/da = ``g(q, dV)`` and its
+    gradient ``grad(q, g, dV, d2V)``, given dV = grad V(q), d2V = hess V(q)
+    and g = g(q, dV), which the AVI system has at hand; see :func:`make_monitor`."""
 
     identifier: str
     g: Callable
@@ -367,25 +368,22 @@ def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Mo
     key = {"g1": "g1", "arclength": "g1", "g2": "g2", "kepler": "g2", "unit": "unit"}.get(name)
     if key == "g1":
         H0 = model.hamiltonian(state0.q, state0.p)
+        M_inv = model.M_inv
 
-        def arclength(q):
-            """(g, grad V, M^{-1} grad V) at q."""
-            grad = model.potential_gradient(q)
-            Minv_grad = np.dot(model.M_inv, grad)
-            radicand = 2 * (H0 - model.potential(q)) + (grad * Minv_grad).sum()
+        def arclength(q, dV):
+            radicand = 2 * (H0 - model.potential(q)) + (dV * np.dot(M_inv, dV)).sum()
             if radicand <= 0:
                 raise MonitorDomainError(f"arclength monitor radicand {radicand} is not positive")
-            return 1 / model.ctx.sqrt(radicand), grad, Minv_grad
+            return 1 / model.ctx.sqrt(radicand)
 
-        def arclength_grad(q) -> np.ndarray:
-            g, grad, Minv_grad = arclength(q)
-            return g ** 3 * (grad - np.dot(model.potential_hessian(q), Minv_grad))
+        def arclength_grad(q, g, dV, d2V) -> np.ndarray:
+            return (dV - np.dot(d2V, np.dot(M_inv, dV))) * g ** 3
 
-        return Monitor("g1", lambda q: arclength(q)[0], arclength_grad)
+        return Monitor("g1", arclength, arclength_grad)
     if key == "g2":
-        return Monitor("g2", lambda q: (q * q).sum(), lambda q: 2 * q)
+        return Monitor("g2", lambda q, dV: (q * q).sum(), lambda q, g, dV, d2V: 2 * q)
     if key == "unit":
-        return Monitor("unit", lambda q: 1, lambda q: 0 * q)
+        return Monitor("unit", lambda q, dV: 1, lambda q, g, dV, d2V: 0 * q)
     raise ConfigurationError(f"unknown monitor {name!r}")
 
 
@@ -402,24 +400,27 @@ def _avi_system(model, monitor, state, delta_a):
         dq, dp = z[:n], z[n:]
         q_av = q_k + dq / 2
         p_av = p_k + dp / 2
-        g_av = g(q_av)
+        dV = model.potential_gradient(q_av)
+        g_av = g(q_av, dV)
         if g_av <= 0:
             raise MonitorDomainError(f"monitor value {g_av} is not positive")
         out = np.empty(2 * n, dtype=z.dtype)
-        out[:n] = dq / delta_a - g_av * np.dot(M_inv, p_av)
-        out[n:] = dp / delta_a + g_av * model.potential_gradient(q_av)
+        out[:n] = dq / delta_a - np.dot(M_inv, p_av) * g_av
+        out[n:] = dp / delta_a + dV * g_av
         return out
 
     def jacobian(z):
         q_av = q_k + z[:n] / 2
         p_av = p_k + z[n:] / 2
-        half_g = g(q_av) / 2
-        half_grad_g = monitor.grad(q_av) / 2
+        dV = model.potential_gradient(q_av)
+        d2V = model.potential_hessian(q_av)
+        g_av = g(q_av, dV)
+        half_g = g_av / 2
+        half_grad_g = monitor.grad(q_av, g_av, dV, d2V) / 2
         J = np.empty((2 * n, 2 * n), dtype=z.dtype)
         J[:n, :n] = eye_da - np.outer(np.dot(M_inv, p_av), half_grad_g)
-        J[:n, n:] = -half_g * M_inv
-        J[n:, :n] = (np.outer(model.potential_gradient(q_av), half_grad_g)
-                     + half_g * model.potential_hessian(q_av))
+        J[:n, n:] = M_inv * -half_g
+        J[n:, :n] = np.outer(dV, half_grad_g) + d2V * half_g
         J[n:, n:] = eye_da
         return J
 
@@ -440,16 +441,18 @@ def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, del
     g = monitor.g
 
     with ctx.activate():
-        g0 = g(q_k)
+        dV0 = model.potential_gradient(q_k)
+        g0 = g(q_k, dV0)
         if g0 <= 0:
             raise MonitorDomainError(f"monitor value {g0} at the step start is not positive")
         residual, jacobian = _avi_system(model, monitor, state, delta_a)
         z0 = np.empty(2 * n, dtype=float if ctx.is_native else object)
-        z0[:n] = delta_a * g0 * np.dot(model.M_inv, p_k)
-        z0[n:] = -delta_a * g0 * model.potential_gradient(q_k)
+        z0[:n] = np.dot(model.M_inv, p_k) * (delta_a * g0)
+        z0[n:] = dV0 * (-delta_a * g0)
         report = newton_solve(residual, z0, cfg, ctx, jacobian=jacobian)
         dq, dp = report.solution[:n], report.solution[n:]
-        h = delta_a * g(q_k + dq / 2)
+        q_av = q_k + dq / 2
+        h = delta_a * g(q_av, model.potential_gradient(q_av))
         if h <= 0:
             raise NonMonotoneTimeError(f"monitor produced a non-positive time step {h}")
         q1, p1 = q_k + dq, p_k + dp
@@ -467,7 +470,7 @@ def avi_calibrate_delta_a(model, monitor, state0, h0, cfg: Optional[SolverConfig
     if h0 <= 0:
         raise ConfigurationError("h0 must be positive")
     with model.ctx.activate():
-        g0 = monitor.g(state0.q)
+        g0 = monitor.g(state0.q, model.potential_gradient(state0.q))
         if g0 <= 0:
             raise MonitorDomainError(f"monitor value {g0} at the initial state is not positive")
         delta_a = h0 / g0

@@ -120,7 +120,7 @@ class HarmonicOscillator(LagrangianModel):
         return self.k * q[0] ** 2 / 2
 
     def potential_gradient(self, q) -> np.ndarray:
-        return self.k * q
+        return q * self.k
 
     def potential_hessian(self, q) -> np.ndarray:
         return self.ctx.array([[self.k]])

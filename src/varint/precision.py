@@ -130,38 +130,31 @@ class PrecisionContext:
     # -- linear algebra (systems here are tiny: n+1 or 2n unknowns) ----------
 
     def solve(self, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` by LU with partial pivoting; raises
-        :class:`IllPosednessError` when a pivot is exactly zero."""
-        if self.is_native:
-            lu, piv, info = lapack.dgetrf(A)
-            if info > 0:
-                raise IllPosednessError(f"singular Jacobian: LU pivot {info} is zero")
-            return lapack.dgetrs(lu, piv, b)[0]
-        try:
-            sol = mpmath.lu_solve(mpmath.matrix(A.tolist()), mpmath.matrix(list(b)))
-        except ZeroDivisionError as exc:
-            raise IllPosednessError(f"singular Jacobian: {exc}") from exc
-        return np.array([sol[i] for i in range(len(b))], dtype=object)
+        """Solve ``A x = b`` by LAPACK LU with partial pivoting, in double for
+        every context; raises :class:`IllPosednessError` when a pivot is
+        exactly zero.  The Newton residual stays in context precision, so a
+        double step still refines an extended iterate to the context's
+        accuracy (iterative refinement; Moler, JACM 14, 1967).
+        """
+        lu, piv, info = lapack.dgetrf(np.asarray(A, dtype=float))
+        if info > 0:
+            raise IllPosednessError(f"singular Jacobian: LU pivot {info} is zero")
+        return lapack.dgetrs(lu, piv, np.asarray(b, dtype=float))[0]
 
     def cond_inf(self, A: np.ndarray) -> float:
-        """Infinity-norm condition estimate; ``inf`` for a singular matrix.
+        """Infinity-norm condition estimate of ``A`` in double, the precision
+        :meth:`solve` works in; ``inf`` for a singular matrix.
 
-        In double precision ||A^{-1}|| is the Hager/Higham estimate from the
-        LU factors (LAPACK ``dgecon``, Higham, ACM TOMS 14, 1988): a lower
-        bound, in practice within a factor of 3 of the exact value, at no
-        inverse.  The extended path inverts exactly.
+        ||A^{-1}|| is the Hager/Higham estimate from the LU factors (LAPACK
+        ``dgecon``, Higham, ACM TOMS 14, 1988): a lower bound, in practice
+        within a factor of 3 of the exact value, at no inverse.
         """
-        if self.is_native:
-            lu, _, info = lapack.dgetrf(A)
-            if info > 0:
-                return math.inf
-            rcond = float(lapack.dgecon(lu, np.abs(A).sum(axis=1).max(), norm="I")[0])
-            return 1 / rcond if rcond > 0 else math.inf
-        M = mpmath.matrix(A.tolist())
-        try:
-            return float(mpmath.mnorm(M, "inf") * mpmath.mnorm(M ** -1, "inf"))
-        except ZeroDivisionError:
+        A = np.asarray(A, dtype=float)
+        lu, _, info = lapack.dgetrf(A)
+        if info > 0:
             return math.inf
+        rcond = float(lapack.dgecon(lu, np.abs(A).sum(axis=1).max(), norm="I")[0])
+        return 1 / rcond if rcond > 0 else math.inf
 
     # -- textual serialization (decimal scientific notation) -----------------
 

@@ -7,6 +7,11 @@ precision the residual of the energy equation bottoms out a few ulp above
 zero; the solver therefore accepts a stalled iterate whose residual lies
 within ``stall_factor`` of the tolerance instead of looping forever.
 
+The residual is evaluated in the context's precision and the Newton step
+is solved in double: in an extended context this is iterative refinement,
+which reaches the residual's precision while the Jacobian is well
+conditioned in double.
+
 Every integrator passes analytic partials; :func:`fd_jacobian` is the
 fallback for callers that have none.
 """
@@ -34,24 +39,21 @@ _DOMAIN_ERRORS = (SingularityError, MonitorDomainError)
 class SolverConfig:
     """Newton solve parameters.
 
-    ``fd_step`` of ``None`` selects eps(context)^(1/3), the standard
-    central-difference optimum; the per-coordinate step is scaled by
-    (1 + |x_j|).  After the tolerance is met, up to ``polish`` further
-    improving iterations are taken so per-step defects sit at the
-    representation floor rather than just under ``tol``.
+    After the tolerance is met, up to ``polish`` further improving
+    iterations are taken so per-step defects sit at the representation
+    floor rather than just under ``tol``.
     """
 
     tol: float = 1e-12
     max_iter: int = 50
-    fd_step: Optional[float] = None
     condition_warn: float = 1e12
     polish: int = 2
     stall_factor: float = 10.0
     max_halvings: int = 10
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1 or (self.fd_step is not None and self.fd_step <= 0):
-            raise ValueError("need tol > 0, max_iter >= 1, fd_step > 0")
+        if self.tol <= 0 or self.max_iter < 1:
+            raise ValueError("need tol > 0 and max_iter >= 1")
 
     @classmethod
     def for_context(cls, ctx: PrecisionContext, **overrides) -> "SolverConfig":
@@ -59,9 +61,6 @@ class SolverConfig:
         tol = 1e-12 if ctx.is_native else 1e-17
         cfg = cls(tol=tol)
         return replace(cfg, **overrides) if overrides else cfg
-
-    def resolved_fd_step(self, ctx: PrecisionContext) -> float:
-        return self.fd_step if self.fd_step is not None else ctx.eps ** (1.0 / 3.0)
 
 
 @dataclass
@@ -76,7 +75,8 @@ class SolveReport:
 
 
 def fd_jacobian(F: Callable, x: np.ndarray, fd_step, ctx: PrecisionContext = DOUBLE) -> np.ndarray:
-    """Central-difference Jacobian, J[i, j] = (F_i(x+d e_j) - F_i(x-d e_j)) / 2d."""
+    """Central-difference Jacobian, J[i, j] = (F_i(x+d e_j) - F_i(x-d e_j)) / 2d,
+    with d = fd_step * (1 + |x_j|)."""
     n = len(x)
     cols = []
     for j in range(n):
@@ -105,24 +105,27 @@ def newton_solve(
     """Solve F(x) = 0 by damped Newton iteration.
 
     ``jacobian(x)`` supplies analytic partials when the caller has them;
-    otherwise a central-difference Jacobian is formed.  ``feasible(x)``
-    restricts the damping line search to an admissible region (used by the
-    steppers to keep the time increment positive).  Domain errors raised by
-    ``F`` at a trial point likewise mark it infeasible.
+    otherwise a central-difference Jacobian is formed with the step
+    eps(context)^(1/3), the standard central-difference optimum.
+    ``feasible(x)`` restricts the damping line search to an admissible
+    region (used by the steppers to keep the time increment positive).
+    Domain errors raised by ``F`` at a trial point likewise mark it
+    infeasible.
 
     Raises :class:`NonconvergenceError` when the iteration budget runs out
     or the residual stalls far from the tolerance, and
     :class:`IllPosednessError` when the Jacobian is singular or its
-    condition estimate reaches the reciprocal working precision.
+    condition estimate reaches 0.01 / eps(double), beyond which the
+    double-precision step no longer resolves the update.
     """
     with ctx.activate():
         return _newton_solve(F, x0, cfg, ctx, jacobian, feasible)
 
 
 def _newton_solve(F, x0, cfg, ctx, jacobian, feasible):
-    fd_step = cfg.resolved_fd_step(ctx)
+    fd_step = ctx.eps ** (1 / 3)
     jac = jacobian if jacobian is not None else (lambda x: fd_jacobian(F, x, fd_step, ctx))
-    cond_limit = 0.01 / ctx.eps
+    cond_limit = 0.01 / DOUBLE.eps
 
     x = x0.copy()
     Fx = F(x)

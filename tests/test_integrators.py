@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,6 +29,7 @@ from varint import (
     midpoint_fixed_run,
     midpoint_fixed_step,
     reference_solve,
+    with_precision,
 )
 from varint.models import ExtendedState
 
@@ -186,7 +188,8 @@ def test_epavi_guess_insensitivity():
 def test_monitor_arclength_kepler_value():
     # radicand is exactly 10459/81 at the e=0.7 perihelion, where H0 = -1/2
     model = KeplerTwoBody()
-    g = make_monitor("g1", model, kepler_initial_state(0.7)).g(np.array([0.3, 0.0]))
+    q = np.array([0.3, 0.0])
+    g = make_monitor("g1", model, kepler_initial_state(0.7)).g(q, model.potential_gradient(q))
     assert g == pytest.approx(9.0 / math.sqrt(10459.0), rel=1e-12)
     assert g == pytest.approx(0.0880, abs=5e-5)
 
@@ -194,7 +197,8 @@ def test_monitor_arclength_kepler_value():
 def test_monitor_arclength_free_particle_unit_speed():
     model = HarmonicOscillator(k=0.0)
     s0 = ExtendedState(t=0.0, q=np.array([0.0]), p=np.array([1.0]), E=0.5)  # H0 = 1/2
-    g = make_monitor("arclength", model, s0).g(np.array([0.3]))
+    q = np.array([0.3])
+    g = make_monitor("arclength", model, s0).g(q, model.potential_gradient(q))
     assert g == pytest.approx(1.0, rel=1e-14)
 
 
@@ -202,15 +206,16 @@ def test_monitor_arclength_domain_error():
     # at the pendulum equilibrium V = H0 and grad V = 0: zero radicand
     model = Pendulum()
     s0 = ExtendedState(t=0.0, q=np.array([0.0]), p=np.array([0.0]), E=-1.0)  # H0 = -1
+    q = np.array([0.0])
     with pytest.raises(MonitorDomainError):
-        make_monitor("g1", model, s0).g(np.array([0.0]))
+        make_monitor("g1", model, s0).g(q, model.potential_gradient(q))
 
 
 def test_monitor_kepler_values():
     g2 = make_monitor("kepler", KeplerTwoBody(), kepler_initial_state(0.1)).g
-    assert g2(np.array([1.0, 0.0])) == 1.0
-    assert g2(np.array([0.3, 0.0])) == pytest.approx(0.09)
-    assert g2(np.array([0.0, 0.0])) == 0.0
+    assert g2(np.array([1.0, 0.0]), None) == 1.0
+    assert g2(np.array([0.3, 0.0]), None) == pytest.approx(0.09)
+    assert g2(np.array([0.0, 0.0]), None) == 0.0
 
 
 @pytest.mark.parametrize("name", ["g1", "g2", "unit"])
@@ -223,8 +228,13 @@ def test_monitor_grad_matches_central_differences(name):
         q = np.array([r * np.cos(theta), r * np.sin(theta)])
         s0 = ExtendedState(t=0.0, q=q, p=rng.uniform(-1.5, 1.5, 2), E=0.0)
         monitor = make_monitor(name, model, s0)
-        fd = np.array([(monitor.g(q + d * e) - monitor.g(q - d * e)) / (2 * d) for e in np.eye(2)])
-        assert np.max(np.abs(monitor.grad(q) - fd)) <= 1e-7 * (1 + np.max(np.abs(fd)))
+
+        def g(x):
+            return monitor.g(x, model.potential_gradient(x))
+
+        fd = np.array([(g(q + d * e) - g(q - d * e)) / (2 * d) for e in np.eye(2)])
+        grad = monitor.grad(q, g(q), model.potential_gradient(q), model.potential_hessian(q))
+        assert np.max(np.abs(grad - fd)) <= 1e-7 * (1 + np.max(np.abs(fd)))
 
 
 # -- AVI --------------------------------------------------------------------------
@@ -305,6 +315,38 @@ def test_integrators_never_reach_fd_jacobian(monkeypatch, integrator):
         monitor = make_monitor(integrator[4:], model, s0)
         traj = avi_run(model, monitor, s0, 0.02, CFG13, h0=1e-3)
     assert traj.states[-1].t >= 0.02 and all(rec.iterations >= 1 for rec in traj.steps)
+
+
+@pytest.mark.parametrize("integrator", ["epavi", "avi_g1", "avi_g2", "midpoint_fixed"])
+def test_extended_steps_put_the_array_operand_first(monkeypatch, integrator):
+    # mpf * ndarray first has mpmath try npconvert(array), which formats the
+    # array into a TypeError before NumPy takes over; ndarray * mpf does not
+    seen = []
+    npconvert = type(mpmath.mp).npconvert
+
+    def recording(mp_ctx, x):
+        if isinstance(x, np.ndarray):
+            seen.append(x.shape)
+        return npconvert(mp_ctx, x)
+
+    monkeypatch.setattr(type(mpmath.mp), "npconvert", recording)
+    ctx = with_precision(18)
+    with ctx.activate():
+        ctx.real(2) * ctx.array([1, 2])
+    assert seen == [(2,)]
+    seen.clear()
+
+    model = KeplerTwoBody(ctx)
+    s0 = kepler_initial_state(0.7, ctx)
+    cfg = SolverConfig.for_context(ctx)
+    h = ctx.real("1e-2")
+    if integrator == "epavi":
+        epavi_step(model, replace(s0, E=initial_discrete_energy(model, s0, h, cfg)), h, cfg)
+    elif integrator == "midpoint_fixed":
+        midpoint_fixed_step(model, s0, h, cfg)
+    else:
+        avi_step(model, make_monitor(integrator[4:], model, s0), s0, h, cfg)
+    assert seen == []
 
 
 # -- fixed midpoint -----------------------------------------------------------------

@@ -78,24 +78,33 @@ def test_cond_inf_identity():
     assert DOUBLE.cond_inf(DOUBLE.identity(3)) == pytest.approx(1.0)
 
 
-def test_double_solve_singular_raises():
+# both contexts solve in double; the 18-digit cases take object arrays of mpf
+
+
+@pytest.mark.parametrize("digits", [16, 18])
+def test_solve_singular_raises(digits):
+    ctx = with_precision(digits)
     with pytest.raises(IllPosednessError):
-        DOUBLE.solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0]))
+        ctx.solve(ctx.array([[1.0, 2.0], [2.0, 4.0]]), ctx.array([1.0, 0.0]))
 
 
-def test_double_cond_inf_singular_is_inf():
-    assert DOUBLE.cond_inf(np.array([[1.0, 2.0], [2.0, 4.0]])) == math.inf
-    assert DOUBLE.cond_inf(np.zeros((3, 3))) == math.inf
+@pytest.mark.parametrize("digits", [16, 18])
+def test_cond_inf_singular_is_inf(digits):
+    ctx = with_precision(digits)
+    assert ctx.cond_inf(ctx.array([[1.0, 2.0], [2.0, 4.0]])) == math.inf
+    assert ctx.cond_inf(ctx.array(np.zeros((3, 3)))) == math.inf
 
 
+@pytest.mark.parametrize("digits", [16, 18])
 @pytest.mark.parametrize("n", [3, 4])
-def test_double_cond_inf_brackets_exact(n):
+def test_cond_inf_brackets_exact(n, digits):
     # the LU-based estimate is a lower bound, within a factor 3 in practice
+    ctx = with_precision(digits)
     rng = np.random.default_rng(n)
     for _ in range(50):
         A = rng.standard_normal((n, n)) + n * np.eye(n)
         exact = np.linalg.norm(A, np.inf) * np.linalg.norm(np.linalg.inv(A), np.inf)
-        est = DOUBLE.cond_inf(A)
+        est = ctx.cond_inf(ctx.array(A))
         assert exact / 3 <= est <= exact * (1 + 1e-12)
 
 

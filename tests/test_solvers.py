@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -97,12 +99,63 @@ def test_fd_jacobian_matches_analytic_avi_partials(monitor, digits, fd_step, rel
         for _ in range(20):
             state = _random_kepler_state(rng, ctx)
             mon = make_monitor(monitor, model, state)
-            delta_a = ctx.real(1e-3) / mon.g(state.q)
+            delta_a = ctx.real(1e-3) / mon.g(state.q, model.potential_gradient(state.q))
             residual, jacobian = _avi_system(model, mon, state, delta_a)
             z = ctx.array(list(1e-3 * rng.standard_normal(4)))
             J_an = jacobian(z)
             J_fd = fd_jacobian(residual, z, fd_step, ctx)
             assert np.max(np.abs(J_fd - J_an)) <= rel * np.max(np.abs(J_an))
+
+
+def test_extended_newton_ill_posedness_limit_is_double():
+    # the step comes from a double LU, so an 18-digit solve is ill-posed
+    # once cond(J) nears 1/eps(double), far below 1/eps(18 digits)
+    ctx = with_precision(18)
+    cfg = SolverConfig.for_context(ctx)
+    with ctx.activate():
+        for small, ill_posed in (("1e-12", False), ("1e-15", True)):
+            A = ctx.array([[1, 0], [0, small]])
+            b = A @ ctx.array([1, 1])
+
+            def solve():
+                return newton_solve(lambda x: A @ x - b, ctx.array([0, 0]), cfg, ctx,
+                                    jacobian=lambda x: A)
+
+            if ill_posed:
+                with pytest.raises(IllPosednessError):
+                    solve()
+            else:
+                assert solve().residual_norm <= cfg.tol
+
+
+def test_extended_epavi_step_converges_from_random_states():
+    # a double-precision Newton step refines the 18-digit residual to 1e-17
+    # wherever the double-precision step converges; the cold predictor
+    # (q_k + h M^{-1} p_k, h) misses the root from some states in both
+    # precisions alike
+    records = {}
+    for digits in (16, 18):
+        ctx = with_precision(digits)
+        model = KeplerTwoBody(ctx)
+        cfg = SolverConfig.for_context(ctx)
+        h0 = ctx.real("1e-2")
+        rng = np.random.default_rng(5)
+        records[digits] = []
+        with ctx.activate():
+            for _ in range(20):
+                state = _random_kepler_state(rng, ctx)
+                try:
+                    E = initial_discrete_energy(model, state, h0, cfg)
+                    _, record = epavi_step(model, replace(state, E=E), h0, cfg)
+                except NonconvergenceError:
+                    record = None
+                records[digits].append(record)
+    assert sum(r is not None for r in records[18]) >= 10
+    for rec16, rec18 in zip(records[16], records[18]):
+        assert (rec16 is None) == (rec18 is None)
+        if rec18 is not None:
+            assert rec18.residual_norm <= 1e-17
+            assert not rec18.stalled
 
 
 @pytest.mark.parametrize(
