@@ -23,7 +23,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import ConfigurationError, NonMonotoneTimeError, StiffnessError
 from .integrators import discrete_partials_midpoint, reference_solve
-from .models import DOUBLE, LagrangianModel, make_model
+from .models import LagrangianModel
 from .precision import Real
 
 #: Fictitious-step sweep used by the order-estimation suite.  The smallest
@@ -251,10 +251,6 @@ def meshed_lagrangian_order2(model: LagrangianModel, jet: Jet1D) -> Real:
 # -- order-of-accuracy estimation ----------------------------------------------------
 
 
-def _as_double(model: LagrangianModel) -> LagrangianModel:
-    return model if model.ctx.is_native else make_model(model.name, model.params, DOUBLE)
-
-
 def _transformed_rhs_1dof(model, profile, delta_a, use_modified):
     def rhs(a, y):
         jet = Jet1D(
@@ -295,7 +291,7 @@ def residual_order_estimate(
     2 da is excluded at each end), and fits the slope of log |psi_el|_inf
     versus log da.  The psi_e slope is measured alongside and reported.
     """
-    model = _as_double(model)
+    model = model.double
     _require_1dof(model)
     delta_a_list = sorted(delta_a_list, reverse=True)
     if len(delta_a_list) < 4:
@@ -346,7 +342,7 @@ def lemma1_reparametrization_check(
     alpha(a) = t(a) - t(0); equality of trajectories makes the deviation
     solver-level small.
     """
-    model = _as_double(model)
+    model = model.double
     profile.check_monotone(0.0, T)
     n = model.n
     q0 = np.asarray(state0.q, dtype=float)

@@ -57,7 +57,7 @@ from .errors import (
     StiffnessError,
     VarintError,
 )
-from .models import DOUBLE, ExtendedState, LagrangianModel, make_model
+from .models import ExtendedState, LagrangianModel
 from .precision import Real
 from .solvers import SolveReport, SolverConfig, newton_solve
 
@@ -124,7 +124,8 @@ def discrete_partials_midpoint(model: LagrangianModel, t_k, q_k, t_k1, q_k1) -> 
 
 @dataclass
 class StepRecord:
-    """Per-step solver metadata."""
+    """Per-step solver metadata; ``retried`` marks an EpAVI step solved from
+    h_guess/2 after the first Newton attempt failed."""
 
     h: Real
     residual_norm: Real
@@ -132,11 +133,12 @@ class StepRecord:
     delta_a: Optional[Real] = None
     condition_estimate: float = 0.0
     stalled: bool = False
+    retried: bool = False
 
 
-def _record(h, report: SolveReport, delta_a=None) -> StepRecord:
+def _record(h, report: SolveReport, delta_a=None, retried=False) -> StepRecord:
     return StepRecord(h, report.residual_norm, report.iterations, delta_a,
-                      report.condition_estimate, report.stalled)
+                      report.condition_estimate, report.stalled, retried)
 
 
 @dataclass
@@ -203,9 +205,15 @@ def _march(model, name, step: Callable, state0, h, T_final, cfg, **meta) -> Traj
 
 
 def _epavi_system(model, state):
-    """Residual and analytic Jacobian in the increments z = (dq, h)."""
+    """Residual and analytic Jacobian in the increments z = (dq, h).
+
+    The residual is in the context's arithmetic; the Jacobian is formed in
+    double from the model's double twin, the precision the Newton step is
+    solved in.
+    """
     n = model.n
-    M, p_k, E_k, q_k = model.M, state.p, state.E, state.q
+    p_k, E_k, q_k = state.p, state.E, state.q
+    dm, q_kd = model.double, np.asarray(q_k, dtype=float)
 
     def residual(z):
         v, Mv, half_grad, mid = _increment(model, q_k, z[:n], z[n])
@@ -215,14 +223,15 @@ def _epavi_system(model, state):
         return out
 
     def jacobian(z):
+        z = np.asarray(z, dtype=float)
         dq, h = z[:n], z[n]
         v = dq / h
-        mid = q_k + dq / 2
-        grad = model.potential_gradient(mid)
-        hess = model.potential_hessian(mid)
-        Mv = np.dot(M, v)
-        J = np.empty((n + 1, n + 1), dtype=z.dtype)
-        J[:n, :n] = M / h + hess * (h / 4)
+        mid = q_kd + dq / 2
+        grad = dm.potential_gradient(mid)
+        hess = dm.potential_hessian(mid)
+        Mv = np.dot(dm.M, v)
+        J = np.empty((n + 1, n + 1))
+        J[:n, :n] = dm.M / h + hess * (h / 4)
         J[:n, n] = -Mv / h + grad / 2
         J[n, :n] = Mv / h + grad / 2
         J[n, n] = -(v * Mv).sum() / h
@@ -264,7 +273,7 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
         new_state = ExtendedState(
             t=state.t + h, q=state.q + dq, p=Mv - half_grad, E=_discrete_energy(model, v, Mv, mid)
         )
-    return new_state, _record(h, report)
+    return new_state, _record(h, report, retried=attempt == 1)
 
 
 def initial_discrete_energy(model: LagrangianModel, state: ExtendedState, h0, cfg: SolverConfig) -> Real:
@@ -308,16 +317,18 @@ def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,
 
 
 def _solve_fixed_momentum(model, state, h, cfg) -> SolveReport:
-    """Solve -D2 L_d = p_k for the configuration increment at fixed h."""
-    M, p_k, q_k = model.M, state.p, state.q
+    """Solve -D2 L_d = p_k for the configuration increment at fixed h
+    (Jacobian in double, as in :func:`_epavi_system`)."""
+    p_k, q_k = state.p, state.q
+    dm, q_kd, hd = model.double, np.asarray(q_k, dtype=float), float(h)
 
     def residual(dq):
         _, Mv, half_grad, _ = _increment(model, q_k, dq, h)
         return Mv + half_grad - p_k
 
     def jacobian(dq):
-        mid = q_k + dq / 2
-        return M / h + model.potential_hessian(mid) * (h / 4)
+        mid = q_kd + np.asarray(dq, dtype=float) / 2
+        return dm.M / hd + dm.potential_hessian(mid) * (hd / 4)
 
     z0 = np.dot(model.M_inv, p_k) * h
     return newton_solve(residual, z0, cfg, model.ctx, jacobian=jacobian)
@@ -546,8 +557,7 @@ def reference_solve(model, state0: ExtendedState, T_final, reltol=1e-12, abstol=
     """High-accuracy adaptive Runge-Kutta reference for Hamilton's equations."""
     if reltol <= 0 or abstol <= 0:
         raise ConfigurationError("tolerances must be positive")
-    if not model.ctx.is_native:
-        model = make_model(model.name, model.params, DOUBLE)
+    model = model.double
     t0 = float(state0.t)
     y0 = np.concatenate([np.asarray(state0.q, dtype=float), np.asarray(state0.p, dtype=float)])
     if T_final < t0:

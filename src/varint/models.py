@@ -8,6 +8,7 @@ Models are immutable after construction and safe for shared reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -51,6 +52,11 @@ class LagrangianModel:
         self.M = ctx.array(mass_matrix)
         self.M_inv = ctx.array(np.linalg.inv(np.asarray(mass_matrix, dtype=float)))
         self.params: dict = {}
+
+    @cached_property
+    def double(self) -> "LagrangianModel":
+        """This model in double precision: itself in a native context."""
+        return self if self.ctx.is_native else make_model(self.name, self.params, DOUBLE)
 
     # potential interface -----------------------------------------------------
 

@@ -130,11 +130,12 @@ class PrecisionContext:
     # -- linear algebra (systems here are tiny: n+1 or 2n unknowns) ----------
 
     def solve(self, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` by LAPACK LU with partial pivoting, in double for
-        every context; raises :class:`IllPosednessError` when a pivot is
-        exactly zero.  The Newton residual stays in context precision, so a
-        double step still refines an extended iterate to the context's
-        accuracy (iterative refinement; Moler, JACM 14, 1967).
+        """Solve ``A x = b`` in double by LAPACK LU with partial pivoting;
+        raises :class:`IllPosednessError` when a pivot is exactly zero.
+        EpAVI and the fixed-step solve form ``A`` in double; the residual
+        ``b`` comes in context precision, so a double step refines an
+        extended iterate to the context's accuracy (iterative refinement;
+        Moler, JACM 14, 1967).
         """
         lu, piv, info = lapack.dgetrf(np.asarray(A, dtype=float))
         if info > 0:

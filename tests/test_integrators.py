@@ -21,6 +21,7 @@ from varint import (
     avi_step,
     discrete_lagrangian_midpoint,
     discrete_partials_midpoint,
+    energy_error_series,
     epavi_run,
     epavi_step,
     initial_discrete_energy,
@@ -29,6 +30,7 @@ from varint import (
     midpoint_fixed_run,
     midpoint_fixed_step,
     reference_solve,
+    telescoping_bound_check,
     with_precision,
 )
 from varint.models import ExtendedState
@@ -180,6 +182,21 @@ def test_epavi_guess_insensitivity():
     s_b, _ = epavi_step(model, state, 1.2e-3, CFG15)
     assert s_a.t == pytest.approx(s_b.t, abs=1e-14)
     assert np.allclose(np.asarray(s_a.q, float), np.asarray(s_b.q, float), atol=1e-14)
+
+
+def test_epavi_records_the_half_step_retry(epavi_e07):
+    # at e = 0.7, 30 first attempts from the previous h fail and are retried
+    assert any(rec.retried for rec in epavi_e07.steps)
+    s0 = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.5)
+    traj = epavi_run(HarmonicOscillator(), s0, 0.1, 2 * math.pi, CFG13)
+    assert len(traj.steps) > 10 and not any(rec.retried for rec in traj.steps)
+
+
+def test_extended_epavi_keeps_18_digit_energy(vpa_extended_tol17):
+    # a double Newton step refines the 18-digit residual: the energy error
+    # stays at the 18-digit floor, far below criterion 4's 1e-16
+    assert energy_error_series(vpa_extended_tol17).max() <= 1e-19
+    assert telescoping_bound_check(vpa_extended_tol17).max_step_defect <= 1e-19
 
 
 # -- monitors ------------------------------------------------------------------------

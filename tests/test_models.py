@@ -174,6 +174,16 @@ def test_make_model_registry():
         make_model("three_body")
 
 
+def test_double_twin():
+    model = KeplerTwoBody()
+    assert model.double is model
+    osc = HarmonicOscillator(k=1.3, m=0.8, ctx=with_precision(18))
+    twin = osc.double
+    assert twin is osc.double  # built once
+    assert twin.ctx.is_native and twin.name == "oscillator" and twin.params == osc.params
+    assert twin.M.dtype == np.float64 and twin.k == 1.3
+
+
 def test_state_validation():
     s = kepler_initial_state(0.1)
     s.validate(2)

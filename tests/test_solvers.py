@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import varint.integrators
 from varint import (
     HarmonicOscillator,
     IllPosednessError,
@@ -105,6 +106,39 @@ def test_fd_jacobian_matches_analytic_avi_partials(monitor, digits, fd_step, rel
             J_an = jacobian(z)
             J_fd = fd_jacobian(residual, z, fd_step, ctx)
             assert np.max(np.abs(J_fd - J_an)) <= rel * np.max(np.abs(J_an))
+
+
+@pytest.mark.parametrize("system", ["epavi", "fixed_momentum"])
+def test_extended_jacobians_are_formed_in_double(monkeypatch, system):
+    # the 18-digit Newton step is solved in double, so the Jacobian is
+    # formed there too; the 18-digit difference Jacobian is the oracle
+    captured = {}
+    solve = varint.integrators.newton_solve
+
+    def capturing(F, x0, cfg, ctx, jacobian=None, **kwargs):
+        captured.update(residual=F, jacobian=jacobian)
+        return solve(F, x0, cfg, ctx, jacobian=jacobian, **kwargs)
+
+    monkeypatch.setattr(varint.integrators, "newton_solve", capturing)
+    ctx = with_precision(18)
+    model = KeplerTwoBody(ctx)
+    cfg = SolverConfig.for_context(ctx)
+    h = ctx.real("1e-2")
+    rng = np.random.default_rng(11)
+    with ctx.activate():
+        for _ in range(20):
+            state = _random_kepler_state(rng, ctx)
+            z = np.dot(model.M_inv, state.p) * h
+            if system == "epavi":
+                residual, jacobian = _epavi_system(model, state)
+                z = np.append(z, h)
+            else:
+                initial_discrete_energy(model, state, h, cfg)
+                residual, jacobian = captured["residual"], captured["jacobian"]
+            J = jacobian(z)
+            assert J.dtype == np.float64
+            J_fd = fd_jacobian(residual, z, 1e-9, ctx)
+            assert np.max(np.abs(J_fd - J)) <= 1e-13 * np.max(np.abs(J))
 
 
 def test_extended_newton_ill_posedness_limit_is_double():
