@@ -152,22 +152,23 @@ def context_for(traj: Trajectory) -> PrecisionContext:
 
 
 def write_trajectory_csv(traj: Trajectory, path):
-    """k, t, q..., p..., E, h, residual, newton_iters; the step columns of
-    row k describe the step from state k to state k+1."""
+    """k, t, q..., p..., E, h, residual, newton_iters, retried; the step
+    columns of row k describe the step from state k to state k+1, and
+    retried is 1 when that step came from EpAVI's cold fallback, else 0."""
     ctx = context_for(traj)
     n = len(traj.states[0].q)
     header = (
         ["k", "t"]
         + [f"q{i + 1}" for i in range(n)]
         + [f"p{i + 1}" for i in range(n)]
-        + ["E", "h", "residual", "newton_iters"]
+        + ["E", "h", "residual", "newton_iters", "retried"]
     )
     rows = []
     for k, s in enumerate(traj.states):
         step = traj.steps[k] if k < len(traj.steps) else None
         rows.append(
             [k, s.t, *s.q, *s.p, s.E]
-            + ([step.h, step.residual_norm, step.iterations] if step else [None, None, None])
+            + ([step.h, step.residual_norm, step.iterations, int(step.retried)] if step else [None] * 4)
         )
     write_csv(path, header, rows, ctx)
 

@@ -124,8 +124,12 @@ def discrete_partials_midpoint(model: LagrangianModel, t_k, q_k, t_k1, q_k1) -> 
 
 @dataclass
 class StepRecord:
-    """Per-step solver metadata; ``retried`` marks an EpAVI step solved from
-    h_guess/2 after the first Newton attempt failed."""
+    """Per-step solver metadata.
+
+    ``retried`` marks an EpAVI step whose first Newton attempt failed and
+    that was solved by the cold fallback of :func:`epavi_step`; its
+    ``iterations`` then sum the fallback's fixed-momentum and coupled solves.
+    """
 
     h: Real
     residual_norm: Real
@@ -240,13 +244,25 @@ def _epavi_system(model, state):
     return residual, jacobian
 
 
-def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: SolverConfig):
+def _increments(ctx, dq, h) -> np.ndarray:
+    """The EpAVI unknowns z = (dq, h) as one array of context reals."""
+    z = np.empty(len(dq) + 1, dtype=float if ctx.is_native else object)
+    z[:-1] = dq
+    z[-1] = ctx.real(h)
+    return z
+
+
+def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: SolverConfig, z0=None):
     """One energy-preserving adaptive step.
 
-    Solves the implicit pair for (q_{k+1}, t_{k+1}) with the explicit-Euler
-    predictor (t_k + h_guess, q_k + h_guess M^{-1} p_k), then applies the
-    explicit momentum/energy updates.  If Newton fails, retries once from
-    h_guess/2 before giving up.
+    Solves the implicit pair for the increments z = (dq, h), then applies
+    the explicit momentum/energy updates.  Newton starts from ``z0`` when it
+    is given (the warm start of :func:`epavi_run`), else from the
+    explicit-Euler guess (h_guess M^{-1} p_k, h_guess).  If that attempt
+    fails, the cold fallback solves the momentum equation alone at h_guess
+    and restarts the coupled solve once from (dq(h_guess), h_guess); the
+    record is then marked ``retried`` and counts the iterations of both of
+    those solves.
     """
     if h_guess <= 0:
         raise ConfigurationError("h_guess must be positive")
@@ -254,26 +270,24 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
     n = model.n
     residual, jacobian = _epavi_system(model, state)
 
-    report = None
+    def solve(z):
+        return newton_solve(residual, z, cfg, ctx, jacobian=jacobian, feasible=lambda z: z[n] > 0)
+
     with ctx.activate():
-        for attempt, hg in enumerate((h_guess, h_guess / 2)):
-            z0 = np.empty(n + 1, dtype=float if ctx.is_native else object)
-            z0[:n] = np.dot(model.M_inv, state.p) * hg
-            z0[n] = hg * (1 if ctx.is_native else ctx.real(1))
-            try:
-                report = newton_solve(
-                    residual, z0, cfg, ctx, jacobian=jacobian, feasible=lambda z: z[n] > 0
-                )
-                break
-            except NonconvergenceError:
-                if attempt == 1:
-                    raise
+        if z0 is None:
+            z0 = _increments(ctx, np.dot(model.M_inv, state.p) * h_guess, h_guess)
+        try:
+            report, retried = solve(z0), False
+        except NonconvergenceError:
+            fixed = _solve_fixed_momentum(model, state, h_guess, cfg)
+            report, retried = solve(_increments(ctx, fixed.solution, h_guess)), True
+            report = replace(report, iterations=fixed.iterations + report.iterations)
         dq, h = report.solution[:n], report.solution[n]
         v, Mv, half_grad, mid = _increment(model, state.q, dq, h)
         new_state = ExtendedState(
             t=state.t + h, q=state.q + dq, p=Mv - half_grad, E=_discrete_energy(model, v, Mv, mid)
         )
-    return new_state, _record(h, report, retried=attempt == 1)
+    return new_state, _record(h, report, retried=retried)
 
 
 def initial_discrete_energy(model: LagrangianModel, state: ExtendedState, h0, cfg: SolverConfig) -> Real:
@@ -295,9 +309,13 @@ def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,
               cfg: Optional[SolverConfig] = None) -> Trajectory:
     """March EpAVI steps until t >= T_final.
 
-    The Newton guess for each step is the previously accepted h (h0 for the
-    first).  The starting state's E is replaced by the h0-consistent
-    discrete level (see :func:`initial_discrete_energy`).
+    Each Newton solve is warm-started from the accepted increments
+    z = (dq, h): the first step starts from the explicit-Euler guess with
+    h0, the second from z_1, and every later one from the linear
+    extrapolation 2 z_k - z_{k-1} (from z_k if that gives h <= 0).  The
+    previously accepted h is each step's h_guess for the cold fallback of
+    :func:`epavi_step`.  The starting state's E is replaced by the
+    h0-consistent discrete level (see :func:`initial_discrete_energy`).
     """
     cfg = _run_config(model, state0, T_final, cfg)
     if T_final > state0.t:
@@ -309,7 +327,20 @@ def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,
                 trajectory=Trajectory(states=[state0]),
                 cause=exc,
             ) from exc
-    step = lambda state, h: epavi_step(model, state, h, cfg)
+    ctx, n = model.ctx, model.n
+    accepted = []  # the last two accepted increments z = (dq, h)
+
+    def step(state, h):
+        with ctx.activate():
+            z0 = accepted[-1] if accepted else None
+            if len(accepted) == 2:
+                z0 = 2 * accepted[1] - accepted[0]
+                if z0[n] <= 0:
+                    z0 = accepted[1]
+            new_state, record = epavi_step(model, state, h, cfg, z0)
+            accepted[:] = accepted[-1:] + [_increments(ctx, new_state.q - state.q, record.h)]
+        return new_state, record
+
     return _march(model, "epavi", step, state0, h0, T_final, cfg, h0=float(h0))
 
 

@@ -120,7 +120,9 @@ def test_csv_writers(tmp_path, epavi_e07):
     write_trajectory_csv(epavi_e07, tmp_path / "trajectory.csv")
     write_stats_csv(epavi_e07, tmp_path / "stats.csv")
     header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
-    assert header == "k,t,q1,q2,p1,p2,E,h,residual,newton_iters"
+    assert header == "k,t,q1,q2,p1,p2,E,h,residual,newton_iters,retried"
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    assert {row.rsplit(",", 1)[1] for row in rows[:-1]} == {"0"} and rows[-1].endswith(",")
     stats_lines = (tmp_path / "stats.csv").read_text().splitlines()
     assert len(stats_lines) == 2
     assert "telescoping_holds" in stats_lines[0]

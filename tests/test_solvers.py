@@ -5,6 +5,7 @@ import pytest
 
 import varint.integrators
 from varint import (
+    DOUBLE,
     HarmonicOscillator,
     IllPosednessError,
     KeplerTwoBody,
@@ -164,9 +165,9 @@ def test_extended_newton_ill_posedness_limit_is_double():
 
 def test_extended_epavi_step_converges_from_random_states():
     # a double-precision Newton step refines the 18-digit residual to 1e-17
-    # wherever the double-precision step converges; the cold predictor
-    # (q_k + h M^{-1} p_k, h) misses the root from some states in both
-    # precisions alike
+    # wherever the double-precision step converges; where the explicit-Euler
+    # guess (q_k + h M^{-1} p_k, h) misses the root, the fixed-momentum
+    # fallback converges, in both precisions alike
     records = {}
     for digits in (16, 18):
         ctx = with_precision(digits)
@@ -190,6 +191,54 @@ def test_extended_epavi_step_converges_from_random_states():
         if rec18 is not None:
             assert rec18.residual_norm <= 1e-17
             assert not rec18.stalled
+
+
+@pytest.mark.parametrize("digits", [16, 18])
+@pytest.mark.parametrize("seed", [5, 11])
+def test_epavi_step_from_random_states_lands_on_h0(seed, digits):
+    # E is consistent with a step of h0, so h = h0 is the root; Newton from
+    # the explicit-Euler guess misses it at seed 5 states 0, 17 and 19 and
+    # seed 11 states 3, 7 and 13, and the fallback finds it; without one,
+    # seed 5 states 0 and 17 and seed 11 state 13 fail even from h0/2
+    ctx = with_precision(digits)
+    model = KeplerTwoBody(ctx)
+    cfg = SolverConfig.for_context(ctx)
+    h0 = ctx.real("1e-2")
+    rng = np.random.default_rng(seed)
+    retried = set()
+    with ctx.activate():
+        for k in range(20):
+            state = _random_kepler_state(rng, ctx)
+            E = initial_discrete_energy(model, state, h0, cfg)
+            _, record = epavi_step(model, replace(state, E=E), h0, cfg)
+            assert abs(record.h - h0) <= 1e-9
+            assert record.residual_norm <= cfg.tol
+            if record.retried:
+                retried.add(k)
+    assert retried >= {5: {0, 17}, 11: {13}}[seed]
+
+
+def test_epavi_step_marks_the_cold_fallback(monkeypatch):
+    # state 0 of seed 5: Newton from the explicit-Euler guess fails, the
+    # fixed-momentum solve at h_guess and the restarted coupled solve
+    # converge, and the record counts the iterations of both
+    solved = []
+    solve = varint.integrators.newton_solve
+
+    def recording(*args, **kwargs):
+        report = solve(*args, **kwargs)
+        solved.append(report.iterations)
+        return report
+
+    monkeypatch.setattr(varint.integrators, "newton_solve", recording)
+    model, cfg = KeplerTwoBody(), SolverConfig(tol=1e-12)
+    state = _random_kepler_state(np.random.default_rng(5), DOUBLE)
+    state = replace(state, E=initial_discrete_energy(model, state, 1e-2, cfg))
+    solved.clear()
+    _, record = epavi_step(model, state, 1e-2, cfg)
+    assert record.retried and record.residual_norm <= cfg.tol
+    assert record.h == pytest.approx(1e-2, abs=1e-9)
+    assert len(solved) == 2 and record.iterations == sum(solved)
 
 
 @pytest.mark.parametrize(
