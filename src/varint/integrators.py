@@ -26,7 +26,7 @@
   adaptive Runge-Kutta reference solver.
 
 Three shared pieces carry the stepping schemes.  ``_increment`` is the
-midpoint kernel: (v, Mv, (h/2) grad V(mid), mid) from (q_k, dq, h), under
+midpoint kernel: (v, Mv, (h/2) grad V(mid), V(mid)) from (q_k, dq, h), under
 the partials of L_d, the EpAVI and fixed-momentum residuals and the step
 updates.  ``_march`` is the run driver: it steps until t >= T_final, aborts
 on a step below the resolution of t, and raises every failure as an
@@ -91,20 +91,20 @@ def discrete_lagrangian_midpoint(model: LagrangianModel, t_k, q_k, t_k1, q_k1) -
 
 
 def _increment(model, q_k, dq, h):
-    """Midpoint kernel of the step increments: (v, Mv, (h/2) grad V(mid), mid).
+    """Midpoint kernel of the step increments: (v, Mv, (h/2) grad V(mid), V(mid)).
 
     Working from (dq, h) instead of re-differencing the endpoints avoids an
     ulp(t)/h error in the velocity, which would dominate the per-step energy
     defect late in a run.
     """
     v = dq / h
-    mid = q_k + dq / 2
-    return v, np.dot(model.M, v), model.potential_gradient(mid) * (h / 2), mid
+    V, grad = model.potential_and_gradient(q_k + dq / 2)
+    return v, np.dot(model.M, v), grad * (h / 2), V
 
 
-def _discrete_energy(model, v, Mv, mid) -> Real:
+def _discrete_energy(v, Mv, V) -> Real:
     """D1 L_d = v'Mv/2 + V(mid) from the kernel values."""
-    return (v * Mv).sum() / 2 + model.potential(mid)
+    return (v * Mv).sum() / 2 + V
 
 
 def discrete_partials_midpoint(model: LagrangianModel, t_k, q_k, t_k1, q_k1) -> DiscretePartials:
@@ -114,8 +114,8 @@ def discrete_partials_midpoint(model: LagrangianModel, t_k, q_k, t_k1, q_k1) -> 
     midpoint:  d1 = v'Mv/2 + V  (the discrete energy), and
     d2 = -Mv - (h/2) grad V,  d4 = Mv - (h/2) grad V.
     """
-    v, Mv, half_grad, mid = _increment(model, q_k, q_k1 - q_k, _step_length(t_k, t_k1))
-    d1 = _discrete_energy(model, v, Mv, mid)
+    v, Mv, half_grad, V = _increment(model, q_k, q_k1 - q_k, _step_length(t_k, t_k1))
+    d1 = _discrete_energy(v, Mv, V)
     return DiscretePartials(d1=d1, d2=-Mv - half_grad, d4=Mv - half_grad)
 
 
@@ -220,10 +220,10 @@ def _epavi_system(model, state):
     dm, q_kd = model.double, np.asarray(q_k, dtype=float)
 
     def residual(z):
-        v, Mv, half_grad, mid = _increment(model, q_k, z[:n], z[n])
+        v, Mv, half_grad, V = _increment(model, q_k, z[:n], z[n])
         out = np.empty(n + 1, dtype=z.dtype)
         out[:n] = Mv + half_grad - p_k
-        out[n] = _discrete_energy(model, v, Mv, mid) - E_k
+        out[n] = _discrete_energy(v, Mv, V) - E_k
         return out
 
     def jacobian(z):
@@ -283,9 +283,9 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
             report, retried = solve(_increments(ctx, fixed.solution, h_guess)), True
             report = replace(report, iterations=fixed.iterations + report.iterations)
         dq, h = report.solution[:n], report.solution[n]
-        v, Mv, half_grad, mid = _increment(model, state.q, dq, h)
+        v, Mv, half_grad, V = _increment(model, state.q, dq, h)
         new_state = ExtendedState(
-            t=state.t + h, q=state.q + dq, p=Mv - half_grad, E=_discrete_energy(model, v, Mv, mid)
+            t=state.t + h, q=state.q + dq, p=Mv - half_grad, E=_discrete_energy(v, Mv, V)
         )
     return new_state, _record(h, report, retried=retried)
 
@@ -301,8 +301,8 @@ def initial_discrete_energy(model: LagrangianModel, state: ExtendedState, h0, cf
     """
     with model.ctx.activate():
         dq = _solve_fixed_momentum(model, state, h0, cfg).solution
-        v, Mv, _, mid = _increment(model, state.q, dq, h0)
-        return _discrete_energy(model, v, Mv, mid)
+        v, Mv, _, V = _increment(model, state.q, dq, h0)
+        return _discrete_energy(v, Mv, V)
 
 
 def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,

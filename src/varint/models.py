@@ -69,6 +69,10 @@ class LagrangianModel:
     def potential_hessian(self, q) -> np.ndarray:
         raise NotImplementedError
 
+    def potential_and_gradient(self, q):
+        """(V(q), grad V(q)) in one call; models whose two share work override it."""
+        return self.potential(q), self.potential_gradient(q)
+
     def potential_third(self, q) -> Real:
         """Third derivative; only defined for 1-DOF models."""
         raise UnsupportedOrderError(f"third potential derivative unavailable for {self.name}")
@@ -90,10 +94,11 @@ class KeplerTwoBody(LagrangianModel):
     def __init__(self, ctx: PrecisionContext = DOUBLE):
         super().__init__(2, np.eye(2), ctx)
         self._eye = ctx.identity(2)
+        self._guard = ctx.real(KEPLER_RADIUS_GUARD)
 
     def _radius(self, q) -> Real:
         r = self.ctx.sqrt((q * q).sum())
-        if r < KEPLER_RADIUS_GUARD:
+        if r < self._guard:
             raise SingularityError(f"|q| = {r} below collision guard {KEPLER_RADIUS_GUARD}")
         return r
 
@@ -103,6 +108,10 @@ class KeplerTwoBody(LagrangianModel):
     def potential_gradient(self, q) -> np.ndarray:
         r = self._radius(q)
         return q / r ** 3
+
+    def potential_and_gradient(self, q):
+        r = self._radius(q)
+        return -1 / r, q / r ** 3
 
     def potential_hessian(self, q) -> np.ndarray:
         r = self._radius(q)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import mpmath
 import numpy as np
@@ -33,6 +33,16 @@ MIN_DIGITS = 10
 GUARD_DIGITS = 3
 
 Real = Union[float, mpf]
+
+
+class LUFactors(NamedTuple):
+    """``dgetrf`` output for a double matrix and its infinity norm, from
+    :meth:`PrecisionContext.factor`."""
+
+    lu: np.ndarray
+    piv: np.ndarray
+    info: int
+    norm_inf: float
 
 
 @dataclass(frozen=True)
@@ -129,32 +139,41 @@ class PrecisionContext:
 
     # -- linear algebra (systems here are tiny: n+1 or 2n unknowns) ----------
 
-    def solve(self, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` in double by LAPACK LU with partial pivoting;
-        raises :class:`IllPosednessError` when a pivot is exactly zero.
-        EpAVI and the fixed-step solve form ``A`` in double; the residual
-        ``b`` comes in context precision, so a double step refines an
+    def factor(self, A: np.ndarray) -> LUFactors:
+        """LU factors of ``A`` in double (LAPACK ``dgetrf``, partial pivoting).
+
+        One factorization serves every :meth:`solve` with that matrix and its
+        :meth:`cond_inf`.  A singular ``A`` still factors (``info > 0``);
+        :meth:`solve` rejects it and :meth:`cond_inf` reports ``inf``.
+        """
+        a = np.asarray(A, dtype=float)
+        lu, piv, info = lapack.dgetrf(a)
+        return LUFactors(lu, piv, info, lapack.dlange("I", a))
+
+    def solve(self, factors: LUFactors, b: np.ndarray) -> np.ndarray:
+        """Solve ``A x = b`` in double from the factors of ``A`` (LAPACK
+        ``dgetrs``); raises :class:`IllPosednessError` when a pivot is exactly
+        zero.  EpAVI and the fixed-step solve form ``A`` in double; the
+        residual ``b`` comes in context precision, so a double step refines an
         extended iterate to the context's accuracy (iterative refinement;
         Moler, JACM 14, 1967).
         """
-        lu, piv, info = lapack.dgetrf(np.asarray(A, dtype=float))
-        if info > 0:
-            raise IllPosednessError(f"singular Jacobian: LU pivot {info} is zero")
-        return lapack.dgetrs(lu, piv, np.asarray(b, dtype=float))[0]
+        if factors.info > 0:
+            raise IllPosednessError(f"singular Jacobian: LU pivot {factors.info} is zero")
+        return lapack.dgetrs(factors.lu, factors.piv, np.asarray(b, dtype=float))[0]
 
-    def cond_inf(self, A: np.ndarray) -> float:
-        """Infinity-norm condition estimate of ``A`` in double, the precision
-        :meth:`solve` works in; ``inf`` for a singular matrix.
+    def cond_inf(self, factors: LUFactors) -> float:
+        """Infinity-norm condition estimate of the factored matrix in double,
+        the precision :meth:`solve` works in; ``inf`` for a singular matrix.
 
         ||A^{-1}|| is the Hager/Higham estimate from the LU factors (LAPACK
         ``dgecon``, Higham, ACM TOMS 14, 1988): a lower bound, in practice
-        within a factor of 3 of the exact value, at no inverse.
+        within a factor of 3 of the exact value, at no inverse and no second
+        factorization.
         """
-        A = np.asarray(A, dtype=float)
-        lu, _, info = lapack.dgetrf(A)
-        if info > 0:
+        if factors.info > 0:
             return math.inf
-        rcond = float(lapack.dgecon(lu, np.abs(A).sum(axis=1).max(), norm="I")[0])
+        rcond = float(lapack.dgecon(factors.lu, factors.norm_inf, norm="I")[0])
         return 1 / rcond if rcond > 0 else math.inf
 
     # -- textual serialization (decimal scientific notation) -----------------

@@ -13,6 +13,13 @@ solved in double: in an extended context this is iterative refinement,
 which reaches the residual's precision while the Jacobian is well
 conditioned in double.
 
+A Jacobian is formed and factored only while the residual exceeds the
+tolerance.  Once it is met, each polish iteration is one undamped
+refinement step from the LU factors already in hand (Moler, JACM 14, 1967),
+and the first step that does not lower the residual, or does not move the
+iterate, ends the solve (Deuflhard, Newton Methods for Nonlinear Problems,
+2004, ch. 2).  The condition estimate reuses the last factors.
+
 Every integrator passes analytic partials; :func:`fd_jacobian` is the
 fallback for callers that have none.
 """
@@ -40,9 +47,12 @@ _DOMAIN_ERRORS = (SingularityError, MonitorDomainError)
 class SolverConfig:
     """Newton solve parameters.
 
-    After the tolerance is met, up to ``polish`` further improving
-    iterations are taken so per-step defects sit at the representation
-    floor rather than just under ``tol``.
+    After the tolerance is met, up to ``polish`` further iterations are
+    taken so per-step defects sit at the representation floor rather than
+    just under ``tol``.  A polish iteration is a refinement step from the
+    last LU factors, undamped; the first one that does not lower the
+    residual ends the solve.  ``max_halvings`` and ``stall_factor`` act
+    only while the residual exceeds ``tol``.
     """
 
     tol: float = 1e-12
@@ -66,6 +76,13 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
+    """Outcome of :func:`newton_solve`.
+
+    ``condition_estimate`` belongs to the last Jacobian factored: in a
+    polished solve, the Jacobian at the last iterate whose residual exceeded
+    the tolerance, not at ``solution``.
+    """
+
     solution: np.ndarray
     residual_norm: Real
     iterations: int
@@ -127,6 +144,7 @@ def _newton_solve(F, x0, cfg, ctx, jacobian, feasible):
     fd_step = ctx.eps ** (1 / 3)
     jac = jacobian if jacobian is not None else (lambda x: fd_jacobian(F, x, fd_step, ctx))
     cond_limit = 0.01 / DOUBLE.eps
+    tol = ctx.real(cfg.tol)
 
     x = x0.copy()
     Fx = F(x)
@@ -134,23 +152,30 @@ def _newton_solve(F, x0, cfg, ctx, jacobian, feasible):
         raise NonconvergenceError("residual not finite at the initial guess")
     r = inf_norm(Fx)
 
-    J = None
+    lu = None
     iterations = 0
     polish_left = cfg.polish
     stalled = False
 
     while iterations < cfg.max_iter:
-        if r <= cfg.tol and polish_left <= 0:
+        polishing = r <= tol
+        if polishing and polish_left <= 0:
             break
-        J = jac(x)
-        dx = -ctx.solve(J, Fx)
+        if lu is None or not polishing:
+            lu = ctx.factor(jac(x))
+        dx = -ctx.solve(lu, Fx)
 
-        # damping: halve the step while the residual norm does not decrease
+        # damping: halve the step while the residual norm does not decrease;
+        # a polish step is the single undamped refinement from the factors
+        # in hand, and the first one that does not move the iterate or lower
+        # the residual ends the solve
         lam = 1
         best = None
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(1 if polishing else cfg.max_halvings + 1):
             xn = x + lam * dx
             lam = lam / 2
+            if polishing and np.all(xn == x):
+                break
             if feasible is not None and not feasible(xn):
                 continue
             try:
@@ -170,15 +195,15 @@ def _newton_solve(F, x0, cfg, ctx, jacobian, feasible):
             break
         x, Fx, r = best
         iterations += 1
-        if r <= cfg.tol:
+        if r <= tol:
             polish_left -= 1
 
-    if J is None:
-        J = jac(x)
-    cond = ctx.cond_inf(J)
+    if lu is None:
+        lu = ctx.factor(jac(x))
+    cond = ctx.cond_inf(lu)
     if cond >= cond_limit:
         raise IllPosednessError(
-            f"Jacobian condition estimate {cond:.2e} at the solution; "
+            f"Jacobian condition estimate {cond:.2e} near the solution; "
             "the update equations do not determine the unknowns"
         )
 
@@ -187,11 +212,11 @@ def _newton_solve(F, x0, cfg, ctx, jacobian, feasible):
         residual_norm=r,
         iterations=iterations,
         condition_estimate=cond,
-        converged=r <= cfg.tol,
-        stalled=stalled and r > cfg.tol,
+        converged=r <= tol,
+        stalled=stalled and r > tol,
         condition_warning=cond > cfg.condition_warn,
     )
-    if r <= cfg.tol:
+    if r <= tol:
         return report
     if stalled and r <= cfg.stall_factor * cfg.tol:
         # residual floor of the representation; accept and report honestly

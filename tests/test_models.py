@@ -198,3 +198,20 @@ def test_extended_precision_model_evaluation():
     with ctx.activate():
         H = model.hamiltonian(s.q, s.p)
         assert abs(H + ctx.real("0.5")) < ctx.real("1e-19")
+
+
+@pytest.mark.parametrize("digits", [16, 18])
+@pytest.mark.parametrize("name", ["kepler", "oscillator", "pendulum"])
+def test_potential_and_gradient_is_bitwise_the_pair(name, digits):
+    # one call serves the EpAVI residual's V and grad V at the midpoint; it
+    # must not move a single bit of either
+    ctx = with_precision(digits)
+    model = make_model(name, {"k": 1.3, "m": 0.8}, ctx)
+    rng = np.random.default_rng(3)
+    with ctx.activate():
+        for _ in range(20):
+            q = ctx.array(list(rng.uniform(-1.7, 1.7, model.n)))
+            V, dV = model.potential_and_gradient(q)
+            assert type(V) is type(model.potential(q)) and V == model.potential(q)
+            assert dV.dtype == model.potential_gradient(q).dtype
+            assert all(a == b for a, b in zip(dV, model.potential_gradient(q)))

@@ -11,6 +11,7 @@ from varint import (
     KeplerTwoBody,
     NonconvergenceError,
     SolverConfig,
+    epavi_run,
     epavi_step,
     fd_jacobian,
     initial_discrete_energy,
@@ -239,6 +240,74 @@ def test_epavi_step_marks_the_cold_fallback(monkeypatch):
     assert record.retried and record.residual_norm <= cfg.tol
     assert record.h == pytest.approx(1e-2, abs=1e-9)
     assert len(solved) == 2 and record.iterations == sum(solved)
+
+
+def test_polish_forms_no_jacobian():
+    # from near the root every Newton step is taken in full; once r <= tol
+    # a polish step refines from the factors in hand: no Jacobian, one F call
+    tol = 1e-12
+
+    def residual(x):
+        return np.array([x[0] ** 2 + x[1] - 3.0, x[0] + x[1] ** 2 - 5.0])
+
+    norms, jacobians_at = [], []
+
+    def F(x):
+        norms.append(np.abs(residual(x)).max())
+        return residual(x)
+
+    def jacobian(x):
+        jacobians_at.append(np.abs(residual(x)).max())
+        return np.array([[2 * x[0], 1.0], [1.0, 2 * x[1]]])
+
+    report = newton_solve(F, np.array([1.3, 1.8]), SolverConfig(tol=tol, polish=4), jacobian=jacobian)
+    assert report.converged and not report.stalled
+    above = sum(r > tol for r in norms)  # the iterations that started with r > tol
+    assert all(a > b for a, b in zip(norms[:above], norms[1:above + 1]))  # no damping
+    assert above >= 3 and len(jacobians_at) == above
+    assert all(r > tol for r in jacobians_at)
+    polish_steps = report.iterations - above + 1  # the accepted ones and the one that ends it
+    assert len(norms) - 1 - above <= polish_steps
+
+
+def test_failed_polish_step_ends_the_solve():
+    # |x^2 + c| bottoms out at c < tol; polish steps from the last factors
+    # lower it until one overshoots, and that single trial ends the solve
+    c, tol = 1e-13, 1e-12
+    norms = []
+
+    def F(x):
+        out = x * x + c
+        norms.append(abs(out[0]))
+        return out
+
+    report = newton_solve(F, np.array([0.5]), SolverConfig(tol=tol, polish=20),
+                          jacobian=lambda x: 2 * x.reshape(1, 1))
+    assert report.converged and not report.stalled
+    assert report.residual_norm == min(norms) <= tol
+    first = next(k for k, r in enumerate(norms) if r <= tol)
+    assert all(a > b for a, b in zip(norms[first:-2], norms[first + 1:-1]))
+    assert norms[-1] >= norms[-2] == report.residual_norm
+
+
+def test_epavi_forms_about_three_jacobians_per_step(monkeypatch):
+    # the epavi_e07 run: polishing reuses the factors, so a step forms only
+    # the Jacobians of its iterations above tol (3.2 per step; 4.2 when each
+    # polish iteration formed its own)
+    formed = []
+    solve = varint.integrators.newton_solve
+
+    def counting(F, x0, cfg, ctx, jacobian=None, **kwargs):
+        def counted(x):
+            formed.append(1)
+            return jacobian(x)
+
+        return solve(F, x0, cfg, ctx, jacobian=counted, **kwargs)
+
+    monkeypatch.setattr(varint.integrators, "newton_solve", counting)
+    traj = epavi_run(KeplerTwoBody(), kepler_initial_state(0.7), 1e-3, 2 * np.pi, SolverConfig(tol=1e-15))
+    assert len(traj.steps) == 1010
+    assert len(formed) <= 3.4 * len(traj.steps)
 
 
 @pytest.mark.parametrize(
