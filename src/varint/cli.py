@@ -270,6 +270,8 @@ def _trajectory_outputs(cfg, model, traj, outdir, ctx, summary):
             max_step_defect=tele.max_step_defect,
             telescoping_holds=tele.holds,
             stalled_steps=sum(1 for s in traj.steps if s.stalled),
+            newton_iterations=sum(s.iterations for s in traj.steps),
+            retried_steps=sum(1 for s in traj.steps if s.retried),
             max_residual=max(float(s.residual_norm) for s in traj.steps),
         )
 

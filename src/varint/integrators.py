@@ -37,7 +37,13 @@ is the AVI density dt/da = g(q) with its gradient, built by
 All implicit solves use the step increments (dq, h) as unknowns: the
 residuals are then insensitive to the absolute magnitude of t, which keeps
 the attainable residual floor at the representation level over a full
-period.  Every solve is given its analytic Jacobian.
+period.  Every solve is given its analytic Jacobian.  EpAVI and AVI runs
+start each Newton solve after the first from :func:`_extrapolate`, the
+polynomial extrapolation through the last five accepted increments; on the
+one-period Kepler runs that leaves 1.3-1.4 iterations per EpAVI step and
+1.8 per AVI step.  The fixed-step midpoint keeps the explicit guess: a
+predicted start there often meets the tolerance already, yet still forms
+one Jacobian for the polish, and the run measured slower with it.
 """
 
 from __future__ import annotations
@@ -167,6 +173,19 @@ class Trajectory:
 
 
 # -- the run driver -----------------------------------------------------------------
+
+
+#: Extrapolation weights through the last m = 1..5 accepted increments,
+#: oldest first: row m - 1 reproduces the next term of any sequence that is
+#: a polynomial of degree < m in the step index.
+_EXTRAPOLATION = ((1,), (-1, 2), (1, -3, 3), (-1, 4, -6, 4), (1, -5, 10, -10, 5))
+
+
+def _extrapolate(history) -> np.ndarray:
+    """Predicted next increment sum_j w_j z_j from the accepted increments
+    ``history`` (oldest first, one to five of them), the predictor of
+    Hairer & Wanner, Solving ODEs II, 1996, sec. IV.8."""
+    return sum(z * w for z, w in zip(history, _EXTRAPOLATION[len(history) - 1]))
 
 
 def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfig]) -> SolverConfig:
@@ -311,8 +330,10 @@ def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,
 
     Each Newton solve is warm-started from the accepted increments
     z = (dq, h): the first step starts from the explicit-Euler guess with
-    h0, the second from z_1, and every later one from the linear
-    extrapolation 2 z_k - z_{k-1} (from z_k if that gives h <= 0).  The
+    h0, every later one from the polynomial extrapolation of the last five
+    (fewer during start-up) by :func:`_extrapolate`, of degree 4 once five
+    are at hand, or from z_k if that gives h <= 0.  On the one-period
+    Kepler runs this takes 1.3-1.4 Newton iterations per step.  The
     previously accepted h is each step's h_guess for the cold fallback of
     :func:`epavi_step`.  The starting state's E is replaced by the
     h0-consistent discrete level (see :func:`initial_discrete_energy`).
@@ -328,17 +349,17 @@ def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,
                 cause=exc,
             ) from exc
     ctx, n = model.ctx, model.n
-    accepted = []  # the last two accepted increments z = (dq, h)
+    accepted = []  # the last five accepted increments z = (dq, h), oldest first
 
     def step(state, h):
         with ctx.activate():
-            z0 = accepted[-1] if accepted else None
-            if len(accepted) == 2:
-                z0 = 2 * accepted[1] - accepted[0]
+            z0 = None
+            if accepted:
+                z0 = _extrapolate(accepted)
                 if z0[n] <= 0:
-                    z0 = accepted[1]
+                    z0 = accepted[-1]
             new_state, record = epavi_step(model, state, h, cfg, z0)
-            accepted[:] = accepted[-1:] + [_increments(ctx, new_state.q - state.q, record.h)]
+            accepted[:] = accepted[-4:] + [_increments(ctx, new_state.q - state.q, record.h)]
         return new_state, record
 
     return _march(model, "epavi", step, state0, h0, T_final, cfg, h0=float(h0))
@@ -469,11 +490,15 @@ def _avi_system(model, monitor, state, delta_a):
     return residual, jacobian
 
 
-def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, delta_a, cfg: SolverConfig):
+def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, delta_a,
+             cfg: SolverConfig, z0=None):
     """One implicit-midpoint step of the monitor-rescaled system.
 
-    Unknowns are the increments (dq, dp); the physical-time update
-    t_{k+1} = t_k + da * g(q_av) is explicit afterwards.
+    Unknowns are the increments z = (dq, dp); the physical-time update
+    t_{k+1} = t_k + da * g(q_av) is explicit afterwards.  Newton starts from
+    ``z0`` when it is given (the warm start of :func:`avi_run`), else from
+    the explicit-Euler guess da g(q_k) (M^{-1} p_k, -grad V(q_k)).  The
+    monitor must be positive at q_k either way.
     """
     if delta_a <= 0:
         raise ConfigurationError("delta_a must be positive")
@@ -488,9 +513,10 @@ def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, del
         if g0 <= 0:
             raise MonitorDomainError(f"monitor value {g0} at the step start is not positive")
         residual, jacobian = _avi_system(model, monitor, state, delta_a)
-        z0 = np.empty(2 * n, dtype=float if ctx.is_native else object)
-        z0[:n] = np.dot(model.M_inv, p_k) * (delta_a * g0)
-        z0[n:] = dV0 * (-delta_a * g0)
+        if z0 is None:
+            z0 = np.empty(2 * n, dtype=float if ctx.is_native else object)
+            z0[:n] = np.dot(model.M_inv, p_k) * (delta_a * g0)
+            z0[n:] = dV0 * (-delta_a * g0)
         report = newton_solve(residual, z0, cfg, ctx, jacobian=jacobian)
         dq, dp = report.solution[:n], report.solution[n:]
         q_av = q_k + dq / 2
@@ -530,15 +556,29 @@ def avi_run(model: LagrangianModel, monitor: Monitor, state0: ExtendedState, T_f
 
     ``delta_a`` may be given directly; otherwise it is calibrated so the
     first physical step matches ``h0``.  Recorded energies are H(q_k, p_k).
+    Each Newton solve after the first starts from the extrapolation of the
+    last five accepted increments z = (dq, dp), as in :func:`epavi_run`;
+    on the one-period Kepler runs at e = 0.7 this takes 1.8 Newton
+    iterations per step (2.8 from the explicit-Euler guess).
     """
     cfg = _run_config(model, state0, T_final, cfg)
     if delta_a is None:
         if h0 is None:
             raise ConfigurationError("avi_run needs either h0 or delta_a")
         delta_a = avi_calibrate_delta_a(model, monitor, state0, h0, cfg)
-    with model.ctx.activate():
+    ctx = model.ctx
+    with ctx.activate():
         state0 = replace(state0, E=model.hamiltonian(state0.q, state0.p))
-    step = lambda state, _: avi_step(model, monitor, state, delta_a, cfg)
+    accepted = []  # the last five accepted increments z = (dq, dp), oldest first
+
+    def step(state, _):
+        with ctx.activate():
+            z0 = _extrapolate(accepted) if accepted else None
+            new_state, record = avi_step(model, monitor, state, delta_a, cfg, z0)
+            dz = np.concatenate([new_state.q - state.q, new_state.p - state.p])
+            accepted[:] = accepted[-4:] + [dz]
+        return new_state, record
+
     return _march(
         model, f"avi_{monitor.identifier}", step, state0, delta_a, T_final, cfg,
         monitor=monitor.identifier,

@@ -87,6 +87,21 @@ def test_rerun_is_byte_identical(tmp_path):
     run_experiment(_quick_cfg(b, outdir=str(b)))
     for name in ("trajectory.csv", "energy_error.csv", "traj_error.csv", "stats.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    untimed = [{k: v for k, v in read_summary(d / "summary.txt").items() if k != "wall_time_s"}
+               for d in (a, b)]
+    assert untimed[0] == untimed[1]
+
+
+def test_summary_counts_the_solver_work(tmp_path):
+    summary = run_experiment(_quick_cfg(tmp_path, reference=False))
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    steps = [dict(zip(header, row.split(","))) for row in rows[1:-1]]  # the last state has no step
+    assert summary["newton_iterations"] == sum(int(s["newton_iters"]) for s in steps) > 0
+    assert summary["retried_steps"] == sum(int(s["retried"]) for s in steps) == 0
+    stored = read_summary(tmp_path / "summary.txt")
+    assert stored["newton_iterations"] == str(summary["newton_iterations"])
+    assert stored["retried_steps"] == "0"
 
 
 def test_run_experiment_avi_on_kepler(tmp_path):

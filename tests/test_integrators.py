@@ -33,6 +33,7 @@ from varint import (
     telescoping_bound_check,
     with_precision,
 )
+from varint.integrators import _extrapolate
 from varint.models import ExtendedState
 
 CFG13 = SolverConfig(tol=1e-13)
@@ -121,6 +122,31 @@ def test_discrete_partials_match_finite_differences(model_case):
             assert parts.d4[j] == pytest.approx(fd_d4, rel=1e-6, abs=1e-9)
 
 
+# -- the warm-start predictor -----------------------------------------------------
+
+
+@pytest.mark.parametrize("digits", [16, 18])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_extrapolate_is_exact_below_degree_m(m, digits):
+    # m increments determine every polynomial of degree < m in the step index
+    ctx = with_precision(digits)
+    rng = np.random.default_rng(m)
+    for degree in range(m):
+        coeffs = rng.integers(-9, 10, size=(degree + 1, 3))
+        seq = [ctx.array([int(c) for c in np.polyval(coeffs, k)]) for k in range(m + 1)]
+        assert seq[0].dtype == (float if ctx.is_native else object)
+        with ctx.activate():
+            assert list(_extrapolate(seq[:m])) == list(seq[m])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_extrapolate_uses_the_row_of_its_history_length(m):
+    # on k^m the degree-(m-1) row misses the next term by the m-th
+    # difference, m!; a longer row would be exact, a shorter one miss by more
+    seq = [np.array([float(k ** m)]) for k in range(m + 1)]
+    assert seq[m][0] - _extrapolate(seq[:m])[0] == math.factorial(m)
+
+
 # -- EpAVI ------------------------------------------------------------------------
 
 
@@ -185,11 +211,12 @@ def test_epavi_guess_insensitivity():
 
 
 def test_epavi_warm_start_never_falls_back(epavi_e07):
-    # extrapolated increments start every solve near its root: no step of the
-    # e = 0.7 period falls back, at about 4 iterations per step (6.9 from the
-    # explicit-Euler guess, with 30 failed first attempts)
+    # increments extrapolated through the last five start every solve near its
+    # root: no step of the e = 0.7 period falls back, at 1.4 iterations per
+    # step (3.5 from the linear extrapolation; 6.9 from the explicit-Euler
+    # guess, with 30 failed first attempts)
     assert not any(rec.retried for rec in epavi_e07.steps)
-    assert sum(rec.iterations for rec in epavi_e07.steps) <= 4.5 * len(epavi_e07.steps)
+    assert sum(rec.iterations for rec in epavi_e07.steps) <= 2.0 * len(epavi_e07.steps)
     s0 = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.5)
     traj = epavi_run(HarmonicOscillator(), s0, 0.1, 2 * math.pi, CFG13)
     assert len(traj.steps) > 10 and not any(rec.retried for rec in traj.steps)
@@ -323,6 +350,15 @@ def test_avi_run_records_delta_a():
     # realized step over fictitious step is the monitor value: bounded t'(a)
     for rec in traj.steps:
         assert 1e-3 <= rec.h / rec.delta_a <= 1e3
+
+
+@pytest.mark.parametrize("fixture, n_steps", [("avi1_e07", 946), ("avi2_e07", 793)])
+def test_avi_warm_start_iterations(request, fixture, n_steps):
+    # extrapolated increments: 1.8 iterations per step at e = 0.7
+    # (2.8 from the explicit-Euler guess), with the same steps
+    traj = request.getfixturevalue(fixture)
+    assert len(traj.steps) == n_steps
+    assert sum(rec.iterations for rec in traj.steps) <= 2.0 * n_steps
 
 
 @pytest.mark.parametrize("integrator", ["epavi", "avi_g1", "avi_g2", "avi_unit", "midpoint_fixed"])
