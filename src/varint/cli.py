@@ -160,7 +160,7 @@ def parse_config(path: Optional[str] = None, overrides: Optional[List[str]] = No
 
 
 def _solver_config(cfg: ExperimentConfig, ctx) -> SolverConfig:
-    overrides = {"max_iter": cfg.max_iter, "condition_warn": cfg.condition_warn}
+    overrides = {"max_iter": cfg.max_iter}
     if cfg.tol is not None:
         overrides["tol"] = cfg.tol
     return SolverConfig.for_context(ctx, **overrides)
@@ -273,7 +273,11 @@ def _trajectory_outputs(cfg, model, traj, outdir, ctx, summary):
             newton_iterations=sum(s.iterations for s in traj.steps),
             retried_steps=sum(1 for s in traj.steps if s.retried),
             max_residual=max(float(s.residual_norm) for s in traj.steps),
+            max_condition_estimate=max(s.condition_estimate for s in traj.steps),
+            condition_warnings=sum(s.condition_estimate > cfg.condition_warn for s in traj.steps),
         )
+        if traj.states[-1].t >= cfg.final_time():
+            summary["overshoot"] = float(traj.states[-1].t - cfg.final_time())
 
     if cfg.reference and len(traj) > 1:
         ref = reference_solve(model, traj.states[0], float(traj.states[-1].t), cfg.reltol, cfg.abstol)

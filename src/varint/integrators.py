@@ -481,9 +481,9 @@ def _avi_system(model, monitor, state, delta_a):
         half_g = g_av / 2
         half_grad_g = monitor.grad(q_av, g_av, dV, d2V) / 2
         J = np.empty((2 * n, 2 * n), dtype=z.dtype)
-        J[:n, :n] = eye_da - np.outer(np.dot(M_inv, p_av), half_grad_g)
+        J[:n, :n] = eye_da - np.dot(M_inv, p_av)[:, None] * half_grad_g
         J[:n, n:] = M_inv * -half_g
-        J[n:, :n] = np.outer(dV, half_grad_g) + d2V * half_g
+        J[n:, :n] = dV[:, None] * half_grad_g + d2V * half_g
         J[n:, n:] = eye_da
         return J
 

@@ -97,7 +97,7 @@ class KeplerTwoBody(LagrangianModel):
         self._guard = ctx.real(KEPLER_RADIUS_GUARD)
 
     def _radius(self, q) -> Real:
-        r = self.ctx.sqrt((q * q).sum())
+        r = self.ctx.sqrt(q[0] * q[0] + q[1] * q[1])
         if r < self._guard:
             raise SingularityError(f"|q| = {r} below collision guard {KEPLER_RADIUS_GUARD}")
         return r
@@ -115,7 +115,7 @@ class KeplerTwoBody(LagrangianModel):
 
     def potential_hessian(self, q) -> np.ndarray:
         r = self._radius(q)
-        return self._eye / r ** 3 - 3 * np.outer(q, q) / r ** 5
+        return self._eye / r ** 3 - 3 * (q[:, None] * q) / r ** 5
 
 
 class HarmonicOscillator(LagrangianModel):

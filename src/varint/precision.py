@@ -5,14 +5,15 @@ extended precision (mpmath binary floating point, round-to-nearest-even),
 selected once per run through a :class:`PrecisionContext`.  The context is
 fixed before a run begins; values are plain ``float`` in the native path
 and ``mpmath.mpf`` in the extended path, so the numerical kernels stay
-generic over both.
+generic over both; its constants are computed once per context.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import mpmath
@@ -64,7 +65,7 @@ class PrecisionContext:
 
     # -- context properties -------------------------------------------------
 
-    @property
+    @cached_property
     def is_native(self) -> bool:
         return self.digits <= DOUBLE_DIGITS
 
@@ -72,7 +73,7 @@ class PrecisionContext:
     def working_dps(self) -> int:
         return self.digits + GUARD_DIGITS
 
-    @property
+    @cached_property
     def eps(self) -> float:
         """Machine epsilon of the working representation."""
         if self.is_native:
@@ -92,19 +93,15 @@ class PrecisionContext:
         prec = mpmath.libmp.libmpf.dps_to_prec(self.working_dps)
         return int(math.ceil(prec * math.log10(2))) + 2
 
-    @contextmanager
     def activate(self):
-        """Set the global mpmath precision for the duration of a run.
+        """Context manager setting the global mpmath precision to
+        :attr:`working_dps` for the duration of a run, and restoring it on exit.
 
-        A no-op in the native path.  All run entry points wrap themselves
-        in this so extended-precision arithmetic cannot silently fall back
-        to mpmath's default precision.
+        In the native path it is a ``nullcontext`` and leaves mpmath alone.
+        All run entry points wrap themselves in this so extended-precision
+        arithmetic cannot silently fall back to mpmath's default precision.
         """
-        if self.is_native:
-            yield self
-            return
-        with mpmath.mp.workdps(self.working_dps):
-            yield self
+        return nullcontext(self) if self.is_native else mpmath.mp.workdps(self.working_dps)
 
     # -- scalar and array construction --------------------------------------
 
@@ -205,9 +202,12 @@ DOUBLE = PrecisionContext(DOUBLE_DIGITS)
 
 
 def inf_norm(v) -> Real:
-    """Max-abs of a scalar or vector, generic over both scalar types."""
+    """Max-abs of a vector of context scalars, ``inf`` if any component is
+    nan or infinite: one reduction for floats, ``mpmath.isfinite`` per mpf."""
     a = np.abs(v)
-    return a.max() if isinstance(a, np.ndarray) else a
+    m = a.max()
+    finite = all(map(mpmath.isfinite, a.flat)) if a.dtype == object else math.isfinite(m)
+    return m if finite else math.inf
 
 
 def all_finite(v) -> bool:

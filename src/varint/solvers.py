@@ -57,7 +57,6 @@ class SolverConfig:
 
     tol: float = 1e-12
     max_iter: int = 50
-    condition_warn: float = 1e12
     polish: int = 2
     stall_factor: float = 10.0
     max_halvings: int = 10
@@ -89,7 +88,6 @@ class SolveReport:
     condition_estimate: float
     converged: bool = True
     stalled: bool = False
-    condition_warning: bool = False
 
 
 def fd_jacobian(F: Callable, x: np.ndarray, fd_step, ctx: PrecisionContext = DOUBLE) -> np.ndarray:
@@ -148,9 +146,9 @@ def _newton_solve(F, x0, cfg, ctx, jacobian, feasible):
 
     x = x0.copy()
     Fx = F(x)
-    if not all_finite(Fx):
-        raise NonconvergenceError("residual not finite at the initial guess")
     r = inf_norm(Fx)
+    if r == np.inf:
+        raise NonconvergenceError("residual not finite at the initial guess")
 
     lu = None
     iterations = 0
@@ -174,7 +172,7 @@ def _newton_solve(F, x0, cfg, ctx, jacobian, feasible):
         for _ in range(1 if polishing else cfg.max_halvings + 1):
             xn = x + lam * dx
             lam = lam / 2
-            if polishing and np.all(xn == x):
+            if polishing and (xn == x).all():
                 break
             if feasible is not None and not feasible(xn):
                 continue
@@ -182,9 +180,7 @@ def _newton_solve(F, x0, cfg, ctx, jacobian, feasible):
                 Fn = F(xn)
             except _DOMAIN_ERRORS:
                 continue
-            if not all_finite(Fn):
-                continue
-            rn = inf_norm(Fn)
+            rn = inf_norm(Fn)  # inf for a non-finite trial, which never beats r
             if best is None or rn < best[2]:
                 best = (xn, Fn, rn)
             if rn < r:
@@ -214,7 +210,6 @@ def _newton_solve(F, x0, cfg, ctx, jacobian, feasible):
         condition_estimate=cond,
         converged=r <= tol,
         stalled=stalled and r > tol,
-        condition_warning=cond > cfg.condition_warn,
     )
     if r <= tol:
         return report

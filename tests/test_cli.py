@@ -104,6 +104,24 @@ def test_summary_counts_the_solver_work(tmp_path):
     assert stored["retried_steps"] == "0"
 
 
+def test_summary_reports_condition_and_overshoot(tmp_path):
+    summary = run_experiment(_quick_cfg(tmp_path / "default", reference=False))
+    assert summary["success"] and summary["condition_warnings"] == 0
+    assert 1 <= summary["max_condition_estimate"] < 1e12
+    rows = (tmp_path / "default" / "trajectory.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    last_h = float(dict(zip(header, rows[-2].split(",")))["h"])
+    assert 0 <= summary["overshoot"] < last_h
+    stored = read_summary(tmp_path / "default" / "summary.txt")
+    for key in ("max_condition_estimate", "condition_warnings", "overshoot"):
+        assert stored[key] == str(summary[key])
+    # the threshold only counts, it never changes a solve; every EpAVI step
+    # of this run has an estimate above 1
+    warned = run_experiment(_quick_cfg(tmp_path / "warned", reference=False, condition_warn=1.0))
+    assert warned["max_condition_estimate"] == summary["max_condition_estimate"]
+    assert warned["condition_warnings"] == warned["n_steps"] == summary["n_steps"]
+
+
 def test_run_experiment_avi_on_kepler(tmp_path):
     cfg = ExperimentConfig(
         problem="kepler", e=0.7, integrator="avi2", h0=0.001,

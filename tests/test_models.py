@@ -215,3 +215,32 @@ def test_potential_and_gradient_is_bitwise_the_pair(name, digits):
             assert type(V) is type(model.potential(q)) and V == model.potential(q)
             assert dV.dtype == model.potential_gradient(q).dtype
             assert all(a == b for a, b in zip(dV, model.potential_gradient(q)))
+
+
+@pytest.mark.parametrize("digits", [16, 18])
+def test_kepler_kernels_are_bitwise_the_reference_formulas(digits):
+    # the Kepler kernels write out the 2-vector sums and the outer product
+    # element by element; each must equal the (q * q).sum() / np.outer form
+    # bit for bit in both precisions
+    ctx = with_precision(digits)
+    model = KeplerTwoBody(ctx)
+    rng = np.random.default_rng(11)
+
+    def same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        if a.dtype != b.dtype:
+            return False
+        if a.dtype == object:
+            return all(type(x) is type(y) and x == y for x, y in zip(a.flat, b.flat))
+        return a.tobytes() == b.tobytes()
+
+    with ctx.activate():
+        for _ in range(200):
+            q = ctx.array(list(rng.standard_normal(2) * 10 ** rng.uniform(-3, 3, 2)))
+            r = ctx.sqrt((q * q).sum())
+            grad = q / r ** 3
+            hess = ctx.identity(2) / r ** 3 - 3 * np.outer(q, q) / r ** 5
+            assert same(model.potential_gradient(q), grad)
+            V, dV = model.potential_and_gradient(q)
+            assert same(V, -1 / r) and same(dV, grad)
+            assert same(model.potential_hessian(q), hess)

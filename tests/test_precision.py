@@ -116,3 +116,44 @@ def test_all_finite_both_scalar_types():
     assert all_finite(ctx.array([1, 2]))
     assert not all_finite(np.array([ctx.real(1), mpmath.mpf("inf")], dtype=object))
     assert all_finite(ctx.real(3)) and not all_finite(float("nan"))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_inf_norm_reads_inf_for_non_finite_vectors(bad):
+    assert inf_norm(np.array([1.0, bad, -2.0])) == math.inf
+    ctx = with_precision(18)
+    v = ctx.array([1, 0, -2])
+    v[1] = mpmath.mpf(bad)
+    assert inf_norm(v) == math.inf
+
+
+@pytest.mark.parametrize("digits", [16, 18])
+def test_inf_norm_of_finite_vectors_is_max_abs(digits):
+    ctx = with_precision(digits)
+    with ctx.activate():
+        v = ctx.array([0.5, -3.25, 2])
+        m = inf_norm(v)
+        assert type(m) is type(np.abs(v).max()) and m == np.abs(v).max() == 3.25
+
+
+def test_activate_sets_and_restores_the_mpmath_precision():
+    dps = mpmath.mp.dps
+    ctx18, ctx20 = with_precision(18), with_precision(20)
+    with ctx18.activate():
+        assert mpmath.mp.dps == ctx18.working_dps
+        with ctx20.activate():
+            assert mpmath.mp.dps == ctx20.working_dps
+        assert mpmath.mp.dps == ctx18.working_dps
+    assert mpmath.mp.dps == dps
+    with pytest.raises(ZeroDivisionError):
+        with ctx20.activate():
+            assert mpmath.mp.dps == ctx20.working_dps
+            1 / 0
+    assert mpmath.mp.dps == dps
+
+
+def test_activate_leaves_mpmath_alone_in_double():
+    with mpmath.workdps(33):
+        with DOUBLE.activate():
+            assert mpmath.mp.dps == 33
+        assert mpmath.mp.dps == 33
