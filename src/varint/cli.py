@@ -204,8 +204,10 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
     """Execute one configured run and write its output bundle.
 
     Returns the machine-readable summary (also written as summary.txt).
-    Integrator failures produce a summary with success=False and whatever
-    partial outputs exist.
+    Numerical failures, in the setup (e.g. a start inside the Kepler
+    collision guard) or in the run, produce a summary with success=False
+    and whatever partial outputs exist; a :class:`ConfigurationError`
+    propagates.
     """
     cfg.validate()
     outdir = Path(outdir if outdir is not None else cfg.outdir)
@@ -213,8 +215,6 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
     (outdir / "config.txt").write_text("\n".join(cfg.as_lines()) + "\n")
 
     ctx = with_precision(cfg.digits)
-    model = make_model(cfg.problem, cfg.model_params(), ctx)
-    state0 = initial_state(cfg.problem, cfg.model_params(), ctx)
     scfg = _solver_config(cfg, ctx)
 
     summary = {
@@ -227,6 +227,8 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
     }
     started = time.perf_counter()
     try:
+        model = make_model(cfg.problem, cfg.model_params(), ctx)
+        state0 = initial_state(cfg.problem, cfg.model_params(), ctx)
         if cfg.integrator == "reference":
             summary.update(_reference_trajectory_outputs(cfg, model, state0, outdir, ctx))
         else:
@@ -241,6 +243,8 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
             else:
                 summary["success"] = True
             _trajectory_outputs(cfg, model, traj, outdir, ctx, summary)
+    except ConfigurationError:
+        raise
     except VarintError as exc:
         summary.setdefault("success", False)
         summary["error"] = str(exc)

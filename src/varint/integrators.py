@@ -28,8 +28,10 @@
 Three shared pieces carry the stepping schemes.  ``_increment`` is the
 midpoint kernel: (v, Mv, (h/2) grad V(mid), V(mid)) from (q_k, dq, h), under
 the partials of L_d, the EpAVI and fixed-momentum residuals and the step
-updates.  ``_march`` is the run driver: it steps until t >= T_final, aborts
-on a step below the resolution of t, and raises every failure as an
+updates; the step update reuses the kernel (in AVI, the monitor value) that
+the residual computed at the Newton solution (:func:`_remember_two`).
+``_march`` is the run driver: it steps until t >= T_final, aborts on a step
+below the resolution of t, and raises every failure as an
 :class:`IntegrationError` carrying the partial trajectory.  :class:`Monitor`
 is the AVI density dt/da = g(q) with its gradient, built by
 :func:`make_monitor`.
@@ -101,11 +103,37 @@ def _increment(model, q_k, dq, h):
 
     Working from (dq, h) instead of re-differencing the endpoints avoids an
     ulp(t)/h error in the velocity, which would dominate the per-step energy
-    defect late in a run.
+    defect late in a run.  The step update reuses the residual's kernel at
+    the solution instead of evaluating it again.
     """
     v = dq / h
     V, grad = model.potential_and_gradient(q_k + dq / 2)
-    return v, np.dot(model.M, v), grad * (h / 2), V
+    return v, model.mass_times(v), grad * (h / 2), V
+
+
+def _remember_two(fn):
+    """``fn`` of an array, remembering its values at the last two arrays it
+    was called with, keyed by identity.
+
+    A residual evaluates its kernel through this, and the step update then
+    reads the kernel at ``SolveReport.solution``, an array the residual
+    evaluated: the last one, or the one before when a polish trial was
+    evaluated and rejected after it.  Newton never changes an evaluated
+    iterate in place, and a miss recomputes, so the value is always fn(z).
+    """
+    last = before = (None, None)  # (array, fn(array)), newest first
+
+    def remembered(z):
+        nonlocal last, before
+        if z is last[0]:
+            return last[1]
+        if z is before[0]:
+            return before[1]
+        value = fn(z)
+        last, before = (z, value), last
+        return value
+
+    return remembered
 
 
 def _discrete_energy(v, Mv, V) -> Real:
@@ -177,15 +205,20 @@ class Trajectory:
 
 #: Extrapolation weights through the last m = 1..5 accepted increments,
 #: oldest first: row m - 1 reproduces the next term of any sequence that is
-#: a polynomial of degree < m in the step index.
-_EXTRAPOLATION = ((1,), (-1, 2), (1, -3, 3), (-1, 4, -6, 4), (1, -5, 10, -10, 5))
+#: a polynomial of degree < m in the step index.  The weights are integers:
+#: an mpf times an int costs less than an mpf times a float.
+_EXTRAPOLATION = tuple(
+    np.array(w)[:, None] for w in ((1,), (-1, 2), (1, -3, 3), (-1, 4, -6, 4), (1, -5, 10, -10, 5))
+)
 
 
 def _extrapolate(history) -> np.ndarray:
     """Predicted next increment sum_j w_j z_j from the accepted increments
     ``history`` (oldest first, one to five of them), the predictor of
-    Hairer & Wanner, Solving ODEs II, 1996, sec. IV.8."""
-    return sum(z * w for z, w in zip(history, _EXTRAPOLATION[len(history) - 1]))
+    Hairer & Wanner, Solving ODEs II, 1996, sec. IV.8.  The sum over the
+    rows runs oldest first, as a reduction of at most five rows along
+    axis 0 always does."""
+    return (np.array(history) * _EXTRAPOLATION[len(history) - 1]).sum(axis=0)
 
 
 def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfig]) -> SolverConfig:
@@ -228,18 +261,20 @@ def _march(model, name, step: Callable, state0, h, T_final, cfg, **meta) -> Traj
 
 
 def _epavi_system(model, state):
-    """Residual and analytic Jacobian in the increments z = (dq, h).
+    """Residual, analytic Jacobian and kernel in the increments z = (dq, h).
 
     The residual is in the context's arithmetic; the Jacobian is formed in
     double from the model's double twin, the precision the Newton step is
-    solved in.
+    solved in.  ``kernel(z)`` is :func:`_increment` at z, remembered from
+    the residual's evaluations.
     """
     n = model.n
     p_k, E_k, q_k = state.p, state.E, state.q
     dm, q_kd = model.double, np.asarray(q_k, dtype=float)
+    kernel = _remember_two(lambda z: _increment(model, q_k, z[:n], z[n]))
 
     def residual(z):
-        v, Mv, half_grad, V = _increment(model, q_k, z[:n], z[n])
+        v, Mv, half_grad, V = kernel(z)
         out = np.empty(n + 1, dtype=z.dtype)
         out[:n] = Mv + half_grad - p_k
         out[n] = _discrete_energy(v, Mv, V) - E_k
@@ -252,7 +287,7 @@ def _epavi_system(model, state):
         mid = q_kd + dq / 2
         grad = dm.potential_gradient(mid)
         hess = dm.potential_hessian(mid)
-        Mv = np.dot(dm.M, v)
+        Mv = dm.mass_times(v)
         J = np.empty((n + 1, n + 1))
         J[:n, :n] = dm.M / h + hess * (h / 4)
         J[:n, n] = -Mv / h + grad / 2
@@ -260,7 +295,7 @@ def _epavi_system(model, state):
         J[n, n] = -(v * Mv).sum() / h
         return J
 
-    return residual, jacobian
+    return residual, jacobian, kernel
 
 
 def _increments(ctx, dq, h) -> np.ndarray:
@@ -287,7 +322,7 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
         raise ConfigurationError("h_guess must be positive")
     ctx = model.ctx
     n = model.n
-    residual, jacobian = _epavi_system(model, state)
+    residual, jacobian, kernel = _epavi_system(model, state)
 
     def solve(z):
         return newton_solve(residual, z, cfg, ctx, jacobian=jacobian, feasible=lambda z: z[n] > 0)
@@ -298,11 +333,11 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
         try:
             report, retried = solve(z0), False
         except NonconvergenceError:
-            fixed = _solve_fixed_momentum(model, state, h_guess, cfg)
+            fixed, _ = _solve_fixed_momentum(model, state, h_guess, cfg)
             report, retried = solve(_increments(ctx, fixed.solution, h_guess)), True
             report = replace(report, iterations=fixed.iterations + report.iterations)
         dq, h = report.solution[:n], report.solution[n]
-        v, Mv, half_grad, V = _increment(model, state.q, dq, h)
+        v, Mv, half_grad, V = kernel(report.solution)
         new_state = ExtendedState(
             t=state.t + h, q=state.q + dq, p=Mv - half_grad, E=_discrete_energy(v, Mv, V)
         )
@@ -319,8 +354,8 @@ def initial_discrete_energy(model: LagrangianModel, state: ExtendedState, h0, cf
     this level, and its first solution lands on h = h0.
     """
     with model.ctx.activate():
-        dq = _solve_fixed_momentum(model, state, h0, cfg).solution
-        v, Mv, _, V = _increment(model, state.q, dq, h0)
+        report, kernel = _solve_fixed_momentum(model, state, h0, cfg)
+        v, Mv, _, V = kernel(report.solution)
         return _discrete_energy(v, Mv, V)
 
 
@@ -368,14 +403,16 @@ def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,
 # -- fixed-step implicit midpoint (Lagrangian form) -------------------------------
 
 
-def _solve_fixed_momentum(model, state, h, cfg) -> SolveReport:
+def _solve_fixed_momentum(model, state, h, cfg):
     """Solve -D2 L_d = p_k for the configuration increment at fixed h
-    (Jacobian in double, as in :func:`_epavi_system`)."""
+    (Jacobian in double, as in :func:`_epavi_system`); returns the
+    :class:`SolveReport` and the residual's remembered kernel of dq."""
     p_k, q_k = state.p, state.q
     dm, q_kd, hd = model.double, np.asarray(q_k, dtype=float), float(h)
+    kernel = _remember_two(lambda dq: _increment(model, q_k, dq, h))
 
     def residual(dq):
-        _, Mv, half_grad, _ = _increment(model, q_k, dq, h)
+        _, Mv, half_grad, _ = kernel(dq)
         return Mv + half_grad - p_k
 
     def jacobian(dq):
@@ -383,7 +420,7 @@ def _solve_fixed_momentum(model, state, h, cfg) -> SolveReport:
         return dm.M / hd + dm.potential_hessian(mid) * (hd / 4)
 
     z0 = np.dot(model.M_inv, p_k) * h
-    return newton_solve(residual, z0, cfg, model.ctx, jacobian=jacobian)
+    return newton_solve(residual, z0, cfg, model.ctx, jacobian=jacobian), kernel
 
 
 def midpoint_fixed_step(model: LagrangianModel, state: ExtendedState, h, cfg: SolverConfig):
@@ -391,10 +428,9 @@ def midpoint_fixed_step(model: LagrangianModel, state: ExtendedState, h, cfg: So
     if h <= 0:
         raise ConfigurationError("step size must be positive")
     with model.ctx.activate():
-        report = _solve_fixed_momentum(model, state, h, cfg)
-        dq = report.solution
-        _, Mv, half_grad, _ = _increment(model, state.q, dq, h)
-        q1, p1 = state.q + dq, Mv - half_grad
+        report, kernel = _solve_fixed_momentum(model, state, h, cfg)
+        _, Mv, half_grad, _ = kernel(report.solution)
+        q1, p1 = state.q + report.solution, Mv - half_grad
         new_state = ExtendedState(t=state.t + h, q=q1, p=p1, E=model.hamiltonian(q1, p1))
     return new_state, _record(h, report)
 
@@ -454,17 +490,26 @@ def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Mo
 
 
 def _avi_system(model, monitor, state, delta_a):
-    """Residual and analytic Jacobian in the increments z = (dq, dp)."""
+    """Residual, analytic Jacobian and midpoint monitor value in the
+    increments z = (dq, dp).
+
+    ``monitor_at(z)`` is (grad V, g) at q_av, remembered from the residual's
+    evaluations; :func:`avi_step` reads the time step from it.
+    """
     n = model.n
     M_inv, q_k, p_k, g = model.M_inv, state.q, state.p, monitor.g
     eye_da = model.ctx.identity(n) / delta_a
 
+    @_remember_two
+    def monitor_at(z):
+        q_av = q_k + z[:n] / 2
+        dV = model.potential_gradient(q_av)
+        return dV, g(q_av, dV)
+
     def residual(z):
         dq, dp = z[:n], z[n:]
-        q_av = q_k + dq / 2
         p_av = p_k + dp / 2
-        dV = model.potential_gradient(q_av)
-        g_av = g(q_av, dV)
+        dV, g_av = monitor_at(z)
         if g_av <= 0:
             raise MonitorDomainError(f"monitor value {g_av} is not positive")
         out = np.empty(2 * n, dtype=z.dtype)
@@ -487,7 +532,7 @@ def _avi_system(model, monitor, state, delta_a):
         J[n:, n:] = eye_da
         return J
 
-    return residual, jacobian
+    return residual, jacobian, monitor_at
 
 
 def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, delta_a,
@@ -512,15 +557,14 @@ def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, del
         g0 = g(q_k, dV0)
         if g0 <= 0:
             raise MonitorDomainError(f"monitor value {g0} at the step start is not positive")
-        residual, jacobian = _avi_system(model, monitor, state, delta_a)
+        residual, jacobian, monitor_at = _avi_system(model, monitor, state, delta_a)
         if z0 is None:
             z0 = np.empty(2 * n, dtype=float if ctx.is_native else object)
             z0[:n] = np.dot(model.M_inv, p_k) * (delta_a * g0)
             z0[n:] = dV0 * (-delta_a * g0)
         report = newton_solve(residual, z0, cfg, ctx, jacobian=jacobian)
         dq, dp = report.solution[:n], report.solution[n:]
-        q_av = q_k + dq / 2
-        h = delta_a * g(q_av, model.potential_gradient(q_av))
+        h = delta_a * monitor_at(report.solution)[1]
         if h <= 0:
             raise NonMonotoneTimeError(f"monitor produced a non-positive time step {h}")
         q1, p1 = q_k + dq, p_k + dp

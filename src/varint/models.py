@@ -58,6 +58,10 @@ class LagrangianModel:
         """This model in double precision: itself in a native context."""
         return self if self.ctx.is_native else make_model(self.name, self.params, DOUBLE)
 
+    def mass_times(self, v) -> np.ndarray:
+        """The mass product M v."""
+        return np.dot(self.M, v)
+
     # potential interface -----------------------------------------------------
 
     def potential(self, q) -> Real:
@@ -80,7 +84,7 @@ class LagrangianModel:
     # energies ---------------------------------------------------------------
 
     def lagrangian(self, q, v) -> Real:
-        return (v * np.dot(self.M, v)).sum() / 2 - self.potential(q)
+        return (v * self.mass_times(v)).sum() / 2 - self.potential(q)
 
     def hamiltonian(self, q, p) -> Real:
         return (p * np.dot(self.M_inv, p)).sum() / 2 + self.potential(q)
@@ -95,6 +99,12 @@ class KeplerTwoBody(LagrangianModel):
         super().__init__(2, np.eye(2), ctx)
         self._eye = ctx.identity(2)
         self._guard = ctx.real(KEPLER_RADIUS_GUARD)
+
+    def mass_times(self, v) -> np.ndarray:
+        """M v = v for the identity mass matrix.  It equals ``np.dot(M, v)``
+        bit for bit except in the sign of a zero component: there
+        1 * (-0.0) + 0 * v_j reads +0.0 for v_j >= 0."""
+        return v
 
     def _radius(self, q) -> Real:
         r = self.ctx.sqrt(q[0] * q[0] + q[1] * q[1])

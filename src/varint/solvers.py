@@ -139,8 +139,10 @@ def newton_solve(
 
 
 def _newton_solve(F, x0, cfg, ctx, jacobian, feasible):
-    fd_step = ctx.eps ** (1 / 3)
-    jac = jacobian if jacobian is not None else (lambda x: fd_jacobian(F, x, fd_step, ctx))
+    jac = jacobian
+    if jac is None:
+        fd_step = ctx.eps ** (1 / 3)
+        jac = lambda x: fd_jacobian(F, x, fd_step, ctx)
     cond_limit = 0.01 / DOUBLE.eps
     tol = ctx.real(cfg.tol)
 
@@ -170,7 +172,7 @@ def _newton_solve(F, x0, cfg, ctx, jacobian, feasible):
         lam = 1
         best = None
         for _ in range(1 if polishing else cfg.max_halvings + 1):
-            xn = x + lam * dx
+            xn = x + dx if lam == 1 else x + lam * dx
             lam = lam / 2
             if polishing and (xn == x).all():
                 break

@@ -215,3 +215,19 @@ def test_failed_run_writes_failure_summary(tmp_path):
     stored = read_summary(tmp_path / "summary.txt")
     assert stored["success"] == "False"
     assert "error" in stored
+
+
+def test_setup_failure_writes_failure_summary(tmp_path):
+    # a start inside the Kepler collision guard fails while the initial
+    # state is built: still exit 1 with a summary; e >= 1 is a configuration
+    # error and exits 2
+    code = main([
+        "run", f"--outdir={tmp_path}",
+        "problem=kepler", "e=0.99999999995", "integrator=epavi", "reference=false",
+    ])
+    assert code == 1
+    stored = read_summary(tmp_path / "summary.txt")
+    assert stored["success"] == "False"
+    assert "collision guard" in stored["error"]
+    assert main(["run", f"--outdir={tmp_path / 'bad'}", "problem=kepler", "e=1.0"]) == 2
+    assert not (tmp_path / "bad" / "summary.txt").exists()

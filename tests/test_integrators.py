@@ -1,10 +1,12 @@
+import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
 import pytest
 
+import varint.integrators
 import varint.solvers
 from varint import (
     ConfigurationError,
@@ -137,6 +139,22 @@ def test_extrapolate_is_exact_below_degree_m(m, digits):
         assert seq[0].dtype == (float if ctx.is_native else object)
         with ctx.activate():
             assert list(_extrapolate(seq[:m])) == list(seq[m])
+
+
+@pytest.mark.parametrize("digits", [16, 18])
+def test_extrapolate_is_bitwise_the_left_to_right_sum(digits):
+    # the stacked axis-0 reduction adds the weighted rows oldest first, as
+    # the Python sum over the rows does
+    weights = ((1,), (-1, 2), (1, -3, 3), (-1, 4, -6, 4), (1, -5, 10, -10, 5))
+    ctx = with_precision(digits)
+    rng = np.random.default_rng(13)
+    with ctx.activate():
+        for _ in range(40):
+            for m in range(1, 6):
+                history = [ctx.array(list(rng.standard_normal(3) * 10.0 ** rng.integers(-4, 2))) / 3
+                           for _ in range(m)]
+                reference = sum(z * w for z, w in zip(history, weights[m - 1]))
+                assert _exact(_extrapolate(history)) == _exact(reference)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -433,6 +451,82 @@ def test_midpoint_fixed_records_the_solve():
         assert rec.iterations >= 1
         assert rec.residual_norm <= CFG13.tol
         assert rec.condition_estimate > 0
+
+
+# -- the step update reuses the solve ---------------------------------------------
+
+
+def test_step_updates_reuse_the_residual_kernel(monkeypatch):
+    # the update after each solve reads the midpoint kernel and AVI's monitor
+    # value from the residual's last evaluations instead of computing them again
+    counts = dict.fromkeys(["kernel", "g", "residual", "jacobian", "steps"], 0)
+    increment, solve = varint.integrators._increment, varint.integrators.newton_solve
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counting_solve(F, x0, cfg, ctx, jacobian=None, **kwargs):
+        return solve(counted("residual", F), x0, cfg, ctx, jacobian=counted("jacobian", jacobian), **kwargs)
+
+    monkeypatch.setattr(varint.integrators, "_increment", counted("kernel", increment))
+    monkeypatch.setattr(varint.integrators, "newton_solve", counting_solve)
+    model, s0 = KeplerTwoBody(), kepler_initial_state(0.7)
+    for run in (lambda: epavi_run(model, s0, 1e-3, 0.05, CFG15),
+                lambda: midpoint_fixed_run(model, s0, 1e-3, 0.05, CFG13)):
+        counts.update(kernel=0, residual=0)
+        assert len(run().steps) >= 40
+        assert counts["kernel"] == counts["residual"] > 0
+
+    # AVI: one monitor value per residual and Jacobian, plus g(q_k) at each step start
+    monitor = make_monitor("g2", model, s0)
+    monitor = replace(monitor, g=counted("g", monitor.g))
+    counts.update(g=0, residual=0, jacobian=0)
+    traj = avi_run(model, monitor, s0, 0.05, CFG13, delta_a=1e-3)
+    assert counts["g"] == counts["residual"] + counts["jacobian"] + len(traj.steps)
+
+
+def _exact(x):
+    """Every bit of a context scalar, or of each component of an array."""
+    if isinstance(x, np.ndarray):
+        return [_exact(c) for c in x]
+    if isinstance(x, mpmath.mpf):
+        return x._mpf_
+    if x is None or isinstance(x, (bool, np.bool_, int, np.integer)):
+        return x
+    return float(x).hex()
+
+
+def trajectory_digest(traj) -> str:
+    """SHA-256 of every state and StepRecord of ``traj``, bit for bit."""
+    lines = [repr([_exact(s.t), _exact(s.q), _exact(s.p), _exact(s.E)]) for s in traj.states]
+    lines += [repr([_exact(getattr(r, f.name)) for f in fields(r)]) for r in traj.steps]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+#: Digests of seed-0 one-period Kepler runs at e = 0.7, recorded before the
+#: step updates reused the residual's kernel; the 18-digit run has 109 steps.
+TRAJECTORY_DIGESTS = {
+    "epavi_e07": "e37a4177fd8d4c08968d31edac62b80ca3511a98b19bc2a9b1e557ffff85d20f",
+    "avi1_e07": "2981c851ca131808209d24006b3fb3a99ee3710553ec81dce6e502cf9da9cc54",
+    "avi2_e07": "7d2ffe6e7d32277147a1e6df2baaffc24365c9c6cbb07288108f1539e9ca497f",
+    "midpoint_fixed_e07": "02b154695f434bfe71623232b839a123a168e5bd7714c0ba4211c58c5ed9b0b7",
+    "vpa_extended_tol17": "351793fb7f3af260ace6a253c39e1b275c8d0be4a2b39efcb459c45326406860",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_DIGESTS))
+def test_trajectories_keep_every_bit(request, name):
+    # a change meant to leave the arithmetic alone must not move one bit of
+    # a state or a StepRecord field of these runs
+    if name == "midpoint_fixed_e07":
+        traj = midpoint_fixed_run(KeplerTwoBody(), kepler_initial_state(0.7), 1e-3, 2 * math.pi,
+                                  SolverConfig())
+    else:
+        traj = request.getfixturevalue(name)
+    assert trajectory_digest(traj) == TRAJECTORY_DIGESTS[name]
 
 
 # -- run driver -------------------------------------------------------------------

@@ -244,3 +244,28 @@ def test_kepler_kernels_are_bitwise_the_reference_formulas(digits):
             V, dV = model.potential_and_gradient(q)
             assert same(V, -1 / r) and same(dV, grad)
             assert same(model.potential_hessian(q), hess)
+
+
+@pytest.mark.parametrize("digits", [16, 18])
+@pytest.mark.parametrize("name", ["kepler", "oscillator", "pendulum"])
+def test_mass_product_is_the_matrix_product(name, digits):
+    # Kepler's M v skips np.dot with its identity M; that moves nothing but
+    # the sign of a zero component: 1 * (-0.0) + 0 * v_j reads +0.0
+    ctx = with_precision(digits)
+    model = make_model(name, {"k": 1.3, "m": 0.8}, ctx)
+    rng = np.random.default_rng(5)
+
+    def bits(x):
+        return float(x).hex() if ctx.is_native else x._mpf_
+
+    with ctx.activate():
+        for k in range(200):
+            v = ctx.array(list(rng.standard_normal(model.n) * 10.0 ** rng.integers(-6, 7, model.n))) / 3
+            if k % 4 == 0:
+                v[rng.integers(model.n)] = ctx.real(-0.0 if k % 8 else 0.0)
+            got, want = model.mass_times(v), np.dot(model.M, v)
+            assert got.dtype == want.dtype
+            for a, b in zip(got, want):
+                assert a == b
+                if b != 0:
+                    assert bits(a) == bits(b)

@@ -50,7 +50,7 @@ def test_free_particle_rest_state_is_ill_posed():
 def test_free_particle_2x2_system_singular_directly():
     model = HarmonicOscillator(k=0.0)
     state = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.0)
-    residual, jacobian = _epavi_system(model, state)
+    residual, jacobian, _ = _epavi_system(model, state)
     z = np.array([0.0, 0.5])  # dq = 0, any h
     assert np.all(residual(z) == 0.0)
     J = jacobian(z)
@@ -74,7 +74,7 @@ def test_fd_jacobian_matches_analytic_epavi_partials():
     cfg = SolverConfig(tol=1e-13)
     E0 = initial_discrete_energy(model, state0, 1e-3, cfg)
     state = ExtendedState(t=state0.t, q=state0.q, p=state0.p, E=E0)
-    residual, jacobian = _epavi_system(model, state)
+    residual, jacobian, _ = _epavi_system(model, state)
     z = np.concatenate([1e-3 * np.asarray(state.p), [1e-3]])
     # the residual varies on the scale of h itself, so the difference step
     # must sit well below it for a 1e-6 comparison
@@ -103,7 +103,7 @@ def test_fd_jacobian_matches_analytic_avi_partials(monitor, digits, fd_step, rel
             state = _random_kepler_state(rng, ctx)
             mon = make_monitor(monitor, model, state)
             delta_a = ctx.real(1e-3) / mon.g(state.q, model.potential_gradient(state.q))
-            residual, jacobian = _avi_system(model, mon, state, delta_a)
+            residual, jacobian, _ = _avi_system(model, mon, state, delta_a)
             z = ctx.array(list(1e-3 * rng.standard_normal(4)))
             J_an = jacobian(z)
             J_fd = fd_jacobian(residual, z, fd_step, ctx)
@@ -132,7 +132,7 @@ def test_extended_jacobians_are_formed_in_double(monkeypatch, system):
             state = _random_kepler_state(rng, ctx)
             z = np.dot(model.M_inv, state.p) * h
             if system == "epavi":
-                residual, jacobian = _epavi_system(model, state)
+                residual, jacobian, _ = _epavi_system(model, state)
                 z = np.append(z, h)
             else:
                 initial_discrete_energy(model, state, h, cfg)
