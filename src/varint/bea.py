@@ -39,7 +39,7 @@ _INNER_ATOL = 1e-15
 
 
 class TimeProfile:
-    """Smooth map a -> t(a) with analytic derivatives to third order."""
+    """Smooth map a -> t(a) with analytic derivatives to second order."""
 
     label = "profile"
 
@@ -52,11 +52,9 @@ class TimeProfile:
     def d2(self, a: float) -> float:
         raise NotImplementedError
 
-    def d3(self, a: float) -> float:
-        raise NotImplementedError
-
-    def check_monotone(self, a0: float, a1: float, samples: int = 257) -> None:
-        for a in np.linspace(a0, a1, samples):
+    def check_monotone(self, a0: float, a1: float) -> None:
+        """Raise unless t' > 0 at 257 equally spaced points of [a0, a1]."""
+        for a in np.linspace(a0, a1, 257):
             if self.d1(a) <= 0:
                 raise NonMonotoneTimeError(f"{self.label}: t'({a}) = {self.d1(a)} is not positive")
 
@@ -71,9 +69,6 @@ class IdentityProfile(TimeProfile):
         return 1.0
 
     def d2(self, a):
-        return 0.0
-
-    def d3(self, a):
         return 0.0
 
 
@@ -91,9 +86,6 @@ class LinearProfile(TimeProfile):
         return self.rate
 
     def d2(self, a):
-        return 0.0
-
-    def d3(self, a):
         return 0.0
 
 
@@ -115,19 +107,16 @@ class SineProfile(TimeProfile):
     def d2(self, a):
         return -self.c * math.sin(a)
 
-    def d3(self, a):
-        return -self.c * math.cos(a)
-
 
 # -- jets and pointwise operations -------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Jet1D:
-    """Curve data (q, q', t', t'', t''') at one fictitious-time point.
+    """Curve data (q, q', t', t'') at one fictitious-time point.
 
-    ``qpp``/``qppp`` extend the jet where an operation needs curvature of
-    the configuration path.  ``delta_a = 0`` is allowed and gives the
+    ``qpp`` extends the jet where an operation needs curvature of the
+    configuration path.  ``delta_a = 0`` is allowed and gives the
     leading-order truncation.
     """
 
@@ -135,10 +124,8 @@ class Jet1D:
     qp: Real
     tp: Real
     tpp: Real
-    tppp: Real = 0.0
     delta_a: Real = 0.0
     qpp: Optional[Real] = None
-    qppp: Optional[Real] = None
 
     def __post_init__(self):
         if self.tp <= 0:
@@ -224,11 +211,7 @@ def modified_lagrangian_mod3(model: LagrangianModel, q, qp, tp, delta_a) -> Real
 
 
 def meshed_lagrangian_order2(model: LagrangianModel, jet: Jet1D) -> Real:
-    """Second-order meshed modified Lagrangian (needs q'' in the jet).
-
-    The third-derivative entries of the jet cancel from this truncation
-    order and do not appear.
-    """
+    """Second-order meshed modified Lagrangian (needs q'' in the jet)."""
     _require_1dof(model)
     if jet.qpp is None:
         raise ConfigurationError("meshed evaluation needs q'' in the jet")
@@ -255,7 +238,7 @@ def _transformed_rhs_1dof(model, profile, delta_a, use_modified):
     def rhs(a, y):
         jet = Jet1D(
             q=y[0], qp=y[1],
-            tp=profile.d1(a), tpp=profile.d2(a), tppp=profile.d3(a),
+            tp=profile.d1(a), tpp=profile.d2(a),
             delta_a=delta_a if use_modified else 0.0,
         )
         return [y[1], modified_rhs_order2(model, jet)]
@@ -278,19 +261,17 @@ def residual_order_estimate(
     profile: TimeProfile,
     use_modified: bool,
     delta_a_list: Sequence[float] = DEFAULT_DELTA_A_LIST,
-    window: float = 2 * math.pi,
-    n_samples: int = 10,
-    q0: float = 1.0,
-    qp0: float = 0.0,
 ) -> OrderEstimate:
     """Numerical order of the discrete residual on smooth solution families.
 
     For each fictitious step, integrates the leading-order equation (flag
     off) or the second-order modified equation (flag on) against the given
-    time profile, samples centred triples at interior points (a margin of
-    2 da is excluded at each end), and fits the slope of log |psi_el|_inf
-    versus log da.  The psi_e slope is measured alongside and reported.
+    time profile over the window a in [0, 2 pi] from (q, q') = (1, 0),
+    samples centred triples at 10 interior points (a margin of 2 da is
+    excluded at each end), and fits the slope of log |psi_el|_inf versus
+    log da.  The psi_e slope is measured alongside and reported.
     """
+    window = 2 * math.pi
     model = model.double
     _require_1dof(model)
     delta_a_list = sorted(delta_a_list, reverse=True)
@@ -306,13 +287,13 @@ def residual_order_estimate(
     for da in delta_a_list:
         sol = solve_ivp(
             _transformed_rhs_1dof(model, profile, da, use_modified),
-            (0.0, window), [q0, qp0],
+            (0.0, window), [1.0, 0.0],
             method="DOP853", rtol=_INNER_RTOL, atol=_INNER_ATOL, dense_output=True,
         )
         if not sol.success:
             raise StiffnessError(f"inner solve failed at delta_a={da}: {sol.message}")
         el_max, e_max = 0.0, 0.0
-        for a in np.linspace(2 * da, window - 2 * da, n_samples):
+        for a in np.linspace(2 * da, window - 2 * da, 10):
             pts = [
                 (profile.value(x), sol.sol(x)[0]) for x in (a - da, a, a + da)
             ]
@@ -332,7 +313,6 @@ def lemma1_reparametrization_check(
     profile: TimeProfile,
     state0,
     T: float,
-    reltol: float = 1e-12,
 ) -> float:
     """Max deviation between the transformed-time solution and the
     reparametrized physical solution.
@@ -360,7 +340,7 @@ def lemma1_reparametrization_check(
         raise StiffnessError(f"transformed solve failed: {sol.message}")
 
     alpha_T = profile.value(T) - profile.value(0.0)
-    ref = reference_solve(model, state0, float(state0.t) + alpha_T, reltol=reltol, abstol=1e-14)
+    ref = reference_solve(model, state0, float(state0.t) + alpha_T)
 
     deviation = 0.0
     for a in np.linspace(0.0, T, 201):

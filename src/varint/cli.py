@@ -62,8 +62,6 @@ class ExperimentConfig:
     digits: int = 16
     outdir: str = "out"
     reference: bool = True
-    reltol: float = 1e-12
-    abstol: float = 1e-14
 
     def validate(self) -> "ExperimentConfig":
         if self.problem not in model_names():
@@ -91,8 +89,6 @@ class ExperimentConfig:
             return float(self.T_final)
         if self.periods is not None:
             return float(self.periods) * KEPLER_PERIOD
-        if self.problem == "kepler":
-            return KEPLER_PERIOD
         return 2 * math.pi
 
     def model_params(self) -> dict:
@@ -111,22 +107,19 @@ class ExperimentConfig:
         return out
 
 
-_BOOL_KEYS = {"reference"}
-_INT_KEYS = {"max_iter", "digits"}
-_STR_KEYS = {"problem", "integrator", "outdir"}
-
-
 def _parse_value(key: str, raw: str):
-    if key in _STR_KEYS:
+    """``raw`` as the type of the field's default; a None default is a float."""
+    kind = type(getattr(ExperimentConfig, key))
+    if kind is str:
         return raw
-    if key in _BOOL_KEYS:
+    if kind is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigurationError(f"cannot parse boolean {key}={raw!r}")
     try:
-        return int(raw) if key in _INT_KEYS else float(raw)
+        return int(raw) if kind is int else float(raw)
     except ValueError:
         raise ConfigurationError(f"cannot parse {key}={raw!r}") from None
 
@@ -181,7 +174,7 @@ def _run_integrator(cfg: ExperimentConfig, model, state0, scfg):
 
 def _reference_trajectory_outputs(cfg, model, state0, outdir, ctx):
     """`reference` as the configured integrator: dense solve, sampled CSV."""
-    ref = reference_solve(model, state0, cfg.final_time(), cfg.reltol, cfg.abstol)
+    ref = reference_solve(model, state0, cfg.final_time())
     times = np.linspace(ref.t_min, ref.t_max, 2001)
     rows = []
     H0 = model.hamiltonian(state0.q, state0.p)
@@ -284,7 +277,7 @@ def _trajectory_outputs(cfg, model, traj, outdir, ctx, summary):
             summary["overshoot"] = float(traj.states[-1].t - cfg.final_time())
 
     if cfg.reference and len(traj) > 1:
-        ref = reference_solve(model, traj.states[0], float(traj.states[-1].t), cfg.reltol, cfg.abstol)
+        ref = reference_solve(model, traj.states[0], float(traj.states[-1].t))
         err = diagnostics.trajectory_error(traj, ref)
         diagnostics.write_error_series_csv(err, outdir / "traj_error.csv", ctx)
         for s in err:

@@ -456,16 +456,15 @@ class Monitor:
 
 
 def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Monitor:
-    """Monitor by name.
+    """Monitor by name, one of ``g1``, ``g2`` and ``unit``.
 
-    ``g1`` (alias ``arclength``) is the arclength monitor
+    ``g1`` is the arclength monitor
     g = R^(-1/2), R = 2(H0 - V) + grad V' M^{-1} grad V, with H0 = H(q_0, p_0)
     and gradient g^3 (grad V - hess V M^{-1} grad V);
-    ``g2`` (alias ``kepler``) is the second-law monitor q'q with gradient 2q;
+    ``g2`` is the second-law monitor q'q with gradient 2q;
     ``unit`` is 1 with gradient 0.
     """
-    key = {"g1": "g1", "arclength": "g1", "g2": "g2", "kepler": "g2", "unit": "unit"}.get(name)
-    if key == "g1":
+    if name == "g1":
         H0 = model.hamiltonian(state0.q, state0.p)
         M_inv = model.M_inv
 
@@ -479,9 +478,9 @@ def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Mo
             return (dV - np.dot(d2V, np.dot(M_inv, dV))) * g ** 3
 
         return Monitor("g1", arclength, arclength_grad)
-    if key == "g2":
+    if name == "g2":
         return Monitor("g2", lambda q, dV: (q * q).sum(), lambda q, g, dV, d2V: 2 * q)
-    if key == "unit":
+    if name == "unit":
         return Monitor("unit", lambda q, dV: 1, lambda q, g, dV, d2V: 0 * q)
     raise ConfigurationError(f"unknown monitor {name!r}")
 
@@ -493,8 +492,9 @@ def _avi_system(model, monitor, state, delta_a):
     """Residual, analytic Jacobian and midpoint monitor value in the
     increments z = (dq, dp).
 
-    ``monitor_at(z)`` is (grad V, g) at q_av, remembered from the residual's
-    evaluations; :func:`avi_step` reads the time step from it.
+    ``monitor_at(z)`` is (q_av, grad V, g) at q_av, remembered from the
+    residual's evaluations; the Jacobian and :func:`avi_step`'s time step
+    read it.
     """
     n = model.n
     M_inv, q_k, p_k, g = model.M_inv, state.q, state.p, monitor.g
@@ -504,12 +504,12 @@ def _avi_system(model, monitor, state, delta_a):
     def monitor_at(z):
         q_av = q_k + z[:n] / 2
         dV = model.potential_gradient(q_av)
-        return dV, g(q_av, dV)
+        return q_av, dV, g(q_av, dV)
 
     def residual(z):
         dq, dp = z[:n], z[n:]
         p_av = p_k + dp / 2
-        dV, g_av = monitor_at(z)
+        _, dV, g_av = monitor_at(z)
         if g_av <= 0:
             raise MonitorDomainError(f"monitor value {g_av} is not positive")
         out = np.empty(2 * n, dtype=z.dtype)
@@ -518,11 +518,9 @@ def _avi_system(model, monitor, state, delta_a):
         return out
 
     def jacobian(z):
-        q_av = q_k + z[:n] / 2
+        q_av, dV, g_av = monitor_at(z)
         p_av = p_k + z[n:] / 2
-        dV = model.potential_gradient(q_av)
         d2V = model.potential_hessian(q_av)
-        g_av = g(q_av, dV)
         half_g = g_av / 2
         half_grad_g = monitor.grad(q_av, g_av, dV, d2V) / 2
         J = np.empty((2 * n, 2 * n), dtype=z.dtype)
@@ -564,7 +562,7 @@ def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, del
             z0[n:] = dV0 * (-delta_a * g0)
         report = newton_solve(residual, z0, cfg, ctx, jacobian=jacobian)
         dq, dp = report.solution[:n], report.solution[n:]
-        h = delta_a * monitor_at(report.solution)[1]
+        h = delta_a * monitor_at(report.solution)[2]
         if h <= 0:
             raise NonMonotoneTimeError(f"monitor produced a non-positive time step {h}")
         q1, p1 = q_k + dq, p_k + dp
@@ -668,10 +666,9 @@ class ReferenceSolution:
         return ExtendedState(t=float(t), q=q, p=p, E=self._model.hamiltonian(q, p))
 
 
-def reference_solve(model, state0: ExtendedState, T_final, reltol=1e-12, abstol=1e-14) -> ReferenceSolution:
-    """High-accuracy adaptive Runge-Kutta reference for Hamilton's equations."""
-    if reltol <= 0 or abstol <= 0:
-        raise ConfigurationError("tolerances must be positive")
+def reference_solve(model, state0: ExtendedState, T_final) -> ReferenceSolution:
+    """High-accuracy adaptive Runge-Kutta reference for Hamilton's equations,
+    at relative tolerance 1e-12 and absolute tolerance 1e-14."""
     model = model.double
     t0 = float(state0.t)
     y0 = np.concatenate([np.asarray(state0.q, dtype=float), np.asarray(state0.p, dtype=float)])
@@ -688,7 +685,7 @@ def reference_solve(model, state0: ExtendedState, T_final, reltol=1e-12, abstol=
 
     sol = solve_ivp(
         rhs, (t0, float(T_final)), y0, method="RK45",
-        rtol=reltol, atol=abstol, dense_output=True,
+        rtol=1e-12, atol=1e-14, dense_output=True,
     )
     if not sol.success:
         raise StiffnessError(f"reference solver failed: {sol.message}")

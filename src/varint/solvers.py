@@ -5,7 +5,7 @@ degenerate points, so every solve carries a condition estimate of its
 Jacobian and singularity is reported as a distinct error.  In double
 precision the residual of the energy equation bottoms out a few ulp above
 zero; the solver therefore accepts a stalled iterate whose residual lies
-within ``stall_factor`` of the tolerance instead of looping forever.
+within :data:`STALL_FACTOR` of the tolerance instead of looping forever.
 
 The residual is evaluated in the context's precision; EpAVI and the
 fixed-step solve hand in Jacobians formed in double, and the Newton step is
@@ -42,24 +42,31 @@ from .precision import DOUBLE, PrecisionContext, Real, all_finite, inf_norm
 #: Domain errors that mark a trial point as infeasible during damping.
 _DOMAIN_ERRORS = (SingularityError, MonitorDomainError)
 
+#: A stalled iterate is accepted when its residual is within this factor of
+#: the tolerance: the double-precision floor of the energy equation.
+STALL_FACTOR = 10.0
+
+#: Damping halves a Newton step at most this many times.
+MAX_HALVINGS = 10
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton solve parameters.
+    """Newton solve parameters: residual tolerance, iteration budget and
+    polish budget.
 
     After the tolerance is met, up to ``polish`` further iterations are
     taken so per-step defects sit at the representation floor rather than
     just under ``tol``.  A polish iteration is a refinement step from the
     last LU factors, undamped; the first one that does not lower the
-    residual ends the solve.  ``max_halvings`` and ``stall_factor`` act
-    only while the residual exceeds ``tol``.
+    residual ends the solve.  While the residual exceeds ``tol``, damping
+    halves a step at most :data:`MAX_HALVINGS` times, and a stall within
+    :data:`STALL_FACTOR` of ``tol`` is accepted.
     """
 
     tol: float = 1e-12
     max_iter: int = 50
     polish: int = 2
-    stall_factor: float = 10.0
-    max_halvings: int = 10
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_iter < 1:
@@ -171,7 +178,7 @@ def _newton_solve(F, x0, cfg, ctx, jacobian, feasible):
         # the residual ends the solve
         lam = 1
         best = None
-        for _ in range(1 if polishing else cfg.max_halvings + 1):
+        for _ in range(1 if polishing else MAX_HALVINGS + 1):
             xn = x + dx if lam == 1 else x + lam * dx
             lam = lam / 2
             if polishing and (xn == x).all():
@@ -215,7 +222,7 @@ def _newton_solve(F, x0, cfg, ctx, jacobian, feasible):
     )
     if r <= tol:
         return report
-    if stalled and r <= cfg.stall_factor * cfg.tol:
+    if stalled and r <= STALL_FACTOR * cfg.tol:
         # residual floor of the representation; accept and report honestly
         return report
     raise NonconvergenceError(

@@ -1,3 +1,4 @@
+import hashlib
 import py_compile
 
 import pytest
@@ -53,6 +54,25 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "epavi" in out and "kepler" in out
     # unknown integrator: configuration error -> exit 2
     assert main(["run", f"--outdir={tmp_path}", "integrator=rk99"]) == 2
+    # the reference tolerances are fixed, not config keys
+    assert main(["run", f"--outdir={tmp_path}", "reltol=1e-10"]) == 2
+    assert "unknown config key 'reltol'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields", [
+    {},
+    {"problem": "pendulum", "outdir": "runs/p"},        # str
+    {"reference": False},                              # bool
+    {"max_iter": 30, "digits": 18},                    # int
+    {"e": 0.7, "h0": 0.01, "condition_warn": 1e10},    # float
+    {"tol": 1e-15, "periods": 2.0, "delta_a": 0.003},  # None-default float
+])
+def test_config_lines_round_trip(fields):
+    # every key parses as the type of its field's default, a None default as float
+    cfg = ExperimentConfig(**fields)
+    parsed = parse_config(None, cfg.as_lines())
+    assert parsed == cfg
+    assert [type(getattr(parsed, k)) for k in fields] == [type(v) for v in fields.values()]
 
 
 def _quick_cfg(tmp_path, **kw):
@@ -90,6 +110,20 @@ def test_rerun_is_byte_identical(tmp_path):
     untimed = [{k: v for k, v in read_summary(d / "summary.txt").items() if k != "wall_time_s"}
                for d in (a, b)]
     assert untimed[0] == untimed[1]
+    # the bytes themselves, without the scipy reference
+    c = tmp_path / "c"
+    run_experiment(_quick_cfg(c, outdir=str(c), reference=False))
+    digests = {name: hashlib.sha256((c / name).read_bytes()).hexdigest() for name in CSV_DIGESTS}
+    assert digests == CSV_DIGESTS
+
+
+#: SHA-256 of the CSV output of the reference-free quick oscillator run,
+#: recorded before the reference and solver settings became constants.
+CSV_DIGESTS = {
+    "trajectory.csv": "65b9c0efa1a2edf1f67362e8335327c8a93ca80a21bdaefbca9c675d229fbec1",
+    "energy_error.csv": "268c576ca3dc1db668b7c202f7abb762b9164e97605f04ab66ee713e5fc302e2",
+    "stats.csv": "61ba05f9299c1ae80e9959817d860acf5ce0ebf29721b1a1bcc9f87b091a0532",
+}
 
 
 def test_summary_counts_the_solver_work(tmp_path):
