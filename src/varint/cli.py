@@ -257,12 +257,13 @@ def _trajectory_outputs(cfg, model, traj, outdir, ctx, summary):
     if len(traj) > 1:
         stats = diagnostics.timestep_stats(traj)
         tele = diagnostics.telescoping_bound_check(traj)
-        diagnostics.write_stats_csv(traj, outdir / "stats.csv")
+        max_energy_error = e_series.max()
+        diagnostics.write_stats_csv(stats, tele, max_energy_error, outdir / "stats.csv", ctx)
         summary.update(
             n_steps=stats.n_steps,
             mean_step_ratio=stats.mean_ratio,
             max_step_ratio=stats.max_ratio,
-            max_energy_error=e_series.max(),
+            max_energy_error=max_energy_error,
             max_hamiltonian_error=h_series.max(),
             max_step_defect=tele.max_step_defect,
             telescoping_holds=tele.holds,

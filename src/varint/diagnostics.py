@@ -3,7 +3,6 @@ error against the dense reference, and time-adaptation statistics."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import List
 
@@ -97,11 +96,11 @@ def trajectory_error(traj: Trajectory, reference: ReferenceSolution) -> List[Err
     """Per-coordinate |q_k^i - q_ref^i(t_k)| at the discrete times."""
     times = traj.times()
     q_ref, _ = reference.eval(times)
-    series = []
-    for i in range(reference.n):
-        vals = [abs(float(s.q[i]) - q_ref[i, k]) for k, s in enumerate(traj.states)]
-        series.append(ErrorSeries(times=times, values=vals, label=f"q{i + 1}_error"))
-    return series
+    Q = np.array([s.q for s in traj.states], dtype=float)
+    return [
+        ErrorSeries(times=times, values=np.abs(Q[:, i] - q_ref[i]).tolist(), label=f"q{i + 1}_error")
+        for i in range(reference.n)
+    ]
 
 
 def timestep_stats(traj: Trajectory) -> StepStats:
@@ -124,27 +123,72 @@ def timestep_stats(traj: Trajectory) -> StepStats:
 
 
 # -- CSV output -----------------------------------------------------------------
+#
+# The bytes are those of csv.writer (excel dialect: comma, minimal quoting,
+# CRLF line ends) over the fields _row_format describes; a row is formatted
+# by one %-template, so double-precision rows never call ctx.format.
 
 
-def _fmt(value, ctx: PrecisionContext) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return ctx.format(value)
+def _quote(text: str) -> str:
+    """A text field as csv.writer quotes it under QUOTE_MINIMAL."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _field_format(kind, ctx: PrecisionContext):
+    """The %-conversion of a field of type ``kind``, and the function that
+    prepares its value for it (None: the value as it is)."""
+    if issubclass(kind, (bool, np.bool_)):
+        return "%s", None
+    if issubclass(kind, (int, np.integer)):
+        return "%d", None
+    if kind is type(None):
+        return "%.0s", None  # str(None) cut to no characters: an empty field
+    if issubclass(kind, str):
+        return "%s", _quote
+    if ctx.is_native:
+        return "%.16e", None  # what ctx.format writes, in one C-level step
+    return "%s", ctx.format
+
+
+def _row_format(kinds, ctx: PrecisionContext):
+    """Line formatter for rows whose fields have the types ``kinds``.
+
+    Booleans read True/False, integers are decimal, None is an empty field,
+    text keeps csv quoting, and reals carry the context's serialization
+    digits: ``%.16e`` in double (17 significant digits, so parsing the field
+    returns the same float), ``ctx.format`` one value at a time above it.
+    """
+    fields = [_field_format(kind, ctx) for kind in kinds]
+    template = ",".join(spec for spec, _ in fields)
+    prepare = [f for _, f in fields]
+    if not any(prepare):
+        def line(row):
+            return template % tuple(row)
+    else:
+        def line(row):
+            return template % tuple(v if f is None else f(v) for f, v in zip(prepare, row))
+    if len(kinds) == 1:
+        # csv.writer quotes a row's only field when it is empty
+        return lambda row: line(row) or '""'
+    return line
+
+
+def _csv_lines(rows, ctx: PrecisionContext):
+    formats = {}
+    for row in rows:
+        kinds = tuple(map(type, row))
+        line = formats.get(kinds)
+        if line is None:
+            line = formats[kinds] = _row_format(kinds, ctx)
+        yield line(row)
 
 
 def write_csv(path, header, rows, ctx: PrecisionContext = DOUBLE):
-    """Write rows of mixed values; reals in the context's scientific format."""
+    """Write a header and rows of mixed values as CSV (see :func:`_row_format`)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v, ctx) for v in row])
+        fh.writelines(line + "\r\n" for line in _csv_lines([header, *rows], ctx))
 
 
 def context_for(traj: Trajectory) -> PrecisionContext:
@@ -167,26 +211,23 @@ def write_trajectory_csv(traj: Trajectory, path):
     for k, s in enumerate(traj.states):
         step = traj.steps[k] if k < len(traj.steps) else None
         rows.append(
-            [k, s.t, *s.q, *s.p, s.E]
-            + ([step.h, step.residual_norm, step.iterations, int(step.retried)] if step else [None] * 4)
+            (k, s.t, *s.q.tolist(), *s.p.tolist(), s.E)
+            + ((step.h, step.residual_norm, step.iterations, int(step.retried)) if step else (None,) * 4)
         )
     write_csv(path, header, rows, ctx)
 
 
 def write_error_series_csv(series_list: List[ErrorSeries], path, ctx: PrecisionContext = DOUBLE):
     header = ["k", "t"] + [s.label or f"series{i}" for i, s in enumerate(series_list)]
-    times = series_list[0].times
-    rows = [
-        [k, times[k]] + [s.values[k] for s in series_list]
-        for k in range(len(times))
-    ]
+    times = series_list[0].times.tolist()
+    rows = zip(range(len(times)), times, *(s.values for s in series_list))
     write_csv(path, header, rows, ctx)
 
 
-def write_stats_csv(traj: Trajectory, path):
-    ctx = context_for(traj)
-    stats = timestep_stats(traj)
-    tele = telescoping_bound_check(traj)
+def write_stats_csv(stats: StepStats, tele: TelescopingReport, max_energy_error, path,
+                    ctx: PrecisionContext = DOUBLE):
+    """One row: the step statistics, the largest energy error and the
+    telescoping check of a run, each computed once by the caller."""
     row = {
         "n_steps": stats.n_steps,
         "mean_h": stats.mean_h,
@@ -194,7 +235,7 @@ def write_stats_csv(traj: Trajectory, path):
         "min_h": stats.min_h,
         "mean_ratio": stats.mean_ratio,
         "max_ratio": stats.max_ratio,
-        "max_energy_error": energy_error_series(traj).max(),
+        "max_energy_error": max_energy_error,
         "max_step_defect": tele.max_step_defect,
         "telescoping_lhs": tele.lhs,
         "telescoping_rhs": tele.rhs,

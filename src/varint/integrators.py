@@ -285,8 +285,7 @@ def _epavi_system(model, state):
         dq, h = z[:n], z[n]
         v = dq / h
         mid = q_kd + dq / 2
-        grad = dm.potential_gradient(mid)
-        hess = dm.potential_hessian(mid)
+        grad, hess = dm.potential_gradient_and_hessian(mid)
         Mv = dm.mass_times(v)
         J = np.empty((n + 1, n + 1))
         J[:n, :n] = dm.M / h + hess * (h / 4)

@@ -77,6 +77,10 @@ class LagrangianModel:
         """(V(q), grad V(q)) in one call; models whose two share work override it."""
         return self.potential(q), self.potential_gradient(q)
 
+    def potential_gradient_and_hessian(self, q):
+        """(grad V(q), Hessian of V(q)) in one call; models whose two share work override it."""
+        return self.potential_gradient(q), self.potential_hessian(q)
+
     def potential_third(self, q) -> Real:
         """Third derivative; only defined for 1-DOF models."""
         raise UnsupportedOrderError(f"third potential derivative unavailable for {self.name}")
@@ -126,6 +130,10 @@ class KeplerTwoBody(LagrangianModel):
     def potential_hessian(self, q) -> np.ndarray:
         r = self._radius(q)
         return self._eye / r ** 3 - 3 * (q[:, None] * q) / r ** 5
+
+    def potential_gradient_and_hessian(self, q):
+        r = self._radius(q)
+        return q / r ** 3, self._eye / r ** 3 - 3 * (q[:, None] * q) / r ** 5
 
 
 class HarmonicOscillator(LagrangianModel):
