@@ -149,7 +149,7 @@ def _require_1dof(model: LagrangianModel):
 
 
 def _derivs(model: LagrangianModel, q: Real):
-    arr = np.array([q]) if model.ctx.is_native else model.ctx.array([q])
+    arr = model.ctx.array([q])
     V = model.potential(arr)
     Vq = model.potential_gradient(arr)[0]
     Vqq = model.potential_hessian(arr)[0, 0]
@@ -184,15 +184,14 @@ def modified_rhs_order2(model: LagrangianModel, jet: Jet1D) -> Real:
         + (da^2 / 24m) (4 t'^4 V_q V_qq / m - 4 q' t' t'' V_qq - q'^2 t'^2 V_qqq)
     """
     _require_1dof(model)
-    with model.ctx.activate():
-        m = model.M[0, 0]
-        _, Vq, Vqq, Vqqq = _derivs(model, jet.q)
-        qp, tp, tpp, da = jet.qp, jet.tp, jet.tpp, jet.delta_a
-        leading = qp * tpp / tp - tp ** 2 * Vq / m
-        correction = (da ** 2 / (24 * m)) * (
-            4 * tp ** 4 * Vq * Vqq / m - 4 * qp * tp * tpp * Vqq - qp ** 2 * tp ** 2 * Vqqq
-        )
-        return leading + correction
+    m = model.M[0, 0]
+    _, Vq, Vqq, Vqqq = _derivs(model, jet.q)
+    qp, tp, tpp, da = jet.qp, jet.tp, jet.tpp, jet.delta_a
+    leading = qp * tpp / tp - tp ** 2 * Vq / m
+    correction = (da ** 2 / (24 * m)) * (
+        4 * tp ** 4 * Vq * Vqq / m - 4 * qp * tp * tpp * Vqq - qp ** 2 * tp ** 2 * Vqqq
+    )
+    return leading + correction
 
 
 def modified_lagrangian_mod3(model: LagrangianModel, q, qp, tp, delta_a) -> Real:
@@ -203,11 +202,10 @@ def modified_lagrangian_mod3(model: LagrangianModel, q, qp, tp, delta_a) -> Real
     _require_1dof(model)
     if tp <= 0:
         raise NonMonotoneTimeError(f"t' = {tp} must be positive")
-    with model.ctx.activate():
-        m = model.M[0, 0]
-        V, Vq, Vqq, _ = _derivs(model, q)
-        leading = tp * (m * (qp / tp) ** 2 / 2 - V)
-        return leading + (delta_a ** 2 / 24) * (tp ** 3 * Vq ** 2 / m + qp ** 2 * tp * Vqq)
+    m = model.M[0, 0]
+    V, Vq, Vqq, _ = _derivs(model, q)
+    leading = tp * (m * (qp / tp) ** 2 / 2 - V)
+    return leading + (delta_a ** 2 / 24) * (tp ** 3 * Vq ** 2 / m + qp ** 2 * tp * Vqq)
 
 
 def meshed_lagrangian_order2(model: LagrangianModel, jet: Jet1D) -> Real:
@@ -215,20 +213,19 @@ def meshed_lagrangian_order2(model: LagrangianModel, jet: Jet1D) -> Real:
     _require_1dof(model)
     if jet.qpp is None:
         raise ConfigurationError("meshed evaluation needs q'' in the jet")
-    with model.ctx.activate():
-        m = model.M[0, 0]
-        V, Vq, Vqq, _ = _derivs(model, jet.q)
-        qp, qpp, tp, tpp, da = jet.qp, jet.qpp, jet.tp, jet.tpp, jet.delta_a
-        leading = tp * (m * (qp / tp) ** 2 / 2 - V)
-        second = (
-            -m * qpp ** 2 / tp
-            + 2 * m * qp * qpp * tpp / tp ** 2
-            - m * qp ** 2 * tpp ** 2 / tp ** 3
-            + 2 * qp * tpp * Vq
-            + qp ** 2 * tp * Vqq
-            - 2 * qpp * tp * Vq
-        )
-        return leading + (da ** 2 / 24) * second
+    m = model.M[0, 0]
+    V, Vq, Vqq, _ = _derivs(model, jet.q)
+    qp, qpp, tp, tpp, da = jet.qp, jet.qpp, jet.tp, jet.tpp, jet.delta_a
+    leading = tp * (m * (qp / tp) ** 2 / 2 - V)
+    second = (
+        -m * qpp ** 2 / tp
+        + 2 * m * qp * qpp * tpp / tp ** 2
+        - m * qp ** 2 * tpp ** 2 / tp ** 3
+        + 2 * qp * tpp * Vq
+        + qp ** 2 * tp * Vqq
+        - 2 * qpp * tp * Vq
+    )
+    return leading + (da ** 2 / 24) * second
 
 
 # -- order-of-accuracy estimation ----------------------------------------------------

@@ -64,9 +64,8 @@ def hamiltonian_error_series(traj: Trajectory, model: LagrangianModel) -> ErrorS
     error for the energy-preserving runs."""
     if not traj.states:
         raise ConfigurationError("empty trajectory")
-    with model.ctx.activate():
-        H0 = model.hamiltonian(traj.states[0].q, traj.states[0].p)
-        values = [abs(model.hamiltonian(s.q, s.p) - H0) for s in traj.states]
+    H0 = model.hamiltonian(traj.states[0].q, traj.states[0].p)
+    values = [abs(model.hamiltonian(s.q, s.p) - H0) for s in traj.states]
     return ErrorSeries(times=traj.times(), values=values, label="hamiltonian_error")
 
 

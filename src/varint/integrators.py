@@ -221,12 +221,15 @@ def _extrapolate(history) -> np.ndarray:
     return (np.array(history) * _EXTRAPOLATION[len(history) - 1]).sum(axis=0)
 
 
-def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfig]) -> SolverConfig:
-    """Reject a bad start state or span before any solve; default the solver config."""
+def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfig]):
+    """Reject a bad start or span; return the start in the model's context and the solver config."""
     state0.validate(model.n)
     if T_final < state0.t:
         raise ConfigurationError("T_final must not precede the initial time")
-    return cfg or SolverConfig.for_context(model.ctx)
+    ctx = model.ctx
+    state0 = ExtendedState(t=ctx.real(state0.t), q=ctx.array(state0.q), p=ctx.array(state0.p),
+                           E=ctx.real(state0.E))
+    return state0, cfg or SolverConfig.for_context(ctx)
 
 
 def _march(model, name, step: Callable, state0, h, T_final, cfg, **meta) -> Trajectory:
@@ -274,6 +277,8 @@ def _epavi_system(model, state):
     kernel = _remember_two(lambda z: _increment(model, q_k, z[:n], z[n]))
 
     def residual(z):
+        if not z[n] > 0:  # a nan h included
+            raise NonMonotoneTimeError(f"time step {z[n]} must be positive")
         v, Mv, half_grad, V = kernel(z)
         out = np.empty(n + 1, dtype=z.dtype)
         out[:n] = Mv + half_grad - p_k
@@ -319,27 +324,26 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
     """
     if h_guess <= 0:
         raise ConfigurationError("h_guess must be positive")
-    ctx = model.ctx
-    n = model.n
+    ctx, n = model.ctx, model.n
+    h_guess = ctx.real(h_guess)
     residual, jacobian, kernel = _epavi_system(model, state)
 
     def solve(z):
-        return newton_solve(residual, z, cfg, ctx, jacobian=jacobian, feasible=lambda z: z[n] > 0)
+        return newton_solve(residual, z, cfg, ctx, jacobian=jacobian)
 
-    with ctx.activate():
-        if z0 is None:
-            z0 = _increments(ctx, np.dot(model.M_inv, state.p) * h_guess, h_guess)
-        try:
-            report, retried = solve(z0), False
-        except NonconvergenceError:
-            fixed, _ = _solve_fixed_momentum(model, state, h_guess, cfg)
-            report, retried = solve(_increments(ctx, fixed.solution, h_guess)), True
-            report = replace(report, iterations=fixed.iterations + report.iterations)
-        dq, h = report.solution[:n], report.solution[n]
-        v, Mv, half_grad, V = kernel(report.solution)
-        new_state = ExtendedState(
-            t=state.t + h, q=state.q + dq, p=Mv - half_grad, E=_discrete_energy(v, Mv, V)
-        )
+    if z0 is None:
+        z0 = _increments(ctx, np.dot(model.M_inv, state.p) * h_guess, h_guess)
+    try:
+        report, retried = solve(z0), False
+    except NonconvergenceError:
+        fixed, _ = _solve_fixed_momentum(model, state, h_guess, cfg)
+        report, retried = solve(_increments(ctx, fixed.solution, h_guess)), True
+        report = replace(report, iterations=fixed.iterations + report.iterations)
+    dq, h = report.solution[:n], report.solution[n]
+    v, Mv, half_grad, V = kernel(report.solution)
+    new_state = ExtendedState(
+        t=state.t + h, q=state.q + dq, p=Mv - half_grad, E=_discrete_energy(v, Mv, V)
+    )
     return new_state, _record(h, report, retried=retried)
 
 
@@ -352,10 +356,9 @@ def initial_discrete_energy(model: LagrangianModel, state: ExtendedState, h0, cf
     evaluate D1 L_d there.  Every subsequent coupled step then reproduces
     this level, and its first solution lands on h = h0.
     """
-    with model.ctx.activate():
-        report, kernel = _solve_fixed_momentum(model, state, h0, cfg)
-        v, Mv, _, V = kernel(report.solution)
-        return _discrete_energy(v, Mv, V)
+    report, kernel = _solve_fixed_momentum(model, state, model.ctx.real(h0), cfg)
+    v, Mv, _, V = kernel(report.solution)
+    return _discrete_energy(v, Mv, V)
 
 
 def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,
@@ -372,7 +375,8 @@ def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,
     :func:`epavi_step`.  The starting state's E is replaced by the
     h0-consistent discrete level (see :func:`initial_discrete_energy`).
     """
-    cfg = _run_config(model, state0, T_final, cfg)
+    state0, cfg = _run_config(model, state0, T_final, cfg)
+    ctx, n = model.ctx, model.n
     if T_final > state0.t:
         try:
             state0 = replace(state0, E=initial_discrete_energy(model, state0, h0, cfg))
@@ -382,18 +386,16 @@ def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,
                 trajectory=Trajectory(states=[state0]),
                 cause=exc,
             ) from exc
-    ctx, n = model.ctx, model.n
     accepted = []  # the last five accepted increments z = (dq, h), oldest first
 
     def step(state, h):
-        with ctx.activate():
-            z0 = None
-            if accepted:
-                z0 = _extrapolate(accepted)
-                if z0[n] <= 0:
-                    z0 = accepted[-1]
-            new_state, record = epavi_step(model, state, h, cfg, z0)
-            accepted[:] = accepted[-4:] + [_increments(ctx, new_state.q - state.q, record.h)]
+        z0 = None
+        if accepted:
+            z0 = _extrapolate(accepted)
+            if z0[n] <= 0:
+                z0 = accepted[-1]
+        new_state, record = epavi_step(model, state, h, cfg, z0)
+        accepted[:] = accepted[-4:] + [_increments(ctx, new_state.q - state.q, record.h)]
         return new_state, record
 
     return _march(model, "epavi", step, state0, h0, T_final, cfg, h0=float(h0))
@@ -426,16 +428,16 @@ def midpoint_fixed_step(model: LagrangianModel, state: ExtendedState, h, cfg: So
     """One fixed-step variational midpoint step; E is reported as H(q, p)."""
     if h <= 0:
         raise ConfigurationError("step size must be positive")
-    with model.ctx.activate():
-        report, kernel = _solve_fixed_momentum(model, state, h, cfg)
-        _, Mv, half_grad, _ = kernel(report.solution)
-        q1, p1 = state.q + report.solution, Mv - half_grad
-        new_state = ExtendedState(t=state.t + h, q=q1, p=p1, E=model.hamiltonian(q1, p1))
+    h = model.ctx.real(h)
+    report, kernel = _solve_fixed_momentum(model, state, h, cfg)
+    _, Mv, half_grad, _ = kernel(report.solution)
+    q1, p1 = state.q + report.solution, Mv - half_grad
+    new_state = ExtendedState(t=state.t + h, q=q1, p=p1, E=model.hamiltonian(q1, p1))
     return new_state, _record(h, report)
 
 
 def midpoint_fixed_run(model, state0, h, T_final, cfg=None) -> Trajectory:
-    cfg = _run_config(model, state0, T_final, cfg)
+    state0, cfg = _run_config(model, state0, T_final, cfg)
     step = lambda state, _: midpoint_fixed_step(model, state, h, cfg)
     return _march(model, "midpoint_fixed", step, state0, h, T_final, cfg, h0=float(h))
 
@@ -464,7 +466,7 @@ def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Mo
     ``unit`` is 1 with gradient 0.
     """
     if name == "g1":
-        H0 = model.hamiltonian(state0.q, state0.p)
+        H0 = model.hamiltonian(model.ctx.array(state0.q), model.ctx.array(state0.p))
         M_inv = model.M_inv
 
         def arclength(q, dV):
@@ -544,28 +546,26 @@ def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, del
     """
     if delta_a <= 0:
         raise ConfigurationError("delta_a must be positive")
-    ctx = model.ctx
-    n = model.n
+    ctx, n = model.ctx, model.n
     q_k, p_k = state.q, state.p
     g = monitor.g
-
-    with ctx.activate():
-        dV0 = model.potential_gradient(q_k)
-        g0 = g(q_k, dV0)
-        if g0 <= 0:
-            raise MonitorDomainError(f"monitor value {g0} at the step start is not positive")
-        residual, jacobian, monitor_at = _avi_system(model, monitor, state, delta_a)
-        if z0 is None:
-            z0 = np.empty(2 * n, dtype=float if ctx.is_native else object)
-            z0[:n] = np.dot(model.M_inv, p_k) * (delta_a * g0)
-            z0[n:] = dV0 * (-delta_a * g0)
-        report = newton_solve(residual, z0, cfg, ctx, jacobian=jacobian)
-        dq, dp = report.solution[:n], report.solution[n:]
-        h = delta_a * monitor_at(report.solution)[2]
-        if h <= 0:
-            raise NonMonotoneTimeError(f"monitor produced a non-positive time step {h}")
-        q1, p1 = q_k + dq, p_k + dp
-        new_state = ExtendedState(t=state.t + h, q=q1, p=p1, E=model.hamiltonian(q1, p1))
+    delta_a = ctx.real(delta_a)
+    dV0 = model.potential_gradient(q_k)
+    g0 = g(q_k, dV0)
+    if g0 <= 0:
+        raise MonitorDomainError(f"monitor value {g0} at the step start is not positive")
+    residual, jacobian, monitor_at = _avi_system(model, monitor, state, delta_a)
+    if z0 is None:
+        z0 = np.empty(2 * n, dtype=float if ctx.is_native else object)
+        z0[:n] = np.dot(model.M_inv, p_k) * (delta_a * g0)
+        z0[n:] = dV0 * (-delta_a * g0)
+    report = newton_solve(residual, z0, cfg, ctx, jacobian=jacobian)
+    dq, dp = report.solution[:n], report.solution[n:]
+    h = delta_a * monitor_at(report.solution)[2]
+    if h <= 0:
+        raise NonMonotoneTimeError(f"monitor produced a non-positive time step {h}")
+    q1, p1 = q_k + dq, p_k + dp
+    new_state = ExtendedState(t=state.t + h, q=q1, p=p1, E=model.hamiltonian(q1, p1))
     return new_state, _record(h, report, delta_a)
 
 
@@ -578,16 +578,16 @@ def avi_calibrate_delta_a(model, monitor, state0, h0, cfg: Optional[SolverConfig
     cfg = cfg or SolverConfig.for_context(model.ctx)
     if h0 <= 0:
         raise ConfigurationError("h0 must be positive")
-    with model.ctx.activate():
-        g0 = monitor.g(state0.q, model.potential_gradient(state0.q))
-        if g0 <= 0:
-            raise MonitorDomainError(f"monitor value {g0} at the initial state is not positive")
-        delta_a = h0 / g0
-        for _ in range(5):
-            _, record = avi_step(model, monitor, state0, delta_a, cfg)
-            if abs(record.h - h0) <= 0.01 * h0:
-                break
-            delta_a = delta_a * (h0 / record.h)
+    h0 = model.ctx.real(h0)
+    g0 = monitor.g(state0.q, model.potential_gradient(state0.q))
+    if g0 <= 0:
+        raise MonitorDomainError(f"monitor value {g0} at the initial state is not positive")
+    delta_a = h0 / g0
+    for _ in range(5):
+        _, record = avi_step(model, monitor, state0, delta_a, cfg)
+        if abs(record.h - h0) <= 0.01 * h0:
+            break
+        delta_a = delta_a * (h0 / record.h)
     return delta_a
 
 
@@ -602,22 +602,19 @@ def avi_run(model: LagrangianModel, monitor: Monitor, state0: ExtendedState, T_f
     on the one-period Kepler runs at e = 0.7 this takes 1.8 Newton
     iterations per step (2.8 from the explicit-Euler guess).
     """
-    cfg = _run_config(model, state0, T_final, cfg)
+    state0, cfg = _run_config(model, state0, T_final, cfg)
     if delta_a is None:
         if h0 is None:
             raise ConfigurationError("avi_run needs either h0 or delta_a")
         delta_a = avi_calibrate_delta_a(model, monitor, state0, h0, cfg)
-    ctx = model.ctx
-    with ctx.activate():
-        state0 = replace(state0, E=model.hamiltonian(state0.q, state0.p))
+    state0 = replace(state0, E=model.hamiltonian(state0.q, state0.p))
     accepted = []  # the last five accepted increments z = (dq, dp), oldest first
 
     def step(state, _):
-        with ctx.activate():
-            z0 = _extrapolate(accepted) if accepted else None
-            new_state, record = avi_step(model, monitor, state, delta_a, cfg, z0)
-            dz = np.concatenate([new_state.q - state.q, new_state.p - state.p])
-            accepted[:] = accepted[-4:] + [dz]
+        z0 = _extrapolate(accepted) if accepted else None
+        new_state, record = avi_step(model, monitor, state, delta_a, cfg, z0)
+        dz = np.concatenate([new_state.q - state.q, new_state.p - state.p])
+        accepted[:] = accepted[-4:] + [dz]
         return new_state, record
 
     return _march(

@@ -192,8 +192,7 @@ class Pendulum(LagrangianModel):
 
 def kepler_hamiltonian(q, p, ctx: PrecisionContext = DOUBLE) -> Real:
     """Energy ((p1)^2 + (p2)^2)/2 - 1/sqrt((q1)^2 + (q2)^2) of a Kepler state."""
-    with ctx.activate():
-        return KeplerTwoBody(ctx).hamiltonian(ctx.array(q), ctx.array(p))
+    return KeplerTwoBody(ctx).hamiltonian(ctx.array(q), ctx.array(p))
 
 
 def kepler_initial_state(e: float, ctx: PrecisionContext = DOUBLE) -> ExtendedState:
@@ -204,14 +203,13 @@ def kepler_initial_state(e: float, ctx: PrecisionContext = DOUBLE) -> ExtendedSt
     """
     if not 0 <= e < 1:
         raise ConfigurationError(f"eccentricity must lie in [0, 1), got {e}")
-    with ctx.activate():
-        one = ctx.real(1)
-        ev = ctx.real(e)
-        q = ctx.array([0, 0])
-        q[0] = one - ev
-        p = ctx.array([0, 0])
-        p[1] = ctx.sqrt((one + ev) / (one - ev))
-        return ExtendedState(t=ctx.real(0), q=q, p=p, E=kepler_hamiltonian(q, p, ctx))
+    one = ctx.real(1)
+    ev = ctx.real(e)
+    q = ctx.array([0, 0])
+    q[0] = one - ev
+    p = ctx.array([0, 0])
+    p[1] = ctx.sqrt((one + ev) / (one - ev))
+    return ExtendedState(t=ctx.real(0), q=q, p=p, E=kepler_hamiltonian(q, p, ctx))
 
 
 def angular_momentum(q, p) -> Real:
@@ -251,7 +249,6 @@ def initial_state(name: str, params: Optional[dict] = None, ctx: PrecisionContex
     if name == "kepler":
         return kepler_initial_state(params.get("e", 0.1), ctx)
     model = make_model(name, params, ctx)
-    with ctx.activate():
-        q = ctx.array([params.get("q0", 1.0)])
-        p = ctx.array([params.get("p0", 0.0)])
-        return ExtendedState(t=ctx.real(0), q=q, p=p, E=model.hamiltonian(q, p))
+    q = ctx.array([params.get("q0", 1.0)])
+    p = ctx.array([params.get("p0", 0.0)])
+    return ExtendedState(t=ctx.real(0), q=q, p=p, E=model.hamiltonian(q, p))

@@ -2,23 +2,26 @@
 
 Every run computes either in native double precision or in software
 extended precision (mpmath binary floating point, round-to-nearest-even),
-selected once per run through a :class:`PrecisionContext`.  The context is
-fixed before a run begins; values are plain ``float`` in the native path
-and ``mpmath.mpf`` in the extended path, so the numerical kernels stay
-generic over both; its constants are computed once per context.
+selected once per run through a :class:`PrecisionContext`.  Values are
+plain ``float`` in the native path; in the extended path they belong to the
+one ``mpmath.MPContext`` of the working precision, so arithmetic on them,
+also with floats and ints, rounds at that precision whatever the global
+``mpmath.mp`` says.  The kernels stay generic over both paths without
+global state; :meth:`PrecisionContext.real` and ``array`` bring values of
+another precision in.  Context constants are computed once per context.
 """
 
 from __future__ import annotations
 
+import copyreg
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Union
 
 import mpmath
 import numpy as np
-from mpmath import mpf
 from scipy.linalg import lapack
 
 from .errors import ConfigurationError, IllPosednessError
@@ -33,7 +36,21 @@ MIN_DIGITS = 10
 #: rounding in long step sequences stays below the requested digit count.
 GUARD_DIGITS = 3
 
-Real = Union[float, mpf]
+Real = Union[float, mpmath.mpf]
+
+
+@lru_cache(maxsize=None)
+def _mp_context(dps: int) -> mpmath.MPContext:
+    """The one mpmath context of ``dps`` digits, so equal digits share a value
+    type; that type is not importable by name, hence its pickle reducer."""
+    mpctx = mpmath.MPContext()
+    mpctx.dps = dps
+    copyreg.pickle(mpctx.mpf, lambda x: (_unpickle_mpf, (dps, x._mpf_)))
+    return mpctx
+
+
+def _unpickle_mpf(dps: int, value: tuple):
+    return _mp_context(dps).make_mpf(value)
 
 
 class LUFactors(NamedTuple):
@@ -74,12 +91,16 @@ class PrecisionContext:
         return self.digits + GUARD_DIGITS
 
     @cached_property
+    def mpctx(self) -> mpmath.MPContext:
+        """The mpmath context of the extended path; ``None`` in the native path."""
+        return None if self.is_native else _mp_context(self.working_dps)
+
+    @cached_property
     def eps(self) -> float:
         """Machine epsilon of the working representation."""
         if self.is_native:
             return float(np.finfo(float).eps)
-        prec = mpmath.libmp.libmpf.dps_to_prec(self.working_dps)
-        return float(mpf(2) ** (1 - prec))
+        return math.ldexp(1.0, 1 - self.mpctx.prec)
 
     @property
     def serialization_digits(self) -> int:
@@ -90,27 +111,22 @@ class PrecisionContext:
         """
         if self.is_native:
             return 17
-        prec = mpmath.libmp.libmpf.dps_to_prec(self.working_dps)
-        return int(math.ceil(prec * math.log10(2))) + 2
+        return int(math.ceil(self.mpctx.prec * math.log10(2))) + 2
 
     def activate(self):
-        """Context manager setting the global mpmath precision to
-        :attr:`working_dps` for the duration of a run, and restoring it on exit.
+        """A no-op context manager yielding this context, kept for callers
+        written when runs set the global mpmath precision."""
+        return nullcontext(self)
 
-        In the native path it is a ``nullcontext`` and leaves mpmath alone.
-        All run entry points wrap themselves in this so extended-precision
-        arithmetic cannot silently fall back to mpmath's default precision.
-        """
-        return nullcontext(self) if self.is_native else mpmath.mp.workdps(self.working_dps)
+    def __reduce__(self):
+        # by digits alone: the cached mpmath context does not pickle
+        return PrecisionContext, (self.digits,)
 
     # -- scalar and array construction --------------------------------------
 
     def real(self, x) -> Real:
         """Convert ``x`` (number or decimal string) to a context scalar."""
-        if self.is_native:
-            return float(x)
-        with mpmath.mp.workdps(self.working_dps):
-            return mpf(x)
+        return float(x) if self.is_native else self.mpctx.mpf(x)
 
     def array(self, values) -> np.ndarray:
         """1-D or 2-D array of context scalars."""
@@ -126,13 +142,13 @@ class PrecisionContext:
     # -- elementary functions ------------------------------------------------
 
     def sqrt(self, x: Real) -> Real:
-        return math.sqrt(x) if self.is_native else mpmath.sqrt(x)
+        return math.sqrt(x) if self.is_native else self.mpctx.sqrt(x)
 
     def cos(self, x: Real) -> Real:
-        return math.cos(x) if self.is_native else mpmath.cos(x)
+        return math.cos(x) if self.is_native else self.mpctx.cos(x)
 
     def sin(self, x: Real) -> Real:
-        return math.sin(x) if self.is_native else mpmath.sin(x)
+        return math.sin(x) if self.is_native else self.mpctx.sin(x)
 
     # -- linear algebra (systems here are tiny: n+1 or 2n unknowns) ----------
 
@@ -179,8 +195,7 @@ class PrecisionContext:
         """Scientific-notation string carrying :attr:`serialization_digits` digits."""
         if self.is_native:
             return f"{float(x):.16e}"
-        with mpmath.mp.workdps(self.working_dps):
-            return mpmath.nstr(mpf(x), self.serialization_digits, min_fixed=1, max_fixed=0)
+        return self.mpctx.nstr(self.mpctx.mpf(x), self.serialization_digits, min_fixed=1, max_fixed=0)
 
     def parse(self, s: str) -> Real:
         return self.real(s)

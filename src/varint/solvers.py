@@ -35,12 +35,13 @@ from .errors import (
     IllPosednessError,
     MonitorDomainError,
     NonconvergenceError,
+    NonMonotoneTimeError,
     SingularityError,
 )
 from .precision import DOUBLE, PrecisionContext, Real, all_finite, inf_norm
 
 #: Domain errors that mark a trial point as infeasible during damping.
-_DOMAIN_ERRORS = (SingularityError, MonitorDomainError)
+_DOMAIN_ERRORS = (SingularityError, MonitorDomainError, NonMonotoneTimeError)
 
 #: A stalled iterate is accepted when its residual is within this factor of
 #: the tolerance: the double-precision floor of the energy equation.
@@ -123,17 +124,15 @@ def newton_solve(
     cfg: SolverConfig,
     ctx: PrecisionContext = DOUBLE,
     jacobian: Optional[Callable] = None,
-    feasible: Optional[Callable] = None,
 ) -> SolveReport:
     """Solve F(x) = 0 by damped Newton iteration.
 
     ``jacobian(x)`` supplies analytic partials when the caller has them;
     otherwise a central-difference Jacobian is formed with the step
     eps(context)^(1/3), the standard central-difference optimum.
-    ``feasible(x)`` restricts the damping line search to an admissible
-    region (used by the steppers to keep the time increment positive).
-    Domain errors raised by ``F`` at a trial point likewise mark it
-    infeasible.
+    A domain error raised by ``F`` at a trial point (a collision, a
+    non-positive monitor or time step) marks it infeasible for the damping
+    line search.
 
     Raises :class:`NonconvergenceError` when the iteration budget runs out
     or the residual stalls far from the tolerance, and
@@ -141,11 +140,6 @@ def newton_solve(
     condition estimate reaches 0.01 / eps(double), beyond which the
     double-precision step no longer resolves the update.
     """
-    with ctx.activate():
-        return _newton_solve(F, x0, cfg, ctx, jacobian, feasible)
-
-
-def _newton_solve(F, x0, cfg, ctx, jacobian, feasible):
     jac = jacobian
     if jac is None:
         fd_step = ctx.eps ** (1 / 3)
@@ -183,8 +177,6 @@ def _newton_solve(F, x0, cfg, ctx, jacobian, feasible):
             lam = lam / 2
             if polishing and (xn == x).all():
                 break
-            if feasible is not None and not feasible(xn):
-                continue
             try:
                 Fn = F(xn)
             except _DOMAIN_ERRORS:

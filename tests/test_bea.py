@@ -184,26 +184,25 @@ def test_meshed_coefficient_matches_mod3_after_substitution(model_name):
     ctx = with_precision(30)
     model = HarmonicOscillator(k=1.3, m=0.7, ctx=ctx) if model_name == "oscillator" else Pendulum(ctx=ctx)
     rng = np.random.default_rng(11)
-    with ctx.activate():
-        m = model.M[0, 0]
-        for _ in range(10):
-            q = ctx.real(repr(rng.uniform(-1.0, 1.0)))
-            qp = ctx.real(repr(rng.uniform(-1.0, 1.0)))
-            tp = ctx.real(repr(rng.uniform(0.5, 2.0)))
-            tpp = ctx.real(repr(rng.uniform(-0.5, 0.5)))
-            Vq = model.potential_gradient(ctx.array([q]))[0]
-            qpp0 = qp * tpp / tp - tp ** 2 * Vq / m
+    m = model.M[0, 0]
+    for _ in range(10):
+        q = ctx.real(repr(rng.uniform(-1.0, 1.0)))
+        qp = ctx.real(repr(rng.uniform(-1.0, 1.0)))
+        tp = ctx.real(repr(rng.uniform(0.5, 2.0)))
+        tpp = ctx.real(repr(rng.uniform(-0.5, 0.5)))
+        Vq = model.potential_gradient(ctx.array([q]))[0]
+        qpp0 = qp * tpp / tp - tp ** 2 * Vq / m
 
-            def coeff(fn):
-                return fn(1) - fn(0)
+        def coeff(fn):
+            return fn(1) - fn(0)
 
-            c_mesh = coeff(
-                lambda da: meshed_lagrangian_order2(
-                    model, Jet1D(q=q, qp=qp, tp=tp, tpp=tpp, delta_a=da, qpp=qpp0)
-                )
+        c_mesh = coeff(
+            lambda da: meshed_lagrangian_order2(
+                model, Jet1D(q=q, qp=qp, tp=tp, tpp=tpp, delta_a=da, qpp=qpp0)
             )
-            c_mod = coeff(lambda da: modified_lagrangian_mod3(model, q, qp, tp, da))
-            assert abs(c_mesh - c_mod) <= ctx.real("1e-12") * max(abs(c_mod), ctx.real("1e-3"))
+        )
+        c_mod = coeff(lambda da: modified_lagrangian_mod3(model, q, qp, tp, da))
+        assert abs(c_mesh - c_mod) <= ctx.real("1e-12") * max(abs(c_mod), ctx.real("1e-3"))
 
 
 def test_mod3_euler_lagrange_reproduces_modified_rhs():

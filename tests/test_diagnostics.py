@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -153,7 +154,9 @@ def test_csv_writers(tmp_path, epavi_e07):
 
 #: SHA-256 of the CSVs of seed-0 one-period Kepler runs at e = 0.7 in double
 #: and in 18 digits, recorded while every field still went through csv.writer
-#: and one ``ctx.format`` call per real.
+#: and one ``ctx.format`` call per real.  The 18-digit ``stats.csv`` was
+#: recorded again once its mean_h and mean_ratio were correctly rounded
+#: (see test_extended_mean_step_is_correctly_rounded).
 BUNDLE_CSV_DIGESTS = {
     "epavi_e07": {
         "trajectory.csv": "c256c7e2ffa82cf28ffb88cd702cdc82065dcd51c2109f0ff3ab23a9e1d5522f",
@@ -168,7 +171,7 @@ BUNDLE_CSV_DIGESTS = {
     "vpa_extended_tol17": {
         "trajectory.csv": "ba80d8fafc65eeab281fc76c53f993ce8b6a09b10643ce4ab0b45d38e9c1b747",
         "energy_error.csv": "2396218ded45721fda2c074bbda7064761dc27664e427c9e6427ca2791b98e53",
-        "stats.csv": "add4ed517e67312cdd6f5d7f54ea1f836d7b2f9e9fd31e24770e1528294071bc",
+        "stats.csv": "623140d033198d55825240b385be80f82711640fe623da355e1582b864bb1b1c",
     },
 }
 
@@ -178,3 +181,24 @@ def test_csv_bytes_of_both_precisions(request, tmp_path, name):
     _write_bundle_csvs(request.getfixturevalue(name), tmp_path)
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in BUNDLE_CSV_DIGESTS[name]}
     assert digests == BUNDLE_CSV_DIGESTS[name]
+
+
+def test_bundle_csv_bytes_ignore_the_global_mpmath_precision(tmp_path, vpa_extended_tol17):
+    # 18-digit values carry their own precision; the global mpmath one is
+    # neither read nor changed
+    prec = mpmath.mp.prec
+    for dps in (8, 50):
+        (tmp_path / str(dps)).mkdir()
+        with mpmath.workdps(dps):
+            _write_bundle_csvs(vpa_extended_tol17, tmp_path / str(dps))
+            assert mpmath.mp.dps == dps
+    assert mpmath.mp.prec == prec
+    for name in ("trajectory.csv", "energy_error.csv", "stats.csv"):
+        assert (tmp_path / "8" / name).read_bytes() == (tmp_path / "50" / name).read_bytes()
+
+
+def test_extended_mean_step_is_correctly_rounded(vpa_extended_tol17):
+    traj = vpa_extended_tol17
+    with mpmath.workdps(60):
+        exact = (mpmath.mpf(traj.states[-1].t) - mpmath.mpf(traj.states[0].t)) / len(traj.steps)
+    assert timestep_stats(traj).mean_h == float(exact)

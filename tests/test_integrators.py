@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 from dataclasses import fields, replace
 
 import mpmath
@@ -137,8 +138,7 @@ def test_extrapolate_is_exact_below_degree_m(m, digits):
         coeffs = rng.integers(-9, 10, size=(degree + 1, 3))
         seq = [ctx.array([int(c) for c in np.polyval(coeffs, k)]) for k in range(m + 1)]
         assert seq[0].dtype == (float if ctx.is_native else object)
-        with ctx.activate():
-            assert list(_extrapolate(seq[:m])) == list(seq[m])
+        assert list(_extrapolate(seq[:m])) == list(seq[m])
 
 
 @pytest.mark.parametrize("digits", [16, 18])
@@ -148,13 +148,12 @@ def test_extrapolate_is_bitwise_the_left_to_right_sum(digits):
     weights = ((1,), (-1, 2), (1, -3, 3), (-1, 4, -6, 4), (1, -5, 10, -10, 5))
     ctx = with_precision(digits)
     rng = np.random.default_rng(13)
-    with ctx.activate():
-        for _ in range(40):
-            for m in range(1, 6):
-                history = [ctx.array(list(rng.standard_normal(3) * 10.0 ** rng.integers(-4, 2))) / 3
-                           for _ in range(m)]
-                reference = sum(z * w for z, w in zip(history, weights[m - 1]))
-                assert _exact(_extrapolate(history)) == _exact(reference)
+    for _ in range(40):
+        for m in range(1, 6):
+            history = [ctx.array(list(rng.standard_normal(3) * 10.0 ** rng.integers(-4, 2))) / 3
+                       for _ in range(m)]
+            reference = sum(z * w for z, w in zip(history, weights[m - 1]))
+            assert _exact(_extrapolate(history)) == _exact(reference)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -419,8 +418,7 @@ def test_extended_steps_put_the_array_operand_first(monkeypatch, integrator):
 
     monkeypatch.setattr(type(mpmath.mp), "npconvert", recording)
     ctx = with_precision(18)
-    with ctx.activate():
-        ctx.real(2) * ctx.array([1, 2])
+    ctx.real(2) * ctx.array([1, 2])
     assert seen == [(2,)]
     seen.clear()
 
@@ -500,7 +498,7 @@ def _exact(x):
     """Every bit of a context scalar, or of each component of an array."""
     if isinstance(x, np.ndarray):
         return [_exact(c) for c in x]
-    if isinstance(x, mpmath.mpf):
+    if hasattr(x, "_mpf_"):
         return x._mpf_
     if x is None or isinstance(x, (bool, np.bool_, int, np.integer)):
         return x
@@ -605,3 +603,37 @@ def test_epavi_step_ratio_bounded(epavi_e07):
     h0 = epavi_e07.meta["h0"]
     for rec in epavi_e07.steps:
         assert 1e-3 <= rec.h / h0 <= 1e3
+
+
+@pytest.mark.parametrize("integrator", ["epavi", "avi_g2"])
+def test_plain_mpf_inputs_run_at_the_context_precision(integrator):
+    # a start state and step built as plain mpmath.mpf are brought into the
+    # model's context, so they give the bits of context-built inputs
+    ctx = with_precision(18)
+    model = KeplerTwoBody(ctx)
+    s0 = kepler_initial_state(0.7, ctx)
+    with mpmath.workdps(ctx.working_dps):
+        plain = ExtendedState(
+            t=mpmath.mpf(s0.t), E=mpmath.mpf(s0.E),
+            q=np.array([mpmath.mpf(x) for x in s0.q], dtype=object),
+            p=np.array([mpmath.mpf(x) for x in s0.p], dtype=object),
+        )
+        plain_step = mpmath.mpf("1e-2")
+
+    def run(state, step):
+        if integrator == "epavi":
+            return epavi_run(model, state, step, 1.0)
+        return avi_run(model, make_monitor("g2", model, state), state, 1.0, delta_a=step)
+
+    assert trajectory_digest(run(plain, plain_step)) == trajectory_digest(run(s0, ctx.real("1e-2")))
+
+
+def test_extended_trajectory_survives_pickle(vpa_extended_tol17):
+    def types(traj):
+        scalars = [x for s in traj.states for x in (s.t, *s.q, *s.p, s.E)]
+        scalars += [x for r in traj.steps for x in (r.h, r.residual_norm)]
+        return [type(x) for x in scalars]
+
+    copy = pickle.loads(pickle.dumps(vpa_extended_tol17))
+    assert trajectory_digest(copy) == trajectory_digest(vpa_extended_tol17)
+    assert types(copy) == types(vpa_extended_tol17)

@@ -195,9 +195,8 @@ def test_extended_precision_model_evaluation():
     ctx = with_precision(20)
     model = KeplerTwoBody(ctx)
     s = kepler_initial_state(0.7, ctx)
-    with ctx.activate():
-        H = model.hamiltonian(s.q, s.p)
-        assert abs(H + ctx.real("0.5")) < ctx.real("1e-19")
+    H = model.hamiltonian(s.q, s.p)
+    assert abs(H + ctx.real("0.5")) < ctx.real("1e-19")
 
 
 @pytest.mark.parametrize("digits", [16, 18])
@@ -208,13 +207,12 @@ def test_potential_and_gradient_is_bitwise_the_pair(name, digits):
     ctx = with_precision(digits)
     model = make_model(name, {"k": 1.3, "m": 0.8}, ctx)
     rng = np.random.default_rng(3)
-    with ctx.activate():
-        for _ in range(20):
-            q = ctx.array(list(rng.uniform(-1.7, 1.7, model.n)))
-            V, dV = model.potential_and_gradient(q)
-            assert type(V) is type(model.potential(q)) and V == model.potential(q)
-            assert dV.dtype == model.potential_gradient(q).dtype
-            assert all(a == b for a, b in zip(dV, model.potential_gradient(q)))
+    for _ in range(20):
+        q = ctx.array(list(rng.uniform(-1.7, 1.7, model.n)))
+        V, dV = model.potential_and_gradient(q)
+        assert type(V) is type(model.potential(q)) and V == model.potential(q)
+        assert dV.dtype == model.potential_gradient(q).dtype
+        assert all(a == b for a, b in zip(dV, model.potential_gradient(q)))
 
 
 @pytest.mark.parametrize("digits", [16, 18])
@@ -234,16 +232,15 @@ def test_kepler_kernels_are_bitwise_the_reference_formulas(digits):
             return all(type(x) is type(y) and x == y for x, y in zip(a.flat, b.flat))
         return a.tobytes() == b.tobytes()
 
-    with ctx.activate():
-        for _ in range(200):
-            q = ctx.array(list(rng.standard_normal(2) * 10 ** rng.uniform(-3, 3, 2)))
-            r = ctx.sqrt((q * q).sum())
-            grad = q / r ** 3
-            hess = ctx.identity(2) / r ** 3 - 3 * np.outer(q, q) / r ** 5
-            assert same(model.potential_gradient(q), grad)
-            V, dV = model.potential_and_gradient(q)
-            assert same(V, -1 / r) and same(dV, grad)
-            assert same(model.potential_hessian(q), hess)
+    for _ in range(200):
+        q = ctx.array(list(rng.standard_normal(2) * 10 ** rng.uniform(-3, 3, 2)))
+        r = ctx.sqrt((q * q).sum())
+        grad = q / r ** 3
+        hess = ctx.identity(2) / r ** 3 - 3 * np.outer(q, q) / r ** 5
+        assert same(model.potential_gradient(q), grad)
+        V, dV = model.potential_and_gradient(q)
+        assert same(V, -1 / r) and same(dV, grad)
+        assert same(model.potential_hessian(q), hess)
 
 
 @pytest.mark.parametrize("digits", [16, 18])
@@ -258,14 +255,13 @@ def test_mass_product_is_the_matrix_product(name, digits):
     def bits(x):
         return float(x).hex() if ctx.is_native else x._mpf_
 
-    with ctx.activate():
-        for k in range(200):
-            v = ctx.array(list(rng.standard_normal(model.n) * 10.0 ** rng.integers(-6, 7, model.n))) / 3
-            if k % 4 == 0:
-                v[rng.integers(model.n)] = ctx.real(-0.0 if k % 8 else 0.0)
-            got, want = model.mass_times(v), np.dot(model.M, v)
-            assert got.dtype == want.dtype
-            for a, b in zip(got, want):
-                assert a == b
-                if b != 0:
-                    assert bits(a) == bits(b)
+    for k in range(200):
+        v = ctx.array(list(rng.standard_normal(model.n) * 10.0 ** rng.integers(-6, 7, model.n))) / 3
+        if k % 4 == 0:
+            v[rng.integers(model.n)] = ctx.real(-0.0 if k % 8 else 0.0)
+        got, want = model.mass_times(v), np.dot(model.M, v)
+        assert got.dtype == want.dtype
+        for a, b in zip(got, want):
+            assert a == b
+            if b != 0:
+                assert bits(a) == bits(b)

@@ -43,9 +43,8 @@ def test_arithmetic_determinism():
     ctx = with_precision(20)
 
     def expr():
-        with ctx.activate():
-            a = ctx.sqrt(ctx.real(2)) + ctx.real(1) / ctx.real(7)
-            return (a * a - ctx.real("0.25")) / ctx.sqrt(a)
+        a = ctx.sqrt(ctx.real(2)) + ctx.real(1) / ctx.real(7)
+        return (a * a - ctx.real("0.25")) / ctx.sqrt(a)
 
     assert expr() == expr()
 
@@ -60,10 +59,9 @@ def test_kepler_hamiltonian_across_precisions():
 
 def test_closed_arithmetic_types():
     ctx = with_precision(18)
-    with ctx.activate():
-        a = ctx.real("1.5")
-        for value in (a + a, a - a, a * a, a / a, ctx.sqrt(a), a ** 3):
-            assert isinstance(value, mpmath.mpf)
+    a = ctx.real("1.5")
+    for value in (a + a, a - a, a * a, a / a, ctx.sqrt(a), a ** 3):
+        assert type(value) is type(a)
 
 
 def test_solve_small_system_both_paths():
@@ -130,26 +128,9 @@ def test_inf_norm_reads_inf_for_non_finite_vectors(bad):
 @pytest.mark.parametrize("digits", [16, 18])
 def test_inf_norm_of_finite_vectors_is_max_abs(digits):
     ctx = with_precision(digits)
-    with ctx.activate():
-        v = ctx.array([0.5, -3.25, 2])
-        m = inf_norm(v)
-        assert type(m) is type(np.abs(v).max()) and m == np.abs(v).max() == 3.25
-
-
-def test_activate_sets_and_restores_the_mpmath_precision():
-    dps = mpmath.mp.dps
-    ctx18, ctx20 = with_precision(18), with_precision(20)
-    with ctx18.activate():
-        assert mpmath.mp.dps == ctx18.working_dps
-        with ctx20.activate():
-            assert mpmath.mp.dps == ctx20.working_dps
-        assert mpmath.mp.dps == ctx18.working_dps
-    assert mpmath.mp.dps == dps
-    with pytest.raises(ZeroDivisionError):
-        with ctx20.activate():
-            assert mpmath.mp.dps == ctx20.working_dps
-            1 / 0
-    assert mpmath.mp.dps == dps
+    v = ctx.array([0.5, -3.25, 2])
+    m = inf_norm(v)
+    assert type(m) is type(np.abs(v).max()) and m == np.abs(v).max() == 3.25
 
 
 def test_activate_leaves_mpmath_alone_in_double():

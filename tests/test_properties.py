@@ -30,8 +30,7 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None)
 def test_extended_format_parse_round_trip(digits, numerator, denominator, exponent):
     # format carries enough digits that parse recovers every bit
     ctx = with_precision(digits)
-    with ctx.activate():
-        x = ctx.real(numerator) / ctx.real(denominator) * ctx.real(10) ** exponent
+    x = ctx.real(numerator) / ctx.real(denominator) * ctx.real(10) ** exponent
     assert ctx.parse(ctx.format(x)) == x
 
 

@@ -9,7 +9,10 @@ from varint import (
     HarmonicOscillator,
     IllPosednessError,
     KeplerTwoBody,
+    MonitorDomainError,
     NonconvergenceError,
+    NonMonotoneTimeError,
+    SingularityError,
     SolverConfig,
     epavi_run,
     epavi_step,
@@ -30,6 +33,19 @@ def test_scalar_quadratic():
     assert report.solution[0] == pytest.approx(2.0, abs=1e-12)
     assert report.residual_norm <= cfg.tol
     assert report.converged and not report.stalled
+
+
+@pytest.mark.parametrize("error", [SingularityError, MonitorDomainError, NonMonotoneTimeError])
+def test_domain_error_at_a_trial_point_halves_the_step(error):
+    # from x = 3 the full Newton step of 1 - 1/x lands on x = -3 and the
+    # first halving on x = 0, both outside the domain x > 0
+    def F(x):
+        if not x[0] > 0:
+            raise error("outside the domain")
+        return 1 - 1 / x
+
+    report = newton_solve(F, np.array([3.0]), SolverConfig(tol=1e-12))
+    assert report.solution[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_identity_root_converges_immediately():
@@ -98,16 +114,15 @@ def test_fd_jacobian_matches_analytic_avi_partials(monitor, digits, fd_step, rel
     ctx = with_precision(digits)
     model = KeplerTwoBody(ctx)
     rng = np.random.default_rng(7)
-    with ctx.activate():
-        for _ in range(20):
-            state = _random_kepler_state(rng, ctx)
-            mon = make_monitor(monitor, model, state)
-            delta_a = ctx.real(1e-3) / mon.g(state.q, model.potential_gradient(state.q))
-            residual, jacobian, _ = _avi_system(model, mon, state, delta_a)
-            z = ctx.array(list(1e-3 * rng.standard_normal(4)))
-            J_an = jacobian(z)
-            J_fd = fd_jacobian(residual, z, fd_step, ctx)
-            assert np.max(np.abs(J_fd - J_an)) <= rel * np.max(np.abs(J_an))
+    for _ in range(20):
+        state = _random_kepler_state(rng, ctx)
+        mon = make_monitor(monitor, model, state)
+        delta_a = ctx.real(1e-3) / mon.g(state.q, model.potential_gradient(state.q))
+        residual, jacobian, _ = _avi_system(model, mon, state, delta_a)
+        z = ctx.array(list(1e-3 * rng.standard_normal(4)))
+        J_an = jacobian(z)
+        J_fd = fd_jacobian(residual, z, fd_step, ctx)
+        assert np.max(np.abs(J_fd - J_an)) <= rel * np.max(np.abs(J_an))
 
 
 @pytest.mark.parametrize("system", ["epavi", "fixed_momentum"])
@@ -127,20 +142,19 @@ def test_extended_jacobians_are_formed_in_double(monkeypatch, system):
     cfg = SolverConfig.for_context(ctx)
     h = ctx.real("1e-2")
     rng = np.random.default_rng(11)
-    with ctx.activate():
-        for _ in range(20):
-            state = _random_kepler_state(rng, ctx)
-            z = np.dot(model.M_inv, state.p) * h
-            if system == "epavi":
-                residual, jacobian, _ = _epavi_system(model, state)
-                z = np.append(z, h)
-            else:
-                initial_discrete_energy(model, state, h, cfg)
-                residual, jacobian = captured["residual"], captured["jacobian"]
-            J = jacobian(z)
-            assert J.dtype == np.float64
-            J_fd = fd_jacobian(residual, z, 1e-9, ctx)
-            assert np.max(np.abs(J_fd - J)) <= 1e-13 * np.max(np.abs(J))
+    for _ in range(20):
+        state = _random_kepler_state(rng, ctx)
+        z = np.dot(model.M_inv, state.p) * h
+        if system == "epavi":
+            residual, jacobian, _ = _epavi_system(model, state)
+            z = np.append(z, h)
+        else:
+            initial_discrete_energy(model, state, h, cfg)
+            residual, jacobian = captured["residual"], captured["jacobian"]
+        J = jacobian(z)
+        assert J.dtype == np.float64
+        J_fd = fd_jacobian(residual, z, 1e-9, ctx)
+        assert np.max(np.abs(J_fd - J)) <= 1e-13 * np.max(np.abs(J))
 
 
 def test_extended_newton_ill_posedness_limit_is_double():
@@ -148,20 +162,19 @@ def test_extended_newton_ill_posedness_limit_is_double():
     # once cond(J) nears 1/eps(double), far below 1/eps(18 digits)
     ctx = with_precision(18)
     cfg = SolverConfig.for_context(ctx)
-    with ctx.activate():
-        for small, ill_posed in (("1e-12", False), ("1e-15", True)):
-            A = ctx.array([[1, 0], [0, small]])
-            b = A @ ctx.array([1, 1])
+    for small, ill_posed in (("1e-12", False), ("1e-15", True)):
+        A = ctx.array([[1, 0], [0, small]])
+        b = A @ ctx.array([1, 1])
 
-            def solve():
-                return newton_solve(lambda x: A @ x - b, ctx.array([0, 0]), cfg, ctx,
-                                    jacobian=lambda x: A)
+        def solve():
+            return newton_solve(lambda x: A @ x - b, ctx.array([0, 0]), cfg, ctx,
+                                jacobian=lambda x: A)
 
-            if ill_posed:
-                with pytest.raises(IllPosednessError):
-                    solve()
-            else:
-                assert solve().residual_norm <= cfg.tol
+        if ill_posed:
+            with pytest.raises(IllPosednessError):
+                solve()
+        else:
+            assert solve().residual_norm <= cfg.tol
 
 
 def test_extended_epavi_step_converges_from_random_states():
@@ -177,15 +190,14 @@ def test_extended_epavi_step_converges_from_random_states():
         h0 = ctx.real("1e-2")
         rng = np.random.default_rng(5)
         records[digits] = []
-        with ctx.activate():
-            for _ in range(20):
-                state = _random_kepler_state(rng, ctx)
-                try:
-                    E = initial_discrete_energy(model, state, h0, cfg)
-                    _, record = epavi_step(model, replace(state, E=E), h0, cfg)
-                except NonconvergenceError:
-                    record = None
-                records[digits].append(record)
+        for _ in range(20):
+            state = _random_kepler_state(rng, ctx)
+            try:
+                E = initial_discrete_energy(model, state, h0, cfg)
+                _, record = epavi_step(model, replace(state, E=E), h0, cfg)
+            except NonconvergenceError:
+                record = None
+            records[digits].append(record)
     assert sum(r is not None for r in records[18]) >= 10
     for rec16, rec18 in zip(records[16], records[18]):
         assert (rec16 is None) == (rec18 is None)
@@ -207,15 +219,14 @@ def test_epavi_step_from_random_states_lands_on_h0(seed, digits):
     h0 = ctx.real("1e-2")
     rng = np.random.default_rng(seed)
     retried = set()
-    with ctx.activate():
-        for k in range(20):
-            state = _random_kepler_state(rng, ctx)
-            E = initial_discrete_energy(model, state, h0, cfg)
-            _, record = epavi_step(model, replace(state, E=E), h0, cfg)
-            assert abs(record.h - h0) <= 1e-9
-            assert record.residual_norm <= cfg.tol
-            if record.retried:
-                retried.add(k)
+    for k in range(20):
+        state = _random_kepler_state(rng, ctx)
+        E = initial_discrete_energy(model, state, h0, cfg)
+        _, record = epavi_step(model, replace(state, E=E), h0, cfg)
+        assert abs(record.h - h0) <= 1e-9
+        assert record.residual_norm <= cfg.tol
+        if record.retried:
+            retried.add(k)
     assert retried >= {5: {0, 17}, 11: {13}}[seed]
 
 
