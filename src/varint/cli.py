@@ -31,7 +31,7 @@ from .integrators import (
     reference_solve,
 )
 from .models import initial_state, make_model, model_names
-from .precision import with_precision
+from .precision import DOUBLE, with_precision
 from .solvers import SolverConfig
 
 KEPLER_PERIOD = 2 * math.pi
@@ -172,20 +172,24 @@ def _run_integrator(cfg: ExperimentConfig, model, state0, scfg):
     raise ConfigurationError(f"integrator {name} is not trajectory-producing here")
 
 
-def _reference_trajectory_outputs(cfg, model, state0, outdir, ctx):
-    """`reference` as the configured integrator: dense solve, sampled CSV."""
+def _reference_trajectory_outputs(cfg, model, state0, outdir):
+    """`reference` as the configured integrator: dense solve, sampled CSV.
+
+    The solve runs in double at any ``digits``, so its values and H are
+    written as doubles."""
     ref = reference_solve(model, state0, cfg.final_time())
+    dm = model.double
     times = np.linspace(ref.t_min, ref.t_max, 2001)
     rows = []
-    H0 = model.hamiltonian(state0.q, state0.p)
+    H0 = dm.hamiltonian(np.asarray(state0.q, dtype=float), np.asarray(state0.p, dtype=float))
     max_drift = 0.0
     for k, t in enumerate(times):
         q, p = ref.eval(t)
-        H = model.hamiltonian(q, p)
+        H = dm.hamiltonian(q, p)
         max_drift = max(max_drift, abs(float(H - H0)))
         rows.append([k, t, *q, *p, H])
     header = ["k", "t"] + [f"q{i+1}" for i in range(model.n)] + [f"p{i+1}" for i in range(model.n)] + ["E"]
-    diagnostics.write_csv(outdir / "trajectory.csv", header, rows, ctx)
+    diagnostics.write_csv(outdir / "trajectory.csv", header, rows, DOUBLE)
     return {
         "n_steps": len(times) - 1,
         "max_energy_error": max_drift,
@@ -223,7 +227,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
         model = make_model(cfg.problem, cfg.model_params(), ctx)
         state0 = initial_state(cfg.problem, cfg.model_params(), ctx)
         if cfg.integrator == "reference":
-            summary.update(_reference_trajectory_outputs(cfg, model, state0, outdir, ctx))
+            summary.update(_reference_trajectory_outputs(cfg, model, state0, outdir))
         else:
             traj = None
             try:

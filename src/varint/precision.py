@@ -150,7 +150,7 @@ class PrecisionContext:
     def sin(self, x: Real) -> Real:
         return math.sin(x) if self.is_native else self.mpctx.sin(x)
 
-    # -- linear algebra (systems here are tiny: n+1 or 2n unknowns) ----------
+    # -- linear algebra (systems here are tiny: n or n+1 unknowns) -----------
 
     def factor(self, A: np.ndarray) -> LUFactors:
         """LU factors of ``A`` in double (LAPACK ``dgetrf``, partial pivoting).
@@ -166,7 +166,7 @@ class PrecisionContext:
     def solve(self, factors: LUFactors, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` in double from the factors of ``A`` (LAPACK
         ``dgetrs``); raises :class:`IllPosednessError` when a pivot is exactly
-        zero.  EpAVI and the fixed-step solve form ``A`` in double; the
+        zero.  The integrators form ``A`` in double; the
         residual ``b`` comes in context precision, so a double step refines an
         extended iterate to the context's accuracy (iterative refinement;
         Moler, JACM 14, 1967).

@@ -7,8 +7,8 @@ precision the residual of the energy equation bottoms out a few ulp above
 zero; the solver therefore accepts a stalled iterate whose residual lies
 within :data:`STALL_FACTOR` of the tolerance instead of looping forever.
 
-The residual is evaluated in the context's precision; EpAVI and the
-fixed-step solve hand in Jacobians formed in double, and the Newton step is
+The residual is evaluated in the context's precision; every integrator
+hands in a Jacobian formed in double, and the Newton step is
 solved in double: in an extended context this is iterative refinement,
 which reaches the residual's precision while the Jacobian is well
 conditioned in double.

@@ -176,6 +176,19 @@ def test_run_experiment_reference_integrator(tmp_path):
     assert summary["max_energy_error"] < 1e-10
 
 
+def test_extended_reference_run_writes_doubles(tmp_path):
+    # the reference solves in double at any digits, so an 18-digit run
+    # writes the bytes of the 16-digit one
+    for digits in (16, 18):
+        run_experiment(ExperimentConfig(
+            problem="kepler", e=0.7, integrator="reference", digits=digits,
+            T_final=1.0, outdir=str(tmp_path / str(digits)),
+        ))
+    csv16, csv18 = ((tmp_path / d / "trajectory.csv").read_bytes() for d in ("16", "18"))
+    assert csv18 == csv16
+    assert csv16.splitlines()[1].startswith(b"0,0.0000000000000000e+00,3.0000000000000004e-01,")
+
+
 def test_suite_unknown_name(tmp_path):
     with pytest.raises(ConfigurationError):
         run_suite("fig_e99", tmp_path)

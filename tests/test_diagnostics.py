@@ -156,7 +156,9 @@ def test_csv_writers(tmp_path, epavi_e07):
 #: and in 18 digits, recorded while every field still went through csv.writer
 #: and one ``ctx.format`` call per real.  The 18-digit ``stats.csv`` was
 #: recorded again once its mean_h and mean_ratio were correctly rounded
-#: (see test_extended_mean_step_is_correctly_rounded).
+#: (see test_extended_mean_step_is_correctly_rounded).  The ``avi1_e07``
+#: CSVs were recorded again once AVI solved its momentum equation in dq alone
+#: (see test_avi_steps_satisfy_the_coupled_rows).
 BUNDLE_CSV_DIGESTS = {
     "epavi_e07": {
         "trajectory.csv": "c256c7e2ffa82cf28ffb88cd702cdc82065dcd51c2109f0ff3ab23a9e1d5522f",
@@ -164,9 +166,9 @@ BUNDLE_CSV_DIGESTS = {
         "stats.csv": "ff29e9ebc3274989559c16af5b28dac4a8afc18bf8d5cd2f40e5e5b722ffd1ef",
     },
     "avi1_e07": {
-        "trajectory.csv": "edd24dd728ee7ef9db33e9942bbcb15cd3316914fc5527bf477dcb843e927e6b",
-        "energy_error.csv": "3b916da2a71298a4835d7ac5c72351cf2eb929b2f1ad13c3b865d32e79b758b4",
-        "stats.csv": "0f6dc2b7038340aad44d4a4a1eed5f503626bdc3497b8116d72b30d634a2a10d",
+        "trajectory.csv": "31bdc6e0e431324a9f4cb58ae2038cfaec7f1d7fd986a5aff4bba58f5583de80",
+        "energy_error.csv": "42a19cc76c4dd8f7038799a45a15453c70aea9aea6c768c28423209b275d4cbd",
+        "stats.csv": "4f197d4ba47e81d88ddd98262db250ba58f99374b52fe372273c55bb655fe948",
     },
     "vpa_extended_tol17": {
         "trajectory.csv": "ba80d8fafc65eeab281fc76c53f993ce8b6a09b10643ce4ab0b45d38e9c1b747",

@@ -384,6 +384,66 @@ def test_avi_warm_start_iterations(request, fixture, n_steps):
     assert sum(rec.iterations for rec in traj.steps) <= 2.0 * n_steps
 
 
+def _random_state(model, rng, ctx):
+    if model.n == 2:
+        r, theta = rng.uniform(0.3, 1.7), rng.uniform(0.0, 2 * np.pi)
+        q = [r * np.cos(theta), r * np.sin(theta)]
+    else:
+        q = list(rng.uniform(-1.5, 1.5, 1))
+    p = list(rng.uniform(-1.5, 1.5, model.n))
+    return ExtendedState(t=ctx.real(rng.uniform(0.0, 10.0)), q=ctx.array(q), p=ctx.array(p),
+                         E=ctx.real(0))
+
+
+@pytest.mark.parametrize("digits", [16, 18])
+@pytest.mark.parametrize("problem", ["kepler", "oscillator", "pendulum"])
+def test_unit_monitor_avi_step_is_the_fixed_step_bit_for_bit(problem, digits):
+    # AVI and the fixed step solve one momentum equation; with g = 1 its
+    # monitor term is an exact zero and da * 1 is da
+    ctx = with_precision(digits)
+    model = {"kepler": lambda: KeplerTwoBody(ctx), "oscillator": lambda: HarmonicOscillator(1.5, 2.0, ctx),
+             "pendulum": lambda: Pendulum(0.5, ctx)}[problem]()
+    cfg = SolverConfig.for_context(ctx)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        state = _random_state(model, rng, ctx)
+        h = ctx.real(rng.uniform(1e-3, 5e-2))
+        avi_state, _ = avi_step(model, make_monitor("unit", model, state), state, h, cfg)
+        fixed_state, _ = midpoint_fixed_step(model, state, h, cfg)
+        for name in ("t", "q", "p", "E"):
+            assert _exact(getattr(avi_state, name)) == _exact(getattr(fixed_state, name)), name
+
+
+@pytest.mark.parametrize("fixture", ["avi1_e07", "avi2_e07", "avi1_e01", "avi2_e01"])
+def test_avi_steps_satisfy_the_coupled_rows(request, fixture):
+    # the momentum solve in dq leaves every (q, p, t) row of the implicit
+    # midpoint equations in the module docstring at the rounding level
+    traj = request.getfixturevalue(fixture)
+    model = KeplerTwoBody()
+    monitor = make_monitor(traj.meta["monitor"], model, traj.states[0])
+    worst = 0.0
+    for s0, s1, rec in zip(traj.states, traj.states[1:], traj.steps):
+        q_av, p_av = (s0.q + s1.q) / 2, (s0.p + s1.p) / 2
+        dV = model.potential_gradient(q_av)
+        g = monitor.g(q_av, dV)
+        da = rec.delta_a
+        rows = [(s1.q - s0.q) / da - np.dot(model.M_inv, p_av) * g,
+                (s1.p - s0.p) / da + dV * g,
+                [(s1.t - s0.t) / da - g]]
+        worst = max(worst, np.max(np.abs(np.concatenate(rows))) * da)
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("monitor, n_steps", [("g1", 103), ("g2", 89)])
+def test_extended_avi_period(monitor, n_steps):
+    ctx = with_precision(18)
+    model, s0 = KeplerTwoBody(ctx), kepler_initial_state(0.7, ctx)
+    cfg = SolverConfig.for_context(ctx, tol=1e-17)
+    traj = avi_run(model, make_monitor(monitor, model, s0), s0, 2 * math.pi, cfg, h0=ctx.real("1e-2"))
+    assert len(traj.steps) == n_steps
+    assert all(rec.residual_norm <= cfg.tol for rec in traj.steps)
+
+
 @pytest.mark.parametrize("integrator", ["epavi", "avi_g1", "avi_g2", "avi_unit", "midpoint_fixed"])
 def test_integrators_never_reach_fd_jacobian(monkeypatch, integrator):
     def forbidden(*args, **kwargs):
@@ -484,13 +544,14 @@ def test_step_updates_reuse_the_residual_kernel(monkeypatch):
         assert len(run().steps) >= 40
         assert counts["kernel"] == counts["residual"] > 0
 
-    # AVI: one monitor value per residual, plus g(q_k) at each step start; the
-    # Jacobian reads the value at the iterate the residual last evaluated
+    # AVI: one kernel and one monitor value per residual, plus g(q_k) at each
+    # step start; the Jacobian reads h at the iterate the residual last evaluated
     monitor = make_monitor("g2", model, s0)
     monitor = replace(monitor, g=counted("g", monitor.g))
-    counts.update(g=0, residual=0, jacobian=0)
+    counts.update(kernel=0, g=0, residual=0, jacobian=0)
     traj = avi_run(model, monitor, s0, 0.05, CFG13, delta_a=1e-3)
     assert counts["jacobian"] > 0
+    assert counts["kernel"] == counts["residual"]
     assert counts["g"] == counts["residual"] + len(traj.steps)
 
 
@@ -514,10 +575,13 @@ def trajectory_digest(traj) -> str:
 
 #: Digests of seed-0 one-period Kepler runs at e = 0.7, recorded before the
 #: step updates reused the residual's kernel; the 18-digit run has 109 steps.
+#: The two AVI runs were recorded again once AVI solved its momentum equation
+#: in dq alone (test_unit_monitor_avi_step_is_the_fixed_step_bit_for_bit and
+#: test_avi_steps_satisfy_the_coupled_rows back the new bits).
 TRAJECTORY_DIGESTS = {
     "epavi_e07": "e37a4177fd8d4c08968d31edac62b80ca3511a98b19bc2a9b1e557ffff85d20f",
-    "avi1_e07": "2981c851ca131808209d24006b3fb3a99ee3710553ec81dce6e502cf9da9cc54",
-    "avi2_e07": "7d2ffe6e7d32277147a1e6df2baaffc24365c9c6cbb07288108f1539e9ca497f",
+    "avi1_e07": "134eed7a86bdf6ed25e59060a8ed9d6f60456317620494d4544ad27144e8bec7",
+    "avi2_e07": "27fbe75fbaed2240f21d5bfbe8358fe3a1c13c2fe995e4050225149e78672f01",
     "midpoint_fixed_e07": "02b154695f434bfe71623232b839a123a168e5bd7714c0ba4211c58c5ed9b0b7",
     "vpa_extended_tol17": "351793fb7f3af260ace6a253c39e1b275c8d0be4a2b39efcb459c45326406860",
 }
@@ -603,6 +667,23 @@ def test_epavi_step_ratio_bounded(epavi_e07):
     h0 = epavi_e07.meta["h0"]
     for rec in epavi_e07.steps:
         assert 1e-3 <= rec.h / h0 <= 1e3
+
+
+@pytest.mark.parametrize("fixture, bound", [("epavi_e07", 1e-2), ("epavi_e01", 1e-3)])
+def test_epavi_steps_follow_the_step_size_law(request, fixture, bound):
+    # E_d - H = c2 h^2 + O(h^3) along the midpoint map, so the energy row
+    # fixes h_k^2 = (E - H_k)/c2_k; c2 = 2c(h) - c(2h) with
+    # c(h) = (E_d(h) - H_k)/h^2 over one fixed-momentum step
+    traj = request.getfixturevalue(fixture)
+    model, E = KeplerTwoBody(), traj.states[0].E
+    worst = 0.0
+    for k in np.linspace(0, len(traj.steps) - 1, 40).astype(int):
+        state = traj.states[k]
+        H = model.hamiltonian(state.q, state.p)
+        c = [(initial_discrete_energy(model, state, h, CFG15) - H) / h ** 2 for h in (1e-4, 2e-4)]
+        predicted = math.sqrt((E - H) / (2 * c[0] - c[1]))
+        worst = max(worst, abs(predicted / traj.steps[k].h - 1))
+    assert worst <= bound
 
 
 @pytest.mark.parametrize("integrator", ["epavi", "avi_g2"])

@@ -14,6 +14,7 @@ from varint import (
     NonMonotoneTimeError,
     SingularityError,
     SolverConfig,
+    avi_step,
     epavi_run,
     epavi_step,
     fd_jacobian,
@@ -23,7 +24,7 @@ from varint import (
     newton_solve,
     with_precision,
 )
-from varint.integrators import _avi_system, _epavi_system
+from varint.integrators import _epavi_system, _momentum_system
 from varint.models import ExtendedState
 
 
@@ -109,8 +110,8 @@ def _random_kepler_state(rng, ctx):
 @pytest.mark.parametrize("digits,fd_step,rel", [(16, 1e-6, 1e-9), (18, 1e-7, 1e-12)])
 @pytest.mark.parametrize("monitor", ["g1", "g2", "unit"])
 def test_fd_jacobian_matches_analytic_avi_partials(monitor, digits, fd_step, rel):
-    # the monitor-gradient terms are ~1e-3 of the I/da diagonal, so a
-    # wrong or missing grad g fails this bound by orders of magnitude
+    # the rank-one monitor term is ~1e-3 of the M/h diagonal, so a wrong or
+    # missing grad g fails this bound by orders of magnitude
     ctx = with_precision(digits)
     model = KeplerTwoBody(ctx)
     rng = np.random.default_rng(7)
@@ -118,14 +119,14 @@ def test_fd_jacobian_matches_analytic_avi_partials(monitor, digits, fd_step, rel
         state = _random_kepler_state(rng, ctx)
         mon = make_monitor(monitor, model, state)
         delta_a = ctx.real(1e-3) / mon.g(state.q, model.potential_gradient(state.q))
-        residual, jacobian, _ = _avi_system(model, mon, state, delta_a)
-        z = ctx.array(list(1e-3 * rng.standard_normal(4)))
+        residual, jacobian, _ = _momentum_system(model, mon, state, delta_a)
+        z = ctx.array(list(1e-3 * rng.standard_normal(2)))
         J_an = jacobian(z)
         J_fd = fd_jacobian(residual, z, fd_step, ctx)
         assert np.max(np.abs(J_fd - J_an)) <= rel * np.max(np.abs(J_an))
 
 
-@pytest.mark.parametrize("system", ["epavi", "fixed_momentum"])
+@pytest.mark.parametrize("system", ["epavi", "fixed_momentum", "avi"])
 def test_extended_jacobians_are_formed_in_double(monkeypatch, system):
     # the 18-digit Newton step is solved in double, so the Jacobian is
     # formed there too; the 18-digit difference Jacobian is the oracle
@@ -148,6 +149,9 @@ def test_extended_jacobians_are_formed_in_double(monkeypatch, system):
         if system == "epavi":
             residual, jacobian, _ = _epavi_system(model, state)
             z = np.append(z, h)
+        elif system == "avi":
+            avi_step(model, make_monitor("g1", model, state), state, h, cfg)
+            residual, jacobian = captured["residual"], captured["jacobian"]
         else:
             initial_discrete_energy(model, state, h, cfg)
             residual, jacobian = captured["residual"], captured["jacobian"]
