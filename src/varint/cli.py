@@ -53,7 +53,6 @@ class ExperimentConfig:
     p0: float = 0.0
     integrator: str = "epavi"
     h0: float = 0.001
-    delta_a: Optional[float] = None
     T_final: Optional[float] = None
     periods: Optional[float] = None
     tol: Optional[float] = None
@@ -168,7 +167,7 @@ def _run_integrator(cfg: ExperimentConfig, model, state0, scfg):
         return midpoint_fixed_run(model, state0, cfg.h0, T, scfg)
     if name in ("avi1", "avi2"):
         monitor = make_monitor("g1" if name == "avi1" else "g2", model, state0)
-        return avi_run(model, monitor, state0, T, scfg, h0=cfg.h0, delta_a=cfg.delta_a)
+        return avi_run(model, monitor, state0, T, scfg, h0=cfg.h0)
     raise ConfigurationError(f"integrator {name} is not trajectory-producing here")
 
 

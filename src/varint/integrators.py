@@ -36,11 +36,12 @@
 Four shared pieces carry the stepping schemes.  ``_increment`` is the
 midpoint kernel: (v, Mv, (h/2) grad V(mid), V(mid), h) from (q_k, dq, h),
 with h scaled by the monitor density when one is given, under the partials
-of L_d, the EpAVI and momentum residuals and the step updates; the step
-update reuses the kernel that the residual computed at the Newton solution
-(:func:`_remember_two`).  :func:`_momentum_system` is the momentum equation
-above, with its Jacobian: one system for an AVI step, a fixed step (the
-unit monitor, da = h) and EpAVI's fixed-h solves.  ``_march`` is the run
+of L_d, the EpAVI and momentum residuals and the step updates; each residual
+returns its kernel with its value, and the step update reads the kernel at
+the Newton solution from ``SolveReport.aux``.  :func:`_momentum_system` is
+the momentum equation above, with its Jacobian: one system for an AVI step,
+a fixed step (the unit monitor, da = h) and EpAVI's fixed-h solves; both
+Jacobians are built on :func:`_double_partials`.  ``_march`` is the run
 driver: it steps until t >= T_final, aborts on a step below the resolution
 of t, and raises every failure as an :class:`IntegrationError` carrying the
 partial trajectory.  :class:`Monitor` is the AVI density dt/da = g(q) with
@@ -112,16 +113,15 @@ def discrete_lagrangian_midpoint(model: LagrangianModel, t_k, q_k, t_k1, q_k1) -
 def _increment(model, q_k, dq, h, g=None):
     """Midpoint kernel of the step increments: (v, Mv, (h/2) grad V(mid), V(mid), h).
 
-    Given a monitor density ``g``, the step is h g(mid, grad V(mid)) and
-    must be positive.  Working from (dq, h) instead of re-differencing the
-    endpoints avoids an ulp(t)/h error in the velocity, which would dominate
-    the per-step energy defect late in a run.  The step update reuses the
-    residual's kernel at the solution instead of evaluating it again.
+    Given a monitor density ``g``, the step is h g(mid, V(mid), grad V(mid))
+    and must be positive.  Working from (dq, h) instead of re-differencing
+    the endpoints avoids an ulp(t)/h error in the velocity, which would
+    dominate the per-step energy defect late in a run.
     """
     mid = q_k + dq / 2
     V, grad = model.potential_and_gradient(mid)
     if g is not None:
-        g_mid = g(mid, grad)
+        g_mid = g(mid, V, grad)
         if not g_mid > 0:
             raise MonitorDomainError(f"monitor value {g_mid} is not positive")
         h = h * g_mid
@@ -129,29 +129,16 @@ def _increment(model, q_k, dq, h, g=None):
     return v, model.mass_times(v), grad * (h / 2), V, h
 
 
-def _remember_two(fn):
-    """``fn`` of an array, remembering its values at the last two arrays it
-    was called with, keyed by identity.
-
-    A residual evaluates its kernel through this, and the step update then
-    reads the kernel at ``SolveReport.solution``, an array the residual
-    evaluated: the last one, or the one before when a polish trial was
-    evaluated and rejected after it.  Newton never changes an evaluated
-    iterate in place, and a miss recomputes, so the value is always fn(z).
-    """
-    last = before = (None, None)  # (array, fn(array)), newest first
-
-    def remembered(z):
-        nonlocal last, before
-        if z is last[0]:
-            return last[1]
-        if z is before[0]:
-            return before[1]
-        value = fn(z)
-        last, before = (z, value), last
-        return value
-
-    return remembered
+def _double_partials(dm, q_kd, dq, h):
+    """Both step Jacobians' pieces at (dq, h), in double from the double twin
+    ``dm``: (mid, grad V, hess V, v, Mv, A, c), where the momentum residual's
+    dq block is A = M/h + (h/4) hess V and its h column c = grad V/2 - Mv/h."""
+    dq = np.asarray(dq, dtype=float)
+    mid = q_kd + dq / 2
+    grad, hess = dm.potential_gradient_and_hessian(mid)
+    v = dq / h
+    Mv = dm.mass_times(v)
+    return mid, grad, hess, v, Mv, dm.M / h + hess * (h / 4), grad / 2 - Mv / h
 
 
 def _discrete_energy(v, Mv, V) -> Real:
@@ -282,42 +269,38 @@ def _march(model, name, step: Callable, state0, h, T_final, cfg, **meta) -> Traj
 
 
 def _epavi_system(model, state):
-    """Residual, analytic Jacobian and kernel in the increments z = (dq, h).
+    """Residual and analytic Jacobian in the increments z = (dq, h).
 
-    The residual is in the context's arithmetic; the Jacobian is formed in
+    The residual is in the context's arithmetic and returns the kernel
+    :func:`_increment` at z with its value; the Jacobian is formed in
     double from the model's double twin, the precision the Newton step is
-    solved in.  ``kernel(z)`` is :func:`_increment` at z, remembered from
-    the residual's evaluations.
+    solved in.
     """
     n = model.n
     p_k, E_k, q_k = state.p, state.E, state.q
     dm, q_kd = model.double, np.asarray(q_k, dtype=float)
-    kernel = _remember_two(lambda z: _increment(model, q_k, z[:n], z[n]))
 
     def residual(z):
         if not z[n] > 0:  # a nan h included
             raise NonMonotoneTimeError(f"time step {z[n]} must be positive")
-        v, Mv, half_grad, V, _ = kernel(z)
+        kernel = _increment(model, q_k, z[:n], z[n])
+        v, Mv, half_grad, V, _ = kernel
         out = np.empty(n + 1, dtype=z.dtype)
         out[:n] = Mv + half_grad - p_k
         out[n] = _discrete_energy(v, Mv, V) - E_k
-        return out
+        return out, kernel
 
-    def jacobian(z):
-        z = np.asarray(z, dtype=float)
-        dq, h = z[:n], z[n]
-        v = dq / h
-        mid = q_kd + dq / 2
-        grad, hess = dm.potential_gradient_and_hessian(mid)
-        Mv = dm.mass_times(v)
+    def jacobian(z, _):
+        h = float(z[n])
+        _, grad, _, v, Mv, A, c = _double_partials(dm, q_kd, z[:n], h)
         J = np.empty((n + 1, n + 1))
-        J[:n, :n] = dm.M / h + hess * (h / 4)
-        J[:n, n] = -Mv / h + grad / 2
+        J[:n, :n] = A
+        J[:n, n] = c
         J[n, :n] = Mv / h + grad / 2
         J[n, n] = -(v * Mv).sum() / h
         return J
 
-    return residual, jacobian, kernel
+    return residual, jacobian
 
 
 def _increments(ctx, dq, h) -> np.ndarray:
@@ -344,7 +327,7 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
         raise ConfigurationError("h_guess must be positive")
     ctx, n = model.ctx, model.n
     h_guess = ctx.real(h_guess)
-    residual, jacobian, kernel = _epavi_system(model, state)
+    residual, jacobian = _epavi_system(model, state)
 
     def solve(z):
         return newton_solve(residual, z, cfg, ctx, jacobian=jacobian)
@@ -354,11 +337,11 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
     try:
         report, retried = solve(z0), False
     except NonconvergenceError:
-        fixed, _ = _solve_momentum(model, _UNIT, state, h_guess, cfg)
+        fixed = _solve_momentum(model, _UNIT, state, h_guess, cfg)
         report, retried = solve(_increments(ctx, fixed.solution, h_guess)), True
         report = replace(report, iterations=fixed.iterations + report.iterations)
     dq, h = report.solution[:n], report.solution[n]
-    v, Mv, half_grad, V, _ = kernel(report.solution)
+    v, Mv, half_grad, V, _ = report.aux
     new_state = ExtendedState(
         t=state.t + h, q=state.q + dq, p=Mv - half_grad, E=_discrete_energy(v, Mv, V)
     )
@@ -374,7 +357,7 @@ def initial_discrete_energy(model: LagrangianModel, state: ExtendedState, h0, cf
     evaluate D1 L_d there.  Every subsequent coupled step then reproduces
     this level, and its first solution lands on h = h0.
     """
-    _, (v, Mv, _, V, _) = _solve_momentum(model, _UNIT, state, model.ctx.real(h0), cfg)
+    v, Mv, _, V, _ = _solve_momentum(model, _UNIT, state, model.ctx.real(h0), cfg).aux
     return _discrete_energy(v, Mv, V)
 
 
@@ -423,11 +406,11 @@ def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,
 
 @dataclass(frozen=True)
 class Monitor:
-    """Positive time-reparametrization density dt/da = ``g(q, dV)`` and its
-    gradient ``grad(q, g, dV, d2V)``, given dV = grad V(q), d2V = hess V(q)
-    and g = g(q, dV), which the momentum system has at hand; ``grad`` takes
-    and returns doubles, the precision the Jacobian is formed in.  See
-    :func:`make_monitor`."""
+    """Positive time-reparametrization density dt/da = ``g(q, V, dV)`` and
+    its gradient ``grad(q, g, dV, d2V)``, given V = V(q), dV = grad V(q),
+    d2V = hess V(q) and g = g(q, V, dV), which the momentum system has at
+    hand; ``grad`` takes and returns doubles, the precision the Jacobian is
+    formed in.  See :func:`make_monitor`."""
 
     identifier: str
     g: Callable
@@ -435,7 +418,7 @@ class Monitor:
 
 
 #: g = 1: the fictitious step is the physical one.
-_UNIT = Monitor("unit", lambda q, dV: 1, lambda q, g, dV, d2V: 0 * q)
+_UNIT = Monitor("unit", lambda q, V, dV: 1, lambda q, g, dV, d2V: 0 * q)
 
 
 def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Monitor:
@@ -451,8 +434,8 @@ def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Mo
         H0 = model.hamiltonian(model.ctx.array(state0.q), model.ctx.array(state0.p))
         M_inv, M_inv_d = model.M_inv, model.double.M_inv
 
-        def arclength(q, dV):
-            radicand = 2 * (H0 - model.potential(q)) + (dV * np.dot(M_inv, dV)).sum()
+        def arclength(q, V, dV):
+            radicand = 2 * (H0 - V) + (dV * np.dot(M_inv, dV)).sum()
             if radicand <= 0:
                 raise MonitorDomainError(f"arclength monitor radicand {radicand} is not positive")
             return 1 / model.ctx.sqrt(radicand)
@@ -462,7 +445,7 @@ def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Mo
 
         return Monitor("g1", arclength, arclength_grad)
     if name == "g2":
-        return Monitor("g2", lambda q, dV: (q * q).sum(), lambda q, g, dV, d2V: 2 * q)
+        return Monitor("g2", lambda q, V, dV: (q * q).sum(), lambda q, g, dV, d2V: 2 * q)
     if name == "unit":
         return _UNIT
     raise ConfigurationError(f"unknown monitor {name!r}")
@@ -472,47 +455,41 @@ def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Mo
 
 
 def _momentum_system(model, monitor, state, delta_a):
-    """Residual, analytic Jacobian and kernel of the momentum equation in dq.
+    """Residual and analytic Jacobian of the momentum equation in dq.
 
     The residual is Mv + (h/2) grad V(q_av) - p_k with v = dq/h and
     h = delta_a g(q_av); the unit monitor makes it a fixed step
-    h = delta_a.  The Jacobian is the fixed-h block M/h + (h/4) hess V(q_av)
+    h = delta_a.  It returns the kernel :func:`_increment` at dq with its
+    value.  The Jacobian is the fixed-h block A = M/h + (h/4) hess V(q_av)
     plus the rank-one term c (delta_a/2) grad g', where c = grad V/2 - Mv/h
     is the h column of the EpAVI Jacobian; for the unit monitor that term is
     an exact zero.  It is formed in double, as in :func:`_epavi_system`,
-    with h read from ``kernel(dq)``: :func:`_increment` at dq, remembered
-    from the residual's evaluations.
+    with h read from the kernel.
     """
     p_k, q_k, g = state.p, state.q, monitor.g
     dm, q_kd, dad = model.double, np.asarray(q_k, dtype=float), float(delta_a)
-    kernel = _remember_two(lambda dq: _increment(model, q_k, dq, delta_a, g))
 
     def residual(dq):
-        _, Mv, half_grad, _, _ = kernel(dq)
-        return Mv + half_grad - p_k
+        kernel = _increment(model, q_k, dq, delta_a, g)
+        _, Mv, half_grad, _, _ = kernel
+        return Mv + half_grad - p_k, kernel
 
-    def jacobian(dq):
-        h = float(kernel(dq)[4])
-        dq = np.asarray(dq, dtype=float)
-        mid = q_kd + dq / 2
-        grad, hess = dm.potential_gradient_and_hessian(mid)
-        c = grad / 2 - dm.mass_times(dq / h) / h
-        grad_g = monitor.grad(mid, h / dad, grad, hess)
-        return dm.M / h + hess * (h / 4) + np.outer(c, grad_g * (dad / 2))
+    def jacobian(dq, kernel):
+        h = float(kernel[4])
+        mid, grad, hess, _, _, A, c = _double_partials(dm, q_kd, dq, h)
+        return A + np.outer(c, monitor.grad(mid, h / dad, grad, hess) * (dad / 2))
 
-    return residual, jacobian, kernel
+    return residual, jacobian
 
 
-def _solve_momentum(model, monitor, state, delta_a, cfg, dq0=None):
+def _solve_momentum(model, monitor, state, delta_a, cfg, dq0=None) -> SolveReport:
     """Solve :func:`_momentum_system` from ``dq0``, by default the
-    explicit-Euler guess delta_a M^{-1} p_k; returns the
-    :class:`SolveReport` and the kernel (v, Mv, (h/2) grad V, V, h) at its
-    solution."""
-    residual, jacobian, kernel = _momentum_system(model, monitor, state, delta_a)
+    explicit-Euler guess delta_a M^{-1} p_k; the report's ``aux`` is the
+    kernel (v, Mv, (h/2) grad V, V, h) at its solution."""
+    residual, jacobian = _momentum_system(model, monitor, state, delta_a)
     if dq0 is None:
         dq0 = np.dot(model.M_inv, state.p) * delta_a
-    report = newton_solve(residual, dq0, cfg, model.ctx, jacobian=jacobian)
-    return report, kernel(report.solution)
+    return newton_solve(residual, dq0, cfg, model.ctx, jacobian=jacobian)
 
 
 # -- fixed-step implicit midpoint (Lagrangian form) -------------------------------
@@ -524,7 +501,8 @@ def midpoint_fixed_step(model: LagrangianModel, state: ExtendedState, h, cfg: So
     if h <= 0:
         raise ConfigurationError("step size must be positive")
     h = model.ctx.real(h)
-    report, (_, Mv, half_grad, _, _) = _solve_momentum(model, _UNIT, state, h, cfg)
+    report = _solve_momentum(model, _UNIT, state, h, cfg)
+    _, Mv, half_grad, _, _ = report.aux
     q1, p1 = state.q + report.solution, Mv - half_grad
     new_state = ExtendedState(t=state.t + h, q=q1, p=p1, E=model.hamiltonian(q1, p1))
     return new_state, _record(h, report)
@@ -552,12 +530,13 @@ def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, del
     if delta_a <= 0:
         raise ConfigurationError("delta_a must be positive")
     delta_a = model.ctx.real(delta_a)
-    g0 = monitor.g(state.q, model.potential_gradient(state.q))
+    g0 = monitor.g(state.q, *model.potential_and_gradient(state.q))
     if g0 <= 0:
         raise MonitorDomainError(f"monitor value {g0} at the step start is not positive")
     if dq0 is None:
         dq0 = np.dot(model.M_inv, state.p) * (delta_a * g0)
-    report, (_, Mv, half_grad, _, h) = _solve_momentum(model, monitor, state, delta_a, cfg, dq0)
+    report = _solve_momentum(model, monitor, state, delta_a, cfg, dq0)
+    _, Mv, half_grad, _, h = report.aux
     q1, p1 = state.q + report.solution, Mv - half_grad
     new_state = ExtendedState(t=state.t + h, q=q1, p=p1, E=model.hamiltonian(q1, p1))
     return new_state, _record(h, report, delta_a)
@@ -573,7 +552,7 @@ def avi_calibrate_delta_a(model, monitor, state0, h0, cfg: Optional[SolverConfig
     if h0 <= 0:
         raise ConfigurationError("h0 must be positive")
     h0 = model.ctx.real(h0)
-    g0 = monitor.g(state0.q, model.potential_gradient(state0.q))
+    g0 = monitor.g(state0.q, *model.potential_and_gradient(state0.q))
     if g0 <= 0:
         raise MonitorDomainError(f"monitor value {g0} at the initial state is not positive")
     delta_a = h0 / g0

@@ -20,14 +20,15 @@ and the first step that does not lower the residual, or does not move the
 iterate, ends the solve (Deuflhard, Newton Methods for Nonlinear Problems,
 2004, ch. 2).  The condition estimate reuses the last factors.
 
-Every integrator passes analytic partials; :func:`fd_jacobian` is the
-fallback for callers that have none.
+The residual hands back its by-products with its value, and the solver
+carries those of its solution to the caller and to the caller's analytic
+Jacobian; :func:`fd_jacobian` is the difference Jacobian it is checked by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Any, Callable
 
 import numpy as np
 
@@ -87,7 +88,8 @@ class SolveReport:
 
     ``condition_estimate`` belongs to the last Jacobian factored: in a
     polished solve, the Jacobian at the last iterate whose residual exceeded
-    the tolerance, not at ``solution``.
+    the tolerance, not at ``solution``.  ``aux`` is what the residual
+    returned with its value at ``solution``.
     """
 
     solution: np.ndarray
@@ -96,6 +98,7 @@ class SolveReport:
     condition_estimate: float
     converged: bool = True
     stalled: bool = False
+    aux: Any = None
 
 
 def fd_jacobian(F: Callable, x: np.ndarray, fd_step, ctx: PrecisionContext = DOUBLE) -> np.ndarray:
@@ -123,16 +126,17 @@ def newton_solve(
     x0: np.ndarray,
     cfg: SolverConfig,
     ctx: PrecisionContext = DOUBLE,
-    jacobian: Optional[Callable] = None,
+    *,
+    jacobian: Callable,
 ) -> SolveReport:
     """Solve F(x) = 0 by damped Newton iteration.
 
-    ``jacobian(x)`` supplies analytic partials when the caller has them;
-    otherwise a central-difference Jacobian is formed with the step
-    eps(context)^(1/3), the standard central-difference optimum.
-    A domain error raised by ``F`` at a trial point (a collision, a
-    non-positive monitor or time step) marks it infeasible for the damping
-    line search.
+    ``F(x)`` returns ``(residual, aux)``, where ``aux`` is whatever the
+    caller wants back at the solution; ``jacobian(x, aux)`` supplies the
+    analytic partials at x, given the ``aux`` that ``F`` returned there.
+    The report carries the ``aux`` of its solution.  A domain error raised
+    by ``F`` at a trial point (a collision, a non-positive monitor or time
+    step) marks it infeasible for the damping line search.
 
     Raises :class:`NonconvergenceError` when the iteration budget runs out
     or the residual stalls far from the tolerance, and
@@ -140,15 +144,11 @@ def newton_solve(
     condition estimate reaches 0.01 / eps(double), beyond which the
     double-precision step no longer resolves the update.
     """
-    jac = jacobian
-    if jac is None:
-        fd_step = ctx.eps ** (1 / 3)
-        jac = lambda x: fd_jacobian(F, x, fd_step, ctx)
     cond_limit = 0.01 / DOUBLE.eps
     tol = ctx.real(cfg.tol)
 
     x = x0.copy()
-    Fx = F(x)
+    Fx, aux = F(x)
     r = inf_norm(Fx)
     if r == np.inf:
         raise NonconvergenceError("residual not finite at the initial guess")
@@ -163,7 +163,7 @@ def newton_solve(
         if polishing and polish_left <= 0:
             break
         if lu is None or not polishing:
-            lu = ctx.factor(jac(x))
+            lu = ctx.factor(jacobian(x, aux))
         dx = -ctx.solve(lu, Fx)
 
         # damping: halve the step while the residual norm does not decrease;
@@ -178,25 +178,25 @@ def newton_solve(
             if polishing and (xn == x).all():
                 break
             try:
-                Fn = F(xn)
+                Fn, aux_n = F(xn)
             except _DOMAIN_ERRORS:
                 continue
             rn = inf_norm(Fn)  # inf for a non-finite trial, which never beats r
             if best is None or rn < best[2]:
-                best = (xn, Fn, rn)
+                best = (xn, Fn, rn, aux_n)
             if rn < r:
                 break
 
         if best is None or best[2] >= r:
             stalled = True
             break
-        x, Fx, r = best
+        x, Fx, r, aux = best
         iterations += 1
         if r <= tol:
             polish_left -= 1
 
     if lu is None:
-        lu = ctx.factor(jac(x))
+        lu = ctx.factor(jacobian(x, aux))
     cond = ctx.cond_inf(lu)
     if cond >= cond_limit:
         raise IllPosednessError(
@@ -211,6 +211,7 @@ def newton_solve(
         condition_estimate=cond,
         converged=r <= tol,
         stalled=stalled and r > tol,
+        aux=aux,
     )
     if r <= tol:
         return report

@@ -57,6 +57,9 @@ def test_main_exit_codes(tmp_path, capsys):
     # the reference tolerances are fixed, not config keys
     assert main(["run", f"--outdir={tmp_path}", "reltol=1e-10"]) == 2
     assert "unknown config key 'reltol'" in capsys.readouterr().err
+    # the fictitious step is calibrated from h0, not a config key
+    assert main(["run", f"--outdir={tmp_path}", "delta_a=0.003"]) == 2
+    assert "unknown config key 'delta_a'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fields", [
@@ -65,7 +68,7 @@ def test_main_exit_codes(tmp_path, capsys):
     {"reference": False},                              # bool
     {"max_iter": 30, "digits": 18},                    # int
     {"e": 0.7, "h0": 0.01, "condition_warn": 1e10},    # float
-    {"tol": 1e-15, "periods": 2.0, "delta_a": 0.003},  # None-default float
+    {"tol": 1e-15, "periods": 2.0},                    # None-default float
 ])
 def test_config_lines_round_trip(fields):
     # every key parses as the type of its field's default, a None default as float

@@ -261,7 +261,7 @@ def test_monitor_arclength_kepler_value():
     # radicand is exactly 10459/81 at the e=0.7 perihelion, where H0 = -1/2
     model = KeplerTwoBody()
     q = np.array([0.3, 0.0])
-    g = make_monitor("g1", model, kepler_initial_state(0.7)).g(q, model.potential_gradient(q))
+    g = make_monitor("g1", model, kepler_initial_state(0.7)).g(q, *model.potential_and_gradient(q))
     assert g == pytest.approx(9.0 / math.sqrt(10459.0), rel=1e-12)
     assert g == pytest.approx(0.0880, abs=5e-5)
 
@@ -270,7 +270,7 @@ def test_monitor_arclength_free_particle_unit_speed():
     model = HarmonicOscillator(k=0.0)
     s0 = ExtendedState(t=0.0, q=np.array([0.0]), p=np.array([1.0]), E=0.5)  # H0 = 1/2
     q = np.array([0.3])
-    g = make_monitor("g1", model, s0).g(q, model.potential_gradient(q))
+    g = make_monitor("g1", model, s0).g(q, *model.potential_and_gradient(q))
     assert g == pytest.approx(1.0, rel=1e-14)
 
 
@@ -280,14 +280,14 @@ def test_monitor_arclength_domain_error():
     s0 = ExtendedState(t=0.0, q=np.array([0.0]), p=np.array([0.0]), E=-1.0)  # H0 = -1
     q = np.array([0.0])
     with pytest.raises(MonitorDomainError):
-        make_monitor("g1", model, s0).g(q, model.potential_gradient(q))
+        make_monitor("g1", model, s0).g(q, *model.potential_and_gradient(q))
 
 
 def test_monitor_kepler_values():
     g2 = make_monitor("g2", KeplerTwoBody(), kepler_initial_state(0.1)).g
-    assert g2(np.array([1.0, 0.0]), None) == 1.0
-    assert g2(np.array([0.3, 0.0]), None) == pytest.approx(0.09)
-    assert g2(np.array([0.0, 0.0]), None) == 0.0
+    assert g2(np.array([1.0, 0.0]), None, None) == 1.0
+    assert g2(np.array([0.3, 0.0]), None, None) == pytest.approx(0.09)
+    assert g2(np.array([0.0, 0.0]), None, None) == 0.0
 
 
 @pytest.mark.parametrize("name", ["arclength", "kepler"])
@@ -308,7 +308,7 @@ def test_monitor_grad_matches_central_differences(name):
         monitor = make_monitor(name, model, s0)
 
         def g(x):
-            return monitor.g(x, model.potential_gradient(x))
+            return monitor.g(x, *model.potential_and_gradient(x))
 
         fd = np.array([(g(q + d * e) - g(q - d * e)) / (2 * d) for e in np.eye(2)])
         grad = monitor.grad(q, g(q), model.potential_gradient(q), model.potential_hessian(q))
@@ -424,8 +424,8 @@ def test_avi_steps_satisfy_the_coupled_rows(request, fixture):
     worst = 0.0
     for s0, s1, rec in zip(traj.states, traj.states[1:], traj.steps):
         q_av, p_av = (s0.q + s1.q) / 2, (s0.p + s1.p) / 2
-        dV = model.potential_gradient(q_av)
-        g = monitor.g(q_av, dV)
+        V, dV = model.potential_and_gradient(q_av)
+        g = monitor.g(q_av, V, dV)
         da = rec.delta_a
         rows = [(s1.q - s0.q) / da - np.dot(model.M_inv, p_av) * g,
                 (s1.p - s0.p) / da + dV * g,
@@ -450,8 +450,6 @@ def test_integrators_never_reach_fd_jacobian(monkeypatch, integrator):
         raise AssertionError("fd_jacobian reached")
 
     monkeypatch.setattr(varint.solvers, "fd_jacobian", forbidden)
-    with pytest.raises(AssertionError, match="fd_jacobian reached"):
-        varint.solvers.newton_solve(lambda x: x * x - 4.0, np.array([3.0]), CFG13)
     model = KeplerTwoBody()
     s0 = kepler_initial_state(0.7)
     if integrator == "epavi":
@@ -522,8 +520,9 @@ def test_midpoint_fixed_records_the_solve():
 
 def test_step_updates_reuse_the_residual_kernel(monkeypatch):
     # the update after each solve reads the midpoint kernel and AVI's monitor
-    # value from the residual's last evaluations instead of computing them again
-    counts = dict.fromkeys(["kernel", "g", "residual", "jacobian", "steps"], 0)
+    # value from the residual's value at the solution instead of computing
+    # them again
+    counts = dict.fromkeys(["kernel", "g", "residual", "jacobian", "potential", "hamiltonian"], 0)
     increment, solve = varint.integrators._increment, varint.integrators.newton_solve
 
     def counted(key, fn):
@@ -532,8 +531,8 @@ def test_step_updates_reuse_the_residual_kernel(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def counting_solve(F, x0, cfg, ctx, jacobian=None, **kwargs):
-        return solve(counted("residual", F), x0, cfg, ctx, jacobian=counted("jacobian", jacobian), **kwargs)
+    def counting_solve(F, x0, cfg, ctx, *, jacobian):
+        return solve(counted("residual", F), x0, cfg, ctx, jacobian=counted("jacobian", jacobian))
 
     monkeypatch.setattr(varint.integrators, "_increment", counted("kernel", increment))
     monkeypatch.setattr(varint.integrators, "newton_solve", counting_solve)
@@ -545,7 +544,7 @@ def test_step_updates_reuse_the_residual_kernel(monkeypatch):
         assert counts["kernel"] == counts["residual"] > 0
 
     # AVI: one kernel and one monitor value per residual, plus g(q_k) at each
-    # step start; the Jacobian reads h at the iterate the residual last evaluated
+    # step start; the Jacobian reads h from the residual's kernel
     monitor = make_monitor("g2", model, s0)
     monitor = replace(monitor, g=counted("g", monitor.g))
     counts.update(kernel=0, g=0, residual=0, jacobian=0)
@@ -553,6 +552,14 @@ def test_step_updates_reuse_the_residual_kernel(monkeypatch):
     assert counts["jacobian"] > 0
     assert counts["kernel"] == counts["residual"]
     assert counts["g"] == counts["residual"] + len(traj.steps)
+
+    # the arclength monitor takes V(mid) from the kernel and V(q_k) from the
+    # step start's gradient call: V alone is evaluated only for H(q, p)
+    monkeypatch.setattr(KeplerTwoBody, "potential", counted("potential", KeplerTwoBody.potential))
+    monkeypatch.setattr(KeplerTwoBody, "hamiltonian", counted("hamiltonian", KeplerTwoBody.hamiltonian))
+    traj = avi_run(model, make_monitor("g1", model, s0), s0, 0.05, CFG13, h0=1e-3)
+    assert len(traj.steps) >= 40
+    assert counts["potential"] == counts["hamiltonian"] > len(traj.steps)
 
 
 def _exact(x):

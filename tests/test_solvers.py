@@ -24,13 +24,24 @@ from varint import (
     newton_solve,
     with_precision,
 )
-from varint.integrators import _epavi_system, _momentum_system
+from varint.integrators import _double_partials, _epavi_system, _momentum_system
 from varint.models import ExtendedState
+
+
+def _diagonal(x, dF):
+    """Jacobian of an elementwise residual that returns its derivative ``dF``
+    as the by-product."""
+    return np.diag(dF)
+
+
+def _value(residual):
+    """The value alone of a residual that returns (value, by-product)."""
+    return lambda x: residual(x)[0]
 
 
 def test_scalar_quadratic():
     cfg = SolverConfig(tol=1e-12)
-    report = newton_solve(lambda x: x * x - 4.0, np.array([3.0]), cfg)
+    report = newton_solve(lambda x: (x * x - 4.0, 2 * x), np.array([3.0]), cfg, jacobian=_diagonal)
     assert report.solution[0] == pytest.approx(2.0, abs=1e-12)
     assert report.residual_norm <= cfg.tol
     assert report.converged and not report.stalled
@@ -43,14 +54,15 @@ def test_domain_error_at_a_trial_point_halves_the_step(error):
     def F(x):
         if not x[0] > 0:
             raise error("outside the domain")
-        return 1 - 1 / x
+        return 1 - 1 / x, 1 / (x * x)
 
-    report = newton_solve(F, np.array([3.0]), SolverConfig(tol=1e-12))
+    report = newton_solve(F, np.array([3.0]), SolverConfig(tol=1e-12), jacobian=_diagonal)
     assert report.solution[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_identity_root_converges_immediately():
-    report = newton_solve(lambda x: x, np.array([0.0]), SolverConfig(tol=1e-12))
+    report = newton_solve(lambda x: (x, np.ones(1)), np.array([0.0]), SolverConfig(tol=1e-12),
+                          jacobian=_diagonal)
     assert report.solution[0] == 0.0
     assert report.iterations <= 1
 
@@ -67,10 +79,11 @@ def test_free_particle_rest_state_is_ill_posed():
 def test_free_particle_2x2_system_singular_directly():
     model = HarmonicOscillator(k=0.0)
     state = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.0)
-    residual, jacobian, _ = _epavi_system(model, state)
+    residual, jacobian = _epavi_system(model, state)
     z = np.array([0.0, 0.5])  # dq = 0, any h
-    assert np.all(residual(z) == 0.0)
-    J = jacobian(z)
+    r, kernel = residual(z)
+    assert np.all(r == 0.0)
+    J = jacobian(z, kernel)
     assert np.linalg.matrix_rank(J) < 2
 
 
@@ -91,12 +104,12 @@ def test_fd_jacobian_matches_analytic_epavi_partials():
     cfg = SolverConfig(tol=1e-13)
     E0 = initial_discrete_energy(model, state0, 1e-3, cfg)
     state = ExtendedState(t=state0.t, q=state0.q, p=state0.p, E=E0)
-    residual, jacobian, _ = _epavi_system(model, state)
+    residual, jacobian = _epavi_system(model, state)
     z = np.concatenate([1e-3 * np.asarray(state.p), [1e-3]])
     # the residual varies on the scale of h itself, so the difference step
     # must sit well below it for a 1e-6 comparison
-    J_fd = fd_jacobian(residual, z, 1e-7)
-    J_an = jacobian(z)
+    J_fd = fd_jacobian(_value(residual), z, 1e-7)
+    J_an = jacobian(z, residual(z)[1])
     assert np.max(np.abs(J_fd - J_an)) <= 1e-6 * np.max(np.abs(J_an))
 
 
@@ -111,19 +124,29 @@ def _random_kepler_state(rng, ctx):
 @pytest.mark.parametrize("monitor", ["g1", "g2", "unit"])
 def test_fd_jacobian_matches_analytic_avi_partials(monitor, digits, fd_step, rel):
     # the rank-one monitor term is ~1e-3 of the M/h diagonal, so a wrong or
-    # missing grad g fails this bound by orders of magnitude
+    # missing grad g fails this bound by orders of magnitude; with the unit
+    # monitor, EpAVI's momentum rows at h = delta_a are [A | c] of this
+    # system, bit for bit
     ctx = with_precision(digits)
     model = KeplerTwoBody(ctx)
     rng = np.random.default_rng(7)
     for _ in range(20):
         state = _random_kepler_state(rng, ctx)
         mon = make_monitor(monitor, model, state)
-        delta_a = ctx.real(1e-3) / mon.g(state.q, model.potential_gradient(state.q))
-        residual, jacobian, _ = _momentum_system(model, mon, state, delta_a)
+        delta_a = ctx.real(1e-3) / mon.g(state.q, *model.potential_and_gradient(state.q))
+        residual, jacobian = _momentum_system(model, mon, state, delta_a)
         z = ctx.array(list(1e-3 * rng.standard_normal(2)))
-        J_an = jacobian(z)
-        J_fd = fd_jacobian(residual, z, fd_step, ctx)
+        J_an = jacobian(z, residual(z)[1])
+        J_fd = fd_jacobian(_value(residual), z, fd_step, ctx)
         assert np.max(np.abs(J_fd - J_an)) <= rel * np.max(np.abs(J_an))
+        if monitor == "unit":
+            _, _, _, _, _, A, c = _double_partials(model.double, np.asarray(state.q, dtype=float), z,
+                                                   float(delta_a))
+            residual_e, jacobian_e = _epavi_system(model, state)
+            z_e = np.append(z, delta_a)
+            J_e = jacobian_e(z_e, residual_e(z_e)[1])
+            assert np.array_equal(J_an, A)
+            assert np.array_equal(J_e[:2], np.column_stack([A, c]))
 
 
 @pytest.mark.parametrize("system", ["epavi", "fixed_momentum", "avi"])
@@ -133,9 +156,9 @@ def test_extended_jacobians_are_formed_in_double(monkeypatch, system):
     captured = {}
     solve = varint.integrators.newton_solve
 
-    def capturing(F, x0, cfg, ctx, jacobian=None, **kwargs):
+    def capturing(F, x0, cfg, ctx, *, jacobian):
         captured.update(residual=F, jacobian=jacobian)
-        return solve(F, x0, cfg, ctx, jacobian=jacobian, **kwargs)
+        return solve(F, x0, cfg, ctx, jacobian=jacobian)
 
     monkeypatch.setattr(varint.integrators, "newton_solve", capturing)
     ctx = with_precision(18)
@@ -147,7 +170,7 @@ def test_extended_jacobians_are_formed_in_double(monkeypatch, system):
         state = _random_kepler_state(rng, ctx)
         z = np.dot(model.M_inv, state.p) * h
         if system == "epavi":
-            residual, jacobian, _ = _epavi_system(model, state)
+            residual, jacobian = _epavi_system(model, state)
             z = np.append(z, h)
         elif system == "avi":
             avi_step(model, make_monitor("g1", model, state), state, h, cfg)
@@ -155,9 +178,9 @@ def test_extended_jacobians_are_formed_in_double(monkeypatch, system):
         else:
             initial_discrete_energy(model, state, h, cfg)
             residual, jacobian = captured["residual"], captured["jacobian"]
-        J = jacobian(z)
+        J = jacobian(z, residual(z)[1])
         assert J.dtype == np.float64
-        J_fd = fd_jacobian(residual, z, 1e-9, ctx)
+        J_fd = fd_jacobian(_value(residual), z, 1e-9, ctx)
         assert np.max(np.abs(J_fd - J)) <= 1e-13 * np.max(np.abs(J))
 
 
@@ -171,8 +194,8 @@ def test_extended_newton_ill_posedness_limit_is_double():
         b = A @ ctx.array([1, 1])
 
         def solve():
-            return newton_solve(lambda x: A @ x - b, ctx.array([0, 0]), cfg, ctx,
-                                jacobian=lambda x: A)
+            return newton_solve(lambda x: (A @ x - b, None), ctx.array([0, 0]), cfg, ctx,
+                                jacobian=lambda x, _: A)
 
         if ill_posed:
             with pytest.raises(IllPosednessError):
@@ -269,9 +292,9 @@ def test_polish_forms_no_jacobian():
 
     def F(x):
         norms.append(np.abs(residual(x)).max())
-        return residual(x)
+        return residual(x), None
 
-    def jacobian(x):
+    def jacobian(x, _):
         jacobians_at.append(np.abs(residual(x)).max())
         return np.array([[2 * x[0], 1.0], [1.0, 2 * x[1]]])
 
@@ -294,10 +317,9 @@ def test_failed_polish_step_ends_the_solve():
     def F(x):
         out = x * x + c
         norms.append(abs(out[0]))
-        return out
+        return out, 2 * x
 
-    report = newton_solve(F, np.array([0.5]), SolverConfig(tol=tol, polish=20),
-                          jacobian=lambda x: 2 * x.reshape(1, 1))
+    report = newton_solve(F, np.array([0.5]), SolverConfig(tol=tol, polish=20), jacobian=_diagonal)
     assert report.converged and not report.stalled
     assert report.residual_norm == min(norms) <= tol
     first = next(k for k, r in enumerate(norms) if r <= tol)
@@ -312,12 +334,12 @@ def test_epavi_forms_about_three_jacobians_per_step(monkeypatch):
     formed = []
     solve = varint.integrators.newton_solve
 
-    def counting(F, x0, cfg, ctx, jacobian=None, **kwargs):
-        def counted(x):
+    def counting(F, x0, cfg, ctx, *, jacobian):
+        def counted(x, aux):
             formed.append(1)
-            return jacobian(x)
+            return jacobian(x, aux)
 
-        return solve(F, x0, cfg, ctx, jacobian=counted, **kwargs)
+        return solve(F, x0, cfg, ctx, jacobian=counted)
 
     monkeypatch.setattr(varint.integrators, "newton_solve", counting)
     traj = epavi_run(KeplerTwoBody(), kepler_initial_state(0.7), 1e-3, 2 * np.pi, SolverConfig(tol=1e-15))
@@ -328,21 +350,48 @@ def test_epavi_forms_about_three_jacobians_per_step(monkeypatch):
 @pytest.mark.parametrize(
     "F,root,guess",
     [
-        (lambda x: x * x - 4.0, 2.0, 2.2),
-        (lambda x: x ** 3 - 8.0, 2.0, 1.85),
-        (lambda x: np.array([np.exp(x[0]) - 2.0]), np.log(2.0), np.log(2.0) * 1.08),
+        (lambda x: (x * x - 4.0, 2 * x), 2.0, 2.2),
+        (lambda x: (x ** 3 - 8.0, 3 * x * x), 2.0, 1.85),
+        (lambda x: (np.array([np.exp(x[0]) - 2.0]), np.exp(x)), np.log(2.0), np.log(2.0) * 1.08),
     ],
 )
 def test_quadratic_convergence_iteration_budget(F, root, guess):
-    report = newton_solve(F, np.array([guess]), SolverConfig(tol=1e-12))
+    report = newton_solve(F, np.array([guess]), SolverConfig(tol=1e-12), jacobian=_diagonal)
     assert report.iterations <= 8
     assert report.solution[0] == pytest.approx(root, abs=1e-10)
 
 
+@pytest.mark.parametrize("case", ["rejected_polish", "stall", "nonconvergence"])
+def test_report_aux_is_the_residuals_at_the_solution(case):
+    # F returns the index of each point it evaluates; the report carries the
+    # index of its solution, not of a later point that was evaluated and
+    # not accepted: the polish trial that ends the solve, the damping trials
+    # of a stall, or those of a solve that fails
+    c, tol, x0, max_iter = {"rejected_polish": (1e-13, 1e-12, 0.5, 50), "stall": (3e-16, 1e-16, 0.5, 50),
+                            "nonconvergence": (1.0, 1e-12, 0.7, 25)}[case]
+    points = []
+
+    def F(x):
+        points.append(x)
+        return x * x + c, len(points) - 1
+
+    solve = lambda: newton_solve(F, np.array([x0]), SolverConfig(tol=tol, max_iter=max_iter, polish=20),
+                                 jacobian=lambda x, _: 2 * x.reshape(1, 1))
+    if case == "nonconvergence":
+        with pytest.raises(NonconvergenceError) as info:
+            solve()
+        report = info.value.report
+    else:
+        report = solve()
+        assert report.converged if case == "rejected_polish" else report.stalled
+    assert np.array_equal(points[report.aux], report.solution)
+    assert report.aux < len(points) - 1
+
+
 def test_solver_is_pure():
     cfg = SolverConfig(tol=1e-12)
-    a = newton_solve(lambda x: x * x - 2.0, np.array([1.5]), cfg)
-    b = newton_solve(lambda x: x * x - 2.0, np.array([1.5]), cfg)
+    a = newton_solve(lambda x: (x * x - 2.0, 2 * x), np.array([1.5]), cfg, jacobian=_diagonal)
+    b = newton_solve(lambda x: (x * x - 2.0, 2 * x), np.array([1.5]), cfg, jacobian=_diagonal)
     assert a.solution[0] == b.solution[0]
     assert a.residual_norm == b.residual_norm
     assert a.iterations == b.iterations
@@ -351,7 +400,8 @@ def test_solver_is_pure():
 def test_nonconvergence_carries_best_iterate():
     # x^2 + 1 has no real root; the iteration stalls near the local minimum
     with pytest.raises(NonconvergenceError) as info:
-        newton_solve(lambda x: x * x + 1.0, np.array([0.7]), SolverConfig(tol=1e-12, max_iter=25))
+        newton_solve(lambda x: (x * x + 1.0, 2 * x), np.array([0.7]), SolverConfig(tol=1e-12, max_iter=25),
+                     jacobian=_diagonal)
     assert info.value.report is not None
     assert info.value.report.residual_norm >= 1.0
 
@@ -360,7 +410,8 @@ def test_stall_acceptance_within_factor():
     # x^2 + c has no root; |F| bottoms out near c, just above tol, and the
     # solver accepts the floor instead of spinning until max_iter
     c = 3e-16
-    report = newton_solve(lambda x: x * x + c, np.array([0.5]), SolverConfig(tol=1e-16))
+    report = newton_solve(lambda x: (x * x + c, 2 * x), np.array([0.5]), SolverConfig(tol=1e-16),
+                          jacobian=_diagonal)
     assert report.stalled and not report.converged
     assert report.residual_norm <= 10 * 1e-16
 
@@ -375,10 +426,10 @@ def test_nan_damping_trial_is_skipped(digits):
 
     def F(x):
         trials.append(x[0])
-        return np.array([nan if x[0] > 3 else x[0] * x[0] - 1], dtype=x.dtype)
+        return np.array([nan if x[0] > 3 else x[0] * x[0] - 1], dtype=x.dtype), 2 * x
 
     x0 = ctx.array([0.1])
-    report = newton_solve(F, x0, SolverConfig.for_context(ctx), ctx, jacobian=lambda x: 2 * x.reshape(1, 1))
+    report = newton_solve(F, x0, SolverConfig.for_context(ctx), ctx, jacobian=_diagonal)
     assert any(t > 3 for t in trials)
     assert report.converged
     assert abs(float(report.solution[0]) - 1.0) <= 1e-12
@@ -389,8 +440,8 @@ def test_nan_initial_residual_raises(digits):
     ctx = with_precision(digits)
     nan = ctx.real("nan")
     with pytest.raises(NonconvergenceError, match="initial guess"):
-        newton_solve(lambda x: np.array([nan], dtype=x.dtype), ctx.array([0.5]),
-                     SolverConfig.for_context(ctx), ctx)
+        newton_solve(lambda x: (np.array([nan], dtype=x.dtype), None), ctx.array([0.5]),
+                     SolverConfig.for_context(ctx), ctx, jacobian=_diagonal)
 
 
 def test_config_validation():
