@@ -36,7 +36,7 @@ from varint import (
     telescoping_bound_check,
     with_precision,
 )
-from varint.integrators import _extrapolate
+from varint.integrators import Monitor, _extrapolate
 from varint.models import ExtendedState
 
 CFG13 = SolverConfig(tol=1e-13)
@@ -364,6 +364,19 @@ def test_avi_monitor_domain_error_propagates():
         avi_step(model, monitor, bad, 0.1, CFG13)
 
 
+@pytest.mark.parametrize("digits", [16, 18])
+def test_warm_started_avi_step_rejects_a_negative_monitor(digits):
+    # given dq0, the step makes no monitor call at q_k: the residual at dq0
+    # meets g(q_av) <= 0, and newton_solve does not catch that first
+    # evaluation's MonitorDomainError
+    ctx = with_precision(digits)
+    model, s0 = KeplerTwoBody(ctx), kepler_initial_state(0.7, ctx)  # |q_0| = 0.3
+    monitor = Monitor("shifted", lambda q, V, dV: (q * q).sum() - 1, lambda q, g, dV, d2V: 2 * q)
+    h = ctx.real("1e-2")
+    with pytest.raises(MonitorDomainError, match=r"^monitor value \S+ is not positive$"):
+        avi_step(model, monitor, s0, h, SolverConfig.for_context(ctx), np.dot(model.M_inv, s0.p) * h)
+
+
 def test_avi_run_records_delta_a():
     model = KeplerTwoBody()
     s0 = kepler_initial_state(0.1)
@@ -522,7 +535,8 @@ def test_step_updates_reuse_the_residual_kernel(monkeypatch):
     # the update after each solve reads the midpoint kernel and AVI's monitor
     # value from the residual's value at the solution instead of computing
     # them again
-    counts = dict.fromkeys(["kernel", "g", "residual", "jacobian", "potential", "hamiltonian"], 0)
+    counts = dict.fromkeys(["kernel", "g", "residual", "jacobian", "potential", "hamiltonian",
+                             "potential_and_gradient"], 0)
     increment, solve = varint.integrators._increment, varint.integrators.newton_solve
 
     def counted(key, fn):
@@ -543,15 +557,24 @@ def test_step_updates_reuse_the_residual_kernel(monkeypatch):
         assert len(run().steps) >= 40
         assert counts["kernel"] == counts["residual"] > 0
 
-    # AVI: one kernel and one monitor value per residual, plus g(q_k) at each
-    # step start; the Jacobian reads h from the residual's kernel
+    # the fixed step evaluates V and grad V only in its residuals: nothing at
+    # the step start
+    monkeypatch.setattr(KeplerTwoBody, "potential_and_gradient",
+                        counted("potential_and_gradient", KeplerTwoBody.potential_and_gradient))
+    counts.update(residual=0, potential_and_gradient=0)
+    assert len(midpoint_fixed_run(model, s0, 1e-3, 0.05, CFG13).steps) >= 40
+    assert counts["potential_and_gradient"] == counts["residual"] > 0
+
+    # AVI: one kernel and one monitor value per residual, plus g(q_k) at the
+    # cold first step's start only, the later steps being warm-started; the
+    # Jacobian reads h from the residual's kernel
     monitor = make_monitor("g2", model, s0)
     monitor = replace(monitor, g=counted("g", monitor.g))
     counts.update(kernel=0, g=0, residual=0, jacobian=0)
-    traj = avi_run(model, monitor, s0, 0.05, CFG13, delta_a=1e-3)
+    avi_run(model, monitor, s0, 0.05, CFG13, delta_a=1e-3)
     assert counts["jacobian"] > 0
     assert counts["kernel"] == counts["residual"]
-    assert counts["g"] == counts["residual"] + len(traj.steps)
+    assert counts["g"] == counts["residual"] + 1
 
     # the arclength monitor takes V(mid) from the kernel and V(q_k) from the
     # step start's gradient call: V alone is evaluated only for H(q, p)
@@ -584,12 +607,15 @@ def trajectory_digest(traj) -> str:
 #: step updates reused the residual's kernel; the 18-digit run has 109 steps.
 #: The two AVI runs were recorded again once AVI solved its momentum equation
 #: in dq alone (test_unit_monitor_avi_step_is_the_fixed_step_bit_for_bit and
-#: test_avi_steps_satisfy_the_coupled_rows back the new bits).
+#: test_avi_steps_satisfy_the_coupled_rows back the new bits).  The fixed
+#: step's was recorded again once it became the unit-monitor AVI step: its
+#: records' delta_a reads h instead of None, and with delta_a masked the
+#: digest is the one recorded before.
 TRAJECTORY_DIGESTS = {
     "epavi_e07": "e37a4177fd8d4c08968d31edac62b80ca3511a98b19bc2a9b1e557ffff85d20f",
     "avi1_e07": "134eed7a86bdf6ed25e59060a8ed9d6f60456317620494d4544ad27144e8bec7",
     "avi2_e07": "27fbe75fbaed2240f21d5bfbe8358fe3a1c13c2fe995e4050225149e78672f01",
-    "midpoint_fixed_e07": "02b154695f434bfe71623232b839a123a168e5bd7714c0ba4211c58c5ed9b0b7",
+    "midpoint_fixed_e07": "1b45ee034660573d964a01807dc14bc686f206742d61ba079b0b9502ff3fed70",
     "vpa_extended_tol17": "351793fb7f3af260ace6a253c39e1b275c8d0be4a2b39efcb459c45326406860",
 }
 
