@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConfigurationError, NonMonotoneTimeError, StiffnessError
 from .integrators import discrete_partials_midpoint, reference_solve
@@ -279,6 +278,7 @@ def residual_order_estimate(
     if window <= 4 * max(delta_a_list):
         raise ConfigurationError("window too short for the largest delta_a")
     profile.check_monotone(-max(delta_a_list), window + max(delta_a_list))
+    from scipy.integrate import solve_ivp  # loaded on the first solve, not by `import varint`
 
     samples = []
     for da in delta_a_list:
@@ -331,6 +331,7 @@ def lemma1_reparametrization_check(
         return np.concatenate([qp, qp * tpp / tp - tp ** 2 * np.dot(model.M_inv, model.potential_gradient(q))])
 
     y0 = np.concatenate([q0, profile.d1(0.0) * v0])
+    from scipy.integrate import solve_ivp  # loaded on the first solve, not by `import varint`
     sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853",
                     rtol=_INNER_RTOL, atol=_INNER_ATOL, dense_output=True)
     if not sol.success:

@@ -69,7 +69,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown integrator {self.integrator!r}; known: {list(INTEGRATOR_NAMES)}"
             )
-        if self.h0 <= 0:
+        if not self.h0 > 0:
             raise ConfigurationError("h0 must be positive")
         if self.periods is not None and self.problem != "kepler":
             raise ConfigurationError("periods is only defined for the kepler problem")
@@ -373,6 +373,7 @@ def run_suite(name: str, outdir, workers: int = 2) -> dict:
 
     jobs = [(cfg, outdir / _member_label(cfg)) for cfg in members]
     if workers > 1:
+        import scipy.integrate  # noqa: F401 - loaded once here, the forked workers inherit it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_run_member, jobs))
     else:

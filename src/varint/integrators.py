@@ -69,7 +69,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     ConfigurationError,
@@ -229,11 +228,15 @@ def _extrapolate(history) -> np.ndarray:
     return (np.array(history) * _EXTRAPOLATION[len(history) - 1]).sum(axis=0)
 
 
-def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfig]):
-    """Reject a bad start or span; return the start in the model's context and the solver config."""
+def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfig], **steps):
+    """Reject a bad start, span or step (each of ``steps`` given must be > 0, so not nan);
+    return the start in the model's context and the solver config."""
     state0.validate(model.n)
     if T_final < state0.t:
         raise ConfigurationError("T_final must not precede the initial time")
+    for name, value in steps.items():
+        if value is not None and not value > 0:
+            raise ConfigurationError(f"{name} must be positive, got {value}")
     ctx = model.ctx
     state0 = ExtendedState(t=ctx.real(state0.t), q=ctx.array(state0.q), p=ctx.array(state0.p),
                            E=ctx.real(state0.E))
@@ -326,7 +329,7 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
     record is then marked ``retried`` and counts the iterations of both of
     those solves.
     """
-    if h_guess <= 0:
+    if not h_guess > 0:
         raise ConfigurationError("h_guess must be positive")
     ctx, n = model.ctx, model.n
     h_guess = ctx.real(h_guess)
@@ -378,7 +381,7 @@ def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,
     :func:`epavi_step`.  The starting state's E is replaced by the
     h0-consistent discrete level (see :func:`initial_discrete_energy`).
     """
-    state0, cfg = _run_config(model, state0, T_final, cfg)
+    state0, cfg = _run_config(model, state0, T_final, cfg, h0=h0)
     ctx, n = model.ctx, model.n
     if T_final > state0.t:
         try:
@@ -509,7 +512,7 @@ def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, del
     explicit-Euler guess da g(q_k) M^{-1} p_k, the only use of the model at
     q_k.  Every residual rejects g(q_av) <= 0, the one at ``dq0`` included.
     """
-    if delta_a <= 0:
+    if not delta_a > 0:
         raise ConfigurationError("delta_a must be positive")
     delta_a = model.ctx.real(delta_a)
     if dq0 is None:
@@ -531,7 +534,7 @@ def avi_calibrate_delta_a(model, monitor, state0, h0, cfg: Optional[SolverConfig
     realized first step matches h0 to one percent.
     """
     cfg = cfg or SolverConfig.for_context(model.ctx)
-    if h0 <= 0:
+    if not h0 > 0:
         raise ConfigurationError("h0 must be positive")
     h0 = model.ctx.real(h0)
     g0 = monitor.g(state0.q, *model.potential_and_gradient(state0.q))
@@ -557,7 +560,7 @@ def avi_run(model: LagrangianModel, monitor: Monitor, state0: ExtendedState, T_f
     one-period Kepler runs at e = 0.7 this takes 1.7-1.8 Newton iterations
     per step.
     """
-    state0, cfg = _run_config(model, state0, T_final, cfg)
+    state0, cfg = _run_config(model, state0, T_final, cfg, h0=h0, delta_a=delta_a)
     if delta_a is None:
         if h0 is None:
             raise ConfigurationError("avi_run needs either h0 or delta_a")
@@ -586,11 +589,13 @@ def midpoint_fixed_step(model: LagrangianModel, state: ExtendedState, h, cfg: So
     """One fixed-step variational midpoint step: :func:`avi_step` with the
     unit monitor (da = h) from the explicit-Euler start h M^{-1} p_k; E is
     reported as H(q, p) and the record's ``delta_a`` is h."""
+    if not h > 0:
+        raise ConfigurationError(f"h must be positive, got {h}")
     return avi_step(model, _UNIT, state, h, cfg, np.dot(model.M_inv, state.p) * model.ctx.real(h))
 
 
 def midpoint_fixed_run(model, state0, h, T_final, cfg=None) -> Trajectory:
-    state0, cfg = _run_config(model, state0, T_final, cfg)
+    state0, cfg = _run_config(model, state0, T_final, cfg, h=h)
     step = lambda state, _: midpoint_fixed_step(model, state, h, cfg)
     return _march(model, "midpoint_fixed", step, state0, h, T_final, cfg, h0=float(h))
 
@@ -642,7 +647,7 @@ def reference_solve(model, state0: ExtendedState, T_final) -> ReferenceSolution:
         raise ConfigurationError("T_final must not precede the initial time")
     if T_final == t0:
         return ReferenceSolution(model, t0, t0, None, y0)
-
+    from scipy.integrate import solve_ivp  # loaded on the first solve, not by `import varint`
     n = model.n
 
     def rhs(t, y):

@@ -1,8 +1,13 @@
 import hashlib
+import os
 import py_compile
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import varint
 from varint import ConfigurationError
 from varint.cli import (
     ExperimentConfig,
@@ -281,3 +286,45 @@ def test_setup_failure_writes_failure_summary(tmp_path):
     assert "collision guard" in stored["error"]
     assert main(["run", f"--outdir={tmp_path / 'bad'}", "problem=kepler", "e=1.0"]) == 2
     assert not (tmp_path / "bad" / "summary.txt").exists()
+
+
+_IMPORT_SET_PROBE = """
+import sys
+
+import varint, varint.cli
+
+assert "scipy.integrate" not in sys.modules, "import varint loaded scipy.integrate"
+
+
+class Sentinel(Exception):
+    pass
+
+
+seen = []
+
+
+def pool(*args, **kwargs):
+    seen.append("scipy.integrate" in sys.modules)
+    raise Sentinel
+
+
+varint.cli.ProcessPoolExecutor = pool
+try:
+    varint.cli.run_suite("fig_e01", sys.argv[1], workers=2)
+except Sentinel:
+    pass
+assert seen == [True], f"scipy.integrate loaded before the pool: {seen}"
+
+ref = varint.reference_solve(varint.KeplerTwoBody(), varint.kepler_initial_state(0.7), 1.0)
+assert ref.eval(1.0)[0].shape == (2,)
+"""
+
+
+def test_scipy_integrate_loads_only_before_a_pool_or_a_solve(tmp_path):
+    # the test session has loaded scipy.integrate already, so one fresh
+    # interpreter checks what `import varint` loads
+    src = str(Path(varint.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SET_PROBE, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

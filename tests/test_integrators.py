@@ -661,6 +661,25 @@ def test_runs_check_span_before_any_solve(integrator):
             midpoint_fixed_run(model, s0, 0.1, 0.5, CFG13)
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
+@pytest.mark.parametrize("integrator, name", [
+    ("epavi", "h0"), ("avi", "h0"), ("avi", "delta_a"), ("midpoint_fixed", "h"),
+])
+def test_runs_reject_non_positive_steps(integrator, name, h):
+    # a configuration error naming the argument, before any solve
+    model, s0 = KeplerTwoBody(), kepler_initial_state(0.7)
+    with pytest.raises(ConfigurationError, match=f"^{name} must be positive"):
+        if integrator == "epavi":
+            epavi_run(model, s0, h, 1.0, CFG13)
+        elif integrator == "avi":
+            avi_run(model, make_monitor("g2", model, s0), s0, 1.0, CFG13, **{name: h})
+        else:
+            midpoint_fixed_run(model, s0, h, 1.0, CFG13)
+    if integrator == "midpoint_fixed":
+        with pytest.raises(ConfigurationError, match="^h must be positive"):
+            midpoint_fixed_step(model, s0, h, CFG13)
+
+
 # -- reference solver ----------------------------------------------------------------
 
 
