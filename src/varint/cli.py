@@ -69,16 +69,17 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown integrator {self.integrator!r}; known: {list(INTEGRATOR_NAMES)}"
             )
-        if not self.h0 > 0:
-            raise ConfigurationError("h0 must be positive")
+        # runs have no step budget: an infinite span would never return
+        if not 0 < self.h0 < math.inf:
+            raise ConfigurationError(f"h0 must be positive and finite, got {self.h0}")
         if self.periods is not None and self.problem != "kepler":
             raise ConfigurationError("periods is only defined for the kepler problem")
-        if self.final_time() <= 0:
-            raise ConfigurationError("T_final must be positive")
+        if not 0 < self.final_time() < math.inf:
+            raise ConfigurationError(f"T_final must be positive and finite, got {self.final_time()}")
         if self.digits < 10:
             raise ConfigurationError("digits must be at least 10")
-        if self.tol is not None and self.tol <= 0:
-            raise ConfigurationError("tol must be positive")
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise ConfigurationError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be at least 1")
         return self

@@ -30,9 +30,9 @@
   (Hairer, Lubich & Wanner, Geometric Numerical Integration, 2006,
   sec. VIII.2), and the unit monitor g = 1 is that rule.
 
-* A fixed-step implicit midpoint integrator (Lagrangian form), which is
-  the AVI step with the unit monitor, and a dense adaptive Runge-Kutta
-  reference solver.
+* A fixed-step implicit midpoint integrator (Lagrangian form), whose
+  step is the AVI step and whose run is the AVI run with the unit monitor,
+  and a dense adaptive Runge-Kutta reference solver.
 
 Four shared pieces carry the stepping schemes.  ``_increment`` is the
 midpoint kernel: (v, Mv, (h/2) grad V(mid), V(mid), h) from (q_k, dq, h),
@@ -52,15 +52,11 @@ All implicit solves use step increments as unknowns, (dq, h) for EpAVI and
 dq for the momentum equation: the residuals are then insensitive to the
 absolute magnitude of t, which keeps the attainable residual floor at the
 representation level over a full period.  Every solve is given its analytic
-Jacobian, formed in double.  EpAVI and AVI runs start each Newton solve
-after the first from :func:`_extrapolate`, the polynomial extrapolation
-through the last five accepted increments; on the one-period Kepler runs
-that leaves 1.3-1.4 iterations per EpAVI step and 1.7-1.8 per AVI step.
-The fixed-step midpoint keeps the explicit guess.  With the predictor its
-one-period Kepler run at e = 0.7, h = 1e-3 took 7,992 Newton iterations
-instead of 11,091 and 14,417 residuals instead of 17,509, but 6,286
-Jacobians against 6,389, and measured no faster: median 0.771 s against
-0.754 s, 5 wins in 12 alternating pairs on a 2-CPU x86-64 container.
+Jacobian, formed in double.  ``_march`` starts each Newton solve after the
+first from :func:`_extrapolate`, the polynomial extrapolation through the
+last five accepted increments z = (dq, h), whatever the integrator; on the
+one-period Kepler runs that leaves 1.3-1.4 iterations per EpAVI step, and
+at e = 0.7 1.7-1.8 per AVI step and 1.3 per fixed step.
 """
 
 from __future__ import annotations
@@ -228,6 +224,14 @@ def _extrapolate(history) -> np.ndarray:
     return (np.array(history) * _EXTRAPOLATION[len(history) - 1]).sum(axis=0)
 
 
+def _increments(ctx, dq, h) -> np.ndarray:
+    """The increments z = (dq, h), EpAVI's unknowns, as one array of context reals."""
+    z = np.empty(len(dq) + 1, dtype=float if ctx.is_native else object)
+    z[:-1] = dq
+    z[-1] = ctx.real(h)
+    return z
+
+
 def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfig], **steps):
     """Reject a bad start, span or step (each of ``steps`` given must be > 0, so not nan);
     return the start in the model's context and the solver config."""
@@ -244,9 +248,12 @@ def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfi
 
 
 def _march(model, name, step: Callable, state0, h, T_final, cfg, **meta) -> Trajectory:
-    """Apply ``step(state, h_prev) -> (state, record)`` until t >= T_final.
+    """Apply ``step(state, h_prev, z0) -> (state, record)`` until t >= T_final.
 
     ``h_prev`` is the previous record's h, and ``h`` before the first step.
+    The warm start ``z0`` is None for the first step, then the
+    :func:`_extrapolate` prediction from the last five accepted increments
+    z = (q_{k+1} - q_k, record h), or the last of them if it predicts h <= 0.
     A step below the resolution of t means the adaptation collapsed (e.g. a
     monitor decaying to zero) and aborts the run instead of looping towards
     t = const.
@@ -254,10 +261,15 @@ def _march(model, name, step: Callable, state0, h, T_final, cfg, **meta) -> Traj
     meta = {"integrator": name, "model": model.name, "params": dict(model.params), **meta,
             "T_final": float(T_final), "tol": float(cfg.tol), "digits": model.ctx.digits}
     traj = Trajectory(states=[state0], meta=meta)
-    state = state0
+    state, history = state0, []  # the last five accepted increments, oldest first
     while state.t < T_final:
+        z0 = None
+        if history:
+            z0 = _extrapolate(history)
+            if z0[-1] <= 0:
+                z0 = history[-1]
         try:
-            new_state, record = step(state, h)
+            new_state, record = step(state, h, z0)
             if record.h < 64 * model.ctx.eps * (1 + abs(float(new_state.t))):
                 raise NonMonotoneTimeError(
                     f"time step {float(record.h):.3e} underflowed at t = {float(new_state.t):.6g}"
@@ -265,6 +277,7 @@ def _march(model, name, step: Callable, state0, h, T_final, cfg, **meta) -> Traj
         except VarintError as exc:
             message = f"{name} run aborted at t = {float(state.t):.6g} after {len(traj.steps)} steps: {exc}"
             raise IntegrationError(message, trajectory=traj, cause=exc) from exc
+        history = history[-4:] + [_increments(model.ctx, new_state.q - state.q, record.h)]
         state, h = new_state, record.h
         traj.states.append(state)
         traj.steps.append(record)
@@ -307,14 +320,6 @@ def _epavi_system(model, state):
         return J
 
     return residual, jacobian
-
-
-def _increments(ctx, dq, h) -> np.ndarray:
-    """The EpAVI unknowns z = (dq, h) as one array of context reals."""
-    z = np.empty(len(dq) + 1, dtype=float if ctx.is_native else object)
-    z[:-1] = dq
-    z[-1] = ctx.real(h)
-    return z
 
 
 def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: SolverConfig, z0=None):
@@ -371,18 +376,14 @@ def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,
               cfg: Optional[SolverConfig] = None) -> Trajectory:
     """March EpAVI steps until t >= T_final.
 
-    Each Newton solve is warm-started from the accepted increments
-    z = (dq, h): the first step starts from the explicit-Euler guess with
-    h0, every later one from the polynomial extrapolation of the last five
-    (fewer during start-up) by :func:`_extrapolate`, of degree 4 once five
-    are at hand, or from z_k if that gives h <= 0.  On the one-period
-    Kepler runs this takes 1.3-1.4 Newton iterations per step.  The
-    previously accepted h is each step's h_guess for the cold fallback of
+    The first step starts from the explicit-Euler guess with h0, every
+    later one from the warm start z0 = (dq, h) of :func:`_march`; on the
+    one-period Kepler runs this takes 1.3-1.4 Newton iterations per step.
+    The previously accepted h is each step's h_guess for the cold fallback of
     :func:`epavi_step`.  The starting state's E is replaced by the
     h0-consistent discrete level (see :func:`initial_discrete_energy`).
     """
     state0, cfg = _run_config(model, state0, T_final, cfg, h0=h0)
-    ctx, n = model.ctx, model.n
     if T_final > state0.t:
         try:
             state0 = replace(state0, E=initial_discrete_energy(model, state0, h0, cfg))
@@ -392,18 +393,7 @@ def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,
                 trajectory=Trajectory(states=[state0]),
                 cause=exc,
             ) from exc
-    accepted = []  # the last five accepted increments z = (dq, h), oldest first
-
-    def step(state, h):
-        z0 = None
-        if accepted:
-            z0 = _extrapolate(accepted)
-            if z0[n] <= 0:
-                z0 = accepted[-1]
-        new_state, record = epavi_step(model, state, h, cfg, z0)
-        accepted[:] = accepted[-4:] + [_increments(ctx, new_state.q - state.q, record.h)]
-        return new_state, record
-
+    step = lambda state, h, z0: epavi_step(model, state, h, cfg, z0)
     return _march(model, "epavi", step, state0, h0, T_final, cfg, h0=float(h0))
 
 
@@ -507,8 +497,8 @@ def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, del
 
     Solves the momentum equation for dq with h = da g(q_av); then
     t_{k+1} = t_k + h and p_{k+1} = Mv - (h/2) grad V(q_av) are explicit.
-    Newton starts from ``dq0`` when it is given (the warm start of
-    :func:`avi_run` and the fixed step's start), else from the
+    Newton starts from ``dq0`` when it is given (the run driver's warm
+    start, or the fixed step's explicit start), else from the
     explicit-Euler guess da g(q_k) M^{-1} p_k, the only use of the model at
     q_k.  Every residual rejects g(q_av) <= 0, the one at ``dq0`` included.
     """
@@ -555,31 +545,31 @@ def avi_run(model: LagrangianModel, monitor: Monitor, state0: ExtendedState, T_f
 
     ``delta_a`` may be given directly; otherwise it is calibrated so the
     first physical step matches ``h0``.  Recorded energies are H(q_k, p_k).
-    Each Newton solve after the first starts from the extrapolation of the
-    last five accepted increments dq, as in :func:`epavi_run`; on the
-    one-period Kepler runs at e = 0.7 this takes 1.7-1.8 Newton iterations
-    per step.
+    Each Newton solve after the first starts from the dq part of
+    :func:`_march`'s warm start, as in :func:`epavi_run`; on the one-period
+    Kepler runs at e = 0.7 this takes 1.7-1.8 Newton iterations per step.
     """
     state0, cfg = _run_config(model, state0, T_final, cfg, h0=h0, delta_a=delta_a)
     if delta_a is None:
         if h0 is None:
             raise ConfigurationError("avi_run needs either h0 or delta_a")
         delta_a = avi_calibrate_delta_a(model, monitor, state0, h0, cfg)
-    state0 = replace(state0, E=model.hamiltonian(state0.q, state0.p))
-    accepted = []  # the last five accepted increments dq, oldest first
-
-    def step(state, _):
-        dq0 = _extrapolate(accepted) if accepted else None
-        new_state, record = avi_step(model, monitor, state, delta_a, cfg, dq0)
-        accepted[:] = accepted[-4:] + [new_state.q - state.q]
-        return new_state, record
-
-    return _march(
-        model, f"avi_{monitor.identifier}", step, state0, delta_a, T_final, cfg,
+    return _avi_march(
+        model, f"avi_{monitor.identifier}", monitor, state0, delta_a, T_final, cfg,
         monitor=monitor.identifier,
         h0=float(h0) if h0 is not None else float(delta_a),
         delta_a=float(delta_a),
     )
+
+
+def _avi_march(model, name, monitor, state0, delta_a, T_final, cfg, /, **meta) -> Trajectory:
+    """:func:`_march` of :func:`avi_step` from the dq part of each warm start."""
+    state0 = replace(state0, E=model.hamiltonian(state0.q, state0.p))
+
+    def step(state, _, z0):
+        return avi_step(model, monitor, state, delta_a, cfg, None if z0 is None else z0[:-1])
+
+    return _march(model, name, step, state0, delta_a, T_final, cfg, **meta)
 
 
 # -- fixed-step implicit midpoint (Lagrangian form) -------------------------------
@@ -595,9 +585,10 @@ def midpoint_fixed_step(model: LagrangianModel, state: ExtendedState, h, cfg: So
 
 
 def midpoint_fixed_run(model, state0, h, T_final, cfg=None) -> Trajectory:
+    """Fixed-step run until t >= T_final: bit for bit the unit-monitor
+    :func:`avi_run` with ``delta_a=h``, warm-started after the first step."""
     state0, cfg = _run_config(model, state0, T_final, cfg, h=h)
-    step = lambda state, _: midpoint_fixed_step(model, state, h, cfg)
-    return _march(model, "midpoint_fixed", step, state0, h, T_final, cfg, h0=float(h))
+    return _avi_march(model, "midpoint_fixed", _UNIT, state0, h, T_final, cfg, h0=float(h))
 
 
 # -- dense reference solution --------------------------------------------------------

@@ -71,7 +71,7 @@ class SolverConfig:
     polish: int = 2
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
+        if not self.tol > 0 or self.max_iter < 1:  # a nan tol included
             raise ValueError("need tol > 0 and max_iter >= 1")
 
     @classmethod

@@ -201,9 +201,9 @@ def test_criterion_11_unit_monitor_equals_fixed_midpoint():
         max(abs(float(a.q[0] - b.q[0])), abs(float(a.p[0] - b.p[0])))
         for a, b in zip(avi.states[:n], fixed.states[:n])
     )
-    ok = n >= 100 and worst <= 1e-10
+    ok = n >= 100 and worst == 0
     _report(11, ok, f"unit-monitor AVI vs fixed midpoint over {n - 1} steps: "
-                    f"max state difference {worst:.2e} <= 1e-10")
+                    f"max state difference {worst:.2e} == 0")
 
 
 def test_criterion_12_one_step_map_determinant():

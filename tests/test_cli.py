@@ -53,6 +53,22 @@ def test_validation_rejects_low_digits():
         ExperimentConfig(digits=8).validate()
 
 
+@pytest.mark.parametrize("setting", ["tol=nan", "T_final=nan"])
+def test_main_rejects_a_nan_setting(tmp_path, capsys, setting):
+    # nan fails every comparison, so each check must be written to reject it
+    args = ["run", f"--outdir={tmp_path}", "problem=oscillator", "integrator=epavi",
+            "T_final=0.1", "reference=false", setting]
+    assert main(args) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["T_final=inf", "periods=inf", "h0=inf"])
+def test_parse_config_rejects_an_infinite_setting(setting):
+    # never run: a run has no step budget, so an infinite span would not return
+    with pytest.raises(ConfigurationError, match="must be positive and finite"):
+        parse_config(overrides=[setting])
+
+
 def test_main_exit_codes(tmp_path, capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

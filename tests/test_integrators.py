@@ -528,6 +528,25 @@ def test_midpoint_fixed_records_the_solve():
         assert rec.condition_estimate > 0
 
 
+@pytest.mark.parametrize("digits, h", [(16, 1e-3), (18, "1e-2")])
+def test_fixed_run_is_the_unit_monitor_avi_run_bit_for_bit(digits, h):
+    # one code path: the same cold first step and the same warm starts, over
+    # a span long enough for the five-increment predictor to be in full use
+    ctx = with_precision(digits)
+    model, s0 = KeplerTwoBody(ctx), kepler_initial_state(0.7, ctx)
+    cfg, h = SolverConfig.for_context(ctx), ctx.real(h)
+    fixed = midpoint_fixed_run(model, s0, h, 0.3, cfg)
+    avi = avi_run(model, make_monitor("unit", model, s0), s0, 0.3, cfg, delta_a=h)
+    assert len(fixed.steps) >= 30
+    assert len(avi.states) == len(fixed.states)
+    for a, b in zip(avi.states, fixed.states):
+        assert [_exact(a.t), _exact(a.q), _exact(a.p), _exact(a.E)] == \
+            [_exact(b.t), _exact(b.q), _exact(b.p), _exact(b.E)]
+    for a, b in zip(avi.steps, fixed.steps):
+        assert [_exact(getattr(a, f.name)) for f in fields(a)] == \
+            [_exact(getattr(b, f.name)) for f in fields(b)]
+
+
 # -- the step update reuses the solve ---------------------------------------------
 
 
@@ -557,13 +576,14 @@ def test_step_updates_reuse_the_residual_kernel(monkeypatch):
         assert len(run().steps) >= 40
         assert counts["kernel"] == counts["residual"] > 0
 
-    # the fixed step evaluates V and grad V only in its residuals: nothing at
-    # the step start
+    # the fixed run evaluates V and grad V in its residuals, plus g(q_0) once
+    # at the cold first step's start, as AVI does; the later steps are
+    # warm-started
     monkeypatch.setattr(KeplerTwoBody, "potential_and_gradient",
                         counted("potential_and_gradient", KeplerTwoBody.potential_and_gradient))
     counts.update(residual=0, potential_and_gradient=0)
     assert len(midpoint_fixed_run(model, s0, 1e-3, 0.05, CFG13).steps) >= 40
-    assert counts["potential_and_gradient"] == counts["residual"] > 0
+    assert counts["potential_and_gradient"] == counts["residual"] + 1 > 1
 
     # AVI: one kernel and one monitor value per residual, plus g(q_k) at the
     # cold first step's start only, the later steps being warm-started; the
@@ -610,12 +630,15 @@ def trajectory_digest(traj) -> str:
 #: test_avi_steps_satisfy_the_coupled_rows back the new bits).  The fixed
 #: step's was recorded again once it became the unit-monitor AVI step: its
 #: records' delta_a reads h instead of None, and with delta_a masked the
-#: digest is the one recorded before.
+#: digest is the one recorded before.  It was recorded once more when the
+#: fixed run became the unit-monitor AVI run, warm-started by the run
+#: driver's predictor: the same 6,284 steps, with states within 1.4e-12 in
+#: q and p of the explicit-start run's.
 TRAJECTORY_DIGESTS = {
     "epavi_e07": "e37a4177fd8d4c08968d31edac62b80ca3511a98b19bc2a9b1e557ffff85d20f",
     "avi1_e07": "134eed7a86bdf6ed25e59060a8ed9d6f60456317620494d4544ad27144e8bec7",
     "avi2_e07": "27fbe75fbaed2240f21d5bfbe8358fe3a1c13c2fe995e4050225149e78672f01",
-    "midpoint_fixed_e07": "1b45ee034660573d964a01807dc14bc686f206742d61ba079b0b9502ff3fed70",
+    "midpoint_fixed_e07": "8f61aa0abeec8891d5adc2de4484d23031ff91243c34a34804bac4832395e654",
     "vpa_extended_tol17": "351793fb7f3af260ace6a253c39e1b275c8d0be4a2b39efcb459c45326406860",
 }
 

@@ -448,6 +448,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=-1.0)
     with pytest.raises(ValueError):
+        SolverConfig(tol=float("nan"))
+    with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
 
 
