@@ -32,7 +32,7 @@ from .integrators import (
 )
 from .models import initial_state, make_model, model_names
 from .precision import DOUBLE, with_precision
-from .solvers import SolverConfig
+from .solvers import CONDITION_WARN, SolverConfig
 
 KEPLER_PERIOD = 2 * math.pi
 
@@ -43,7 +43,7 @@ SUITE_NAMES = ("fig_e01", "fig_e07", "vpa_study", "bea_orders", "h0_sensitivity"
 
 @dataclass
 class ExperimentConfig:
-    """One run: problem + parameters, integrator, stepping and solver knobs."""
+    """One run: problem + parameters, integrator, stepping and solver tolerance."""
 
     problem: str = "kepler"
     e: float = 0.1
@@ -56,8 +56,6 @@ class ExperimentConfig:
     T_final: Optional[float] = None
     periods: Optional[float] = None
     tol: Optional[float] = None
-    max_iter: int = 50
-    condition_warn: float = 1e12
     digits: int = 16
     outdir: str = "out"
     reference: bool = True
@@ -72,6 +70,8 @@ class ExperimentConfig:
         # runs have no step budget: an infinite span would never return
         if not 0 < self.h0 < math.inf:
             raise ConfigurationError(f"h0 must be positive and finite, got {self.h0}")
+        if self.periods is not None and self.T_final is not None:
+            raise ConfigurationError("set periods or T_final, not both")
         if self.periods is not None and self.problem != "kepler":
             raise ConfigurationError("periods is only defined for the kepler problem")
         if not 0 < self.final_time() < math.inf:
@@ -80,8 +80,6 @@ class ExperimentConfig:
             raise ConfigurationError("digits must be at least 10")
         if self.tol is not None and not 0 < self.tol < math.inf:
             raise ConfigurationError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise ConfigurationError("max_iter must be at least 1")
         return self
 
     def final_time(self) -> float:
@@ -152,13 +150,6 @@ def parse_config(path: Optional[str] = None, overrides: Optional[List[str]] = No
 # -- single experiment -------------------------------------------------------------
 
 
-def _solver_config(cfg: ExperimentConfig, ctx) -> SolverConfig:
-    overrides = {"max_iter": cfg.max_iter}
-    if cfg.tol is not None:
-        overrides["tol"] = cfg.tol
-    return SolverConfig.for_context(ctx, **overrides)
-
-
 def _run_integrator(cfg: ExperimentConfig, model, state0, scfg):
     T = cfg.final_time()
     name = cfg.integrator
@@ -212,7 +203,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
     (outdir / "config.txt").write_text("\n".join(cfg.as_lines()) + "\n")
 
     ctx = with_precision(cfg.digits)
-    scfg = _solver_config(cfg, ctx)
+    scfg = SolverConfig.for_context(ctx, tol=cfg.tol)
 
     summary = {
         "problem": cfg.problem,
@@ -276,7 +267,7 @@ def _trajectory_outputs(cfg, model, traj, outdir, ctx, summary):
             retried_steps=sum(1 for s in traj.steps if s.retried),
             max_residual=max(float(s.residual_norm) for s in traj.steps),
             max_condition_estimate=max(s.condition_estimate for s in traj.steps),
-            condition_warnings=sum(s.condition_estimate > cfg.condition_warn for s in traj.steps),
+            condition_warnings=sum(s.condition_estimate > CONDITION_WARN for s in traj.steps),
         )
         if traj.states[-1].t >= cfg.final_time():
             summary["overshoot"] = float(traj.states[-1].t - cfg.final_time())
@@ -375,7 +366,7 @@ def run_suite(name: str, outdir, workers: int = 2) -> dict:
     jobs = [(cfg, outdir / _member_label(cfg)) for cfg in members]
     if workers > 1:
         import scipy.integrate  # noqa: F401 - loaded once here, the forked workers inherit it
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             summaries = list(pool.map(_run_member, jobs))
     else:
         summaries = [_run_member(job) for job in jobs]

@@ -632,6 +632,7 @@ def reference_solve(model, state0: ExtendedState, T_final) -> ReferenceSolution:
     """High-accuracy adaptive Runge-Kutta reference for Hamilton's equations,
     at relative tolerance 1e-12 and absolute tolerance 1e-14."""
     model = model.double
+    state0.validate(model.n)  # RK45 never returns on a nan right-hand side
     t0 = float(state0.t)
     y0 = np.concatenate([np.asarray(state0.q, dtype=float), np.asarray(state0.p, dtype=float)])
     if T_final < t0:

@@ -142,8 +142,10 @@ class HarmonicOscillator(LagrangianModel):
     name = "oscillator"
 
     def __init__(self, k: float = 1.0, m: float = 1.0, ctx: PrecisionContext = DOUBLE):
-        if m <= 0:
-            raise ConfigurationError("oscillator mass must be positive")
+        if not 0 < m < np.inf:  # nan included
+            raise ConfigurationError(f"oscillator mass m must lie in (0, inf), got {m}")
+        if not all_finite([k]):
+            raise ConfigurationError(f"oscillator stiffness k must be finite, got {k}")
         super().__init__(1, [[m]], ctx)
         self.k = ctx.real(k)
         self.m = ctx.real(m)
@@ -168,8 +170,8 @@ class Pendulum(LagrangianModel):
     name = "pendulum"
 
     def __init__(self, m: float = 1.0, ctx: PrecisionContext = DOUBLE):
-        if m <= 0:
-            raise ConfigurationError("pendulum mass must be positive")
+        if not 0 < m < np.inf:  # nan included
+            raise ConfigurationError(f"pendulum mass m must lie in (0, inf), got {m}")
         super().__init__(1, [[m]], ctx)
         self.m = ctx.real(m)
         self.params = {"m": m}

@@ -27,7 +27,7 @@ Jacobian; :func:`fd_jacobian` is the difference Jacobian it is checked by.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -51,13 +51,23 @@ STALL_FACTOR = 10.0
 #: Damping halves a Newton step at most this many times.
 MAX_HALVINGS = 10
 
+#: Newton iterations per solve, and the polish iterations among them once
+#: the residual meets the tolerance.
+MAX_ITER = 50
+POLISH = 2
+
+#: Condition-number policy: an estimate at or above COND_LIMIT is ill-posed
+#: (the double-precision step no longer resolves the update); run summaries
+#: count the steps whose estimate exceeds CONDITION_WARN.
+COND_LIMIT = 0.01 / DOUBLE.eps
+CONDITION_WARN = 1e12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton solve parameters: residual tolerance, iteration budget and
-    polish budget.
+    """The Newton solve's one setting, its residual tolerance ``tol`` > 0.
 
-    After the tolerance is met, up to ``polish`` further iterations are
+    After the tolerance is met, up to :data:`POLISH` further iterations are
     taken so per-step defects sit at the representation floor rather than
     just under ``tol``.  A polish iteration is a refinement step from the
     last LU factors, undamped; the first one that does not lower the
@@ -67,19 +77,17 @@ class SolverConfig:
     """
 
     tol: float = 1e-12
-    max_iter: int = 50
-    polish: int = 2
 
     def __post_init__(self):
-        if not self.tol > 0 or self.max_iter < 1:  # a nan tol included
-            raise ValueError("need tol > 0 and max_iter >= 1")
+        if not self.tol > 0:  # a nan tol included
+            raise ValueError("need tol > 0")
 
     @classmethod
-    def for_context(cls, ctx: PrecisionContext, **overrides) -> "SolverConfig":
-        """Context default: tol 1e-12 in double, 1e-17 in extended precision."""
-        tol = 1e-12 if ctx.is_native else 1e-17
-        cfg = cls(tol=tol)
-        return replace(cfg, **overrides) if overrides else cfg
+    def for_context(cls, ctx: PrecisionContext, tol: float | None = None) -> "SolverConfig":
+        """``tol``, or by default 1e-12 in double and 1e-17 in extended precision."""
+        if tol is None:
+            tol = 1e-12 if ctx.is_native else 1e-17
+        return cls(tol=tol)
 
 
 @dataclass
@@ -138,13 +146,11 @@ def newton_solve(
     by ``F`` at a trial point (a collision, a non-positive monitor or time
     step) marks it infeasible for the damping line search.
 
-    Raises :class:`NonconvergenceError` when the iteration budget runs out
-    or the residual stalls far from the tolerance, and
+    Raises :class:`NonconvergenceError` when :data:`MAX_ITER` iterations
+    run out or the residual stalls far from the tolerance, and
     :class:`IllPosednessError` when the Jacobian is singular or its
-    condition estimate reaches 0.01 / eps(double), beyond which the
-    double-precision step no longer resolves the update.
+    condition estimate reaches :data:`COND_LIMIT`.
     """
-    cond_limit = 0.01 / DOUBLE.eps
     tol = ctx.real(cfg.tol)
 
     x = x0.copy()
@@ -155,10 +161,10 @@ def newton_solve(
 
     lu = None
     iterations = 0
-    polish_left = cfg.polish
+    polish_left = POLISH
     stalled = False
 
-    while iterations < cfg.max_iter:
+    while iterations < MAX_ITER:
         polishing = r <= tol
         if polishing and polish_left <= 0:
             break
@@ -195,10 +201,8 @@ def newton_solve(
         if r <= tol:
             polish_left -= 1
 
-    if lu is None:
-        lu = ctx.factor(jacobian(x, aux))
     cond = ctx.cond_inf(lu)
-    if cond >= cond_limit:
+    if cond >= COND_LIMIT:
         raise IllPosednessError(
             f"Jacobian condition estimate {cond:.2e} near the solution; "
             "the update equations do not determine the unknowns"

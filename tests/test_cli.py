@@ -69,6 +69,37 @@ def test_parse_config_rejects_an_infinite_setting(setting):
         parse_config(overrides=[setting])
 
 
+def test_parse_config_rejects_periods_with_t_final():
+    # one span: periods would otherwise be ignored in favour of T_final
+    with pytest.raises(ConfigurationError, match="periods or T_final, not both"):
+        parse_config(overrides=["periods=2", "T_final=1"])
+
+
+@pytest.mark.parametrize("setting,integrator,message", [
+    ("q0=nan", "reference", "non-finite"),
+    ("m=inf", "epavi", "mass m"),
+    ("m=nan", "epavi", "mass m"),
+    ("k=nan", "epavi", "stiffness k"),
+])
+def test_main_rejects_a_non_finite_oscillator(tmp_path, capsys, setting, integrator, message):
+    args = ["run", f"--outdir={tmp_path}", "problem=oscillator", f"integrator={integrator}",
+            "T_final=0.1", "reference=false", setting]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_nan_mass_reference_run_returns(tmp_path):
+    # RK45 loops on a nan right-hand side; a fresh interpreter under a timeout
+    # turns a regression into a failure instead of a hung session
+    src = str(Path(varint.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "varint.cli", "run", "problem=oscillator", "m=nan",
+                           "integrator=reference", "T_final=0.1", f"outdir={tmp_path}"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "mass m" in proc.stderr
+
+
 def test_main_exit_codes(tmp_path, capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -81,14 +112,18 @@ def test_main_exit_codes(tmp_path, capsys):
     # the fictitious step is calibrated from h0, not a config key
     assert main(["run", f"--outdir={tmp_path}", "delta_a=0.003"]) == 2
     assert "unknown config key 'delta_a'" in capsys.readouterr().err
+    # the iteration budget and the condition-count threshold are constants
+    for item in ("max_iter=30", "condition_warn=1e10"):
+        assert main(["run", f"--outdir={tmp_path}", item]) == 2
+        assert f"unknown config key {item.split('=')[0]!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fields", [
     {},
     {"problem": "pendulum", "outdir": "runs/p"},        # str
     {"reference": False},                              # bool
-    {"max_iter": 30, "digits": 18},                    # int
-    {"e": 0.7, "h0": 0.01, "condition_warn": 1e10},    # float
+    {"digits": 18},                                    # int
+    {"e": 0.7, "h0": 0.01},                            # float
     {"tol": 1e-15, "periods": 2.0},                    # None-default float
 ])
 def test_config_lines_round_trip(fields):
@@ -162,7 +197,7 @@ def test_summary_counts_the_solver_work(tmp_path):
     assert stored["retried_steps"] == "0"
 
 
-def test_summary_reports_condition_and_overshoot(tmp_path):
+def test_summary_reports_condition_and_overshoot(tmp_path, monkeypatch):
     summary = run_experiment(_quick_cfg(tmp_path / "default", reference=False))
     assert summary["success"] and summary["condition_warnings"] == 0
     assert 1 <= summary["max_condition_estimate"] < 1e12
@@ -175,7 +210,8 @@ def test_summary_reports_condition_and_overshoot(tmp_path):
         assert stored[key] == str(summary[key])
     # the threshold only counts, it never changes a solve; every EpAVI step
     # of this run has an estimate above 1
-    warned = run_experiment(_quick_cfg(tmp_path / "warned", reference=False, condition_warn=1.0))
+    monkeypatch.setattr(varint.cli, "CONDITION_WARN", 1.0)
+    warned = run_experiment(_quick_cfg(tmp_path / "warned", reference=False))
     assert warned["max_condition_estimate"] == summary["max_condition_estimate"]
     assert warned["condition_warnings"] == warned["n_steps"] == summary["n_steps"]
 
@@ -241,10 +277,8 @@ def test_main_run_oscillator(tmp_path, capsys):
 def test_solver_keys_flow_through(tmp_path):
     cfg = parse_config(None, [
         "problem=oscillator", "integrator=epavi", "h0=0.05", "T_final=0.5",
-        "tol=1e-11", "max_iter=30", "condition_warn=1e10",
-        f"outdir={tmp_path}", "reference=false",
+        "tol=1e-11", f"outdir={tmp_path}", "reference=false",
     ])
-    assert cfg.condition_warn == 1e10
     assert run_experiment(cfg)["success"]
     # every integrator has analytic partials, so there is no FD step to set
     with pytest.raises(ConfigurationError, match="unknown config key 'fd_step'"):
@@ -334,6 +368,24 @@ assert seen == [True], f"scipy.integrate loaded before the pool: {seen}"
 ref = varint.reference_solve(varint.KeplerTwoBody(), varint.kepler_initial_state(0.7), 1.0)
 assert ref.eval(1.0)[0].shape == (2,)
 """
+
+
+def test_suite_pool_is_capped_at_the_member_count(tmp_path, monkeypatch):
+    # the fork start method launches every worker at once; the stub raises
+    # before any process starts
+    class Sentinel(Exception):
+        pass
+
+    seen = []
+
+    def pool(max_workers):
+        seen.append(max_workers)
+        raise Sentinel
+
+    monkeypatch.setattr(varint.cli, "ProcessPoolExecutor", pool)
+    with pytest.raises(Sentinel):
+        run_suite("fig_e01", tmp_path, workers=1000)
+    assert seen == [3]
 
 
 def test_scipy_integrate_loads_only_before_a_pool_or_a_solve(tmp_path):

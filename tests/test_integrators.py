@@ -732,6 +732,13 @@ def test_reference_trivial_span():
     assert np.all(q == np.asarray(s0.q))
 
 
+def test_reference_rejects_a_non_finite_start():
+    # checked before the solve: RK45 would never return on a nan right-hand side
+    s0 = ExtendedState(t=0.0, q=np.array([math.nan]), p=np.array([0.0]), E=0.5)
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        reference_solve(HarmonicOscillator(), s0, 0.1)
+
+
 def test_reference_rejects_outside_queries(reference_e01):
     with pytest.raises(ConfigurationError):
         reference_e01.eval(100.0)

@@ -174,6 +174,20 @@ def test_make_model_registry():
         make_model("three_body")
 
 
+@pytest.mark.parametrize("name,key,value,message", [
+    ("oscillator", "m", math.nan, "mass m"),
+    ("oscillator", "m", math.inf, "mass m"),
+    ("oscillator", "m", 0.0, "mass m"),
+    ("oscillator", "k", math.nan, "stiffness k"),
+    ("oscillator", "k", -math.inf, "stiffness k"),
+    ("pendulum", "m", math.nan, "mass m"),
+    ("pendulum", "m", math.inf, "mass m"),
+])
+def test_model_parameters_must_be_finite(name, key, value, message):
+    with pytest.raises(ConfigurationError, match=message):
+        make_model(name, {key: value})
+
+
 def test_double_twin():
     model = KeplerTwoBody()
     assert model.double is model

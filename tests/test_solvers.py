@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import varint.integrators
+import varint.solvers
 from varint import (
     DOUBLE,
     HarmonicOscillator,
@@ -280,7 +281,7 @@ def test_epavi_step_marks_the_cold_fallback(monkeypatch):
     assert len(solved) == 2 and record.iterations == sum(solved)
 
 
-def test_polish_forms_no_jacobian():
+def test_polish_forms_no_jacobian(monkeypatch):
     # from near the root every Newton step is taken in full; once r <= tol
     # a polish step refines from the factors in hand: no Jacobian, one F call
     tol = 1e-12
@@ -298,7 +299,8 @@ def test_polish_forms_no_jacobian():
         jacobians_at.append(np.abs(residual(x)).max())
         return np.array([[2 * x[0], 1.0], [1.0, 2 * x[1]]])
 
-    report = newton_solve(F, np.array([1.3, 1.8]), SolverConfig(tol=tol, polish=4), jacobian=jacobian)
+    monkeypatch.setattr(varint.solvers, "POLISH", 4)
+    report = newton_solve(F, np.array([1.3, 1.8]), SolverConfig(tol=tol), jacobian=jacobian)
     assert report.converged and not report.stalled
     above = sum(r > tol for r in norms)  # the iterations that started with r > tol
     assert all(a > b for a, b in zip(norms[:above], norms[1:above + 1]))  # no damping
@@ -308,7 +310,7 @@ def test_polish_forms_no_jacobian():
     assert len(norms) - 1 - above <= polish_steps
 
 
-def test_failed_polish_step_ends_the_solve():
+def test_failed_polish_step_ends_the_solve(monkeypatch):
     # |x^2 + c| bottoms out at c < tol; polish steps from the last factors
     # lower it until one overshoots, and that single trial ends the solve
     c, tol = 1e-13, 1e-12
@@ -319,7 +321,8 @@ def test_failed_polish_step_ends_the_solve():
         norms.append(abs(out[0]))
         return out, 2 * x
 
-    report = newton_solve(F, np.array([0.5]), SolverConfig(tol=tol, polish=20), jacobian=_diagonal)
+    monkeypatch.setattr(varint.solvers, "POLISH", 20)
+    report = newton_solve(F, np.array([0.5]), SolverConfig(tol=tol), jacobian=_diagonal)
     assert report.converged and not report.stalled
     assert report.residual_norm == min(norms) <= tol
     first = next(k for k, r in enumerate(norms) if r <= tol)
@@ -362,7 +365,7 @@ def test_quadratic_convergence_iteration_budget(F, root, guess):
 
 
 @pytest.mark.parametrize("case", ["rejected_polish", "stall", "nonconvergence"])
-def test_report_aux_is_the_residuals_at_the_solution(case):
+def test_report_aux_is_the_residuals_at_the_solution(case, monkeypatch):
     # F returns the index of each point it evaluates; the report carries the
     # index of its solution, not of a later point that was evaluated and
     # not accepted: the polish trial that ends the solve, the damping trials
@@ -375,7 +378,9 @@ def test_report_aux_is_the_residuals_at_the_solution(case):
         points.append(x)
         return x * x + c, len(points) - 1
 
-    solve = lambda: newton_solve(F, np.array([x0]), SolverConfig(tol=tol, max_iter=max_iter, polish=20),
+    monkeypatch.setattr(varint.solvers, "MAX_ITER", max_iter)
+    monkeypatch.setattr(varint.solvers, "POLISH", 20)
+    solve = lambda: newton_solve(F, np.array([x0]), SolverConfig(tol=tol),
                                  jacobian=lambda x, _: 2 * x.reshape(1, 1))
     if case == "nonconvergence":
         with pytest.raises(NonconvergenceError) as info:
@@ -397,10 +402,11 @@ def test_solver_is_pure():
     assert a.iterations == b.iterations
 
 
-def test_nonconvergence_carries_best_iterate():
+def test_nonconvergence_carries_best_iterate(monkeypatch):
     # x^2 + 1 has no real root; the iteration stalls near the local minimum
+    monkeypatch.setattr(varint.solvers, "MAX_ITER", 25)
     with pytest.raises(NonconvergenceError) as info:
-        newton_solve(lambda x: (x * x + 1.0, 2 * x), np.array([0.7]), SolverConfig(tol=1e-12, max_iter=25),
+        newton_solve(lambda x: (x * x + 1.0, 2 * x), np.array([0.7]), SolverConfig(tol=1e-12),
                      jacobian=_diagonal)
     assert info.value.report is not None
     assert info.value.report.residual_norm >= 1.0
@@ -449,8 +455,6 @@ def test_config_validation():
         SolverConfig(tol=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(tol=float("nan"))
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
 
 
 def test_context_default_tolerances():
