@@ -235,9 +235,7 @@ def _increments(ctx, dq, h) -> np.ndarray:
 def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfig], **steps):
     """Reject a bad start, span or step (each of ``steps`` given must be > 0, so not nan);
     return the start in the model's context and the solver config."""
-    state0.validate(model.n)
-    if T_final < state0.t:
-        raise ConfigurationError("T_final must not precede the initial time")
+    _check_span(model, state0, T_final)
     for name, value in steps.items():
         if value is not None and not value > 0:
             raise ConfigurationError(f"{name} must be positive, got {value}")
@@ -245,6 +243,13 @@ def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfi
     state0 = ExtendedState(t=ctx.real(state0.t), q=ctx.array(state0.q), p=ctx.array(state0.p),
                            E=ctx.real(state0.E))
     return state0, cfg or SolverConfig.for_context(ctx)
+
+
+def _check_span(model, state0: ExtendedState, T_final):
+    """Reject a bad start, or a T_final that precedes it or is not finite."""
+    state0.validate(model.n)
+    if not state0.t <= T_final < np.inf:  # false for a nan T_final
+        raise ConfigurationError(f"T_final must be finite and not precede the initial time, got {T_final}")
 
 
 def _march(model, name, step: Callable, state0, h, T_final, cfg, **meta) -> Trajectory:
@@ -632,11 +637,9 @@ def reference_solve(model, state0: ExtendedState, T_final) -> ReferenceSolution:
     """High-accuracy adaptive Runge-Kutta reference for Hamilton's equations,
     at relative tolerance 1e-12 and absolute tolerance 1e-14."""
     model = model.double
-    state0.validate(model.n)  # RK45 never returns on a nan right-hand side
+    _check_span(model, state0, T_final)  # RK45 never returns on a nan right-hand side or span
     t0 = float(state0.t)
     y0 = np.concatenate([np.asarray(state0.q, dtype=float), np.asarray(state0.p, dtype=float)])
-    if T_final < t0:
-        raise ConfigurationError("T_final must not precede the initial time")
     if T_final == t0:
         return ReferenceSolution(model, t0, t0, None, y0)
     from scipy.integrate import solve_ivp  # loaded on the first solve, not by `import varint`

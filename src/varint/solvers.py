@@ -13,12 +13,17 @@ solved in double: in an extended context this is iterative refinement,
 which reaches the residual's precision while the Jacobian is well
 conditioned in double.
 
-A Jacobian is formed and factored only while the residual exceeds the
-tolerance.  Once it is met, each polish iteration is one undamped
-refinement step from the LU factors already in hand (Moler, JACM 14, 1967),
-and the first step that does not lower the residual, or does not move the
-iterate, ends the solve (Deuflhard, Newton Methods for Nonlinear Problems,
-2004, ch. 2).  The condition estimate reuses the last factors.
+Each iteration takes the first trial that lowers the residual norm, the
+Newton step halved at most :data:`MAX_HALVINGS` times; without one the
+solve has stalled (Deuflhard, Newton Methods for Nonlinear Problems, 2004,
+ch. 2).  A Jacobian is formed and factored only while the residual exceeds
+the tolerance; an iteration from an iterate within it is a polish step, one
+undamped refinement from the LU factors in hand (Moler, JACM 14, 1967).
+The solve ends once :data:`POLISH` accepted iterates lie within the
+tolerance, the one that first met it included (with POLISH = 2, one polish
+step after a Newton step meets it, two from a starting guess within it),
+or at the first polish step that does not lower the residual or move the
+iterate.  The condition estimate reuses the last factors.
 
 The residual hands back its by-products with its value, and the solver
 carries those of its solution to the caller and to the caller's analytic
@@ -41,8 +46,8 @@ from .errors import (
 )
 from .precision import DOUBLE, PrecisionContext, Real, all_finite, inf_norm
 
-#: Domain errors that mark a trial point as infeasible during damping.
-_DOMAIN_ERRORS = (SingularityError, MonitorDomainError, NonMonotoneTimeError)
+#: Errors that mark a trial point infeasible: a domain error, or an overflow.
+_INFEASIBLE = (SingularityError, MonitorDomainError, NonMonotoneTimeError, OverflowError)
 
 #: A stalled iterate is accepted when its residual is within this factor of
 #: the tolerance: the double-precision floor of the energy equation.
@@ -51,8 +56,7 @@ STALL_FACTOR = 10.0
 #: Damping halves a Newton step at most this many times.
 MAX_HALVINGS = 10
 
-#: Newton iterations per solve, and the polish iterations among them once
-#: the residual meets the tolerance.
+#: Newton iterations per solve; the accepted iterates within tol that end it.
 MAX_ITER = 50
 POLISH = 2
 
@@ -67,13 +71,9 @@ CONDITION_WARN = 1e12
 class SolverConfig:
     """The Newton solve's one setting, its residual tolerance ``tol`` > 0.
 
-    After the tolerance is met, up to :data:`POLISH` further iterations are
-    taken so per-step defects sit at the representation floor rather than
-    just under ``tol``.  A polish iteration is a refinement step from the
-    last LU factors, undamped; the first one that does not lower the
-    residual ends the solve.  While the residual exceeds ``tol``, damping
-    halves a step at most :data:`MAX_HALVINGS` times, and a stall within
-    :data:`STALL_FACTOR` of ``tol`` is accepted.
+    Polish steps past ``tol`` put per-step defects at the representation
+    floor rather than just under it, and a stall within
+    :data:`STALL_FACTOR` of ``tol`` is accepted (see the module docstring).
     """
 
     tol: float = 1e-12
@@ -94,17 +94,17 @@ class SolverConfig:
 class SolveReport:
     """Outcome of :func:`newton_solve`.
 
-    ``condition_estimate`` belongs to the last Jacobian factored: in a
-    polished solve, the Jacobian at the last iterate whose residual exceeded
-    the tolerance, not at ``solution``.  ``aux`` is what the residual
-    returned with its value at ``solution``.
+    ``residual_norm`` <= the tolerance marks a converged solve; ``stalled``
+    one accepted at its floor above it.  ``condition_estimate`` belongs to
+    the last Jacobian factored: in a polished solve, the Jacobian at the last
+    iterate whose residual exceeded the tolerance, not at ``solution``.
+    ``aux`` is what the residual returned with its value at ``solution``.
     """
 
     solution: np.ndarray
     residual_norm: Real
     iterations: int
     condition_estimate: float
-    converged: bool = True
     stalled: bool = False
     aux: Any = None
 
@@ -142,14 +142,14 @@ def newton_solve(
     ``F(x)`` returns ``(residual, aux)``, where ``aux`` is whatever the
     caller wants back at the solution; ``jacobian(x, aux)`` supplies the
     analytic partials at x, given the ``aux`` that ``F`` returned there.
-    The report carries the ``aux`` of its solution.  A domain error raised
-    by ``F`` at a trial point (a collision, a non-positive monitor or time
-    step) marks it infeasible for the damping line search.
+    The report carries the ``aux`` of its solution.  A domain error (a
+    collision, a non-positive monitor or time step) or an ``OverflowError``
+    raised by ``F`` at a trial point marks it infeasible for the damping.
 
     Raises :class:`NonconvergenceError` when :data:`MAX_ITER` iterations
-    run out or the residual stalls far from the tolerance, and
-    :class:`IllPosednessError` when the Jacobian is singular or its
-    condition estimate reaches :data:`COND_LIMIT`.
+    run out, the residual stalls far from the tolerance or the Jacobian
+    overflows, and :class:`IllPosednessError` when the Jacobian is singular
+    or its condition estimate reaches :data:`COND_LIMIT`.
     """
     tol = ctx.real(cfg.tol)
 
@@ -164,20 +164,18 @@ def newton_solve(
     polish_left = POLISH
     stalled = False
 
-    while iterations < MAX_ITER:
+    while iterations < MAX_ITER and polish_left > 0:
         polishing = r <= tol
-        if polishing and polish_left <= 0:
-            break
         if lu is None or not polishing:
-            lu = ctx.factor(jacobian(x, aux))
+            try:
+                lu = ctx.factor(jacobian(x, aux))
+            except OverflowError:
+                raise NonconvergenceError(f"Jacobian overflows after {iterations} iterations") from None
         dx = -ctx.solve(lu, Fx)
 
-        # damping: halve the step while the residual norm does not decrease;
-        # a polish step is the single undamped refinement from the factors
-        # in hand, and the first one that does not move the iterate or lower
-        # the residual ends the solve
-        lam = 1
-        best = None
+        # the first trial that lowers the residual norm; rn stays >= r when
+        # none does, or when a polish step does not move the iterate
+        lam, rn = 1, r
         for _ in range(1 if polishing else MAX_HALVINGS + 1):
             xn = x + dx if lam == 1 else x + lam * dx
             lam = lam / 2
@@ -185,18 +183,15 @@ def newton_solve(
                 break
             try:
                 Fn, aux_n = F(xn)
-            except _DOMAIN_ERRORS:
+            except _INFEASIBLE:
                 continue
             rn = inf_norm(Fn)  # inf for a non-finite trial, which never beats r
-            if best is None or rn < best[2]:
-                best = (xn, Fn, rn, aux_n)
             if rn < r:
                 break
-
-        if best is None or best[2] >= r:
+        if not rn < r:
             stalled = True
             break
-        x, Fx, r, aux = best
+        x, Fx, r, aux = xn, Fn, rn, aux_n
         iterations += 1
         if r <= tol:
             polish_left -= 1
@@ -213,14 +208,10 @@ def newton_solve(
         residual_norm=r,
         iterations=iterations,
         condition_estimate=cond,
-        converged=r <= tol,
         stalled=stalled and r > tol,
         aux=aux,
     )
-    if r <= tol:
-        return report
-    if stalled and r <= STALL_FACTOR * cfg.tol:
-        # residual floor of the representation; accept and report honestly
+    if r <= tol or (stalled and r <= STALL_FACTOR * cfg.tol):
         return report
     raise NonconvergenceError(
         f"no convergence: residual {float(r):.3e} after {iterations} iterations "

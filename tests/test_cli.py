@@ -322,6 +322,29 @@ def test_failed_run_writes_failure_summary(tmp_path):
     assert "error" in stored
 
 
+def test_energy_initialization_failure_writes_failure_summary(tmp_path):
+    # at e = 0.1 the momentum equation over h0 = 1 has no nearby solution:
+    # the run fails before its first step and writes no trajectory
+    code = main(["run", f"--outdir={tmp_path}", "problem=kepler", "e=0.1", "h0=1", "reference=false"])
+    assert code == 1
+    stored = read_summary(tmp_path / "summary.txt")
+    assert stored["success"] == "False"
+    assert stored["error"].startswith("epavi energy initialization failed")
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_jacobian_overflow_writes_failure_summary(tmp_path):
+    # AVI's delta_a calibration at e = 0.95 runs the Newton iterates away
+    # (|q_k + dq| ~ 1e71) until the Kepler Hessian's r ** 5 overflows a
+    # float: a failed run (exit 1, summary written), not a traceback
+    code = main(["run", f"--outdir={tmp_path}", "problem=kepler", "e=0.95", "integrator=avi2",
+                 "h0=0.05", "periods=1", "reference=false"])
+    assert code == 1
+    stored = read_summary(tmp_path / "summary.txt")
+    assert stored["success"] == "False"
+    assert stored["error"].startswith("Jacobian overflows")
+
+
 def test_setup_failure_writes_failure_summary(tmp_path):
     # a start inside the Kepler collision guard fails while the initial
     # state is built: still exit 1 with a summary; e >= 1 is a configuration

@@ -1,7 +1,11 @@
 import hashlib
 import math
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -36,7 +40,7 @@ from varint import (
     telescoping_bound_check,
     with_precision,
 )
-from varint.integrators import Monitor, _extrapolate
+from varint.integrators import Monitor, StepRecord, _extrapolate, _march
 from varint.models import ExtendedState
 
 CFG13 = SolverConfig(tol=1e-13)
@@ -354,6 +358,18 @@ def test_avi_calibration_realizes_h0():
     assert abs(rec.h - 1e-3) <= 0.01 * 1e-3
 
 
+def test_avi_calibration_refines_a_first_step_that_misses_h0():
+    # at h0 = 0.1 the step from da = h0 / g(q_0) misses h0 by 3.7%; the
+    # refinement brings the calibrated step within 0.4%
+    model, s0 = KeplerTwoBody(), kepler_initial_state(0.7)
+    monitor = make_monitor("g2", model, s0)
+    g0 = monitor.g(s0.q, *model.potential_and_gradient(s0.q))
+    _, first = avi_step(model, monitor, s0, 0.1 / g0, CFG13)
+    assert abs(first.h - 0.1) >= 0.03 * 0.1
+    _, calibrated = avi_step(model, monitor, s0, avi_calibrate_delta_a(model, monitor, s0, 0.1, CFG13), CFG13)
+    assert abs(calibrated.h - 0.1) <= 0.004 * 0.1
+
+
 def test_avi_monitor_domain_error_propagates():
     # arclength radicand is negative when H0 < V(q)
     model = Pendulum()
@@ -666,6 +682,73 @@ def test_run_aborts_on_step_underflow():
     assert isinstance(info.value.cause, NonMonotoneTimeError)
     assert str(info.value).startswith("midpoint_fixed run aborted at t = 0 after 0 steps: ")
     assert len(info.value.trajectory.states) == 1
+
+
+def test_march_falls_back_to_the_last_increment_below_a_zero_h_prediction():
+    # the degree-4 extrapolation of h = 0.1, 0.1, 0.1, 0.1, 0.001 predicts
+    # h = -0.395, so the sixth step starts from the fifth increment instead
+    hs, starts = [0.1, 0.1, 0.1, 0.1, 0.001, 0.1], []
+
+    def step(state, _, z0):
+        starts.append(z0)
+        h = hs[len(starts) - 1]
+        return replace(state, t=state.t + h, q=state.q + h), StepRecord(h, 0.0, 0)
+
+    s0 = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.5)
+    traj = _march(HarmonicOscillator(), "scripted", step, s0, 0.1, 0.45, CFG13)
+    assert len(traj.steps) == 6 and starts[0] is None
+    states = traj.states
+    history = [np.append(b.q - a.q, r.h) for a, b, r in zip(states[:5], states[1:], traj.steps)]
+    assert _extrapolate(history)[-1] == pytest.approx(-0.395)
+    assert np.array_equal(starts[5], history[-1])
+
+
+_SPAN_PROBE = """
+import numpy as np
+from varint import (ConfigurationError, HarmonicOscillator, avi_run, epavi_run, make_monitor,
+                    midpoint_fixed_run, reference_solve)
+from varint.models import ExtendedState
+
+model = HarmonicOscillator()
+s0 = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.5)
+runs = {
+    "epavi": lambda T: epavi_run(model, s0, 0.1, T),
+    "avi": lambda T: avi_run(model, make_monitor("unit", model, s0), s0, T, h0=0.1),
+    "midpoint_fixed": lambda T: midpoint_fixed_run(model, s0, 0.1, T),
+    "reference": lambda T: reference_solve(model, s0, T),
+}
+for name, run in runs.items():
+    for T in ("nan", "inf"):
+        try:
+            run(float(T))
+            outcome = "returned"
+        except ConfigurationError as exc:
+            outcome = str(exc)
+        print(name, T, outcome, flush=True)
+"""
+
+
+@pytest.fixture(scope="module")
+def span_probe():
+    # a run to an infinite T_final, and the reference solve to a nan or
+    # infinite one, never return unchecked: a fresh interpreter under a
+    # timeout turns a regression into a failure instead of a hung session
+    src = str(Path(varint.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        out = subprocess.run([sys.executable, "-c", _SPAN_PROBE], env=env, capture_output=True,
+                             text=True, timeout=60).stdout
+    except subprocess.TimeoutExpired as exc:
+        out = exc.stdout or ""
+        out = out.decode() if isinstance(out, bytes) else out
+    return out.splitlines()
+
+
+@pytest.mark.parametrize("T_final", ["nan", "inf"])
+@pytest.mark.parametrize("entry", ["epavi", "avi", "midpoint_fixed", "reference"])
+def test_non_finite_t_final_is_a_configuration_error(span_probe, entry, T_final):
+    message = f"T_final must be finite and not precede the initial time, got {T_final}"
+    assert f"{entry} {T_final} {message}" in span_probe
 
 
 @pytest.mark.parametrize("integrator", ["epavi", "avi", "midpoint_fixed"])

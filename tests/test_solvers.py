@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -45,13 +46,15 @@ def test_scalar_quadratic():
     report = newton_solve(lambda x: (x * x - 4.0, 2 * x), np.array([3.0]), cfg, jacobian=_diagonal)
     assert report.solution[0] == pytest.approx(2.0, abs=1e-12)
     assert report.residual_norm <= cfg.tol
-    assert report.converged and not report.stalled
+    assert not report.stalled
 
 
-@pytest.mark.parametrize("error", [SingularityError, MonitorDomainError, NonMonotoneTimeError])
+@pytest.mark.parametrize("error", [SingularityError, MonitorDomainError, NonMonotoneTimeError,
+                                   OverflowError])
 def test_domain_error_at_a_trial_point_halves_the_step(error):
     # from x = 3 the full Newton step of 1 - 1/x lands on x = -3 and the
-    # first halving on x = 0, both outside the domain x > 0
+    # first halving on x = 0, both outside the domain x > 0; a residual
+    # that overflows a float marks its trial infeasible the same way
     def F(x):
         if not x[0] > 0:
             raise error("outside the domain")
@@ -59,6 +62,20 @@ def test_domain_error_at_a_trial_point_halves_the_step(error):
 
     report = newton_solve(F, np.array([3.0]), SolverConfig(tol=1e-12), jacobian=_diagonal)
     assert report.solution[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_jacobian_overflow_fails_the_solve():
+    # a Jacobian too large for a float (a Kepler Hessian's r ** 5 at a
+    # run-away iterate) ends the solve as a NonconvergenceError: from 1.5
+    # the first Newton step of x^2 - 4 lands on 2.08, where it overflows
+    def jacobian(x, dF):
+        if x[0] > 2:
+            raise OverflowError(34, "Numerical result out of range")
+        return np.diag(dF)
+
+    with pytest.raises(NonconvergenceError, match="^Jacobian overflows after 1 iterations$"):
+        newton_solve(lambda x: (x * x - 4.0, 2 * x), np.array([1.5]), SolverConfig(tol=1e-12),
+                     jacobian=jacobian)
 
 
 def test_identity_root_converges_immediately():
@@ -301,7 +318,7 @@ def test_polish_forms_no_jacobian(monkeypatch):
 
     monkeypatch.setattr(varint.solvers, "POLISH", 4)
     report = newton_solve(F, np.array([1.3, 1.8]), SolverConfig(tol=tol), jacobian=jacobian)
-    assert report.converged and not report.stalled
+    assert report.residual_norm <= tol and not report.stalled
     above = sum(r > tol for r in norms)  # the iterations that started with r > tol
     assert all(a > b for a, b in zip(norms[:above], norms[1:above + 1]))  # no damping
     assert above >= 3 and len(jacobians_at) == above
@@ -323,11 +340,31 @@ def test_failed_polish_step_ends_the_solve(monkeypatch):
 
     monkeypatch.setattr(varint.solvers, "POLISH", 20)
     report = newton_solve(F, np.array([0.5]), SolverConfig(tol=tol), jacobian=_diagonal)
-    assert report.converged and not report.stalled
+    assert not report.stalled
     assert report.residual_norm == min(norms) <= tol
     first = next(k for k, r in enumerate(norms) if r <= tol)
     assert all(a > b for a, b in zip(norms[first:-2], norms[first + 1:-1]))
     assert norms[-1] >= norms[-2] == report.residual_norm
+
+
+@pytest.mark.parametrize("x0, norms", [
+    (0.0, [3.0e-1, 5.0e-2, 9.1e-4, 3.3e-5]),
+    (math.log(1.3) + 1e-4, [1.3e-4, 6.5e-9, 6.5e-13]),
+])
+def test_polish_count_includes_the_iterate_that_meets_the_tolerance(x0, norms):
+    # POLISH = 2 accepted iterates within tol end the solve: the Newton step
+    # that first meets tol = 1e-3 is one of them, so one polish step follows
+    # it; from a starting guess within tol, two
+    seen = []
+
+    def F(x):
+        out = np.expm1(x) - 0.3
+        seen.append(abs(out[0]))
+        return out, np.exp(x)
+
+    report = newton_solve(F, np.array([x0]), SolverConfig(tol=1e-3), jacobian=_diagonal)
+    assert seen == pytest.approx(norms, rel=0.05)
+    assert report.iterations == len(norms) - 1 and not report.stalled
 
 
 def test_epavi_forms_about_three_jacobians_per_step(monkeypatch):
@@ -388,7 +425,7 @@ def test_report_aux_is_the_residuals_at_the_solution(case, monkeypatch):
         report = info.value.report
     else:
         report = solve()
-        assert report.converged if case == "rejected_polish" else report.stalled
+        assert report.residual_norm <= tol if case == "rejected_polish" else report.stalled
     assert np.array_equal(points[report.aux], report.solution)
     assert report.aux < len(points) - 1
 
@@ -418,7 +455,7 @@ def test_stall_acceptance_within_factor():
     c = 3e-16
     report = newton_solve(lambda x: (x * x + c, 2 * x), np.array([0.5]), SolverConfig(tol=1e-16),
                           jacobian=_diagonal)
-    assert report.stalled and not report.converged
+    assert report.stalled and report.residual_norm > 1e-16
     assert report.residual_norm <= 10 * 1e-16
 
 
@@ -437,7 +474,7 @@ def test_nan_damping_trial_is_skipped(digits):
     x0 = ctx.array([0.1])
     report = newton_solve(F, x0, SolverConfig.for_context(ctx), ctx, jacobian=_diagonal)
     assert any(t > 3 for t in trials)
-    assert report.converged
+    assert report.residual_norm <= SolverConfig.for_context(ctx).tol
     assert abs(float(report.solution[0]) - 1.0) <= 1e-12
 
 
