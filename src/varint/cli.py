@@ -157,10 +157,8 @@ def _run_integrator(cfg: ExperimentConfig, model, state0, scfg):
         return epavi_run(model, state0, cfg.h0, T, scfg)
     if name == "midpoint_fixed":
         return midpoint_fixed_run(model, state0, cfg.h0, T, scfg)
-    if name in ("avi1", "avi2"):
-        monitor = make_monitor("g1" if name == "avi1" else "g2", model, state0)
-        return avi_run(model, monitor, state0, T, scfg, h0=cfg.h0)
-    raise ConfigurationError(f"integrator {name} is not trajectory-producing here")
+    monitor = make_monitor("g1" if name == "avi1" else "g2", model, state0)
+    return avi_run(model, monitor, state0, T, scfg, h0=cfg.h0)
 
 
 def _reference_trajectory_outputs(cfg, model, state0, outdir):
@@ -192,10 +190,10 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
     """Execute one configured run and write its output bundle.
 
     Returns the machine-readable summary (also written as summary.txt).
-    Numerical failures, in the setup (e.g. a start inside the Kepler
-    collision guard) or in the run, produce a summary with success=False
-    and whatever partial outputs exist; a :class:`ConfigurationError`
-    propagates.
+    Numerical failures produce a summary with success=False: a failed run,
+    in its setup or in a step, writes the outputs of the trajectory it
+    reached; a failure before the run (e.g. a start inside the Kepler
+    collision guard) writes none.  A :class:`ConfigurationError` propagates.
     """
     cfg.validate()
     outdir = Path(outdir if outdir is not None else cfg.outdir)
@@ -220,16 +218,12 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
         if cfg.integrator == "reference":
             summary.update(_reference_trajectory_outputs(cfg, model, state0, outdir))
         else:
-            traj = None
             try:
                 traj = _run_integrator(cfg, model, state0, scfg)
+                summary["success"] = True
             except IntegrationError as exc:
                 summary.update(success=False, error=str(exc))
                 traj = exc.trajectory
-                if traj is None or len(traj) < 2:
-                    raise
-            else:
-                summary["success"] = True
             _trajectory_outputs(cfg, model, traj, outdir, ctx, summary)
     except ConfigurationError:
         raise
@@ -337,14 +331,6 @@ def _member_label(cfg: ExperimentConfig) -> str:
     return "_".join(parts)
 
 
-def _run_member(args):
-    cfg, outdir = args
-    try:
-        return run_experiment(cfg, Path(outdir))
-    except VarintError as exc:
-        return {"integrator": cfg.integrator, "success": False, "error": str(exc)}
-
-
 def run_suite(name: str, outdir, workers: int = 2) -> dict:
     """Run a registered experiment bundle; member failures are recorded and
     the suite continues."""
@@ -367,9 +353,9 @@ def run_suite(name: str, outdir, workers: int = 2) -> dict:
     if workers > 1:
         import scipy.integrate  # noqa: F401 - loaded once here, the forked workers inherit it
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            summaries = list(pool.map(_run_member, jobs))
+            summaries = list(pool.map(run_experiment, *zip(*jobs)))
     else:
-        summaries = [_run_member(job) for job in jobs]
+        summaries = [run_experiment(*job) for job in jobs]
 
     keys = ["label", "integrator", "digits", "tol", "h0", "success", "n_steps",
             "mean_step_ratio", "max_step_ratio", "max_energy_error", "max_step_defect"]

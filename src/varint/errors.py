@@ -32,7 +32,7 @@ class SolverError(VarintError):
 class NonconvergenceError(SolverError):
     """Newton iteration exhausted without meeting the tolerance.
 
-    Carries the best iterate found so callers can diagnose the stall.
+    ``report`` is the SolveReport at the last iterate, or None if the solve had none.
     """
 
     def __init__(self, message, report=None):
@@ -41,8 +41,8 @@ class NonconvergenceError(SolverError):
 
 
 class IllPosednessError(SolverError):
-    """Singular or numerically singular Jacobian: the update equations do not
-    determine the unknowns (e.g. the time step of a free particle at rest)."""
+    """Numerically singular Jacobian at an accepted solution: the update equations
+    do not determine the unknowns (e.g. the time step of a free particle at rest)."""
 
 
 class IntegrationError(VarintError):

@@ -252,6 +252,12 @@ def _check_span(model, state0: ExtendedState, T_final):
         raise ConfigurationError(f"T_final must be finite and not precede the initial time, got {T_final}")
 
 
+def _aborted(name, traj: Trajectory, exc: VarintError) -> IntegrationError:
+    """``exc``, failing the ``name`` run at the last state of ``traj``, as the error carrying ``traj``."""
+    message = f"{name} run aborted at t = {float(traj.states[-1].t):.6g} after {len(traj.steps)} steps: {exc}"
+    return IntegrationError(message, trajectory=traj, cause=exc)
+
+
 def _march(model, name, step: Callable, state0, h, T_final, cfg, **meta) -> Trajectory:
     """Apply ``step(state, h_prev, z0) -> (state, record)`` until t >= T_final.
 
@@ -261,7 +267,7 @@ def _march(model, name, step: Callable, state0, h, T_final, cfg, **meta) -> Traj
     z = (q_{k+1} - q_k, record h), or the last of them if it predicts h <= 0.
     A step below the resolution of t means the adaptation collapsed (e.g. a
     monitor decaying to zero) and aborts the run instead of looping towards
-    t = const.
+    t = const.  A failed step raises the error that :func:`_aborted` builds.
     """
     meta = {"integrator": name, "model": model.name, "params": dict(model.params), **meta,
             "T_final": float(T_final), "tol": float(cfg.tol), "digits": model.ctx.digits}
@@ -280,8 +286,7 @@ def _march(model, name, step: Callable, state0, h, T_final, cfg, **meta) -> Traj
                     f"time step {float(record.h):.3e} underflowed at t = {float(new_state.t):.6g}"
                 )
         except VarintError as exc:
-            message = f"{name} run aborted at t = {float(state.t):.6g} after {len(traj.steps)} steps: {exc}"
-            raise IntegrationError(message, trajectory=traj, cause=exc) from exc
+            raise _aborted(name, traj, exc) from exc
         history = history[-4:] + [_increments(model.ctx, new_state.q - state.q, record.h)]
         state, h = new_state, record.h
         traj.states.append(state)
@@ -393,11 +398,7 @@ def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,
         try:
             state0 = replace(state0, E=initial_discrete_energy(model, state0, h0, cfg))
         except VarintError as exc:
-            raise IntegrationError(
-                f"epavi energy initialization failed: {exc}",
-                trajectory=Trajectory(states=[state0]),
-                cause=exc,
-            ) from exc
+            raise _aborted("epavi", Trajectory([state0], meta={"digits": model.ctx.digits}), exc) from exc
     step = lambda state, h, z0: epavi_step(model, state, h, cfg, z0)
     return _march(model, "epavi", step, state0, h0, T_final, cfg, h0=float(h0))
 
@@ -555,12 +556,16 @@ def avi_run(model: LagrangianModel, monitor: Monitor, state0: ExtendedState, T_f
     Kepler runs at e = 0.7 this takes 1.7-1.8 Newton iterations per step.
     """
     state0, cfg = _run_config(model, state0, T_final, cfg, h0=h0, delta_a=delta_a)
+    name = f"avi_{monitor.identifier}"
     if delta_a is None:
         if h0 is None:
             raise ConfigurationError("avi_run needs either h0 or delta_a")
-        delta_a = avi_calibrate_delta_a(model, monitor, state0, h0, cfg)
+        try:
+            delta_a = avi_calibrate_delta_a(model, monitor, state0, h0, cfg)
+        except VarintError as exc:
+            raise _aborted(name, Trajectory([state0], meta={"digits": model.ctx.digits}), exc) from exc
     return _avi_march(
-        model, f"avi_{monitor.identifier}", monitor, state0, delta_a, T_final, cfg,
+        model, name, monitor, state0, delta_a, T_final, cfg,
         monitor=monitor.identifier,
         h0=float(h0) if h0 is not None else float(delta_a),
         delta_a=float(delta_a),
@@ -607,12 +612,11 @@ class ReferenceSolution:
     the solved span.
     """
 
-    def __init__(self, model, t0, t1, sol, y0):
+    def __init__(self, model, t0, t1, sol):
         self._model = model
         self.t_min = t0
         self.t_max = t1
         self._sol = sol
-        self._y0 = y0
         self.n = model.n
 
     def eval(self, t):
@@ -622,10 +626,7 @@ class ReferenceSolution:
             raise ConfigurationError(
                 f"query time outside the reference span [{self.t_min}, {self.t_max}]"
             )
-        if self._sol is None:
-            y = np.tile(self._y0[:, None], (1, t_arr.size)) if t_arr.ndim else self._y0
-        else:
-            y = self._sol(np.clip(t_arr, self.t_min, self.t_max))
+        y = self._sol(np.clip(t_arr, self.t_min, self.t_max))
         return y[: self.n], y[self.n:]
 
     def state(self, t) -> ExtendedState:
@@ -633,26 +634,40 @@ class ReferenceSolution:
         return ExtendedState(t=float(t), q=q, p=p, E=self._model.hamiltonian(q, p))
 
 
+#: The shortest step before the last, as a fraction of the span, that the
+#: reference solve accepts.
+REFERENCE_MIN_STEP = 1e-12
+
+
 def reference_solve(model, state0: ExtendedState, T_final) -> ReferenceSolution:
     """High-accuracy adaptive Runge-Kutta reference for Hamilton's equations,
-    at relative tolerance 1e-12 and absolute tolerance 1e-14."""
+    at relative tolerance 1e-12 and absolute tolerance 1e-14.
+
+    Raises :class:`StiffnessError` when RK45 fails or accepts a step, other
+    than the last, shorter than :data:`REFERENCE_MIN_STEP` of the span.
+    """
     model = model.double
     _check_span(model, state0, T_final)  # RK45 never returns on a nan right-hand side or span
-    t0 = float(state0.t)
+    t0, t1 = float(state0.t), float(T_final)
     y0 = np.concatenate([np.asarray(state0.q, dtype=float), np.asarray(state0.p, dtype=float)])
-    if T_final == t0:
-        return ReferenceSolution(model, t0, t0, None, y0)
-    from scipy.integrate import solve_ivp  # loaded on the first solve, not by `import varint`
+    from scipy.integrate import RK45, OdeSolution  # loaded on the first solve, not by `import varint`
     n = model.n
 
     def rhs(t, y):
         q, p = y[:n], y[n:]
         return np.concatenate([np.dot(model.M_inv, p), -model.potential_gradient(q)])
 
-    sol = solve_ivp(
-        rhs, (t0, float(T_final)), y0, method="RK45",
-        rtol=1e-12, atol=1e-14, dense_output=True,
-    )
-    if not sol.success:
-        raise StiffnessError(f"reference solver failed: {sol.message}")
-    return ReferenceSolution(model, t0, float(T_final), sol.sol, y0)
+    # the loop of solve_ivp, which has no floor on the step
+    solver = RK45(rhs, t0, y0, t1, rtol=1e-12, atol=1e-14)
+    ts, pieces = [t0], []
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise StiffnessError(f"reference solver failed: {message}")
+        h = solver.t - solver.t_old
+        if solver.status == "running" and h < REFERENCE_MIN_STEP * (t1 - t0):
+            raise StiffnessError(f"reference step {h:.3e} at t = {solver.t_old:.6g} is below "
+                                 f"{REFERENCE_MIN_STEP:g} of the span")
+        ts.append(solver.t)
+        pieces.append(solver.dense_output())
+    return ReferenceSolution(model, t0, t1, OdeSolution(ts, pieces))

@@ -2,10 +2,10 @@
 
 The update equations of the adaptive integrators are ill-conditioned near
 degenerate points, so every solve carries a condition estimate of its
-Jacobian and singularity is reported as a distinct error.  In double
-precision the residual of the energy equation bottoms out a few ulp above
-zero; the solver therefore accepts a stalled iterate whose residual lies
-within :data:`STALL_FACTOR` of the tolerance instead of looping forever.
+Jacobian.  In double precision the residual of the energy equation bottoms
+out a few ulp above zero; the solver therefore accepts a stalled iterate
+whose residual lies within :data:`STALL_FACTOR` of the tolerance instead of
+looping forever.  Only an accepted solve is judged ill-posed.
 
 The residual is evaluated in the context's precision; every integrator
 hands in a Jacobian formed in double, and the Newton step is
@@ -146,10 +146,10 @@ def newton_solve(
     collision, a non-positive monitor or time step) or an ``OverflowError``
     raised by ``F`` at a trial point marks it infeasible for the damping.
 
-    Raises :class:`NonconvergenceError` when :data:`MAX_ITER` iterations
-    run out, the residual stalls far from the tolerance or the Jacobian
-    overflows, and :class:`IllPosednessError` when the Jacobian is singular
-    or its condition estimate reaches :data:`COND_LIMIT`.
+    Raises :class:`NonconvergenceError`, its report carrying the last condition
+    estimate, when the solve is not accepted (:data:`MAX_ITER` iterations run
+    out, the residual stalls far from tol, the Jacobian overflows or is singular),
+    and :class:`IllPosednessError` when an accepted solve's estimate reaches :data:`COND_LIMIT`.
     """
     tol = ctx.real(cfg.tol)
 
@@ -166,12 +166,15 @@ def newton_solve(
 
     while iterations < MAX_ITER and polish_left > 0:
         polishing = r <= tol
-        if lu is None or not polishing:
-            try:
+        try:
+            if lu is None or not polishing:
                 lu = ctx.factor(jacobian(x, aux))
-            except OverflowError:
-                raise NonconvergenceError(f"Jacobian overflows after {iterations} iterations") from None
-        dx = -ctx.solve(lu, Fx)
+            dx = -ctx.solve(lu, Fx)
+        except OverflowError:
+            raise NonconvergenceError(f"Jacobian overflows after {iterations} iterations") from None
+        except IllPosednessError:  # an exactly singular Jacobian: its estimate reads inf
+            stalled = True
+            break
 
         # the first trial that lowers the residual norm; rn stays >= r when
         # none does, or when a polish step does not move the iterate
@@ -196,25 +199,17 @@ def newton_solve(
         if r <= tol:
             polish_left -= 1
 
-    cond = ctx.cond_inf(lu)
-    if cond >= COND_LIMIT:
+    report = SolveReport(x, r, iterations, condition_estimate=ctx.cond_inf(lu),
+                         stalled=stalled and r > tol, aux=aux)
+    if not (r <= tol or (stalled and r <= STALL_FACTOR * cfg.tol)):
+        raise NonconvergenceError(
+            f"no convergence: residual {float(r):.3e} after {iterations} iterations "
+            f"(tol {float(cfg.tol):.1e})",
+            report=report,
+        )
+    if report.condition_estimate >= COND_LIMIT:
         raise IllPosednessError(
-            f"Jacobian condition estimate {cond:.2e} near the solution; "
+            f"Jacobian condition estimate {report.condition_estimate:.2e} at the solution; "
             "the update equations do not determine the unknowns"
         )
-
-    report = SolveReport(
-        solution=x,
-        residual_norm=r,
-        iterations=iterations,
-        condition_estimate=cond,
-        stalled=stalled and r > tol,
-        aux=aux,
-    )
-    if r <= tol or (stalled and r <= STALL_FACTOR * cfg.tol):
-        return report
-    raise NonconvergenceError(
-        f"no convergence: residual {float(r):.3e} after {iterations} iterations "
-        f"(tol {float(cfg.tol):.1e})",
-        report=report,
-    )
+    return report

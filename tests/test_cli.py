@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import py_compile
@@ -88,16 +89,32 @@ def test_main_rejects_a_non_finite_oscillator(tmp_path, capsys, setting, integra
     assert message in capsys.readouterr().err
 
 
-def test_nan_mass_reference_run_returns(tmp_path):
-    # RK45 loops on a nan right-hand side; a fresh interpreter under a timeout
-    # turns a regression into a failure instead of a hung session
+def _reference_run_in_a_fresh_interpreter(tmp_path, mass):
+    # a fresh interpreter under a timeout turns a run that never returns into
+    # a failure instead of a hung session
     src = str(Path(varint.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "varint.cli", "run", "problem=oscillator", "m=nan",
+    return subprocess.run([sys.executable, "-m", "varint.cli", "run", "problem=oscillator", f"m={mass}",
                            "integrator=reference", "T_final=0.1", f"outdir={tmp_path}"],
                           env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_nan_mass_reference_run_returns(tmp_path):
+    # RK45 loops on a nan right-hand side
+    proc = _reference_run_in_a_fresh_interpreter(tmp_path, "nan")
     assert proc.returncode == 2, proc.stderr
     assert "mass m" in proc.stderr
+
+
+def test_reference_run_of_a_vanishing_period_returns(tmp_path):
+    # the period 2 pi sqrt(m/k) ~ 6e-150 would take RK45 ~1e149 steps; its
+    # first step, far below 1e-12 of the span, fails the run
+    proc = _reference_run_in_a_fresh_interpreter(tmp_path, "1e-300")
+    assert proc.returncode == 1, proc.stderr
+    stored = read_summary(tmp_path / "summary.txt")
+    assert stored["success"] == "False"
+    assert stored["error"].startswith("reference step ")
+    assert stored["error"].endswith(" at t = 0 is below 1e-12 of the span")
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -324,13 +341,15 @@ def test_failed_run_writes_failure_summary(tmp_path):
 
 def test_energy_initialization_failure_writes_failure_summary(tmp_path):
     # at e = 0.1 the momentum equation over h0 = 1 has no nearby solution:
-    # the run fails before its first step and writes no trajectory
+    # the run fails before its first step, as a step failure does, and
+    # writes the one-state trajectory it reached
     code = main(["run", f"--outdir={tmp_path}", "problem=kepler", "e=0.1", "h0=1", "reference=false"])
     assert code == 1
     stored = read_summary(tmp_path / "summary.txt")
     assert stored["success"] == "False"
-    assert stored["error"].startswith("epavi energy initialization failed")
-    assert not (tmp_path / "trajectory.csv").exists()
+    assert stored["error"].startswith("epavi run aborted at t = 0 after 0 steps: no convergence: ")
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0,")  # the header and state 0
 
 
 def test_jacobian_overflow_writes_failure_summary(tmp_path):
@@ -342,7 +361,20 @@ def test_jacobian_overflow_writes_failure_summary(tmp_path):
     assert code == 1
     stored = read_summary(tmp_path / "summary.txt")
     assert stored["success"] == "False"
-    assert stored["error"].startswith("Jacobian overflows")
+    assert stored["error"].startswith("avi_g2 run aborted at t = 0 after 0 steps: Jacobian overflows")
+    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("problem", ["oscillator", "pendulum"])
+def test_default_run_from_rest_retries_its_second_step(tmp_path, problem):
+    # EpAVI from rest: step 2's warm start walks towards the degenerate h -> 0
+    # branch and stalls at an ill-conditioned iterate; that failed solve is
+    # retried from the cold start instead of aborting the run as ill-posed
+    code = main(["run", f"--outdir={tmp_path}", f"problem={problem}", "T_final=0.1"])
+    assert code == 0
+    stored = read_summary(tmp_path / "summary.txt")
+    assert stored["success"] == "True"
+    assert stored["retried_steps"] == "1"
 
 
 def test_setup_failure_writes_failure_summary(tmp_path):
@@ -391,6 +423,27 @@ assert seen == [True], f"scipy.integrate loaded before the pool: {seen}"
 ref = varint.reference_solve(varint.KeplerTwoBody(), varint.kepler_initial_state(0.7), 1.0)
 assert ref.eval(1.0)[0].shape == (2,)
 """
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_suite_member_is_recorded(tmp_path, monkeypatch, workers):
+    # the e = 0.9 run aborts at the fold after 37 steps; the suite still runs
+    # its other members, here over t <= 0.1, records the failure and exits 1
+    members = varint.cli._figure_suite_members
+    fold = ExperimentConfig(problem="kepler", e=0.9, tol=1e-15, periods=1.0)
+    monkeypatch.setattr(varint.cli, "_figure_suite_members", lambda e: [
+        dataclasses.replace(cfg, periods=None, T_final=0.1) for cfg in members(e)] + [fold])
+    monkeypatch.setattr(varint.cli, "_member_label", lambda cfg: f"{cfg.integrator}_e{cfg.e}")
+    assert main(["suite", "fig_e01", "--outdir", str(tmp_path), "--workers", str(workers)]) == 1
+    assert read_summary(tmp_path / "summary.txt")["success"] == "False"
+    lines = (tmp_path / "comparison.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = {row["label"]: row for row in (dict(zip(header, line.split(","))) for line in lines[1:])}
+    assert {label: row["success"] for label, row in rows.items()} == {
+        "epavi_e0.1": "True", "avi1_e0.1": "True", "avi2_e0.1": "True", "epavi_e0.9": "False"}
+    assert rows["epavi_e0.9"]["n_steps"] == "37"
+    assert read_summary(tmp_path / "epavi_e0.9" / "summary.txt")["error"].startswith(
+        "epavi run aborted at t = 0.0702357 after 37 steps: no convergence: ")
 
 
 def test_suite_pool_is_capped_at_the_member_count(tmp_path, monkeypatch):

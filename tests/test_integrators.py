@@ -19,6 +19,7 @@ from varint import (
     IntegrationError,
     KeplerTwoBody,
     MonitorDomainError,
+    NonconvergenceError,
     NonMonotoneTimeError,
     Pendulum,
     SolverConfig,
@@ -368,6 +369,17 @@ def test_avi_calibration_refines_a_first_step_that_misses_h0():
     assert abs(first.h - 0.1) >= 0.03 * 0.1
     _, calibrated = avi_step(model, monitor, s0, avi_calibrate_delta_a(model, monitor, s0, 0.1, CFG13), CFG13)
     assert abs(calibrated.h - 0.1) <= 0.004 * 0.1
+
+
+def test_failed_avi_calibration_aborts_the_run_at_its_start():
+    # at e = 0.95 the calibration's Newton iterates run away until the
+    # Kepler Jacobian overflows: the run's error, with its one-state trajectory
+    model, s0 = KeplerTwoBody(), kepler_initial_state(0.95)
+    with pytest.raises(IntegrationError) as info:
+        avi_run(model, make_monitor("g2", model, s0), s0, 2 * math.pi, CFG13, h0=0.05)
+    assert str(info.value).startswith("avi_g2 run aborted at t = 0 after 0 steps: Jacobian overflows")
+    assert isinstance(info.value.cause, NonconvergenceError)
+    assert len(info.value.trajectory) == 1 and not info.value.trajectory.steps
 
 
 def test_avi_monitor_domain_error_propagates():

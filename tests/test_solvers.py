@@ -78,6 +78,19 @@ def test_jacobian_overflow_fails_the_solve():
                      jacobian=jacobian)
 
 
+@pytest.mark.parametrize("y0", [1e-15, 0.0])
+def test_failed_solve_at_an_ill_conditioned_iterate_does_not_converge(y0):
+    # F(x, y) = (x, y^2 + 1) has no root; from y = 1e-15, where J = diag(1, 2y)
+    # has condition 5e14 >= COND_LIMIT, every damped trial raises |F|, and at
+    # y = 0 J is exactly singular, so the solve stalls at |F| = 1: a failed
+    # solve, not an ill-posed one
+    with pytest.raises(NonconvergenceError, match="^no convergence: residual 1.000e[+]00 after 0 ") as info:
+        newton_solve(lambda x: (np.array([x[0], x[1] ** 2 + 1]), x), np.array([0.0, y0]),
+                     SolverConfig(tol=1e-12), jacobian=lambda x, _: np.diag([1, 2 * x[1]]))
+    assert info.value.report.condition_estimate >= varint.solvers.COND_LIMIT
+    assert info.value.report.stalled
+
+
 def test_identity_root_converges_immediately():
     report = newton_solve(lambda x: (x, np.ones(1)), np.array([0.0]), SolverConfig(tol=1e-12),
                           jacobian=_diagonal)
