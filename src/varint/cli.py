@@ -349,7 +349,11 @@ def run_suite(name: str, outdir, workers: int = 2) -> dict:
         "h0_sensitivity": _h0_members,
     }[name]()
 
-    jobs = [(cfg, outdir / _member_label(cfg)) for cfg in members]
+    labels = [_member_label(cfg) for cfg in members]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigurationError(f"suite {name!r}: two members share the label {label!r}")
+    jobs = [(cfg, outdir / label) for cfg, label in zip(members, labels)]
     if workers > 1:
         import scipy.integrate  # noqa: F401 - loaded once here, the forked workers inherit it
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:

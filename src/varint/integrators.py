@@ -657,17 +657,19 @@ def reference_solve(model, state0: ExtendedState, T_final) -> ReferenceSolution:
         q, p = y[:n], y[n:]
         return np.concatenate([np.dot(model.M_inv, p), -model.potential_gradient(q)])
 
-    # the loop of solve_ivp, which has no floor on the step
-    solver = RK45(rhs, t0, y0, t1, rtol=1e-12, atol=1e-14)
-    ts, pieces = [t0], []
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise StiffnessError(f"reference solver failed: {message}")
-        h = solver.t - solver.t_old
-        if solver.status == "running" and h < REFERENCE_MIN_STEP * (t1 - t0):
-            raise StiffnessError(f"reference step {h:.3e} at t = {solver.t_old:.6g} is below "
-                                 f"{REFERENCE_MIN_STEP:g} of the span")
-        ts.append(solver.t)
-        pieces.append(solver.dense_output())
+    # the loop of solve_ivp, which has no floor on the step; an overflow in
+    # RK45's first-step or error norms is judged by the step floor, not warned of
+    with np.errstate(over="ignore"):
+        solver = RK45(rhs, t0, y0, t1, rtol=1e-12, atol=1e-14)
+        ts, pieces = [t0], []
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise StiffnessError(f"reference solver failed: {message}")
+            h = solver.t - solver.t_old
+            if solver.status == "running" and h < REFERENCE_MIN_STEP * (t1 - t0):
+                raise StiffnessError(f"reference step {h:.3e} at t = {solver.t_old:.6g} is below "
+                                     f"{REFERENCE_MIN_STEP:g} of the span")
+            ts.append(solver.t)
+            pieces.append(solver.dense_output())
     return ReferenceSolution(model, t0, t1, OdeSolution(ts, pieces))

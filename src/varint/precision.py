@@ -22,7 +22,7 @@ from typing import NamedTuple, Union
 
 import mpmath
 import numpy as np
-from scipy.linalg import lapack
+from numpy.linalg import _umath_linalg
 
 from .errors import ConfigurationError, IllPosednessError
 
@@ -54,13 +54,23 @@ def _unpickle_mpf(dps: int, value: tuple):
 
 
 class LUFactors(NamedTuple):
-    """``dgetrf`` output for a double matrix and its infinity norm, from
+    """A double matrix, its inverse and whether it is singular, from
     :meth:`PrecisionContext.factor`."""
 
-    lu: np.ndarray
-    piv: np.ndarray
-    info: int
-    norm_inf: float
+    a: np.ndarray
+    inv: np.ndarray
+    singular: bool
+
+
+#: The LAPACK gufunc behind ``numpy.linalg.inv``, under an error state set per
+#: call (cheaper than a ``with`` block): a singular matrix gets an all-nan
+#: inverse and no warning.
+_inv = np.errstate(all="ignore")(_umath_linalg.inv)
+
+
+def _norm_inf(m: np.ndarray) -> float:
+    """Largest absolute row sum, each row summed exactly (``math.fsum``)."""
+    return max(map(math.fsum, np.abs(m).tolist()))
 
 
 @dataclass(frozen=True)
@@ -153,41 +163,40 @@ class PrecisionContext:
     # -- linear algebra (systems here are tiny: n or n+1 unknowns) -----------
 
     def factor(self, A: np.ndarray) -> LUFactors:
-        """LU factors of ``A`` in double (LAPACK ``dgetrf``, partial pivoting).
-
-        One factorization serves every :meth:`solve` with that matrix and its
-        :meth:`cond_inf`.  A singular ``A`` still factors (``info > 0``);
+        """``A`` in double with its inverse (the LAPACK LU gufunc behind
+        ``numpy.linalg.inv``), formed once for every :meth:`solve` with that
+        matrix and its :meth:`cond_inf`.  A singular ``A`` (a zero pivot,
+        LAPACK ``info > 0``) gets an all-nan inverse and is marked singular:
         :meth:`solve` rejects it and :meth:`cond_inf` reports ``inf``.
         """
         a = np.asarray(A, dtype=float)
-        lu, piv, info = lapack.dgetrf(a)
-        return LUFactors(lu, piv, info, lapack.dlange("I", a))
+        inv = _inv(a)
+        return LUFactors(a, inv, math.isnan(inv[0, 0]))
 
     def solve(self, factors: LUFactors, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` in double from the factors of ``A`` (LAPACK
-        ``dgetrs``); raises :class:`IllPosednessError` when a pivot is exactly
-        zero.  The integrators form ``A`` in double; the
-        residual ``b`` comes in context precision, so a double step refines an
-        extended iterate to the context's accuracy (iterative refinement;
-        Moler, JACM 14, 1967).
+        """Solve ``A x = b`` in double (the LAPACK ``dgesv`` gufunc behind
+        ``numpy.linalg.solve``, the bits of ``dgetrf`` and ``dgetrs``);
+        raises :class:`IllPosednessError` for a singular ``A``.  The
+        integrators form ``A`` in double; the residual ``b`` comes in context
+        precision, so a double step refines an extended iterate to the
+        context's accuracy (iterative refinement; Moler, JACM 14, 1967).
         """
-        if factors.info > 0:
-            raise IllPosednessError(f"singular Jacobian: LU pivot {factors.info} is zero")
-        return lapack.dgetrs(factors.lu, factors.piv, np.asarray(b, dtype=float))[0]
+        if factors.singular:
+            raise IllPosednessError("singular Jacobian: an LU pivot is zero")
+        return _umath_linalg.solve1(factors.a, np.asarray(b, dtype=float))
 
     def cond_inf(self, factors: LUFactors) -> float:
-        """Infinity-norm condition estimate of the factored matrix in double,
-        the precision :meth:`solve` works in; ``inf`` for a singular matrix.
-
-        ||A^{-1}|| is the Hager/Higham estimate from the LU factors (LAPACK
-        ``dgecon``, Higham, ACM TOMS 14, 1988): a lower bound, in practice
-        within a factor of 3 of the exact value, at no inverse and no second
-        factorization.
+        """Infinity-norm condition number ||A|| ||A^{-1}|| of the factored
+        matrix in double, the precision :meth:`solve` works in, from its
+        inverse: exact up to rounding, and ``inf`` for a singular matrix or
+        a row sum beyond the largest double.
         """
-        if factors.info > 0:
+        if factors.singular:
             return math.inf
-        rcond = float(lapack.dgecon(factors.lu, factors.norm_inf, norm="I")[0])
-        return 1 / rcond if rcond > 0 else math.inf
+        try:
+            return _norm_inf(factors.a) * _norm_inf(factors.inv)
+        except OverflowError:  # math.fsum past the largest double
+            return math.inf
 
     # -- textual serialization (decimal scientific notation) -----------------
 
@@ -218,11 +227,12 @@ DOUBLE = PrecisionContext(DOUBLE_DIGITS)
 
 def inf_norm(v) -> Real:
     """Max-abs of a vector of context scalars, ``inf`` if any component is
-    nan or infinite: one reduction for floats, ``mpmath.isfinite`` per mpf."""
-    a = np.abs(v)
-    m = a.max()
-    finite = all(map(mpmath.isfinite, a.flat)) if a.dtype == object else math.isfinite(m)
-    return m if finite else math.inf
+    nan or infinite: a Python ``float`` for a float array, an mpf for mpf."""
+    if v.dtype == object:
+        a = np.abs(v)
+        return a.max() if all(map(mpmath.isfinite, a.flat)) else math.inf
+    c = v.tolist()
+    return max(map(abs, c)) if all(map(math.isfinite, c)) else math.inf
 
 
 def all_finite(v) -> bool:

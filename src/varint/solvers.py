@@ -1,7 +1,7 @@
 """Damped Newton iteration for the implicit per-step equations.
 
 The update equations of the adaptive integrators are ill-conditioned near
-degenerate points, so every solve carries a condition estimate of its
+degenerate points, so every solve carries the condition number of its
 Jacobian.  In double precision the residual of the energy equation bottoms
 out a few ulp above zero; the solver therefore accepts a stalled iterate
 whose residual lies within :data:`STALL_FACTOR` of the tolerance instead of
@@ -16,14 +16,16 @@ conditioned in double.
 Each iteration takes the first trial that lowers the residual norm, the
 Newton step halved at most :data:`MAX_HALVINGS` times; without one the
 solve has stalled (Deuflhard, Newton Methods for Nonlinear Problems, 2004,
-ch. 2).  A Jacobian is formed and factored only while the residual exceeds
+ch. 2).  A Jacobian is formed, and inverted, only while the residual exceeds
 the tolerance; an iteration from an iterate within it is a polish step, one
-undamped refinement from the LU factors in hand (Moler, JACM 14, 1967).
+undamped refinement that re-solves with the Jacobian in hand (Moler, JACM
+14, 1967).
 The solve ends once :data:`POLISH` accepted iterates lie within the
 tolerance, the one that first met it included (with POLISH = 2, one polish
 step after a Newton step meets it, two from a starting guess within it),
 or at the first polish step that does not lower the residual or move the
-iterate.  The condition estimate reuses the last factors.
+iterate.  The condition number is exact, ||J|| ||J^-1|| in the infinity
+norm from the last Jacobian and its inverse.
 
 The residual hands back its by-products with its value, and the solver
 carries those of its solution to the caller and to the caller's analytic
@@ -95,9 +97,10 @@ class SolveReport:
     """Outcome of :func:`newton_solve`.
 
     ``residual_norm`` <= the tolerance marks a converged solve; ``stalled``
-    one accepted at its floor above it.  ``condition_estimate`` belongs to
-    the last Jacobian factored: in a polished solve, the Jacobian at the last
-    iterate whose residual exceeded the tolerance, not at ``solution``.
+    one accepted at its floor above it.  ``condition_estimate`` is the exact
+    infinity-norm condition number of the last Jacobian formed: in a
+    polished solve, the Jacobian at the last iterate whose residual exceeded
+    the tolerance, not at ``solution``.
     ``aux`` is what the residual returned with its value at ``solution``.
     """
 
@@ -172,7 +175,7 @@ def newton_solve(
             dx = -ctx.solve(lu, Fx)
         except OverflowError:
             raise NonconvergenceError(f"Jacobian overflows after {iterations} iterations") from None
-        except IllPosednessError:  # an exactly singular Jacobian: its estimate reads inf
+        except IllPosednessError:  # an exactly singular Jacobian: its condition number reads inf
             stalled = True
             break
 

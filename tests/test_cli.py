@@ -108,9 +108,11 @@ def test_nan_mass_reference_run_returns(tmp_path):
 
 def test_reference_run_of_a_vanishing_period_returns(tmp_path):
     # the period 2 pi sqrt(m/k) ~ 6e-150 would take RK45 ~1e149 steps; its
-    # first step, far below 1e-12 of the span, fails the run
+    # first step, far below 1e-12 of the span, fails the run, and the
+    # overflow in RK45's first-step norm is not warned of
     proc = _reference_run_in_a_fresh_interpreter(tmp_path, "1e-300")
     assert proc.returncode == 1, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
     stored = read_summary(tmp_path / "summary.txt")
     assert stored["success"] == "False"
     assert stored["error"].startswith("reference step ")
@@ -398,7 +400,22 @@ import sys
 
 import varint, varint.cli
 
-assert "scipy.integrate" not in sys.modules, "import varint loaded scipy.integrate"
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+assert not scipy_modules(), f"import varint loaded {scipy_modules()}"
+
+model, s0 = varint.KeplerTwoBody(), varint.kepler_initial_state(0.7)
+cfg = varint.SolverConfig(tol=1e-13)
+varint.epavi_run(model, s0, 1e-3, 0.05, cfg)
+varint.avi_run(model, varint.make_monitor("g1", model, s0), s0, 0.05, cfg, h0=1e-3)
+varint.midpoint_fixed_run(model, s0, 1e-3, 0.05, cfg)
+ctx = varint.with_precision(18)
+varint.epavi_run(varint.KeplerTwoBody(ctx), varint.kepler_initial_state(0.7, ctx), ctx.real(1e-2), 0.05,
+                 varint.SolverConfig.for_context(ctx))
+assert not scipy_modules(), f"library runs loaded {scipy_modules()}"
 
 
 class Sentinel(Exception):
@@ -464,9 +481,22 @@ def test_suite_pool_is_capped_at_the_member_count(tmp_path, monkeypatch):
     assert seen == [3]
 
 
+def test_suite_members_sharing_a_label_are_rejected(tmp_path, monkeypatch, capsys):
+    # the e = 0.9 fold run is labelled like the e = 0.1 EpAVI member; both
+    # would write one directory, so the suite stops before any member runs
+    members = varint.cli._figure_suite_members
+    fold = ExperimentConfig(problem="kepler", e=0.9, tol=1e-15, periods=1.0)
+    monkeypatch.setattr(varint.cli, "_figure_suite_members", lambda e: members(e) + [fold])
+    monkeypatch.setattr(varint.cli, "run_experiment", lambda *job: pytest.fail("a member ran"))
+    assert main(["suite", "fig_e01", "--outdir", str(tmp_path), "--workers", "1"]) == 2
+    assert "two members share the label 'epavi_tol1e-15'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scipy_integrate_loads_only_before_a_pool_or_a_solve(tmp_path):
-    # the test session has loaded scipy.integrate already, so one fresh
-    # interpreter checks what `import varint` loads
+    # the test session has loaded scipy already, so one fresh interpreter
+    # checks what `import varint` and the library runs load: no scipy module
+    # until a suite pool or a reference solve
     src = str(Path(varint.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_SET_PROBE, str(tmp_path)],

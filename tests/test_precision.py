@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from varint import ConfigurationError, IllPosednessError, kepler_hamiltonian, with_precision
 from varint.precision import DOUBLE, all_finite, inf_norm
@@ -96,14 +97,47 @@ def test_cond_inf_singular_is_inf(digits):
 @pytest.mark.parametrize("digits", [16, 18])
 @pytest.mark.parametrize("n", [3, 4])
 def test_cond_inf_brackets_exact(n, digits):
-    # the LU-based estimate is a lower bound, within a factor 3 in practice
+    # ||A|| ||A^-1|| from the inverse: numpy's value up to the rounding of
+    # the two row sums and their product
     ctx = with_precision(digits)
     rng = np.random.default_rng(n)
     for _ in range(50):
         A = rng.standard_normal((n, n)) + n * np.eye(n)
-        exact = np.linalg.norm(A, np.inf) * np.linalg.norm(np.linalg.inv(A), np.inf)
+        exact = np.linalg.cond(A, np.inf)
         est = ctx.cond_inf(ctx.factor(ctx.array(A)))
-        assert exact / 3 <= est <= exact * (1 + 1e-12)
+        assert abs(est - exact) <= 4 * np.spacing(exact)
+
+
+def test_cond_inf_past_the_largest_double_is_inf():
+    # the inverse's second row sums to 2e308: finite entries, no finite norm
+    A = 1.5e-308 * np.array([[2.0, 1.0], [1.0, 1.0]])
+    lu = DOUBLE.factor(A)
+    assert np.isfinite(lu.inv).all() and DOUBLE.cond_inf(lu) == math.inf
+
+
+def _random_systems(count, seed):
+    """Seeded n x n systems, n in {1, 2, 3}, entries spanning 1e-6 to 1e6 in
+    magnitude with random signs."""
+    rng = np.random.default_rng(seed)
+
+    def scaled(*shape):
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-6, 6, shape)
+
+    for _ in range(count):
+        n = int(rng.integers(1, 4))
+        yield scaled(n, n), scaled(n)
+
+
+@pytest.mark.parametrize("digits", [16, 18])
+def test_solve_has_the_bits_of_lapack_lu(digits):
+    # the gufunc solve gives dgetrf + dgetrs's bits; an 18-digit right side
+    # is rounded to double first
+    ctx = with_precision(digits)
+    for A, b in _random_systems(1000, seed=digits):
+        bc = ctx.array(b) / 3
+        x = ctx.solve(ctx.factor(A), bc)
+        ref = lu_solve(lu_factor(A), np.asarray(bc, dtype=float))
+        assert x.dtype == float and x.tobytes() == ref.tobytes(), (A, b)
 
 
 def test_all_finite_both_scalar_types():
@@ -130,7 +164,7 @@ def test_inf_norm_of_finite_vectors_is_max_abs(digits):
     ctx = with_precision(digits)
     v = ctx.array([0.5, -3.25, 2])
     m = inf_norm(v)
-    assert type(m) is type(np.abs(v).max()) and m == np.abs(v).max() == 3.25
+    assert type(m) is (float if digits == 16 else type(v[0])) and m == np.abs(v).max() == 3.25
 
 
 def test_activate_leaves_mpmath_alone_in_double():
