@@ -39,14 +39,21 @@ midpoint kernel: (v, Mv, (h/2) grad V(mid), V(mid), h) from (q_k, dq, h),
 with h scaled by the monitor density when one is given, under the partials
 of L_d, the EpAVI and momentum residuals and the step updates; each residual
 returns its kernel with its value, and the step update reads the kernel at
-the Newton solution from ``SolveReport.aux``.  :func:`_momentum_system` is
-the momentum equation above, with its Jacobian: one system for an AVI step,
-a fixed step (the unit monitor, da = h) and EpAVI's fixed-h solves; both
-Jacobians are built on :func:`_double_partials`.  ``_march`` is the run
-driver: it steps until t >= T_final, aborts on a step below the resolution
-of t, and raises every failure as an :class:`IntegrationError` carrying the
-partial trajectory.  :class:`Monitor` is the AVI density dt/da = g(q) with
-its gradient, built by :func:`make_monitor`.
+the Newton solution from ``SolveReport.aux``.  The kernel, the residuals and
+Jacobians, the monitors and the warm start compute on Python lists of
+context scalars: on two or three components NumPy's fixed cost per call
+outweighs the arithmetic.  NumPy keeps the Newton step's linear algebra and
+iterate, the states' q and p and the trajectories.  Each operation is the
+array formula's, in its order (sums from 0 in index order; ``np.dot`` where
+BLAS fuses a multiply-add or keeps a zero's sign), so no bit moves.
+:func:`_momentum_system` is the momentum equation above, with its Jacobian:
+one system for an AVI step, a fixed step (the unit monitor, da = h) and
+EpAVI's fixed-h solves; both Jacobians are built on
+:func:`_double_partials`.  ``_march`` is the run driver: it steps until
+t >= T_final, aborts on a step below the resolution of t, and raises every
+failure as an :class:`IntegrationError` carrying the partial trajectory.
+:class:`Monitor` is the AVI density dt/da = g(q) with its gradient, built by
+:func:`make_monitor`.
 
 All implicit solves use step increments as unknowns, (dq, h) for EpAVI and
 dq for the momentum equation: the residuals are then insensitive to the
@@ -62,6 +69,7 @@ at e = 0.7 1.7-1.8 per AVI step and 1.3 per fixed step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import mul
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -109,39 +117,50 @@ def discrete_lagrangian_midpoint(model: LagrangianModel, t_k, q_k, t_k1, q_k1) -
 
 
 def _increment(model, q_k, dq, h, g=None):
-    """Midpoint kernel of the step increments: (v, Mv, (h/2) grad V(mid), V(mid), h).
+    """Midpoint kernel of the step increments: (v, Mv, (h/2) grad V(mid), V(mid), h),
+    the vectors as lists, from the sequences ``q_k`` and ``dq``.
 
     Given a monitor density ``g``, the step is h g(mid, V(mid), grad V(mid))
     and must be positive.  Working from (dq, h) instead of re-differencing
     the endpoints avoids an ulp(t)/h error in the velocity, which would
     dominate the per-step energy defect late in a run.
     """
-    mid = q_k + dq / 2
+    mid = [a + b / 2 for a, b in zip(q_k, dq)]
     V, grad = model.potential_and_gradient(mid)
     if g is not None:
         g_mid = g(mid, V, grad)
         if not g_mid > 0:
             raise MonitorDomainError(f"monitor value {g_mid} is not positive")
         h = h * g_mid
-    v = dq / h
-    return v, model.mass_times(v), grad * (h / 2), V, h
+    v = [d / h for d in dq]
+    half_h = h / 2
+    return v, model.mass_times(v), [x * half_h for x in grad], V, h
 
 
 def _double_partials(dm, q_kd, dq, h):
     """Both step Jacobians' pieces at (dq, h), in double from the double twin
-    ``dm``: (mid, grad V, hess V, v, Mv, A, c), where the momentum residual's
-    dq block is A = M/h + (h/4) hess V and its h column c = grad V/2 - Mv/h."""
-    dq = np.asarray(dq, dtype=float)
-    mid = q_kd + dq / 2
+    ``dm``, as lists: (mid, grad V, hess V, v, Mv, A, c), where the momentum
+    residual's dq block is A = M/h + (h/4) hess V and its h column
+    c = grad V/2 - Mv/h."""
+    dq = [float(x) for x in dq]
+    mid = [a + b / 2 for a, b in zip(q_kd, dq)]
     grad, hess = dm.potential_gradient_and_hessian(mid)
-    v = dq / h
+    v = [d / h for d in dq]
     Mv = dm.mass_times(v)
-    return mid, grad, hess, v, Mv, dm.M / h + hess * (h / 4), grad / 2 - Mv / h
+    quarter_h = h / 4
+    A = [[m / h + x * quarter_h for m, x in zip(m_row, h_row)] for m_row, h_row in zip(dm.M.tolist(), hess)]
+    return mid, grad, hess, v, Mv, A, [g / 2 - y / h for g, y in zip(grad, Mv)]
+
+
+def _dot(a, b) -> Real:
+    """sum_i a_i b_i, summed from 0 in index order as numpy's ``(a * b).sum()``
+    does for a few components."""
+    return sum(map(mul, a, b))
 
 
 def _discrete_energy(v, Mv, V) -> Real:
     """D1 L_d = v'Mv/2 + V(mid) from the kernel values."""
-    return (v * Mv).sum() / 2 + V
+    return _dot(v, Mv) / 2 + V
 
 
 def discrete_partials_midpoint(model: LagrangianModel, t_k, q_k, t_k1, q_k1) -> DiscretePartials:
@@ -153,7 +172,8 @@ def discrete_partials_midpoint(model: LagrangianModel, t_k, q_k, t_k1, q_k1) -> 
     """
     v, Mv, half_grad, V, _ = _increment(model, q_k, q_k1 - q_k, _step_length(t_k, t_k1))
     d1 = _discrete_energy(v, Mv, V)
-    return DiscretePartials(d1=d1, d2=-Mv - half_grad, d4=Mv - half_grad)
+    return DiscretePartials(d1=d1, d2=np.array([-a - b for a, b in zip(Mv, half_grad)]),
+                            d4=_difference(Mv, half_grad))
 
 
 # -- trajectories ----------------------------------------------------------------
@@ -210,26 +230,22 @@ class Trajectory:
 #: oldest first: row m - 1 reproduces the next term of any sequence that is
 #: a polynomial of degree < m in the step index.  The weights are integers:
 #: an mpf times an int costs less than an mpf times a float.
-_EXTRAPOLATION = tuple(
-    np.array(w)[:, None] for w in ((1,), (-1, 2), (1, -3, 3), (-1, 4, -6, 4), (1, -5, 10, -10, 5))
-)
+_EXTRAPOLATION = ((1,), (-1, 2), (1, -3, 3), (-1, 4, -6, 4), (1, -5, 10, -10, 5))
 
 
-def _extrapolate(history) -> np.ndarray:
+def _extrapolate(history) -> list:
     """Predicted next increment sum_j w_j z_j from the accepted increments
-    ``history`` (oldest first, one to five of them), the predictor of
-    Hairer & Wanner, Solving ODEs II, 1996, sec. IV.8.  The sum over the
-    rows runs oldest first, as a reduction of at most five rows along
-    axis 0 always does."""
-    return (np.array(history) * _EXTRAPOLATION[len(history) - 1]).sum(axis=0)
+    ``history`` (oldest first, one to five sequences), the predictor of
+    Hairer & Wanner, Solving ODEs II, 1996, sec. IV.8, as a list.  Each
+    component sums from 0, oldest first, as numpy's axis-0 reduction of the
+    stacked rows did."""
+    weights = _EXTRAPOLATION[len(history) - 1]
+    return [sum(map(mul, column, weights)) for column in zip(*history)]
 
 
-def _increments(ctx, dq, h) -> np.ndarray:
-    """The increments z = (dq, h), EpAVI's unknowns, as one array of context reals."""
-    z = np.empty(len(dq) + 1, dtype=float if ctx.is_native else object)
-    z[:-1] = dq
-    z[-1] = ctx.real(h)
-    return z
+def _difference(a, b) -> np.ndarray:
+    """The array a - b of two sequences of context scalars."""
+    return np.array([x - y for x, y in zip(a, b)])
 
 
 def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfig], **steps):
@@ -264,7 +280,8 @@ def _march(model, name, step: Callable, state0, h, T_final, cfg, **meta) -> Traj
     ``h_prev`` is the previous record's h, and ``h`` before the first step.
     The warm start ``z0`` is None for the first step, then the
     :func:`_extrapolate` prediction from the last five accepted increments
-    z = (q_{k+1} - q_k, record h), or the last of them if it predicts h <= 0.
+    z = (q_{k+1} - q_k, record h), or the last of them if it predicts h <= 0;
+    each is a list of context scalars.
     A step below the resolution of t means the adaptation collapsed (e.g. a
     monitor decaying to zero) and aborts the run instead of looping towards
     t = const.  A failed step raises the error that :func:`_aborted` builds.
@@ -287,7 +304,7 @@ def _march(model, name, step: Callable, state0, h, T_final, cfg, **meta) -> Traj
                 )
         except VarintError as exc:
             raise _aborted(name, traj, exc) from exc
-        history = history[-4:] + [_increments(model.ctx, new_state.q - state.q, record.h)]
+        history = history[-4:] + [[*(new_state.q - state.q).tolist(), record.h]]
         state, h = new_state, record.h
         traj.states.append(state)
         traj.steps.append(record)
@@ -305,29 +322,26 @@ def _epavi_system(model, state):
     double from the model's double twin, the precision the Newton step is
     solved in.
     """
-    n = model.n
-    p_k, E_k, q_k = state.p, state.E, state.q
-    dm, q_kd = model.double, np.asarray(q_k, dtype=float)
+    p_k, E_k, q_k = state.p.tolist(), state.E, state.q.tolist()
+    dm, q_kd = model.double, [float(x) for x in q_k]
 
     def residual(z):
-        if not z[n] > 0:  # a nan h included
-            raise NonMonotoneTimeError(f"time step {z[n]} must be positive")
-        kernel = _increment(model, q_k, z[:n], z[n])
+        *dq, h = z.tolist()
+        if not h > 0:  # a nan h included
+            raise NonMonotoneTimeError(f"time step {h} must be positive")
+        kernel = _increment(model, q_k, dq, h)
         v, Mv, half_grad, V, _ = kernel
-        out = np.empty(n + 1, dtype=z.dtype)
-        out[:n] = Mv + half_grad - p_k
-        out[n] = _discrete_energy(v, Mv, V) - E_k
-        return out, kernel
+        out = [a + b - c for a, b, c in zip(Mv, half_grad, p_k)]
+        out.append(_discrete_energy(v, Mv, V) - E_k)
+        return np.array(out), kernel
 
     def jacobian(z, _):
-        h = float(z[n])
-        _, grad, _, v, Mv, A, c = _double_partials(dm, q_kd, z[:n], h)
-        J = np.empty((n + 1, n + 1))
-        J[:n, :n] = A
-        J[:n, n] = c
-        J[n, :n] = Mv / h + grad / 2
-        J[n, n] = -(v * Mv).sum() / h
-        return J
+        *dq, h = z.tolist()
+        h = float(h)
+        _, grad, _, v, Mv, A, c = _double_partials(dm, q_kd, dq, h)
+        J = [row + [c_i] for row, c_i in zip(A, c)]
+        J.append([y / h + g / 2 for y, g in zip(Mv, grad)] + [-_dot(v, Mv) / h])
+        return np.array(J)
 
     return residual, jacobian
 
@@ -346,7 +360,7 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
     """
     if not h_guess > 0:
         raise ConfigurationError("h_guess must be positive")
-    ctx, n = model.ctx, model.n
+    ctx = model.ctx
     h_guess = ctx.real(h_guess)
     residual, jacobian = _epavi_system(model, state)
 
@@ -354,17 +368,17 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
         return newton_solve(residual, z, cfg, ctx, jacobian=jacobian)
 
     if z0 is None:
-        z0 = _increments(ctx, np.dot(model.M_inv, state.p) * h_guess, h_guess)
+        z0 = [*(np.dot(model.M_inv, state.p) * h_guess).tolist(), h_guess]
     try:
         report, retried = solve(z0), False
     except NonconvergenceError:
         fixed = _solve_momentum(model, _UNIT, state, h_guess, cfg)
-        report, retried = solve(_increments(ctx, fixed.solution, h_guess)), True
+        report, retried = solve([*fixed.solution.tolist(), h_guess]), True
         report = replace(report, iterations=fixed.iterations + report.iterations)
-    dq, h = report.solution[:n], report.solution[n]
+    *dq, h = report.solution.tolist()
     v, Mv, half_grad, V, _ = report.aux
     new_state = ExtendedState(
-        t=state.t + h, q=state.q + dq, p=Mv - half_grad, E=_discrete_energy(v, Mv, V)
+        t=state.t + h, q=state.q + dq, p=_difference(Mv, half_grad), E=_discrete_energy(v, Mv, V)
     )
     return new_state, _record(h, report, retried=retried)
 
@@ -411,8 +425,9 @@ class Monitor:
     """Positive time-reparametrization density dt/da = ``g(q, V, dV)`` and
     its gradient ``grad(q, g, dV, d2V)``, given V = V(q), dV = grad V(q),
     d2V = hess V(q) and g = g(q, V, dV), which the momentum system has at
-    hand; ``grad`` takes and returns doubles, the precision the Jacobian is
-    formed in.  See :func:`make_monitor`."""
+    hand, as the lists of the models' pair methods; ``grad`` takes and
+    returns doubles, the precision the Jacobian is formed in, and returns a
+    list.  See :func:`make_monitor`."""
 
     identifier: str
     g: Callable
@@ -420,7 +435,7 @@ class Monitor:
 
 
 #: g = 1: the fictitious step is the physical one.
-_UNIT = Monitor("unit", lambda q, V, dV: 1, lambda q, g, dV, d2V: 0 * q)
+_UNIT = Monitor("unit", lambda q, V, dV: 1, lambda q, g, dV, d2V: [0 * x for x in q])
 
 
 def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Monitor:
@@ -434,20 +449,25 @@ def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Mo
     """
     if name == "g1":
         H0 = model.hamiltonian(model.ctx.array(state0.q), model.ctx.array(state0.p))
-        M_inv, M_inv_d = model.M_inv, model.double.M_inv
+        M_inv, M_inv_d = model.M_inv.tolist(), model.double.M_inv
 
         def arclength(q, V, dV):
-            radicand = 2 * (H0 - V) + (dV * np.dot(M_inv, dV)).sum()
+            # M^{-1} grad V row by row: the value of np.dot for the diagonal
+            # mass matrices here, up to the sign of a zero, which the sum of
+            # the non-negative products drops
+            radicand = 2 * (H0 - V) + _dot(dV, [_dot(row, dV) for row in M_inv])
             if radicand <= 0:
                 raise MonitorDomainError(f"arclength monitor radicand {radicand} is not positive")
             return 1 / model.ctx.sqrt(radicand)
 
-        def arclength_grad(q, g, dV, d2V) -> np.ndarray:
-            return (dV - np.dot(d2V, np.dot(M_inv_d, dV))) * g ** 3
+        def arclength_grad(q, g, dV, d2V) -> list:
+            # np.dot of the 2 x 2 Hessian fuses multiply-adds, so it stays
+            dV = np.array(dV)
+            return ((dV - np.dot(d2V, np.dot(M_inv_d, dV))) * g ** 3).tolist()
 
         return Monitor("g1", arclength, arclength_grad)
     if name == "g2":
-        return Monitor("g2", lambda q, V, dV: (q * q).sum(), lambda q, g, dV, d2V: 2 * q)
+        return Monitor("g2", lambda q, V, dV: _dot(q, q), lambda q, g, dV, d2V: [2 * x for x in q])
     if name == "unit":
         return _UNIT
     raise ConfigurationError(f"unknown monitor {name!r}")
@@ -468,18 +488,20 @@ def _momentum_system(model, monitor, state, delta_a):
     an exact zero.  It is formed in double, as in :func:`_epavi_system`,
     with h read from the kernel.
     """
-    p_k, q_k, g = state.p, state.q, monitor.g
-    dm, q_kd, dad = model.double, np.asarray(q_k, dtype=float), float(delta_a)
+    p_k, q_k, g = state.p.tolist(), state.q.tolist(), monitor.g
+    dm, q_kd, dad = model.double, [float(x) for x in q_k], float(delta_a)
 
     def residual(dq):
-        kernel = _increment(model, q_k, dq, delta_a, g)
+        kernel = _increment(model, q_k, dq.tolist(), delta_a, g)
         _, Mv, half_grad, _, _ = kernel
-        return Mv + half_grad - p_k, kernel
+        return np.array([a + b - c for a, b, c in zip(Mv, half_grad, p_k)]), kernel
 
     def jacobian(dq, kernel):
         h = float(kernel[4])
-        mid, grad, hess, _, _, A, c = _double_partials(dm, q_kd, dq, h)
-        return A + np.outer(c, monitor.grad(mid, h / dad, grad, hess) * (dad / 2))
+        mid, grad, hess, _, _, A, c = _double_partials(dm, q_kd, dq.tolist(), h)
+        half_da = dad / 2
+        w = [x * half_da for x in monitor.grad(mid, h / dad, grad, hess)]
+        return np.array([[a + c_i * w_j for a, w_j in zip(row, w)] for row, c_i in zip(A, c)])
 
     return residual, jacobian
 
@@ -512,13 +534,14 @@ def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, del
         raise ConfigurationError("delta_a must be positive")
     delta_a = model.ctx.real(delta_a)
     if dq0 is None:
-        g0 = monitor.g(state.q, *model.potential_and_gradient(state.q))
+        q = state.q.tolist()
+        g0 = monitor.g(q, *model.potential_and_gradient(q))
         if g0 <= 0:
             raise MonitorDomainError(f"monitor value {g0} at the step start is not positive")
         dq0 = np.dot(model.M_inv, state.p) * (delta_a * g0)
     report = _solve_momentum(model, monitor, state, delta_a, cfg, dq0)
     _, Mv, half_grad, _, h = report.aux
-    q1, p1 = state.q + report.solution, Mv - half_grad
+    q1, p1 = state.q + report.solution, _difference(Mv, half_grad)
     new_state = ExtendedState(t=state.t + h, q=q1, p=p1, E=model.hamiltonian(q1, p1))
     return new_state, _record(h, report, delta_a)
 
@@ -533,7 +556,8 @@ def avi_calibrate_delta_a(model, monitor, state0, h0, cfg: Optional[SolverConfig
     if not h0 > 0:
         raise ConfigurationError("h0 must be positive")
     h0 = model.ctx.real(h0)
-    g0 = monitor.g(state0.q, *model.potential_and_gradient(state0.q))
+    q0 = state0.q.tolist()
+    g0 = monitor.g(q0, *model.potential_and_gradient(q0))
     if g0 <= 0:
         raise MonitorDomainError(f"monitor value {g0} at the initial state is not positive")
     delta_a = h0 / g0

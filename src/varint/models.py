@@ -58,9 +58,11 @@ class LagrangianModel:
         """This model in double precision: itself in a native context."""
         return self if self.ctx.is_native else make_model(self.name, self.params, DOUBLE)
 
-    def mass_times(self, v) -> np.ndarray:
-        """The mass product M v."""
-        return np.dot(self.M, v)
+    def mass_times(self, v) -> list:
+        """The mass product M v of a sequence of context scalars, as a list.
+        ``np.dot`` forms it: for n = 1 it keeps the sign of a zero product,
+        which a sum starting from 0 would not."""
+        return np.dot(self.M, v).tolist()
 
     # potential interface -----------------------------------------------------
 
@@ -73,13 +75,19 @@ class LagrangianModel:
     def potential_hessian(self, q) -> np.ndarray:
         raise NotImplementedError
 
+    # The pair methods serve the step kernel: they take a sequence q of context
+    # scalars and return lists (a matrix as a list of rows), bit for bit the
+    # array methods' values.  These defaults go through the array methods.
+
     def potential_and_gradient(self, q):
-        """(V(q), grad V(q)) in one call; models whose two share work override it."""
-        return self.potential(q), self.potential_gradient(q)
+        """(V(q), grad V(q)) in one call: a scalar and a list."""
+        q = np.array(q)
+        return self.potential(q), self.potential_gradient(q).tolist()
 
     def potential_gradient_and_hessian(self, q):
-        """(grad V(q), Hessian of V(q)) in one call; models whose two share work override it."""
-        return self.potential_gradient(q), self.potential_hessian(q)
+        """(grad V(q), Hessian of V(q)) in one call: a list and a list of rows."""
+        q = np.array(q)
+        return self.potential_gradient(q).tolist(), self.potential_hessian(q).tolist()
 
     def potential_third(self, q) -> Real:
         """Third derivative; only defined for 1-DOF models."""
@@ -104,7 +112,7 @@ class KeplerTwoBody(LagrangianModel):
         self._eye = ctx.identity(2)
         self._guard = ctx.real(KEPLER_RADIUS_GUARD)
 
-    def mass_times(self, v) -> np.ndarray:
+    def mass_times(self, v):
         """M v = v for the identity mass matrix.  It equals ``np.dot(M, v)``
         bit for bit except in the sign of a zero component: there
         1 * (-0.0) + 0 * v_j reads +0.0 for v_j >= 0."""
@@ -125,15 +133,21 @@ class KeplerTwoBody(LagrangianModel):
 
     def potential_and_gradient(self, q):
         r = self._radius(q)
-        return -1 / r, q / r ** 3
+        r3 = r ** 3
+        return -1 / r, [q[0] / r3, q[1] / r3]
 
     def potential_hessian(self, q) -> np.ndarray:
         r = self._radius(q)
         return self._eye / r ** 3 - 3 * (q[:, None] * q) / r ** 5
 
     def potential_gradient_and_hessian(self, q):
+        """The array methods' operations, element by element: grad_i = q_i / r^3
+        and hess_ij = delta_ij / r^3 - 3 (q_i q_j) / r^5."""
         r = self._radius(q)
-        return q / r ** 3, self._eye / r ** 3 - 3 * (q[:, None] * q) / r ** 5
+        q0, q1 = q
+        r3, r5 = r ** 3, r ** 5
+        off = 0 / r3 - 3 * (q0 * q1) / r5
+        return [q0 / r3, q1 / r3], [[1 / r3 - 3 * (q0 * q0) / r5, off], [off, 1 / r3 - 3 * (q1 * q1) / r5]]
 
 
 class HarmonicOscillator(LagrangianModel):

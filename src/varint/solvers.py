@@ -134,17 +134,18 @@ def fd_jacobian(F: Callable, x: np.ndarray, fd_step, ctx: PrecisionContext = DOU
 
 def newton_solve(
     F: Callable,
-    x0: np.ndarray,
+    x0,
     cfg: SolverConfig,
     ctx: PrecisionContext = DOUBLE,
     *,
     jacobian: Callable,
 ) -> SolveReport:
-    """Solve F(x) = 0 by damped Newton iteration.
+    """Solve F(x) = 0 by damped Newton iteration from the sequence ``x0``.
 
-    ``F(x)`` returns ``(residual, aux)``, where ``aux`` is whatever the
-    caller wants back at the solution; ``jacobian(x, aux)`` supplies the
-    analytic partials at x, given the ``aux`` that ``F`` returned there.
+    The iterate x is an array of context scalars.  ``F(x)`` returns
+    ``(residual, aux)``, where ``aux`` is whatever the caller wants back at
+    the solution; ``jacobian(x, aux)`` supplies the analytic partials at x,
+    given the ``aux`` that ``F`` returned there.
     The report carries the ``aux`` of its solution.  A domain error (a
     collision, a non-positive monitor or time step) or an ``OverflowError``
     raised by ``F`` at a trial point marks it infeasible for the damping.
@@ -156,7 +157,7 @@ def newton_solve(
     """
     tol = ctx.real(cfg.tol)
 
-    x = x0.copy()
+    x = np.array(x0)
     Fx, aux = F(x)
     r = inf_norm(Fx)
     if r == np.inf:
@@ -185,7 +186,7 @@ def newton_solve(
         for _ in range(1 if polishing else MAX_HALVINGS + 1):
             xn = x + dx if lam == 1 else x + lam * dx
             lam = lam / 2
-            if polishing and (xn == x).all():
+            if polishing and xn.tolist() == x.tolist():  # cheaper than (xn == x).all() here
                 break
             try:
                 Fn, aux_n = F(xn)

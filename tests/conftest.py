@@ -1,7 +1,9 @@
-"""Shared fixtures: the long Kepler runs are computed once per session."""
+"""Shared fixtures: the long Kepler runs are computed once per session.
+Also the bit-for-bit comparison of context scalars that several test modules use."""
 
 import math
 
+import numpy as np
 import pytest
 
 from varint import (
@@ -16,6 +18,19 @@ from varint import (
 )
 
 PERIOD = 2 * math.pi
+
+
+def typed_bits(ctx, x):
+    """Every bit of a context scalar, or of each component of an array or a
+    (nested) list or tuple of them, asserting that each is of the context's
+    scalar type: a float (numpy's float64 is one) or the context's mpf."""
+    if isinstance(x, (np.ndarray, list, tuple)):
+        return [typed_bits(ctx, c) for c in x]
+    if ctx.is_native:
+        assert isinstance(x, float), type(x)
+        return float(x).hex()
+    assert type(x) is ctx.mpctx.mpf, type(x)
+    return x._mpf_
 
 
 def _kepler_run(integrator, e, h0=1e-3, tol=None, digits=16, T=PERIOD):

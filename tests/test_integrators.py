@@ -10,10 +10,12 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from conftest import typed_bits
 
 import varint.integrators
 import varint.solvers
 from varint import (
+    DOUBLE,
     ConfigurationError,
     HarmonicOscillator,
     IntegrationError,
@@ -34,6 +36,7 @@ from varint import (
     epavi_step,
     initial_discrete_energy,
     kepler_initial_state,
+    make_model,
     make_monitor,
     midpoint_fixed_run,
     midpoint_fixed_step,
@@ -42,7 +45,7 @@ from varint import (
     with_precision,
 )
 from varint.integrators import Monitor, StepRecord, _extrapolate, _march
-from varint.models import ExtendedState
+from varint.models import ExtendedState, initial_state
 
 CFG13 = SolverConfig(tol=1e-13)
 CFG15 = SolverConfig(tol=1e-15)
@@ -130,6 +133,116 @@ def test_discrete_partials_match_finite_differences(model_case):
             assert parts.d4[j] == pytest.approx(fd_d4, rel=1e-6, abs=1e-9)
 
 
+# -- the step kernel on context scalars --------------------------------------------
+
+
+def _array_kernel(model, q_k, dq, h, g=None):
+    """The midpoint kernel as array formulas: mid = q_k + dq/2, h g(mid),
+    v = dq/h, Mv (v itself for Kepler's identity M, else np.dot),
+    grad V(mid) (h/2), V(mid)."""
+    mid = q_k + dq / 2
+    V, grad = model.potential(mid), model.potential_gradient(mid)
+    if g is not None:
+        h = h * g(mid, V, grad)
+    v = dq / h
+    return v, v if model.name == "kepler" else np.dot(model.M, v), grad * (h / 2), V, h
+
+
+def _array_partials(model, q_k, dq, h):
+    """The double Jacobians' pieces as array formulas: mid, grad V, hess V,
+    v, Mv, A = M/h + hess V (h/4) and c = grad V/2 - Mv/h."""
+    dm = model.double
+    dq = np.asarray(dq, dtype=float)
+    mid = np.asarray(q_k, dtype=float) + dq / 2
+    grad, hess = dm.potential_gradient(mid), dm.potential_hessian(mid)
+    v = dq / h
+    Mv = v if dm.name == "kepler" else np.dot(dm.M, v)
+    return mid, grad, hess, v, Mv, dm.M / h + hess * (h / 4), grad / 2 - Mv / h
+
+
+def _array_monitor(name, model, state0):
+    """g(q, V, dV) and its gradient as array formulas."""
+    if name == "g1":
+        H0 = model.hamiltonian(state0.q, state0.p)
+        M_inv, M_inv_d = model.M_inv, model.double.M_inv
+        return Monitor(name,
+                       lambda q, V, dV: 1 / model.ctx.sqrt(2 * (H0 - V) + (dV * np.dot(M_inv, dV)).sum()),
+                       lambda q, g, dV, d2V: (dV - np.dot(d2V, np.dot(M_inv_d, dV))) * g ** 3)
+    if name == "g2":
+        return Monitor(name, lambda q, V, dV: (q * q).sum(), lambda q, g, dV, d2V: 2 * q)
+    return Monitor(name, lambda q, V, dV: 1, lambda q, g, dV, d2V: 0 * q)
+
+
+def _random_states(model, rng, count):
+    """Seeded states (q, p) and increments (dq, h) in the model's context; every
+    fourth draw puts a signed zero into q (not for Kepler) and into dq."""
+    ctx = model.ctx
+    for k in range(count):
+        if model.name == "kepler":
+            r, theta = rng.uniform(0.3, 1.7), rng.uniform(0.0, 2 * np.pi)
+            q = [r * np.cos(theta), r * np.sin(theta)]
+        else:
+            q = list(rng.uniform(-1.7, 1.7, model.n))
+        p = list(rng.uniform(-1.5, 1.5, model.n))
+        dq = list(1e-3 * rng.standard_normal(model.n))
+        if k % 4 == 0:
+            zero = -0.0 if k % 8 else 0.0
+            dq[rng.integers(model.n)] = zero
+            if model.name != "kepler":
+                q[0] = zero
+        state = ExtendedState(t=ctx.real(0), q=ctx.array(q), p=ctx.array(p), E=ctx.real(rng.uniform(-2, 1)))
+        yield state, ctx.array(dq) / 3, ctx.real(rng.uniform(1e-4, 1e-2)) / 3
+
+
+@pytest.mark.parametrize("digits", [16, 18])
+@pytest.mark.parametrize("name", ["kepler", "oscillator", "pendulum"])
+def test_step_kernel_is_bitwise_the_array_formulas(name, digits):
+    # the kernel, both residuals, both Jacobians and the monitors compute on
+    # lists of context scalars; each must reproduce, bit for bit and with
+    # each component's type, the array formula it replaced, zero signs included
+    ctx = with_precision(digits)
+    model = make_model(name, {"k": 1.3, "m": 0.8}, ctx)
+    rng = np.random.default_rng(17)
+    for state, dq, h in _random_states(model, rng, 40):
+        got = varint.integrators._increment(model, state.q.tolist(), dq.tolist(), h)
+        assert typed_bits(ctx, got) == typed_bits(ctx, _array_kernel(model, state.q, dq, h))
+
+        # EpAVI: residual in the context, Jacobian in double
+        z = np.append(dq, h)
+        residual, jacobian = varint.integrators._epavi_system(model, state)
+        F, kernel = residual(z)
+        v, Mv, half_grad, V, _ = _array_kernel(model, state.q, dq, h)
+        want = np.append(Mv + half_grad - state.p, (v * Mv).sum() / 2 + V - state.E)
+        assert isinstance(F, np.ndarray) and typed_bits(ctx, F) == typed_bits(ctx, want)
+        hd = float(h)
+        _, grad, _, v, Mv, A, c = _array_partials(model, state.q, dq, hd)
+        J = np.vstack([np.column_stack([A, c]), np.append(Mv / hd + grad / 2, -(v * Mv).sum() / hd)])
+        got = jacobian(z, kernel)
+        assert got.dtype == np.float64 and typed_bits(DOUBLE, got) == typed_bits(DOUBLE, J)
+
+        # the momentum equation under each monitor
+        for monitor_name in ("g1", "g2", "unit"):
+            monitor, reference = (f(monitor_name, model, state) for f in (make_monitor, _array_monitor))
+            residual, jacobian = varint.integrators._momentum_system(model, monitor, state, h)
+            mid = state.q + dq / 2
+            if not reference.g(mid, model.potential(mid), model.potential_gradient(mid)) > 0:
+                with pytest.raises(MonitorDomainError):  # g2 at mid = 0
+                    residual(dq)
+                continue
+            v, Mv, half_grad, V, h_g = _array_kernel(model, state.q, dq, h, reference.g)
+            F, kernel = residual(dq)
+            assert isinstance(F, np.ndarray)
+            assert typed_bits(ctx, F) == typed_bits(ctx, Mv + half_grad - state.p)
+            dad, h_g = float(h), float(h_g)
+            mid, grad, hess, _, _, A, c = _array_partials(model, state.q, dq, h_g)
+            want_grad = reference.grad(mid, h_g / dad, grad, hess)
+            got_grad = monitor.grad(mid.tolist(), h_g / dad, grad.tolist(), hess.tolist())
+            assert typed_bits(DOUBLE, got_grad) == typed_bits(DOUBLE, want_grad)
+            got = jacobian(dq, kernel)
+            want = A + np.outer(c, want_grad * (dad / 2))
+            assert got.dtype == np.float64 and typed_bits(DOUBLE, got) == typed_bits(DOUBLE, want)
+
+
 # -- the warm-start predictor -----------------------------------------------------
 
 
@@ -148,17 +261,24 @@ def test_extrapolate_is_exact_below_degree_m(m, digits):
 
 @pytest.mark.parametrize("digits", [16, 18])
 def test_extrapolate_is_bitwise_the_left_to_right_sum(digits):
-    # the stacked axis-0 reduction adds the weighted rows oldest first, as
-    # the Python sum over the rows does
+    # the weighted rows are added oldest first, as the Python sum over the
+    # rows does and as the stacked axis-0 reduction of the array formula did,
+    # zero signs included; the run driver hands it lists of context scalars
     weights = ((1,), (-1, 2), (1, -3, 3), (-1, 4, -6, 4), (1, -5, 10, -10, 5))
     ctx = with_precision(digits)
     rng = np.random.default_rng(13)
-    for _ in range(40):
+    for k in range(40):
         for m in range(1, 6):
             history = [ctx.array(list(rng.standard_normal(3) * 10.0 ** rng.integers(-4, 2))) / 3
                        for _ in range(m)]
+            if k % 4 == 0:
+                for z in history:
+                    z[0] = ctx.real(-0.0 if k % 8 else 0.0)
             reference = sum(z * w for z, w in zip(history, weights[m - 1]))
-            assert _exact(_extrapolate(history)) == _exact(reference)
+            stacked = (np.array(history) * np.array(weights[m - 1])[:, None]).sum(axis=0)
+            got = _extrapolate([z.tolist() for z in history])
+            assert isinstance(got, list)
+            assert typed_bits(ctx, got) == typed_bits(ctx, reference) == typed_bits(ctx, stacked)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -399,7 +519,8 @@ def test_warm_started_avi_step_rejects_a_negative_monitor(digits):
     # evaluation's MonitorDomainError
     ctx = with_precision(digits)
     model, s0 = KeplerTwoBody(ctx), kepler_initial_state(0.7, ctx)  # |q_0| = 0.3
-    monitor = Monitor("shifted", lambda q, V, dV: (q * q).sum() - 1, lambda q, g, dV, d2V: 2 * q)
+    monitor = Monitor("shifted", lambda q, V, dV: sum(x * x for x in q) - 1,
+                      lambda q, g, dV, d2V: [2 * x for x in q])
     h = ctx.real("1e-2")
     with pytest.raises(MonitorDomainError, match=r"^monitor value \S+ is not positive$"):
         avi_step(model, monitor, s0, h, SolverConfig.for_context(ctx), np.dot(model.M_inv, s0.p) * h)
@@ -465,11 +586,11 @@ def test_avi_steps_satisfy_the_coupled_rows(request, fixture):
     worst = 0.0
     for s0, s1, rec in zip(traj.states, traj.states[1:], traj.steps):
         q_av, p_av = (s0.q + s1.q) / 2, (s0.p + s1.p) / 2
-        V, dV = model.potential_and_gradient(q_av)
-        g = monitor.g(q_av, V, dV)
+        V, dV = model.potential_and_gradient(q_av.tolist())
+        g = monitor.g(q_av.tolist(), V, dV)
         da = rec.delta_a
         rows = [(s1.q - s0.q) / da - np.dot(model.M_inv, p_av) * g,
-                (s1.p - s0.p) / da + dV * g,
+                (s1.p - s0.p) / da + np.array(dV) * g,
                 [(s1.t - s0.t) / da - g]]
         worst = max(worst, np.max(np.abs(np.concatenate(rows))) * da)
     assert worst <= 1e-14
@@ -634,8 +755,8 @@ def test_step_updates_reuse_the_residual_kernel(monkeypatch):
 
 
 def _exact(x):
-    """Every bit of a context scalar, or of each component of an array."""
-    if isinstance(x, np.ndarray):
+    """Every bit of a context scalar, or of each component of an array or a list."""
+    if isinstance(x, (np.ndarray, list)):
         return [_exact(c) for c in x]
     if hasattr(x, "_mpf_"):
         return x._mpf_
@@ -668,12 +789,54 @@ def trajectory_digest(traj) -> str:
 #: ||A|| ||A^-1|| instead of dgecon's lower bound, moved by at most 6.1e-16
 #: relative on the EpAVI, fixed and 18-digit runs and by at most +1.06% on
 #: the two AVI runs, where the estimate had read low.
+#:
+#: The entries from "epavi_e01" on were recorded before the midpoint kernel,
+#: the residuals and Jacobians and the warm start moved from NumPy arrays to
+#: Python scalars: the one-period e = 0.1 runs of the fig_e01 suite (5,365,
+#: 5,373 and 5,116 steps), n = 1 runs with a non-unit mass (the oscillator
+#: from rest takes 1,000 steps and retries step 2, the pendulum EpAVI run
+#: retries one of its 209 steps), and 18-digit AVI g2 and fixed-step runs,
+#: whose momentum systems solve on object arrays (25 and 50 steps).
 TRAJECTORY_DIGESTS = {
     "epavi_e07": "973e1037704b628f4b282a58648aac3dfcef17b28807c2b18429d449a1e5d46f",
     "avi1_e07": "db88328bddcdde579d65dcf1032632bcfced8e8bda793af8526b9460124358a7",
     "avi2_e07": "e5f255915176198507e30955779019839b6f974fa94f79b056ca39edf9044a99",
     "midpoint_fixed_e07": "c3aa3553903ab7aa33d3bc3135e39af24fe4227330af564f3e03462c8986ba0d",
     "vpa_extended_tol17": "851d38501e71536a518f98a9eba2886bb34718ddeb83aa31e7d01818cd1f3696",
+    "epavi_e01": "a2539d6c2b718f667edcf81f7edf4341b080a54ebba60dad884091a0157504bb",
+    "avi1_e01": "e3950f5fbb2fe1c1b1b4b336966ad3f54d1e9aa7a57ecaa1ff3fce965bac0adc",
+    "avi2_e01": "ce756bbfe215f40be8b33baf71799681c7d5976500d89c71d234df92a45495f1",
+    "oscillator_epavi_from_rest": "2049a2d002d4f6882e5b58976c3b13efbdba56845ecda5d8ab0770405f52f3b3",
+    "pendulum_fixed": "6cc28f30770db981825f68fddc96ee96ce46edce20d955c1d21a3549895e0d40",
+    "pendulum_epavi": "f25e6795f125ff357b10bae3e61d0e9ae50ea25663037cd225571a3ff351ad00",
+    "avi2_d18_e07": "89f9002c1952138dc1671eb25d3702493d568d671a361e47762042b3c8007f05",
+    "midpoint_fixed_d18_e07": "db6b07f85e1dcd3fbf984954be52ed32aca7b1b4e55c74c788f730d9513ec345",
+}
+
+
+_OSCILLATOR, _PENDULUM = {"k": 1.3, "m": 0.8}, {"m": 0.8}
+
+
+def _kepler18_run(run, e=0.7):
+    ctx = with_precision(18)
+    return run(KeplerTwoBody(ctx), kepler_initial_state(e, ctx), ctx.real(1e-2), SolverConfig(tol=1e-17))
+
+
+#: The runs behind the TRAJECTORY_DIGESTS entries that no session fixture makes.
+_DIGEST_RUNS = {
+    "midpoint_fixed_e07": lambda: midpoint_fixed_run(KeplerTwoBody(), kepler_initial_state(0.7), 1e-3,
+                                                     2 * math.pi, SolverConfig()),
+    "oscillator_epavi_from_rest": lambda: epavi_run(
+        HarmonicOscillator(**_OSCILLATOR), initial_state("oscillator", _OSCILLATOR), 1e-3, 1.0,
+        SolverConfig(tol=1e-14)),
+    "pendulum_fixed": lambda: midpoint_fixed_run(
+        Pendulum(**_PENDULUM), initial_state("pendulum", _PENDULUM), 1e-2, 2.0, SolverConfig()),
+    "pendulum_epavi": lambda: epavi_run(
+        Pendulum(**_PENDULUM), initial_state("pendulum", _PENDULUM), 1e-2, 2.0, SolverConfig(tol=1e-14)),
+    "avi2_d18_e07": lambda: _kepler18_run(
+        lambda model, s0, h0, cfg: avi_run(model, make_monitor("g2", model, s0), s0, 0.5, cfg, h0=h0)),
+    "midpoint_fixed_d18_e07": lambda: _kepler18_run(
+        lambda model, s0, h0, cfg: midpoint_fixed_run(model, s0, h0, 0.5, cfg)),
 }
 
 
@@ -681,11 +844,7 @@ TRAJECTORY_DIGESTS = {
 def test_trajectories_keep_every_bit(request, name):
     # a change meant to leave the arithmetic alone must not move one bit of
     # a state or a StepRecord field of these runs
-    if name == "midpoint_fixed_e07":
-        traj = midpoint_fixed_run(KeplerTwoBody(), kepler_initial_state(0.7), 1e-3, 2 * math.pi,
-                                  SolverConfig())
-    else:
-        traj = request.getfixturevalue(name)
+    traj = _DIGEST_RUNS[name]() if name in _DIGEST_RUNS else request.getfixturevalue(name)
     assert trajectory_digest(traj) == TRAJECTORY_DIGESTS[name]
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import typed_bits
 
 from varint import (
     ConfigurationError,
@@ -216,17 +217,22 @@ def test_extended_precision_model_evaluation():
 @pytest.mark.parametrize("digits", [16, 18])
 @pytest.mark.parametrize("name", ["kepler", "oscillator", "pendulum"])
 def test_potential_and_gradient_is_bitwise_the_pair(name, digits):
-    # one call serves the EpAVI residual's V and grad V at the midpoint; it
-    # must not move a single bit of either
+    # one call serves the step kernel's V and grad V at the midpoint, and one
+    # the Jacobian's grad V and hess V; on the list of context scalars the
+    # kernel hands them, neither may move a single bit of the array methods'
+    # values, nor change a component's type
     ctx = with_precision(digits)
     model = make_model(name, {"k": 1.3, "m": 0.8}, ctx)
     rng = np.random.default_rng(3)
     for _ in range(20):
         q = ctx.array(list(rng.uniform(-1.7, 1.7, model.n)))
-        V, dV = model.potential_and_gradient(q)
-        assert type(V) is type(model.potential(q)) and V == model.potential(q)
-        assert dV.dtype == model.potential_gradient(q).dtype
-        assert all(a == b for a, b in zip(dV, model.potential_gradient(q)))
+        V, dV = model.potential_and_gradient(q.tolist())
+        assert isinstance(dV, list)
+        assert typed_bits(ctx, [V, dV]) == typed_bits(ctx, [model.potential(q), model.potential_gradient(q)])
+        dV, d2V = model.potential_gradient_and_hessian(q.tolist())
+        assert isinstance(dV, list) and all(isinstance(row, list) for row in d2V)
+        assert typed_bits(ctx, [dV, d2V]) == typed_bits(ctx, [model.potential_gradient(q),
+                                                              model.potential_hessian(q)])
 
 
 @pytest.mark.parametrize("digits", [16, 18])
@@ -239,12 +245,7 @@ def test_kepler_kernels_are_bitwise_the_reference_formulas(digits):
     rng = np.random.default_rng(11)
 
     def same(a, b):
-        a, b = np.asarray(a), np.asarray(b)
-        if a.dtype != b.dtype:
-            return False
-        if a.dtype == object:
-            return all(type(x) is type(y) and x == y for x, y in zip(a.flat, b.flat))
-        return a.tobytes() == b.tobytes()
+        return typed_bits(ctx, a) == typed_bits(ctx, b)
 
     for _ in range(200):
         q = ctx.array(list(rng.standard_normal(2) * 10 ** rng.uniform(-3, 3, 2)))
@@ -252,30 +253,29 @@ def test_kepler_kernels_are_bitwise_the_reference_formulas(digits):
         grad = q / r ** 3
         hess = ctx.identity(2) / r ** 3 - 3 * np.outer(q, q) / r ** 5
         assert same(model.potential_gradient(q), grad)
-        V, dV = model.potential_and_gradient(q)
+        V, dV = model.potential_and_gradient(q.tolist())
         assert same(V, -1 / r) and same(dV, grad)
         assert same(model.potential_hessian(q), hess)
+        assert same(model.potential_gradient_and_hessian(q.tolist()), [grad, hess])
 
 
 @pytest.mark.parametrize("digits", [16, 18])
 @pytest.mark.parametrize("name", ["kepler", "oscillator", "pendulum"])
 def test_mass_product_is_the_matrix_product(name, digits):
     # Kepler's M v skips np.dot with its identity M; that moves nothing but
-    # the sign of a zero component: 1 * (-0.0) + 0 * v_j reads +0.0
+    # the sign of a zero component: 1 * (-0.0) + 0 * v_j reads +0.0.  The
+    # step kernel hands M v a list of context scalars.
     ctx = with_precision(digits)
     model = make_model(name, {"k": 1.3, "m": 0.8}, ctx)
     rng = np.random.default_rng(5)
-
-    def bits(x):
-        return float(x).hex() if ctx.is_native else x._mpf_
-
     for k in range(200):
         v = ctx.array(list(rng.standard_normal(model.n) * 10.0 ** rng.integers(-6, 7, model.n))) / 3
         if k % 4 == 0:
             v[rng.integers(model.n)] = ctx.real(-0.0 if k % 8 else 0.0)
-        got, want = model.mass_times(v), np.dot(model.M, v)
-        assert got.dtype == want.dtype
+        got, want = model.mass_times(v.tolist()), np.dot(model.M, v)
+        assert isinstance(got, list)
+        typed_bits(ctx, got)
         for a, b in zip(got, want):
             assert a == b
-            if b != 0:
-                assert bits(a) == bits(b)
+            if b != 0 or name != "kepler":
+                assert typed_bits(ctx, a) == typed_bits(ctx, b)
