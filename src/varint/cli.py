@@ -74,6 +74,10 @@ class ExperimentConfig:
             raise ConfigurationError("set periods or T_final, not both")
         if self.periods is not None and self.problem != "kepler":
             raise ConfigurationError("periods is only defined for the kepler problem")
+        # g2 = q'q, Kepler's second-law density, vanishes at q = 0, which the
+        # 1-DOF runs from rest cross: the steps collapse there and t never reaches T_final
+        if self.integrator == "avi2" and self.problem != "kepler":
+            raise ConfigurationError("avi2 is only defined for the kepler problem")
         if not 0 < self.final_time() < math.inf:
             raise ConfigurationError(f"T_final must be positive and finite, got {self.final_time()}")
         if self.digits < 10:

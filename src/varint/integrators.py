@@ -40,12 +40,13 @@ with h scaled by the monitor density when one is given, under the partials
 of L_d, the EpAVI and momentum residuals and the step updates; each residual
 returns its kernel with its value, and the step update reads the kernel at
 the Newton solution from ``SolveReport.aux``.  The kernel, the residuals and
-Jacobians, the monitors and the warm start compute on Python lists of
-context scalars: on two or three components NumPy's fixed cost per call
-outweighs the arithmetic.  NumPy keeps the Newton step's linear algebra and
-iterate, the states' q and p and the trajectories.  Each operation is the
-array formula's, in its order (sums from 0 in index order; ``np.dot`` where
-BLAS fuses a multiply-add or keeps a zero's sign), so no bit moves.
+Jacobians, the Newton iterate from its start to ``SolveReport.solution``,
+the monitors and the warm start are Python lists of context scalars: on two
+or three components NumPy's fixed cost per call outweighs the arithmetic.
+NumPy keeps the LAPACK solve (``PrecisionContext.factor`` and ``solve``),
+the states' q and p and the trajectories.  Each operation is the array
+formula's, in its order (sums from 0 in index order; ``np.dot`` where BLAS
+fuses a multiply-add or keeps a zero's sign), so no bit moves.
 :func:`_momentum_system` is the momentum equation above, with its Jacobian:
 one system for an AVI step, a fixed step (the unit monitor, da = h) and
 EpAVI's fixed-h solves; both Jacobians are built on
@@ -326,22 +327,22 @@ def _epavi_system(model, state):
     dm, q_kd = model.double, [float(x) for x in q_k]
 
     def residual(z):
-        *dq, h = z.tolist()
+        *dq, h = z
         if not h > 0:  # a nan h included
             raise NonMonotoneTimeError(f"time step {h} must be positive")
         kernel = _increment(model, q_k, dq, h)
         v, Mv, half_grad, V, _ = kernel
         out = [a + b - c for a, b, c in zip(Mv, half_grad, p_k)]
         out.append(_discrete_energy(v, Mv, V) - E_k)
-        return np.array(out), kernel
+        return out, kernel
 
     def jacobian(z, _):
-        *dq, h = z.tolist()
+        *dq, h = z
         h = float(h)
         _, grad, _, v, Mv, A, c = _double_partials(dm, q_kd, dq, h)
         J = [row + [c_i] for row, c_i in zip(A, c)]
         J.append([y / h + g / 2 for y, g in zip(Mv, grad)] + [-_dot(v, Mv) / h])
-        return np.array(J)
+        return J
 
     return residual, jacobian
 
@@ -368,14 +369,14 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
         return newton_solve(residual, z, cfg, ctx, jacobian=jacobian)
 
     if z0 is None:
-        z0 = [*(np.dot(model.M_inv, state.p) * h_guess).tolist(), h_guess]
+        z0 = [*_explicit_euler(model, state, h_guess), h_guess]
     try:
         report, retried = solve(z0), False
     except NonconvergenceError:
         fixed = _solve_momentum(model, _UNIT, state, h_guess, cfg)
-        report, retried = solve([*fixed.solution.tolist(), h_guess]), True
+        report, retried = solve([*fixed.solution, h_guess]), True
         report = replace(report, iterations=fixed.iterations + report.iterations)
-    *dq, h = report.solution.tolist()
+    *dq, h = report.solution
     v, Mv, half_grad, V, _ = report.aux
     new_state = ExtendedState(
         t=state.t + h, q=state.q + dq, p=_difference(Mv, half_grad), E=_discrete_energy(v, Mv, V)
@@ -492,18 +493,24 @@ def _momentum_system(model, monitor, state, delta_a):
     dm, q_kd, dad = model.double, [float(x) for x in q_k], float(delta_a)
 
     def residual(dq):
-        kernel = _increment(model, q_k, dq.tolist(), delta_a, g)
+        kernel = _increment(model, q_k, dq, delta_a, g)
         _, Mv, half_grad, _, _ = kernel
-        return np.array([a + b - c for a, b, c in zip(Mv, half_grad, p_k)]), kernel
+        return [a + b - c for a, b, c in zip(Mv, half_grad, p_k)], kernel
 
     def jacobian(dq, kernel):
         h = float(kernel[4])
-        mid, grad, hess, _, _, A, c = _double_partials(dm, q_kd, dq.tolist(), h)
+        mid, grad, hess, _, _, A, c = _double_partials(dm, q_kd, dq, h)
         half_da = dad / 2
         w = [x * half_da for x in monitor.grad(mid, h / dad, grad, hess)]
-        return np.array([[a + c_i * w_j for a, w_j in zip(row, w)] for row, c_i in zip(A, c)])
+        return [[a + c_i * w_j for a, w_j in zip(row, w)] for row, c_i in zip(A, c)]
 
     return residual, jacobian
+
+
+def _explicit_euler(model, state, h) -> list:
+    """The explicit-Euler increment h M^{-1} p_k, every step's start without a
+    warm one, as a list."""
+    return (np.dot(model.M_inv, state.p) * h).tolist()
 
 
 def _solve_momentum(model, monitor, state, delta_a, cfg, dq0=None) -> SolveReport:
@@ -512,7 +519,7 @@ def _solve_momentum(model, monitor, state, delta_a, cfg, dq0=None) -> SolveRepor
     kernel (v, Mv, (h/2) grad V, V, h) at its solution."""
     residual, jacobian = _momentum_system(model, monitor, state, delta_a)
     if dq0 is None:
-        dq0 = np.dot(model.M_inv, state.p) * delta_a
+        dq0 = _explicit_euler(model, state, delta_a)
     return newton_solve(residual, dq0, cfg, model.ctx, jacobian=jacobian)
 
 
@@ -526,9 +533,9 @@ def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, del
     Solves the momentum equation for dq with h = da g(q_av); then
     t_{k+1} = t_k + h and p_{k+1} = Mv - (h/2) grad V(q_av) are explicit.
     Newton starts from ``dq0`` when it is given (the run driver's warm
-    start, or the fixed step's explicit start), else from the
-    explicit-Euler guess da g(q_k) M^{-1} p_k, the only use of the model at
-    q_k.  Every residual rejects g(q_av) <= 0, the one at ``dq0`` included.
+    start), else from the explicit-Euler guess da g(q_k) M^{-1} p_k, the
+    only use of the model at q_k.  Every residual rejects g(q_av) <= 0, the
+    one at ``dq0`` included.
     """
     if not delta_a > 0:
         raise ConfigurationError("delta_a must be positive")
@@ -538,7 +545,7 @@ def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, del
         g0 = monitor.g(q, *model.potential_and_gradient(q))
         if g0 <= 0:
             raise MonitorDomainError(f"monitor value {g0} at the step start is not positive")
-        dq0 = np.dot(model.M_inv, state.p) * (delta_a * g0)
+        dq0 = _explicit_euler(model, state, delta_a * g0)
     report = _solve_momentum(model, monitor, state, delta_a, cfg, dq0)
     _, Mv, half_grad, _, h = report.aux
     q1, p1 = state.q + report.solution, _difference(Mv, half_grad)
@@ -611,11 +618,11 @@ def _avi_march(model, name, monitor, state0, delta_a, T_final, cfg, /, **meta) -
 
 def midpoint_fixed_step(model: LagrangianModel, state: ExtendedState, h, cfg: SolverConfig):
     """One fixed-step variational midpoint step: :func:`avi_step` with the
-    unit monitor (da = h) from the explicit-Euler start h M^{-1} p_k; E is
-    reported as H(q, p) and the record's ``delta_a`` is h."""
+    unit monitor (da = h), whose explicit-Euler start is then h M^{-1} p_k;
+    E is reported as H(q, p) and the record's ``delta_a`` is h."""
     if not h > 0:
         raise ConfigurationError(f"h must be positive, got {h}")
-    return avi_step(model, _UNIT, state, h, cfg, np.dot(model.M_inv, state.p) * model.ctx.real(h))
+    return avi_step(model, _UNIT, state, h, cfg)
 
 
 def midpoint_fixed_run(model, state0, h, T_final, cfg=None) -> Trajectory:

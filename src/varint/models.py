@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError, UnsupportedOrderError
-from .precision import DOUBLE, PrecisionContext, Real, all_finite
+from .precision import DOUBLE, PrecisionContext, Real, inf_norm
 
 #: Reject configurations closer to the gravitational singularity than this;
 #: trajectories in scope never approach collision, so hitting the guard
@@ -36,7 +36,7 @@ class ExtendedState:
             raise ConfigurationError("q and p must have equal dimension")
         if n is not None and len(self.q) != n:
             raise ConfigurationError(f"state dimension {len(self.q)} != model dimension {n}")
-        if not all_finite([self.t, self.E, *self.q, *self.p]):
+        if not inf_norm([self.t, self.E, *self.q, *self.p]) < np.inf:
             raise ConfigurationError("state has non-finite components")
         return self
 
@@ -76,13 +76,16 @@ class LagrangianModel:
         raise NotImplementedError
 
     # The pair methods serve the step kernel: they take a sequence q of context
-    # scalars and return lists (a matrix as a list of rows), bit for bit the
-    # array methods' values.  These defaults go through the array methods.
+    # scalars and return context scalars and lists of them (a matrix as a list
+    # of rows), bit for bit the array methods' values.  These defaults go
+    # through the array methods.
 
     def potential_and_gradient(self, q):
-        """(V(q), grad V(q)) in one call: a scalar and a list."""
+        """(V(q), grad V(q)) in one call: a scalar and a list.  V is made a
+        context scalar, as the components of ``tolist`` are: a potential
+        indexed from an array is numpy's float64."""
         q = np.array(q)
-        return self.potential(q), self.potential_gradient(q).tolist()
+        return self.ctx.real(self.potential(q)), self.potential_gradient(q).tolist()
 
     def potential_gradient_and_hessian(self, q):
         """(grad V(q), Hessian of V(q)) in one call: a list and a list of rows."""
@@ -158,7 +161,7 @@ class HarmonicOscillator(LagrangianModel):
     def __init__(self, k: float = 1.0, m: float = 1.0, ctx: PrecisionContext = DOUBLE):
         if not 0 < m < np.inf:  # nan included
             raise ConfigurationError(f"oscillator mass m must lie in (0, inf), got {m}")
-        if not all_finite([k]):
+        if not inf_norm([k]) < np.inf:
             raise ConfigurationError(f"oscillator stiffness k must be finite, got {k}")
         super().__init__(1, [[m]], ctx)
         self.k = ctx.real(k)

@@ -162,10 +162,10 @@ class PrecisionContext:
 
     # -- linear algebra (systems here are tiny: n or n+1 unknowns) -----------
 
-    def factor(self, A: np.ndarray) -> LUFactors:
-        """``A`` in double with its inverse (the LAPACK LU gufunc behind
-        ``numpy.linalg.inv``), formed once for every :meth:`solve` with that
-        matrix and its :meth:`cond_inf`.  A singular ``A`` (a zero pivot,
+    def factor(self, A) -> LUFactors:
+        """``A`` (an array or a list of rows) in double with its inverse (the
+        LAPACK LU gufunc behind ``numpy.linalg.inv``), formed once for every
+        :meth:`solve` with that matrix and its :meth:`cond_inf`.  A singular ``A`` (a zero pivot,
         LAPACK ``info > 0``) gets an all-nan inverse and is marked singular:
         :meth:`solve` rejects it and :meth:`cond_inf` reports ``inf``.
         """
@@ -173,17 +173,18 @@ class PrecisionContext:
         inv = _inv(a)
         return LUFactors(a, inv, math.isnan(inv[0, 0]))
 
-    def solve(self, factors: LUFactors, b: np.ndarray) -> np.ndarray:
+    def solve(self, factors: LUFactors, b) -> list:
         """Solve ``A x = b`` in double (the LAPACK ``dgesv`` gufunc behind
-        ``numpy.linalg.solve``, the bits of ``dgetrf`` and ``dgetrs``);
-        raises :class:`IllPosednessError` for a singular ``A``.  The
-        integrators form ``A`` in double; the residual ``b`` comes in context
-        precision, so a double step refines an extended iterate to the
-        context's accuracy (iterative refinement; Moler, JACM 14, 1967).
+        ``numpy.linalg.solve``, the bits of ``dgetrf`` and ``dgetrs``), x as
+        a list of floats; raises :class:`IllPosednessError` for a singular
+        ``A``.  The integrators form ``A`` in double; the residual ``b``
+        comes in context precision, so a double step refines an extended
+        iterate to the context's accuracy (iterative refinement; Moler, JACM
+        14, 1967).
         """
         if factors.singular:
             raise IllPosednessError("singular Jacobian: an LU pivot is zero")
-        return _umath_linalg.solve1(factors.a, np.asarray(b, dtype=float))
+        return _umath_linalg.solve1(factors.a, np.asarray(b, dtype=float)).tolist()
 
     def cond_inf(self, factors: LUFactors) -> float:
         """Infinity-norm condition number ||A|| ||A^{-1}|| of the factored
@@ -226,22 +227,8 @@ DOUBLE = PrecisionContext(DOUBLE_DIGITS)
 
 
 def inf_norm(v) -> Real:
-    """Max-abs of a vector of context scalars, ``inf`` if any component is
-    nan or infinite: a Python ``float`` for a float array, an mpf for mpf."""
-    if v.dtype == object:
-        a = np.abs(v)
-        return a.max() if all(map(mpmath.isfinite, a.flat)) else math.inf
-    c = v.tolist()
-    return max(map(abs, c)) if all(map(math.isfinite, c)) else math.inf
-
-
-def all_finite(v) -> bool:
-    """Whether every component of a scalar or vector is finite.
-
-    Float arrays are checked in one vectorised call; only object arrays of
-    context scalars go through ``mpmath.isfinite`` one element at a time.
-    """
-    a = np.asarray(v)
-    if a.dtype == object:
-        return all(mpmath.isfinite(c) for c in a.flat)
-    return bool(np.isfinite(a).all())
+    """Max-abs of a sequence of context scalars, ``inf`` if any component is
+    nan or infinite: ``c < inf`` is false for both, for a float and an mpf
+    alike, and true for an mpf beyond the double range."""
+    a = [abs(c) for c in v]
+    return max(a) if all(c < math.inf for c in a) else math.inf

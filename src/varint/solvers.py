@@ -34,10 +34,9 @@ Jacobian; :func:`fd_jacobian` is the difference Jacobian it is checked by.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
-
-import numpy as np
 
 from .errors import (
     IllPosednessError,
@@ -46,7 +45,7 @@ from .errors import (
     NonMonotoneTimeError,
     SingularityError,
 )
-from .precision import DOUBLE, PrecisionContext, Real, all_finite, inf_norm
+from .precision import DOUBLE, PrecisionContext, Real, inf_norm
 
 #: Errors that mark a trial point infeasible: a domain error, or an overflow.
 _INFEASIBLE = (SingularityError, MonitorDomainError, NonMonotoneTimeError, OverflowError)
@@ -104,7 +103,7 @@ class SolveReport:
     ``aux`` is what the residual returned with its value at ``solution``.
     """
 
-    solution: np.ndarray
+    solution: list
     residual_norm: Real
     iterations: int
     condition_estimate: float
@@ -112,24 +111,20 @@ class SolveReport:
     aux: Any = None
 
 
-def fd_jacobian(F: Callable, x: np.ndarray, fd_step, ctx: PrecisionContext = DOUBLE) -> np.ndarray:
-    """Central-difference Jacobian, J[i, j] = (F_i(x+d e_j) - F_i(x-d e_j)) / 2d,
-    with d = fd_step * (1 + |x_j|)."""
-    n = len(x)
+def fd_jacobian(F: Callable, x, fd_step) -> list:
+    """Central-difference Jacobian, J[i][j] = (F_i(x+d e_j) - F_i(x-d e_j)) / 2d,
+    with d = fd_step * (1 + |x_j|), of a residual ``F`` that takes and returns
+    sequences of context scalars, as a list of rows."""
     cols = []
-    for j in range(n):
-        d = fd_step * (1 + abs(x[j]))
-        xp = x.copy()
-        xp[j] = x[j] + d
-        xm = x.copy()
-        xm[j] = x[j] - d
-        cols.append((F(xp) - F(xm)) / (2 * d))
-    J = np.empty((len(cols[0]), n), dtype=object if not ctx.is_native else float)
-    for j, col in enumerate(cols):
-        if not all_finite(col):
+    for j, x_j in enumerate(x):
+        d = fd_step * (1 + abs(x_j))
+        xp, xm = list(x), list(x)
+        xp[j], xm[j] = x_j + d, x_j - d
+        col = [(a - b) / (2 * d) for a, b in zip(F(xp), F(xm))]
+        if not inf_norm(col) < math.inf:
             raise NonconvergenceError(f"non-finite residual while differencing column {j}")
-        J[:, j] = col
-    return J
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
 
 
 def newton_solve(
@@ -142,10 +137,11 @@ def newton_solve(
 ) -> SolveReport:
     """Solve F(x) = 0 by damped Newton iteration from the sequence ``x0``.
 
-    The iterate x is an array of context scalars.  ``F(x)`` returns
-    ``(residual, aux)``, where ``aux`` is whatever the caller wants back at
-    the solution; ``jacobian(x, aux)`` supplies the analytic partials at x,
-    given the ``aux`` that ``F`` returned there.
+    The iterate x is a list of context scalars, from ``x0`` to the report's
+    ``solution``.  ``F(x)`` returns ``(residual, aux)``: the residual a
+    sequence of context scalars, and ``aux`` whatever the caller wants back
+    at the solution; ``jacobian(x, aux)`` supplies the analytic partials at
+    x as rows, given the ``aux`` that ``F`` returned there.
     The report carries the ``aux`` of its solution.  A domain error (a
     collision, a non-positive monitor or time step) or an ``OverflowError``
     raised by ``F`` at a trial point marks it infeasible for the damping.
@@ -157,10 +153,10 @@ def newton_solve(
     """
     tol = ctx.real(cfg.tol)
 
-    x = np.array(x0)
+    x = list(x0)
     Fx, aux = F(x)
     r = inf_norm(Fx)
-    if r == np.inf:
+    if r == math.inf:
         raise NonconvergenceError("residual not finite at the initial guess")
 
     lu = None
@@ -173,7 +169,7 @@ def newton_solve(
         try:
             if lu is None or not polishing:
                 lu = ctx.factor(jacobian(x, aux))
-            dx = -ctx.solve(lu, Fx)
+            dx = ctx.solve(lu, Fx)  # the Newton step is -dx
         except OverflowError:
             raise NonconvergenceError(f"Jacobian overflows after {iterations} iterations") from None
         except IllPosednessError:  # an exactly singular Jacobian: its condition number reads inf
@@ -184,9 +180,9 @@ def newton_solve(
         # none does, or when a polish step does not move the iterate
         lam, rn = 1, r
         for _ in range(1 if polishing else MAX_HALVINGS + 1):
-            xn = x + dx if lam == 1 else x + lam * dx
+            xn = [a - lam * b for a, b in zip(x, dx)]
             lam = lam / 2
-            if polishing and xn.tolist() == x.tolist():  # cheaper than (xn == x).all() here
+            if polishing and xn == x:
                 break
             try:
                 Fn, aux_n = F(xn)

@@ -221,11 +221,11 @@ def test_criterion_12_one_step_map_determinant():
     dets = {}
     for label, h in (("epavi", rec_ep.h), ("avi", rec_av.h)):
         def step_map(z, h=h):
-            s = ExtendedState(t=0.0, q=z[:1].copy(), p=z[1:].copy(), E=0.0)
+            s = ExtendedState(t=0.0, q=np.array(z[:1]), p=np.array(z[1:]), E=0.0)
             out, _ = midpoint_fixed_step(model, s, h, cfg)
-            return np.concatenate([out.q, out.p])
+            return [*out.q, *out.p]
 
-        J = fd_jacobian(step_map, np.array([0.8, 0.4]), 1e-6)
+        J = fd_jacobian(step_map, [0.8, 0.4], 1e-6)
         dets[label] = abs(float(np.linalg.det(J)) - 1.0)
     ok = all(v <= 1e-6 for v in dets.values())
     _report(12, ok, "one-step map |det-1| at realized h: "

@@ -89,19 +89,19 @@ def test_main_rejects_a_non_finite_oscillator(tmp_path, capsys, setting, integra
     assert message in capsys.readouterr().err
 
 
-def _reference_run_in_a_fresh_interpreter(tmp_path, mass):
+def _run_in_a_fresh_interpreter(tmp_path, *settings):
     # a fresh interpreter under a timeout turns a run that never returns into
     # a failure instead of a hung session
     src = str(Path(varint.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "varint.cli", "run", "problem=oscillator", f"m={mass}",
-                           "integrator=reference", "T_final=0.1", f"outdir={tmp_path}"],
+    return subprocess.run([sys.executable, "-m", "varint.cli", "run", *settings, f"outdir={tmp_path}"],
                           env=env, capture_output=True, text=True, timeout=60)
 
 
 def test_nan_mass_reference_run_returns(tmp_path):
     # RK45 loops on a nan right-hand side
-    proc = _reference_run_in_a_fresh_interpreter(tmp_path, "nan")
+    proc = _run_in_a_fresh_interpreter(tmp_path, "problem=oscillator", "m=nan", "integrator=reference",
+                                       "T_final=0.1")
     assert proc.returncode == 2, proc.stderr
     assert "mass m" in proc.stderr
 
@@ -110,13 +110,23 @@ def test_reference_run_of_a_vanishing_period_returns(tmp_path):
     # the period 2 pi sqrt(m/k) ~ 6e-150 would take RK45 ~1e149 steps; its
     # first step, far below 1e-12 of the span, fails the run, and the
     # overflow in RK45's first-step norm is not warned of
-    proc = _reference_run_in_a_fresh_interpreter(tmp_path, "1e-300")
+    proc = _run_in_a_fresh_interpreter(tmp_path, "problem=oscillator", "m=1e-300", "integrator=reference",
+                                       "T_final=0.1")
     assert proc.returncode == 1, proc.stderr
     assert "RuntimeWarning" not in proc.stderr, proc.stderr
     stored = read_summary(tmp_path / "summary.txt")
     assert stored["success"] == "False"
     assert stored["error"].startswith("reference step ")
     assert stored["error"].endswith(" at t = 0 is below 1e-12 of the span")
+
+
+@pytest.mark.parametrize("problem", ["oscillator", "pendulum"])
+def test_avi2_off_kepler_is_a_configuration_error(tmp_path, problem):
+    # g2 = q'q vanishes at the q = 0 that the default run from rest crosses:
+    # the run never returned, and is now refused before it starts
+    proc = _run_in_a_fresh_interpreter(tmp_path, f"problem={problem}", "integrator=avi2")
+    assert proc.returncode == 2, proc.stderr
+    assert "avi2 is only defined for the kepler problem" in proc.stderr
 
 
 def test_main_exit_codes(tmp_path, capsys):

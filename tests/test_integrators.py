@@ -208,17 +208,17 @@ def test_step_kernel_is_bitwise_the_array_formulas(name, digits):
         assert typed_bits(ctx, got) == typed_bits(ctx, _array_kernel(model, state.q, dq, h))
 
         # EpAVI: residual in the context, Jacobian in double
-        z = np.append(dq, h)
+        z = [*dq.tolist(), h]
         residual, jacobian = varint.integrators._epavi_system(model, state)
         F, kernel = residual(z)
         v, Mv, half_grad, V, _ = _array_kernel(model, state.q, dq, h)
         want = np.append(Mv + half_grad - state.p, (v * Mv).sum() / 2 + V - state.E)
-        assert isinstance(F, np.ndarray) and typed_bits(ctx, F) == typed_bits(ctx, want)
+        assert isinstance(F, list) and typed_bits(ctx, F) == typed_bits(ctx, want)
         hd = float(h)
         _, grad, _, v, Mv, A, c = _array_partials(model, state.q, dq, hd)
         J = np.vstack([np.column_stack([A, c]), np.append(Mv / hd + grad / 2, -(v * Mv).sum() / hd)])
         got = jacobian(z, kernel)
-        assert got.dtype == np.float64 and typed_bits(DOUBLE, got) == typed_bits(DOUBLE, J)
+        assert isinstance(got, list) and typed_bits(DOUBLE, got) == typed_bits(DOUBLE, J)
 
         # the momentum equation under each monitor
         for monitor_name in ("g1", "g2", "unit"):
@@ -227,20 +227,20 @@ def test_step_kernel_is_bitwise_the_array_formulas(name, digits):
             mid = state.q + dq / 2
             if not reference.g(mid, model.potential(mid), model.potential_gradient(mid)) > 0:
                 with pytest.raises(MonitorDomainError):  # g2 at mid = 0
-                    residual(dq)
+                    residual(dq.tolist())
                 continue
             v, Mv, half_grad, V, h_g = _array_kernel(model, state.q, dq, h, reference.g)
-            F, kernel = residual(dq)
-            assert isinstance(F, np.ndarray)
+            F, kernel = residual(dq.tolist())
+            assert isinstance(F, list)
             assert typed_bits(ctx, F) == typed_bits(ctx, Mv + half_grad - state.p)
             dad, h_g = float(h), float(h_g)
             mid, grad, hess, _, _, A, c = _array_partials(model, state.q, dq, h_g)
             want_grad = reference.grad(mid, h_g / dad, grad, hess)
             got_grad = monitor.grad(mid.tolist(), h_g / dad, grad.tolist(), hess.tolist())
             assert typed_bits(DOUBLE, got_grad) == typed_bits(DOUBLE, want_grad)
-            got = jacobian(dq, kernel)
+            got = jacobian(dq.tolist(), kernel)
             want = A + np.outer(c, want_grad * (dad / 2))
-            assert got.dtype == np.float64 and typed_bits(DOUBLE, got) == typed_bits(DOUBLE, want)
+            assert isinstance(got, list) and typed_bits(DOUBLE, got) == typed_bits(DOUBLE, want)
 
 
 # -- the warm-start predictor -----------------------------------------------------
@@ -856,6 +856,22 @@ def test_stalled_is_a_bool(digits, tol):
                      SolverConfig(tol=tol))
     assert any(r.stalled for r in traj.steps)
     assert all(type(r.stalled) is bool for r in traj.steps)
+
+
+@pytest.mark.parametrize("name", ["kepler", "oscillator", "pendulum"])
+def test_double_runs_record_python_scalars(name):
+    # the Newton iterate and residuals are lists of context scalars, so a
+    # double run records a float residual norm and a bool stall flag, not
+    # numpy's float64 and bool_ (whose repr differs); the 1-DOF models' V
+    # comes from the array methods, indexed from an array
+    model = make_model(name)
+    state0 = initial_state(name, {"q0": 0.5, "p0": 0.5})
+    runs = [epavi_run(model, state0, 1e-2, 0.2, SolverConfig(tol=1e-16)),
+            avi_run(model, make_monitor("g1", model, state0), state0, 0.2, SolverConfig(tol=1e-16), h0=1e-2),
+            midpoint_fixed_run(model, state0, 1e-2, 0.2, SolverConfig(tol=1e-16))]
+    for traj in runs:
+        assert len(traj.steps) >= 10
+        assert all(type(r.residual_norm) is float and type(r.stalled) is bool for r in traj.steps)
 
 
 # -- run driver -------------------------------------------------------------------

@@ -36,6 +36,11 @@ def _diagonal(x, dF):
     return np.diag(dF)
 
 
+def _elementwise(f, df):
+    """The residual x -> [f(x_i)] on a list, returning [df(x_i)] as the by-product."""
+    return lambda x: ([f(c) for c in x], [df(c) for c in x])
+
+
 def _value(residual):
     """The value alone of a residual that returns (value, by-product)."""
     return lambda x: residual(x)[0]
@@ -43,7 +48,9 @@ def _value(residual):
 
 def test_scalar_quadratic():
     cfg = SolverConfig(tol=1e-12)
-    report = newton_solve(lambda x: (x * x - 4.0, 2 * x), np.array([3.0]), cfg, jacobian=_diagonal)
+    report = newton_solve(_elementwise(lambda c: c * c - 4.0, lambda c: 2 * c), [3.0], cfg,
+                          jacobian=_diagonal)
+    assert isinstance(report.solution, list)
     assert report.solution[0] == pytest.approx(2.0, abs=1e-12)
     assert report.residual_norm <= cfg.tol
     assert not report.stalled
@@ -58,9 +65,9 @@ def test_domain_error_at_a_trial_point_halves_the_step(error):
     def F(x):
         if not x[0] > 0:
             raise error("outside the domain")
-        return 1 - 1 / x, 1 / (x * x)
+        return [1 - 1 / x[0]], [1 / (x[0] * x[0])]
 
-    report = newton_solve(F, np.array([3.0]), SolverConfig(tol=1e-12), jacobian=_diagonal)
+    report = newton_solve(F, [3.0], SolverConfig(tol=1e-12), jacobian=_diagonal)
     assert report.solution[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -74,7 +81,7 @@ def test_jacobian_overflow_fails_the_solve():
         return np.diag(dF)
 
     with pytest.raises(NonconvergenceError, match="^Jacobian overflows after 1 iterations$"):
-        newton_solve(lambda x: (x * x - 4.0, 2 * x), np.array([1.5]), SolverConfig(tol=1e-12),
+        newton_solve(_elementwise(lambda c: c * c - 4.0, lambda c: 2 * c), [1.5], SolverConfig(tol=1e-12),
                      jacobian=jacobian)
 
 
@@ -85,15 +92,14 @@ def test_failed_solve_at_an_ill_conditioned_iterate_does_not_converge(y0):
     # y = 0 J is exactly singular, so the solve stalls at |F| = 1: a failed
     # solve, not an ill-posed one
     with pytest.raises(NonconvergenceError, match="^no convergence: residual 1.000e[+]00 after 0 ") as info:
-        newton_solve(lambda x: (np.array([x[0], x[1] ** 2 + 1]), x), np.array([0.0, y0]),
+        newton_solve(lambda x: ([x[0], x[1] ** 2 + 1], x), [0.0, y0],
                      SolverConfig(tol=1e-12), jacobian=lambda x, _: np.diag([1, 2 * x[1]]))
     assert info.value.report.condition_estimate >= varint.solvers.COND_LIMIT
     assert info.value.report.stalled
 
 
 def test_identity_root_converges_immediately():
-    report = newton_solve(lambda x: (x, np.ones(1)), np.array([0.0]), SolverConfig(tol=1e-12),
-                          jacobian=_diagonal)
+    report = newton_solve(lambda x: (x, [1.0]), [0.0], SolverConfig(tol=1e-12), jacobian=_diagonal)
     assert report.solution[0] == 0.0
     assert report.iterations <= 1
 
@@ -111,21 +117,21 @@ def test_free_particle_2x2_system_singular_directly():
     model = HarmonicOscillator(k=0.0)
     state = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.0)
     residual, jacobian = _epavi_system(model, state)
-    z = np.array([0.0, 0.5])  # dq = 0, any h
+    z = [0.0, 0.5]  # dq = 0, any h
     r, kernel = residual(z)
-    assert np.all(r == 0.0)
+    assert r == [0.0, 0.0]
     J = jacobian(z, kernel)
     assert np.linalg.matrix_rank(J) < 2
 
 
 def test_fd_jacobian_linear_map_exact():
-    J = fd_jacobian(lambda x: x.copy(), np.array([0.3, -1.7]), 1e-5)
+    J = fd_jacobian(lambda x: list(x), [0.3, -1.7], 1e-5)
     assert np.allclose(J, np.eye(2), atol=1e-12)
 
 
 def test_fd_jacobian_polynomial():
-    J = fd_jacobian(lambda x: x * x, np.array([3.0]), 1e-6)
-    assert J[0, 0] == pytest.approx(6.0, abs=1e-7)
+    J = fd_jacobian(lambda x: [c * c for c in x], [3.0], 1e-6)
+    assert J[0][0] == pytest.approx(6.0, abs=1e-7)
 
 
 def test_fd_jacobian_matches_analytic_epavi_partials():
@@ -136,11 +142,11 @@ def test_fd_jacobian_matches_analytic_epavi_partials():
     E0 = initial_discrete_energy(model, state0, 1e-3, cfg)
     state = ExtendedState(t=state0.t, q=state0.q, p=state0.p, E=E0)
     residual, jacobian = _epavi_system(model, state)
-    z = np.concatenate([1e-3 * np.asarray(state.p), [1e-3]])
+    z = [*(1e-3 * np.asarray(state.p)).tolist(), 1e-3]
     # the residual varies on the scale of h itself, so the difference step
     # must sit well below it for a 1e-6 comparison
-    J_fd = fd_jacobian(_value(residual), z, 1e-7)
-    J_an = jacobian(z, residual(z)[1])
+    J_fd = np.array(fd_jacobian(_value(residual), z, 1e-7))
+    J_an = np.array(jacobian(z, residual(z)[1]))
     assert np.max(np.abs(J_fd - J_an)) <= 1e-6 * np.max(np.abs(J_an))
 
 
@@ -166,15 +172,15 @@ def test_fd_jacobian_matches_analytic_avi_partials(monitor, digits, fd_step, rel
         mon = make_monitor(monitor, model, state)
         delta_a = ctx.real(1e-3) / mon.g(state.q, *model.potential_and_gradient(state.q))
         residual, jacobian = _momentum_system(model, mon, state, delta_a)
-        z = ctx.array(list(1e-3 * rng.standard_normal(2)))
-        J_an = jacobian(z, residual(z)[1])
-        J_fd = fd_jacobian(_value(residual), z, fd_step, ctx)
+        z = ctx.array(list(1e-3 * rng.standard_normal(2))).tolist()
+        J_an = np.array(jacobian(z, residual(z)[1]))
+        J_fd = np.array(fd_jacobian(_value(residual), z, fd_step))
         assert np.max(np.abs(J_fd - J_an)) <= rel * np.max(np.abs(J_an))
         if monitor == "unit":
             _, _, _, _, _, A, c = _double_partials(model.double, np.asarray(state.q, dtype=float), z,
                                                    float(delta_a))
             residual_e, jacobian_e = _epavi_system(model, state)
-            z_e = np.append(z, delta_a)
+            z_e = [*z, delta_a]
             J_e = jacobian_e(z_e, residual_e(z_e)[1])
             assert np.array_equal(J_an, A)
             assert np.array_equal(J_e[:2], np.column_stack([A, c]))
@@ -199,19 +205,19 @@ def test_extended_jacobians_are_formed_in_double(monkeypatch, system):
     rng = np.random.default_rng(11)
     for _ in range(20):
         state = _random_kepler_state(rng, ctx)
-        z = np.dot(model.M_inv, state.p) * h
+        z = (np.dot(model.M_inv, state.p) * h).tolist()
         if system == "epavi":
             residual, jacobian = _epavi_system(model, state)
-            z = np.append(z, h)
+            z = [*z, h]
         elif system == "avi":
             avi_step(model, make_monitor("g1", model, state), state, h, cfg)
             residual, jacobian = captured["residual"], captured["jacobian"]
         else:
             initial_discrete_energy(model, state, h, cfg)
             residual, jacobian = captured["residual"], captured["jacobian"]
-        J = jacobian(z, residual(z)[1])
+        J = np.array(jacobian(z, residual(z)[1]))
         assert J.dtype == np.float64
-        J_fd = fd_jacobian(_value(residual), z, 1e-9, ctx)
+        J_fd = np.array(fd_jacobian(_value(residual), z, 1e-9))
         assert np.max(np.abs(J_fd - J)) <= 1e-13 * np.max(np.abs(J))
 
 
@@ -225,7 +231,7 @@ def test_extended_newton_ill_posedness_limit_is_double():
         b = A @ ctx.array([1, 1])
 
         def solve():
-            return newton_solve(lambda x: (A @ x - b, None), ctx.array([0, 0]), cfg, ctx,
+            return newton_solve(lambda x: ((A @ x - b).tolist(), None), ctx.array([0, 0]).tolist(), cfg, ctx,
                                 jacobian=lambda x, _: A)
 
         if ill_posed:
@@ -317,7 +323,7 @@ def test_polish_forms_no_jacobian(monkeypatch):
     tol = 1e-12
 
     def residual(x):
-        return np.array([x[0] ** 2 + x[1] - 3.0, x[0] + x[1] ** 2 - 5.0])
+        return [x[0] ** 2 + x[1] - 3.0, x[0] + x[1] ** 2 - 5.0]
 
     norms, jacobians_at = [], []
 
@@ -327,10 +333,10 @@ def test_polish_forms_no_jacobian(monkeypatch):
 
     def jacobian(x, _):
         jacobians_at.append(np.abs(residual(x)).max())
-        return np.array([[2 * x[0], 1.0], [1.0, 2 * x[1]]])
+        return [[2 * x[0], 1.0], [1.0, 2 * x[1]]]
 
     monkeypatch.setattr(varint.solvers, "POLISH", 4)
-    report = newton_solve(F, np.array([1.3, 1.8]), SolverConfig(tol=tol), jacobian=jacobian)
+    report = newton_solve(F, [1.3, 1.8], SolverConfig(tol=tol), jacobian=jacobian)
     assert report.residual_norm <= tol and not report.stalled
     above = sum(r > tol for r in norms)  # the iterations that started with r > tol
     assert all(a > b for a, b in zip(norms[:above], norms[1:above + 1]))  # no damping
@@ -347,12 +353,12 @@ def test_failed_polish_step_ends_the_solve(monkeypatch):
     norms = []
 
     def F(x):
-        out = x * x + c
+        out = [x[0] * x[0] + c]
         norms.append(abs(out[0]))
-        return out, 2 * x
+        return out, [2 * x[0]]
 
     monkeypatch.setattr(varint.solvers, "POLISH", 20)
-    report = newton_solve(F, np.array([0.5]), SolverConfig(tol=tol), jacobian=_diagonal)
+    report = newton_solve(F, [0.5], SolverConfig(tol=tol), jacobian=_diagonal)
     assert not report.stalled
     assert report.residual_norm == min(norms) <= tol
     first = next(k for k, r in enumerate(norms) if r <= tol)
@@ -371,11 +377,11 @@ def test_polish_count_includes_the_iterate_that_meets_the_tolerance(x0, norms):
     seen = []
 
     def F(x):
-        out = np.expm1(x) - 0.3
+        out = [math.expm1(x[0]) - 0.3]
         seen.append(abs(out[0]))
-        return out, np.exp(x)
+        return out, [math.exp(x[0])]
 
-    report = newton_solve(F, np.array([x0]), SolverConfig(tol=1e-3), jacobian=_diagonal)
+    report = newton_solve(F, [x0], SolverConfig(tol=1e-3), jacobian=_diagonal)
     assert seen == pytest.approx(norms, rel=0.05)
     assert report.iterations == len(norms) - 1 and not report.stalled
 
@@ -403,13 +409,13 @@ def test_epavi_forms_about_three_jacobians_per_step(monkeypatch):
 @pytest.mark.parametrize(
     "F,root,guess",
     [
-        (lambda x: (x * x - 4.0, 2 * x), 2.0, 2.2),
-        (lambda x: (x ** 3 - 8.0, 3 * x * x), 2.0, 1.85),
-        (lambda x: (np.array([np.exp(x[0]) - 2.0]), np.exp(x)), np.log(2.0), np.log(2.0) * 1.08),
+        (_elementwise(lambda c: c * c - 4.0, lambda c: 2 * c), 2.0, 2.2),
+        (_elementwise(lambda c: c ** 3 - 8.0, lambda c: 3 * c * c), 2.0, 1.85),
+        (_elementwise(lambda c: math.exp(c) - 2.0, math.exp), np.log(2.0), np.log(2.0) * 1.08),
     ],
 )
 def test_quadratic_convergence_iteration_budget(F, root, guess):
-    report = newton_solve(F, np.array([guess]), SolverConfig(tol=1e-12), jacobian=_diagonal)
+    report = newton_solve(F, [guess], SolverConfig(tol=1e-12), jacobian=_diagonal)
     assert report.iterations <= 8
     assert report.solution[0] == pytest.approx(root, abs=1e-10)
 
@@ -426,12 +432,11 @@ def test_report_aux_is_the_residuals_at_the_solution(case, monkeypatch):
 
     def F(x):
         points.append(x)
-        return x * x + c, len(points) - 1
+        return [x[0] * x[0] + c], len(points) - 1
 
     monkeypatch.setattr(varint.solvers, "MAX_ITER", max_iter)
     monkeypatch.setattr(varint.solvers, "POLISH", 20)
-    solve = lambda: newton_solve(F, np.array([x0]), SolverConfig(tol=tol),
-                                 jacobian=lambda x, _: 2 * x.reshape(1, 1))
+    solve = lambda: newton_solve(F, [x0], SolverConfig(tol=tol), jacobian=lambda x, _: [[2 * x[0]]])
     if case == "nonconvergence":
         with pytest.raises(NonconvergenceError) as info:
             solve()
@@ -439,14 +444,15 @@ def test_report_aux_is_the_residuals_at_the_solution(case, monkeypatch):
     else:
         report = solve()
         assert report.residual_norm <= tol if case == "rejected_polish" else report.stalled
-    assert np.array_equal(points[report.aux], report.solution)
+    assert points[report.aux] == report.solution
     assert report.aux < len(points) - 1
 
 
 def test_solver_is_pure():
     cfg = SolverConfig(tol=1e-12)
-    a = newton_solve(lambda x: (x * x - 2.0, 2 * x), np.array([1.5]), cfg, jacobian=_diagonal)
-    b = newton_solve(lambda x: (x * x - 2.0, 2 * x), np.array([1.5]), cfg, jacobian=_diagonal)
+    F = _elementwise(lambda c: c * c - 2.0, lambda c: 2 * c)
+    a = newton_solve(F, [1.5], cfg, jacobian=_diagonal)
+    b = newton_solve(F, [1.5], cfg, jacobian=_diagonal)
     assert a.solution[0] == b.solution[0]
     assert a.residual_norm == b.residual_norm
     assert a.iterations == b.iterations
@@ -456,7 +462,7 @@ def test_nonconvergence_carries_best_iterate(monkeypatch):
     # x^2 + 1 has no real root; the iteration stalls near the local minimum
     monkeypatch.setattr(varint.solvers, "MAX_ITER", 25)
     with pytest.raises(NonconvergenceError) as info:
-        newton_solve(lambda x: (x * x + 1.0, 2 * x), np.array([0.7]), SolverConfig(tol=1e-12),
+        newton_solve(_elementwise(lambda c: c * c + 1.0, lambda c: 2 * c), [0.7], SolverConfig(tol=1e-12),
                      jacobian=_diagonal)
     assert info.value.report is not None
     assert info.value.report.residual_norm >= 1.0
@@ -466,7 +472,7 @@ def test_stall_acceptance_within_factor():
     # x^2 + c has no root; |F| bottoms out near c, just above tol, and the
     # solver accepts the floor instead of spinning until max_iter
     c = 3e-16
-    report = newton_solve(lambda x: (x * x + c, 2 * x), np.array([0.5]), SolverConfig(tol=1e-16),
+    report = newton_solve(_elementwise(lambda x: x * x + c, lambda x: 2 * x), [0.5], SolverConfig(tol=1e-16),
                           jacobian=_diagonal)
     assert report.stalled and report.residual_norm > 1e-16
     assert report.residual_norm <= 10 * 1e-16
@@ -482,9 +488,9 @@ def test_nan_damping_trial_is_skipped(digits):
 
     def F(x):
         trials.append(x[0])
-        return np.array([nan if x[0] > 3 else x[0] * x[0] - 1], dtype=x.dtype), 2 * x
+        return [nan if x[0] > 3 else x[0] * x[0] - 1], [2 * x[0]]
 
-    x0 = ctx.array([0.1])
+    x0 = ctx.array([0.1]).tolist()
     report = newton_solve(F, x0, SolverConfig.for_context(ctx), ctx, jacobian=_diagonal)
     assert any(t > 3 for t in trials)
     assert report.residual_norm <= SolverConfig.for_context(ctx).tol
@@ -496,7 +502,7 @@ def test_nan_initial_residual_raises(digits):
     ctx = with_precision(digits)
     nan = ctx.real("nan")
     with pytest.raises(NonconvergenceError, match="initial guess"):
-        newton_solve(lambda x: (np.array([nan], dtype=x.dtype), None), ctx.array([0.5]),
+        newton_solve(lambda x: ([nan], None), ctx.array([0.5]).tolist(),
                      SolverConfig.for_context(ctx), ctx, jacobian=_diagonal)
 
 
