@@ -173,11 +173,10 @@ def _reference_trajectory_outputs(cfg, model, state0, outdir):
     ref = reference_solve(model, state0, cfg.final_time())
     dm = model.double
     times = np.linspace(ref.t_min, ref.t_max, 2001)
-    rows = []
+    Q, P = ref.eval(times)
     H0 = dm.hamiltonian(np.asarray(state0.q, dtype=float), np.asarray(state0.p, dtype=float))
-    max_drift = 0.0
-    for k, t in enumerate(times):
-        q, p = ref.eval(t)
+    rows, max_drift = [], 0.0
+    for k, (t, q, p) in enumerate(zip(times, Q.T, P.T)):
         H = dm.hamiltonian(q, p)
         max_drift = max(max_drift, abs(float(H - H0)))
         rows.append([k, t, *q, *p, H])
@@ -359,7 +358,6 @@ def run_suite(name: str, outdir, workers: int = 2) -> dict:
             raise ConfigurationError(f"suite {name!r}: two members share the label {label!r}")
     jobs = [(cfg, outdir / label) for cfg, label in zip(members, labels)]
     if workers > 1:
-        import scipy.integrate  # noqa: F401 - loaded once here, the forked workers inherit it
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             summaries = list(pool.map(run_experiment, *zip(*jobs)))
     else:

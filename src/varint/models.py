@@ -139,6 +139,11 @@ class KeplerTwoBody(LagrangianModel):
         r3 = r ** 3
         return -1 / r, [q[0] / r3, q[1] / r3]
 
+    def hamiltonian(self, q, p) -> Real:
+        """(p1 p1 + p2 p2)/2 + V(q) of arrays or sequences: the base class's
+        value bit for bit, as M^{-1} p = p for the identity mass matrix."""
+        return (p[0] * p[0] + p[1] * p[1]) / 2 + self.potential(q)
+
     def potential_hessian(self, q) -> np.ndarray:
         r = self._radius(q)
         return self._eye / r ** 3 - 3 * (q[:, None] * q) / r ** 5

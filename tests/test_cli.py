@@ -406,6 +406,7 @@ def test_setup_failure_writes_failure_summary(tmp_path):
 
 
 _IMPORT_SET_PROBE = """
+import dataclasses
 import sys
 
 import varint, varint.cli
@@ -427,6 +428,17 @@ varint.epavi_run(varint.KeplerTwoBody(ctx), varint.kepler_initial_state(0.7, ctx
                  varint.SolverConfig.for_context(ctx))
 assert not scipy_modules(), f"library runs loaded {scipy_modules()}"
 
+ref = varint.reference_solve(model, s0, 1.0)
+assert ref.eval(1.0)[0].shape == (2,)
+assert not scipy_modules(), f"a Kepler reference solve loaded {scipy_modules()}"
+
+# the fig_e01 members, shortened, with their reference errors and outputs
+members = varint.cli._figure_suite_members
+varint.cli._figure_suite_members = lambda e: [
+    dataclasses.replace(cfg, periods=None, T_final=0.05) for cfg in members(e)]
+assert varint.cli.run_suite("fig_e01", sys.argv[1] + "/w1", workers=1)["success"]
+assert not scipy_modules(), f"a 1-worker fig_e01 suite loaded {scipy_modules()}"
+
 
 class Sentinel(Exception):
     pass
@@ -436,19 +448,20 @@ seen = []
 
 
 def pool(*args, **kwargs):
-    seen.append("scipy.integrate" in sys.modules)
+    seen.append(scipy_modules())
     raise Sentinel
 
 
 varint.cli.ProcessPoolExecutor = pool
 try:
-    varint.cli.run_suite("fig_e01", sys.argv[1], workers=2)
+    varint.cli.run_suite("fig_e01", sys.argv[1] + "/w2", workers=2)
 except Sentinel:
     pass
-assert seen == [True], f"scipy.integrate loaded before the pool: {seen}"
+assert seen == [[]], f"scipy loaded before the pool: {seen}"
 
-ref = varint.reference_solve(varint.KeplerTwoBody(), varint.kepler_initial_state(0.7), 1.0)
-assert ref.eval(1.0)[0].shape == (2,)
+# a start without a closed form still solves with RK45, which loads scipy.integrate then
+varint.reference_solve(varint.HarmonicOscillator(), varint.models.initial_state("oscillator"), 1.0)
+assert "scipy.integrate" in sys.modules
 """
 
 
@@ -503,10 +516,11 @@ def test_suite_members_sharing_a_label_are_rejected(tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
-def test_scipy_integrate_loads_only_before_a_pool_or_a_solve(tmp_path):
+def test_scipy_loads_only_for_a_runge_kutta_reference(tmp_path):
     # the test session has loaded scipy already, so one fresh interpreter
-    # checks what `import varint` and the library runs load: no scipy module
-    # until a suite pool or a reference solve
+    # checks what `import varint`, the library runs, a Kepler reference solve
+    # and the fig_e01 suite load: no scipy module, in the parent up to the
+    # pool or in a 1-worker run, until a reference solve without a closed form
     src = str(Path(varint.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_SET_PROBE, str(tmp_path)],

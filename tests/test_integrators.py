@@ -1030,6 +1030,79 @@ def test_reference_rejects_outside_queries(reference_e01):
         reference_e01.eval(100.0)
 
 
+def _kepler_start(e, kind, t0=0.0):
+    """A start at t0 on an orbit of eccentricity e and semi-major axis 1:
+    perihelion, or the point of eccentric anomaly 2 (where q'p != 0) with
+    the orbit turned about the origin, or that turned start with p reversed
+    (a retrograde orbit)."""
+    if kind == "perihelion":
+        return replace(kepler_initial_state(e), t=t0)
+    E, b = 2.0, math.sqrt(1 - e * e)
+    d = 1 - e * math.cos(E)
+    c, s = math.cos(1.234), math.sin(1.234)
+    turn = np.array([[c, -s], [s, c]])
+    q = turn @ [math.cos(E) - e, b * math.sin(E)]
+    p = turn @ [-math.sin(E) / d, b * math.cos(E) / d]
+    return ExtendedState(t=t0, q=q, p=-p if kind == "retrograde" else p, E=-0.5)
+
+
+_KINDS = ["perihelion", "turned", "retrograde"]
+
+
+@pytest.mark.parametrize("e, bound", [(0.0, 1.5e-11), (0.1, 2e-11), (0.7, 8e-11), (0.9, 4e-10), (0.99, 1.5e-8)])
+def test_kepler_reference_agrees_with_runge_kutta(e, bound):
+    # over one period the closed form and RK45 at rtol 1e-12 differ by RK45's
+    # own error: max |dq| over the three starts measured 7.7e-12, 9.5e-12,
+    # 3.9e-11, 2.0e-10 and 7.4e-9 at these e
+    model, T = KeplerTwoBody(), 2 * math.pi
+    times = np.linspace(0.0, T, 401)
+    for kind in _KINDS:
+        s0 = _kepler_start(e, kind)
+        q, _ = reference_solve(model, s0, T).eval(times)
+        rk = varint.integrators._runge_kutta(model, 0.0, T, np.concatenate([s0.q, s0.p]))(times)
+        assert np.abs(q - rk[:2]).max() <= bound, kind
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("e", [0.0, 0.1, 0.7, 0.99])
+def test_kepler_reference_starts_at_its_start_bit_for_bit(e, kind):
+    s0 = _kepler_start(e, kind, t0=3.0)
+    ref = reference_solve(KeplerTwoBody(), s0, 4.0)
+    q, p = ref.eval(3.0)
+    Q, P = ref.eval(np.array([3.0, 3.5]))
+    for got, want in ((q, s0.q), (p, s0.p), (Q[:, 0], s0.q), (P[:, 0], s0.p)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("e", [0.0, 0.1, 0.5, 0.7, 0.9])
+def test_kepler_reference_keeps_the_invariants_over_16_periods(e, kind):
+    # measured: |H - H0| <= 1.6e-14, |L - L0| <= 2.4e-15, and the return to
+    # the start after 16 of its own periods (a from its H) within 1.8e-14
+    model, s0 = KeplerTwoBody(), _kepler_start(e, kind)
+    H0 = model.hamiltonian(s0.q, s0.p)
+    period = 2 * math.pi * (-2 * H0) ** -1.5
+    ref = reference_solve(model, s0, 16 * period)
+    q, p = ref.eval(np.linspace(0.0, 16 * period, 16 * 64 + 1))
+    H = (p[0] * p[0] + p[1] * p[1]) / 2 - 1 / np.hypot(q[0], q[1])
+    assert np.abs(H - H0).max() <= 1e-13
+    assert np.abs(angular_momentum(q, p) - angular_momentum(s0.q, s0.p)).max() <= 1e-13
+    q, p = ref.eval(16 * period)
+    assert np.abs(q - s0.q).max() <= 1e-12
+    assert np.abs(p - s0.p).max() <= 1e-12
+
+
+@pytest.mark.parametrize("p2", [1.0, 1.5])
+def test_unbound_kepler_reference_uses_runge_kutta(p2):
+    # H = 0 (parabolic) and H > 0 (hyperbolic) have no ellipse to follow
+    from scipy.integrate import OdeSolution
+
+    s0 = ExtendedState(t=0.0, q=np.array([2.0, 0.0]), p=np.array([0.0, p2]), E=0.0)
+    assert isinstance(reference_solve(KeplerTwoBody(), s0, 1.0)._sol, OdeSolution)
+    bound = reference_solve(KeplerTwoBody(), kepler_initial_state(0.1), 1.0)
+    assert not isinstance(bound._sol, OdeSolution)
+
+
 def test_epavi_step_ratio_bounded(epavi_e07):
     # recorded metadata stays within the bounded-reparametrization box
     h0 = epavi_e07.meta["h0"]
