@@ -10,7 +10,6 @@ in double or extended precision.
 from .bea import (
     IdentityProfile,
     Jet1D,
-    LinearProfile,
     SineProfile,
     discrete_residual,
     lemma1_reparametrization_check,
@@ -44,7 +43,6 @@ from .integrators import (
     avi_calibrate_delta_a,
     avi_run,
     avi_step,
-    discrete_lagrangian_midpoint,
     discrete_partials_midpoint,
     epavi_run,
     epavi_step,

@@ -71,23 +71,6 @@ class IdentityProfile(TimeProfile):
         return 0.0
 
 
-class LinearProfile(TimeProfile):
-    def __init__(self, rate: float):
-        if rate <= 0:
-            raise ConfigurationError("profile rate must be positive")
-        self.rate = rate
-        self.label = f"t={rate}a"
-
-    def value(self, a):
-        return self.rate * a
-
-    def d1(self, a):
-        return self.rate
-
-    def d2(self, a):
-        return 0.0
-
-
 class SineProfile(TimeProfile):
     """t(a) = a + c sin a, monotone for |c| < 1."""
 

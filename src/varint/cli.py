@@ -251,6 +251,7 @@ def _trajectory_outputs(cfg, model, traj, outdir, ctx, summary):
         tele = diagnostics.telescoping_bound_check(traj)
         max_energy_error = e_series.max()
         diagnostics.write_stats_csv(stats, tele, max_energy_error, outdir / "stats.csv", ctx)
+        condition = traj.step_columns["condition_estimate"]
         summary.update(
             n_steps=stats.n_steps,
             mean_step_ratio=stats.mean_ratio,
@@ -259,12 +260,12 @@ def _trajectory_outputs(cfg, model, traj, outdir, ctx, summary):
             max_hamiltonian_error=h_series.max(),
             max_step_defect=tele.max_step_defect,
             telescoping_holds=tele.holds,
-            stalled_steps=sum(1 for s in traj.steps if s.stalled),
-            newton_iterations=sum(s.iterations for s in traj.steps),
-            retried_steps=sum(1 for s in traj.steps if s.retried),
-            max_residual=max(float(s.residual_norm) for s in traj.steps),
-            max_condition_estimate=max(s.condition_estimate for s in traj.steps),
-            condition_warnings=sum(s.condition_estimate > CONDITION_WARN for s in traj.steps),
+            stalled_steps=sum(traj.step_columns["stalled"]),
+            newton_iterations=sum(traj.step_columns["iterations"]),
+            retried_steps=sum(traj.step_columns["retried"]),
+            max_residual=max(map(float, traj.step_columns["residual_norm"])),
+            max_condition_estimate=max(condition),
+            condition_warnings=sum(c > CONDITION_WARN for c in condition),
         )
         if traj.states[-1].t >= cfg.final_time():
             summary["overshoot"] = float(traj.states[-1].t - cfg.final_time())
@@ -280,15 +281,6 @@ def _trajectory_outputs(cfg, model, traj, outdir, ctx, summary):
 def _write_summary(path: Path, summary: dict):
     lines = [f"{key}={summary[key]}" for key in sorted(summary)]
     path.write_text("\n".join(lines) + "\n")
-
-
-def read_summary(path) -> dict:
-    out = {}
-    for line in Path(path).read_text().splitlines():
-        if "=" in line:
-            key, val = line.split("=", 1)
-            out[key] = val
-    return out
 
 
 # -- suites -------------------------------------------------------------------------

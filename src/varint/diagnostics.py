@@ -1,9 +1,15 @@
 """Post-run analysis: energy error series, telescoping bound, trajectory
-error against the dense reference, and time-adaptation statistics."""
+error against the dense reference, and time-adaptation statistics.
+
+Each reads the trajectory's columns (``Trajectory.stacked``, ``rows``,
+``energies`` and ``step_columns``), never its per-state views, and the CSV
+writers stream their rows.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, zip_longest
 from typing import List
 
 import numpy as np
@@ -49,28 +55,22 @@ class TelescopingReport:
 
 def energy_error_series(traj: Trajectory) -> ErrorSeries:
     """|E_k - E_0| at every recorded state (AVI stores E_k = H(q_k, p_k))."""
-    if not traj.states:
-        raise ConfigurationError("empty trajectory")
-    E0 = traj.states[0].E
-    return ErrorSeries(
-        times=traj.times(),
-        values=[abs(s.E - E0) for s in traj.states],
-        label="energy_error",
-    )
+    E = traj.energies()
+    E0 = E[0]
+    return ErrorSeries(times=traj.times(), values=[abs(e - E0) for e in E], label="energy_error")
 
 
 def hamiltonian_error_series(traj: Trajectory, model: LagrangianModel) -> ErrorSeries:
     """|H(q_k, p_k) - H(q_0, p_0)|, reported alongside the discrete-energy
-    error for the energy-preserving runs."""
-    if not traj.states:
-        raise ConfigurationError("empty trajectory")
-    H0 = model.hamiltonian(traj.states[0].q, traj.states[0].p)
-    values = [abs(model.hamiltonian(s.q, s.p) - H0) for s in traj.states]
-    return ErrorSeries(times=traj.times(), values=values, label="hamiltonian_error")
+    error for the energy-preserving runs; H from ``model.hamiltonian_rows``."""
+    n, rows = traj.n, traj.stacked()
+    H = model.hamiltonian_rows(rows[:, 1:n + 1], rows[:, n + 1:2 * n + 1])
+    H0 = H[0]
+    return ErrorSeries(times=traj.times(), values=[abs(h - H0) for h in H], label="hamiltonian_error")
 
 
 def telescoping_bound_check(traj: Trajectory) -> TelescopingReport:
-    if len(traj.states) < 2:
+    if len(traj) < 2:
         raise ConfigurationError("telescoping check needs at least two states")
     E = traj.energies()
     E0 = E[0]
@@ -95,7 +95,7 @@ def trajectory_error(traj: Trajectory, reference: ReferenceSolution) -> List[Err
     """Per-coordinate |q_k^i - q_ref^i(t_k)| at the discrete times."""
     times = traj.times()
     q_ref, _ = reference.eval(times)
-    Q = np.array([s.q for s in traj.states], dtype=float)
+    Q = np.asarray(traj.stacked()[:, 1:traj.n + 1], dtype=float)
     return [
         ErrorSeries(times=times, values=np.abs(Q[:, i] - q_ref[i]).tolist(), label=f"q{i + 1}_error")
         for i in range(reference.n)
@@ -103,7 +103,7 @@ def trajectory_error(traj: Trajectory, reference: ReferenceSolution) -> List[Err
 
 
 def timestep_stats(traj: Trajectory) -> StepStats:
-    if len(traj.states) < 2:
+    if len(traj) < 2:
         raise ConfigurationError("step statistics need at least one step")
     hs = traj.step_sizes()
     h0 = traj.meta.get("h0", hs[0])
@@ -185,9 +185,10 @@ def _csv_lines(rows, ctx: PrecisionContext):
 
 
 def write_csv(path, header, rows, ctx: PrecisionContext = DOUBLE):
-    """Write a header and rows of mixed values as CSV (see :func:`_row_format`)."""
+    """Write a header and rows of mixed values, an iterable read once, as CSV
+    (see :func:`_row_format`)."""
     with open(path, "w", newline="") as fh:
-        fh.writelines(line + "\r\n" for line in _csv_lines([header, *rows], ctx))
+        fh.writelines(line + "\r\n" for line in _csv_lines(chain((header,), rows), ctx))
 
 
 def context_for(traj: Trajectory) -> PrecisionContext:
@@ -199,20 +200,16 @@ def write_trajectory_csv(traj: Trajectory, path):
     columns of row k describe the step from state k to state k+1, and
     retried is 1 when that step came from EpAVI's cold fallback, else 0."""
     ctx = context_for(traj)
-    n = len(traj.states[0].q)
+    n = traj.n
     header = (
         ["k", "t"]
         + [f"q{i + 1}" for i in range(n)]
         + [f"p{i + 1}" for i in range(n)]
         + ["E", "h", "residual", "newton_iters", "retried"]
     )
-    rows = []
-    for k, s in enumerate(traj.states):
-        step = traj.steps[k] if k < len(traj.steps) else None
-        rows.append(
-            (k, s.t, *s.q.tolist(), *s.p.tolist(), s.E)
-            + ((step.h, step.residual_norm, step.iterations, int(step.retried)) if step else (None,) * 4)
-        )
+    steps = zip(*(traj.step_columns[name] for name in ("h", "residual_norm", "iterations", "retried")))
+    rows = ((k, *state, *step)
+            for k, (state, step) in enumerate(zip_longest(traj.rows(), steps, fillvalue=(None,) * 4)))
     write_csv(path, header, rows, ctx)
 
 

@@ -44,16 +44,18 @@ the Newton solution from ``SolveReport.aux``.  The kernel, the residuals and
 Jacobians, the Newton iterate from its start to ``SolveReport.solution``,
 the monitors and the warm start are Python lists of context scalars: on two
 or three components NumPy's fixed cost per call outweighs the arithmetic.
-NumPy keeps the LAPACK solve (``PrecisionContext.factor`` and ``solve``),
-the states' q and p and the trajectories.  Each operation is the array
-formula's, in its order (sums from 0 in index order; ``np.dot`` where BLAS
-fuses a multiply-add or keeps a zero's sign), so no bit moves.
+The states' q and p are tuples of context scalars.  NumPy keeps the LAPACK
+solve (``PrecisionContext.factor`` and ``solve``).  Each operation is the
+array formula's, in its order (sums from 0 in index order; ``np.dot`` where
+BLAS fuses a multiply-add or keeps a zero's sign), so no bit moves.
 :func:`_momentum_system` is the momentum equation above, with its Jacobian:
 one system for an AVI step, a fixed step (the unit monitor, da = h) and
 EpAVI's fixed-h solves; both Jacobians are built on
 :func:`_double_partials`.  ``_march`` is the run driver: it steps until
 t >= T_final, aborts on a step below the resolution of t, and raises every
 failure as an :class:`IntegrationError` carrying the partial trajectory.
+A :class:`Trajectory` stores its states as the rows of one buffer and its
+step records as columns.
 :class:`Monitor` is the AVI density dt/da = g(q) with its gradient, built by
 :func:`make_monitor`.
 
@@ -71,9 +73,12 @@ at e = 0.7 1.7-1.8 per AVI step and 1.3 per fixed step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from operator import mul
-from typing import Callable, List, Optional
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
+from functools import partial
+from operator import add, mul, sub
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -111,12 +116,6 @@ def _step_length(t_k, t_k1):
     if h <= 0:
         raise NonMonotoneTimeError(f"t_{{k+1}} - t_k = {h} must be positive")
     return h
-
-
-def discrete_lagrangian_midpoint(model: LagrangianModel, t_k, q_k, t_k1, q_k1) -> Real:
-    """(t_{k+1} - t_k) * L(midpoint configuration, difference velocity)."""
-    h = _step_length(t_k, t_k1)
-    return h * model.lagrangian((q_k + q_k1) / 2, (q_k1 - q_k) / h)
 
 
 def _increment(model, q_k, dq, h, g=None):
@@ -173,10 +172,10 @@ def discrete_partials_midpoint(model: LagrangianModel, t_k, q_k, t_k1, q_k1) -> 
     midpoint:  d1 = v'Mv/2 + V  (the discrete energy), and
     d2 = -Mv - (h/2) grad V,  d4 = Mv - (h/2) grad V.
     """
-    v, Mv, half_grad, V, _ = _increment(model, q_k, q_k1 - q_k, _step_length(t_k, t_k1))
+    v, Mv, half_grad, V, _ = _increment(model, q_k, list(map(sub, q_k1, q_k)), _step_length(t_k, t_k1))
     d1 = _discrete_energy(v, Mv, V)
     return DiscretePartials(d1=d1, d2=np.array([-a - b for a, b in zip(Mv, half_grad)]),
-                            d4=_difference(Mv, half_grad))
+                            d4=np.subtract(Mv, half_grad))
 
 
 # -- trajectories ----------------------------------------------------------------
@@ -205,25 +204,110 @@ def _record(h, report: SolveReport, delta_a=None, retried=False) -> StepRecord:
                       report.condition_estimate, report.stalled, retried)
 
 
-@dataclass
-class Trajectory:
-    """Ordered extended states with per-step solver metadata."""
+class _View(Sequence):
+    """Read-only sequence of ``item(k)`` for k in the range ``indices``; each
+    access builds its item, and a slice is a view of its own."""
 
-    states: List[ExtendedState]
-    steps: List[StepRecord] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("_item", "_indices")
+
+    def __init__(self, item: Callable, indices: range):
+        self._item, self._indices = item, indices
 
     def __len__(self):
-        return len(self.states)
+        return len(self._indices)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return _View(self._item, self._indices[k])
+        return self._item(self._indices[k])
+
+    def __iter__(self):
+        return map(self._item, self._indices)
+
+
+class Trajectory:
+    """Ordered extended states with per-step solver metadata, stored as columns.
+
+    The states are the rows (t, q..., p..., E) of one growing buffer, an
+    ``array('d')`` when the first state's scalars are floats and a list of
+    context scalars otherwise.  ``step_columns`` holds a column per
+    :class:`StepRecord` field, entry k for the step from state k to k + 1
+    (stalled and retried as 0 or 1).  ``states`` and ``steps`` are read-only
+    views that build one :class:`ExtendedState` or :class:`StepRecord` per
+    access; analyses read :meth:`stacked`, :meth:`rows` and the columns.
+    """
+
+    def __init__(self, states, steps=(), meta: Optional[dict] = None):
+        self.meta = {} if meta is None else meta
+        s0 = states[0]
+        self.n = len(s0.q)
+        self._width = 2 * self.n + 2
+        real = partial(array, "d") if all(isinstance(x, (float, int)) for x in (s0.t, *s0.q, *s0.p, s0.E)) else list
+        self._rows = real(x for s in states for x in (s.t, *s.q, *s.p, s.E))
+        # in the order of StepRecord's fields, which _record_at reads
+        self.step_columns = {"h": real(), "residual_norm": real(), "iterations": array("q"), "delta_a": [],
+                             "condition_estimate": array("d"), "stalled": bytearray(), "retried": bytearray()}
+        # array.fromlist takes a row in half the time of array.extend; a list has only extend
+        self._extend = getattr(self._rows, "fromlist", self._rows.extend)
+        self._appends = tuple(column.append for column in self.step_columns.values())
+        for record in steps:
+            self._add_step(record)
+
+    def append(self, state: ExtendedState, record: StepRecord):
+        """Add the state that the step ``record`` reached."""
+        self._extend([state.t, *state.q, *state.p, state.E])
+        self._add_step(record)
+
+    def _add_step(self, r: StepRecord):
+        h, res, iters, delta_a, cond, stalled, retried = self._appends
+        h(r.h)
+        res(r.residual_norm)
+        iters(r.iterations)
+        delta_a(r.delta_a)
+        cond(r.condition_estimate)
+        stalled(r.stalled)
+        retried(r.retried)
+
+    def __len__(self):
+        return len(self._rows) // self._width
+
+    def _state_at(self, k) -> ExtendedState:
+        n, w = self.n, self._width
+        row = self._rows[k * w:(k + 1) * w]
+        return ExtendedState(t=row[0], q=tuple(row[1:n + 1]), p=tuple(row[n + 1:w - 1]), E=row[w - 1])
+
+    def _record_at(self, k) -> StepRecord:
+        h, res, iters, da, cond, stalled, retried = (c[k] for c in self.step_columns.values())
+        return StepRecord(h, res, iters, da, cond, bool(stalled), bool(retried))
+
+    @property
+    def states(self) -> Sequence:
+        return _View(self._state_at, range(len(self)))
+
+    @property
+    def steps(self) -> Sequence:
+        return _View(self._record_at, range(len(self.step_columns["h"])))
+
+    def stacked(self) -> np.ndarray:
+        """The states as one (N, 2n + 2) array of rows: in double a view of
+        the buffer, not a copy (the trajectory cannot grow while one is
+        alive), else an object array of the context scalars."""
+        if isinstance(self._rows, array):
+            return np.frombuffer(self._rows, dtype=float).reshape(-1, self._width)
+        return np.array(self._rows, dtype=object).reshape(-1, self._width)
+
+    def rows(self):
+        """The state rows as tuples of context scalars, built one at a time."""
+        return zip(*[iter(self._rows)] * self._width)
 
     def times(self) -> np.ndarray:
-        return np.array([float(s.t) for s in self.states])
+        return np.array(self._rows[::self._width], dtype=float)
 
     def energies(self) -> list:
-        return [s.E for s in self.states]
+        return list(self._rows[self._width - 1::self._width])
 
     def step_sizes(self) -> np.ndarray:
-        return np.array([float(r.h) for r in self.steps])
+        return np.array(self.step_columns["h"], dtype=float)
 
 
 # -- the run driver -----------------------------------------------------------------
@@ -246,21 +330,16 @@ def _extrapolate(history) -> list:
     return [sum(map(mul, column, weights)) for column in zip(*history)]
 
 
-def _difference(a, b) -> np.ndarray:
-    """The array a - b of two sequences of context scalars."""
-    return np.array([x - y for x, y in zip(a, b)])
-
-
 def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfig], **steps):
     """Reject a bad start, span or step (each of ``steps`` given must be > 0, so not nan);
-    return the start in the model's context and the solver config."""
+    return the start in the model's context, q and p as tuples, and the solver config."""
     _check_span(model, state0, T_final)
     for name, value in steps.items():
         if value is not None and not value > 0:
             raise ConfigurationError(f"{name} must be positive, got {value}")
     ctx = model.ctx
-    state0 = ExtendedState(t=ctx.real(state0.t), q=ctx.array(state0.q), p=ctx.array(state0.p),
-                           E=ctx.real(state0.E))
+    state0 = ExtendedState(t=ctx.real(state0.t), q=tuple(map(ctx.real, state0.q)),
+                           p=tuple(map(ctx.real, state0.p)), E=ctx.real(state0.E))
     return state0, cfg or SolverConfig.for_context(ctx)
 
 
@@ -307,10 +386,9 @@ def _march(model, name, step: Callable, state0, h, T_final, cfg, **meta) -> Traj
                 )
         except VarintError as exc:
             raise _aborted(name, traj, exc) from exc
-        history = history[-4:] + [[*(new_state.q - state.q).tolist(), record.h]]
+        history = history[-4:] + [[*map(sub, new_state.q, state.q), record.h]]
         state, h = new_state, record.h
-        traj.states.append(state)
-        traj.steps.append(record)
+        traj.append(state, record)
     return traj
 
 
@@ -325,7 +403,7 @@ def _epavi_system(model, state):
     double from the model's double twin, the precision the Newton step is
     solved in.
     """
-    p_k, E_k, q_k = state.p.tolist(), state.E, state.q.tolist()
+    p_k, E_k, q_k = state.p, state.E, state.q
     dm, q_kd = model.double, [float(x) for x in q_k]
 
     def residual(z):
@@ -380,9 +458,8 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
         report = replace(report, iterations=fixed.iterations + report.iterations)
     *dq, h = report.solution
     v, Mv, half_grad, V, _ = report.aux
-    new_state = ExtendedState(
-        t=state.t + h, q=state.q + dq, p=_difference(Mv, half_grad), E=_discrete_energy(v, Mv, V)
-    )
+    new_state = ExtendedState(t=state.t + h, q=tuple(map(add, state.q, dq)), p=tuple(map(sub, Mv, half_grad)),
+                              E=_discrete_energy(v, Mv, V))
     return new_state, _record(h, report, retried=retried)
 
 
@@ -491,7 +568,7 @@ def _momentum_system(model, monitor, state, delta_a):
     an exact zero.  It is formed in double, as in :func:`_epavi_system`,
     with h read from the kernel.
     """
-    p_k, q_k, g = state.p.tolist(), state.q.tolist(), monitor.g
+    p_k, q_k, g = state.p, state.q, monitor.g
     dm, q_kd, dad = model.double, [float(x) for x in q_k], float(delta_a)
 
     def residual(dq):
@@ -543,16 +620,14 @@ def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, del
         raise ConfigurationError("delta_a must be positive")
     delta_a = model.ctx.real(delta_a)
     if dq0 is None:
-        q = state.q.tolist()
-        g0 = monitor.g(q, *model.potential_and_gradient(q))
+        g0 = monitor.g(state.q, *model.potential_and_gradient(state.q))
         if g0 <= 0:
             raise MonitorDomainError(f"monitor value {g0} at the step start is not positive")
         dq0 = _explicit_euler(model, state, delta_a * g0)
     report = _solve_momentum(model, monitor, state, delta_a, cfg, dq0)
     _, Mv, half_grad, _, h = report.aux
-    q1 = [a + b for a, b in zip(state.q.tolist(), report.solution)]
-    p1 = [a - b for a, b in zip(Mv, half_grad)]
-    new_state = ExtendedState(t=state.t + h, q=np.array(q1), p=np.array(p1), E=model.hamiltonian(q1, p1))
+    q1, p1 = tuple(map(add, state.q, report.solution)), tuple(map(sub, Mv, half_grad))
+    new_state = ExtendedState(t=state.t + h, q=q1, p=p1, E=model.hamiltonian(q1, p1))
     return new_state, _record(h, report, delta_a)
 
 
@@ -566,8 +641,7 @@ def avi_calibrate_delta_a(model, monitor, state0, h0, cfg: Optional[SolverConfig
     if not h0 > 0:
         raise ConfigurationError("h0 must be positive")
     h0 = model.ctx.real(h0)
-    q0 = state0.q.tolist()
-    g0 = monitor.g(q0, *model.potential_and_gradient(q0))
+    g0 = monitor.g(state0.q, *model.potential_and_gradient(state0.q))
     if g0 <= 0:
         raise MonitorDomainError(f"monitor value {g0} at the initial state is not positive")
     delta_a = h0 / g0
@@ -655,9 +729,10 @@ class ReferenceSolution:
         self.n = model.n
 
     def eval(self, t):
-        """(q, p) at physical time t (vectorized over an array of times)."""
+        """(q, p) at physical time t (vectorized over an array of times); a
+        time outside the span, nan included, is a :class:`ConfigurationError`."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < self.t_min - 1e-12) or np.any(t_arr > self.t_max + 1e-12):
+        if not np.all((t_arr >= self.t_min - 1e-12) & (t_arr <= self.t_max + 1e-12)):
             raise ConfigurationError(
                 f"query time outside the reference span [{self.t_min}, {self.t_max}]"
             )
@@ -665,7 +740,7 @@ class ReferenceSolution:
         return y[: self.n], y[self.n:]
 
     def state(self, t) -> ExtendedState:
-        q, p = self.eval(float(t))
+        q, p = (tuple(x.tolist()) for x in self.eval(float(t)))
         return ExtendedState(t=float(t), q=q, p=p, E=self._model.hamiltonian(q, p))
 
 

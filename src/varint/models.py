@@ -24,11 +24,13 @@ KEPLER_RADIUS_GUARD = 1e-8
 
 @dataclass(frozen=True)
 class ExtendedState:
-    """One point of the extended discrete trajectory: (t, q, p, E)."""
+    """One point of the extended discrete trajectory: (t, q, p, E), with q
+    and p tuples of context scalars.  The runs bring a start given with other
+    sequences (arrays, say) into this form once, before the first step."""
 
     t: Real
-    q: np.ndarray
-    p: np.ndarray
+    q: tuple
+    p: tuple
     E: Real
 
     def validate(self, n: Optional[int] = None) -> "ExtendedState":
@@ -104,6 +106,11 @@ class LagrangianModel:
     def hamiltonian(self, q, p) -> Real:
         return (p * np.dot(self.M_inv, p)).sum() / 2 + self.potential(q)
 
+    def hamiltonian_rows(self, Q, P) -> list:
+        """H(q, p) at each row of the (N, n) arrays Q and P, as a list: one
+        :meth:`hamiltonian` call per row."""
+        return [self.hamiltonian(q, p) for q, p in zip(Q, P)]
+
 
 class KeplerTwoBody(LagrangianModel):
     """Planar two-body problem, H = (p1^2 + p2^2)/2 - 1/sqrt(q1^2 + q2^2)."""
@@ -143,6 +150,17 @@ class KeplerTwoBody(LagrangianModel):
         """(p1 p1 + p2 p2)/2 + V(q) of arrays or sequences: the base class's
         value bit for bit, as M^{-1} p = p for the identity mass matrix."""
         return (p[0] * p[0] + p[1] * p[1]) / 2 + self.potential(q)
+
+    def hamiltonian_rows(self, Q, P) -> list:
+        """In double one stacked evaluation of :meth:`hamiltonian`, bit for
+        bit its per-row values: np.sqrt rounds correctly, as math.sqrt does."""
+        if not self.ctx.is_native:
+            return super().hamiltonian_rows(Q, P)
+        r = np.sqrt(Q[:, 0] * Q[:, 0] + Q[:, 1] * Q[:, 1])
+        inside = r[r < self._guard]
+        if inside.size:
+            raise SingularityError(f"|q| = {inside[0]} below collision guard {KEPLER_RADIUS_GUARD}")
+        return ((P[:, 0] * P[:, 0] + P[:, 1] * P[:, 1]) / 2 + -1 / r).tolist()
 
     def potential_hessian(self, q) -> np.ndarray:
         r = self._radius(q)
@@ -227,12 +245,9 @@ def kepler_initial_state(e: float, ctx: PrecisionContext = DOUBLE) -> ExtendedSt
     """
     if not 0 <= e < 1:
         raise ConfigurationError(f"eccentricity must lie in [0, 1), got {e}")
-    one = ctx.real(1)
-    ev = ctx.real(e)
-    q = ctx.array([0, 0])
-    q[0] = one - ev
-    p = ctx.array([0, 0])
-    p[1] = ctx.sqrt((one + ev) / (one - ev))
+    one, ev, zero = ctx.real(1), ctx.real(e), ctx.real(0)
+    q = (one - ev, zero)
+    p = (zero, ctx.sqrt((one + ev) / (one - ev)))
     return ExtendedState(t=ctx.real(0), q=q, p=p, E=kepler_hamiltonian(q, p, ctx))
 
 
@@ -273,6 +288,6 @@ def initial_state(name: str, params: Optional[dict] = None, ctx: PrecisionContex
     if name == "kepler":
         return kepler_initial_state(params.get("e", 0.1), ctx)
     model = make_model(name, params, ctx)
-    q = ctx.array([params.get("q0", 1.0)])
-    p = ctx.array([params.get("p0", 0.0)])
+    q = (ctx.real(params.get("q0", 1.0)),)
+    p = (ctx.real(params.get("p0", 0.0)),)
     return ExtendedState(t=ctx.real(0), q=q, p=p, E=model.hamiltonian(q, p))

@@ -1,12 +1,16 @@
 """Shared fixtures: the long Kepler runs are computed once per session.
-Also the bit-for-bit comparison of context scalars that several test modules use."""
+Also the bit-for-bit comparison of context scalars that several test modules
+use, and the helpers only tests call: the midpoint discrete Lagrangian, a
+linear time profile and the summary reader."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from varint import (
+    ConfigurationError,
     KeplerTwoBody,
     SolverConfig,
     avi_run,
@@ -17,7 +21,46 @@ from varint import (
     with_precision,
 )
 
+from varint.bea import TimeProfile
+from varint.integrators import _step_length
+
 PERIOD = 2 * math.pi
+
+
+def discrete_lagrangian_midpoint(model, t_k, q_k, t_k1, q_k1):
+    """(t_{k+1} - t_k) * L(midpoint configuration, difference velocity), of
+    array configurations."""
+    h = _step_length(t_k, t_k1)
+    return h * model.lagrangian((q_k + q_k1) / 2, (q_k1 - q_k) / h)
+
+
+class LinearProfile(TimeProfile):
+    """t(a) = rate a."""
+
+    def __init__(self, rate: float):
+        if rate <= 0:
+            raise ConfigurationError("profile rate must be positive")
+        self.rate = rate
+        self.label = f"t={rate}a"
+
+    def value(self, a):
+        return self.rate * a
+
+    def d1(self, a):
+        return self.rate
+
+    def d2(self, a):
+        return 0.0
+
+
+def read_summary(path) -> dict:
+    """The key=value lines of a summary.txt as a dict of strings."""
+    out = {}
+    for line in Path(path).read_text().splitlines():
+        if "=" in line:
+            key, val = line.split("=", 1)
+            out[key] = val
+    return out
 
 
 def typed_bits(ctx, x):

@@ -8,12 +8,12 @@ Kepler runs come from session fixtures in conftest.py.
 import math
 
 import numpy as np
+from conftest import LinearProfile
 
 from varint import (
     HarmonicOscillator,
     IdentityProfile,
     KeplerTwoBody,
-    LinearProfile,
     Pendulum,
     SineProfile,
     SolverConfig,

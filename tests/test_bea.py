@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import LinearProfile, discrete_lagrangian_midpoint
 
 from varint import (
     ConfigurationError,
     HarmonicOscillator,
     IdentityProfile,
     Jet1D,
-    LinearProfile,
     NonMonotoneTimeError,
     Pendulum,
     SineProfile,
@@ -59,8 +59,7 @@ def test_residual_third_order_on_exact_oscillator_solution():
 
 def test_residual_matches_action_differences():
     # finite differences of the two-step discrete action are the oracle
-    from varint import discrete_lagrangian_midpoint as Ld
-
+    Ld = discrete_lagrangian_midpoint
     model = Pendulum()
     rng = np.random.default_rng(3)
     step = 1e-6

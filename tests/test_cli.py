@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import read_summary
 
 import varint
 from varint import ConfigurationError
@@ -14,7 +15,6 @@ from varint.cli import (
     ExperimentConfig,
     main,
     parse_config,
-    read_summary,
     run_experiment,
     run_suite,
 )

@@ -9,6 +9,7 @@ from varint import (
     ConfigurationError,
     HarmonicOscillator,
     KeplerTwoBody,
+    SingularityError,
     SolverConfig,
     Trajectory,
     energy_error_series,
@@ -128,6 +129,30 @@ def test_hamiltonian_error_series_on_epavi(epavi_e07):
     # the continuous Hamiltonian oscillates at the midpoint-rule level,
     # orders above the discrete-energy defect
     assert 1e-9 <= series.max() <= 1e-3
+
+
+@pytest.mark.parametrize("name", ["epavi_e01", "avi1_e07", "vpa_extended_tol17"])
+def test_hamiltonian_rows_are_the_per_state_values_bit_for_bit(request, name):
+    # one stacked evaluation in double (np.sqrt and math.sqrt both round
+    # correctly), one call per state at 18 digits
+    traj = request.getfixturevalue(name)
+    model = KeplerTwoBody(context_for(traj))
+    rows = traj.stacked()
+    stacked = model.hamiltonian_rows(rows[:, 1:3], rows[:, 3:5])
+    per_state = [model.hamiltonian(s.q, s.p) for s in traj.states]
+    assert len(stacked) == len(traj)
+    assert [_bits(x) for x in stacked] == [_bits(x) for x in per_state]
+
+
+def _bits(x):
+    return x._mpf_ if hasattr(x, "_mpf_") else float(x).hex()
+
+
+def test_stacked_hamiltonian_keeps_the_collision_guard():
+    model = KeplerTwoBody()
+    Q = np.array([[0.5, 0.5], [1e-9, 0.0]])
+    with pytest.raises(SingularityError):
+        model.hamiltonian_rows(Q, np.zeros_like(Q))
 
 
 def _write_bundle_csvs(traj, outdir):

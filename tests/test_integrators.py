@@ -10,7 +10,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from conftest import typed_bits
+from conftest import discrete_lagrangian_midpoint, typed_bits
 
 import varint.integrators
 import varint.solvers
@@ -29,7 +29,6 @@ from varint import (
     avi_calibrate_delta_a,
     avi_run,
     avi_step,
-    discrete_lagrangian_midpoint,
     discrete_partials_midpoint,
     energy_error_series,
     epavi_run,
@@ -585,12 +584,13 @@ def test_avi_steps_satisfy_the_coupled_rows(request, fixture):
     monitor = make_monitor(traj.meta["monitor"], model, traj.states[0])
     worst = 0.0
     for s0, s1, rec in zip(traj.states, traj.states[1:], traj.steps):
-        q_av, p_av = (s0.q + s1.q) / 2, (s0.p + s1.p) / 2
+        q0, q1, p0, p1 = map(np.asarray, (s0.q, s1.q, s0.p, s1.p))
+        q_av, p_av = (q0 + q1) / 2, (p0 + p1) / 2
         V, dV = model.potential_and_gradient(q_av.tolist())
         g = monitor.g(q_av.tolist(), V, dV)
         da = rec.delta_a
-        rows = [(s1.q - s0.q) / da - np.dot(model.M_inv, p_av) * g,
-                (s1.p - s0.p) / da + np.array(dV) * g,
+        rows = [(q1 - q0) / da - np.dot(model.M_inv, p_av) * g,
+                (p1 - p0) / da + np.array(dV) * g,
                 [(s1.t - s0.t) / da - g]]
         worst = max(worst, np.max(np.abs(np.concatenate(rows))) * da)
     assert worst <= 1e-14
@@ -755,8 +755,8 @@ def test_step_updates_reuse_the_residual_kernel(monkeypatch):
 
 
 def _exact(x):
-    """Every bit of a context scalar, or of each component of an array or a list."""
-    if isinstance(x, (np.ndarray, list)):
+    """Every bit of a context scalar, or of each component of an array, a list or a tuple."""
+    if isinstance(x, (np.ndarray, list, tuple)):
         return [_exact(c) for c in x]
     if hasattr(x, "_mpf_"):
         return x._mpf_
@@ -848,6 +848,81 @@ def test_trajectories_keep_every_bit(request, name):
     assert trajectory_digest(traj) == TRAJECTORY_DIGESTS[name]
 
 
+@pytest.mark.parametrize("digits", [16, 18])
+@pytest.mark.parametrize("integrator", ["epavi", "avi_g1"])
+def test_trajectory_views_return_what_the_steps_returned(integrator, digits):
+    # the stored rows and step columns give back every state and StepRecord
+    # that the step functions returned, each bit and each type: context
+    # scalars, tuple q and p, an int iteration count, bool flags and, for
+    # EpAVI, a None delta_a
+    ctx = with_precision(digits)
+    model, s0 = KeplerTwoBody(ctx), kepler_initial_state(0.7, ctx)
+    cfg, h = SolverConfig.for_context(ctx), ctx.real("1e-2")
+    returned, starts = [], []
+    if integrator == "epavi":
+        s0 = replace(s0, E=initial_discrete_energy(model, s0, h, cfg))
+
+        def step(state, h_prev, z0):
+            starts.append(state)
+            returned.append(epavi_step(model, state, h_prev, cfg, z0))
+            return returned[-1]
+    else:
+        monitor = make_monitor("g1", model, s0)
+        s0 = replace(s0, E=model.hamiltonian(s0.q, s0.p))
+
+        def step(state, _, z0):
+            starts.append(state)
+            returned.append(avi_step(model, monitor, state, h, cfg, None if z0 is None else z0[:-1]))
+            return returned[-1]
+
+    traj = _march(model, integrator, step, s0, h, 0.3, cfg)
+    states = [starts[0]] + [state for state, _ in returned]
+    records = [record for _, record in returned]
+    assert len(traj) == len(traj.states) == len(states) >= 20 and len(traj.steps) == len(records)
+    assert traj.states and traj.steps and list(traj.states[-3:]) == states[-3:]
+
+    def typed(x):
+        if isinstance(x, ExtendedState):
+            assert type(x.q) is tuple and type(x.p) is tuple
+            return typed_bits(ctx, [x.t, x.q, x.p, x.E])
+        fields_ = [getattr(x, f.name) for f in fields(x)]
+        assert [type(v) for v in fields_[2:]] == [int, type(None) if integrator == "epavi" else type(h),
+                                                  float, bool, bool]
+        return typed_bits(ctx, fields_[:2]) + [_exact(v) for v in fields_[2:]]
+
+    for got, want in [(traj.states[0], states[0]), (traj.states[-1], states[-1]),
+                      (traj.steps[0], records[0]), (traj.steps[-1], records[-1])]:
+        assert typed(got) == typed(want)
+    assert [typed(s) for s in traj.states[1:6]] == [typed(s) for s in states[1:6]]
+    assert [typed(r) for r in traj.steps[-4:-1]] == [typed(r) for r in records[-4:-1]]
+    assert [typed(s) for s in traj.states] == [typed(s) for s in states]
+    assert any(r.iterations > 1 for r in records)
+    with pytest.raises(IndexError):
+        traj.steps[len(records)]
+
+
+def test_double_trajectory_retains_under_128_bytes_per_step():
+    # the rows (t, q, p, E) and the step columns of a double Kepler run: 48
+    # and 42 bytes a step plus the buffers' spare room, where an
+    # ExtendedState with two arrays and a StepRecord object took 634
+    import gc
+    import tracemalloc
+
+    model, s0 = KeplerTwoBody(), kepler_initial_state(0.7)
+    epavi_run(model, s0, 1e-3, 0.1, CFG15)  # warm every cache first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = epavi_run(model, s0, 1e-3, 2 * math.pi, CFG15)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(traj.steps) >= 1000
+    assert retained / len(traj) <= 128
+
+
 @pytest.mark.parametrize("digits, tol", [(16, 1e-16), (18, 1e-23)])
 def test_stalled_is_a_bool(digits, tol):
     # a tolerance below the residual floor: some steps are accepted stalled
@@ -895,13 +970,13 @@ def test_march_falls_back_to_the_last_increment_below_a_zero_h_prediction():
     def step(state, _, z0):
         starts.append(z0)
         h = hs[len(starts) - 1]
-        return replace(state, t=state.t + h, q=state.q + h), StepRecord(h, 0.0, 0)
+        return replace(state, t=state.t + h, q=tuple(x + h for x in state.q)), StepRecord(h, 0.0, 0)
 
     s0 = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.5)
     traj = _march(HarmonicOscillator(), "scripted", step, s0, 0.1, 0.45, CFG13)
     assert len(traj.steps) == 6 and starts[0] is None
     states = traj.states
-    history = [np.append(b.q - a.q, r.h) for a, b, r in zip(states[:5], states[1:], traj.steps)]
+    history = [np.append(np.subtract(b.q, a.q), r.h) for a, b, r in zip(states[:5], states[1:], traj.steps)]
     assert _extrapolate(history)[-1] == pytest.approx(-0.395)
     assert np.array_equal(starts[5], history[-1])
 
@@ -1030,6 +1105,25 @@ def test_reference_rejects_outside_queries(reference_e01):
         reference_e01.eval(100.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
+@pytest.mark.parametrize("problem", ["kepler", "oscillator"])
+def test_reference_rejects_non_finite_queries(problem, t):
+    # nan lies in no span: the oscillator's RK45 interpolant returned nan for
+    # it, and the Kepler flow's anomaly solve raised StiffnessError
+    ref = reference_solve(make_model(problem), initial_state(problem), 1.0)
+    with pytest.raises(ConfigurationError, match="outside the reference span"):
+        ref.eval(t)
+
+
+@pytest.mark.parametrize("problem", ["kepler", "oscillator"])
+def test_reference_state_has_tuple_q_and_p(problem):
+    ref = reference_solve(make_model(problem), initial_state(problem), 1.0)
+    state = ref.state(0.5)
+    q, p = ref.eval(0.5)
+    assert type(state.q) is tuple and type(state.p) is tuple
+    assert typed_bits(DOUBLE, [state.q, state.p]) == typed_bits(DOUBLE, [q.tolist(), p.tolist()])
+
+
 def _kepler_start(e, kind, t0=0.0):
     """A start at t0 on an orbit of eccentricity e and semi-major axis 1:
     perihelion, or the point of eccentric anomaly 2 (where q'p != 0) with
@@ -1071,7 +1165,7 @@ def test_kepler_reference_starts_at_its_start_bit_for_bit(e, kind):
     q, p = ref.eval(3.0)
     Q, P = ref.eval(np.array([3.0, 3.5]))
     for got, want in ((q, s0.q), (p, s0.p), (Q[:, 0], s0.q), (P[:, 0], s0.p)):
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("kind", _KINDS)

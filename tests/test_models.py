@@ -70,7 +70,7 @@ def test_initial_energy_exact_over_eccentricities():
     for e in np.linspace(0.0, 0.9, 20):
         s = kepler_initial_state(float(e))
         # -0.5 up to a few ulp of the kinetic term, which grows with e
-        kinetic = float(s.p @ s.p) / 2
+        kinetic = float(np.dot(s.p, s.p)) / 2
         assert abs(kepler_hamiltonian(s.q, s.p) + 0.5) < 8 * eps * max(1.0, kinetic)
 
 
