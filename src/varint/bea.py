@@ -166,7 +166,7 @@ def modified_rhs_order2(model: LagrangianModel, jet: Jet1D) -> Real:
         + (da^2 / 24m) (4 t'^4 V_q V_qq / m - 4 q' t' t'' V_qq - q'^2 t'^2 V_qqq)
     """
     _require_1dof(model)
-    m = model.M[0, 0]
+    m = model.masses[0]
     _, Vq, Vqq, Vqqq = _derivs(model, jet.q)
     qp, tp, tpp, da = jet.qp, jet.tp, jet.tpp, jet.delta_a
     leading = qp * tpp / tp - tp ** 2 * Vq / m
@@ -184,7 +184,7 @@ def modified_lagrangian_mod3(model: LagrangianModel, q, qp, tp, delta_a) -> Real
     _require_1dof(model)
     if tp <= 0:
         raise NonMonotoneTimeError(f"t' = {tp} must be positive")
-    m = model.M[0, 0]
+    m = model.masses[0]
     V, Vq, Vqq, _ = _derivs(model, q)
     leading = tp * (m * (qp / tp) ** 2 / 2 - V)
     return leading + (delta_a ** 2 / 24) * (tp ** 3 * Vq ** 2 / m + qp ** 2 * tp * Vqq)
@@ -195,7 +195,7 @@ def meshed_lagrangian_order2(model: LagrangianModel, jet: Jet1D) -> Real:
     _require_1dof(model)
     if jet.qpp is None:
         raise ConfigurationError("meshed evaluation needs q'' in the jet")
-    m = model.M[0, 0]
+    m = model.masses[0]
     V, Vq, Vqq, _ = _derivs(model, jet.q)
     qp, qpp, tp, tpp, da = jet.qp, jet.qpp, jet.tp, jet.tpp, jet.delta_a
     leading = tp * (m * (qp / tp) ** 2 / 2 - V)
@@ -306,12 +306,13 @@ def lemma1_reparametrization_check(
     profile.check_monotone(0.0, T)
     n = model.n
     q0 = np.asarray(state0.q, dtype=float)
-    v0 = np.dot(np.asarray(model.M_inv, dtype=float), np.asarray(state0.p, dtype=float))
+    v0 = np.array(model.inverse_mass_times([float(x) for x in state0.p]))
 
     def rhs(a, y):
         q, qp = y[:n], y[n:]
         tp, tpp = profile.d1(a), profile.d2(a)
-        return np.concatenate([qp, qp * tpp / tp - tp ** 2 * np.dot(model.M_inv, model.potential_gradient(q))])
+        inv_m_grad = np.array(model.inverse_mass_times(model.potential_gradient(q)))
+        return np.concatenate([qp, qp * tpp / tp - tp ** 2 * inv_m_grad])
 
     y0 = np.concatenate([q0, profile.d1(0.0) * v0])
     from scipy.integrate import solve_ivp  # loaded on the first solve, not by `import varint`

@@ -175,13 +175,10 @@ def _reference_trajectory_outputs(cfg, model, state0, outdir):
     times = np.linspace(ref.t_min, ref.t_max, 2001)
     Q, P = ref.eval(times)
     H0 = dm.hamiltonian(np.asarray(state0.q, dtype=float), np.asarray(state0.p, dtype=float))
-    rows, max_drift = [], 0.0
-    for k, (t, q, p) in enumerate(zip(times, Q.T, P.T)):
-        H = dm.hamiltonian(q, p)
-        max_drift = max(max_drift, abs(float(H - H0)))
-        rows.append([k, t, *q, *p, H])
-    header = ["k", "t"] + [f"q{i+1}" for i in range(model.n)] + [f"p{i+1}" for i in range(model.n)] + ["E"]
-    diagnostics.write_csv(outdir / "trajectory.csv", header, rows, DOUBLE)
+    H = dm.hamiltonian_rows(Q.T, P.T)
+    max_drift = max([0.0] + [abs(float(h - H0)) for h in H])
+    rows = ((k, t, *q, *p, h) for k, (t, q, p, h) in enumerate(zip(times, Q.T, P.T, H)))
+    diagnostics.write_csv(outdir / "trajectory.csv", diagnostics.state_header(model.n), rows, DOUBLE)
     return {
         "n_steps": len(times) - 1,
         "max_energy_error": max_drift,

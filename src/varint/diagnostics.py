@@ -195,18 +195,17 @@ def context_for(traj: Trajectory) -> PrecisionContext:
     return with_precision(int(traj.meta.get("digits", 16)))
 
 
+def state_header(n: int) -> list:
+    """The columns k, t, q1..qn, p1..pn, E of a state row."""
+    return ["k", "t"] + [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)] + ["E"]
+
+
 def write_trajectory_csv(traj: Trajectory, path):
     """k, t, q..., p..., E, h, residual, newton_iters, retried; the step
     columns of row k describe the step from state k to state k+1, and
     retried is 1 when that step came from EpAVI's cold fallback, else 0."""
     ctx = context_for(traj)
-    n = traj.n
-    header = (
-        ["k", "t"]
-        + [f"q{i + 1}" for i in range(n)]
-        + [f"p{i + 1}" for i in range(n)]
-        + ["E", "h", "residual", "newton_iters", "retried"]
-    )
+    header = state_header(traj.n) + ["h", "residual", "newton_iters", "retried"]
     steps = zip(*(traj.step_columns[name] for name in ("h", "residual_norm", "iterations", "retried")))
     rows = ((k, *state, *step)
             for k, (state, step) in enumerate(zip_longest(traj.rows(), steps, fillvalue=(None,) * 4)))

@@ -47,7 +47,8 @@ or three components NumPy's fixed cost per call outweighs the arithmetic.
 The states' q and p are tuples of context scalars.  NumPy keeps the LAPACK
 solve (``PrecisionContext.factor`` and ``solve``).  Each operation is the
 array formula's, in its order (sums from 0 in index order; ``np.dot`` where
-BLAS fuses a multiply-add or keeps a zero's sign), so no bit moves.
+BLAS fuses a multiply-add), so no bit moves.  The mass enters only through
+the model's ``mass_times`` and ``inverse_mass_times``.
 :func:`_momentum_system` is the momentum equation above, with its Jacobian:
 one system for an AVI step, a fixed step (the unit monitor, da = h) and
 EpAVI's fixed-h solves; both Jacobians are built on
@@ -150,7 +151,8 @@ def _double_partials(dm, q_kd, dq, h):
     v = [d / h for d in dq]
     Mv = dm.mass_times(v)
     quarter_h = h / 4
-    A = [[m / h + x * quarter_h for m, x in zip(m_row, h_row)] for m_row, h_row in zip(dm.M.tolist(), hess)]
+    A = [[m / h + x * quarter_h if i == j else x * quarter_h for j, x in enumerate(row)]
+         for i, (m, row) in enumerate(zip(dm.masses, hess))]
     return mid, grad, hess, v, Mv, A, [g / 2 - y / h for g, y in zip(grad, Mv)]
 
 
@@ -350,45 +352,47 @@ def _check_span(model, state0: ExtendedState, T_final):
         raise ConfigurationError(f"T_final must be finite and not precede the initial time, got {T_final}")
 
 
-def _aborted(name, traj: Trajectory, exc: VarintError) -> IntegrationError:
-    """``exc``, failing the ``name`` run at the last state of ``traj``, as the error carrying ``traj``."""
-    message = f"{name} run aborted at t = {float(traj.states[-1].t):.6g} after {len(traj.steps)} steps: {exc}"
-    return IntegrationError(message, trajectory=traj, cause=exc)
+def _march(model, name, setup: Callable, state0, T_final, cfg, **meta) -> Trajectory:
+    """Set a run up with ``setup`` and apply its steps until t >= T_final.
 
-
-def _march(model, name, step: Callable, state0, h, T_final, cfg, **meta) -> Trajectory:
-    """Apply ``step(state, h_prev, z0) -> (state, record)`` until t >= T_final.
-
-    ``h_prev`` is the previous record's h, and ``h`` before the first step.
+    ``setup(state0, meta) -> (state0, step, h)`` gives the run's start, its
+    step ``step(state, h_prev, z0) -> (state, record)`` and ``h``, the first
+    step's ``h_prev``; it may record in ``meta`` what it finds (an AVI run's
+    calibrated delta_a).  Every later ``h_prev`` is the previous record's h.
     The warm start ``z0`` is None for the first step, then the
     :func:`_extrapolate` prediction from the last five accepted increments
     z = (q_{k+1} - q_k, record h), or the last of them if it predicts h <= 0;
     each is a list of context scalars.
     A step below the resolution of t means the adaptation collapsed (e.g. a
     monitor decaying to zero) and aborts the run instead of looping towards
-    t = const.  A failed step raises the error that :func:`_aborted` builds.
+    t = const.  A failed setup or step raises an :class:`IntegrationError`
+    carrying the trajectory so far, with the run's meta either way; after a
+    failed setup it holds ``state0`` alone.
     """
     meta = {"integrator": name, "model": model.name, "params": dict(model.params), **meta,
             "T_final": float(T_final), "tol": float(cfg.tol), "digits": model.ctx.digits}
     traj = Trajectory(states=[state0], meta=meta)
-    state, history = state0, []  # the last five accepted increments, oldest first
-    while state.t < T_final:
-        z0 = None
-        if history:
-            z0 = _extrapolate(history)
-            if z0[-1] <= 0:
-                z0 = history[-1]
-        try:
+    try:
+        state, step, h = setup(state0, meta)
+        traj = Trajectory(states=[state], meta=meta)
+        history = []  # the last five accepted increments, oldest first
+        while state.t < T_final:
+            z0 = None
+            if history:
+                z0 = _extrapolate(history)
+                if z0[-1] <= 0:
+                    z0 = history[-1]
             new_state, record = step(state, h, z0)
             if record.h < 64 * model.ctx.eps * (1 + abs(float(new_state.t))):
                 raise NonMonotoneTimeError(
                     f"time step {float(record.h):.3e} underflowed at t = {float(new_state.t):.6g}"
                 )
-        except VarintError as exc:
-            raise _aborted(name, traj, exc) from exc
-        history = history[-4:] + [[*map(sub, new_state.q, state.q), record.h]]
-        state, h = new_state, record.h
-        traj.append(state, record)
+            history = history[-4:] + [[*map(sub, new_state.q, state.q), record.h]]
+            state, h = new_state, record.h
+            traj.append(state, record)
+    except VarintError as exc:
+        message = f"{name} run aborted at t = {float(traj.states[-1].t):.6g} after {len(traj.steps)} steps: {exc}"
+        raise IntegrationError(message, trajectory=traj, cause=exc) from exc
     return traj
 
 
@@ -488,13 +492,13 @@ def epavi_run(model: LagrangianModel, state0: ExtendedState, h0, T_final,
     h0-consistent discrete level (see :func:`initial_discrete_energy`).
     """
     state0, cfg = _run_config(model, state0, T_final, cfg, h0=h0)
-    if T_final > state0.t:
-        try:
+
+    def setup(state0, _):
+        if T_final > state0.t:
             state0 = replace(state0, E=initial_discrete_energy(model, state0, h0, cfg))
-        except VarintError as exc:
-            raise _aborted("epavi", Trajectory([state0], meta={"digits": model.ctx.digits}), exc) from exc
-    step = lambda state, h, z0: epavi_step(model, state, h, cfg, z0)
-    return _march(model, "epavi", step, state0, h0, T_final, cfg, h0=float(h0))
+        return state0, lambda state, h, z0: epavi_step(model, state, h, cfg, z0), h0
+
+    return _march(model, "epavi", setup, state0, T_final, cfg, h0=float(h0))
 
 
 # -- monitor functions -------------------------------------------------------------
@@ -529,21 +533,17 @@ def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Mo
     """
     if name == "g1":
         H0 = model.hamiltonian(model.ctx.array(state0.q), model.ctx.array(state0.p))
-        M_inv, M_inv_d = model.M_inv.tolist(), model.double.M_inv
+        dm = model.double
 
         def arclength(q, V, dV):
-            # M^{-1} grad V row by row: the value of np.dot for the diagonal
-            # mass matrices here, up to the sign of a zero, which the sum of
-            # the non-negative products drops
-            radicand = 2 * (H0 - V) + _dot(dV, [_dot(row, dV) for row in M_inv])
+            radicand = 2 * (H0 - V) + _dot(dV, model.inverse_mass_times(dV))
             if radicand <= 0:
                 raise MonitorDomainError(f"arclength monitor radicand {radicand} is not positive")
             return 1 / model.ctx.sqrt(radicand)
 
         def arclength_grad(q, g, dV, d2V) -> list:
             # np.dot of the 2 x 2 Hessian fuses multiply-adds, so it stays
-            dV = np.array(dV)
-            return ((dV - np.dot(d2V, np.dot(M_inv_d, dV))) * g ** 3).tolist()
+            return ((np.array(dV) - np.dot(d2V, dm.inverse_mass_times(dV))) * g ** 3).tolist()
 
         return Monitor("g1", arclength, arclength_grad)
     if name == "g2":
@@ -589,7 +589,7 @@ def _momentum_system(model, monitor, state, delta_a):
 def _explicit_euler(model, state, h) -> list:
     """The explicit-Euler increment h M^{-1} p_k, every step's start without a
     warm one, as a list."""
-    return (np.dot(model.M_inv, state.p) * h).tolist()
+    return [x * h for x in model.inverse_mass_times(state.p)]
 
 
 def _solve_momentum(model, monitor, state, delta_a, cfg, dq0=None) -> SolveReport:
@@ -664,30 +664,26 @@ def avi_run(model: LagrangianModel, monitor: Monitor, state0: ExtendedState, T_f
     Kepler runs at e = 0.7 this takes 1.7-1.8 Newton iterations per step.
     """
     state0, cfg = _run_config(model, state0, T_final, cfg, h0=h0, delta_a=delta_a)
-    name = f"avi_{monitor.identifier}"
-    if delta_a is None:
-        if h0 is None:
-            raise ConfigurationError("avi_run needs either h0 or delta_a")
-        try:
-            delta_a = avi_calibrate_delta_a(model, monitor, state0, h0, cfg)
-        except VarintError as exc:
-            raise _aborted(name, Trajectory([state0], meta={"digits": model.ctx.digits}), exc) from exc
-    return _avi_march(
-        model, name, monitor, state0, delta_a, T_final, cfg,
-        monitor=monitor.identifier,
-        h0=float(h0) if h0 is not None else float(delta_a),
-        delta_a=float(delta_a),
-    )
+    if delta_a is None and h0 is None:
+        raise ConfigurationError("avi_run needs either h0 or delta_a")
+
+    def setup(state0, meta):
+        da = avi_calibrate_delta_a(model, monitor, state0, h0, cfg) if delta_a is None else delta_a
+        meta["delta_a"] = float(da)
+        return _avi_start(model, monitor, state0, da, cfg)
+
+    return _march(model, f"avi_{monitor.identifier}", setup, state0, T_final, cfg, monitor=monitor.identifier,
+                  h0=float(h0) if h0 is not None else float(delta_a), delta_a=None)
 
 
-def _avi_march(model, name, monitor, state0, delta_a, T_final, cfg, /, **meta) -> Trajectory:
-    """:func:`_march` of :func:`avi_step` from the dq part of each warm start."""
-    state0 = replace(state0, E=model.hamiltonian(state0.q, state0.p))
+def _avi_start(model, monitor, state0, delta_a, cfg):
+    """:func:`_march`'s (start, step, h) for :func:`avi_step` at ``delta_a``:
+    E_0 = H(q_0, p_0), and each step starts from the dq part of the warm start."""
 
     def step(state, _, z0):
         return avi_step(model, monitor, state, delta_a, cfg, None if z0 is None else z0[:-1])
 
-    return _march(model, name, step, state0, delta_a, T_final, cfg, **meta)
+    return replace(state0, E=model.hamiltonian(state0.q, state0.p)), step, delta_a
 
 
 # -- fixed-step implicit midpoint (Lagrangian form) -------------------------------
@@ -706,7 +702,8 @@ def midpoint_fixed_run(model, state0, h, T_final, cfg=None) -> Trajectory:
     """Fixed-step run until t >= T_final: bit for bit the unit-monitor
     :func:`avi_run` with ``delta_a=h``, warm-started after the first step."""
     state0, cfg = _run_config(model, state0, T_final, cfg, h=h)
-    return _avi_march(model, "midpoint_fixed", _UNIT, state0, h, T_final, cfg, h0=float(h))
+    return _march(model, "midpoint_fixed", lambda state0, _: _avi_start(model, _UNIT, state0, h, cfg),
+                  state0, T_final, cfg, h0=float(h))
 
 
 # -- dense reference solution --------------------------------------------------------
@@ -776,7 +773,7 @@ def _runge_kutta(model, t0, t1, y0):
 
     def rhs(t, y):
         q, p = y[:n], y[n:]
-        return np.concatenate([np.dot(model.M_inv, p), -model.potential_gradient(q)])
+        return np.concatenate([model.inverse_mass_times(p), -model.potential_gradient(q)])
 
     # the loop of solve_ivp, which has no floor on the step; an overflow in
     # RK45's first-step or error norms is judged by the step floor, not warned of

@@ -1,7 +1,8 @@
 """Problem definitions: Kepler two-body and 1-DOF separable mechanical systems.
 
-All models are separable with a constant symmetric positive definite mass
-matrix:  L(q, v) = v'Mv/2 - V(q)  and  H(q, p) = p'M^{-1}p/2 + V(q).
+All models are separable with a constant diagonal mass M = diag(m_1, ...,
+m_n):  L(q, v) = v'Mv/2 - V(q)  and  H(q, p) = p'M^{-1}p/2 + V(q).  The masses
+and their reciprocals are context scalars, so M^{-1} carries the run's digits.
 Models are immutable after construction and safe for shared reads.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -44,15 +46,21 @@ class ExtendedState:
 
 
 class LagrangianModel:
-    """Base class: dimension, mass matrix, potential with derivatives."""
+    """Base class: a constant diagonal mass and the potential with its
+    derivatives.  ``masses`` holds m_1, ..., m_n and ``inverse_masses`` their
+    reciprocals 1/m_i, formed in the context's arithmetic, both as tuples of
+    context scalars."""
 
     name: str = "model"
 
-    def __init__(self, n: int, mass_matrix, ctx: PrecisionContext = DOUBLE):
-        self.n = n
+    def __init__(self, masses, ctx: PrecisionContext = DOUBLE):
+        for m in masses:
+            if not 0 < m < np.inf:  # nan included
+                raise ConfigurationError(f"{self.name} mass m must lie in (0, inf), got {m}")
+        self.n = len(masses)
         self.ctx = ctx
-        self.M = ctx.array(mass_matrix)
-        self.M_inv = ctx.array(np.linalg.inv(np.asarray(mass_matrix, dtype=float)))
+        self.masses = tuple(map(ctx.real, masses))
+        self.inverse_masses = tuple(1 / m for m in self.masses)
         self.params: dict = {}
 
     @cached_property
@@ -61,10 +69,12 @@ class LagrangianModel:
         return self if self.ctx.is_native else make_model(self.name, self.params, DOUBLE)
 
     def mass_times(self, v) -> list:
-        """The mass product M v of a sequence of context scalars, as a list.
-        ``np.dot`` forms it: for n = 1 it keeps the sign of a zero product,
-        which a sum starting from 0 would not."""
-        return np.dot(self.M, v).tolist()
+        """M v of a sequence of context scalars, as a list."""
+        return [m * x for m, x in zip(self.masses, v)]
+
+    def inverse_mass_times(self, p) -> list:
+        """M^{-1} p of a sequence of context scalars, as a list."""
+        return [w * x for w, x in zip(self.inverse_masses, p)]
 
     # potential interface -----------------------------------------------------
 
@@ -100,11 +110,9 @@ class LagrangianModel:
 
     # energies ---------------------------------------------------------------
 
-    def lagrangian(self, q, v) -> Real:
-        return (v * self.mass_times(v)).sum() / 2 - self.potential(q)
-
     def hamiltonian(self, q, p) -> Real:
-        return (p * np.dot(self.M_inv, p)).sum() / 2 + self.potential(q)
+        """p'M^{-1}p/2 + V(q) of sequences q and p, the sum from 0 in index order."""
+        return sum(map(mul, p, self.inverse_mass_times(p))) / 2 + self.potential(q)
 
     def hamiltonian_rows(self, Q, P) -> list:
         """H(q, p) at each row of the (N, n) arrays Q and P, as a list: one
@@ -118,15 +126,17 @@ class KeplerTwoBody(LagrangianModel):
     name = "kepler"
 
     def __init__(self, ctx: PrecisionContext = DOUBLE):
-        super().__init__(2, np.eye(2), ctx)
+        super().__init__((1.0, 1.0), ctx)
         self._eye = ctx.identity(2)
         self._guard = ctx.real(KEPLER_RADIUS_GUARD)
 
     def mass_times(self, v):
-        """M v = v for the identity mass matrix.  It equals ``np.dot(M, v)``
-        bit for bit except in the sign of a zero component: there
-        1 * (-0.0) + 0 * v_j reads +0.0 for v_j >= 0."""
+        """M v = v for unit masses: ``1.0 * x`` is ``x`` in every bit."""
         return v
+
+    def inverse_mass_times(self, p):
+        """M^{-1} p = p, as :meth:`mass_times`."""
+        return p
 
     def _radius(self, q) -> Real:
         r = self.ctx.sqrt(q[0] * q[0] + q[1] * q[1])
@@ -145,11 +155,6 @@ class KeplerTwoBody(LagrangianModel):
         r = self._radius(q)
         r3 = r ** 3
         return -1 / r, [q[0] / r3, q[1] / r3]
-
-    def hamiltonian(self, q, p) -> Real:
-        """(p1 p1 + p2 p2)/2 + V(q) of arrays or sequences: the base class's
-        value bit for bit, as M^{-1} p = p for the identity mass matrix."""
-        return (p[0] * p[0] + p[1] * p[1]) / 2 + self.potential(q)
 
     def hamiltonian_rows(self, Q, P) -> list:
         """In double one stacked evaluation of :meth:`hamiltonian`, bit for
@@ -182,13 +187,10 @@ class HarmonicOscillator(LagrangianModel):
     name = "oscillator"
 
     def __init__(self, k: float = 1.0, m: float = 1.0, ctx: PrecisionContext = DOUBLE):
-        if not 0 < m < np.inf:  # nan included
-            raise ConfigurationError(f"oscillator mass m must lie in (0, inf), got {m}")
+        super().__init__((m,), ctx)
         if not inf_norm([k]) < np.inf:
             raise ConfigurationError(f"oscillator stiffness k must be finite, got {k}")
-        super().__init__(1, [[m]], ctx)
         self.k = ctx.real(k)
-        self.m = ctx.real(m)
         self.params = {"k": k, "m": m}
 
     def potential(self, q) -> Real:
@@ -210,10 +212,7 @@ class Pendulum(LagrangianModel):
     name = "pendulum"
 
     def __init__(self, m: float = 1.0, ctx: PrecisionContext = DOUBLE):
-        if not 0 < m < np.inf:  # nan included
-            raise ConfigurationError(f"pendulum mass m must lie in (0, inf), got {m}")
-        super().__init__(1, [[m]], ctx)
-        self.m = ctx.real(m)
+        super().__init__((m,), ctx)
         self.params = {"m": m}
 
     def potential(self, q) -> Real:

@@ -183,7 +183,7 @@ def test_meshed_coefficient_matches_mod3_after_substitution(model_name):
     ctx = with_precision(30)
     model = HarmonicOscillator(k=1.3, m=0.7, ctx=ctx) if model_name == "oscillator" else Pendulum(ctx=ctx)
     rng = np.random.default_rng(11)
-    m = model.M[0, 0]
+    m = model.masses[0]
     for _ in range(10):
         q = ctx.real(repr(rng.uniform(-1.0, 1.0)))
         qp = ctx.real(repr(rng.uniform(-1.0, 1.0)))

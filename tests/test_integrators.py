@@ -144,7 +144,7 @@ def _array_kernel(model, q_k, dq, h, g=None):
     if g is not None:
         h = h * g(mid, V, grad)
     v = dq / h
-    return v, v if model.name == "kepler" else np.dot(model.M, v), grad * (h / 2), V, h
+    return v, v if model.name == "kepler" else np.dot(np.diag(model.masses), v), grad * (h / 2), V, h
 
 
 def _array_partials(model, q_k, dq, h):
@@ -155,15 +155,16 @@ def _array_partials(model, q_k, dq, h):
     mid = np.asarray(q_k, dtype=float) + dq / 2
     grad, hess = dm.potential_gradient(mid), dm.potential_hessian(mid)
     v = dq / h
-    Mv = v if dm.name == "kepler" else np.dot(dm.M, v)
-    return mid, grad, hess, v, Mv, dm.M / h + hess * (h / 4), grad / 2 - Mv / h
+    M = np.diag(dm.masses)
+    Mv = v if dm.name == "kepler" else np.dot(M, v)
+    return mid, grad, hess, v, Mv, M / h + hess * (h / 4), grad / 2 - Mv / h
 
 
 def _array_monitor(name, model, state0):
     """g(q, V, dV) and its gradient as array formulas."""
     if name == "g1":
         H0 = model.hamiltonian(state0.q, state0.p)
-        M_inv, M_inv_d = model.M_inv, model.double.M_inv
+        M_inv, M_inv_d = np.diag(model.inverse_masses), np.diag(model.double.inverse_masses)
         return Monitor(name,
                        lambda q, V, dV: 1 / model.ctx.sqrt(2 * (H0 - V) + (dV * np.dot(M_inv, dV)).sum()),
                        lambda q, g, dV, d2V: (dV - np.dot(d2V, np.dot(M_inv_d, dV))) * g ** 3)
@@ -501,6 +502,34 @@ def test_failed_avi_calibration_aborts_the_run_at_its_start():
     assert len(info.value.trajectory) == 1 and not info.value.trajectory.steps
 
 
+def test_setup_failures_carry_the_meta_of_a_step_failure():
+    # EpAVI's energy initialization over h0 = 1 and AVI's delta_a calibration
+    # at e = 0.95 fail before the first step; their one-state trajectories
+    # carry the meta keys of a run that a step failure ends: EpAVI's fold at
+    # e = 0.9 after 37 steps, and AVI's first step at the uncalibrated
+    # delta_a = h0 / g(q_0)
+    def aborted(run, *args, **kwargs):
+        with pytest.raises(IntegrationError) as info:
+            run(model, *args, **kwargs)
+        return info.value.trajectory
+
+    model = KeplerTwoBody()
+    init = aborted(epavi_run, kepler_initial_state(0.1), 1.0, 2 * math.pi)
+    fold = aborted(epavi_run, kepler_initial_state(0.9), 1e-3, 2 * math.pi, CFG15)
+    assert len(init) == 1 and len(fold) == 38
+    assert init.meta.keys() == fold.meta.keys() >= {"integrator", "model", "params", "h0", "T_final", "tol"}
+    assert init.meta["h0"] == 1.0 and init.meta["integrator"] == "epavi"
+
+    s0 = kepler_initial_state(0.95)
+    monitor = make_monitor("g2", model, s0)
+    g0 = monitor.g(s0.q, *model.potential_and_gradient(s0.q))
+    calibration = aborted(avi_run, monitor, s0, 2 * math.pi, CFG13, h0=0.05)
+    step = aborted(avi_run, monitor, s0, 2 * math.pi, CFG13, delta_a=0.05 / g0)
+    assert len(calibration) == len(step) == 1 and not step.steps
+    assert calibration.meta.keys() == step.meta.keys() >= {"monitor", "h0", "delta_a"}
+    assert calibration.meta["delta_a"] is None and step.meta["delta_a"] == 0.05 / g0
+
+
 def test_avi_monitor_domain_error_propagates():
     # arclength radicand is negative when H0 < V(q)
     model = Pendulum()
@@ -522,7 +551,7 @@ def test_warm_started_avi_step_rejects_a_negative_monitor(digits):
                       lambda q, g, dV, d2V: [2 * x for x in q])
     h = ctx.real("1e-2")
     with pytest.raises(MonitorDomainError, match=r"^monitor value \S+ is not positive$"):
-        avi_step(model, monitor, s0, h, SolverConfig.for_context(ctx), np.dot(model.M_inv, s0.p) * h)
+        avi_step(model, monitor, s0, h, SolverConfig.for_context(ctx), np.dot(np.diag(model.inverse_masses), s0.p) * h)
 
 
 def test_avi_run_records_delta_a():
@@ -589,7 +618,7 @@ def test_avi_steps_satisfy_the_coupled_rows(request, fixture):
         V, dV = model.potential_and_gradient(q_av.tolist())
         g = monitor.g(q_av.tolist(), V, dV)
         da = rec.delta_a
-        rows = [(q1 - q0) / da - np.dot(model.M_inv, p_av) * g,
+        rows = [(q1 - q0) / da - np.dot(np.diag(model.inverse_masses), p_av) * g,
                 (p1 - p0) / da + np.array(dV) * g,
                 [(s1.t - s0.t) / da - g]]
         worst = max(worst, np.max(np.abs(np.concatenate(rows))) * da)
@@ -875,7 +904,7 @@ def test_trajectory_views_return_what_the_steps_returned(integrator, digits):
             returned.append(avi_step(model, monitor, state, h, cfg, None if z0 is None else z0[:-1]))
             return returned[-1]
 
-    traj = _march(model, integrator, step, s0, h, 0.3, cfg)
+    traj = _march(model, integrator, lambda state0, _: (state0, step, h), s0, 0.3, cfg)
     states = [starts[0]] + [state for state, _ in returned]
     records = [record for _, record in returned]
     assert len(traj) == len(traj.states) == len(states) >= 20 and len(traj.steps) == len(records)
@@ -949,6 +978,18 @@ def test_double_runs_record_python_scalars(name):
         assert all(type(r.residual_norm) is float and type(r.stalled) is bool for r in traj.steps)
 
 
+def test_extended_fixed_oscillator_conserves_h_with_a_non_dyadic_mass():
+    # M^{-1} = 1/m in the context's arithmetic: rounded to double first, the
+    # inverse of m = 0.8 left H drifting by 3.6e-17 at 18 digits
+    ctx = with_precision(18)
+    params = {"k": 1.3, "m": 0.8}
+    model = make_model("oscillator", params, ctx)
+    traj = midpoint_fixed_run(model, initial_state("oscillator", params, ctx), 0.01, 2.0,
+                              SolverConfig.for_context(ctx))
+    assert len(traj.steps) >= 200
+    assert energy_error_series(traj).max() <= 1e-19
+
+
 # -- run driver -------------------------------------------------------------------
 
 
@@ -973,7 +1014,7 @@ def test_march_falls_back_to_the_last_increment_below_a_zero_h_prediction():
         return replace(state, t=state.t + h, q=tuple(x + h for x in state.q)), StepRecord(h, 0.0, 0)
 
     s0 = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.5)
-    traj = _march(HarmonicOscillator(), "scripted", step, s0, 0.1, 0.45, CFG13)
+    traj = _march(HarmonicOscillator(), "scripted", lambda state0, _: (state0, step, 0.1), s0, 0.45, CFG13)
     assert len(traj.steps) == 6 and starts[0] is None
     states = traj.states
     history = [np.append(np.subtract(b.q, a.q), r.h) for a, b, r in zip(states[:5], states[1:], traj.steps)]

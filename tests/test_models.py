@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import typed_bits
+from conftest import lagrangian, typed_bits
 
 from varint import (
     ConfigurationError,
@@ -148,14 +148,14 @@ def test_legendre_identity(model):
     rng = np.random.default_rng(44)
     for q in _sample_points(model, rng, 20):
         v = rng.standard_normal(model.n)
-        Mv = model.M @ v
-        lhs = model.hamiltonian(q, Mv) + model.lagrangian(q, v)
+        Mv = np.diag(model.masses) @ v
+        lhs = model.hamiltonian(q, Mv) + lagrangian(model, q, v)
         assert lhs == pytest.approx(float(v @ Mv), rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
 def test_mass_matrix_spd(model):
-    np.linalg.cholesky(np.asarray(model.M, dtype=float))
+    np.linalg.cholesky(np.diag(np.asarray(model.masses, dtype=float)))
 
 
 def test_angular_momentum_rotation_invariant():
@@ -196,7 +196,19 @@ def test_double_twin():
     twin = osc.double
     assert twin is osc.double  # built once
     assert twin.ctx.is_native and twin.name == "oscillator" and twin.params == osc.params
-    assert twin.M.dtype == np.float64 and twin.k == 1.3
+    assert all(type(m) is float for m in twin.masses + twin.inverse_masses) and twin.k == 1.3
+
+
+@pytest.mark.parametrize("digits", [18, 30])
+def test_extended_inverse_masses_are_exact_to_the_context(digits):
+    # 1/m is formed in the context's arithmetic: an inverse rounded to double
+    # left m (1/m) - 1 = 5.6e-17 for m = 0.8 at every precision
+    ctx = with_precision(digits)
+    for m in (0.8, 1.3, 3):
+        for model in (HarmonicOscillator(m=m, ctx=ctx), Pendulum(m=m, ctx=ctx)):
+            (mass,), (inverse,) = model.masses, model.inverse_masses
+            assert type(inverse) is ctx.mpctx.mpf
+            assert abs(mass * inverse - 1) <= ctx.eps
 
 
 def test_state_validation():
@@ -262,9 +274,9 @@ def test_kepler_kernels_are_bitwise_the_reference_formulas(digits):
 @pytest.mark.parametrize("digits", [16, 18])
 @pytest.mark.parametrize("name", ["kepler", "oscillator", "pendulum"])
 def test_mass_product_is_the_matrix_product(name, digits):
-    # Kepler's M v skips np.dot with its identity M; that moves nothing but
-    # the sign of a zero component: 1 * (-0.0) + 0 * v_j reads +0.0.  The
-    # step kernel hands M v a list of context scalars.
+    # Kepler's M v and M^{-1} p skip np.dot with the identity; that moves
+    # nothing but the sign of a zero component: 1 * (-0.0) + 0 * v_j reads
+    # +0.0.  The step kernel hands both products lists of context scalars.
     ctx = with_precision(digits)
     model = make_model(name, {"k": 1.3, "m": 0.8}, ctx)
     rng = np.random.default_rng(5)
@@ -272,10 +284,12 @@ def test_mass_product_is_the_matrix_product(name, digits):
         v = ctx.array(list(rng.standard_normal(model.n) * 10.0 ** rng.integers(-6, 7, model.n))) / 3
         if k % 4 == 0:
             v[rng.integers(model.n)] = ctx.real(-0.0 if k % 8 else 0.0)
-        got, want = model.mass_times(v.tolist()), np.dot(model.M, v)
-        assert isinstance(got, list)
-        typed_bits(ctx, got)
-        for a, b in zip(got, want):
-            assert a == b
-            if b != 0 or name != "kepler":
-                assert typed_bits(ctx, a) == typed_bits(ctx, b)
+        for product, diagonal in [(model.mass_times, model.masses),
+                                  (model.inverse_mass_times, model.inverse_masses)]:
+            got, want = product(v.tolist()), np.dot(np.diag(diagonal), v)
+            assert isinstance(got, list)
+            typed_bits(ctx, got)
+            for a, b in zip(got, want):
+                assert a == b
+                if b != 0 or name != "kepler":
+                    assert typed_bits(ctx, a) == typed_bits(ctx, b)
