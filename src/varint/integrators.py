@@ -45,13 +45,14 @@ Jacobians, the Newton iterate from its start to ``SolveReport.solution``,
 the monitors and the warm start are Python lists of context scalars: on two
 or three components NumPy's fixed cost per call outweighs the arithmetic.
 The states' q and p are tuples of context scalars.  NumPy keeps the LAPACK
-solve (``PrecisionContext.factor`` and ``solve``).  Each operation is the
+solve (``PrecisionContext.factor`` and ``solve``), whose gufuncs run under
+the one error state ``_march`` sets for a whole run.  Each operation is the
 array formula's, in its order (sums from 0 in index order; ``np.dot`` where
 BLAS fuses a multiply-add), so no bit moves.  The mass enters only through
 the model's ``mass_times`` and ``inverse_mass_times``.
 :func:`_momentum_system` is the momentum equation above, with its Jacobian:
-one system for an AVI step, a fixed step (the unit monitor, da = h) and
-EpAVI's fixed-h solves; both Jacobians are built on
+one system for an AVI step, a fixed step (the unit monitor, da = h, which
+evaluates no monitor) and EpAVI's fixed-h solves; both Jacobians are built on
 :func:`_double_partials`.  ``_march`` is the run driver: it steps until
 t >= T_final, aborts on a step below the resolution of t, and raises every
 failure as an :class:`IntegrationError` carrying the partial trajectory.
@@ -367,29 +368,33 @@ def _march(model, name, setup: Callable, state0, T_final, cfg, **meta) -> Trajec
     monitor decaying to zero) and aborts the run instead of looping towards
     t = const.  A failed setup or step raises an :class:`IntegrationError`
     carrying the trajectory so far, with the run's meta either way; after a
-    failed setup it holds ``state0`` alone.
+    failed setup it holds ``state0`` alone.  The setup and the steps run
+    under one ``np.errstate(all="ignore")``: a singular Jacobian's all-nan
+    inverse is judged by the solve (:meth:`PrecisionContext.factor`), not
+    warned of, and no solve enters an error state of its own.
     """
     meta = {"integrator": name, "model": model.name, "params": dict(model.params), **meta,
             "T_final": float(T_final), "tol": float(cfg.tol), "digits": model.ctx.digits}
     traj = Trajectory(states=[state0], meta=meta)
     try:
-        state, step, h = setup(state0, meta)
-        traj = Trajectory(states=[state], meta=meta)
-        history = []  # the last five accepted increments, oldest first
-        while state.t < T_final:
-            z0 = None
-            if history:
-                z0 = _extrapolate(history)
-                if z0[-1] <= 0:
-                    z0 = history[-1]
-            new_state, record = step(state, h, z0)
-            if record.h < 64 * model.ctx.eps * (1 + abs(float(new_state.t))):
-                raise NonMonotoneTimeError(
-                    f"time step {float(record.h):.3e} underflowed at t = {float(new_state.t):.6g}"
-                )
-            history = history[-4:] + [[*map(sub, new_state.q, state.q), record.h]]
-            state, h = new_state, record.h
-            traj.append(state, record)
+        with np.errstate(all="ignore"):
+            state, step, h = setup(state0, meta)
+            traj = Trajectory(states=[state], meta=meta)
+            history = []  # the last five accepted increments, oldest first
+            while state.t < T_final:
+                z0 = None
+                if history:
+                    z0 = _extrapolate(history)
+                    if z0[-1] <= 0:
+                        z0 = history[-1]
+                new_state, record = step(state, h, z0)
+                if record.h < 64 * model.ctx.eps * (1 + abs(float(new_state.t))):
+                    raise NonMonotoneTimeError(
+                        f"time step {float(record.h):.3e} underflowed at t = {float(new_state.t):.6g}"
+                    )
+                history = history[-4:] + [[*map(sub, new_state.q, state.q), record.h]]
+                state, h = new_state, record.h
+                traj.append(state, record)
     except VarintError as exc:
         message = f"{name} run aborted at t = {float(traj.states[-1].t):.6g} after {len(traj.steps)} steps: {exc}"
         raise IntegrationError(message, trajectory=traj, cause=exc) from exc
@@ -560,15 +565,22 @@ def _momentum_system(model, monitor, state, delta_a):
     """Residual and analytic Jacobian of the momentum equation in dq.
 
     The residual is Mv + (h/2) grad V(q_av) - p_k with v = dq/h and
-    h = delta_a g(q_av); the unit monitor makes it a fixed step
-    h = delta_a.  It returns the kernel :func:`_increment` at dq with its
-    value.  The Jacobian is the fixed-h block A = M/h + (h/4) hess V(q_av)
-    plus the rank-one term c (delta_a/2) grad g', where c = grad V/2 - Mv/h
-    is the h column of the EpAVI Jacobian; for the unit monitor that term is
-    an exact zero.  It is formed in double, as in :func:`_epavi_system`,
+    h = delta_a g(q_av).  It returns the kernel :func:`_increment` at dq
+    with its value.  The Jacobian is the fixed-h block
+    A = M/h + (h/4) hess V(q_av) plus the rank-one term
+    c (delta_a/2) grad g', where c = grad V/2 - Mv/h is the h column of the
+    EpAVI Jacobian.  It is formed in double, as in :func:`_epavi_system`,
     with h read from the kernel.
+
+    The unit monitor is no monitor: its system is the fixed step
+    h = delta_a, with no g in the kernel (h times 1 is h) and the Jacobian
+    A alone.  Its rank-one term would be c times a zero gradient, an exact
+    zero wherever c is finite, and adding a zero changes an entry of A only
+    where that entry is -0.0.
     """
-    p_k, q_k, g = state.p, state.q, monitor.g
+    p_k, q_k = state.p, state.q
+    unit = monitor is _UNIT
+    g = None if unit else monitor.g
     dm, q_kd, dad = model.double, [float(x) for x in q_k], float(delta_a)
 
     def residual(dq):
@@ -579,6 +591,8 @@ def _momentum_system(model, monitor, state, delta_a):
     def jacobian(dq, kernel):
         h = float(kernel[4])
         mid, grad, hess, _, _, A, c = _double_partials(dm, q_kd, dq, h)
+        if unit:
+            return A
         half_da = dad / 2
         w = [x * half_da for x in monitor.grad(mid, h / dad, grad, hess)]
         return [[a + c_i * w_j for a, w_j in zip(row, w)] for row, c_i in zip(A, c)]

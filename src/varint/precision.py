@@ -8,7 +8,11 @@ one ``mpmath.MPContext`` of the working precision, so arithmetic on them,
 also with floats and ints, rounds at that precision whatever the global
 ``mpmath.mp`` says.  The kernels stay generic over both paths without
 global state; :meth:`PrecisionContext.real` and ``array`` bring values of
-another precision in.  Context constants are computed once per context.
+another precision in.  Context constants, and the elementary functions
+``sqrt``, ``cos`` and ``sin`` (``math``'s or the mpmath context's), are
+chosen once per context.  The double linear algebra calls numpy's LAPACK
+gufuncs bare, so it follows the caller's numpy error state; the integrators'
+runs set one that ignores a singular inverse.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 import mpmath
 import numpy as np
@@ -60,12 +64,6 @@ class LUFactors(NamedTuple):
     a: np.ndarray
     inv: np.ndarray
     singular: bool
-
-
-#: The LAPACK gufunc behind ``numpy.linalg.inv``, under an error state set per
-#: call (cheaper than a ``with`` block): a singular matrix gets an all-nan
-#: inverse and no warning.
-_inv = np.errstate(all="ignore")(_umath_linalg.inv)
 
 
 def _norm_inf(m: np.ndarray) -> float:
@@ -149,16 +147,19 @@ class PrecisionContext:
     def identity(self, n: int) -> np.ndarray:
         return self.array(np.eye(n))
 
-    # -- elementary functions ------------------------------------------------
+    # -- elementary functions: ``math``'s or the mpmath context's, chosen once --
 
-    def sqrt(self, x: Real) -> Real:
-        return math.sqrt(x) if self.is_native else self.mpctx.sqrt(x)
+    @cached_property
+    def sqrt(self) -> Callable[[Real], Real]:
+        return math.sqrt if self.is_native else self.mpctx.sqrt
 
-    def cos(self, x: Real) -> Real:
-        return math.cos(x) if self.is_native else self.mpctx.cos(x)
+    @cached_property
+    def cos(self) -> Callable[[Real], Real]:
+        return math.cos if self.is_native else self.mpctx.cos
 
-    def sin(self, x: Real) -> Real:
-        return math.sin(x) if self.is_native else self.mpctx.sin(x)
+    @cached_property
+    def sin(self) -> Callable[[Real], Real]:
+        return math.sin if self.is_native else self.mpctx.sin
 
     # -- linear algebra (systems here are tiny: n or n+1 unknowns) -----------
 
@@ -168,9 +169,14 @@ class PrecisionContext:
         :meth:`solve` with that matrix and its :meth:`cond_inf`.  A singular ``A`` (a zero pivot,
         LAPACK ``info > 0``) gets an all-nan inverse and is marked singular:
         :meth:`solve` rejects it and :meth:`cond_inf` reports ``inf``.
+
+        The gufunc is called bare, under the caller's numpy error state: a
+        run sets ``np.errstate(all="ignore")`` once around all its solves,
+        while a direct call on a singular ``A`` under numpy's default state
+        warns "invalid value encountered in inv" (a ``RuntimeWarning``).
         """
         a = np.asarray(A, dtype=float)
-        inv = _inv(a)
+        inv = _umath_linalg.inv(a)
         return LUFactors(a, inv, math.isnan(inv[0, 0]))
 
     def solve(self, factors: LUFactors, b) -> list:

@@ -150,6 +150,11 @@ def newton_solve(
     estimate, when the solve is not accepted (:data:`MAX_ITER` iterations run
     out, the residual stalls far from tol, the Jacobian overflows or is singular),
     and :class:`IllPosednessError` when an accepted solve's estimate reaches :data:`COND_LIMIT`.
+
+    The Jacobian is inverted under the caller's numpy error state
+    (:meth:`PrecisionContext.factor`): the integrators' runs ignore the
+    invalid-value flag of a singular inverse, and a direct call under
+    numpy's default state warns of it.
     """
     tol = ctx.real(cfg.tol)
 

@@ -1,7 +1,8 @@
 """Shared fixtures: the long Kepler runs are computed once per session.
 Also the bit-for-bit comparison of context scalars that several test modules
-use, and the helpers only tests call: the Lagrangian, the midpoint discrete
-Lagrangian, a linear time profile and the summary reader."""
+use, numpy's singular-inverse warning text, and the helpers only tests call:
+the Lagrangian, the midpoint discrete Lagrangian, a linear time profile and
+the summary reader."""
 
 import math
 from pathlib import Path
@@ -25,6 +26,10 @@ from varint.bea import TimeProfile
 from varint.integrators import _step_length
 
 PERIOD = 2 * math.pi
+
+#: numpy's warning for a singular matrix's inverse under its default error
+#: state: a direct factor call follows the caller's state, only a run ignores it.
+SINGULAR_INVERSE = "invalid value encountered in inv"
 
 
 def lagrangian(model, q, v):

@@ -12,12 +12,16 @@ from pathlib import Path
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings
+from conftest import typed_bits
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varint import (
+    HarmonicOscillator,
     KeplerTwoBody,
+    Pendulum,
     SolverConfig,
+    VarintError,
     epavi_run,
     epavi_step,
     initial_discrete_energy,
@@ -26,6 +30,7 @@ from varint import (
     with_precision,
 )
 from varint.diagnostics import write_csv
+from varint.integrators import _UNIT, Monitor, _momentum_system
 from varint.models import ExtendedState
 from varint.precision import DOUBLE
 
@@ -167,3 +172,78 @@ def test_row_template_matches_csv_writer(digits, header, rows):
                 writer.writerow([_fmt(v, ctx) for v in row])
         write_csv(written, header, rows, ctx)
         assert written.read_bytes() == expected.read_bytes()
+
+
+# -- the unit monitor -------------------------------------------------------------
+
+#: g = 1 written out as a monitor like any other: the momentum system then
+#: multiplies h by 1 and adds the rank-one term c (da/2) 0 to its Jacobian.
+_EXPLICIT_ONE = Monitor("one", lambda q, V, dV: 1, lambda q, g, dV, d2V: [0 * x for x in q])
+
+#: Coordinates with zeros of both signs, negatives and subnormals among them.
+_COORDINATE = st.one_of(st.floats(-1.7, 1.7), st.floats(-2.3e-308, 2.3e-308))
+
+
+@st.composite
+def _unit_monitor_cases(draw):
+    """(model, state, dq, delta_a): Kepler beyond its collision guard, the
+    oscillator with k = 0 among its stiffnesses, and the pendulum with q
+    beyond pi/2, where its hess V = cos q is negative."""
+    ctx = with_precision(draw(st.sampled_from([16, 18])))
+    name = draw(st.sampled_from(["kepler", "oscillator", "pendulum"]))
+    if name == "kepler":
+        model = KeplerTwoBody(ctx)
+        radius = draw(st.floats(0.3, 1.7)) * draw(st.sampled_from([1, -1]))
+        q = [radius, draw(_COORDINATE)][::draw(st.sampled_from([1, -1]))]
+    elif name == "oscillator":
+        model = HarmonicOscillator(draw(st.one_of(st.just(0.0), st.floats(-3.0, 3.0))), draw(st.floats(0.1, 4.0)), ctx)
+        q = [draw(_COORDINATE)]
+    else:
+        model = Pendulum(draw(st.floats(0.1, 4.0)), ctx)
+        q = [draw(st.one_of(_COORDINATE, st.floats(-4.0, 4.0)))]
+    n = model.n
+    p = draw(st.lists(_COORDINATE, min_size=n, max_size=n))
+    dq = draw(st.lists(_COORDINATE.map(lambda x: x / 16), min_size=n, max_size=n))
+    state = ExtendedState(t=ctx.real(0), q=tuple(map(ctx.real, q)), p=tuple(map(ctx.real, p)), E=ctx.real(0))
+    return model, state, [ctx.real(x) for x in dq], ctx.real(draw(st.floats(1e-4, 0.5)))
+
+
+def _system_bits(model, monitor, state, dq, delta_a):
+    """The bits of the momentum system's residual and kernel at dq and of
+    its Jacobian there, or the type of the error the residual raises and None."""
+    residual, jacobian = _momentum_system(model, monitor, state, delta_a)
+    try:
+        F, kernel = residual(dq)
+    except VarintError as exc:
+        return type(exc), None
+    return typed_bits(model.ctx, [F, kernel]), typed_bits(DOUBLE, jacobian(dq, kernel))
+
+
+def _subnormal_kepler_case(digits):
+    """Kepler at q = (1, 5e-324), at rest, dq = 0: the Hessian's off-diagonal
+    -3 q0 q1 / r^5 times h/4 rounds to -0.0."""
+    ctx = with_precision(digits)
+    zero = ctx.real(0)
+    state = ExtendedState(t=zero, q=(ctx.real(1), ctx.real(5e-324)), p=(zero, zero), E=zero)
+    return KeplerTwoBody(ctx), state, [zero, zero], ctx.real(0.01)
+
+
+@settings(PROPERTY, max_examples=400)
+@given(case=_unit_monitor_cases())
+@example(case=_subnormal_kepler_case(16))
+@example(case=_subnormal_kepler_case(18))
+def test_unit_monitor_system_is_the_explicit_unit_monitors_bit_for_bit(case):
+    # the unit monitor's system builds no g and adds no rank-one term.  Its
+    # residual and kernel are bit for bit those of g = 1 written out, and so
+    # is its Jacobian, zero signs included, but for one case: an entry of
+    # A = M/h + (h/4) hess V that is -0.0 (an off-diagonal rounded to zero
+    # from below, as in the pinned examples) stays -0.0, where adding the
+    # explicit term's +0.0 made it +0.0.  Equal as numbers either way.
+    model, state, dq, delta_a = case
+    unit_F, unit_J = _system_bits(model, _UNIT, state, dq, delta_a)
+    one_F, one_J = _system_bits(model, _EXPLICIT_ONE, state, dq, delta_a)
+    assert unit_F == one_F
+    if unit_J is not None:
+        for unit_row, one_row in zip(unit_J, one_J, strict=True):
+            for unit, one in zip(unit_row, one_row, strict=True):
+                assert unit == one or (unit, one) == ("-0x0.0p+0", "0x0.0p+0")

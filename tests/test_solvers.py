@@ -1,8 +1,11 @@
 import math
+import warnings
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import SINGULAR_INVERSE
 
 import varint.integrators
 import varint.solvers
@@ -10,6 +13,7 @@ from varint import (
     DOUBLE,
     HarmonicOscillator,
     IllPosednessError,
+    IntegrationError,
     KeplerTwoBody,
     MonitorDomainError,
     NonconvergenceError,
@@ -90,8 +94,10 @@ def test_failed_solve_at_an_ill_conditioned_iterate_does_not_converge(y0):
     # F(x, y) = (x, y^2 + 1) has no root; from y = 1e-15, where J = diag(1, 2y)
     # has condition 5e14 >= COND_LIMIT, every damped trial raises |F|, and at
     # y = 0 J is exactly singular, so the solve stalls at |F| = 1: a failed
-    # solve, not an ill-posed one
-    with pytest.raises(NonconvergenceError, match="^no convergence: residual 1.000e[+]00 after 0 ") as info:
+    # solve, not an ill-posed one; outside a run the singular inverse is
+    # warned of, under numpy's default error state
+    warns = pytest.warns(RuntimeWarning, match=SINGULAR_INVERSE) if y0 == 0 else nullcontext()
+    with warns, pytest.raises(NonconvergenceError, match="^no convergence: residual 1.000e[+]00 after 0 ") as info:
         newton_solve(lambda x: ([x[0], x[1] ** 2 + 1], x), [0.0, y0],
                      SolverConfig(tol=1e-12), jacobian=lambda x, _: np.diag([1, 2 * x[1]]))
     assert info.value.report.condition_estimate >= varint.solvers.COND_LIMIT
@@ -109,8 +115,21 @@ def test_free_particle_rest_state_is_ill_posed():
     # of the Jacobian is zero
     model = HarmonicOscillator(k=0.0)
     state = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.0)
-    with pytest.raises(IllPosednessError):
+    # a direct step, outside a run, follows numpy's default error state
+    with pytest.warns(RuntimeWarning, match=SINGULAR_INVERSE), pytest.raises(IllPosednessError):
         epavi_step(model, state, 0.1, SolverConfig(tol=1e-12))
+
+
+def test_a_run_through_a_singular_jacobian_warns_of_nothing():
+    # a run sets one error state for all its solves: the singular Jacobian of
+    # the free particle at rest gets a nan inverse, judged and not warned of
+    model = HarmonicOscillator(k=0.0)
+    state = ExtendedState(t=0.0, q=(1.0,), p=(0.0,), E=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as info:
+            epavi_run(model, state, 0.1, 1.0, SolverConfig(tol=1e-12))
+    assert isinstance(info.value.cause, IllPosednessError)
 
 
 def test_free_particle_2x2_system_singular_directly():
