@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigurationError, NonMonotoneTimeError, StiffnessError
 from .integrators import discrete_partials_midpoint, reference_solve
 from .models import LagrangianModel
-from .precision import Real
+from .precision import Real, inf_norm
 
 #: Fictitious-step sweep used by the order-estimation suite.  The smallest
 #: value keeps the O(da^5) residual of the modified solutions two decades
@@ -121,7 +121,7 @@ class ResidualPair:
     """Discrete Euler-Lagrange residual (per configuration component) and
     discrete energy residual at an interior point."""
 
-    psi_el: np.ndarray
+    psi_el: list
     psi_e: Real
 
 
@@ -131,12 +131,10 @@ def _require_1dof(model: LagrangianModel):
 
 
 def _derivs(model: LagrangianModel, q: Real):
-    arr = model.ctx.array([q])
-    V = model.potential(arr)
-    Vq = model.potential_gradient(arr)[0]
-    Vqq = model.potential_hessian(arr)[0, 0]
-    Vqqq = model.potential_third(arr)
-    return V, Vq, Vqq, Vqqq
+    """(V, V_q, V_qq, V_qqq) of a 1-DOF model at the context scalar q."""
+    q = [q]
+    return (model.potential(q), model.potential_gradient(q)[0], model.potential_hessian(q)[0][0],
+            model.potential_third(q))
 
 
 def discrete_residual(model, prev: Tuple, mid: Tuple, nxt: Tuple, delta_a) -> ResidualPair:
@@ -151,12 +149,12 @@ def discrete_residual(model, prev: Tuple, mid: Tuple, nxt: Tuple, delta_a) -> Re
     if delta_a <= 0:
         raise ConfigurationError("delta_a must be positive")
     (t_m, q_m), (t_0, q_0), (t_p, q_p) = prev, mid, nxt
-    q_m, q_0, q_p = (np.atleast_1d(x) for x in (q_m, q_0, q_p))
+    q_m, q_0, q_p = (np.atleast_1d(x).tolist() for x in (q_m, q_0, q_p))
     if not (t_m < t_0 < t_p):
         raise NonMonotoneTimeError("points must have strictly increasing times")
     left = discrete_partials_midpoint(model, t_m, q_m, t_0, q_0)
     right = discrete_partials_midpoint(model, t_0, q_0, t_p, q_p)
-    return ResidualPair(psi_el=left.d4 + right.d2, psi_e=right.d1 - left.d1)
+    return ResidualPair(psi_el=[a + b for a, b in zip(left.d4, right.d2)], psi_e=right.d1 - left.d1)
 
 
 def modified_rhs_order2(model: LagrangianModel, jet: Jet1D) -> Real:
@@ -278,7 +276,7 @@ def residual_order_estimate(
                 (profile.value(x), sol.sol(x)[0]) for x in (a - da, a, a + da)
             ]
             pair = discrete_residual(model, *pts, delta_a=da)
-            el_max = max(el_max, float(np.abs(pair.psi_el).max()))
+            el_max = max(el_max, float(inf_norm(pair.psi_el)))
             e_max = max(e_max, abs(float(pair.psi_e)))
         samples.append((da, el_max, e_max))
 

@@ -109,8 +109,8 @@ class DiscretePartials:
     """
 
     d1: Real
-    d2: np.ndarray
-    d4: np.ndarray
+    d2: list
+    d4: list
 
 
 def _step_length(t_k, t_k1):
@@ -177,8 +177,8 @@ def discrete_partials_midpoint(model: LagrangianModel, t_k, q_k, t_k1, q_k1) -> 
     """
     v, Mv, half_grad, V, _ = _increment(model, q_k, list(map(sub, q_k1, q_k)), _step_length(t_k, t_k1))
     d1 = _discrete_energy(v, Mv, V)
-    return DiscretePartials(d1=d1, d2=np.array([-a - b for a, b in zip(Mv, half_grad)]),
-                            d4=np.subtract(Mv, half_grad))
+    return DiscretePartials(d1=d1, d2=[-a - b for a, b in zip(Mv, half_grad)],
+                            d4=[a - b for a, b in zip(Mv, half_grad)])
 
 
 # -- trajectories ----------------------------------------------------------------
@@ -671,8 +671,9 @@ def avi_run(model: LagrangianModel, monitor: Monitor, state0: ExtendedState, T_f
             cfg: Optional[SolverConfig] = None, h0=None, delta_a=None) -> Trajectory:
     """Fixed-da monitor-adaptive run until t >= T_final.
 
-    ``delta_a`` may be given directly; otherwise it is calibrated so the
-    first physical step matches ``h0``.  Recorded energies are H(q_k, p_k).
+    ``delta_a`` may be given directly, and the meta's h0 is then None
+    unless ``h0`` is given too; otherwise it is calibrated so the first
+    physical step matches ``h0``.  Recorded energies are H(q_k, p_k).
     Each Newton solve after the first starts from the dq part of
     :func:`_march`'s warm start, as in :func:`epavi_run`; on the one-period
     Kepler runs at e = 0.7 this takes 1.7-1.8 Newton iterations per step.
@@ -687,7 +688,7 @@ def avi_run(model: LagrangianModel, monitor: Monitor, state0: ExtendedState, T_f
         return _avi_start(model, monitor, state0, da, cfg)
 
     return _march(model, f"avi_{monitor.identifier}", setup, state0, T_final, cfg, monitor=monitor.identifier,
-                  h0=float(h0) if h0 is not None else float(delta_a), delta_a=None)
+                  h0=None if h0 is None else float(h0), delta_a=None)
 
 
 def _avi_start(model, monitor, state0, delta_a, cfg):
@@ -787,7 +788,7 @@ def _runge_kutta(model, t0, t1, y0):
 
     def rhs(t, y):
         q, p = y[:n], y[n:]
-        return np.concatenate([model.inverse_mass_times(p), -model.potential_gradient(q)])
+        return np.concatenate([model.inverse_mass_times(p), np.negative(model.potential_gradient(q))])
 
     # the loop of solve_ivp, which has no floor on the step; an overflow in
     # RK45's first-step or error norms is judged by the step floor, not warned of

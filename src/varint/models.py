@@ -3,7 +3,10 @@
 All models are separable with a constant diagonal mass M = diag(m_1, ...,
 m_n):  L(q, v) = v'Mv/2 - V(q)  and  H(q, p) = p'M^{-1}p/2 + V(q).  The masses
 and their reciprocals are context scalars, so M^{-1} carries the run's digits.
-Models are immutable after construction and safe for shared reads.
+Each model writes V and each of its derivatives once, on a sequence of
+context scalars, and returns a context scalar, a list, or a matrix as a
+list of rows.  Models are immutable after construction and safe for shared
+reads.
 """
 
 from __future__ import annotations
@@ -81,28 +84,23 @@ class LagrangianModel:
     def potential(self, q) -> Real:
         raise NotImplementedError
 
-    def potential_gradient(self, q) -> np.ndarray:
+    def potential_gradient(self, q) -> list:
         raise NotImplementedError
 
-    def potential_hessian(self, q) -> np.ndarray:
+    def potential_hessian(self, q) -> list:
         raise NotImplementedError
 
-    # The pair methods serve the step kernel: they take a sequence q of context
-    # scalars and return context scalars and lists of them (a matrix as a list
-    # of rows), bit for bit the array methods' values.  These defaults go
-    # through the array methods.
+    # The pair methods serve the step kernel's midpoint from one call: V with
+    # grad V for the residuals, grad V with hess V for the Jacobians.  These
+    # defaults call the single methods; Kepler forms each pair on one radius.
 
     def potential_and_gradient(self, q):
-        """(V(q), grad V(q)) in one call: a scalar and a list.  V is made a
-        context scalar, as the components of ``tolist`` are: a potential
-        indexed from an array is numpy's float64."""
-        q = np.array(q)
-        return self.ctx.real(self.potential(q)), self.potential_gradient(q).tolist()
+        """(V(q), grad V(q)) in one call: a scalar and a list."""
+        return self.potential(q), self.potential_gradient(q)
 
     def potential_gradient_and_hessian(self, q):
         """(grad V(q), Hessian of V(q)) in one call: a list and a list of rows."""
-        q = np.array(q)
-        return self.potential_gradient(q).tolist(), self.potential_hessian(q).tolist()
+        return self.potential_gradient(q), self.potential_hessian(q)
 
     def potential_third(self, q) -> Real:
         """Third derivative; only defined for 1-DOF models."""
@@ -127,7 +125,6 @@ class KeplerTwoBody(LagrangianModel):
 
     def __init__(self, ctx: PrecisionContext = DOUBLE):
         super().__init__((1.0, 1.0), ctx)
-        self._eye = ctx.identity(2)
         self._guard = ctx.real(KEPLER_RADIUS_GUARD)
 
     def mass_times(self, v):
@@ -147,9 +144,8 @@ class KeplerTwoBody(LagrangianModel):
     def potential(self, q) -> Real:
         return -1 / self._radius(q)
 
-    def potential_gradient(self, q) -> np.ndarray:
-        r = self._radius(q)
-        return q / r ** 3
+    def potential_gradient(self, q) -> list:
+        return self.potential_and_gradient(q)[1]
 
     def potential_and_gradient(self, q):
         r = self._radius(q)
@@ -167,13 +163,13 @@ class KeplerTwoBody(LagrangianModel):
             raise SingularityError(f"|q| = {inside[0]} below collision guard {KEPLER_RADIUS_GUARD}")
         return ((P[:, 0] * P[:, 0] + P[:, 1] * P[:, 1]) / 2 + -1 / r).tolist()
 
-    def potential_hessian(self, q) -> np.ndarray:
-        r = self._radius(q)
-        return self._eye / r ** 3 - 3 * (q[:, None] * q) / r ** 5
+    def potential_hessian(self, q) -> list:
+        return self.potential_gradient_and_hessian(q)[1]
 
     def potential_gradient_and_hessian(self, q):
-        """The array methods' operations, element by element: grad_i = q_i / r^3
-        and hess_ij = delta_ij / r^3 - 3 (q_i q_j) / r^5."""
+        """grad_i = q_i / r^3 and hess_ij = delta_ij / r^3 - 3 (q_i q_j) / r^5,
+        one radius for both; delta_ij / r^3 is also formed off the diagonal,
+        as 0 / r^3, so a zero q_i q_j leaves +0.0 there."""
         r = self._radius(q)
         q0, q1 = q
         r3, r5 = r ** 3, r ** 5
@@ -196,11 +192,11 @@ class HarmonicOscillator(LagrangianModel):
     def potential(self, q) -> Real:
         return self.k * q[0] ** 2 / 2
 
-    def potential_gradient(self, q) -> np.ndarray:
-        return q * self.k
+    def potential_gradient(self, q) -> list:
+        return [q[0] * self.k]
 
-    def potential_hessian(self, q) -> np.ndarray:
-        return self.ctx.array([[self.k]])
+    def potential_hessian(self, q) -> list:
+        return [[self.k]]
 
     def potential_third(self, q) -> Real:
         return self.ctx.real(0)
@@ -218,11 +214,11 @@ class Pendulum(LagrangianModel):
     def potential(self, q) -> Real:
         return -self.ctx.cos(q[0])
 
-    def potential_gradient(self, q) -> np.ndarray:
-        return self.ctx.array([self.ctx.sin(q[0])])
+    def potential_gradient(self, q) -> list:
+        return [self.ctx.sin(q[0])]
 
-    def potential_hessian(self, q) -> np.ndarray:
-        return self.ctx.array([[self.ctx.cos(q[0])]])
+    def potential_hessian(self, q) -> list:
+        return [[self.ctx.cos(q[0])]]
 
     def potential_third(self, q) -> Real:
         return -self.ctx.sin(q[0])

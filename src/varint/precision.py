@@ -144,9 +144,6 @@ class PrecisionContext:
         flat = [self.real(v) for v in arr.ravel()]
         return np.array(flat, dtype=object).reshape(arr.shape)
 
-    def identity(self, n: int) -> np.ndarray:
-        return self.array(np.eye(n))
-
     # -- elementary functions: ``math``'s or the mpmath context's, chosen once --
 
     @cached_property

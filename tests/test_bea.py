@@ -1,8 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from conftest import LinearProfile, discrete_lagrangian_midpoint
+from conftest import LinearProfile, discrete_lagrangian_midpoint, typed_bits
 
 from varint import (
     ConfigurationError,
@@ -14,6 +15,7 @@ from varint import (
     SineProfile,
     discrete_residual,
     lemma1_reparametrization_check,
+    make_model,
     meshed_lagrangian_order2,
     modified_lagrangian_mod3,
     modified_rhs_order2,
@@ -202,6 +204,53 @@ def test_meshed_coefficient_matches_mod3_after_substitution(model_name):
         )
         c_mod = coeff(lambda da: modified_lagrangian_mod3(model, q, qp, tp, da))
         assert abs(c_mesh - c_mod) <= ctx.real("1e-12") * max(abs(c_mod), ctx.real("1e-3"))
+
+
+def _bea_digest(name, digits):
+    """SHA-256 of every bit of the modified right-hand side, both modified
+    Lagrangians and the discrete residual at 12 seeded points, each value
+    of the context's scalar type."""
+    ctx = with_precision(digits)
+    model = make_model(name, {"k": 1.3, "m": 0.8} if name == "oscillator" else {"m": 0.8}, ctx)
+    rng = np.random.default_rng(29)
+
+    def draw(lo, hi):
+        return ctx.real(rng.uniform(lo, hi)) / 3
+
+    values = []
+    for _ in range(12):
+        q, qp, qpp, tpp = (draw(-4.5, 4.5) for _ in range(4))
+        tp, da = draw(1.5, 6.0), draw(0.1, 1.0)
+        values.append(modified_rhs_order2(model, Jet1D(q=q, qp=qp, tp=tp, tpp=tpp, delta_a=da)))
+        values.append(modified_lagrangian_mod3(model, q, qp, tp, da))
+        values.append(meshed_lagrangian_order2(model, Jet1D(q=q, qp=qp, tp=tp, tpp=tpp, delta_a=da, qpp=qpp)))
+        t0 = draw(-3.0, 3.0)
+        points = [(t0 - draw(0.1, 1.0), [draw(-4.5, 4.5)]), (t0, [q]), (t0 + draw(0.1, 1.0), [draw(-4.5, 4.5)])]
+        pair = discrete_residual(model, *points, delta_a=da)
+        values += [list(pair.psi_el), pair.psi_e]
+
+    def exact(x):  # an mpf's (sign, mantissa, exponent, bit count) as ints, whatever mpmath's backend
+        return [exact(c) for c in x] if isinstance(x, list) else x if isinstance(x, str) else list(map(int, x))
+
+    return hashlib.sha256(repr(exact(typed_bits(ctx, values))).encode()).hexdigest()
+
+
+#: Digests of :func:`_bea_digest`, recorded while the models' derivatives
+#: were arrays and the step kernel read them through a bridge to lists.
+BEA_DIGESTS = {
+    ("oscillator", 16): "29ebfc64f63f2f0fdee8897e3f1624300e03622bf1cb312fb77a2e4c8ca2c739",
+    ("oscillator", 18): "62306e1d96ea0751d2e9167ac078f77b7b38998202103d93b4db1b00ac2380c2",
+    ("pendulum", 16): "9fca8d1496e1b7948791ab01493b462ba26b07816eb9220a2a60861889cf4ac7",
+    ("pendulum", 18): "822a46d76b19c6a0719af04e2c1a2b2d2521505f1c87e8a1f545c2ca71507965",
+}
+
+
+@pytest.mark.parametrize("digits", [16, 18])
+@pytest.mark.parametrize("name", ["oscillator", "pendulum"])
+def test_bea_formulas_keep_every_bit(name, digits):
+    # pure arithmetic on the models' derivatives, no SciPy: a change meant to
+    # leave the arithmetic alone must not move one bit of these values
+    assert _bea_digest(name, digits) == BEA_DIGESTS[name, digits]
 
 
 def test_mod3_euler_lagrange_reproduces_modified_rhs():

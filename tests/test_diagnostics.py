@@ -12,9 +12,11 @@ from varint import (
     SingularityError,
     SolverConfig,
     Trajectory,
+    avi_run,
     energy_error_series,
     hamiltonian_error_series,
     kepler_initial_state,
+    make_monitor,
     midpoint_fixed_run,
     reference_solve,
     telescoping_bound_check,
@@ -112,6 +114,23 @@ def test_timestep_stats_fixed_run():
     assert stats.max_h == pytest.approx(stats.min_h, rel=1e-12)
     assert stats.min_h <= stats.mean_h <= stats.max_h
     assert stats.mean_ratio == pytest.approx(1.0, rel=1e-12)
+
+
+def test_timestep_stats_of_an_avi_run_given_delta_a():
+    # g2 = q'q = 0.09 at the e = 0.7 perihelion: delta_a = 1e-3 / 0.09 is the
+    # calibrated step of h0 = 1e-3, and both runs take the same 307 steps;
+    # the run given delta_a alone once recorded delta_a as its h0, so its
+    # ratios read 0.296 and 1.18 for 3.28 and 13.1
+    model, s0, cfg = KeplerTwoBody(), kepler_initial_state(0.7), SolverConfig(tol=1e-13)
+    monitor = make_monitor("g2", model, s0)
+    given = avi_run(model, monitor, s0, 1.0, cfg, delta_a=1e-3 / 0.09)
+    calibrated = avi_run(model, monitor, s0, 1.0, cfg, h0=1e-3)
+    assert given.meta["h0"] is None and calibrated.meta["h0"] == 1e-3
+    assert len(given.steps) == len(calibrated.steps) == 307
+    stats, want = timestep_stats(given), timestep_stats(calibrated)
+    assert stats.mean_ratio == stats.mean_h / stats.min_h  # the first step is the shortest
+    assert stats.mean_ratio == pytest.approx(want.mean_ratio, rel=1e-5)
+    assert stats.max_ratio == pytest.approx(want.max_ratio, rel=1e-5)
 
 
 def test_reference_energy_conservation_over_period(reference_e01):

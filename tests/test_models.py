@@ -79,7 +79,7 @@ def test_potential_methods_oscillator():
     q = np.array([2.0])
     assert model.potential(q) == pytest.approx(2.0)
     assert model.potential_gradient(q)[0] == pytest.approx(2.0)
-    assert model.potential_hessian(q)[0, 0] == pytest.approx(1.0)
+    assert model.potential_hessian(q)[0][0] == pytest.approx(1.0)
     assert model.potential_third(q) == 0.0
 
 
@@ -88,7 +88,7 @@ def test_potential_methods_pendulum_equilibrium():
     q = np.array([0.0])
     assert model.potential(q) == pytest.approx(-1.0)
     assert model.potential_gradient(q)[0] == 0.0
-    assert model.potential_hessian(q)[0, 0] == pytest.approx(1.0)
+    assert model.potential_hessian(q)[0][0] == pytest.approx(1.0)
     assert model.potential_third(q) == 0.0
 
 
@@ -137,9 +137,9 @@ def test_hessian_matches_finite_differences(model):
         for j in range(model.n):
             dq = np.zeros(model.n)
             dq[j] = step
-            fd = (model.potential_gradient(q + dq) - model.potential_gradient(q - dq)) / (2 * step)
+            fd = (np.array(model.potential_gradient(q + dq)) - np.array(model.potential_gradient(q - dq))) / (2 * step)
             for i in range(model.n):
-                assert abs(hess[i, j] - fd[i]) <= 1e-6 * max(1.0, abs(fd[i]))
+                assert abs(hess[i][j] - fd[i]) <= 1e-6 * max(1.0, abs(fd[i]))
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
@@ -229,22 +229,33 @@ def test_extended_precision_model_evaluation():
 @pytest.mark.parametrize("digits", [16, 18])
 @pytest.mark.parametrize("name", ["kepler", "oscillator", "pendulum"])
 def test_potential_and_gradient_is_bitwise_the_pair(name, digits):
-    # one call serves the step kernel's V and grad V at the midpoint, and one
-    # the Jacobian's grad V and hess V; on the list of context scalars the
-    # kernel hands them, neither may move a single bit of the array methods'
-    # values, nor change a component's type
+    # the derivative contract: on a list of context scalars each derivative
+    # returns a scalar of the context's own type (never numpy's float64), a
+    # list of them, or a list of rows (never an ndarray), and each pair
+    # method is its two single methods bit for bit
     ctx = with_precision(digits)
     model = make_model(name, {"k": 1.3, "m": 0.8}, ctx)
+    scalar = float if ctx.is_native else ctx.mpctx.mpf
     rng = np.random.default_rng(3)
+
+    def bits(x, depth):  # depth 0 a scalar, 1 a list, 2 a list of rows
+        assert type(x) is (list if depth else scalar), type(x)
+        return [bits(c, depth - 1) for c in x] if depth else typed_bits(ctx, x)
+
     for _ in range(20):
-        q = ctx.array(list(rng.uniform(-1.7, 1.7, model.n)))
-        V, dV = model.potential_and_gradient(q.tolist())
-        assert isinstance(dV, list)
-        assert typed_bits(ctx, [V, dV]) == typed_bits(ctx, [model.potential(q), model.potential_gradient(q)])
-        dV, d2V = model.potential_gradient_and_hessian(q.tolist())
-        assert isinstance(dV, list) and all(isinstance(row, list) for row in d2V)
-        assert typed_bits(ctx, [dV, d2V]) == typed_bits(ctx, [model.potential_gradient(q),
-                                                              model.potential_hessian(q)])
+        q = [ctx.real(x) for x in rng.uniform(-1.7, 1.7, model.n)]
+        V = bits(model.potential(q), 0)
+        dV = bits(model.potential_gradient(q), 1)
+        d2V = bits(model.potential_hessian(q), 2)
+        assert len(dV) == len(d2V) == model.n and all(len(row) == model.n for row in d2V)
+        V_pair, dV_pair = model.potential_and_gradient(q)
+        assert [bits(V_pair, 0), bits(dV_pair, 1)] == [V, dV]
+        dV_pair, d2V_pair = model.potential_gradient_and_hessian(q)
+        assert [bits(dV_pair, 1), bits(d2V_pair, 2)] == [dV, d2V]
+        if model.n == 1:
+            bits(model.potential_third(q), 0)
+    # the benchmark's tracer rebinds these on the class itself
+    assert {"potential", "potential_gradient", "potential_hessian"} <= KeplerTwoBody.__dict__.keys()
 
 
 @pytest.mark.parametrize("digits", [16, 18])
@@ -263,7 +274,7 @@ def test_kepler_kernels_are_bitwise_the_reference_formulas(digits):
         q = ctx.array(list(rng.standard_normal(2) * 10 ** rng.uniform(-3, 3, 2)))
         r = ctx.sqrt((q * q).sum())
         grad = q / r ** 3
-        hess = ctx.identity(2) / r ** 3 - 3 * np.outer(q, q) / r ** 5
+        hess = ctx.array(np.eye(2)) / r ** 3 - 3 * np.outer(q, q) / r ** 5
         assert same(model.potential_gradient(q), grad)
         V, dV = model.potential_and_gradient(q.tolist())
         assert same(V, -1 / r) and same(dV, grad)

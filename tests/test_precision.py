@@ -76,7 +76,7 @@ def test_solve_small_system_both_paths():
 
 
 def test_cond_inf_identity():
-    assert DOUBLE.cond_inf(DOUBLE.factor(DOUBLE.identity(3))) == pytest.approx(1.0)
+    assert DOUBLE.cond_inf(DOUBLE.factor(np.eye(3))) == pytest.approx(1.0)
 
 
 # both contexts solve in double; the 18-digit cases take object arrays of mpf
