@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -25,10 +25,10 @@ from .integrators import discrete_partials_midpoint, reference_solve
 from .models import LagrangianModel
 from .precision import Real, inf_norm
 
-#: Fictitious-step sweep used by the order-estimation suite.  The smallest
+#: Fictitious-step sweep of the order estimate, largest first.  The smallest
 #: value keeps the O(da^5) residual of the modified solutions two decades
 #: above the inner ODE solver noise.
-DEFAULT_DELTA_A_LIST = (0.32, 0.2263, 0.16, 0.1131, 0.08)
+DELTA_A_SWEEP = (0.32, 0.2263, 0.16, 0.1131, 0.08)
 
 _INNER_RTOL = 1e-13
 _INNER_ATOL = 1e-15
@@ -237,32 +237,26 @@ def residual_order_estimate(
     model: LagrangianModel,
     profile: TimeProfile,
     use_modified: bool,
-    delta_a_list: Sequence[float] = DEFAULT_DELTA_A_LIST,
 ) -> OrderEstimate:
     """Numerical order of the discrete residual on smooth solution families.
 
-    For each fictitious step, integrates the leading-order equation (flag
-    off) or the second-order modified equation (flag on) against the given
-    time profile over the window a in [0, 2 pi] from (q, q') = (1, 0),
-    samples centred triples at 10 interior points (a margin of 2 da is
-    excluded at each end), and fits the slope of log |psi_el|_inf versus
-    log da.  The psi_e slope is measured alongside and reported.
+    For each fictitious step of :data:`DELTA_A_SWEEP`, integrates the
+    leading-order equation (flag off) or the second-order modified equation
+    (flag on) against the given time profile over the window a in [0, 2 pi]
+    from (q, q') = (1, 0), samples centred triples at 10 interior points (a
+    margin of 2 da is excluded at each end), and fits the slope of
+    log |psi_el|_inf versus log da.  The psi_e slope is measured alongside
+    and reported.
     """
     window = 2 * math.pi
     model = model.double
     _require_1dof(model)
-    delta_a_list = sorted(delta_a_list, reverse=True)
-    if len(delta_a_list) < 4:
-        raise ConfigurationError("need at least 4 delta_a values for a slope fit")
-    if any(d <= 0 for d in delta_a_list):
-        raise ConfigurationError("delta_a values must be positive")
-    if window <= 4 * max(delta_a_list):
-        raise ConfigurationError("window too short for the largest delta_a")
-    profile.check_monotone(-max(delta_a_list), window + max(delta_a_list))
+    da_max = DELTA_A_SWEEP[0]
+    profile.check_monotone(-da_max, window + da_max)
     from scipy.integrate import solve_ivp  # loaded on the first solve, not by `import varint`
 
     samples = []
-    for da in delta_a_list:
+    for da in DELTA_A_SWEEP:
         sol = solve_ivp(
             _transformed_rhs_1dof(model, profile, da, use_modified),
             (0.0, window), [1.0, 0.0],

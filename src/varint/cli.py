@@ -31,7 +31,7 @@ from .integrators import (
     reference_solve,
 )
 from .models import initial_state, make_model, model_names
-from .precision import DOUBLE, with_precision
+from .precision import DOUBLE, MIN_DIGITS, with_precision
 from .solvers import CONDITION_WARN, SolverConfig
 
 KEPLER_PERIOD = 2 * math.pi
@@ -80,8 +80,8 @@ class ExperimentConfig:
             raise ConfigurationError("avi2 is only defined for the kepler problem")
         if not 0 < self.final_time() < math.inf:
             raise ConfigurationError(f"T_final must be positive and finite, got {self.final_time()}")
-        if self.digits < 10:
-            raise ConfigurationError("digits must be at least 10")
+        if self.digits < MIN_DIGITS:
+            raise ConfigurationError(f"digits must be at least {MIN_DIGITS}")
         if self.tol is not None and not 0 < self.tol < math.inf:
             raise ConfigurationError(f"tol must be positive and finite, got {self.tol}")
         return self

@@ -103,14 +103,11 @@ def trajectory_error(traj: Trajectory, reference: ReferenceSolution) -> List[Err
 
 
 def timestep_stats(traj: Trajectory) -> StepStats:
-    """Step sizes of a run, the ratios taken to its meta's h0, or to its
-    first step where h0 is None (an AVI run given delta_a alone)."""
+    """Step sizes of a run, the ratios taken to its meta's h0."""
     if len(traj) < 2:
         raise ConfigurationError("step statistics need at least one step")
     hs = traj.step_sizes()
-    h0 = traj.meta.get("h0")
-    if h0 is None:
-        h0 = float(hs[0])
+    h0 = traj.meta["h0"]
     # elapsed time over step count, clamped against summation roundoff so
     # min <= mean <= max holds exactly
     mean_h = float((traj.states[-1].t - traj.states[0].t) / len(hs))

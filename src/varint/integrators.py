@@ -28,7 +28,9 @@
   in dq alone; then p_{k+1} = D4 L_d = Mv - (h/2) grad V(q_av).  In the
   fictitious time a the scheme is the fixed-step variational midpoint rule
   (Hairer, Lubich & Wanner, Geometric Numerical Integration, 2006,
-  sec. VIII.2), and the unit monitor g = 1 is that rule.
+  sec. VIII.2), and the unit monitor g = 1 is that rule.  A run is sized,
+  as EpAVI's is, by its first physical step h0: da is calibrated to it
+  once and kept in the run's meta, the one place of a run's constants.
 
 * A fixed-step implicit midpoint integrator (Lagrangian form), whose
   step is the AVI step and whose run is the AVI run with the unit monitor,
@@ -196,14 +198,13 @@ class StepRecord:
     h: Real
     residual_norm: Real
     iterations: int
-    delta_a: Optional[Real] = None
     condition_estimate: float = 0.0
     stalled: bool = False
     retried: bool = False
 
 
-def _record(h, report: SolveReport, delta_a=None, retried=False) -> StepRecord:
-    return StepRecord(h, report.residual_norm, report.iterations, delta_a,
+def _record(h, report: SolveReport, retried=False) -> StepRecord:
+    return StepRecord(h, report.residual_norm, report.iterations,
                       report.condition_estimate, report.stalled, retried)
 
 
@@ -235,12 +236,15 @@ class Trajectory:
     ``array('d')`` when the first state's scalars are floats and a list of
     context scalars otherwise.  ``step_columns`` holds a column per
     :class:`StepRecord` field, entry k for the step from state k to k + 1
-    (stalled and retried as 0 or 1).  ``states`` and ``steps`` are read-only
-    views that build one :class:`ExtendedState` or :class:`StepRecord` per
-    access; analyses read :meth:`stacked`, :meth:`rows` and the columns.
+    (stalled and retried as 0 or 1); what is constant over a run, such as
+    AVI's fictitious step, is in ``meta``.  A trajectory starts from its
+    ``states`` and grows by :meth:`append`.  ``states`` and ``steps`` are
+    read-only views that build one :class:`ExtendedState` or
+    :class:`StepRecord` per access; analyses read :meth:`stacked`,
+    :meth:`rows` and the columns.
     """
 
-    def __init__(self, states, steps=(), meta: Optional[dict] = None):
+    def __init__(self, states, meta: Optional[dict] = None):
         self.meta = {} if meta is None else meta
         s0 = states[0]
         self.n = len(s0.q)
@@ -248,28 +252,22 @@ class Trajectory:
         real = partial(array, "d") if all(isinstance(x, (float, int)) for x in (s0.t, *s0.q, *s0.p, s0.E)) else list
         self._rows = real(x for s in states for x in (s.t, *s.q, *s.p, s.E))
         # in the order of StepRecord's fields, which _record_at reads
-        self.step_columns = {"h": real(), "residual_norm": real(), "iterations": array("q"), "delta_a": [],
+        self.step_columns = {"h": real(), "residual_norm": real(), "iterations": array("q"),
                              "condition_estimate": array("d"), "stalled": bytearray(), "retried": bytearray()}
         # array.fromlist takes a row in half the time of array.extend; a list has only extend
         self._extend = getattr(self._rows, "fromlist", self._rows.extend)
         self._appends = tuple(column.append for column in self.step_columns.values())
-        for record in steps:
-            self._add_step(record)
 
     def append(self, state: ExtendedState, record: StepRecord):
         """Add the state that the step ``record`` reached."""
         self._extend([state.t, *state.q, *state.p, state.E])
-        self._add_step(record)
-
-    def _add_step(self, r: StepRecord):
-        h, res, iters, delta_a, cond, stalled, retried = self._appends
-        h(r.h)
-        res(r.residual_norm)
-        iters(r.iterations)
-        delta_a(r.delta_a)
-        cond(r.condition_estimate)
-        stalled(r.stalled)
-        retried(r.retried)
+        h, res, iters, cond, stalled, retried = self._appends
+        h(record.h)
+        res(record.residual_norm)
+        iters(record.iterations)
+        cond(record.condition_estimate)
+        stalled(record.stalled)
+        retried(record.retried)
 
     def __len__(self):
         return len(self._rows) // self._width
@@ -280,8 +278,8 @@ class Trajectory:
         return ExtendedState(t=row[0], q=tuple(row[1:n + 1]), p=tuple(row[n + 1:w - 1]), E=row[w - 1])
 
     def _record_at(self, k) -> StepRecord:
-        h, res, iters, da, cond, stalled, retried = (c[k] for c in self.step_columns.values())
-        return StepRecord(h, res, iters, da, cond, bool(stalled), bool(retried))
+        h, res, iters, cond, stalled, retried = (c[k] for c in self.step_columns.values())
+        return StepRecord(h, res, iters, cond, bool(stalled), bool(retried))
 
     @property
     def states(self) -> Sequence:
@@ -334,11 +332,11 @@ def _extrapolate(history) -> list:
 
 
 def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfig], **steps):
-    """Reject a bad start, span or step (each of ``steps`` given must be > 0, so not nan);
+    """Reject a bad start, span or step (each of ``steps`` must be > 0, so not nan);
     return the start in the model's context, q and p as tuples, and the solver config."""
     _check_span(model, state0, T_final)
     for name, value in steps.items():
-        if value is not None and not value > 0:
+        if not value > 0:
             raise ConfigurationError(f"{name} must be positive, got {value}")
     ctx = model.ctx
     state0 = ExtendedState(t=ctx.real(state0.t), q=tuple(map(ctx.real, state0.q)),
@@ -642,16 +640,16 @@ def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, del
     _, Mv, half_grad, _, h = report.aux
     q1, p1 = tuple(map(add, state.q, report.solution)), tuple(map(sub, Mv, half_grad))
     new_state = ExtendedState(t=state.t + h, q=q1, p=p1, E=model.hamiltonian(q1, p1))
-    return new_state, _record(h, report, delta_a)
+    return new_state, _record(h, report)
 
 
-def avi_calibrate_delta_a(model, monitor, state0, h0, cfg: Optional[SolverConfig] = None) -> Real:
+def avi_calibrate_delta_a(model, monitor, state0, h0, cfg: SolverConfig) -> Real:
     """Fictitious step giving a first physical step of h0 (within 1%).
 
     Starts from da = h0 / g(q_0) and refines with implicit solves until the
-    realized first step matches h0 to one percent.
+    realized first step matches h0 to one percent.  The unit monitor's da
+    is h0 itself, bit for bit.
     """
-    cfg = cfg or SolverConfig.for_context(model.ctx)
     if not h0 > 0:
         raise ConfigurationError("h0 must be positive")
     h0 = model.ctx.real(h0)
@@ -668,27 +666,24 @@ def avi_calibrate_delta_a(model, monitor, state0, h0, cfg: Optional[SolverConfig
 
 
 def avi_run(model: LagrangianModel, monitor: Monitor, state0: ExtendedState, T_final,
-            cfg: Optional[SolverConfig] = None, h0=None, delta_a=None) -> Trajectory:
-    """Fixed-da monitor-adaptive run until t >= T_final.
-
-    ``delta_a`` may be given directly, and the meta's h0 is then None
-    unless ``h0`` is given too; otherwise it is calibrated so the first
-    physical step matches ``h0``.  Recorded energies are H(q_k, p_k).
-    Each Newton solve after the first starts from the dq part of
-    :func:`_march`'s warm start, as in :func:`epavi_run`; on the one-period
-    Kepler runs at e = 0.7 this takes 1.7-1.8 Newton iterations per step.
+            cfg: Optional[SolverConfig] = None, *, h0) -> Trajectory:
+    """Fixed-da monitor-adaptive run until t >= T_final, with da calibrated
+    so that the first physical step is ``h0`` (:func:`avi_calibrate_delta_a`);
+    the meta's ``delta_a`` is that da, or None if the calibration failed.
+    Recorded energies are H(q_k, p_k).  Each Newton solve after the first
+    starts from the dq part of :func:`_march`'s warm start, as in
+    :func:`epavi_run`; on the one-period Kepler runs at e = 0.7 this takes
+    1.7-1.8 Newton iterations per step.
     """
-    state0, cfg = _run_config(model, state0, T_final, cfg, h0=h0, delta_a=delta_a)
-    if delta_a is None and h0 is None:
-        raise ConfigurationError("avi_run needs either h0 or delta_a")
+    state0, cfg = _run_config(model, state0, T_final, cfg, h0=h0)
 
     def setup(state0, meta):
-        da = avi_calibrate_delta_a(model, monitor, state0, h0, cfg) if delta_a is None else delta_a
+        da = avi_calibrate_delta_a(model, monitor, state0, h0, cfg)
         meta["delta_a"] = float(da)
         return _avi_start(model, monitor, state0, da, cfg)
 
     return _march(model, f"avi_{monitor.identifier}", setup, state0, T_final, cfg, monitor=monitor.identifier,
-                  h0=None if h0 is None else float(h0), delta_a=None)
+                  h0=float(h0), delta_a=None)
 
 
 def _avi_start(model, monitor, state0, delta_a, cfg):
@@ -707,7 +702,7 @@ def _avi_start(model, monitor, state0, delta_a, cfg):
 def midpoint_fixed_step(model: LagrangianModel, state: ExtendedState, h, cfg: SolverConfig):
     """One fixed-step variational midpoint step: :func:`avi_step` with the
     unit monitor (da = h), whose explicit-Euler start is then h M^{-1} p_k;
-    E is reported as H(q, p) and the record's ``delta_a`` is h."""
+    E is reported as H(q, p)."""
     if not h > 0:
         raise ConfigurationError(f"h must be positive, got {h}")
     return avi_step(model, _UNIT, state, h, cfg)
@@ -715,7 +710,7 @@ def midpoint_fixed_step(model: LagrangianModel, state: ExtendedState, h, cfg: So
 
 def midpoint_fixed_run(model, state0, h, T_final, cfg=None) -> Trajectory:
     """Fixed-step run until t >= T_final: bit for bit the unit-monitor
-    :func:`avi_run` with ``delta_a=h``, warm-started after the first step."""
+    :func:`avi_run` with ``h0=h``, warm-started after the first step."""
     state0, cfg = _run_config(model, state0, T_final, cfg, h=h)
     return _march(model, "midpoint_fixed", lambda state0, _: _avi_start(model, _UNIT, state0, h, cfg),
                   state0, T_final, cfg, h0=float(h))
@@ -734,7 +729,6 @@ class ReferenceSolution:
     """
 
     def __init__(self, model, t0, t1, sol):
-        self._model = model
         self.t_min = t0
         self.t_max = t1
         self._sol = sol
@@ -750,10 +744,6 @@ class ReferenceSolution:
             )
         y = self._sol(np.clip(t_arr, self.t_min, self.t_max))
         return y[: self.n], y[self.n:]
-
-    def state(self, t) -> ExtendedState:
-        q, p = (tuple(x.tolist()) for x in self.eval(float(t)))
-        return ExtendedState(t=float(t), q=q, p=p, E=self._model.hamiltonian(q, p))
 
 
 #: The shortest step before the last, as a fraction of the span, that the

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .errors import (
+    ConfigurationError,
     IllPosednessError,
     MonitorDomainError,
     NonconvergenceError,
@@ -70,7 +71,7 @@ CONDITION_WARN = 1e12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The Newton solve's one setting, its residual tolerance ``tol`` > 0.
+    """The Newton solve's one setting, its residual tolerance ``tol``, positive and finite.
 
     Polish steps past ``tol`` put per-step defects at the representation
     floor rather than just under it, and a stall within
@@ -80,8 +81,8 @@ class SolverConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if not self.tol > 0:  # a nan tol included
-            raise ValueError("need tol > 0")
+        if not 0 < self.tol < math.inf:  # a nan tol included
+            raise ConfigurationError(f"tol must be positive and finite, got {self.tol}")
 
     @classmethod
     def for_context(cls, ctx: PrecisionContext, tol: float | None = None) -> "SolverConfig":

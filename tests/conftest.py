@@ -1,7 +1,8 @@
 """Shared fixtures: the long Kepler runs are computed once per session.
 Also the bit-for-bit comparison of context scalars that several test modules
 use, numpy's singular-inverse warning text, and the helpers only tests call:
-the Lagrangian, the midpoint discrete Lagrangian, a linear time profile and
+the Lagrangian, the midpoint discrete Lagrangian, a linear time profile, a
+trajectory built from given states and step records, a reference state and
 the summary reader."""
 
 import math
@@ -23,7 +24,8 @@ from varint import (
 )
 
 from varint.bea import TimeProfile
-from varint.integrators import _step_length
+from varint.integrators import Trajectory, _step_length
+from varint.models import ExtendedState
 
 PERIOD = 2 * math.pi
 
@@ -61,6 +63,22 @@ class LinearProfile(TimeProfile):
 
     def d2(self, a):
         return 0.0
+
+
+def trajectory(states, steps, meta) -> Trajectory:
+    """The trajectory from ``states[0]`` through the other states, each
+    reached by its step record in ``steps``."""
+    traj = Trajectory(states=states[:1], meta=meta)
+    for state, record in zip(states[1:], steps, strict=True):
+        traj.append(state, record)
+    return traj
+
+
+def reference_state(reference, model, t) -> ExtendedState:
+    """The reference's state at time t, q and p as tuples and E = H(q, p)
+    in double."""
+    q, p = (tuple(x.tolist()) for x in reference.eval(float(t)))
+    return ExtendedState(t=float(t), q=q, p=p, E=model.double.hamiltonian(q, p))
 
 
 def read_summary(path) -> dict:

@@ -194,7 +194,7 @@ def test_criterion_11_unit_monitor_equals_fixed_midpoint():
     cfg = SolverConfig(tol=1e-13)
     h = 0.1
     T = 100 * h
-    avi = avi_run(model, make_monitor("unit", model, s0), s0, T - h / 2, cfg, delta_a=h)
+    avi = avi_run(model, make_monitor("unit", model, s0), s0, T - h / 2, cfg, h0=h)
     fixed = midpoint_fixed_run(model, s0, h, T - h / 2, cfg)
     n = min(len(avi.states), len(fixed.states))
     worst = max(

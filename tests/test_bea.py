@@ -22,6 +22,7 @@ from varint import (
     residual_order_estimate,
     with_precision,
 )
+from varint.bea import DELTA_A_SWEEP
 from varint.models import ExtendedState
 
 
@@ -283,17 +284,10 @@ def test_mod3_euler_lagrange_reproduces_modified_rhs():
 # -- order estimation and reparametrization ------------------------------------------
 
 
-def test_residual_order_estimate_rejects_short_lists():
-    with pytest.raises(ConfigurationError):
-        residual_order_estimate(HarmonicOscillator(), IdentityProfile(), False, (0.1, 0.05))
-
-
 def test_residual_order_estimate_oscillator_quick():
-    est = residual_order_estimate(
-        HarmonicOscillator(), IdentityProfile(), False, (0.32, 0.226, 0.16, 0.113)
-    )
+    est = residual_order_estimate(HarmonicOscillator(), IdentityProfile(), False)
     assert est.slope == pytest.approx(3.0, abs=0.3)
-    assert len(est.samples) == 4
+    assert [da for da, _, _ in est.samples] == list(DELTA_A_SWEEP)
 
 
 def test_profile_validation():

