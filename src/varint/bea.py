@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, NonMonotoneTimeError, StiffnessError
+from .errors import ConfigurationError, NonMonotoneTimeError, StiffnessError, check_finite
 from .integrators import discrete_partials_midpoint, reference_solve
 from .models import LagrangianModel
 from .precision import Real, inf_norm
@@ -146,8 +146,7 @@ def discrete_residual(model, prev: Tuple, mid: Tuple, nxt: Tuple, delta_a) -> Re
     to the physical midpoint L_d at the same points, so ``delta_a`` only
     describes the sampling and does not enter the value.
     """
-    if delta_a <= 0:
-        raise ConfigurationError("delta_a must be positive")
+    check_finite(delta_a, "delta_a must be positive and finite, got {}")
     (t_m, q_m), (t_0, q_0), (t_p, q_p) = prev, mid, nxt
     q_m, q_0, q_p = (np.atleast_1d(x).tolist() for x in (q_m, q_0, q_p))
     if not (t_m < t_0 < t_p):

@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import bea, diagnostics
-from .errors import ConfigurationError, IntegrationError, VarintError
+from .errors import ConfigurationError, IntegrationError, VarintError, check_finite
 from .integrators import (
     avi_run,
     epavi_run,
@@ -68,8 +68,7 @@ class ExperimentConfig:
                 f"unknown integrator {self.integrator!r}; known: {list(INTEGRATOR_NAMES)}"
             )
         # runs have no step budget: an infinite span would never return
-        if not 0 < self.h0 < math.inf:
-            raise ConfigurationError(f"h0 must be positive and finite, got {self.h0}")
+        check_finite(self.h0, "h0 must be positive and finite, got {}")
         if self.periods is not None and self.T_final is not None:
             raise ConfigurationError("set periods or T_final, not both")
         if self.periods is not None and self.problem != "kepler":
@@ -78,8 +77,7 @@ class ExperimentConfig:
         # 1-DOF runs from rest cross: the steps collapse there and t never reaches T_final
         if self.integrator == "avi2" and self.problem != "kepler":
             raise ConfigurationError("avi2 is only defined for the kepler problem")
-        if not 0 < self.final_time() < math.inf:
-            raise ConfigurationError(f"T_final must be positive and finite, got {self.final_time()}")
+        check_finite(self.final_time(), "T_final must be positive and finite, got {}")
         if self.digits < MIN_DIGITS:
             raise ConfigurationError(f"digits must be at least {MIN_DIGITS}")
         if self.tol is not None and not 0 < self.tol < math.inf:

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its argument check."""
+
+import math
 
 
 class VarintError(Exception):
@@ -56,3 +58,16 @@ class IntegrationError(VarintError):
 
 class StiffnessError(VarintError):
     """Reference solver step-size underflow (stiffness or collision approach)."""
+
+
+def check_finite(value, message: str, lower=0, *, inclusive=False) -> None:
+    """Raise :class:`ConfigurationError`, ``message`` with ``value`` in its ``{}`` (formatted
+    on failure only), unless ``lower < value < inf`` (``lower <= value`` if ``inclusive``):
+    for a nan too, and for a value that does not compare with a number (None, a string),
+    whose ``TypeError`` this turns into it."""
+    try:
+        if (lower <= value if inclusive else lower < value) and value < math.inf:
+            return
+    except TypeError:
+        pass
+    raise ConfigurationError(message.format(value))

@@ -47,7 +47,7 @@ Jacobians, the Newton iterate from its start to ``SolveReport.solution``,
 the monitors and the warm start are Python lists of context scalars: on two
 or three components NumPy's fixed cost per call outweighs the arithmetic.
 The states' q and p are tuples of context scalars.  NumPy keeps the LAPACK
-solve (``PrecisionContext.factor`` and ``solve``), whose gufuncs run under
+solve (``PrecisionContext.solve`` and ``cond_inf``), whose gufuncs run under
 the one error state ``_march`` sets for a whole run.  Each operation is the
 array formula's, in its order (sums from 0 in index order; ``np.dot`` where
 BLAS fuses a multiply-add), so no bit moves.  The mass enters only through
@@ -94,6 +94,7 @@ from .errors import (
     NonMonotoneTimeError,
     StiffnessError,
     VarintError,
+    check_finite,
 )
 from .models import ExtendedState, KeplerTwoBody, LagrangianModel
 from .precision import Real
@@ -332,12 +333,11 @@ def _extrapolate(history) -> list:
 
 
 def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfig], **steps):
-    """Reject a bad start, span or step (each of ``steps`` must be > 0, so not nan);
+    """Reject a bad start, span or step (each of ``steps`` positive and finite);
     return the start in the model's context, q and p as tuples, and the solver config."""
     _check_span(model, state0, T_final)
     for name, value in steps.items():
-        if not value > 0:
-            raise ConfigurationError(f"{name} must be positive, got {value}")
+        check_finite(value, name + " must be positive and finite, got {}")
     ctx = model.ctx
     state0 = ExtendedState(t=ctx.real(state0.t), q=tuple(map(ctx.real, state0.q)),
                            p=tuple(map(ctx.real, state0.p)), E=ctx.real(state0.E))
@@ -347,8 +347,8 @@ def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfi
 def _check_span(model, state0: ExtendedState, T_final):
     """Reject a bad start, or a T_final that precedes it or is not finite."""
     state0.validate(model.n)
-    if not state0.t <= T_final < np.inf:  # false for a nan T_final
-        raise ConfigurationError(f"T_final must be finite and not precede the initial time, got {T_final}")
+    check_finite(T_final, "T_final must be finite and not precede the initial time, got {}",
+                 state0.t, inclusive=True)
 
 
 def _march(model, name, setup: Callable, state0, T_final, cfg, **meta) -> Trajectory:
@@ -368,8 +368,8 @@ def _march(model, name, setup: Callable, state0, T_final, cfg, **meta) -> Trajec
     carrying the trajectory so far, with the run's meta either way; after a
     failed setup it holds ``state0`` alone.  The setup and the steps run
     under one ``np.errstate(all="ignore")``: a singular Jacobian's all-nan
-    inverse is judged by the solve (:meth:`PrecisionContext.factor`), not
-    warned of, and no solve enters an error state of its own.
+    step and inverse are judged by the solve, not warned of, and no solve
+    enters an error state of its own.
     """
     meta = {"integrator": name, "model": model.name, "params": dict(model.params), **meta,
             "T_final": float(T_final), "tol": float(cfg.tol), "digits": model.ctx.digits}
@@ -446,8 +446,7 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
     record is then marked ``retried`` and counts the iterations of both of
     those solves.
     """
-    if not h_guess > 0:
-        raise ConfigurationError("h_guess must be positive")
+    check_finite(h_guess, "h_guess must be positive and finite, got {}")
     ctx = model.ctx
     h_guess = ctx.real(h_guess)
     residual, jacobian = _epavi_system(model, state)
@@ -479,6 +478,7 @@ def initial_discrete_energy(model: LagrangianModel, state: ExtendedState, h0, cf
     evaluate D1 L_d there.  Every subsequent coupled step then reproduces
     this level, and its first solution lands on h = h0.
     """
+    check_finite(h0, "h0 must be positive and finite, got {}")
     v, Mv, _, V, _ = _solve_momentum(model, _UNIT, state, model.ctx.real(h0), cfg).aux
     return _discrete_energy(v, Mv, V)
 
@@ -628,8 +628,7 @@ def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, del
     only use of the model at q_k.  Every residual rejects g(q_av) <= 0, the
     one at ``dq0`` included.
     """
-    if not delta_a > 0:
-        raise ConfigurationError("delta_a must be positive")
+    check_finite(delta_a, "delta_a must be positive and finite, got {}")
     delta_a = model.ctx.real(delta_a)
     if dq0 is None:
         g0 = monitor.g(state.q, *model.potential_and_gradient(state.q))
@@ -650,8 +649,7 @@ def avi_calibrate_delta_a(model, monitor, state0, h0, cfg: SolverConfig) -> Real
     realized first step matches h0 to one percent.  The unit monitor's da
     is h0 itself, bit for bit.
     """
-    if not h0 > 0:
-        raise ConfigurationError("h0 must be positive")
+    check_finite(h0, "h0 must be positive and finite, got {}")
     h0 = model.ctx.real(h0)
     g0 = monitor.g(state0.q, *model.potential_and_gradient(state0.q))
     if g0 <= 0:
@@ -703,8 +701,7 @@ def midpoint_fixed_step(model: LagrangianModel, state: ExtendedState, h, cfg: So
     """One fixed-step variational midpoint step: :func:`avi_step` with the
     unit monitor (da = h), whose explicit-Euler start is then h M^{-1} p_k;
     E is reported as H(q, p)."""
-    if not h > 0:
-        raise ConfigurationError(f"h must be positive, got {h}")
+    check_finite(h, "h must be positive and finite, got {}")
     return avi_step(model, _UNIT, state, h, cfg)
 
 

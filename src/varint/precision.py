@@ -10,9 +10,9 @@ also with floats and ints, rounds at that precision whatever the global
 global state; :meth:`PrecisionContext.real` and ``array`` bring values of
 another precision in.  Context constants, and the elementary functions
 ``sqrt``, ``cos`` and ``sin`` (``math``'s or the mpmath context's), are
-chosen once per context.  The double linear algebra calls numpy's LAPACK
-gufuncs bare, so it follows the caller's numpy error state; the integrators'
-runs set one that ignores a singular inverse.
+chosen once per context.  The double linear algebra, ``solve`` and
+``cond_inf``, calls numpy's LAPACK gufuncs bare, so it follows the caller's
+numpy error state; the integrators' runs set one that ignores a singular matrix.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Union
 
 import mpmath
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import ConfigurationError, IllPosednessError
+from .errors import ConfigurationError
 
 #: Significant decimal digits carried by IEEE double precision.
 DOUBLE_DIGITS = 16
@@ -55,15 +55,6 @@ def _mp_context(dps: int) -> mpmath.MPContext:
 
 def _unpickle_mpf(dps: int, value: tuple):
     return _mp_context(dps).make_mpf(value)
-
-
-class LUFactors(NamedTuple):
-    """A double matrix, its inverse and whether it is singular, from
-    :meth:`PrecisionContext.factor`."""
-
-    a: np.ndarray
-    inv: np.ndarray
-    singular: bool
 
 
 def _norm_inf(m: np.ndarray) -> float:
@@ -160,45 +151,33 @@ class PrecisionContext:
 
     # -- linear algebra (systems here are tiny: n or n+1 unknowns) -----------
 
-    def factor(self, A) -> LUFactors:
-        """``A`` (an array or a list of rows) in double with its inverse (the
-        LAPACK LU gufunc behind ``numpy.linalg.inv``), formed once for every
-        :meth:`solve` with that matrix and its :meth:`cond_inf`.  A singular ``A`` (a zero pivot,
-        LAPACK ``info > 0``) gets an all-nan inverse and is marked singular:
-        :meth:`solve` rejects it and :meth:`cond_inf` reports ``inf``.
+    def solve(self, A: np.ndarray, b) -> list:
+        """Solve ``A x = b`` for a float64 ``A`` in double (the LAPACK ``dgesv``
+        gufunc behind ``numpy.linalg.solve``, the bits of ``dgetrf`` and
+        ``dgetrs``), x as a list of floats, all nan for a singular ``A`` (a zero
+        pivot, LAPACK ``info > 0``).  The residual ``b`` comes in context
+        precision, so a double step refines an extended iterate to the
+        context's accuracy (iterative refinement; Moler, JACM 14, 1967).
 
         The gufunc is called bare, under the caller's numpy error state: a
         run sets ``np.errstate(all="ignore")`` once around all its solves,
         while a direct call on a singular ``A`` under numpy's default state
-        warns "invalid value encountered in inv" (a ``RuntimeWarning``).
+        warns "invalid value encountered in solve1" (a ``RuntimeWarning``).
         """
-        a = np.asarray(A, dtype=float)
-        inv = _umath_linalg.inv(a)
-        return LUFactors(a, inv, math.isnan(inv[0, 0]))
+        return _umath_linalg.solve1(A, np.asarray(b, dtype=float)).tolist()
 
-    def solve(self, factors: LUFactors, b) -> list:
-        """Solve ``A x = b`` in double (the LAPACK ``dgesv`` gufunc behind
-        ``numpy.linalg.solve``, the bits of ``dgetrf`` and ``dgetrs``), x as
-        a list of floats; raises :class:`IllPosednessError` for a singular
-        ``A``.  The integrators form ``A`` in double; the residual ``b``
-        comes in context precision, so a double step refines an extended
-        iterate to the context's accuracy (iterative refinement; Moler, JACM
-        14, 1967).
+    def cond_inf(self, A: np.ndarray) -> float:
+        """Infinity-norm condition number ||A|| ||A^{-1}|| of a float64 ``A`` in
+        double, the precision :meth:`solve` works in, from its inverse (the
+        gufunc behind ``numpy.linalg.inv``, under the caller's error state as
+        :meth:`solve`'s, warning "... in inv"): exact up to rounding, and
+        ``inf`` for a singular matrix or a row sum beyond the largest double.
         """
-        if factors.singular:
-            raise IllPosednessError("singular Jacobian: an LU pivot is zero")
-        return _umath_linalg.solve1(factors.a, np.asarray(b, dtype=float)).tolist()
-
-    def cond_inf(self, factors: LUFactors) -> float:
-        """Infinity-norm condition number ||A|| ||A^{-1}|| of the factored
-        matrix in double, the precision :meth:`solve` works in, from its
-        inverse: exact up to rounding, and ``inf`` for a singular matrix or
-        a row sum beyond the largest double.
-        """
-        if factors.singular:
+        inv = _umath_linalg.inv(A)
+        if math.isnan(inv[0, 0]):
             return math.inf
         try:
-            return _norm_inf(factors.a) * _norm_inf(factors.inv)
+            return _norm_inf(A) * _norm_inf(inv)
         except OverflowError:  # math.fsum past the largest double
             return math.inf
 

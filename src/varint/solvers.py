@@ -16,8 +16,8 @@ conditioned in double.
 Each iteration takes the first trial that lowers the residual norm, the
 Newton step halved at most :data:`MAX_HALVINGS` times; without one the
 solve has stalled (Deuflhard, Newton Methods for Nonlinear Problems, 2004,
-ch. 2).  A Jacobian is formed, and inverted, only while the residual exceeds
-the tolerance; an iteration from an iterate within it is a polish step, one
+ch. 2).  A Jacobian is formed only while the residual exceeds the
+tolerance; an iteration from an iterate within it is a polish step, one
 undamped refinement that re-solves with the Jacobian in hand (Moler, JACM
 14, 1967).
 The solve ends once :data:`POLISH` accepted iterates lie within the
@@ -25,7 +25,7 @@ tolerance, the one that first met it included (with POLISH = 2, one polish
 step after a Newton step meets it, two from a starting guess within it),
 or at the first polish step that does not lower the residual or move the
 iterate.  The condition number is exact, ||J|| ||J^-1|| in the infinity
-norm from the last Jacobian and its inverse.
+norm of the last Jacobian, whose inverse is formed once, at the end.
 
 The residual hands back its by-products with its value, and the solver
 carries those of its solution to the caller and to the caller's analytic
@@ -38,13 +38,15 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
+import numpy as np
+
 from .errors import (
-    ConfigurationError,
     IllPosednessError,
     MonitorDomainError,
     NonconvergenceError,
     NonMonotoneTimeError,
     SingularityError,
+    check_finite,
 )
 from .precision import DOUBLE, PrecisionContext, Real, inf_norm
 
@@ -81,8 +83,7 @@ class SolverConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf:  # a nan tol included
-            raise ConfigurationError(f"tol must be positive and finite, got {self.tol}")
+        check_finite(self.tol, "tol must be positive and finite, got {}")
 
     @classmethod
     def for_context(cls, ctx: PrecisionContext, tol: float | None = None) -> "SolverConfig":
@@ -152,10 +153,10 @@ def newton_solve(
     out, the residual stalls far from tol, the Jacobian overflows or is singular),
     and :class:`IllPosednessError` when an accepted solve's estimate reaches :data:`COND_LIMIT`.
 
-    The Jacobian is inverted under the caller's numpy error state
-    (:meth:`PrecisionContext.factor`): the integrators' runs ignore the
-    invalid-value flag of a singular inverse, and a direct call under
-    numpy's default state warns of it.
+    The Jacobian is solved with and inverted (:meth:`PrecisionContext.solve`
+    and ``cond_inf``) under the caller's numpy error state: the integrators'
+    runs ignore a singular Jacobian's invalid-value flags, and a direct call
+    under numpy's default state warns of each.
     """
     tol = ctx.real(cfg.tol)
 
@@ -165,20 +166,20 @@ def newton_solve(
     if r == math.inf:
         raise NonconvergenceError("residual not finite at the initial guess")
 
-    lu = None
+    J = None
     iterations = 0
     polish_left = POLISH
     stalled = False
 
     while iterations < MAX_ITER and polish_left > 0:
         polishing = r <= tol
-        try:
-            if lu is None or not polishing:
-                lu = ctx.factor(jacobian(x, aux))
-            dx = ctx.solve(lu, Fx)  # the Newton step is -dx
-        except OverflowError:
-            raise NonconvergenceError(f"Jacobian overflows after {iterations} iterations") from None
-        except IllPosednessError:  # an exactly singular Jacobian: its condition number reads inf
+        if J is None or not polishing:
+            try:
+                J = np.asarray(jacobian(x, aux), dtype=float)
+            except OverflowError:
+                raise NonconvergenceError(f"Jacobian overflows after {iterations} iterations") from None
+        dx = ctx.solve(J, Fx)  # the Newton step is -dx
+        if math.isnan(dx[0]):  # an exactly singular Jacobian: its condition number reads inf
             stalled = True
             break
 
@@ -205,7 +206,7 @@ def newton_solve(
         if r <= tol:
             polish_left -= 1
 
-    report = SolveReport(x, r, iterations, condition_estimate=ctx.cond_inf(lu),
+    report = SolveReport(x, r, iterations, condition_estimate=ctx.cond_inf(J),
                          stalled=stalled and r > tol, aux=aux)
     if not (r <= tol or (stalled and r <= STALL_FACTOR * cfg.tol)):
         raise NonconvergenceError(

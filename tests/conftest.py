@@ -1,9 +1,9 @@
 """Shared fixtures: the long Kepler runs are computed once per session.
 Also the bit-for-bit comparison of context scalars that several test modules
-use, numpy's singular-inverse warning text, and the helpers only tests call:
-the Lagrangian, the midpoint discrete Lagrangian, a linear time profile, a
-trajectory built from given states and step records, a reference state and
-the summary reader."""
+use, numpy's singular-solve and singular-inverse warning texts, and the
+helpers only tests call: the Lagrangian, the midpoint discrete Lagrangian, a
+linear time profile, a trajectory built from given states and step records,
+a reference state and the summary reader."""
 
 import math
 from pathlib import Path
@@ -29,8 +29,10 @@ from varint.models import ExtendedState
 
 PERIOD = 2 * math.pi
 
-#: numpy's warning for a singular matrix's inverse under its default error
-#: state: a direct factor call follows the caller's state, only a run ignores it.
+#: numpy's warnings for a singular matrix's solve and inverse under its default
+#: error state: a direct solve or cond_inf call follows the caller's state, only
+#: a run ignores it.
+SINGULAR_SOLVE = "invalid value encountered in solve1"
 SINGULAR_INVERSE = "invalid value encountered in inv"
 
 

@@ -43,6 +43,7 @@ from varint import (
     telescoping_bound_check,
     with_precision,
 )
+from varint.bea import discrete_residual
 from varint.integrators import Monitor, StepRecord, _extrapolate, _march
 from varint.models import ExtendedState, initial_state
 
@@ -1115,6 +1116,43 @@ def test_runs_reject_non_positive_steps(integrator, name, h):
     if integrator == "midpoint_fixed":
         with pytest.raises(ConfigurationError, match="^h must be positive"):
             midpoint_fixed_step(model, s0, h, CFG13)
+
+
+def _argument_entries():
+    """Each entry point with one numeric argument set to ``x``, by name."""
+    model, s0 = KeplerTwoBody(), kepler_initial_state(0.7)
+    g2 = make_monitor("g2", model, s0)
+    return {
+        "epavi_run:h0": lambda x: epavi_run(model, s0, x, 1.0, CFG13),
+        "avi_run:h0": lambda x: avi_run(model, g2, s0, 1.0, CFG13, h0=x),
+        "midpoint_fixed_run:h": lambda x: midpoint_fixed_run(model, s0, x, 1.0, CFG13),
+        "epavi_step:h_guess": lambda x: epavi_step(model, s0, x, CFG13),
+        "avi_step:delta_a": lambda x: avi_step(model, g2, s0, x, CFG13),
+        "midpoint_fixed_step:h": lambda x: midpoint_fixed_step(model, s0, x, CFG13),
+        "avi_calibrate_delta_a:h0": lambda x: avi_calibrate_delta_a(model, g2, s0, x, CFG13),
+        "initial_discrete_energy:h0": lambda x: initial_discrete_energy(model, s0, x, CFG13),
+        "epavi_run:T_final": lambda x: epavi_run(model, s0, 1e-3, x, CFG13),
+        "avi_run:T_final": lambda x: avi_run(model, g2, s0, x, CFG13, h0=1e-3),
+        "midpoint_fixed_run:T_final": lambda x: midpoint_fixed_run(model, s0, 1e-3, x, CFG13),
+        "reference_solve:T_final": lambda x: reference_solve(model, s0, x),
+        "SolverConfig:tol": lambda x: SolverConfig(x),
+        "discrete_residual:delta_a": lambda x: discrete_residual(model, (0.0, [1.0, 0.0]), (0.1, [0.9, 0.1]),
+                                                                 (0.2, [0.8, 0.2]), x),
+    }
+
+
+# a run to an infinite T_final is checked in a fresh interpreter under a
+# timeout (test_non_finite_t_final_is_a_configuration_error)
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry in _argument_entries() for value in (None, "1e-3", math.inf)
+    if not (entry.endswith("run:T_final") and value == math.inf)
+])
+def test_a_non_number_or_infinite_argument_is_a_configuration_error(entry, value):
+    # a comparison's TypeError stays a VarintError (exit 2 through the CLI),
+    # and an infinite step is refused before any solve
+    name = entry.split(":")[1]
+    with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+        _argument_entries()[entry](value)
 
 
 # -- reference solver ----------------------------------------------------------------

@@ -3,10 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from conftest import SINGULAR_INVERSE
+from conftest import SINGULAR_INVERSE, SINGULAR_SOLVE
 from scipy.linalg import lu_factor, lu_solve
 
-from varint import ConfigurationError, IllPosednessError, kepler_hamiltonian, with_precision
+from varint import ConfigurationError, kepler_hamiltonian, with_precision
 from varint.precision import DOUBLE, inf_norm
 
 
@@ -67,29 +67,30 @@ def test_closed_arithmetic_types():
 
 
 def test_solve_small_system_both_paths():
+    # the matrix in double, the right side in the context's precision
+    A = np.array([[2.0, 1.0], [1.0, 3.0]])
     for ctx in (DOUBLE, with_precision(20)):
-        A = ctx.array([[2.0, 1.0], [1.0, 3.0]])
         b = ctx.array([1.0, 2.0])
-        x = ctx.solve(ctx.factor(A), b)
+        x = ctx.solve(A, b)
         assert isinstance(x, list)
         assert float(inf_norm(A @ x - b)) < 1e-14
 
 
 def test_cond_inf_identity():
-    assert DOUBLE.cond_inf(DOUBLE.factor(np.eye(3))) == pytest.approx(1.0)
+    assert DOUBLE.cond_inf(np.eye(3)) == pytest.approx(1.0)
 
 
 # both contexts solve in double; the 18-digit cases take object arrays of mpf
+# to double, as newton_solve does with a Jacobian
 
 
 @pytest.mark.parametrize("digits", [16, 18])
-def test_solve_singular_raises(digits):
+def test_solve_singular_is_all_nan(digits):
     ctx = with_precision(digits)
-    with pytest.warns(RuntimeWarning, match=SINGULAR_INVERSE):
-        lu = ctx.factor(ctx.array([[1.0, 2.0], [2.0, 4.0]]))
-    assert lu.singular and np.isnan(lu.inv).all()
-    with pytest.raises(IllPosednessError):
-        ctx.solve(lu, ctx.array([1.0, 0.0]))
+    A = np.asarray(ctx.array([[1.0, 2.0], [2.0, 4.0]]), dtype=float)
+    with pytest.warns(RuntimeWarning, match=SINGULAR_SOLVE):
+        x = ctx.solve(A, ctx.array([1.0, 0.0]))
+    assert isinstance(x, list) and np.isnan(x).all()
 
 
 @pytest.mark.parametrize("digits", [16, 18])
@@ -97,8 +98,7 @@ def test_cond_inf_singular_is_inf(digits):
     ctx = with_precision(digits)
     for A in ([[1.0, 2.0], [2.0, 4.0]], np.zeros((3, 3))):
         with pytest.warns(RuntimeWarning, match=SINGULAR_INVERSE):
-            lu = ctx.factor(ctx.array(A))
-        assert ctx.cond_inf(lu) == math.inf
+            assert ctx.cond_inf(np.asarray(ctx.array(A), dtype=float)) == math.inf
 
 
 @pytest.mark.parametrize("digits", [16, 18])
@@ -111,15 +111,14 @@ def test_cond_inf_brackets_exact(n, digits):
     for _ in range(50):
         A = rng.standard_normal((n, n)) + n * np.eye(n)
         exact = np.linalg.cond(A, np.inf)
-        est = ctx.cond_inf(ctx.factor(ctx.array(A)))
+        est = ctx.cond_inf(np.asarray(ctx.array(A), dtype=float))
         assert abs(est - exact) <= 4 * np.spacing(exact)
 
 
 def test_cond_inf_past_the_largest_double_is_inf():
     # the inverse's second row sums to 2e308: finite entries, no finite norm
     A = 1.5e-308 * np.array([[2.0, 1.0], [1.0, 1.0]])
-    lu = DOUBLE.factor(A)
-    assert np.isfinite(lu.inv).all() and DOUBLE.cond_inf(lu) == math.inf
+    assert np.isfinite(np.linalg.inv(A)).all() and DOUBLE.cond_inf(A) == math.inf
 
 
 def _random_systems(count, seed):
@@ -142,7 +141,7 @@ def test_solve_has_the_bits_of_lapack_lu(digits):
     ctx = with_precision(digits)
     for A, b in _random_systems(1000, seed=digits):
         bc = ctx.array(b) / 3
-        x = ctx.solve(ctx.factor(A), bc)
+        x = ctx.solve(A, bc)
         ref = lu_solve(lu_factor(A), np.asarray(bc, dtype=float))
         assert all(type(c) is float for c in x) and np.array(x).tobytes() == ref.tobytes(), (A, b)
 

@@ -1,13 +1,16 @@
 import math
 import warnings
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import SINGULAR_INVERSE
+from conftest import SINGULAR_INVERSE, SINGULAR_SOLVE
+from numpy.linalg import _umath_linalg
 
 import varint.integrators
+import varint.precision
 import varint.solvers
 from varint import (
     DOUBLE,
@@ -90,14 +93,23 @@ def test_jacobian_overflow_fails_the_solve():
                      jacobian=jacobian)
 
 
+@contextmanager
+def _warns_singular():
+    """numpy's two warnings of a singular Jacobian under its default error
+    state: the all-nan Newton step, then the condition number's inverse."""
+    with pytest.warns(RuntimeWarning) as seen:
+        yield
+    assert [str(w.message) for w in seen] == [SINGULAR_SOLVE, SINGULAR_INVERSE]
+
+
 @pytest.mark.parametrize("y0", [1e-15, 0.0])
 def test_failed_solve_at_an_ill_conditioned_iterate_does_not_converge(y0):
     # F(x, y) = (x, y^2 + 1) has no root; from y = 1e-15, where J = diag(1, 2y)
     # has condition 5e14 >= COND_LIMIT, every damped trial raises |F|, and at
     # y = 0 J is exactly singular, so the solve stalls at |F| = 1: a failed
-    # solve, not an ill-posed one; outside a run the singular inverse is
-    # warned of, under numpy's default error state
-    warns = pytest.warns(RuntimeWarning, match=SINGULAR_INVERSE) if y0 == 0 else nullcontext()
+    # solve, not an ill-posed one; outside a run the singular solve and the
+    # condition number's inverse are warned of, under numpy's default error state
+    warns = _warns_singular() if y0 == 0 else nullcontext()
     with warns, pytest.raises(NonconvergenceError, match="^no convergence: residual 1.000e[+]00 after 0 ") as info:
         newton_solve(lambda x: ([x[0], x[1] ** 2 + 1], x), [0.0, y0],
                      SolverConfig(tol=1e-12), jacobian=lambda x, _: np.diag([1, 2 * x[1]]))
@@ -117,7 +129,7 @@ def test_free_particle_rest_state_is_ill_posed():
     model = HarmonicOscillator(k=0.0)
     state = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.0)
     # a direct step, outside a run, follows numpy's default error state
-    with pytest.warns(RuntimeWarning, match=SINGULAR_INVERSE), pytest.raises(IllPosednessError):
+    with _warns_singular(), pytest.raises(IllPosednessError):
         epavi_step(model, state, 0.1, SolverConfig(tol=1e-12))
 
 
@@ -339,7 +351,7 @@ def test_epavi_step_marks_the_cold_fallback(monkeypatch):
 
 def test_polish_forms_no_jacobian(monkeypatch):
     # from near the root every Newton step is taken in full; once r <= tol
-    # a polish step refines from the factors in hand: no Jacobian, one F call
+    # a polish step re-solves with the Jacobian in hand: no Jacobian, one F call
     tol = 1e-12
 
     def residual(x):
@@ -367,7 +379,7 @@ def test_polish_forms_no_jacobian(monkeypatch):
 
 
 def test_failed_polish_step_ends_the_solve(monkeypatch):
-    # |x^2 + c| bottoms out at c < tol; polish steps from the last factors
+    # |x^2 + c| bottoms out at c < tol; polish steps with the last Jacobian
     # lower it until one overshoots, and that single trial ends the solve
     c, tol = 1e-13, 1e-12
     norms = []
@@ -406,10 +418,10 @@ def test_polish_count_includes_the_iterate_that_meets_the_tolerance(x0, norms):
     assert report.iterations == len(norms) - 1 and not report.stalled
 
 
-def test_epavi_forms_about_three_jacobians_per_step(monkeypatch):
-    # the epavi_e07 run: polishing reuses the factors, so a step forms only
-    # the Jacobians of its iterations above tol (3.2 per step; 4.2 when each
-    # polish iteration formed its own)
+def test_epavi_forms_about_one_jacobian_per_step(monkeypatch):
+    # the epavi_e07 run: polishing reuses the Jacobian, so a step forms only
+    # the Jacobians of its iterations above tol (1,056 in 1,010 steps; 2,075
+    # when each polish iteration formed its own)
     formed = []
     solve = varint.integrators.newton_solve
 
@@ -423,7 +435,29 @@ def test_epavi_forms_about_three_jacobians_per_step(monkeypatch):
     monkeypatch.setattr(varint.integrators, "newton_solve", counting)
     traj = epavi_run(KeplerTwoBody(), kepler_initial_state(0.7), 1e-3, 2 * np.pi, SolverConfig(tol=1e-15))
     assert len(traj.steps) == 1010
-    assert len(formed) <= 3.4 * len(traj.steps)
+    assert len(formed) <= 1.1 * len(traj.steps)
+
+
+def test_epavi_forms_one_inverse_per_newton_solve(monkeypatch):
+    # the epavi_e07 run: the condition number inverts the solve's last
+    # Jacobian once, at the end, and no Newton step inverts one (1,011 solves
+    # and inverses; 1,056 inverses when each Jacobian was inverted)
+    solves, inverses = [], []
+    solve = varint.integrators.newton_solve
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    def counting_inv(A):
+        inverses.append(1)
+        return _umath_linalg.inv(A)
+
+    monkeypatch.setattr(varint.integrators, "newton_solve", counting_solve)
+    monkeypatch.setattr(varint.precision, "_umath_linalg",
+                        SimpleNamespace(inv=counting_inv, solve1=_umath_linalg.solve1))
+    epavi_run(KeplerTwoBody(), kepler_initial_state(0.7), 1e-3, 2 * np.pi, SolverConfig(tol=1e-15))
+    assert len(solves) == len(inverses) == 1011
 
 
 @pytest.mark.parametrize(
