@@ -99,7 +99,10 @@ class Jet1D:
 
     ``qpp`` extends the jet where an operation needs curvature of the
     configuration path.  ``delta_a = 0`` is allowed and gives the
-    leading-order truncation.
+    leading-order truncation; a negative, nan, infinite or missing one is a
+    :class:`ConfigurationError`.  The formulas take ``delta_a`` into the
+    model's context (``ctx.real``), so a float or int step meets the
+    extended scalars of the other fields.
     """
 
     q: Real
@@ -112,8 +115,7 @@ class Jet1D:
     def __post_init__(self):
         if self.tp <= 0:
             raise NonMonotoneTimeError(f"jet has t' = {self.tp} <= 0")
-        if self.delta_a < 0:
-            raise ConfigurationError("delta_a must be non-negative")
+        check_finite(self.delta_a, "delta_a must be non-negative and finite, got {}", inclusive=True)
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ def modified_rhs_order2(model: LagrangianModel, jet: Jet1D) -> Real:
     _require_1dof(model)
     m = model.masses[0]
     _, Vq, Vqq, Vqqq = _derivs(model, jet.q)
-    qp, tp, tpp, da = jet.qp, jet.tp, jet.tpp, jet.delta_a
+    qp, tp, tpp, da = jet.qp, jet.tp, jet.tpp, model.ctx.real(jet.delta_a)
     leading = qp * tpp / tp - tp ** 2 * Vq / m
     correction = (da ** 2 / (24 * m)) * (
         4 * tp ** 4 * Vq * Vqq / m - 4 * qp * tp * tpp * Vqq - qp ** 2 * tp ** 2 * Vqqq
@@ -181,10 +183,10 @@ def modified_lagrangian_mod3(model: LagrangianModel, q, qp, tp, delta_a) -> Real
     _require_1dof(model)
     if tp <= 0:
         raise NonMonotoneTimeError(f"t' = {tp} must be positive")
-    m = model.masses[0]
+    m, da = model.masses[0], model.ctx.real(delta_a)
     V, Vq, Vqq, _ = _derivs(model, q)
     leading = tp * (m * (qp / tp) ** 2 / 2 - V)
-    return leading + (delta_a ** 2 / 24) * (tp ** 3 * Vq ** 2 / m + qp ** 2 * tp * Vqq)
+    return leading + (da ** 2 / 24) * (tp ** 3 * Vq ** 2 / m + qp ** 2 * tp * Vqq)
 
 
 def meshed_lagrangian_order2(model: LagrangianModel, jet: Jet1D) -> Real:
@@ -194,7 +196,7 @@ def meshed_lagrangian_order2(model: LagrangianModel, jet: Jet1D) -> Real:
         raise ConfigurationError("meshed evaluation needs q'' in the jet")
     m = model.masses[0]
     V, Vq, Vqq, _ = _derivs(model, jet.q)
-    qp, qpp, tp, tpp, da = jet.qp, jet.qpp, jet.tp, jet.tpp, jet.delta_a
+    qp, qpp, tp, tpp, da = jet.qp, jet.qpp, jet.tp, jet.tpp, model.ctx.real(jet.delta_a)
     leading = tp * (m * (qp / tp) ** 2 / 2 - V)
     second = (
         -m * qpp ** 2 / tp

@@ -192,6 +192,10 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
     in its setup or in a step, writes the outputs of the trajectory it
     reached; a failure before the run (e.g. a start inside the Kepler
     collision guard) writes none.  A :class:`ConfigurationError` propagates.
+    The model, the run and its diagnostics compute under the context's
+    :meth:`~varint.precision.PrecisionContext.arithmetic`, so the states and
+    output bytes of an extended run do not depend on the caller's decimal
+    context, which is restored when the experiment returns or raises.
     """
     cfg.validate()
     outdir = Path(outdir if outdir is not None else cfg.outdir)
@@ -210,24 +214,25 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
         "T_final": cfg.final_time(),
     }
     started = time.perf_counter()
-    try:
-        model = make_model(cfg.problem, cfg.model_params(), ctx)
-        state0 = initial_state(cfg.problem, cfg.model_params(), ctx)
-        if cfg.integrator == "reference":
-            summary.update(_reference_trajectory_outputs(cfg, model, state0, outdir))
-        else:
-            try:
-                traj = _run_integrator(cfg, model, state0, scfg)
-                summary["success"] = True
-            except IntegrationError as exc:
-                summary.update(success=False, error=str(exc))
-                traj = exc.trajectory
-            _trajectory_outputs(cfg, model, traj, outdir, ctx, summary)
-    except ConfigurationError:
-        raise
-    except VarintError as exc:
-        summary.setdefault("success", False)
-        summary["error"] = str(exc)
+    with ctx.arithmetic():
+        try:
+            model = make_model(cfg.problem, cfg.model_params(), ctx)
+            state0 = initial_state(cfg.problem, cfg.model_params(), ctx)
+            if cfg.integrator == "reference":
+                summary.update(_reference_trajectory_outputs(cfg, model, state0, outdir))
+            else:
+                try:
+                    traj = _run_integrator(cfg, model, state0, scfg)
+                    summary["success"] = True
+                except IntegrationError as exc:
+                    summary.update(success=False, error=str(exc))
+                    traj = exc.trajectory
+                _trajectory_outputs(cfg, model, traj, outdir, ctx, summary)
+        except ConfigurationError:
+            raise
+        except VarintError as exc:
+            summary.setdefault("success", False)
+            summary["error"] = str(exc)
     summary["wall_time_s"] = round(time.perf_counter() - started, 3)
 
     _write_summary(outdir / "summary.txt", summary)
@@ -263,7 +268,7 @@ def _trajectory_outputs(cfg, model, traj, outdir, ctx, summary):
             condition_warnings=sum(c > CONDITION_WARN for c in condition),
         )
         if traj.states[-1].t >= cfg.final_time():
-            summary["overshoot"] = float(traj.states[-1].t - cfg.final_time())
+            summary["overshoot"] = float(traj.states[-1].t - ctx.real(cfg.final_time()))
 
     if cfg.reference and len(traj) > 1:
         ref = reference_solve(model, traj.states[0], float(traj.states[-1].t))

@@ -63,11 +63,12 @@ class StiffnessError(VarintError):
 def check_finite(value, message: str, lower=0, *, inclusive=False) -> None:
     """Raise :class:`ConfigurationError`, ``message`` with ``value`` in its ``{}`` (formatted
     on failure only), unless ``lower < value < inf`` (``lower <= value`` if ``inclusive``):
-    for a nan too, and for a value that does not compare with a number (None, a string),
-    whose ``TypeError`` this turns into it."""
+    for a nan too, a float's or a ``Decimal``'s (whose comparison raises ``InvalidOperation``
+    under a context that traps it), and for a value that does not compare with a number
+    (None, a string), whose ``TypeError`` this turns into it."""
     try:
         if (lower <= value if inclusive else lower < value) and value < math.inf:
             return
-    except TypeError:
+    except (TypeError, ArithmeticError):
         pass
     raise ConfigurationError(message.format(value))

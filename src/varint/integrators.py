@@ -317,8 +317,8 @@ class Trajectory:
 
 #: Extrapolation weights through the last m = 1..5 accepted increments,
 #: oldest first: row m - 1 reproduces the next term of any sequence that is
-#: a polynomial of degree < m in the step index.  The weights are integers:
-#: an mpf times an int costs less than an mpf times a float.
+#: a polynomial of degree < m in the step index.  The weights are integers,
+#: which a ``Decimal`` multiplies exactly (a float it does not take at all).
 _EXTRAPOLATION = ((1,), (-1, 2), (1, -3, 3), (-1, 4, -6, 4), (1, -5, 10, -10, 5))
 
 
@@ -369,13 +369,16 @@ def _march(model, name, setup: Callable, state0, T_final, cfg, **meta) -> Trajec
     failed setup it holds ``state0`` alone.  The setup and the steps run
     under one ``np.errstate(all="ignore")``: a singular Jacobian's all-nan
     step and inverse are judged by the solve, not warned of, and no solve
-    enters an error state of its own.
+    enters an error state of its own.  They run under the context's
+    :meth:`~varint.precision.PrecisionContext.arithmetic` too: an extended
+    run's ``Decimal`` operations round at its working precision whatever
+    decimal context the caller holds, and no step enters one of its own.
     """
     meta = {"integrator": name, "model": model.name, "params": dict(model.params), **meta,
             "T_final": float(T_final), "tol": float(cfg.tol), "digits": model.ctx.digits}
     traj = Trajectory(states=[state0], meta=meta)
     try:
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), model.ctx.arithmetic():
             state, step, h = setup(state0, meta)
             traj = Trajectory(states=[state], meta=meta)
             history = []  # the last five accepted increments, oldest first
@@ -400,6 +403,17 @@ def _march(model, name, setup: Callable, state0, T_final, cfg, **meta) -> Trajec
 
 
 # -- EpAVI ------------------------------------------------------------------------
+
+
+def _largest_term(state, energy_row: bool, kernel) -> Real:
+    """The largest |term| of the residual rows at ``kernel``, the scale of a
+    solve's residual floor: Mv, (h/2) grad V(mid) and p_k, and with the
+    energy row also v'Mv/2, V(mid) and E_k."""
+    v, Mv, half_grad, V, _ = kernel
+    terms = [*Mv, *half_grad, *state.p]
+    if energy_row:
+        terms += [_dot(v, Mv) / 2, V, state.E]
+    return max(map(abs, terms))
 
 
 def _epavi_system(model, state):
@@ -450,9 +464,10 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
     ctx = model.ctx
     h_guess = ctx.real(h_guess)
     residual, jacobian = _epavi_system(model, state)
+    scale = partial(_largest_term, state, True)
 
     def solve(z):
-        return newton_solve(residual, z, cfg, ctx, jacobian=jacobian)
+        return newton_solve(residual, z, cfg, ctx, jacobian=jacobian, scale=scale)
 
     if z0 is None:
         z0 = [*_explicit_euler(model, state, h_guess), h_guess]
@@ -535,7 +550,8 @@ def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Mo
     ``unit`` is 1 with gradient 0.
     """
     if name == "g1":
-        H0 = model.hamiltonian(model.ctx.array(state0.q), model.ctx.array(state0.p))
+        with model.ctx.arithmetic():
+            H0 = model.hamiltonian(model.ctx.array(state0.q), model.ctx.array(state0.p))
         dm = model.double
 
         def arclength(q, V, dV):
@@ -611,7 +627,8 @@ def _solve_momentum(model, monitor, state, delta_a, cfg, dq0=None) -> SolveRepor
     residual, jacobian = _momentum_system(model, monitor, state, delta_a)
     if dq0 is None:
         dq0 = _explicit_euler(model, state, delta_a)
-    return newton_solve(residual, dq0, cfg, model.ctx, jacobian=jacobian)
+    return newton_solve(residual, dq0, cfg, model.ctx, jacobian=jacobian,
+                        scale=partial(_largest_term, state, False))
 
 
 # -- AVI ----------------------------------------------------------------------------
@@ -657,7 +674,7 @@ def avi_calibrate_delta_a(model, monitor, state0, h0, cfg: SolverConfig) -> Real
     delta_a = h0 / g0
     for _ in range(5):
         _, record = avi_step(model, monitor, state0, delta_a, cfg)
-        if abs(record.h - h0) <= 0.01 * h0:
+        if abs(record.h - h0) <= model.ctx.real(0.01) * h0:
             break
         delta_a = delta_a * (h0 / record.h)
     return delta_a

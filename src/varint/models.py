@@ -6,7 +6,10 @@ and their reciprocals are context scalars, so M^{-1} carries the run's digits.
 Each model writes V and each of its derivatives once, on a sequence of
 context scalars, and returns a context scalar, a list, or a matrix as a
 list of rows.  Models are immutable after construction and safe for shared
-reads.
+reads.  What a model or a start state holds is computed under its context's
+arithmetic (:meth:`~varint.precision.PrecisionContext.arithmetic`), so it
+does not depend on the caller's decimal context; the methods compute in the
+context the caller holds, which a run sets.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ class LagrangianModel:
         self.n = len(masses)
         self.ctx = ctx
         self.masses = tuple(map(ctx.real, masses))
-        self.inverse_masses = tuple(1 / m for m in self.masses)
+        with ctx.arithmetic():
+            self.inverse_masses = tuple(1 / m for m in self.masses)
         self.params: dict = {}
 
     @cached_property
@@ -229,7 +233,8 @@ class Pendulum(LagrangianModel):
 
 def kepler_hamiltonian(q, p, ctx: PrecisionContext = DOUBLE) -> Real:
     """Energy ((p1)^2 + (p2)^2)/2 - 1/sqrt((q1)^2 + (q2)^2) of a Kepler state."""
-    return KeplerTwoBody(ctx).hamiltonian(ctx.array(q), ctx.array(p))
+    with ctx.arithmetic():
+        return KeplerTwoBody(ctx).hamiltonian(ctx.array(q), ctx.array(p))
 
 
 def kepler_initial_state(e: float, ctx: PrecisionContext = DOUBLE) -> ExtendedState:
@@ -241,8 +246,9 @@ def kepler_initial_state(e: float, ctx: PrecisionContext = DOUBLE) -> ExtendedSt
     if not 0 <= e < 1:
         raise ConfigurationError(f"eccentricity must lie in [0, 1), got {e}")
     one, ev, zero = ctx.real(1), ctx.real(e), ctx.real(0)
-    q = (one - ev, zero)
-    p = (zero, ctx.sqrt((one + ev) / (one - ev)))
+    with ctx.arithmetic():
+        q = (one - ev, zero)
+        p = (zero, ctx.sqrt((one + ev) / (one - ev)))
     return ExtendedState(t=ctx.real(0), q=q, p=p, E=kepler_hamiltonian(q, p, ctx))
 
 
@@ -285,4 +291,5 @@ def initial_state(name: str, params: Optional[dict] = None, ctx: PrecisionContex
     model = make_model(name, params, ctx)
     q = (ctx.real(params.get("q0", 1.0)),)
     p = (ctx.real(params.get("p0", 0.0)),)
-    return ExtendedState(t=ctx.real(0), q=q, p=p, E=model.hamiltonian(q, p))
+    with ctx.arithmetic():
+        return ExtendedState(t=ctx.real(0), q=q, p=p, E=model.hamiltonian(q, p))

@@ -1,30 +1,36 @@
 """Configurable-precision real arithmetic.
 
 Every run computes either in native double precision or in software
-extended precision (mpmath binary floating point, round-to-nearest-even),
-selected once per run through a :class:`PrecisionContext`.  Values are
-plain ``float`` in the native path; in the extended path they belong to the
-one ``mpmath.MPContext`` of the working precision, so arithmetic on them,
-also with floats and ints, rounds at that precision whatever the global
-``mpmath.mp`` says.  The kernels stay generic over both paths without
-global state; :meth:`PrecisionContext.real` and ``array`` bring values of
-another precision in.  Context constants, and the elementary functions
-``sqrt``, ``cos`` and ``sin`` (``math``'s or the mpmath context's), are
-chosen once per context.  The double linear algebra, ``solve`` and
-``cond_inf``, calls numpy's LAPACK gufuncs bare, so it follows the caller's
-numpy error state; the integrators' runs set one that ignores a singular matrix.
+extended precision, the standard library's ``decimal`` (libmpdec, which
+implements Cowlishaw's General Decimal Arithmetic Specification), selected
+once per run through a :class:`PrecisionContext`.  Values are plain
+``float`` in the native path and ``decimal.Decimal`` in the extended path.
+A ``Decimal`` operation rounds in the thread's current decimal context, so
+a run enters the context's :meth:`PrecisionContext.arithmetic` once, around
+its setup and steps (``integrators._march``), and ``cli.run_experiment``
+around a whole experiment: there, every operation rounds half-even at the
+working precision whatever context the caller holds, which is restored
+afterwards.  A direct call outside a run (a step, a Newton solve, a model's
+energy) rounds in the caller's context instead; Python's default one
+carries 28 digits, so such a call gets more digits than a run, and other
+bits.  :meth:`PrecisionContext.real` and ``array`` round through the
+context itself, inside a run or not, as do ``sqrt``, ``cos`` and ``sin``,
+and bring values of another precision in.  Context constants and these
+elementary functions (``math``'s in double) are chosen once per context.
+The double linear algebra, ``solve`` and ``cond_inf``, calls numpy's LAPACK
+gufuncs bare, so it follows the caller's numpy error state; the
+integrators' runs set one that ignores a singular matrix.
 """
 
 from __future__ import annotations
 
-import copyreg
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Union
 
-import mpmath
 import numpy as np
 from numpy.linalg import _umath_linalg
 
@@ -38,23 +44,50 @@ MIN_DIGITS = 10
 
 #: Guard digits added to the working precision of extended contexts so that
 #: rounding in long step sequences stays below the requested digit count.
-GUARD_DIGITS = 3
+#: Decimal spacing wobbles by a factor of 10 over a decade: at 18 digits, 3
+#: guard digits left the one-period Kepler energy error 16-40x above the 73
+#: binary digits used before, 5 leave it below them.
+GUARD_DIGITS = 5
 
-Real = Union[float, mpmath.mpf]
+#: Extra digits of the cos and sin series, past the working precision and
+#: the integer digits of the argument, before the result is rounded.
+_SERIES_GUARD_DIGITS = 5
 
-
-@lru_cache(maxsize=None)
-def _mp_context(dps: int) -> mpmath.MPContext:
-    """The one mpmath context of ``dps`` digits, so equal digits share a value
-    type; that type is not importable by name, hence its pickle reducer."""
-    mpctx = mpmath.MPContext()
-    mpctx.dps = dps
-    copyreg.pickle(mpctx.mpf, lambda x: (_unpickle_mpf, (dps, x._mpf_)))
-    return mpctx
+Real = Union[float, Decimal]
 
 
-def _unpickle_mpf(dps: int, value: tuple):
-    return _mp_context(dps).make_mpf(value)
+def _decimal_context(prec: int) -> Context:
+    """Round half-even at ``prec`` digits, with libmpdec's largest exponent
+    range, so a value beyond the double range stays finite."""
+    return Context(prec=prec, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+@lru_cache(maxsize=16)
+def _pi(prec: int) -> Decimal:
+    """pi to ``prec`` digits, by the recipe of the ``decimal`` documentation."""
+    with localcontext(_decimal_context(prec + 2)):
+        lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    return _decimal_context(prec).plus(s)
+
+
+def _taylor(r: Decimal, odd: int) -> Decimal:
+    """cos r, or sin r if ``odd``, by its Taylor series in the current context,
+    summed until a term no longer changes the sum (the ``decimal``
+    documentation's recipe)."""
+    term = r if odd else Decimal(1)
+    r2, i, s, lasts = r * r, odd, term, 0
+    while s != lasts:
+        lasts = s
+        i += 2
+        term = -term * r2 / ((i - 1) * i)
+        s += term
+    return s
 
 
 def _norm_inf(m: np.ndarray) -> float:
@@ -67,8 +100,9 @@ class PrecisionContext:
     """Arithmetic context guaranteeing at least ``digits`` significant decimal digits.
 
     ``digits <= 16`` selects native IEEE double precision; anything above
-    runs on mpmath's arbitrary-precision binary floats.  Scalars produced
-    under a context are immutable values and safe to share across tasks.
+    runs on ``decimal.Decimal`` at :attr:`working_dps` digits.  Scalars
+    produced under a context are immutable values and safe to share across
+    tasks.
     """
 
     digits: int
@@ -90,42 +124,39 @@ class PrecisionContext:
         return self.digits + GUARD_DIGITS
 
     @cached_property
-    def mpctx(self) -> mpmath.MPContext:
-        """The mpmath context of the extended path; ``None`` in the native path."""
-        return None if self.is_native else _mp_context(self.working_dps)
+    def decimal_context(self) -> Context:
+        """The ``decimal.Context`` of the extended path; ``None`` in the native path."""
+        return None if self.is_native else _decimal_context(self.working_dps)
 
     @cached_property
     def eps(self) -> float:
-        """Machine epsilon of the working representation."""
+        """Machine epsilon of the working representation: 10^(1 - working
+        digits) in the extended path, the largest relative spacing."""
         if self.is_native:
             return float(np.finfo(float).eps)
-        return math.ldexp(1.0, 1 - self.mpctx.prec)
+        return 10.0 ** (1 - self.working_dps)
 
-    @property
-    def serialization_digits(self) -> int:
-        """Significant digits written by :meth:`format`.
+    def arithmetic(self):
+        """A context manager under which ``Decimal`` arithmetic rounds in
+        :attr:`decimal_context` (``decimal.localcontext``), restoring the
+        caller's context on exit; a no-op in the native path."""
+        return nullcontext(self) if self.is_native else localcontext(self.decimal_context)
 
-        Covers the context's digit guarantee and is large enough that
-        ``parse(format(x)) == x`` exactly.
-        """
-        if self.is_native:
-            return 17
-        return int(math.ceil(self.mpctx.prec * math.log10(2))) + 2
-
-    def activate(self):
-        """A no-op context manager yielding this context, kept for callers
-        written when runs set the global mpmath precision."""
-        return nullcontext(self)
+    #: The name the benchmark workloads call :meth:`arithmetic` by.
+    activate = arithmetic
 
     def __reduce__(self):
-        # by digits alone: the cached mpmath context does not pickle
+        # by digits alone, not with the cached properties
         return PrecisionContext, (self.digits,)
 
     # -- scalar and array construction --------------------------------------
 
     def real(self, x) -> Real:
-        """Convert ``x`` (number or decimal string) to a context scalar."""
-        return float(x) if self.is_native else self.mpctx.mpf(x)
+        """Convert ``x`` (number or decimal string) to a context scalar; a
+        numpy scalar by its Python value, which ``Decimal`` takes."""
+        if self.is_native:
+            return float(x)
+        return self.decimal_context.create_decimal(x.item() if isinstance(x, np.generic) else x)
 
     def array(self, values) -> np.ndarray:
         """1-D or 2-D array of context scalars."""
@@ -135,36 +166,57 @@ class PrecisionContext:
         flat = [self.real(v) for v in arr.ravel()]
         return np.array(flat, dtype=object).reshape(arr.shape)
 
-    # -- elementary functions: ``math``'s or the mpmath context's, chosen once --
+    # -- elementary functions: ``math``'s, or rounded by the decimal context --
 
     @cached_property
     def sqrt(self) -> Callable[[Real], Real]:
-        return math.sqrt if self.is_native else self.mpctx.sqrt
+        return math.sqrt if self.is_native else self.decimal_context.sqrt
 
     @cached_property
     def cos(self) -> Callable[[Real], Real]:
-        return math.cos if self.is_native else self.mpctx.cos
+        return math.cos if self.is_native else partial(self._circular, 0)
 
     @cached_property
     def sin(self) -> Callable[[Real], Real]:
-        return math.sin if self.is_native else self.mpctx.sin
+        return math.sin if self.is_native else partial(self._circular, 1)
+
+    def _circular(self, shift: int, x) -> Decimal:
+        """cos x (``shift`` 0) or sin x = cos(x - pi/2) (``shift`` 1), rounded
+        to the working precision: x = k pi/2 + r with |r| <= pi/4, reduced
+        and summed (:func:`_taylor`) at enough extra digits for k pi/2 too.
+        A nan or infinite x gives nan."""
+        x = Decimal(x)
+        if not x.is_finite():
+            return Decimal("NaN")
+        prec = self.working_dps + _SERIES_GUARD_DIGITS + max(0, x.adjusted() + 1)
+        with localcontext(_decimal_context(prec)):
+            half_pi = _pi(prec) / 2
+            k = (x / half_pi).to_integral_value()
+            quadrant = (int(k) - shift) % 4  # cos(k pi/2 + r) by k mod 4: cos r, -sin r, -cos r, sin r
+            s = _taylor(x - k * half_pi, quadrant % 2)
+            if quadrant in (1, 2):
+                s = -s
+        return self.decimal_context.plus(s)
 
     # -- linear algebra (systems here are tiny: n or n+1 unknowns) -----------
 
     def solve(self, A: np.ndarray, b) -> list:
         """Solve ``A x = b`` for a float64 ``A`` in double (the LAPACK ``dgesv``
         gufunc behind ``numpy.linalg.solve``, the bits of ``dgetrf`` and
-        ``dgetrs``), x as a list of floats, all nan for a singular ``A`` (a zero
-        pivot, LAPACK ``info > 0``).  The residual ``b`` comes in context
-        precision, so a double step refines an extended iterate to the
-        context's accuracy (iterative refinement; Moler, JACM 14, 1967).
+        ``dgetrs``), x as a list, all nan for a singular ``A`` (a zero pivot,
+        LAPACK ``info > 0``): of floats, or in an extended context of the
+        ``Decimal`` of each double component, exactly.  The residual ``b``
+        comes in context precision, so a double step refines an extended
+        iterate to the context's accuracy (iterative refinement; Moler,
+        JACM 14, 1967).
 
         The gufunc is called bare, under the caller's numpy error state: a
         run sets ``np.errstate(all="ignore")`` once around all its solves,
         while a direct call on a singular ``A`` under numpy's default state
         warns "invalid value encountered in solve1" (a ``RuntimeWarning``).
         """
-        return _umath_linalg.solve1(A, np.asarray(b, dtype=float)).tolist()
+        x = _umath_linalg.solve1(A, np.asarray(b, dtype=float)).tolist()
+        return x if self.is_native else list(map(Decimal, x))
 
     def cond_inf(self, A: np.ndarray) -> float:
         """Infinity-norm condition number ||A|| ||A^{-1}|| of a float64 ``A`` in
@@ -184,10 +236,16 @@ class PrecisionContext:
     # -- textual serialization (decimal scientific notation) -----------------
 
     def format(self, x: Real) -> str:
-        """Scientific-notation string carrying :attr:`serialization_digits` digits."""
+        """Scientific notation of the context scalar :meth:`real` makes of
+        ``x``, with every digit the context carries: 17 significant digits in
+        double, :attr:`working_dps` in the extended path, so that
+        ``parse(format(x)) == x`` exactly."""
         if self.is_native:
             return f"{float(x):.16e}"
-        return self.mpctx.nstr(self.mpctx.mpf(x), self.serialization_digits, min_fixed=1, max_fixed=0)
+        x, n = self.real(x), self.working_dps - 1
+        if not x:  # a zero prints its exponent plus n: give it the exponent -n
+            x = x.scaleb(-n - x.as_tuple().exponent)
+        return f"{x:.{n}e}"
 
     def parse(self, s: str) -> Real:
         return self.real(s)
@@ -210,7 +268,12 @@ DOUBLE = PrecisionContext(DOUBLE_DIGITS)
 
 def inf_norm(v) -> Real:
     """Max-abs of a sequence of context scalars, ``inf`` if any component is
-    nan or infinite: ``c < inf`` is false for both, for a float and an mpf
-    alike, and true for an mpf beyond the double range."""
+    nan or infinite: ``c < inf`` is false for both, for a float and a
+    ``Decimal`` alike, and true for a ``Decimal`` beyond the double range.
+    A ``Decimal`` nan compared under a context that traps invalid operations
+    (Python's default) raises ``InvalidOperation`` instead, and reads inf too."""
     a = [abs(c) for c in v]
-    return max(a) if all(c < math.inf for c in a) else math.inf
+    try:
+        return max(a) if all(c < math.inf for c in a) else math.inf
+    except ArithmeticError:
+        return math.inf

@@ -2,16 +2,20 @@
 
 The update equations of the adaptive integrators are ill-conditioned near
 degenerate points, so every solve carries the condition number of its
-Jacobian.  In double precision the residual of the energy equation bottoms
-out a few ulp above zero; the solver therefore accepts a stalled iterate
-whose residual lies within :data:`STALL_FACTOR` of the tolerance instead of
-looping forever.  Only an accepted solve is judged ill-posed.
+Jacobian.  The residual bottoms out a few roundings of its largest term
+above zero; the solver therefore accepts a stalled iterate whose residual
+lies within :data:`STALL_FACTOR` of the tolerance, or at the context's
+residual floor, within :data:`FLOOR_ULPS` eps of the largest term s of the
+residual rows, instead of looping forever.  s is read only when a stall
+above STALL_FACTOR times the tolerance is judged.  Only an accepted solve
+is judged ill-posed.
 
-The residual is evaluated in the context's precision; every integrator
-hands in a Jacobian formed in double, and the Newton step is
-solved in double: in an extended context this is iterative refinement,
-which reaches the residual's precision while the Jacobian is well
-conditioned in double.
+The residual is evaluated in the context's precision, ``Decimal`` in an
+extended context, rounding in the thread's decimal context (a run's
+:meth:`~varint.precision.PrecisionContext.arithmetic`); every integrator
+hands in a Jacobian formed in double, and the Newton step is solved in
+double: in an extended context this is iterative refinement, which reaches
+the residual's precision while the Jacobian is well conditioned in double.
 
 Each iteration takes the first trial that lowers the residual norm, the
 Newton step halved at most :data:`MAX_HALVINGS` times; without one the
@@ -36,7 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from decimal import InvalidOperation
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -50,12 +55,18 @@ from .errors import (
 )
 from .precision import DOUBLE, PrecisionContext, Real, inf_norm
 
-#: Errors that mark a trial point infeasible: a domain error, or an overflow.
-_INFEASIBLE = (SingularityError, MonitorDomainError, NonMonotoneTimeError, OverflowError)
+#: Errors that mark a trial point infeasible: a domain error, an overflow, or
+#: an invalid ``Decimal`` operation (inf - inf, say), which a run's decimal
+#: context traps where a float would give nan.
+_INFEASIBLE = (SingularityError, MonitorDomainError, NonMonotoneTimeError, OverflowError, InvalidOperation)
 
 #: A stalled iterate is accepted when its residual is within this factor of
 #: the tolerance: the double-precision floor of the energy equation.
 STALL_FACTOR = 10.0
+
+#: ... or within this many eps of the largest term of the residual rows:
+#: the floor of any context, where a tolerance below it would otherwise fail.
+FLOOR_ULPS = 4
 
 #: Damping halves a Newton step at most this many times.
 MAX_HALVINGS = 10
@@ -113,10 +124,12 @@ class SolveReport:
     aux: Any = None
 
 
-def fd_jacobian(F: Callable, x, fd_step) -> list:
+def fd_jacobian(F: Callable, x, fd_step, ctx: PrecisionContext = DOUBLE) -> list:
     """Central-difference Jacobian, J[i][j] = (F_i(x+d e_j) - F_i(x-d e_j)) / 2d,
-    with d = fd_step * (1 + |x_j|), of a residual ``F`` that takes and returns
-    sequences of context scalars, as a list of rows."""
+    with d = fd_step * (1 + |x_j|) and ``fd_step`` taken into ``ctx``, of a
+    residual ``F`` that takes and returns sequences of context scalars, as a
+    list of rows."""
+    fd_step = ctx.real(fd_step)
     cols = []
     for j, x_j in enumerate(x):
         d = fd_step * (1 + abs(x_j))
@@ -136,6 +149,7 @@ def newton_solve(
     ctx: PrecisionContext = DOUBLE,
     *,
     jacobian: Callable,
+    scale: Optional[Callable] = None,
 ) -> SolveReport:
     """Solve F(x) = 0 by damped Newton iteration from the sequence ``x0``.
 
@@ -143,14 +157,18 @@ def newton_solve(
     ``solution``.  ``F(x)`` returns ``(residual, aux)``: the residual a
     sequence of context scalars, and ``aux`` whatever the caller wants back
     at the solution; ``jacobian(x, aux)`` supplies the analytic partials at
-    x as rows, given the ``aux`` that ``F`` returned there.
+    x as rows, given the ``aux`` that ``F`` returned there.  ``scale(aux)``,
+    if given, is the largest absolute term of the residual rows there, read
+    only to judge a stall above :data:`STALL_FACTOR` tol, which is accepted
+    within :data:`FLOOR_ULPS` ``ctx.eps`` of it.
     The report carries the ``aux`` of its solution.  A domain error (a
-    collision, a non-positive monitor or time step) or an ``OverflowError``
-    raised by ``F`` at a trial point marks it infeasible for the damping.
+    collision, a non-positive monitor or time step), an ``OverflowError`` or
+    an invalid ``Decimal`` operation raised by ``F`` at a trial point marks
+    it infeasible for the damping.
 
     Raises :class:`NonconvergenceError`, its report carrying the last condition
     estimate, when the solve is not accepted (:data:`MAX_ITER` iterations run
-    out, the residual stalls far from tol, the Jacobian overflows or is singular),
+    out, the residual stalls far from tol and its floor, the Jacobian overflows or is singular),
     and :class:`IllPosednessError` when an accepted solve's estimate reaches :data:`COND_LIMIT`.
 
     The Jacobian is solved with and inverted (:meth:`PrecisionContext.solve`
@@ -158,7 +176,7 @@ def newton_solve(
     runs ignore a singular Jacobian's invalid-value flags, and a direct call
     under numpy's default state warns of each.
     """
-    tol = ctx.real(cfg.tol)
+    tol, one = ctx.real(cfg.tol), ctx.real(1)
 
     x = list(x0)
     Fx, aux = F(x)
@@ -185,7 +203,7 @@ def newton_solve(
 
         # the first trial that lowers the residual norm; rn stays >= r when
         # none does, or when a polish step does not move the iterate
-        lam, rn = 1, r
+        lam, rn = one, r  # a Decimal times a float raises TypeError
         for _ in range(1 if polishing else MAX_HALVINGS + 1):
             xn = [a - lam * b for a, b in zip(x, dx)]
             lam = lam / 2
@@ -208,7 +226,9 @@ def newton_solve(
 
     report = SolveReport(x, r, iterations, condition_estimate=ctx.cond_inf(J),
                          stalled=stalled and r > tol, aux=aux)
-    if not (r <= tol or (stalled and r <= STALL_FACTOR * cfg.tol)):
+    accepted = r <= tol or stalled and (
+        r <= STALL_FACTOR * cfg.tol or scale is not None and r <= FLOOR_ULPS * ctx.eps * float(scale(aux)))
+    if not accepted:
         raise NonconvergenceError(
             f"no convergence: residual {float(r):.3e} after {iterations} iterations "
             f"(tol {float(cfg.tol):.1e})",

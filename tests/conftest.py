@@ -6,6 +6,7 @@ linear time profile, a trajectory built from given states and step records,
 a reference state and the summary reader."""
 
 import math
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -95,15 +96,17 @@ def read_summary(path) -> dict:
 
 def typed_bits(ctx, x):
     """Every bit of a context scalar, or of each component of an array or a
-    (nested) list or tuple of them, asserting that each is of the context's
-    scalar type: a float (numpy's float64 is one) or the context's mpf."""
+    (nested) list or tuple of them, as a string, asserting that each is of
+    the context's scalar type: a float (numpy's float64 is one), or a
+    ``Decimal`` of at most the working digits, which ``str`` writes exactly
+    (sign, coefficient and exponent)."""
     if isinstance(x, (np.ndarray, list, tuple)):
         return [typed_bits(ctx, c) for c in x]
     if ctx.is_native:
         assert isinstance(x, float), type(x)
         return float(x).hex()
-    assert type(x) is ctx.mpctx.mpf, type(x)
-    return x._mpf_
+    assert type(x) is Decimal and len(x.as_tuple().digits) <= ctx.working_dps, repr(x)
+    return str(x)
 
 
 def _kepler_run(integrator, e, h0=1e-3, tol=None, digits=16, T=PERIOD):

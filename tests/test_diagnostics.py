@@ -1,10 +1,10 @@
 import hashlib
 import math
+from decimal import Decimal, localcontext
 
-import mpmath
 import numpy as np
 import pytest
-from conftest import reference_state, trajectory
+from conftest import reference_state, trajectory, typed_bits
 
 from varint import (
     ConfigurationError,
@@ -138,16 +138,14 @@ def test_hamiltonian_rows_are_the_per_state_values_bit_for_bit(request, name):
     # one stacked evaluation in double (np.sqrt and math.sqrt both round
     # correctly), one call per state at 18 digits
     traj = request.getfixturevalue(name)
-    model = KeplerTwoBody(context_for(traj))
+    ctx = context_for(traj)
+    model = KeplerTwoBody(ctx)
     rows = traj.stacked()
-    stacked = model.hamiltonian_rows(rows[:, 1:3], rows[:, 3:5])
-    per_state = [model.hamiltonian(s.q, s.p) for s in traj.states]
+    with ctx.arithmetic():
+        stacked = model.hamiltonian_rows(rows[:, 1:3], rows[:, 3:5])
+        per_state = [model.hamiltonian(s.q, s.p) for s in traj.states]
     assert len(stacked) == len(traj)
-    assert [_bits(x) for x in stacked] == [_bits(x) for x in per_state]
-
-
-def _bits(x):
-    return x._mpf_ if hasattr(x, "_mpf_") else float(x).hex()
+    assert typed_bits(ctx, stacked) == typed_bits(ctx, per_state)
 
 
 def test_stacked_hamiltonian_keeps_the_collision_guard():
@@ -158,14 +156,16 @@ def test_stacked_hamiltonian_keeps_the_collision_guard():
 
 
 def _write_bundle_csvs(traj, outdir):
-    """The run's trajectory, energy-error and stats CSVs, as the runner writes them."""
+    """The run's trajectory, energy-error and stats CSVs, as the runner writes
+    them: in the context's arithmetic."""
     ctx = context_for(traj)
-    e_series = energy_error_series(traj)
-    h_series = hamiltonian_error_series(traj, KeplerTwoBody(ctx))
-    write_trajectory_csv(traj, outdir / "trajectory.csv")
-    write_error_series_csv([e_series, h_series], outdir / "energy_error.csv", ctx)
-    write_stats_csv(timestep_stats(traj), telescoping_bound_check(traj), e_series.max(),
-                    outdir / "stats.csv", ctx)
+    with ctx.arithmetic():
+        e_series = energy_error_series(traj)
+        h_series = hamiltonian_error_series(traj, KeplerTwoBody(ctx))
+        write_trajectory_csv(traj, outdir / "trajectory.csv")
+        write_error_series_csv([e_series, h_series], outdir / "energy_error.csv", ctx)
+        write_stats_csv(timestep_stats(traj), telescoping_bound_check(traj), e_series.max(),
+                        outdir / "stats.csv", ctx)
 
 
 def test_csv_writers(tmp_path, epavi_e07):
@@ -185,7 +185,11 @@ def test_csv_writers(tmp_path, epavi_e07):
 #: recorded again once its mean_h and mean_ratio were correctly rounded
 #: (see test_extended_mean_step_is_correctly_rounded).  The ``avi1_e07``
 #: CSVs were recorded again once AVI solved its momentum equation in dq alone
-#: (see test_avi_steps_satisfy_the_coupled_rows).
+#: (see test_avi_steps_satisfy_the_coupled_rows).  The 18-digit CSVs were
+#: recorded again when extended precision moved to 23-digit decimals: its
+#: trajectory moved (see TRAJECTORY_DIGESTS), and each real is written with
+#: the 23 digits of the context in scientific notation, "0.0000000000000000000000e+0"
+#: for a zero.
 BUNDLE_CSV_DIGESTS = {
     "epavi_e07": {
         "trajectory.csv": "c256c7e2ffa82cf28ffb88cd702cdc82065dcd51c2109f0ff3ab23a9e1d5522f",
@@ -198,9 +202,9 @@ BUNDLE_CSV_DIGESTS = {
         "stats.csv": "4f197d4ba47e81d88ddd98262db250ba58f99374b52fe372273c55bb655fe948",
     },
     "vpa_extended_tol17": {
-        "trajectory.csv": "ba80d8fafc65eeab281fc76c53f993ce8b6a09b10643ce4ab0b45d38e9c1b747",
-        "energy_error.csv": "2396218ded45721fda2c074bbda7064761dc27664e427c9e6427ca2791b98e53",
-        "stats.csv": "623140d033198d55825240b385be80f82711640fe623da355e1582b864bb1b1c",
+        "trajectory.csv": "f9abc05b288397fec77f93c45ed1cb00318e0400dd0888a9042fe5fba691dfe3",
+        "energy_error.csv": "6b016c3e0e49734113730ead76b958f3a01ec88ac5bd11ab38a217e58ac643ac",
+        "stats.csv": "b4b2da4836e0eb5a38710fee53a9d881222adf717c12279ccd4f580d08ddc146",
     },
 }
 
@@ -212,22 +216,9 @@ def test_csv_bytes_of_both_precisions(request, tmp_path, name):
     assert digests == BUNDLE_CSV_DIGESTS[name]
 
 
-def test_bundle_csv_bytes_ignore_the_global_mpmath_precision(tmp_path, vpa_extended_tol17):
-    # 18-digit values carry their own precision; the global mpmath one is
-    # neither read nor changed
-    prec = mpmath.mp.prec
-    for dps in (8, 50):
-        (tmp_path / str(dps)).mkdir()
-        with mpmath.workdps(dps):
-            _write_bundle_csvs(vpa_extended_tol17, tmp_path / str(dps))
-            assert mpmath.mp.dps == dps
-    assert mpmath.mp.prec == prec
-    for name in ("trajectory.csv", "energy_error.csv", "stats.csv"):
-        assert (tmp_path / "8" / name).read_bytes() == (tmp_path / "50" / name).read_bytes()
-
-
 def test_extended_mean_step_is_correctly_rounded(vpa_extended_tol17):
     traj = vpa_extended_tol17
-    with mpmath.workdps(60):
-        exact = (mpmath.mpf(traj.states[-1].t) - mpmath.mpf(traj.states[0].t)) / len(traj.steps)
-    assert timestep_stats(traj).mean_h == float(exact)
+    with localcontext(prec=60):
+        exact = (traj.states[-1].t - traj.states[0].t) / len(traj.steps)
+    with context_for(traj).arithmetic():
+        assert type(exact) is Decimal and timestep_stats(traj).mean_h == float(exact)

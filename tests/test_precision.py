@@ -1,12 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from contextlib import nullcontext
+from decimal import Decimal, InvalidOperation, localcontext
+from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 from conftest import SINGULAR_INVERSE, SINGULAR_SOLVE
 from scipy.linalg import lu_factor, lu_solve
 
+import varint
 from varint import ConfigurationError, kepler_hamiltonian, with_precision
+from varint.errors import check_finite
 from varint.precision import DOUBLE, inf_norm
 
 
@@ -29,7 +36,8 @@ def test_extended_context_carries_requested_digits():
 @pytest.mark.parametrize("digits", [16, 18, 25])
 def test_serialization_round_trip_identity(digits):
     ctx = with_precision(digits)
-    x = ctx.real(1) / ctx.real(3)
+    with ctx.arithmetic():
+        x = ctx.real(1) / ctx.real(3)
     assert ctx.parse(ctx.format(x)) == x
     y = ctx.real("-6.28331706314657e4")
     assert ctx.parse(ctx.format(y)) == y
@@ -59,6 +67,14 @@ def test_kepler_hamiltonian_across_precisions():
     assert abs(float(h30) - h16) <= 1e-15 * abs(h16)
 
 
+def test_real_takes_numpy_scalars():
+    # Decimal converts no numpy scalar: real takes its Python value
+    ctx = with_precision(18)
+    for x, want in ((np.int64(3), "3"), (np.float32(0.5), "0.5"), (np.float64(0.1), "0.10000000000000000555112")):
+        assert ctx.real(x) == Decimal(want) and type(ctx.real(x)) is Decimal
+    assert ctx.array(np.array([np.int64(2), 0.25], dtype=object)).tolist() == [2, Decimal("0.25")]
+
+
 def test_closed_arithmetic_types():
     ctx = with_precision(18)
     a = ctx.real("1.5")
@@ -67,21 +83,22 @@ def test_closed_arithmetic_types():
 
 
 def test_solve_small_system_both_paths():
-    # the matrix in double, the right side in the context's precision
+    # the matrix in double, the right side in the context's precision, the
+    # solution of the context's scalar type
     A = np.array([[2.0, 1.0], [1.0, 3.0]])
-    for ctx in (DOUBLE, with_precision(20)):
+    for ctx, scalar in ((DOUBLE, float), (with_precision(20), Decimal)):
         b = ctx.array([1.0, 2.0])
         x = ctx.solve(A, b)
-        assert isinstance(x, list)
-        assert float(inf_norm(A @ x - b)) < 1e-14
+        assert isinstance(x, list) and all(type(c) is scalar for c in x)
+        assert float(inf_norm(A @ np.array(x, dtype=float) - np.array(b, dtype=float))) < 1e-14
 
 
 def test_cond_inf_identity():
     assert DOUBLE.cond_inf(np.eye(3)) == pytest.approx(1.0)
 
 
-# both contexts solve in double; the 18-digit cases take object arrays of mpf
-# to double, as newton_solve does with a Jacobian
+# both contexts solve in double; the 18-digit cases take object arrays of
+# Decimal to double, as newton_solve does with a Jacobian
 
 
 @pytest.mark.parametrize("digits", [16, 18])
@@ -90,7 +107,7 @@ def test_solve_singular_is_all_nan(digits):
     A = np.asarray(ctx.array([[1.0, 2.0], [2.0, 4.0]]), dtype=float)
     with pytest.warns(RuntimeWarning, match=SINGULAR_SOLVE):
         x = ctx.solve(A, ctx.array([1.0, 0.0]))
-    assert isinstance(x, list) and np.isnan(x).all()
+    assert isinstance(x, list) and np.isnan(np.array(x, dtype=float)).all()
 
 
 @pytest.mark.parametrize("digits", [16, 18])
@@ -137,13 +154,17 @@ def _random_systems(count, seed):
 @pytest.mark.parametrize("digits", [16, 18])
 def test_solve_has_the_bits_of_lapack_lu(digits):
     # the gufunc solve gives dgetrf + dgetrs's bits; an 18-digit right side
-    # is rounded to double first
+    # is rounded to double first, and each double component of the solution
+    # comes back as its exact Decimal
     ctx = with_precision(digits)
+    scalar = float if ctx.is_native else Decimal
     for A, b in _random_systems(1000, seed=digits):
-        bc = ctx.array(b) / 3
+        with ctx.arithmetic():
+            bc = ctx.array(b) / 3
         x = ctx.solve(A, bc)
         ref = lu_solve(lu_factor(A), np.asarray(bc, dtype=float))
-        assert all(type(c) is float for c in x) and np.array(x).tobytes() == ref.tobytes(), (A, b)
+        assert all(type(c) is scalar for c in x), (A, b)
+        assert x == [scalar(c) for c in ref.tolist()] and np.array(x, dtype=float).tobytes() == ref.tobytes(), (A, b)
 
 
 def test_inf_norm_is_the_finiteness_rule_for_both_scalar_types():
@@ -154,17 +175,25 @@ def test_inf_norm_is_the_finiteness_rule_for_both_scalar_types():
     assert inf_norm(np.array([1.0, -2.0])) < math.inf and not inf_norm(np.array([np.nan])) < math.inf
     ctx = with_precision(18)
     assert inf_norm(ctx.array([1, 2]).tolist()) < math.inf
-    assert not inf_norm([ctx.real(1), mpmath.mpf("inf")]) < math.inf
+    assert not inf_norm([ctx.real(1), Decimal("inf")]) < math.inf
     assert inf_norm([ctx.real(3)]) < math.inf and not inf_norm([float("nan")]) < math.inf
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_inf_norm_reads_inf_for_non_finite_vectors(bad):
+    # a Decimal nan reads as a float nan does: under a context that traps
+    # invalid operations (Python's default and a run's), whose comparison
+    # raises, and under one that does not, whose comparison is false
     assert inf_norm([1.0, bad, -2.0]) == math.inf
     ctx = with_precision(18)
     v = ctx.array([1, 0, -2]).tolist()
-    v[1] = mpmath.mpf(bad)
+    v[1] = Decimal(bad)
     assert inf_norm(v) == math.inf
+    with ctx.arithmetic():
+        assert inf_norm(v) == math.inf
+    with localcontext() as quiet:
+        quiet.traps[InvalidOperation] = False
+        assert inf_norm(v) == math.inf
 
 
 @pytest.mark.parametrize("digits", [16, 18])
@@ -175,17 +204,68 @@ def test_inf_norm_of_finite_vectors_is_max_abs(digits):
     assert type(m) is (float if digits == 16 else type(v[0])) and m == np.abs(v).max() == 3.25
 
 
-def test_inf_norm_keeps_an_mpf_beyond_the_double_range():
-    # 1e400 is a finite mpf that no double holds: a float-based finiteness
-    # test (math.isfinite) would read it as inf
+def test_inf_norm_keeps_a_decimal_beyond_the_double_range():
+    # 1e400 is a finite Decimal that no double holds: a float-based
+    # finiteness test (math.isfinite) would read it as inf
     ctx = with_precision(18)
     big = ctx.real("1e400")
     m = inf_norm([ctx.real(1), -big])
     assert type(m) is type(big) and m == big and not math.isfinite(m)
 
 
-def test_activate_leaves_mpmath_alone_in_double():
-    with mpmath.workdps(33):
-        with DOUBLE.activate():
-            assert mpmath.mp.dps == 33
-        assert mpmath.mp.dps == 33
+def test_arithmetic_rounds_in_the_context_and_restores_the_callers():
+    # an extended context's arithmetic rounds half-even at the working
+    # digits, with no exponent limit in reach; the caller's decimal context
+    # comes back on exit, also from an exception, and the double context
+    # leaves it alone
+    ctx = with_precision(18)
+    with localcontext(prec=8) as caller:
+        with ctx.arithmetic():
+            third = Decimal(1) / 3
+            assert len(third.as_tuple().digits) == ctx.working_dps == 23
+            assert (Decimal(10) ** 400).is_finite() and Decimal(10) ** -400 > 0
+        with pytest.raises(ZeroDivisionError), ctx.arithmetic():
+            Decimal(1) / 0
+        with DOUBLE.arithmetic():
+            assert Decimal(1) / 3 == Decimal("0.33333333")
+        assert Decimal(1) / 3 == Decimal("0.33333333")
+        assert ctx.activate == ctx.arithmetic  # the name the benchmark workloads call
+        assert caller.prec == 8
+
+
+@pytest.mark.parametrize("bad", ["NaN", "-NaN", "Infinity", "-Infinity"])
+def test_a_decimal_nan_or_inf_reads_as_a_float_one_does(bad):
+    # check_finite refuses it and inf_norm reads inf, as for float(bad):
+    # under Python's default context, whose comparison with a nan raises
+    # InvalidOperation, under a run's, and under one that traps nothing
+    untrapped = localcontext()
+    for arithmetic in (nullcontext(), with_precision(18).arithmetic(), untrapped):
+        with arithmetic as active:
+            if arithmetic is untrapped:
+                active.traps[InvalidOperation] = False
+            for value in (Decimal(bad), float(bad)):
+                with pytest.raises(ConfigurationError, match=f"^x must be positive and finite, got {value}$"):
+                    check_finite(value, "x must be positive and finite, got {}")
+                with pytest.raises(ConfigurationError):
+                    check_finite(value, "x must be at least -1 and finite, got {}", -1, inclusive=True)
+                assert inf_norm([Decimal(1), value]) == math.inf
+
+
+def test_import_varint_loads_no_mpmath():
+    # extended precision is the standard library's decimal: importing the
+    # package and its CLI, and an 18-digit run whose pendulum needs cos and
+    # sin, load no mpmath module
+    probe = (
+        "import sys, varint, varint.cli\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "ctx = varint.with_precision(18)\n"
+        "model = varint.Pendulum(ctx=ctx)\n"
+        "state = varint.models.initial_state('pendulum', {}, ctx)\n"
+        "traj = varint.midpoint_fixed_run(model, state, ctx.real('0.1'), 1.0)\n"
+        "assert len(traj.steps) == 10\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'mpmath'], 'mpmath loaded'\n"
+    )
+    src = str(Path(varint.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

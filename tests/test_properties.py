@@ -8,6 +8,7 @@ import csv
 import math
 import tempfile
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import mpmath
@@ -45,10 +46,37 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None)
     exponent=st.integers(-300, 300),
 )
 def test_extended_format_parse_round_trip(digits, numerator, denominator, exponent):
-    # format carries enough digits that parse recovers every bit
+    # format carries enough digits that parse recovers every bit of a
+    # value computed in the context's arithmetic
     ctx = with_precision(digits)
-    x = ctx.real(numerator) / ctx.real(denominator) * ctx.real(10) ** exponent
+    with ctx.arithmetic():
+        x = ctx.real(numerator) / ctx.real(denominator) * ctx.real(10) ** exponent
     assert ctx.parse(ctx.format(x)) == x
+
+
+def _ulp(x: Decimal, digits: int) -> Decimal:
+    """The spacing of ``digits``-digit decimals at x's magnitude."""
+    return Decimal(1).scaleb(x.adjusted() - digits + 1)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(
+    digits=st.sampled_from([18, 30]),
+    x=st.one_of(st.floats(-8.0, 8.0), st.floats(-1e15, 1e15), st.floats(-1e-30, 1e-30),
+                st.decimals(-10 ** 6, 10 ** 6, places=30)),
+)
+def test_extended_cos_sin_sqrt_are_within_one_ulp_of_mpmath(digits, x):
+    # decimal's sqrt is correctly rounded, and cos and sin, reduced by pi/2
+    # and summed at extra digits, lie within one unit in the last working
+    # digit of mpmath's values at 20 more digits
+    ctx = with_precision(digits)
+    d = ctx.real(x)
+    with mpmath.workdps(ctx.working_dps + 20):
+        exact = mpmath.mpf(str(d))
+        for got, want in ((ctx.cos(d), mpmath.cos(exact)), (ctx.sin(d), mpmath.sin(exact)),
+                          (ctx.sqrt(d.copy_abs()), mpmath.sqrt(abs(exact)))):
+            assert type(got) is Decimal and len(got.as_tuple().digits) <= ctx.working_dps
+            assert abs(mpmath.mpf(str(got)) - want) <= mpmath.mpf(str(_ulp(got, ctx.working_dps))), (got, want)
 
 
 @settings(PROPERTY, max_examples=50)
@@ -129,10 +157,10 @@ def _fmt(value, ctx):
     return ctx.format(value)
 
 
-def _mpf(pair):
+def _decimal(pair):
     numerator, denominator = pair
-    with mpmath.mp.workdps(40):
-        return mpmath.mpf(numerator) / denominator
+    with localcontext(prec=40):
+        return Decimal(numerator) / denominator
 
 
 #: Labels, drawing often the characters that need csv quoting.
@@ -147,8 +175,9 @@ _FIELDS = st.one_of(
     st.booleans(),
     st.booleans().map(np.bool_),
     st.none(),
-    st.floats().map(mpmath.mpf),
-    st.tuples(st.integers(-(10 ** 30), 10 ** 30), st.integers(1, 10 ** 30)).map(_mpf),
+    st.floats().map(Decimal),
+    st.decimals(allow_nan=True).filter(lambda x: not x.is_snan()),
+    st.tuples(st.integers(-(10 ** 30), 10 ** 30), st.integers(1, 10 ** 30)).map(_decimal),
     _TEXT,
 )
 
@@ -212,10 +241,11 @@ def _system_bits(model, monitor, state, dq, delta_a):
     """The bits of the momentum system's residual and kernel at dq and of
     its Jacobian there, or the type of the error the residual raises and None."""
     residual, jacobian = _momentum_system(model, monitor, state, delta_a)
-    try:
-        F, kernel = residual(dq)
-    except VarintError as exc:
-        return type(exc), None
+    with model.ctx.arithmetic():  # the run's
+        try:
+            F, kernel = residual(dq)
+        except VarintError as exc:
+            return type(exc), None
     return typed_bits(model.ctx, [F, kernel]), typed_bits(DOUBLE, jacobian(dq, kernel))
 
 

@@ -199,23 +199,24 @@ def test_fd_jacobian_matches_analytic_avi_partials(monitor, digits, fd_step, rel
     ctx = with_precision(digits)
     model = KeplerTwoBody(ctx)
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        state = _random_kepler_state(rng, ctx)
-        mon = make_monitor(monitor, model, state)
-        delta_a = ctx.real(1e-3) / mon.g(state.q, *model.potential_and_gradient(state.q))
-        residual, jacobian = _momentum_system(model, mon, state, delta_a)
-        z = ctx.array(list(1e-3 * rng.standard_normal(2))).tolist()
-        J_an = np.array(jacobian(z, residual(z)[1]))
-        J_fd = np.array(fd_jacobian(_value(residual), z, fd_step))
-        assert np.max(np.abs(J_fd - J_an)) <= rel * np.max(np.abs(J_an))
-        if monitor == "unit":
-            _, _, _, _, _, A, c = _double_partials(model.double, np.asarray(state.q, dtype=float), z,
-                                                   float(delta_a))
-            residual_e, jacobian_e = _epavi_system(model, state)
-            z_e = [*z, delta_a]
-            J_e = jacobian_e(z_e, residual_e(z_e)[1])
-            assert np.array_equal(J_an, A)
-            assert np.array_equal(J_e[:2], np.column_stack([A, c]))
+    with ctx.arithmetic():
+        for _ in range(20):
+            state = _random_kepler_state(rng, ctx)
+            mon = make_monitor(monitor, model, state)
+            delta_a = ctx.real(1e-3) / mon.g(state.q, *model.potential_and_gradient(state.q))
+            residual, jacobian = _momentum_system(model, mon, state, delta_a)
+            z = ctx.array(list(1e-3 * rng.standard_normal(2))).tolist()
+            J_an = np.array(jacobian(z, residual(z)[1]))
+            J_fd = np.array(fd_jacobian(_value(residual), z, fd_step, ctx), dtype=float)
+            assert np.max(np.abs(J_fd - J_an)) <= rel * np.max(np.abs(J_an))
+            if monitor == "unit":
+                _, _, _, _, _, A, c = _double_partials(model.double, np.asarray(state.q, dtype=float), z,
+                                                       float(delta_a))
+                residual_e, jacobian_e = _epavi_system(model, state)
+                z_e = [*z, delta_a]
+                J_e = jacobian_e(z_e, residual_e(z_e)[1])
+                assert np.array_equal(J_an, A)
+                assert np.array_equal(J_e[:2], np.column_stack([A, c]))
 
 
 @pytest.mark.parametrize("system", ["epavi", "fixed_momentum", "avi"])
@@ -225,9 +226,9 @@ def test_extended_jacobians_are_formed_in_double(monkeypatch, system):
     captured = {}
     solve = varint.integrators.newton_solve
 
-    def capturing(F, x0, cfg, ctx, *, jacobian):
+    def capturing(F, x0, cfg, ctx, *, jacobian, scale):
         captured.update(residual=F, jacobian=jacobian)
-        return solve(F, x0, cfg, ctx, jacobian=jacobian)
+        return solve(F, x0, cfg, ctx, jacobian=jacobian, scale=scale)
 
     monkeypatch.setattr(varint.integrators, "newton_solve", capturing)
     ctx = with_precision(18)
@@ -235,22 +236,23 @@ def test_extended_jacobians_are_formed_in_double(monkeypatch, system):
     cfg = SolverConfig.for_context(ctx)
     h = ctx.real("1e-2")
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        state = _random_kepler_state(rng, ctx)
-        z = (np.dot(np.diag(model.inverse_masses), state.p) * h).tolist()
-        if system == "epavi":
-            residual, jacobian = _epavi_system(model, state)
-            z = [*z, h]
-        elif system == "avi":
-            avi_step(model, make_monitor("g1", model, state), state, h, cfg)
-            residual, jacobian = captured["residual"], captured["jacobian"]
-        else:
-            initial_discrete_energy(model, state, h, cfg)
-            residual, jacobian = captured["residual"], captured["jacobian"]
-        J = np.array(jacobian(z, residual(z)[1]))
-        assert J.dtype == np.float64
-        J_fd = np.array(fd_jacobian(_value(residual), z, 1e-9))
-        assert np.max(np.abs(J_fd - J)) <= 1e-13 * np.max(np.abs(J))
+    with ctx.arithmetic():
+        for _ in range(20):
+            state = _random_kepler_state(rng, ctx)
+            z = (np.dot(np.diag(model.inverse_masses), state.p) * h).tolist()
+            if system == "epavi":
+                residual, jacobian = _epavi_system(model, state)
+                z = [*z, h]
+            elif system == "avi":
+                avi_step(model, make_monitor("g1", model, state), state, h, cfg)
+                residual, jacobian = captured["residual"], captured["jacobian"]
+            else:
+                initial_discrete_energy(model, state, h, cfg)
+                residual, jacobian = captured["residual"], captured["jacobian"]
+            J = np.array(jacobian(z, residual(z)[1]))
+            assert J.dtype == np.float64
+            J_fd = np.array(fd_jacobian(_value(residual), z, 1e-9, ctx), dtype=float)
+            assert np.max(np.abs(J_fd - J)) <= 1e-13 * np.max(np.abs(J))
 
 
 def test_extended_newton_ill_posedness_limit_is_double():
@@ -425,12 +427,12 @@ def test_epavi_forms_about_one_jacobian_per_step(monkeypatch):
     formed = []
     solve = varint.integrators.newton_solve
 
-    def counting(F, x0, cfg, ctx, *, jacobian):
+    def counting(F, x0, cfg, ctx, *, jacobian, scale):
         def counted(x, aux):
             formed.append(1)
             return jacobian(x, aux)
 
-        return solve(F, x0, cfg, ctx, jacobian=counted)
+        return solve(F, x0, cfg, ctx, jacobian=counted, scale=scale)
 
     monkeypatch.setattr(varint.integrators, "newton_solve", counting)
     traj = epavi_run(KeplerTwoBody(), kepler_initial_state(0.7), 1e-3, 2 * np.pi, SolverConfig(tol=1e-15))
