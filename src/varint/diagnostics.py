@@ -3,12 +3,15 @@ error against the dense reference, and time-adaptation statistics.
 
 Each reads the trajectory's columns (``Trajectory.stacked``, ``rows``,
 ``energies`` and ``step_columns``), never its per-state views, and the CSV
-writers stream their rows.
+writers stream their rows.  The analyses of a trajectory compute in its
+context's :meth:`~varint.precision.PrecisionContext.arithmetic`, as the run
+that made it did, whatever decimal context the caller holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from itertools import chain, zip_longest
 from typing import List
 
@@ -53,6 +56,16 @@ class TelescopingReport:
     max_step_defect: float
 
 
+def _in_run_arithmetic(analysis):
+    """``analysis(traj, ...)`` computed in the arithmetic of ``traj``'s context."""
+    @wraps(analysis)
+    def wrapped(traj: Trajectory, *args):
+        with context_for(traj).arithmetic():
+            return analysis(traj, *args)
+    return wrapped
+
+
+@_in_run_arithmetic
 def energy_error_series(traj: Trajectory) -> ErrorSeries:
     """|E_k - E_0| at every recorded state (AVI stores E_k = H(q_k, p_k))."""
     E = traj.energies()
@@ -60,6 +73,7 @@ def energy_error_series(traj: Trajectory) -> ErrorSeries:
     return ErrorSeries(times=traj.times(), values=[abs(e - E0) for e in E], label="energy_error")
 
 
+@_in_run_arithmetic
 def hamiltonian_error_series(traj: Trajectory, model: LagrangianModel) -> ErrorSeries:
     """|H(q_k, p_k) - H(q_0, p_0)|, reported alongside the discrete-energy
     error for the energy-preserving runs; H from ``model.hamiltonian_rows``."""
@@ -69,6 +83,7 @@ def hamiltonian_error_series(traj: Trajectory, model: LagrangianModel) -> ErrorS
     return ErrorSeries(times=traj.times(), values=[abs(h - H0) for h in H], label="hamiltonian_error")
 
 
+@_in_run_arithmetic
 def telescoping_bound_check(traj: Trajectory) -> TelescopingReport:
     if len(traj) < 2:
         raise ConfigurationError("telescoping check needs at least two states")
@@ -102,6 +117,7 @@ def trajectory_error(traj: Trajectory, reference: ReferenceSolution) -> List[Err
     ]
 
 
+@_in_run_arithmetic
 def timestep_stats(traj: Trajectory) -> StepStats:
     """Step sizes of a run, the ratios taken to its meta's h0."""
     if len(traj) < 2:

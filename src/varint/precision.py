@@ -13,7 +13,8 @@ working precision whatever context the caller holds, which is restored
 afterwards.  A direct call outside a run (a step, a Newton solve, a model's
 energy) rounds in the caller's context instead; Python's default one
 carries 28 digits, so such a call gets more digits than a run, and other
-bits.  :meth:`PrecisionContext.real` and ``array`` round through the
+bits.  The diagnostics of a trajectory enter its context's arithmetic
+themselves.  :meth:`PrecisionContext.real` and ``array`` round through the
 context itself, inside a run or not, as do ``sqrt``, ``cos`` and ``sin``,
 and bring values of another precision in.  Context constants and these
 elementary functions (``math``'s in double) are chosen once per context.
@@ -184,19 +185,26 @@ class PrecisionContext:
         """cos x (``shift`` 0) or sin x = cos(x - pi/2) (``shift`` 1), rounded
         to the working precision: x = k pi/2 + r with |r| <= pi/4, reduced
         and summed (:func:`_taylor`) at enough extra digits for k pi/2 too.
+        k pi/2 carries an error near 10^(x.adjusted() + 1 - prec), so an r
+        that cancels more than the guard digits (x near a multiple of pi/2)
+        is reduced again with the digits it cancelled added.
         A nan or infinite x gives nan."""
         x = Decimal(x)
         if not x.is_finite():
             return Decimal("NaN")
-        prec = self.working_dps + _SERIES_GUARD_DIGITS + max(0, x.adjusted() + 1)
-        with localcontext(_decimal_context(prec)):
-            half_pi = _pi(prec) / 2
-            k = (x / half_pi).to_integral_value()
-            quadrant = (int(k) - shift) % 4  # cos(k pi/2 + r) by k mod 4: cos r, -sin r, -cos r, sin r
-            s = _taylor(x - k * half_pi, quadrant % 2)
-            if quadrant in (1, 2):
-                s = -s
-        return self.decimal_context.plus(s)
+        digits = self.working_dps + _SERIES_GUARD_DIGITS
+        prec = digits + max(0, x.adjusted() + 1)
+        while True:
+            with localcontext(_decimal_context(prec)):
+                half_pi = _pi(prec) / 2
+                k = (x / half_pi).to_integral_value()
+                r = x - k * half_pi
+                cancelled = x.adjusted() - r.adjusted() if r else prec  # r = 0 holds no digit
+                if not k or cancelled + self.working_dps + 3 <= prec:
+                    quadrant = (int(k) - shift) % 4  # cos(k pi/2 + r) by k mod 4: cos r, -sin r, -cos r, sin r
+                    s = _taylor(r, quadrant % 2)
+                    return self.decimal_context.plus(-s if quadrant in (1, 2) else s)
+            prec = digits + cancelled
 
     # -- linear algebra (systems here are tiny: n or n+1 unknowns) -----------
 

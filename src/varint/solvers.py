@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import InvalidOperation
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 import numpy as np
 
@@ -124,12 +124,10 @@ class SolveReport:
     aux: Any = None
 
 
-def fd_jacobian(F: Callable, x, fd_step, ctx: PrecisionContext = DOUBLE) -> list:
+def fd_jacobian(F: Callable, x, fd_step) -> list:
     """Central-difference Jacobian, J[i][j] = (F_i(x+d e_j) - F_i(x-d e_j)) / 2d,
-    with d = fd_step * (1 + |x_j|) and ``fd_step`` taken into ``ctx``, of a
-    residual ``F`` that takes and returns sequences of context scalars, as a
-    list of rows."""
-    fd_step = ctx.real(fd_step)
+    with d = fd_step * (1 + |x_j|), of a residual ``F`` that takes and returns
+    sequences of context scalars, as a list of rows."""
     cols = []
     for j, x_j in enumerate(x):
         d = fd_step * (1 + abs(x_j))
@@ -149,7 +147,7 @@ def newton_solve(
     ctx: PrecisionContext = DOUBLE,
     *,
     jacobian: Callable,
-    scale: Optional[Callable] = None,
+    scale: Callable,
 ) -> SolveReport:
     """Solve F(x) = 0 by damped Newton iteration from the sequence ``x0``.
 
@@ -157,8 +155,8 @@ def newton_solve(
     ``solution``.  ``F(x)`` returns ``(residual, aux)``: the residual a
     sequence of context scalars, and ``aux`` whatever the caller wants back
     at the solution; ``jacobian(x, aux)`` supplies the analytic partials at
-    x as rows, given the ``aux`` that ``F`` returned there.  ``scale(aux)``,
-    if given, is the largest absolute term of the residual rows there, read
+    x as rows, given the ``aux`` that ``F`` returned there.  ``scale(aux)``
+    is the largest absolute term of the residual rows there, read
     only to judge a stall above :data:`STALL_FACTOR` tol, which is accepted
     within :data:`FLOOR_ULPS` ``ctx.eps`` of it.
     The report carries the ``aux`` of its solution.  A domain error (a
@@ -227,7 +225,7 @@ def newton_solve(
     report = SolveReport(x, r, iterations, condition_estimate=ctx.cond_inf(J),
                          stalled=stalled and r > tol, aux=aux)
     accepted = r <= tol or stalled and (
-        r <= STALL_FACTOR * cfg.tol or scale is not None and r <= FLOOR_ULPS * ctx.eps * float(scale(aux)))
+        r <= STALL_FACTOR * cfg.tol or r <= FLOOR_ULPS * ctx.eps * float(scale(aux)))
     if not accepted:
         raise NonconvergenceError(
             f"no convergence: residual {float(r):.3e} after {iterations} iterations "

@@ -1,6 +1,6 @@
 import hashlib
 import math
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
@@ -157,15 +157,14 @@ def test_stacked_hamiltonian_keeps_the_collision_guard():
 
 def _write_bundle_csvs(traj, outdir):
     """The run's trajectory, energy-error and stats CSVs, as the runner writes
-    them: in the context's arithmetic."""
+    them, in whatever decimal context the caller holds."""
     ctx = context_for(traj)
-    with ctx.arithmetic():
-        e_series = energy_error_series(traj)
-        h_series = hamiltonian_error_series(traj, KeplerTwoBody(ctx))
-        write_trajectory_csv(traj, outdir / "trajectory.csv")
-        write_error_series_csv([e_series, h_series], outdir / "energy_error.csv", ctx)
-        write_stats_csv(timestep_stats(traj), telescoping_bound_check(traj), e_series.max(),
-                        outdir / "stats.csv", ctx)
+    e_series = energy_error_series(traj)
+    h_series = hamiltonian_error_series(traj, KeplerTwoBody(ctx))
+    write_trajectory_csv(traj, outdir / "trajectory.csv")
+    write_error_series_csv([e_series, h_series], outdir / "energy_error.csv", ctx)
+    write_stats_csv(timestep_stats(traj), telescoping_bound_check(traj), e_series.max(),
+                    outdir / "stats.csv", ctx)
 
 
 def test_csv_writers(tmp_path, epavi_e07):
@@ -216,9 +215,23 @@ def test_csv_bytes_of_both_precisions(request, tmp_path, name):
     assert digests == BUNDLE_CSV_DIGESTS[name]
 
 
+def test_bundle_csv_bytes_ignore_the_thread_decimal_context(tmp_path, vpa_extended_tol17):
+    # the analyses and writers called directly, outside a run: each analysis
+    # computes in the trajectory's own arithmetic, and the caller's decimal
+    # context is neither read nor changed
+    for prec in (8, 50):
+        (tmp_path / str(prec)).mkdir()
+        with localcontext(prec=prec) as caller:
+            _write_bundle_csvs(vpa_extended_tol17, tmp_path / str(prec))
+            assert getcontext() is caller and caller.prec == prec
+    for name in ("trajectory.csv", "energy_error.csv", "stats.csv"):
+        assert (tmp_path / "8" / name).read_bytes() == (tmp_path / "50" / name).read_bytes()
+        assert hashlib.sha256((tmp_path / "8" / name).read_bytes()).hexdigest() == \
+            BUNDLE_CSV_DIGESTS["vpa_extended_tol17"][name]
+
+
 def test_extended_mean_step_is_correctly_rounded(vpa_extended_tol17):
     traj = vpa_extended_tol17
     with localcontext(prec=60):
         exact = (traj.states[-1].t - traj.states[0].t) / len(traj.steps)
-    with context_for(traj).arithmetic():
-        assert type(exact) is Decimal and timestep_stats(traj).mean_h == float(exact)
+    assert type(exact) is Decimal and timestep_stats(traj).mean_h == float(exact)

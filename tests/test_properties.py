@@ -59,19 +59,32 @@ def _ulp(x: Decimal, digits: int) -> Decimal:
     return Decimal(1).scaleb(x.adjusted() - digits + 1)
 
 
+def _near_multiples_of_half_pi(test):
+    """Add the 23-, 33- and 35-digit roundings of pi/2, pi and 3 pi/2 as
+    examples: there the reduction x - k pi/2 cancels all but a few digits."""
+    with mpmath.workdps(60):
+        for digits, n in ((18, 23), (30, 33), (30, 35)):
+            for k in (1, 2, 3):
+                test = example(digits=digits, x=Decimal(mpmath.nstr(k * mpmath.pi / 2, n)))(test)
+    return test
+
+
 @settings(PROPERTY, max_examples=300)
 @given(
     digits=st.sampled_from([18, 30]),
     x=st.one_of(st.floats(-8.0, 8.0), st.floats(-1e15, 1e15), st.floats(-1e-30, 1e-30),
                 st.decimals(-10 ** 6, 10 ** 6, places=30)),
 )
+@_near_multiples_of_half_pi
 def test_extended_cos_sin_sqrt_are_within_one_ulp_of_mpmath(digits, x):
     # decimal's sqrt is correctly rounded, and cos and sin, reduced by pi/2
-    # and summed at extra digits, lie within one unit in the last working
-    # digit of mpmath's values at 20 more digits
+    # and summed at extra digits (more where the reduction cancels), lie
+    # within one unit in the last working digit of mpmath's values; mpmath
+    # carries twice the working digits and 20 more, as x near k pi/2 loses
+    # up to the working digits of its binary value to the cancellation
     ctx = with_precision(digits)
     d = ctx.real(x)
-    with mpmath.workdps(ctx.working_dps + 20):
+    with mpmath.workdps(2 * ctx.working_dps + 20):
         exact = mpmath.mpf(str(d))
         for got, want in ((ctx.cos(d), mpmath.cos(exact)), (ctx.sin(d), mpmath.sin(exact)),
                           (ctx.sqrt(d.copy_abs()), mpmath.sqrt(abs(exact)))):

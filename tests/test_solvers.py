@@ -44,6 +44,11 @@ def _diagonal(x, dF):
     return np.diag(dF)
 
 
+def _no_floor(aux):
+    """A residual scale of 0: only STALL_FACTOR * tol accepts a stall."""
+    return 0
+
+
 def _elementwise(f, df):
     """The residual x -> [f(x_i)] on a list, returning [df(x_i)] as the by-product."""
     return lambda x: ([f(c) for c in x], [df(c) for c in x])
@@ -57,7 +62,7 @@ def _value(residual):
 def test_scalar_quadratic():
     cfg = SolverConfig(tol=1e-12)
     report = newton_solve(_elementwise(lambda c: c * c - 4.0, lambda c: 2 * c), [3.0], cfg,
-                          jacobian=_diagonal)
+                          jacobian=_diagonal, scale=_no_floor)
     assert isinstance(report.solution, list)
     assert report.solution[0] == pytest.approx(2.0, abs=1e-12)
     assert report.residual_norm <= cfg.tol
@@ -75,7 +80,7 @@ def test_domain_error_at_a_trial_point_halves_the_step(error):
             raise error("outside the domain")
         return [1 - 1 / x[0]], [1 / (x[0] * x[0])]
 
-    report = newton_solve(F, [3.0], SolverConfig(tol=1e-12), jacobian=_diagonal)
+    report = newton_solve(F, [3.0], SolverConfig(tol=1e-12), jacobian=_diagonal, scale=_no_floor)
     assert report.solution[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -90,7 +95,7 @@ def test_jacobian_overflow_fails_the_solve():
 
     with pytest.raises(NonconvergenceError, match="^Jacobian overflows after 1 iterations$"):
         newton_solve(_elementwise(lambda c: c * c - 4.0, lambda c: 2 * c), [1.5], SolverConfig(tol=1e-12),
-                     jacobian=jacobian)
+                     jacobian=jacobian, scale=_no_floor)
 
 
 @contextmanager
@@ -112,13 +117,13 @@ def test_failed_solve_at_an_ill_conditioned_iterate_does_not_converge(y0):
     warns = _warns_singular() if y0 == 0 else nullcontext()
     with warns, pytest.raises(NonconvergenceError, match="^no convergence: residual 1.000e[+]00 after 0 ") as info:
         newton_solve(lambda x: ([x[0], x[1] ** 2 + 1], x), [0.0, y0],
-                     SolverConfig(tol=1e-12), jacobian=lambda x, _: np.diag([1, 2 * x[1]]))
+                     SolverConfig(tol=1e-12), jacobian=lambda x, _: np.diag([1, 2 * x[1]]), scale=_no_floor)
     assert info.value.report.condition_estimate >= varint.solvers.COND_LIMIT
     assert info.value.report.stalled
 
 
 def test_identity_root_converges_immediately():
-    report = newton_solve(lambda x: (x, [1.0]), [0.0], SolverConfig(tol=1e-12), jacobian=_diagonal)
+    report = newton_solve(lambda x: (x, [1.0]), [0.0], SolverConfig(tol=1e-12), jacobian=_diagonal, scale=_no_floor)
     assert report.solution[0] == 0.0
     assert report.iterations <= 1
 
@@ -207,7 +212,7 @@ def test_fd_jacobian_matches_analytic_avi_partials(monitor, digits, fd_step, rel
             residual, jacobian = _momentum_system(model, mon, state, delta_a)
             z = ctx.array(list(1e-3 * rng.standard_normal(2))).tolist()
             J_an = np.array(jacobian(z, residual(z)[1]))
-            J_fd = np.array(fd_jacobian(_value(residual), z, fd_step, ctx), dtype=float)
+            J_fd = np.array(fd_jacobian(_value(residual), z, ctx.real(fd_step)), dtype=float)
             assert np.max(np.abs(J_fd - J_an)) <= rel * np.max(np.abs(J_an))
             if monitor == "unit":
                 _, _, _, _, _, A, c = _double_partials(model.double, np.asarray(state.q, dtype=float), z,
@@ -251,7 +256,7 @@ def test_extended_jacobians_are_formed_in_double(monkeypatch, system):
                 residual, jacobian = captured["residual"], captured["jacobian"]
             J = np.array(jacobian(z, residual(z)[1]))
             assert J.dtype == np.float64
-            J_fd = np.array(fd_jacobian(_value(residual), z, 1e-9, ctx), dtype=float)
+            J_fd = np.array(fd_jacobian(_value(residual), z, ctx.real(1e-9)), dtype=float)
             assert np.max(np.abs(J_fd - J)) <= 1e-13 * np.max(np.abs(J))
 
 
@@ -266,7 +271,7 @@ def test_extended_newton_ill_posedness_limit_is_double():
 
         def solve():
             return newton_solve(lambda x: ((A @ x - b).tolist(), None), ctx.array([0, 0]).tolist(), cfg, ctx,
-                                jacobian=lambda x, _: A)
+                                jacobian=lambda x, _: A, scale=_no_floor)
 
         if ill_posed:
             with pytest.raises(IllPosednessError):
@@ -370,7 +375,7 @@ def test_polish_forms_no_jacobian(monkeypatch):
         return [[2 * x[0], 1.0], [1.0, 2 * x[1]]]
 
     monkeypatch.setattr(varint.solvers, "POLISH", 4)
-    report = newton_solve(F, [1.3, 1.8], SolverConfig(tol=tol), jacobian=jacobian)
+    report = newton_solve(F, [1.3, 1.8], SolverConfig(tol=tol), jacobian=jacobian, scale=_no_floor)
     assert report.residual_norm <= tol and not report.stalled
     above = sum(r > tol for r in norms)  # the iterations that started with r > tol
     assert all(a > b for a, b in zip(norms[:above], norms[1:above + 1]))  # no damping
@@ -392,7 +397,7 @@ def test_failed_polish_step_ends_the_solve(monkeypatch):
         return out, [2 * x[0]]
 
     monkeypatch.setattr(varint.solvers, "POLISH", 20)
-    report = newton_solve(F, [0.5], SolverConfig(tol=tol), jacobian=_diagonal)
+    report = newton_solve(F, [0.5], SolverConfig(tol=tol), jacobian=_diagonal, scale=_no_floor)
     assert not report.stalled
     assert report.residual_norm == min(norms) <= tol
     first = next(k for k, r in enumerate(norms) if r <= tol)
@@ -415,7 +420,7 @@ def test_polish_count_includes_the_iterate_that_meets_the_tolerance(x0, norms):
         seen.append(abs(out[0]))
         return out, [math.exp(x[0])]
 
-    report = newton_solve(F, [x0], SolverConfig(tol=1e-3), jacobian=_diagonal)
+    report = newton_solve(F, [x0], SolverConfig(tol=1e-3), jacobian=_diagonal, scale=_no_floor)
     assert seen == pytest.approx(norms, rel=0.05)
     assert report.iterations == len(norms) - 1 and not report.stalled
 
@@ -471,7 +476,7 @@ def test_epavi_forms_one_inverse_per_newton_solve(monkeypatch):
     ],
 )
 def test_quadratic_convergence_iteration_budget(F, root, guess):
-    report = newton_solve(F, [guess], SolverConfig(tol=1e-12), jacobian=_diagonal)
+    report = newton_solve(F, [guess], SolverConfig(tol=1e-12), jacobian=_diagonal, scale=_no_floor)
     assert report.iterations <= 8
     assert report.solution[0] == pytest.approx(root, abs=1e-10)
 
@@ -492,7 +497,7 @@ def test_report_aux_is_the_residuals_at_the_solution(case, monkeypatch):
 
     monkeypatch.setattr(varint.solvers, "MAX_ITER", max_iter)
     monkeypatch.setattr(varint.solvers, "POLISH", 20)
-    solve = lambda: newton_solve(F, [x0], SolverConfig(tol=tol), jacobian=lambda x, _: [[2 * x[0]]])
+    solve = lambda: newton_solve(F, [x0], SolverConfig(tol=tol), jacobian=lambda x, _: [[2 * x[0]]], scale=_no_floor)
     if case == "nonconvergence":
         with pytest.raises(NonconvergenceError) as info:
             solve()
@@ -507,8 +512,8 @@ def test_report_aux_is_the_residuals_at_the_solution(case, monkeypatch):
 def test_solver_is_pure():
     cfg = SolverConfig(tol=1e-12)
     F = _elementwise(lambda c: c * c - 2.0, lambda c: 2 * c)
-    a = newton_solve(F, [1.5], cfg, jacobian=_diagonal)
-    b = newton_solve(F, [1.5], cfg, jacobian=_diagonal)
+    a = newton_solve(F, [1.5], cfg, jacobian=_diagonal, scale=_no_floor)
+    b = newton_solve(F, [1.5], cfg, jacobian=_diagonal, scale=_no_floor)
     assert a.solution[0] == b.solution[0]
     assert a.residual_norm == b.residual_norm
     assert a.iterations == b.iterations
@@ -519,7 +524,7 @@ def test_nonconvergence_carries_best_iterate(monkeypatch):
     monkeypatch.setattr(varint.solvers, "MAX_ITER", 25)
     with pytest.raises(NonconvergenceError) as info:
         newton_solve(_elementwise(lambda c: c * c + 1.0, lambda c: 2 * c), [0.7], SolverConfig(tol=1e-12),
-                     jacobian=_diagonal)
+                     jacobian=_diagonal, scale=_no_floor)
     assert info.value.report is not None
     assert info.value.report.residual_norm >= 1.0
 
@@ -529,7 +534,7 @@ def test_stall_acceptance_within_factor():
     # solver accepts the floor instead of spinning until max_iter
     c = 3e-16
     report = newton_solve(_elementwise(lambda x: x * x + c, lambda x: 2 * x), [0.5], SolverConfig(tol=1e-16),
-                          jacobian=_diagonal)
+                          jacobian=_diagonal, scale=_no_floor)
     assert report.stalled and report.residual_norm > 1e-16
     assert report.residual_norm <= 10 * 1e-16
 
@@ -547,7 +552,7 @@ def test_nan_damping_trial_is_skipped(digits):
         return [nan if x[0] > 3 else x[0] * x[0] - 1], [2 * x[0]]
 
     x0 = ctx.array([0.1]).tolist()
-    report = newton_solve(F, x0, SolverConfig.for_context(ctx), ctx, jacobian=_diagonal)
+    report = newton_solve(F, x0, SolverConfig.for_context(ctx), ctx, jacobian=_diagonal, scale=_no_floor)
     assert any(t > 3 for t in trials)
     assert report.residual_norm <= SolverConfig.for_context(ctx).tol
     assert abs(float(report.solution[0]) - 1.0) <= 1e-12
@@ -559,7 +564,7 @@ def test_nan_initial_residual_raises(digits):
     nan = ctx.real("nan")
     with pytest.raises(NonconvergenceError, match="initial guess"):
         newton_solve(lambda x: ([nan], None), ctx.array([0.5]).tolist(),
-                     SolverConfig.for_context(ctx), ctx, jacobian=_diagonal)
+                     SolverConfig.for_context(ctx), ctx, jacobian=_diagonal, scale=_no_floor)
 
 
 def test_config_validation():
