@@ -75,8 +75,7 @@ class SineProfile(TimeProfile):
     """t(a) = a + c sin a, monotone for |c| < 1."""
 
     def __init__(self, c: float):
-        if abs(c) >= 1:
-            raise ConfigurationError("sine profile needs |c| < 1 for monotonicity")
+        check_finite(c, "sine profile needs |c| < 1 for monotonicity, got {}", -1, upper=1)
         self.c = c
         self.label = f"t=a+{c}sin(a)"
 

@@ -31,14 +31,12 @@ from .integrators import (
     reference_solve,
 )
 from .models import initial_state, make_model, model_names
-from .precision import DOUBLE, MIN_DIGITS, with_precision
+from .precision import DOUBLE, with_precision
 from .solvers import CONDITION_WARN, SolverConfig
 
 KEPLER_PERIOD = 2 * math.pi
 
 INTEGRATOR_NAMES = ("epavi", "avi1", "avi2", "midpoint_fixed", "reference")
-
-SUITE_NAMES = ("fig_e01", "fig_e07", "vpa_study", "bea_orders", "h0_sensitivity")
 
 
 @dataclass
@@ -61,8 +59,15 @@ class ExperimentConfig:
     reference: bool = True
 
     def validate(self) -> "ExperimentConfig":
-        if self.problem not in model_names():
-            raise ConfigurationError(f"unknown problem {self.problem!r}; known: {model_names()}")
+        """Check the config; see :meth:`build`."""
+        self.build()
+        return self
+
+    def build(self):
+        """The run's context, solver config and model, after the rules of this
+        runner: a known integrator, one finite span, finite h0, and periods and
+        avi2 for Kepler only.  The constructors of the three check the digits,
+        tol, problem and model parameters."""
         if self.integrator not in INTEGRATOR_NAMES:
             raise ConfigurationError(
                 f"unknown integrator {self.integrator!r}; known: {list(INTEGRATOR_NAMES)}"
@@ -78,11 +83,8 @@ class ExperimentConfig:
         if self.integrator == "avi2" and self.problem != "kepler":
             raise ConfigurationError("avi2 is only defined for the kepler problem")
         check_finite(self.final_time(), "T_final must be positive and finite, got {}")
-        if self.digits < MIN_DIGITS:
-            raise ConfigurationError(f"digits must be at least {MIN_DIGITS}")
-        if self.tol is not None and not 0 < self.tol < math.inf:
-            raise ConfigurationError(f"tol must be positive and finite, got {self.tol}")
-        return self
+        ctx = with_precision(self.digits)
+        return ctx, SolverConfig.for_context(ctx, tol=self.tol), make_model(self.problem, self.model_params(), ctx)
 
     def final_time(self) -> float:
         if self.T_final is not None:
@@ -92,11 +94,8 @@ class ExperimentConfig:
         return 2 * math.pi
 
     def model_params(self) -> dict:
-        if self.problem == "kepler":
-            return {"e": self.e}
-        if self.problem == "oscillator":
-            return {"k": self.k, "m": self.m, "q0": self.q0, "p0": self.p0}
-        return {"m": self.m, "q0": self.q0, "p0": self.p0}
+        """Every problem field; each model and start reads its own."""
+        return {"e": self.e, "k": self.k, "m": self.m, "q0": self.q0, "p0": self.p0}
 
     def as_lines(self) -> List[str]:
         out = []
@@ -191,19 +190,17 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
     Numerical failures produce a summary with success=False: a failed run,
     in its setup or in a step, writes the outputs of the trajectory it
     reached; a failure before the run (e.g. a start inside the Kepler
-    collision guard) writes none.  A :class:`ConfigurationError` propagates.
-    The model, the run and its diagnostics compute under the context's
+    collision guard) writes none.  A :class:`ConfigurationError` propagates;
+    one from :meth:`ExperimentConfig.build` leaves no output directory.
+    The start, the run and its diagnostics compute under the context's
     :meth:`~varint.precision.PrecisionContext.arithmetic`, so the states and
     output bytes of an extended run do not depend on the caller's decimal
     context, which is restored when the experiment returns or raises.
     """
-    cfg.validate()
+    ctx, scfg, model = cfg.build()
     outdir = Path(outdir if outdir is not None else cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.txt").write_text("\n".join(cfg.as_lines()) + "\n")
-
-    ctx = with_precision(cfg.digits)
-    scfg = SolverConfig.for_context(ctx, tol=cfg.tol)
 
     summary = {
         "problem": cfg.problem,
@@ -216,7 +213,6 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
     started = time.perf_counter()
     with ctx.arithmetic():
         try:
-            model = make_model(cfg.problem, cfg.model_params(), ctx)
             state0 = initial_state(cfg.problem, cfg.model_params(), ctx)
             if cfg.integrator == "reference":
                 summary.update(_reference_trajectory_outputs(cfg, model, state0, outdir))
@@ -227,7 +223,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
                 except IntegrationError as exc:
                     summary.update(success=False, error=str(exc))
                     traj = exc.trajectory
-                _trajectory_outputs(cfg, model, traj, outdir, ctx, summary)
+                _trajectory_outputs(cfg, model, traj, outdir, summary)
         except ConfigurationError:
             raise
         except VarintError as exc:
@@ -240,7 +236,8 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
     return summary
 
 
-def _trajectory_outputs(cfg, model, traj, outdir, ctx, summary):
+def _trajectory_outputs(cfg, model, traj, outdir, summary):
+    ctx = traj.ctx
     diagnostics.write_trajectory_csv(traj, outdir / "trajectory.csv")
     e_series = diagnostics.energy_error_series(traj)
     h_series = diagnostics.hamiltonian_error_series(traj, model)
@@ -284,92 +281,23 @@ def _write_summary(path: Path, summary: dict):
 
 
 # -- suites -------------------------------------------------------------------------
+#
+# A suite is a table from member label, the member's output directory, to its
+# config, or a function that runs the whole suite into its output directory.
 
 
-def _figure_suite_members(e: float) -> List[ExperimentConfig]:
-    base = dict(problem="kepler", e=e, h0=0.001, periods=1.0)
-    return [
-        ExperimentConfig(integrator="epavi", tol=1e-15, **base),
-        ExperimentConfig(integrator="avi1", tol=1e-13, **base),
-        ExperimentConfig(integrator="avi2", tol=1e-13, **base),
-    ]
+def _figure_suite(e: float) -> dict:
+    """EpAVI against AVI g1 and g2 over one Kepler period at eccentricity ``e``."""
+    kepler = dict(problem="kepler", e=e, h0=0.001, periods=1.0)
+    return {
+        "epavi_tol1e-15": ExperimentConfig(integrator="epavi", tol=1e-15, **kepler),
+        "avi1_tol1e-13": ExperimentConfig(integrator="avi1", tol=1e-13, **kepler),
+        "avi2_tol1e-13": ExperimentConfig(integrator="avi2", tol=1e-13, **kepler),
+    }
 
 
-def _vpa_members() -> List[ExperimentConfig]:
-    base = dict(problem="kepler", e=0.7, h0=0.01, periods=1.0, integrator="epavi", reference=False)
-    return [
-        ExperimentConfig(digits=16, tol=1e-15, **base),
-        ExperimentConfig(digits=18, tol=1e-15, **base),
-        ExperimentConfig(digits=18, tol=1e-16, **base),
-        ExperimentConfig(digits=18, tol=1e-17, **base),
-    ]
-
-
-def _h0_members() -> List[ExperimentConfig]:
-    base = dict(problem="kepler", e=0.7, periods=1.0, reference=False)
-    return [
-        ExperimentConfig(integrator="epavi", h0=0.001, tol=1e-15, **base),
-        ExperimentConfig(integrator="epavi", h0=0.01, tol=1e-15, **base),
-        ExperimentConfig(integrator="avi2", h0=0.001, tol=1e-13, **base),
-        ExperimentConfig(integrator="avi2", h0=0.01, tol=1e-13, **base),
-    ]
-
-
-def _member_label(cfg: ExperimentConfig) -> str:
-    parts = [cfg.integrator]
-    if cfg.digits != 16:
-        parts.append(f"d{cfg.digits}")
-    if cfg.tol is not None:
-        parts.append(f"tol{cfg.tol:.0e}".replace("-0", "-"))
-    if cfg.h0 != 0.001:
-        parts.append(f"h{cfg.h0:g}")
-    return "_".join(parts)
-
-
-def run_suite(name: str, outdir, workers: int = 2) -> dict:
-    """Run a registered experiment bundle; member failures are recorded and
-    the suite continues."""
-    if name not in SUITE_NAMES:
-        raise ConfigurationError(f"unknown suite {name!r}; known: {list(SUITE_NAMES)}")
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    if name == "bea_orders":
-        return _run_bea_orders(outdir)
-
-    members = {
-        "fig_e01": lambda: _figure_suite_members(0.1),
-        "fig_e07": lambda: _figure_suite_members(0.7),
-        "vpa_study": _vpa_members,
-        "h0_sensitivity": _h0_members,
-    }[name]()
-
-    labels = [_member_label(cfg) for cfg in members]
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise ConfigurationError(f"suite {name!r}: two members share the label {label!r}")
-    jobs = [(cfg, outdir / label) for cfg, label in zip(members, labels)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            summaries = list(pool.map(run_experiment, *zip(*jobs)))
-    else:
-        summaries = [run_experiment(*job) for job in jobs]
-
-    keys = ["label", "integrator", "digits", "tol", "h0", "success", "n_steps",
-            "mean_step_ratio", "max_step_ratio", "max_energy_error", "max_step_defect"]
-    rows = []
-    for (cfg, subdir), summary in zip(jobs, summaries):
-        row = dict.fromkeys(keys, "")
-        row.update({k: v for k, v in summary.items() if k in keys})
-        row["label"] = Path(subdir).name
-        row["digits"] = cfg.digits
-        rows.append([row[k] for k in keys])
-    diagnostics.write_csv(outdir / "comparison.csv", keys, rows)
-
-    ok = all(s.get("success") for s in summaries)
-    suite_summary = {"suite": name, "members": len(summaries), "success": ok}
-    _write_summary(outdir / "summary.txt", suite_summary)
-    return suite_summary
+_KEPLER_E07 = dict(problem="kepler", e=0.7, periods=1.0, reference=False)
+_VPA = dict(_KEPLER_E07, integrator="epavi", h0=0.01)
 
 
 def _run_bea_orders(outdir: Path) -> dict:
@@ -403,6 +331,63 @@ def _run_bea_orders(outdir: Path) -> dict:
         )
     _write_summary(outdir / "summary.txt", summary)
     return summary
+
+
+#: The registered suites, in the order ``varint list`` prints them.
+SUITES = {
+    "fig_e01": _figure_suite(0.1),
+    "fig_e07": _figure_suite(0.7),
+    "vpa_study": {
+        "epavi_tol1e-15_h0.01": ExperimentConfig(digits=16, tol=1e-15, **_VPA),
+        "epavi_d18_tol1e-15_h0.01": ExperimentConfig(digits=18, tol=1e-15, **_VPA),
+        "epavi_d18_tol1e-16_h0.01": ExperimentConfig(digits=18, tol=1e-16, **_VPA),
+        "epavi_d18_tol1e-17_h0.01": ExperimentConfig(digits=18, tol=1e-17, **_VPA),
+    },
+    "bea_orders": _run_bea_orders,
+    "h0_sensitivity": {
+        "epavi_tol1e-15": ExperimentConfig(integrator="epavi", h0=0.001, tol=1e-15, **_KEPLER_E07),
+        "epavi_tol1e-15_h0.01": ExperimentConfig(integrator="epavi", h0=0.01, tol=1e-15, **_KEPLER_E07),
+        "avi2_tol1e-13": ExperimentConfig(integrator="avi2", h0=0.001, tol=1e-13, **_KEPLER_E07),
+        "avi2_tol1e-13_h0.01": ExperimentConfig(integrator="avi2", h0=0.01, tol=1e-13, **_KEPLER_E07),
+    },
+}
+
+SUITE_NAMES = tuple(SUITES)
+
+
+def run_suite(name: str, outdir, workers: int = 2) -> dict:
+    """Run a registered suite; member failures are recorded and the suite
+    continues."""
+    try:
+        suite = SUITES[name]
+    except KeyError:
+        raise ConfigurationError(f"unknown suite {name!r}; known: {list(SUITES)}") from None
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    if callable(suite):
+        return suite(outdir)
+
+    dirs = [outdir / label for label in suite]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(suite))) as pool:
+            summaries = list(pool.map(run_experiment, suite.values(), dirs))
+    else:
+        summaries = list(map(run_experiment, suite.values(), dirs))
+
+    keys = ["label", "integrator", "digits", "tol", "h0", "success", "n_steps",
+            "mean_step_ratio", "max_step_ratio", "max_energy_error", "max_step_defect"]
+    rows = []
+    for (label, cfg), summary in zip(suite.items(), summaries):
+        row = dict.fromkeys(keys, "")
+        row.update({k: v for k, v in summary.items() if k in keys})
+        row.update(label=label, digits=cfg.digits)
+        rows.append([row[k] for k in keys])
+    diagnostics.write_csv(outdir / "comparison.csv", keys, rows)
+
+    ok = all(s.get("success") for s in summaries)
+    suite_summary = {"suite": name, "members": len(summaries), "success": ok}
+    _write_summary(outdir / "summary.txt", suite_summary)
+    return suite_summary
 
 
 # -- entry point ----------------------------------------------------------------------

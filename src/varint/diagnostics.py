@@ -3,9 +3,9 @@ error against the dense reference, and time-adaptation statistics.
 
 Each reads the trajectory's columns (``Trajectory.stacked``, ``rows``,
 ``energies`` and ``step_columns``), never its per-state views, and the CSV
-writers stream their rows.  The analyses of a trajectory compute in its
-context's :meth:`~varint.precision.PrecisionContext.arithmetic`, as the run
-that made it did, whatever decimal context the caller holds.
+writers stream their rows.  The analyses of a trajectory compute in the
+:meth:`~varint.precision.PrecisionContext.arithmetic` of its ``traj.ctx``,
+as the run that made it did, whatever decimal context the caller holds.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .integrators import ReferenceSolution, Trajectory
 from .models import LagrangianModel
-from .precision import DOUBLE, PrecisionContext, with_precision
+from .precision import DOUBLE, PrecisionContext
 
 
 @dataclass
@@ -60,7 +60,7 @@ def _in_run_arithmetic(analysis):
     """``analysis(traj, ...)`` computed in the arithmetic of ``traj``'s context."""
     @wraps(analysis)
     def wrapped(traj: Trajectory, *args):
-        with context_for(traj).arithmetic():
+        with traj.ctx.arithmetic():
             return analysis(traj, *args)
     return wrapped
 
@@ -208,10 +208,6 @@ def write_csv(path, header, rows, ctx: PrecisionContext = DOUBLE):
         fh.writelines(line + "\r\n" for line in _csv_lines(chain((header,), rows), ctx))
 
 
-def context_for(traj: Trajectory) -> PrecisionContext:
-    return with_precision(int(traj.meta.get("digits", 16)))
-
-
 def state_header(n: int) -> list:
     """The columns k, t, q1..qn, p1..pn, E of a state row."""
     return ["k", "t"] + [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)] + ["E"]
@@ -221,12 +217,11 @@ def write_trajectory_csv(traj: Trajectory, path):
     """k, t, q..., p..., E, h, residual, newton_iters, retried; the step
     columns of row k describe the step from state k to state k+1, and
     retried is 1 when that step came from EpAVI's cold fallback, else 0."""
-    ctx = context_for(traj)
     header = state_header(traj.n) + ["h", "residual", "newton_iters", "retried"]
     steps = zip(*(traj.step_columns[name] for name in ("h", "residual_norm", "iterations", "retried")))
     rows = ((k, *state, *step)
             for k, (state, step) in enumerate(zip_longest(traj.rows(), steps, fillvalue=(None,) * 4)))
-    write_csv(path, header, rows, ctx)
+    write_csv(path, header, rows, traj.ctx)
 
 
 def write_error_series_csv(series_list: List[ErrorSeries], path, ctx: PrecisionContext = DOUBLE):

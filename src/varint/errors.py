@@ -60,14 +60,14 @@ class StiffnessError(VarintError):
     """Reference solver step-size underflow (stiffness or collision approach)."""
 
 
-def check_finite(value, message: str, lower=0, *, inclusive=False) -> None:
+def check_finite(value, message: str, lower=0, *, inclusive=False, upper=math.inf) -> None:
     """Raise :class:`ConfigurationError`, ``message`` with ``value`` in its ``{}`` (formatted
-    on failure only), unless ``lower < value < inf`` (``lower <= value`` if ``inclusive``):
+    on failure only), unless ``lower < value < upper`` (``lower <= value`` if ``inclusive``):
     for a nan too, a float's or a ``Decimal``'s (whose comparison raises ``InvalidOperation``
     under a context that traps it), and for a value that does not compare with a number
     (None, a string), whose ``TypeError`` this turns into it."""
     try:
-        if (lower <= value if inclusive else lower < value) and value < math.inf:
+        if (lower <= value if inclusive else lower < value) and value < upper:
             return
     except (TypeError, ArithmeticError):
         pass

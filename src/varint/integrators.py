@@ -97,7 +97,7 @@ from .errors import (
     check_finite,
 )
 from .models import ExtendedState, KeplerTwoBody, LagrangianModel
-from .precision import Real
+from .precision import PrecisionContext, Real
 from .solvers import SolveReport, SolverConfig, newton_solve
 
 # -- discrete Lagrangian and its partials --------------------------------------
@@ -233,24 +233,24 @@ class _View(Sequence):
 class Trajectory:
     """Ordered extended states with per-step solver metadata, stored as columns.
 
-    The states are the rows (t, q..., p..., E) of one growing buffer, an
-    ``array('d')`` when the first state's scalars are floats and a list of
-    context scalars otherwise.  ``step_columns`` holds a column per
-    :class:`StepRecord` field, entry k for the step from state k to k + 1
-    (stalled and retried as 0 or 1); what is constant over a run, such as
-    AVI's fictitious step, is in ``meta``.  A trajectory starts from its
-    ``states`` and grows by :meth:`append`.  ``states`` and ``steps`` are
-    read-only views that build one :class:`ExtendedState` or
+    ``ctx`` is the context of the run that made it.  The states are the rows
+    (t, q..., p..., E) of one growing buffer, an ``array('d')`` in a native
+    context and a list of context scalars otherwise.  ``step_columns`` holds
+    a column per :class:`StepRecord` field, entry k for the step from state
+    k to k + 1 (stalled and retried as 0 or 1); what is constant over a run,
+    such as AVI's fictitious step, is in ``meta``.  A trajectory starts from
+    its ``states`` and grows by :meth:`append`.  ``states`` and ``steps``
+    are read-only views that build one :class:`ExtendedState` or
     :class:`StepRecord` per access; analyses read :meth:`stacked`,
     :meth:`rows` and the columns.
     """
 
-    def __init__(self, states, meta: Optional[dict] = None):
+    def __init__(self, states, ctx: PrecisionContext, meta: Optional[dict] = None):
+        self.ctx = ctx
         self.meta = {} if meta is None else meta
-        s0 = states[0]
-        self.n = len(s0.q)
+        self.n = len(states[0].q)
         self._width = 2 * self.n + 2
-        real = partial(array, "d") if all(isinstance(x, (float, int)) for x in (s0.t, *s0.q, *s0.p, s0.E)) else list
+        real = partial(array, "d") if ctx.is_native else list
         self._rows = real(x for s in states for x in (s.t, *s.q, *s.p, s.E))
         # in the order of StepRecord's fields, which _record_at reads
         self.step_columns = {"h": real(), "residual_norm": real(), "iterations": array("q"),
@@ -294,7 +294,7 @@ class Trajectory:
         """The states as one (N, 2n + 2) array of rows: in double a view of
         the buffer, not a copy (the trajectory cannot grow while one is
         alive), else an object array of the context scalars."""
-        if isinstance(self._rows, array):
+        if self.ctx.is_native:
             return np.frombuffer(self._rows, dtype=float).reshape(-1, self._width)
         return np.array(self._rows, dtype=object).reshape(-1, self._width)
 
@@ -376,11 +376,11 @@ def _march(model, name, setup: Callable, state0, T_final, cfg, **meta) -> Trajec
     """
     meta = {"integrator": name, "model": model.name, "params": dict(model.params), **meta,
             "T_final": float(T_final), "tol": float(cfg.tol), "digits": model.ctx.digits}
-    traj = Trajectory(states=[state0], meta=meta)
+    traj = Trajectory([state0], model.ctx, meta)
     try:
         with np.errstate(all="ignore"), model.ctx.arithmetic():
             state, step, h = setup(state0, meta)
-            traj = Trajectory(states=[state], meta=meta)
+            traj = Trajectory([state], model.ctx, meta)
             history = []  # the last five accepted increments, oldest first
             while state.t < T_final:
                 z0 = None

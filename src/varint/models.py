@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularityError, UnsupportedOrderError
+from .errors import ConfigurationError, SingularityError, UnsupportedOrderError, check_finite
 from .precision import DOUBLE, PrecisionContext, Real, inf_norm
 
 #: Reject configurations closer to the gravitational singularity than this;
@@ -61,8 +61,7 @@ class LagrangianModel:
 
     def __init__(self, masses, ctx: PrecisionContext = DOUBLE):
         for m in masses:
-            if not 0 < m < np.inf:  # nan included
-                raise ConfigurationError(f"{self.name} mass m must lie in (0, inf), got {m}")
+            check_finite(m, f"{self.name} mass m must lie in (0, inf), got {{}}")
         self.n = len(masses)
         self.ctx = ctx
         self.masses = tuple(map(ctx.real, masses))
@@ -188,8 +187,7 @@ class HarmonicOscillator(LagrangianModel):
 
     def __init__(self, k: float = 1.0, m: float = 1.0, ctx: PrecisionContext = DOUBLE):
         super().__init__((m,), ctx)
-        if not inf_norm([k]) < np.inf:
-            raise ConfigurationError(f"oscillator stiffness k must be finite, got {k}")
+        check_finite(k, "oscillator stiffness k must be finite, got {}", -np.inf)
         self.k = ctx.real(k)
         self.params = {"k": k, "m": m}
 
@@ -243,8 +241,7 @@ def kepler_initial_state(e: float, ctx: PrecisionContext = DOUBLE) -> ExtendedSt
     q = (1-e, 0), p = (0, sqrt((1+e)/(1-e))); the energy is -1/2 for every
     admissible e, so the orbit has semi-major axis 1 and period 2*pi.
     """
-    if not 0 <= e < 1:
-        raise ConfigurationError(f"eccentricity must lie in [0, 1), got {e}")
+    check_finite(e, "eccentricity must lie in [0, 1), got {}", inclusive=True, upper=1)
     one, ev, zero = ctx.real(1), ctx.real(e), ctx.real(0)
     with ctx.arithmetic():
         q = (one - ev, zero)
@@ -289,7 +286,9 @@ def initial_state(name: str, params: Optional[dict] = None, ctx: PrecisionContex
     if name == "kepler":
         return kepler_initial_state(params.get("e", 0.1), ctx)
     model = make_model(name, params, ctx)
-    q = (ctx.real(params.get("q0", 1.0)),)
-    p = (ctx.real(params.get("p0", 0.0)),)
+    q0, p0 = params.get("q0", 1.0), params.get("p0", 0.0)
+    check_finite(q0, "state has non-finite components: q0 = {}", -np.inf)
+    check_finite(p0, "state has non-finite components: p0 = {}", -np.inf)
+    q, p = (ctx.real(q0),), (ctx.real(p0),)
     with ctx.arithmetic():
         return ExtendedState(t=ctx.real(0), q=q, p=p, E=model.hamiltonian(q, p))

@@ -27,6 +27,7 @@ from varint import (
 from varint.bea import TimeProfile
 from varint.integrators import Trajectory, _step_length
 from varint.models import ExtendedState
+from varint.precision import DOUBLE
 
 PERIOD = 2 * math.pi
 
@@ -69,9 +70,9 @@ class LinearProfile(TimeProfile):
 
 
 def trajectory(states, steps, meta) -> Trajectory:
-    """The trajectory from ``states[0]`` through the other states, each
-    reached by its step record in ``steps``."""
-    traj = Trajectory(states=states[:1], meta=meta)
+    """The double-precision trajectory from ``states[0]`` through the other
+    states, each reached by its step record in ``steps``."""
+    traj = Trajectory(states[:1], DOUBLE, meta)
     for state, record in zip(states[1:], steps, strict=True):
         traj.append(state, record)
     return traj

@@ -90,6 +90,14 @@ def test_main_rejects_a_non_finite_oscillator(tmp_path, capsys, setting, integra
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["digits=8", "tol=0", "problem=three_body", "m=nan", "k=nan"])
+def test_a_refused_run_makes_no_output_directory(tmp_path, setting):
+    # the context, solver config and model are built before the directory
+    outdir = tmp_path / "run"
+    assert main(["run", f"--outdir={outdir}", "problem=oscillator", "T_final=0.1", setting]) == 2
+    assert not outdir.exists()
+
+
 def _run_in_a_fresh_interpreter(tmp_path, *settings):
     # a fresh interpreter under a timeout turns a run that never returns into
     # a failure instead of a hung session
@@ -453,9 +461,8 @@ assert ref.eval(1.0)[0].shape == (2,)
 assert not scipy_modules(), f"a Kepler reference solve loaded {scipy_modules()}"
 
 # the fig_e01 members, shortened, with their reference errors and outputs
-members = varint.cli._figure_suite_members
-varint.cli._figure_suite_members = lambda e: [
-    dataclasses.replace(cfg, periods=None, T_final=0.05) for cfg in members(e)]
+varint.cli.SUITES["fig_e01"] = {label: dataclasses.replace(cfg, periods=None, T_final=0.05)
+                                for label, cfg in varint.cli.SUITES["fig_e01"].items()}
 assert varint.cli.run_suite("fig_e01", sys.argv[1] + "/w1", workers=1)["success"]
 assert not scipy_modules(), f"a 1-worker fig_e01 suite loaded {scipy_modules()}"
 
@@ -489,11 +496,10 @@ assert "scipy.integrate" in sys.modules
 def test_failed_suite_member_is_recorded(tmp_path, monkeypatch, workers):
     # the e = 0.9 run aborts at the fold after 37 steps; the suite still runs
     # its other members, here over t <= 0.1, records the failure and exits 1
-    members = varint.cli._figure_suite_members
+    members = {f"{cfg.integrator}_e0.1": dataclasses.replace(cfg, periods=None, T_final=0.1)
+               for cfg in varint.cli.SUITES["fig_e01"].values()}
     fold = ExperimentConfig(problem="kepler", e=0.9, tol=1e-15, periods=1.0)
-    monkeypatch.setattr(varint.cli, "_figure_suite_members", lambda e: [
-        dataclasses.replace(cfg, periods=None, T_final=0.1) for cfg in members(e)] + [fold])
-    monkeypatch.setattr(varint.cli, "_member_label", lambda cfg: f"{cfg.integrator}_e{cfg.e}")
+    monkeypatch.setitem(varint.cli.SUITES, "fig_e01", {**members, "epavi_e0.9": fold})
     assert main(["suite", "fig_e01", "--outdir", str(tmp_path), "--workers", str(workers)]) == 1
     assert read_summary(tmp_path / "summary.txt")["success"] == "False"
     lines = (tmp_path / "comparison.csv").read_text().splitlines()
@@ -524,16 +530,36 @@ def test_suite_pool_is_capped_at_the_member_count(tmp_path, monkeypatch):
     assert seen == [3]
 
 
-def test_suite_members_sharing_a_label_are_rejected(tmp_path, monkeypatch, capsys):
-    # the e = 0.9 fold run is labelled like the e = 0.1 EpAVI member; both
-    # would write one directory, so the suite stops before any member runs
-    members = varint.cli._figure_suite_members
-    fold = ExperimentConfig(problem="kepler", e=0.9, tol=1e-15, periods=1.0)
-    monkeypatch.setattr(varint.cli, "_figure_suite_members", lambda e: members(e) + [fold])
-    monkeypatch.setattr(varint.cli, "run_experiment", lambda *job: pytest.fail("a member ran"))
-    assert main(["suite", "fig_e01", "--outdir", str(tmp_path), "--workers", "1"]) == 2
-    assert "two members share the label 'epavi_tol1e-15'" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+#: The member labels of each registered suite that runs a member table, in
+#: order: each is the member's output directory.
+SUITE_LABELS = {
+    "fig_e01": ["epavi_tol1e-15", "avi1_tol1e-13", "avi2_tol1e-13"],
+    "fig_e07": ["epavi_tol1e-15", "avi1_tol1e-13", "avi2_tol1e-13"],
+    "vpa_study": ["epavi_tol1e-15_h0.01", "epavi_d18_tol1e-15_h0.01", "epavi_d18_tol1e-16_h0.01",
+                  "epavi_d18_tol1e-17_h0.01"],
+    "h0_sensitivity": ["epavi_tol1e-15", "epavi_tol1e-15_h0.01", "avi2_tol1e-13", "avi2_tol1e-13_h0.01"],
+}
+
+
+def test_suite_labels_and_directories_are_pinned(tmp_path, monkeypatch):
+    # a dict literal keeps the last of two equal keys without a word, so a
+    # repeated label shows here as a missing member; no member runs
+    assert varint.cli.SUITE_NAMES == ("fig_e01", "fig_e07", "vpa_study", "bea_orders", "h0_sensitivity")
+    assert sorted(n for n, suite in varint.cli.SUITES.items() if not callable(suite)) == sorted(SUITE_LABELS)
+    ran = []
+
+    def member(cfg, outdir):
+        ran.append(outdir.relative_to(tmp_path).as_posix())
+        return {"integrator": cfg.integrator, "success": True}
+
+    monkeypatch.setattr(varint.cli, "run_experiment", member)
+    for name, labels in SUITE_LABELS.items():
+        assert list(varint.cli.SUITES[name]) == labels
+        assert run_suite(name, tmp_path / name, workers=1) == {"suite": name, "members": len(labels),
+                                                                "success": True}
+        rows = (tmp_path / name / "comparison.csv").read_text().splitlines()[1:]
+        assert [row.split(",", 1)[0] for row in rows] == labels
+    assert ran == [f"{name}/{label}" for name, labels in SUITE_LABELS.items() for label in labels]
 
 
 def test_scipy_loads_only_for_a_runge_kutta_reference(tmp_path):

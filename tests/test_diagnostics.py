@@ -22,9 +22,10 @@ from varint import (
     timestep_stats,
     trajectory_error,
 )
-from varint.diagnostics import context_for, write_error_series_csv, write_stats_csv, write_trajectory_csv
+from varint.diagnostics import write_error_series_csv, write_stats_csv, write_trajectory_csv
 from varint.integrators import StepRecord
 from varint.models import ExtendedState
+from varint.precision import DOUBLE
 
 
 def _synthetic_trajectory(energies, dt=0.1, h0=0.1):
@@ -80,7 +81,7 @@ def test_trajectory_error_self_comparison():
     ref = reference_solve(model, s0, 1.0)
     times = np.linspace(0.0, 1.0, 11)
     states = [reference_state(ref, model, t) for t in times]
-    traj = Trajectory(states=states, meta={"h0": 0.1})
+    traj = Trajectory(states, DOUBLE, {"h0": 0.1})
     series = trajectory_error(traj, ref)
     assert len(series) == 2
     assert max(s.max() for s in series) <= 1e-12
@@ -138,7 +139,7 @@ def test_hamiltonian_rows_are_the_per_state_values_bit_for_bit(request, name):
     # one stacked evaluation in double (np.sqrt and math.sqrt both round
     # correctly), one call per state at 18 digits
     traj = request.getfixturevalue(name)
-    ctx = context_for(traj)
+    ctx = traj.ctx
     model = KeplerTwoBody(ctx)
     rows = traj.stacked()
     with ctx.arithmetic():
@@ -158,7 +159,7 @@ def test_stacked_hamiltonian_keeps_the_collision_guard():
 def _write_bundle_csvs(traj, outdir):
     """The run's trajectory, energy-error and stats CSVs, as the runner writes
     them, in whatever decimal context the caller holds."""
-    ctx = context_for(traj)
+    ctx = traj.ctx
     e_series = energy_error_series(traj)
     h_series = hamiltonian_error_series(traj, KeplerTwoBody(ctx))
     write_trajectory_csv(traj, outdir / "trajectory.csv")

@@ -18,6 +18,8 @@ from varint import (
     make_model,
     with_precision,
 )
+from varint.bea import SineProfile
+from varint.models import initial_state
 
 ALL_MODELS = [KeplerTwoBody(), HarmonicOscillator(k=1.3, m=0.8), Pendulum(m=1.1)]
 
@@ -188,6 +190,23 @@ def test_make_model_registry():
 def test_model_parameters_must_be_finite(name, key, value, message):
     with pytest.raises(ConfigurationError, match=message):
         make_model(name, {key: value})
+
+
+@pytest.mark.parametrize("value", [None, "0.1"])
+@pytest.mark.parametrize("build,message", [
+    (kepler_initial_state, "eccentricity must lie in [0, 1)"),
+    (lambda v: HarmonicOscillator(k=v), "oscillator stiffness k must be finite"),
+    (lambda v: HarmonicOscillator(m=v), "oscillator mass m must lie in (0, inf)"),
+    (lambda v: Pendulum(m=v), "pendulum mass m must lie in (0, inf)"),
+    (SineProfile, "sine profile needs |c| < 1"),
+    (lambda v: initial_state("oscillator", {"q0": v}), "state has non-finite components"),
+], ids=["kepler_initial_state", "oscillator_k", "oscillator_m", "pendulum_m", "SineProfile", "q0"])
+def test_a_parameter_that_is_not_a_number_is_a_configuration_error(build, message, value):
+    # None or a string does not compare with a number: check_finite turns
+    # that TypeError into the parameter's ConfigurationError
+    with pytest.raises(ConfigurationError) as err:
+        build(value)
+    assert str(err.value).startswith(message)
 
 
 def test_double_twin():
