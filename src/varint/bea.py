@@ -54,7 +54,7 @@ class TimeProfile:
     def check_monotone(self, a0: float, a1: float) -> None:
         """Raise unless t' > 0 at 257 equally spaced points of [a0, a1]."""
         for a in np.linspace(a0, a1, 257):
-            if self.d1(a) <= 0:
+            if not self.d1(a) > 0:
                 raise NonMonotoneTimeError(f"{self.label}: t'({a}) = {self.d1(a)} is not positive")
 
 
@@ -112,8 +112,8 @@ class Jet1D:
     qpp: Optional[Real] = None
 
     def __post_init__(self):
-        if self.tp <= 0:
-            raise NonMonotoneTimeError(f"jet has t' = {self.tp} <= 0")
+        if not self.tp > 0:
+            raise NonMonotoneTimeError(f"jet has t' = {self.tp}, not positive")
         check_finite(self.delta_a, "delta_a must be non-negative and finite, got {}", inclusive=True)
 
 
@@ -180,7 +180,7 @@ def modified_lagrangian_mod3(model: LagrangianModel, q, qp, tp, delta_a) -> Real
     t' (m (q'/t')^2 / 2 - V) + (da^2 / 24) (t'^3 V_q^2 / m + q'^2 t' V_qq)
     """
     _require_1dof(model)
-    if tp <= 0:
+    if not tp > 0:
         raise NonMonotoneTimeError(f"t' = {tp} must be positive")
     m, da = model.masses[0], model.ctx.real(delta_a)
     V, Vq, Vqq, _ = _derivs(model, q)
@@ -294,6 +294,7 @@ def lemma1_reparametrization_check(
     alpha(a) = t(a) - t(0); equality of trajectories makes the deviation
     solver-level small.
     """
+    check_finite(T, "T must be positive and finite, got {}")
     model = model.double
     profile.check_monotone(0.0, T)
     n = model.n

@@ -30,7 +30,7 @@ from .integrators import (
     midpoint_fixed_run,
     reference_solve,
 )
-from .models import initial_state, make_model, model_names
+from .models import make_model, model_names
 from .precision import DOUBLE, with_precision
 from .solvers import CONDITION_WARN, SolverConfig
 
@@ -213,7 +213,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
     started = time.perf_counter()
     with ctx.arithmetic():
         try:
-            state0 = initial_state(cfg.problem, cfg.model_params(), ctx)
+            state0 = model.initial_state(cfg.model_params())
             if cfg.integrator == "reference":
                 summary.update(_reference_trajectory_outputs(cfg, model, state0, outdir))
             else:

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError, UnsupportedOrderError, check_finite
-from .precision import DOUBLE, PrecisionContext, Real, inf_norm
+from .precision import DOUBLE, PrecisionContext, Real
 
 #: Reject configurations closer to the gravitational singularity than this;
 #: trajectories in scope never approach collision, so hitting the guard
@@ -46,8 +46,8 @@ class ExtendedState:
             raise ConfigurationError("q and p must have equal dimension")
         if n is not None and len(self.q) != n:
             raise ConfigurationError(f"state dimension {len(self.q)} != model dimension {n}")
-        if not inf_norm([self.t, self.E, *self.q, *self.p]) < np.inf:
-            raise ConfigurationError("state has non-finite components")
+        for x in (self.t, self.E, *self.q, *self.p):
+            check_finite(x, "state has non-finite components", -np.inf)
         return self
 
 
@@ -55,7 +55,8 @@ class LagrangianModel:
     """Base class: a constant diagonal mass and the potential with its
     derivatives.  ``masses`` holds m_1, ..., m_n and ``inverse_masses`` their
     reciprocals 1/m_i, formed in the context's arithmetic, both as tuples of
-    context scalars."""
+    context scalars.  A model's constructor takes its ``params`` as
+    keywords, plus ``ctx``: :attr:`double` rebuilds the model from them."""
 
     name: str = "model"
 
@@ -72,7 +73,19 @@ class LagrangianModel:
     @cached_property
     def double(self) -> "LagrangianModel":
         """This model in double precision: itself in a native context."""
-        return self if self.ctx.is_native else make_model(self.name, self.params, DOUBLE)
+        return self if self.ctx.is_native else type(self)(**self.params, ctx=DOUBLE)
+
+    def initial_state(self, params: Optional[dict] = None) -> ExtendedState:
+        """Canonical start of a 1-DOF model: t = 0, q = q0 (default 1) and
+        p = p0 (default 0), from ``params``; other keys are ignored."""
+        params = params or {}
+        q0, p0 = params.get("q0", 1.0), params.get("p0", 0.0)
+        check_finite(q0, "state has non-finite components: q0 = {}", -np.inf)
+        check_finite(p0, "state has non-finite components: p0 = {}", -np.inf)
+        ctx = self.ctx
+        q, p = (ctx.real(q0),), (ctx.real(p0),)
+        with ctx.arithmetic():
+            return ExtendedState(t=ctx.real(0), q=q, p=p, E=self.hamiltonian(q, p))
 
     def mass_times(self, v) -> list:
         """M v of a sequence of context scalars, as a list."""
@@ -179,6 +192,18 @@ class KeplerTwoBody(LagrangianModel):
         off = 0 / r3 - 3 * (q0 * q1) / r5
         return [q0 / r3, q1 / r3], [[1 / r3 - 3 * (q0 * q0) / r5, off], [off, 1 / r3 - 3 * (q1 * q1) / r5]]
 
+    def initial_state(self, params: Optional[dict] = None) -> ExtendedState:
+        """Perihelion start for e = ``params["e"]`` (default 0.1): q = (1-e, 0)
+        and p = (0, sqrt((1+e)/(1-e))), energy -1/2 and period 2*pi for every e."""
+        e = (params or {}).get("e", 0.1)
+        check_finite(e, "eccentricity must lie in [0, 1), got {}", inclusive=True, upper=1)
+        ctx = self.ctx
+        one, ev, zero = ctx.real(1), ctx.real(e), ctx.real(0)
+        with ctx.arithmetic():
+            q = (one - ev, zero)
+            p = (zero, ctx.sqrt((one + ev) / (one - ev)))
+            return ExtendedState(t=ctx.real(0), q=q, p=p, E=self.hamiltonian(q, p))
+
 
 class HarmonicOscillator(LagrangianModel):
     """1-DOF oscillator, V = k q^2 / 2.  k = 0 gives a free particle."""
@@ -236,17 +261,8 @@ def kepler_hamiltonian(q, p, ctx: PrecisionContext = DOUBLE) -> Real:
 
 
 def kepler_initial_state(e: float, ctx: PrecisionContext = DOUBLE) -> ExtendedState:
-    """Perihelion start of the eccentricity-e orbit.
-
-    q = (1-e, 0), p = (0, sqrt((1+e)/(1-e))); the energy is -1/2 for every
-    admissible e, so the orbit has semi-major axis 1 and period 2*pi.
-    """
-    check_finite(e, "eccentricity must lie in [0, 1), got {}", inclusive=True, upper=1)
-    one, ev, zero = ctx.real(1), ctx.real(e), ctx.real(0)
-    with ctx.arithmetic():
-        q = (one - ev, zero)
-        p = (zero, ctx.sqrt((one + ev) / (one - ev)))
-    return ExtendedState(t=ctx.real(0), q=q, p=p, E=kepler_hamiltonian(q, p, ctx))
+    """Perihelion start of the eccentricity-e orbit (:meth:`KeplerTwoBody.initial_state`)."""
+    return KeplerTwoBody(ctx).initial_state({"e": e})
 
 
 def angular_momentum(q, p) -> Real:
@@ -268,27 +284,9 @@ def model_names():
 
 
 def make_model(name: str, params: Optional[dict] = None, ctx: PrecisionContext = DOUBLE):
-    """Build a registered model (`kepler`, `oscillator`, `pendulum`) by name."""
+    """Build a model by its CLI problem name: `kepler`, `oscillator` or `pendulum`."""
     try:
         builder = _MODEL_BUILDERS[name]
     except KeyError:
         raise ConfigurationError(f"unknown problem {name!r}; known: {model_names()}") from None
     return builder(params or {}, ctx)
-
-
-def initial_state(name: str, params: Optional[dict] = None, ctx: PrecisionContext = DOUBLE) -> ExtendedState:
-    """Canonical initial condition for a registered problem.
-
-    Kepler starts at perihelion for eccentricity ``e``; the 1-DOF systems
-    start from rest at q = q0 (default 1).
-    """
-    params = params or {}
-    if name == "kepler":
-        return kepler_initial_state(params.get("e", 0.1), ctx)
-    model = make_model(name, params, ctx)
-    q0, p0 = params.get("q0", 1.0), params.get("p0", 0.0)
-    check_finite(q0, "state has non-finite components: q0 = {}", -np.inf)
-    check_finite(p0, "state has non-finite components: p0 = {}", -np.inf)
-    q, p = (ctx.real(q0),), (ctx.real(p0),)
-    with ctx.arithmetic():
-        return ExtendedState(t=ctx.real(0), q=q, p=p, E=model.hamiltonian(q, p))

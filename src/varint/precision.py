@@ -109,6 +109,8 @@ class PrecisionContext:
     digits: int
 
     def __post_init__(self):
+        if not isinstance(self.digits, int) or isinstance(self.digits, bool):
+            raise ConfigurationError(f"precision digits must be an integer, got {self.digits!r}")
         if self.digits < MIN_DIGITS:
             raise ConfigurationError(
                 f"precision of {self.digits} digits is below the minimum of {MIN_DIGITS}"
@@ -247,16 +249,13 @@ class PrecisionContext:
         """Scientific notation of the context scalar :meth:`real` makes of
         ``x``, with every digit the context carries: 17 significant digits in
         double, :attr:`working_dps` in the extended path, so that
-        ``parse(format(x)) == x`` exactly."""
+        ``real(format(x)) == x`` exactly."""
         if self.is_native:
             return f"{float(x):.16e}"
         x, n = self.real(x), self.working_dps - 1
         if not x:  # a zero prints its exponent plus n: give it the exponent -n
             x = x.scaleb(-n - x.as_tuple().exponent)
         return f"{x:.{n}e}"
-
-    def parse(self, s: str) -> Real:
-        return self.real(s)
 
 
 def with_precision(digits: int) -> PrecisionContext:
@@ -265,8 +264,6 @@ def with_precision(digits: int) -> PrecisionContext:
     ``digits=16`` gives standard double-precision behaviour; ``digits>=18``
     matches the extended-precision study settings.
     """
-    if not isinstance(digits, int) or isinstance(digits, bool):
-        raise ConfigurationError(f"precision digits must be an integer, got {digits!r}")
     return PrecisionContext(digits)
 
 

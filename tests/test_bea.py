@@ -1,11 +1,16 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import LinearProfile, discrete_lagrangian_midpoint, typed_bits
 
+import varint
 from varint import (
     ConfigurationError,
     HarmonicOscillator,
@@ -128,6 +133,12 @@ def test_modified_rhs_rejects_bad_jet():
         Jet1D(q=0.0, qp=0.0, tp=-1.0, tpp=0.0)
 
 
+def test_jet_rejects_a_nan_time_derivative():
+    # nan <= 0 is false: the check passed a nan t'
+    with pytest.raises(NonMonotoneTimeError):
+        Jet1D(q=0.0, qp=0.0, tp=math.nan, tpp=0.0)
+
+
 @pytest.mark.parametrize("delta_a", [None, "0.1", -0.1, math.nan, math.inf, Decimal("NaN"), Decimal("-Infinity")])
 def test_jet_rejects_a_bad_step(delta_a):
     # a missing, text, negative, nan or infinite delta_a is a configuration
@@ -164,6 +175,12 @@ def test_mod3_oscillator_example():
     model = HarmonicOscillator()
     value = modified_lagrangian_mod3(model, 1.0, 0.0, 1.0, 0.1)
     assert value == pytest.approx(-0.5 + 0.01 / 24, rel=1e-13)
+
+
+def test_mod3_rejects_a_nan_time_derivative():
+    # nan <= 0 is false: the value came back nan
+    with pytest.raises(NonMonotoneTimeError):
+        modified_lagrangian_mod3(HarmonicOscillator(), 1.0, 0.0, math.nan, 0.1)
 
 
 def test_mod3_leading_term_homogeneity():
@@ -312,8 +329,38 @@ def test_profile_validation():
     SineProfile(0.9).check_monotone(0.0, 10.0)
 
 
+def test_profile_monotonicity_rejects_a_nan_end():
+    # t'(nan) is nan, and nan <= 0 is false: the check returned None
+    with pytest.raises(NonMonotoneTimeError):
+        SineProfile(0.5).check_monotone(0, math.nan)
+
+
 def test_lemma1_identity_profile_is_machine_level():
     model = HarmonicOscillator()
     s0 = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.5)
     dev = lemma1_reparametrization_check(model, IdentityProfile(), s0, 2 * math.pi)
     assert dev <= 1e-10
+
+
+_LEMMA1_SPAN_PROBE = """
+import math
+from varint import ConfigurationError, HarmonicOscillator, IdentityProfile, lemma1_reparametrization_check
+from varint.models import ExtendedState
+s0 = ExtendedState(t=0.0, q=(1.0,), p=(0.0,), E=0.5)
+for T in (math.nan, math.inf, None):
+    try:
+        lemma1_reparametrization_check(HarmonicOscillator(), IdentityProfile(), s0, T)
+    except ConfigurationError as exc:
+        print(exc)
+"""
+
+
+def test_lemma1_rejects_a_non_finite_span():
+    # solve_ivp never returned on a nan or infinite span, and None raised
+    # TypeError: a fresh interpreter under a timeout turns a hang into a failure
+    src = str(Path(varint.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LEMMA1_SPAN_PROBE], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"T must be positive and finite, got {T}" for T in ("nan", "inf", "None")]

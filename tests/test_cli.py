@@ -12,6 +12,7 @@ from conftest import read_summary
 
 import varint
 from varint import ConfigurationError
+from varint.models import LagrangianModel
 from varint.cli import (
     ExperimentConfig,
     main,
@@ -88,6 +89,20 @@ def test_main_rejects_a_non_finite_oscillator(tmp_path, capsys, setting, integra
             "T_final=0.1", "reference=false", setting]
     assert main(args) == 2
     assert message in capsys.readouterr().err
+
+
+def test_a_suite_member_builds_one_model(tmp_path, monkeypatch):
+    # the start is the built model's own: it built a second model to evaluate H
+    built = []
+    init = LagrangianModel.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LagrangianModel, "__init__", counting)
+    summary = run_experiment(varint.cli.SUITES["fig_e01"]["epavi_tol1e-15"], tmp_path)
+    assert summary["success"] and built == ["KeplerTwoBody"]
 
 
 @pytest.mark.parametrize("setting", ["digits=8", "tol=0", "problem=three_body", "m=nan", "k=nan"])
@@ -487,7 +502,8 @@ except Sentinel:
 assert seen == [[]], f"scipy loaded before the pool: {seen}"
 
 # a start without a closed form still solves with RK45, which loads scipy.integrate then
-varint.reference_solve(varint.HarmonicOscillator(), varint.models.initial_state("oscillator"), 1.0)
+model = varint.HarmonicOscillator()
+varint.reference_solve(model, model.initial_state(), 1.0)
 assert "scipy.integrate" in sys.modules
 """
 

@@ -46,7 +46,7 @@ from varint import (
 )
 from varint.bea import discrete_residual
 from varint.integrators import Monitor, StepRecord, _extrapolate, _increment, _largest_term, _march
-from varint.models import ExtendedState, initial_state
+from varint.models import ExtendedState
 from varint.solvers import FLOOR_ULPS, STALL_FACTOR
 
 CFG13 = SolverConfig(tol=1e-13)
@@ -852,17 +852,19 @@ def _kepler18_run(run, e=0.7):
     return run(KeplerTwoBody(ctx), kepler_initial_state(e, ctx), ctx.real(1e-2), SolverConfig(tol=1e-17))
 
 
+def _from_rest(run, model, *args):
+    return run(model, model.initial_state(), *args)
+
+
 #: The runs behind the TRAJECTORY_DIGESTS entries that no session fixture makes.
 _DIGEST_RUNS = {
     "midpoint_fixed_e07": lambda: midpoint_fixed_run(KeplerTwoBody(), kepler_initial_state(0.7), 1e-3,
                                                      2 * math.pi, SolverConfig()),
-    "oscillator_epavi_from_rest": lambda: epavi_run(
-        HarmonicOscillator(**_OSCILLATOR), initial_state("oscillator", _OSCILLATOR), 1e-3, 1.0,
-        SolverConfig(tol=1e-14)),
-    "pendulum_fixed": lambda: midpoint_fixed_run(
-        Pendulum(**_PENDULUM), initial_state("pendulum", _PENDULUM), 1e-2, 2.0, SolverConfig()),
-    "pendulum_epavi": lambda: epavi_run(
-        Pendulum(**_PENDULUM), initial_state("pendulum", _PENDULUM), 1e-2, 2.0, SolverConfig(tol=1e-14)),
+    "oscillator_epavi_from_rest": lambda: _from_rest(
+        epavi_run, HarmonicOscillator(**_OSCILLATOR), 1e-3, 1.0, SolverConfig(tol=1e-14)),
+    "pendulum_fixed": lambda: _from_rest(midpoint_fixed_run, Pendulum(**_PENDULUM), 1e-2, 2.0, SolverConfig()),
+    "pendulum_epavi": lambda: _from_rest(
+        epavi_run, Pendulum(**_PENDULUM), 1e-2, 2.0, SolverConfig(tol=1e-14)),
     "avi2_d18_e07": lambda: _kepler18_run(
         lambda model, s0, h0, cfg: avi_run(model, make_monitor("g2", model, s0), s0, 0.5, cfg, h0=h0)),
     "midpoint_fixed_d18_e07": lambda: _kepler18_run(
@@ -1012,7 +1014,7 @@ def test_double_runs_record_python_scalars(name):
     # numpy's float64 and bool_ (whose repr differs); the 1-DOF models' V
     # comes from the array methods, indexed from an array
     model = make_model(name)
-    state0 = initial_state(name, {"q0": 0.5, "p0": 0.5})
+    state0 = model.initial_state({"q0": 0.5, "p0": 0.5})
     runs = [epavi_run(model, state0, 1e-2, 0.2, SolverConfig(tol=1e-16)),
             avi_run(model, make_monitor("g1", model, state0), state0, 0.2, SolverConfig(tol=1e-16), h0=1e-2),
             midpoint_fixed_run(model, state0, 1e-2, 0.2, SolverConfig(tol=1e-16))]
@@ -1027,7 +1029,7 @@ def test_extended_fixed_oscillator_conserves_h_with_a_non_dyadic_mass():
     ctx = with_precision(18)
     params = {"k": 1.3, "m": 0.8}
     model = make_model("oscillator", params, ctx)
-    traj = midpoint_fixed_run(model, initial_state("oscillator", params, ctx), 0.01, 2.0,
+    traj = midpoint_fixed_run(model, model.initial_state(), 0.01, 2.0,
                               SolverConfig.for_context(ctx))
     assert len(traj.steps) >= 200
     assert energy_error_series(traj).max() <= 1e-19
@@ -1221,6 +1223,21 @@ def test_reference_rejects_a_non_finite_start():
         reference_solve(HarmonicOscillator(), s0, 0.1)
 
 
+@pytest.mark.parametrize("bad", [{"q": (None, 0.0)}, {"t": "0"}], ids=["q_None", "t_string"])
+@pytest.mark.parametrize("entry", ["epavi", "avi", "midpoint_fixed", "reference"])
+def test_a_start_component_that_is_not_a_number_is_a_configuration_error(entry, bad):
+    # the start's check took abs() of each component, which raised TypeError
+    # ("bad operand type for abs()") for None and a string
+    model, good = KeplerTwoBody(), kepler_initial_state(0.1)
+    s0 = replace(good, **bad)
+    run = {"epavi": lambda: epavi_run(model, s0, 1e-2, 0.1),
+           "avi": lambda: avi_run(model, make_monitor("g2", model, good), s0, 0.1, h0=1e-2),
+           "midpoint_fixed": lambda: midpoint_fixed_run(model, s0, 1e-2, 0.1),
+           "reference": lambda: reference_solve(model, s0, 0.1)}[entry]
+    with pytest.raises(ConfigurationError, match="^state has non-finite components"):
+        run()
+
+
 def test_reference_rejects_outside_queries(reference_e01):
     with pytest.raises(ConfigurationError):
         reference_e01.eval(100.0)
@@ -1231,7 +1248,8 @@ def test_reference_rejects_outside_queries(reference_e01):
 def test_reference_rejects_non_finite_queries(problem, t):
     # nan lies in no span: the oscillator's RK45 interpolant returned nan for
     # it, and the Kepler flow's anomaly solve raised StiffnessError
-    ref = reference_solve(make_model(problem), initial_state(problem), 1.0)
+    model = make_model(problem)
+    ref = reference_solve(model, model.initial_state(), 1.0)
     with pytest.raises(ConfigurationError, match="outside the reference span"):
         ref.eval(t)
 
@@ -1239,7 +1257,7 @@ def test_reference_rejects_non_finite_queries(problem, t):
 @pytest.mark.parametrize("problem", ["kepler", "oscillator"])
 def test_reference_state_has_tuple_q_and_p(problem):
     model = make_model(problem)
-    ref = reference_solve(model, initial_state(problem), 1.0)
+    ref = reference_solve(model, model.initial_state(), 1.0)
     state = reference_state(ref, model, 0.5)
     q, p = ref.eval(0.5)
     assert type(state.q) is tuple and type(state.p) is tuple

@@ -6,20 +6,24 @@ import pytest
 from conftest import lagrangian, typed_bits
 
 from varint import (
+    DOUBLE,
     ConfigurationError,
     HarmonicOscillator,
     KeplerTwoBody,
     Pendulum,
     SingularityError,
     UnsupportedOrderError,
+    SolverConfig,
     angular_momentum,
+    energy_error_series,
+    epavi_run,
     kepler_hamiltonian,
     kepler_initial_state,
     make_model,
     with_precision,
 )
 from varint.bea import SineProfile
-from varint.models import initial_state
+from varint.models import LagrangianModel
 
 ALL_MODELS = [KeplerTwoBody(), HarmonicOscillator(k=1.3, m=0.8), Pendulum(m=1.1)]
 
@@ -199,7 +203,7 @@ def test_model_parameters_must_be_finite(name, key, value, message):
     (lambda v: HarmonicOscillator(m=v), "oscillator mass m must lie in (0, inf)"),
     (lambda v: Pendulum(m=v), "pendulum mass m must lie in (0, inf)"),
     (SineProfile, "sine profile needs |c| < 1"),
-    (lambda v: initial_state("oscillator", {"q0": v}), "state has non-finite components"),
+    (lambda v: HarmonicOscillator().initial_state({"q0": v}), "state has non-finite components"),
 ], ids=["kepler_initial_state", "oscillator_k", "oscillator_m", "pendulum_m", "SineProfile", "q0"])
 def test_a_parameter_that_is_not_a_number_is_a_configuration_error(build, message, value):
     # None or a string does not compare with a number: check_finite turns
@@ -217,6 +221,38 @@ def test_double_twin():
     assert twin is osc.double  # built once
     assert twin.ctx.is_native and twin.name == "oscillator" and twin.params == osc.params
     assert all(type(m) is float for m in twin.masses + twin.inverse_masses) and twin.k == 1.3
+
+
+class _Quartic(LagrangianModel):
+    """V = q^4 / 4: a model that no registry names."""
+
+    name = "quartic"
+
+    def __init__(self, m=1.0, ctx=DOUBLE):
+        super().__init__((m,), ctx)
+        self.params = {"m": m}
+
+    def potential(self, q):
+        return q[0] ** 4 / 4
+
+    def potential_gradient(self, q):
+        return [q[0] ** 3]
+
+    def potential_hessian(self, q):
+        return [[3 * q[0] ** 2]]
+
+
+def test_an_unregistered_model_runs_at_18_digits():
+    # the double twin is the model's own class rebuilt from its params: it was
+    # rebuilt by name, and the run aborted at t = 0 with "unknown problem 'quartic'"
+    ctx = with_precision(18)
+    model = _Quartic(m=0.8, ctx=ctx)
+    state0 = model.initial_state({"p0": 0.5})
+    traj = epavi_run(model, state0, ctx.real("0.01"), 0.5, SolverConfig.for_context(ctx))
+    assert traj.states[-1].t >= 0.5 and len(traj.steps) >= 40
+    assert energy_error_series(traj).max() <= 1e-19
+    twin = model.double
+    assert type(twin) is _Quartic and twin.params == {"m": 0.8} and twin.ctx.is_native
 
 
 @pytest.mark.parametrize("digits", [18, 30])

@@ -14,7 +14,7 @@ from scipy.linalg import lu_factor, lu_solve
 import varint
 from varint import ConfigurationError, kepler_hamiltonian, with_precision
 from varint.errors import check_finite
-from varint.precision import DOUBLE, inf_norm
+from varint.precision import DOUBLE, PrecisionContext, inf_norm
 
 
 def test_native_context_below_17_digits():
@@ -28,6 +28,15 @@ def test_minimum_digits_rejected():
         with_precision(9)
 
 
+@pytest.mark.parametrize("build", [PrecisionContext, with_precision])
+@pytest.mark.parametrize("digits", [None, "18", 17.5, 12.5, True])
+def test_context_digits_must_be_an_integer(build, digits):
+    # the constructor checks them: None and "18" raised a comparison's
+    # TypeError, 17.5 failed at the first Decimal operation and 12.5 ran in double
+    with pytest.raises(ConfigurationError, match="^precision digits must be an integer, got "):
+        build(digits)
+
+
 def test_extended_context_carries_requested_digits():
     ctx = with_precision(18)
     assert ctx.eps < 10.0 ** (-18)
@@ -38,9 +47,9 @@ def test_serialization_round_trip_identity(digits):
     ctx = with_precision(digits)
     with ctx.arithmetic():
         x = ctx.real(1) / ctx.real(3)
-    assert ctx.parse(ctx.format(x)) == x
+    assert ctx.real(ctx.format(x)) == x
     y = ctx.real("-6.28331706314657e4")
-    assert ctx.parse(ctx.format(y)) == y
+    assert ctx.real(ctx.format(y)) == y
 
 
 def test_round_trip_preserves_context_digits():
@@ -260,7 +269,7 @@ def test_import_varint_loads_no_mpmath():
         "assert 'mpmath' not in sys.modules\n"
         "ctx = varint.with_precision(18)\n"
         "model = varint.Pendulum(ctx=ctx)\n"
-        "state = varint.models.initial_state('pendulum', {}, ctx)\n"
+        "state = model.initial_state()\n"
         "traj = varint.midpoint_fixed_run(model, state, ctx.real('0.1'), 1.0)\n"
         "assert len(traj.steps) == 10\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'mpmath'], 'mpmath loaded'\n"

@@ -51,7 +51,7 @@ def test_extended_format_parse_round_trip(digits, numerator, denominator, expone
     ctx = with_precision(digits)
     with ctx.arithmetic():
         x = ctx.real(numerator) / ctx.real(denominator) * ctx.real(10) ** exponent
-    assert ctx.parse(ctx.format(x)) == x
+    assert ctx.real(ctx.format(x)) == x
 
 
 def _ulp(x: Decimal, digits: int) -> Decimal:
