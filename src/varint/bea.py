@@ -52,7 +52,11 @@ class TimeProfile:
         raise NotImplementedError
 
     def check_monotone(self, a0: float, a1: float) -> None:
-        """Raise unless t' > 0 at 257 equally spaced points of [a0, a1]."""
+        """Raise unless t' > 0 at 257 equally spaced points of [a0, a1]; an
+        end that is neither finite nor nan is a :class:`ConfigurationError`."""
+        for end in (a0, a1):
+            if end == end:  # a nan, a float's or a Decimal's, is unequal to itself and fails below
+                check_finite(end, "profile span ends must be finite, got {}", -math.inf)
         for a in np.linspace(a0, a1, 257):
             if not self.d1(a) > 0:
                 raise NonMonotoneTimeError(f"{self.label}: t'({a}) = {self.d1(a)} is not positive")
@@ -97,11 +101,11 @@ class Jet1D:
     """Curve data (q, q', t', t'') at one fictitious-time point.
 
     ``qpp`` extends the jet where an operation needs curvature of the
-    configuration path.  ``delta_a = 0`` is allowed and gives the
-    leading-order truncation; a negative, nan, infinite or missing one is a
-    :class:`ConfigurationError`.  The formulas take ``delta_a`` into the
-    model's context (``ctx.real``), so a float or int step meets the
-    extended scalars of the other fields.
+    configuration path.  A nan or non-positive t' is a :class:`NonMonotoneTimeError`,
+    any other that is not finite a :class:`ConfigurationError`, as is a negative,
+    nan, infinite or missing ``delta_a``; ``delta_a = 0`` gives the leading-order
+    truncation.  The formulas take ``delta_a`` into the model's context
+    (``ctx.real``), so a float or int step meets the extended scalars of the others.
     """
 
     q: Real
@@ -112,7 +116,9 @@ class Jet1D:
     qpp: Optional[Real] = None
 
     def __post_init__(self):
-        if not self.tp > 0:
+        if self.tp == self.tp:  # a nan t', unequal to itself, is not positive below
+            check_finite(self.tp, "jet needs a finite t', got {}", -math.inf)
+        if not (self.tp == self.tp and self.tp > 0):
             raise NonMonotoneTimeError(f"jet has t' = {self.tp}, not positive")
         check_finite(self.delta_a, "delta_a must be non-negative and finite, got {}", inclusive=True)
 

@@ -191,13 +191,22 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
     in its setup or in a step, writes the outputs of the trajectory it
     reached; a failure before the run (e.g. a start inside the Kepler
     collision guard) writes none.  A :class:`ConfigurationError` propagates;
-    one from :meth:`ExperimentConfig.build` leaves no output directory.
+    one from :meth:`ExperimentConfig.build` or the start (an eccentricity
+    outside [0, 1), say), both taken first, leaves no output directory.
     The start, the run and its diagnostics compute under the context's
     :meth:`~varint.precision.PrecisionContext.arithmetic`, so the states and
     output bytes of an extended run do not depend on the caller's decimal
     context, which is restored when the experiment returns or raises.
     """
     ctx, scfg, model = cfg.build()
+    started = time.perf_counter()
+    with ctx.arithmetic():
+        try:
+            state0 = model.initial_state(cfg.model_params())
+        except ConfigurationError:
+            raise
+        except VarintError as exc:  # a numerical failure, which writes its summary below
+            state0 = exc
     outdir = Path(outdir if outdir is not None else cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.txt").write_text("\n".join(cfg.as_lines()) + "\n")
@@ -210,10 +219,10 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
         "digits": cfg.digits,
         "T_final": cfg.final_time(),
     }
-    started = time.perf_counter()
     with ctx.arithmetic():
         try:
-            state0 = model.initial_state(cfg.model_params())
+            if isinstance(state0, VarintError):
+                raise state0
             if cfg.integrator == "reference":
                 summary.update(_reference_trajectory_outputs(cfg, model, state0, outdir))
             else:

@@ -149,26 +149,22 @@ def _double_partials(dm, q_kd, dq, h):
     ``dm``, as lists: (mid, grad V, hess V, v, Mv, A, c), where the momentum
     residual's dq block is A = M/h + (h/4) hess V and its h column
     c = grad V/2 - Mv/h."""
-    dq = [float(x) for x in dq]
+    dq = list(map(float, dq))
     mid = [a + b / 2 for a, b in zip(q_kd, dq)]
     grad, hess = dm.potential_gradient_and_hessian(mid)
     v = [d / h for d in dq]
     Mv = dm.mass_times(v)
     quarter_h = h / 4
-    A = [[m / h + x * quarter_h if i == j else x * quarter_h for j, x in enumerate(row)]
-         for i, (m, row) in enumerate(zip(dm.masses, hess))]
+    A = [[x * quarter_h for x in row] for row in hess]
+    for i, m in enumerate(dm.masses):
+        A[i][i] = m / h + A[i][i]
     return mid, grad, hess, v, Mv, A, [g / 2 - y / h for g, y in zip(grad, Mv)]
 
 
-def _dot(a, b) -> Real:
-    """sum_i a_i b_i, summed from 0 in index order as numpy's ``(a * b).sum()``
-    does for a few components."""
-    return sum(map(mul, a, b))
-
-
 def _discrete_energy(v, Mv, V) -> Real:
-    """D1 L_d = v'Mv/2 + V(mid) from the kernel values."""
-    return _dot(v, Mv) / 2 + V
+    """D1 L_d = v'Mv/2 + V(mid) from the kernel values; this module's dot products
+    sum from 0 in index order, as numpy's ``(a * b).sum()`` does for a few components."""
+    return sum(map(mul, v, Mv)) / 2 + V
 
 
 def discrete_partials_midpoint(model: LagrangianModel, t_k, q_k, t_k1, q_k1) -> DiscretePartials:
@@ -315,21 +311,26 @@ class Trajectory:
 # -- the run driver -----------------------------------------------------------------
 
 
-#: Extrapolation weights through the last m = 1..5 accepted increments,
-#: oldest first: row m - 1 reproduces the next term of any sequence that is
-#: a polynomial of degree < m in the step index.  The weights are integers,
-#: which a ``Decimal`` multiplies exactly (a float it does not take at all).
-_EXTRAPOLATION = ((1,), (-1, 2), (1, -3, 3), (-1, 4, -6, 4), (1, -5, 10, -10, 5))
+#: Extrapolation through the last m = 1..5 accepted increments per component,
+#: oldest first: form m - 1, sum_j w_j z_j with the integer weights (1,), (-1, 2),
+#: (1, -3, 3), (-1, 4, -6, 4) or (1, -5, 10, -10, 5), reproduces the next term of
+#: a polynomial of degree < m in the step index.  It sums from 0, oldest first,
+#: a negative weight's term subtracted: x + b*-w is x - b*w in every bit, for a
+#: float and a ``Decimal``, which multiplies an integer exactly (a float not at all).
+_PREDICTORS = (
+    lambda a: 0 + a,
+    lambda a, b: 0 - a + b * 2,
+    lambda a, b, c: 0 + a - b * 3 + c * 3,
+    lambda a, b, c, d: 0 - a + b * 4 - c * 6 + d * 4,
+    lambda a, b, c, d, e: 0 + a - b * 5 + c * 10 - d * 10 + e * 5,
+)
 
 
 def _extrapolate(history) -> list:
-    """Predicted next increment sum_j w_j z_j from the accepted increments
-    ``history`` (oldest first, one to five sequences), the predictor of
-    Hairer & Wanner, Solving ODEs II, 1996, sec. IV.8, as a list.  Each
-    component sums from 0, oldest first, as numpy's axis-0 reduction of the
-    stacked rows did."""
-    weights = _EXTRAPOLATION[len(history) - 1]
-    return [sum(map(mul, column, weights)) for column in zip(*history)]
+    """Predicted next increment from the accepted increments ``history``
+    (oldest first, one to five sequences), the predictor of Hairer & Wanner,
+    Solving ODEs II, 1996, sec. IV.8 (:data:`_PREDICTORS`), as a list."""
+    return list(map(_PREDICTORS[len(history) - 1], *history))
 
 
 def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfig], **steps):
@@ -364,7 +365,9 @@ def _march(model, name, setup: Callable, state0, T_final, cfg, **meta) -> Trajec
     each is a list of context scalars.
     A step below the resolution of t means the adaptation collapsed (e.g. a
     monitor decaying to zero) and aborts the run instead of looping towards
-    t = const.  A failed setup or step raises an :class:`IntegrationError`
+    t = const; T_final (if a float) and the floor 64 eps (1 + |t|) meet t in
+    its own type, which holds a float exactly, so an extended run compares
+    ``Decimal``s.  A failed setup or step raises an :class:`IntegrationError`
     carrying the trajectory so far, with the run's meta either way; after a
     failed setup it holds ``state0`` alone.  The setup and the steps run
     under one ``np.errstate(all="ignore")``: a singular Jacobian's all-nan
@@ -381,20 +384,22 @@ def _march(model, name, setup: Callable, state0, T_final, cfg, **meta) -> Trajec
         with np.errstate(all="ignore"), model.ctx.arithmetic():
             state, step, h = setup(state0, meta)
             traj = Trajectory([state], model.ctx, meta)
+            end = type(state.t)(T_final) if isinstance(T_final, float) else T_final
+            floor = type(state.t)(64 * model.ctx.eps)
             history = []  # the last five accepted increments, oldest first
-            while state.t < T_final:
+            while state.t < end:
                 z0 = None
                 if history:
                     z0 = _extrapolate(history)
                     if z0[-1] <= 0:
                         z0 = history[-1]
                 new_state, record = step(state, h, z0)
-                if record.h < 64 * model.ctx.eps * (1 + abs(float(new_state.t))):
-                    raise NonMonotoneTimeError(
-                        f"time step {float(record.h):.3e} underflowed at t = {float(new_state.t):.6g}"
-                    )
-                history = history[-4:] + [[*map(sub, new_state.q, state.q), record.h]]
-                state, h = new_state, record.h
+                h = record.h
+                if h < floor * (1 + abs(new_state.t)):
+                    raise NonMonotoneTimeError(f"time step {float(h):.3e} underflowed at t = {float(new_state.t):.6g}")
+                history.append([*map(sub, new_state.q, state.q), h])
+                del history[:-5]
+                state = new_state
                 traj.append(state, record)
     except VarintError as exc:
         message = f"{name} run aborted at t = {float(traj.states[-1].t):.6g} after {len(traj.steps)} steps: {exc}"
@@ -409,10 +414,10 @@ def _largest_term(state, energy_row: bool, kernel) -> Real:
     """The largest |term| of the residual rows at ``kernel``, the scale of a
     solve's residual floor: Mv, (h/2) grad V(mid) and p_k, and with the
     energy row also v'Mv/2, V(mid) and E_k."""
-    v, Mv, half_grad, V, _ = kernel
+    v, Mv, half_grad, V = kernel[:4]
     terms = [*Mv, *half_grad, *state.p]
     if energy_row:
-        terms += [_dot(v, Mv) / 2, V, state.E]
+        terms += [sum(map(mul, v, Mv)) / 2, V, state.E]
     return max(map(abs, terms))
 
 
@@ -420,29 +425,30 @@ def _epavi_system(model, state):
     """Residual and analytic Jacobian in the increments z = (dq, h).
 
     The residual is in the context's arithmetic and returns the kernel
-    :func:`_increment` at z with its value; the Jacobian is formed in
-    double from the model's double twin, the precision the Newton step is
-    solved in.
+    :func:`_increment` at z, with the discrete energy D1 L_d there appended,
+    with its value; the Jacobian is formed in double from the model's
+    double twin, the precision the Newton step is solved in.
     """
     p_k, E_k, q_k = state.p, state.E, state.q
-    dm, q_kd = model.double, [float(x) for x in q_k]
+    dm, q_kd = model.double, list(map(float, q_k))
 
     def residual(z):
-        *dq, h = z
+        dq, h = z[:-1], z[-1]
         if not h > 0:  # a nan h included
             raise NonMonotoneTimeError(f"time step {h} must be positive")
         kernel = _increment(model, q_k, dq, h)
         v, Mv, half_grad, V, _ = kernel
         out = [a + b - c for a, b, c in zip(Mv, half_grad, p_k)]
-        out.append(_discrete_energy(v, Mv, V) - E_k)
-        return out, kernel
+        energy = _discrete_energy(v, Mv, V)
+        out.append(energy - E_k)
+        return out, (*kernel, energy)
 
     def jacobian(z, _):
-        *dq, h = z
-        h = float(h)
-        _, grad, _, v, Mv, A, c = _double_partials(dm, q_kd, dq, h)
-        J = [row + [c_i] for row, c_i in zip(A, c)]
-        J.append([y / h + g / 2 for y, g in zip(Mv, grad)] + [-_dot(v, Mv) / h])
+        h = float(z[-1])
+        _, grad, _, v, Mv, J, c = _double_partials(dm, q_kd, z[:-1], h)
+        for row, c_i in zip(J, c):
+            row.append(c_i)
+        J.append([y / h + g / 2 for y, g in zip(Mv, grad)] + [-sum(map(mul, v, Mv)) / h])
         return J
 
     return residual, jacobian
@@ -461,26 +467,19 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
     those solves.
     """
     check_finite(h_guess, "h_guess must be positive and finite, got {}")
-    ctx = model.ctx
-    h_guess = ctx.real(h_guess)
+    ctx, h_guess = model.ctx, model.ctx.real(h_guess)
     residual, jacobian = _epavi_system(model, state)
     scale = partial(_largest_term, state, True)
-
-    def solve(z):
-        return newton_solve(residual, z, cfg, ctx, jacobian=jacobian, scale=scale)
-
     if z0 is None:
         z0 = [*_explicit_euler(model, state, h_guess), h_guess]
     try:
-        report, retried = solve(z0), False
+        report, retried = newton_solve(residual, z0, cfg, ctx, jacobian=jacobian, scale=scale), False
     except NonconvergenceError:
         fixed = _solve_momentum(model, _UNIT, state, h_guess, cfg)
-        report, retried = solve([*fixed.solution, h_guess]), True
-        report = replace(report, iterations=fixed.iterations + report.iterations)
-    *dq, h = report.solution
-    v, Mv, half_grad, V, _ = report.aux
-    new_state = ExtendedState(t=state.t + h, q=tuple(map(add, state.q, dq)), p=tuple(map(sub, Mv, half_grad)),
-                              E=_discrete_energy(v, Mv, V))
+        report = newton_solve(residual, [*fixed.solution, h_guess], cfg, ctx, jacobian=jacobian, scale=scale)
+        report, retried = replace(report, iterations=fixed.iterations + report.iterations), True
+    z, (_, Mv, half_grad, _, h, E) = report.solution, report.aux  # z = (dq, h): q + z stops at q's end
+    new_state = ExtendedState(t=state.t + h, q=tuple(map(add, state.q, z)), p=tuple(map(sub, Mv, half_grad)), E=E)
     return new_state, _record(h, report, retried=retried)
 
 
@@ -555,7 +554,7 @@ def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Mo
         dm = model.double
 
         def arclength(q, V, dV):
-            radicand = 2 * (H0 - V) + _dot(dV, model.inverse_mass_times(dV))
+            radicand = 2 * (H0 - V) + sum(map(mul, dV, model.inverse_mass_times(dV)))
             if radicand <= 0:
                 raise MonitorDomainError(f"arclength monitor radicand {radicand} is not positive")
             return 1 / model.ctx.sqrt(radicand)
@@ -566,7 +565,7 @@ def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Mo
 
         return Monitor("g1", arclength, arclength_grad)
     if name == "g2":
-        return Monitor("g2", lambda q, V, dV: _dot(q, q), lambda q, g, dV, d2V: [2 * x for x in q])
+        return Monitor("g2", lambda q, V, dV: sum(map(mul, q, q)), lambda q, g, dV, d2V: [2 * x for x in q])
     if name == "unit":
         return _UNIT
     raise ConfigurationError(f"unknown monitor {name!r}")

@@ -30,6 +30,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from functools import cached_property, lru_cache, partial
+from operator import ne
 from typing import Callable, Union
 
 import numpy as np
@@ -89,11 +90,6 @@ def _taylor(r: Decimal, odd: int) -> Decimal:
         term = -term * r2 / ((i - 1) * i)
         s += term
     return s
-
-
-def _norm_inf(m: np.ndarray) -> float:
-    """Largest absolute row sum, each row summed exactly (``math.fsum``)."""
-    return max(map(math.fsum, np.abs(m).tolist()))
 
 
 @dataclass(frozen=True)
@@ -232,14 +228,16 @@ class PrecisionContext:
         """Infinity-norm condition number ||A|| ||A^{-1}|| of a float64 ``A`` in
         double, the precision :meth:`solve` works in, from its inverse (the
         gufunc behind ``numpy.linalg.inv``, under the caller's error state as
-        :meth:`solve`'s, warning "... in inv"): exact up to rounding, and
-        ``inf`` for a singular matrix or a row sum beyond the largest double.
+        :meth:`solve`'s, warning "... in inv"): exact up to rounding, each
+        norm the largest absolute row sum with every row summed exactly
+        (``math.fsum``), and ``inf`` for a singular matrix or a row sum
+        beyond the largest double.
         """
         inv = _umath_linalg.inv(A)
         if math.isnan(inv[0, 0]):
             return math.inf
         try:
-            return _norm_inf(A) * _norm_inf(inv)
+            return max(map(math.fsum, abs(A).tolist())) * max(map(math.fsum, abs(inv).tolist()))
         except OverflowError:  # math.fsum past the largest double
             return math.inf
 
@@ -273,12 +271,14 @@ DOUBLE = PrecisionContext(DOUBLE_DIGITS)
 
 def inf_norm(v) -> Real:
     """Max-abs of a sequence of context scalars, ``inf`` if any component is
-    nan or infinite: ``c < inf`` is false for both, for a float and a
-    ``Decimal`` alike, and true for a ``Decimal`` beyond the double range.
-    A ``Decimal`` nan compared under a context that traps invalid operations
-    (Python's default) raises ``InvalidOperation`` instead, and reads inf too."""
-    a = [abs(c) for c in v]
+    nan or infinite, for a float and a ``Decimal`` alike: a nan is the one
+    value unequal to itself, wherever ``max`` leaves it, and without one the
+    max-abs is below inf unless a component is infinite (a ``Decimal``
+    beyond the double range is finite).  A ``Decimal`` nan ordered under a
+    context that traps invalid operations (Python's default) raises
+    ``InvalidOperation`` instead, and reads inf too."""
     try:
-        return max(a) if all(c < math.inf for c in a) else math.inf
+        m = max(map(abs, v))
+        return m if m < math.inf and not any(map(ne, v, v)) else math.inf
     except ArithmeticError:
         return math.inf

@@ -41,6 +41,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import InvalidOperation
+from itertools import repeat
+from operator import mul, sub
 from typing import Any, Callable
 
 import numpy as np
@@ -203,7 +205,7 @@ def newton_solve(
         # none does, or when a polish step does not move the iterate
         lam, rn = one, r  # a Decimal times a float raises TypeError
         for _ in range(1 if polishing else MAX_HALVINGS + 1):
-            xn = [a - lam * b for a, b in zip(x, dx)]
+            xn = list(map(sub, x, map(mul, repeat(lam), dx)))
             lam = lam / 2
             if polishing and xn == x:
                 break
@@ -222,8 +224,7 @@ def newton_solve(
         if r <= tol:
             polish_left -= 1
 
-    report = SolveReport(x, r, iterations, condition_estimate=ctx.cond_inf(J),
-                         stalled=stalled and r > tol, aux=aux)
+    report = SolveReport(x, r, iterations, ctx.cond_inf(J), stalled and r > tol, aux)
     accepted = r <= tol or stalled and (
         r <= STALL_FACTOR * cfg.tol or r <= FLOOR_ULPS * ctx.eps * float(scale(aux)))
     if not accepted:

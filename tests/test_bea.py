@@ -139,6 +139,16 @@ def test_jet_rejects_a_nan_time_derivative():
         Jet1D(q=0.0, qp=0.0, tp=math.nan, tpp=0.0)
 
 
+@pytest.mark.parametrize("tp", [None, "x", math.inf, Decimal("-Infinity")])
+def test_jet_refuses_a_time_derivative_that_is_not_a_finite_number(tp):
+    # a comparison's TypeError before; a Decimal nan t' is not positive, as a
+    # float nan is, where Python's default context raised InvalidOperation
+    with pytest.raises(ConfigurationError, match="^jet needs a finite t', got "):
+        Jet1D(q=0.0, qp=0.0, tp=tp, tpp=0.0)
+    with pytest.raises(NonMonotoneTimeError):
+        Jet1D(q=0.0, qp=0.0, tp=Decimal("NaN"), tpp=0.0)
+
+
 @pytest.mark.parametrize("delta_a", [None, "0.1", -0.1, math.nan, math.inf, Decimal("NaN"), Decimal("-Infinity")])
 def test_jet_rejects_a_bad_step(delta_a):
     # a missing, text, negative, nan or infinite delta_a is a configuration
@@ -333,6 +343,15 @@ def test_profile_monotonicity_rejects_a_nan_end():
     # t'(nan) is nan, and nan <= 0 is false: the check returned None
     with pytest.raises(NonMonotoneTimeError):
         SineProfile(0.5).check_monotone(0, math.nan)
+
+
+@pytest.mark.parametrize("end", [None, "1", math.inf])
+def test_profile_monotonicity_refuses_an_end_that_is_not_a_finite_number(end):
+    # np.linspace raised a TypeError on None
+    with pytest.raises(ConfigurationError, match="^profile span ends must be finite, got "):
+        SineProfile(0.5).check_monotone(0, end)
+    with pytest.raises(ConfigurationError):
+        SineProfile(0.5).check_monotone(end, 1.0)
 
 
 def test_lemma1_identity_profile_is_machine_level():

@@ -105,11 +105,13 @@ def test_a_suite_member_builds_one_model(tmp_path, monkeypatch):
     assert summary["success"] and built == ["KeplerTwoBody"]
 
 
-@pytest.mark.parametrize("setting", ["digits=8", "tol=0", "problem=three_body", "m=nan", "k=nan"])
+@pytest.mark.parametrize("setting", ["digits=8", "tol=0", "problem=three_body", "m=nan", "k=nan",
+                                     "problem=kepler e=1.0", "problem=kepler e=-0.1"])
 def test_a_refused_run_makes_no_output_directory(tmp_path, setting):
-    # the context, solver config and model are built before the directory
+    # the context, solver config, model and start are built before the
+    # directory: the start checks the eccentricity
     outdir = tmp_path / "run"
-    assert main(["run", f"--outdir={outdir}", "problem=oscillator", "T_final=0.1", setting]) == 2
+    assert main(["run", f"--outdir={outdir}", "problem=oscillator", "T_final=0.1", *setting.split()]) == 2
     assert not outdir.exists()
 
 

@@ -1,11 +1,12 @@
 import hashlib
+import inspect
 import math
 import os
 import pickle
 import subprocess
 import sys
 from dataclasses import fields, replace
-from operator import sub
+from operator import mul, sub
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -289,6 +290,38 @@ def test_extrapolate_is_bitwise_the_left_to_right_sum(digits):
                 # numpy's float reduction starts from +0.0, as the sums do; its
                 # object reduction from the first row, whose Decimal -0 it keeps
                 assert typed_bits(ctx, got) == typed_bits(ctx, stacked) if ctx.is_native else got == list(stacked)
+
+
+def _random_23_digit_decimal(rng):
+    digits = "".join(map(str, rng.integers(0, 10, 22)))
+    return Decimal(f"{rng.choice(['', '-'])}{rng.integers(1, 10)}.{digits}E{rng.integers(-8, 3)}")
+
+
+@pytest.mark.parametrize("digits", [16, 18])
+def test_extrapolate_is_bitwise_the_weighted_sum_it_replaced(digits):
+    # the closed forms subtract a negative weight's term and add the oldest
+    # increment without multiplying it by 1; the formula they replaced summed
+    # each component times its weight from 0, oldest first: same repr, zero
+    # signs and a Decimal's exponent included, in the run's arithmetic
+    weights = ((1,), (-1, 2), (1, -3, 3), (-1, 4, -6, 4), (1, -5, 10, -10, 5))
+    ctx = with_precision(digits)
+    rng = np.random.default_rng(35)
+    zeros = [ctx.real(0.0), ctx.real(-0.0)]
+    assert [repr(z) for z in zeros] == (["0.0", "-0.0"] if ctx.is_native else ["Decimal('0')", "Decimal('-0')"])
+
+    def draw():
+        if rng.random() < 0.3:
+            return zeros[rng.integers(2)]
+        if ctx.is_native:
+            return float(rng.standard_normal() * 10.0 ** rng.integers(-8, 3))
+        return _random_23_digit_decimal(rng)
+
+    with ctx.arithmetic():
+        for _ in range(300):
+            for m in range(1, 6):
+                history = [[draw() for _ in range(3)] for _ in range(m)]
+                expected = [sum(map(mul, column, weights[m - 1])) for column in zip(*history)]
+                assert list(map(repr, _extrapolate(history))) == list(map(repr, expected)), history
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -668,6 +701,56 @@ def test_integrators_never_reach_fd_jacobian(monkeypatch, integrator):
         monitor = make_monitor(integrator[4:], model, s0)
         traj = avi_run(model, monitor, s0, 0.02, CFG13, h0=1e-3)
     assert traj.states[-1].t >= 0.02 and all(rec.iterations >= 1 for rec in traj.steps)
+
+
+@pytest.mark.parametrize("integrator", ["epavi", "avi_g2", "midpoint_fixed"])
+def test_runs_keep_the_traced_call_graph(monkeypatch, integrator):
+    # the benchmark's tracer rebinds these names in the module and binds
+    # newton_solve's F and jacobian by name: a run makes one step call per
+    # step through the module, each with a newton_solve call of its own
+    # through it, and an AVI run's calibration makes step calls of its own
+    calls, stack = [], [None]  # (name, index of the enclosing wrapped call)
+
+    def counting(name):
+        original = getattr(varint.integrators, name)
+
+        def wrapper(*args, **kwargs):
+            if name == "newton_solve":
+                bound = inspect.signature(original).bind(*args, **kwargs).arguments
+                assert callable(bound["F"]) and callable(bound["jacobian"])
+            calls.append((name, stack[-1]))
+            stack.append(len(calls) - 1)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        monkeypatch.setattr(varint.integrators, name, wrapper)
+
+    for name in ("newton_solve", "epavi_step", "avi_step", "avi_calibrate_delta_a"):
+        counting(name)
+    model, s0 = KeplerTwoBody(), kepler_initial_state(0.7)
+    if integrator == "epavi":
+        traj = epavi_run(model, s0, 1e-2, 0.5, CFG13)
+    elif integrator == "avi_g2":
+        traj = avi_run(model, make_monitor("g2", model, s0), s0, 0.5, CFG13, h0=1e-2)
+    else:
+        traj = midpoint_fixed_run(model, s0, 1e-2, 0.5, CFG13)
+    step_name = "epavi_step" if integrator == "epavi" else "avi_step"
+    steps = [i for i, (name, parent) in enumerate(calls) if parent is None and name != "newton_solve"]
+    calibration = [i for i, (_, parent) in enumerate(calls)
+                   if parent is not None and calls[parent][0] == "avi_calibrate_delta_a"]
+    if integrator == "avi_g2":
+        assert calls[steps[0]][0] == "avi_calibrate_delta_a" and 1 <= len(calibration) <= 5
+        assert all(calls[i][0] == "avi_step" for i in calibration)
+        steps = steps[1:]
+    else:
+        assert not calibration
+    assert len(steps) == len(traj.steps) > 10 and all(calls[i][0] == step_name for i in steps)
+    for i in steps + calibration:
+        assert any(name == "newton_solve" and parent == i for name, parent in calls)
+    # outside the steps only EpAVI's energy initialization solves
+    assert sum(parent is None for name, parent in calls if name == "newton_solve") == (integrator == "epavi")
 
 
 # -- fixed midpoint -----------------------------------------------------------------
