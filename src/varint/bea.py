@@ -96,6 +96,14 @@ class SineProfile(TimeProfile):
 # -- jets and pointwise operations -------------------------------------------------
 
 
+def _check_time_derivative(tp, owner: str):
+    """A nan or non-positive t' raises NonMonotoneTimeError, any other non-finite one ConfigurationError."""
+    if tp == tp:  # a nan t', unequal to itself, is not positive below
+        check_finite(tp, f"{owner} needs a finite t', got {{}}", -math.inf)
+    if not (tp == tp and tp > 0):
+        raise NonMonotoneTimeError(f"{owner} has t' = {tp}, not positive")
+
+
 @dataclass(frozen=True)
 class Jet1D:
     """Curve data (q, q', t', t'') at one fictitious-time point.
@@ -116,10 +124,7 @@ class Jet1D:
     qpp: Optional[Real] = None
 
     def __post_init__(self):
-        if self.tp == self.tp:  # a nan t', unequal to itself, is not positive below
-            check_finite(self.tp, "jet needs a finite t', got {}", -math.inf)
-        if not (self.tp == self.tp and self.tp > 0):
-            raise NonMonotoneTimeError(f"jet has t' = {self.tp}, not positive")
+        _check_time_derivative(self.tp, "jet")
         check_finite(self.delta_a, "delta_a must be non-negative and finite, got {}", inclusive=True)
 
 
@@ -186,8 +191,7 @@ def modified_lagrangian_mod3(model: LagrangianModel, q, qp, tp, delta_a) -> Real
     t' (m (q'/t')^2 / 2 - V) + (da^2 / 24) (t'^3 V_q^2 / m + q'^2 t' V_qq)
     """
     _require_1dof(model)
-    if not tp > 0:
-        raise NonMonotoneTimeError(f"t' = {tp} must be positive")
+    _check_time_derivative(tp, "modified Lagrangian")
     m, da = model.masses[0], model.ctx.real(delta_a)
     V, Vq, Vqq, _ = _derivs(model, q)
     leading = tp * (m * (qp / tp) ** 2 / 2 - V)

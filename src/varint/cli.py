@@ -58,11 +58,6 @@ class ExperimentConfig:
     outdir: str = "out"
     reference: bool = True
 
-    def validate(self) -> "ExperimentConfig":
-        """Check the config; see :meth:`build`."""
-        self.build()
-        return self
-
     def build(self):
         """The run's context, solver config and model, after the rules of this
         runner: a known integrator, one finite span, finite h0, and periods and
@@ -124,7 +119,8 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config(path: Optional[str] = None, overrides: Optional[List[str]] = None) -> ExperimentConfig:
-    """Flat key=value file plus command-line overrides."""
+    """Flat key=value file plus command-line overrides, each value parsed as
+    its field's type; :meth:`ExperimentConfig.build` checks the config."""
     values = {}
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
@@ -145,7 +141,7 @@ def parse_config(path: Optional[str] = None, overrides: Optional[List[str]] = No
             ingest(line, f"{path}:{lineno}")
     for item in overrides or []:
         ingest(item, "override")
-    return ExperimentConfig(**values).validate()
+    return ExperimentConfig(**values)
 
 
 # -- single experiment -------------------------------------------------------------

@@ -14,6 +14,7 @@ context the caller holds, which a run sets.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -270,23 +271,20 @@ def angular_momentum(q, p) -> Real:
     return q[0] * p[1] - q[1] * p[0]
 
 
-_MODEL_BUILDERS = {
-    "kepler": lambda params, ctx: KeplerTwoBody(ctx),
-    "oscillator": lambda params, ctx: HarmonicOscillator(
-        k=params.get("k", 1.0), m=params.get("m", 1.0), ctx=ctx
-    ),
-    "pendulum": lambda params, ctx: Pendulum(m=params.get("m", 1.0), ctx=ctx),
-}
+#: The models the CLI knows, by problem name.
+MODELS = {cls.name: cls for cls in (KeplerTwoBody, HarmonicOscillator, Pendulum)}
 
 
 def model_names():
-    return sorted(_MODEL_BUILDERS)
+    return sorted(MODELS)
 
 
 def make_model(name: str, params: Optional[dict] = None, ctx: PrecisionContext = DOUBLE):
-    """Build a model by its CLI problem name: `kepler`, `oscillator` or `pendulum`."""
+    """Build a model by its CLI problem name (:data:`MODELS`), passing it the
+    ``params`` its constructor takes; the constructor's defaults fill the rest."""
     try:
-        builder = _MODEL_BUILDERS[name]
+        cls = MODELS[name]
     except KeyError:
         raise ConfigurationError(f"unknown problem {name!r}; known: {model_names()}") from None
-    return builder(params or {}, ctx)
+    keys = inspect.signature(cls).parameters.keys() - {"ctx"}
+    return cls(**{k: v for k, v in (params or {}).items() if k in keys}, ctx=ctx)

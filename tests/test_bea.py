@@ -187,10 +187,22 @@ def test_mod3_oscillator_example():
     assert value == pytest.approx(-0.5 + 0.01 / 24, rel=1e-13)
 
 
-def test_mod3_rejects_a_nan_time_derivative():
-    # nan <= 0 is false: the value came back nan
-    with pytest.raises(NonMonotoneTimeError):
-        modified_lagrangian_mod3(HarmonicOscillator(), 1.0, 0.0, math.nan, 0.1)
+@pytest.mark.parametrize("tp,error", [
+    (math.inf, ConfigurationError),
+    (None, ConfigurationError),
+    ("x", ConfigurationError),
+    (Decimal("NaN"), NonMonotoneTimeError),
+    (math.nan, NonMonotoneTimeError),
+    (-1.0, NonMonotoneTimeError),
+])
+def test_mod3_checks_the_time_derivative_as_a_jet_does(tp, error):
+    # t' was tested bare: an infinite t' came back nan, None and "x" raised a
+    # comparison's TypeError and a Decimal nan decimal.InvalidOperation; a
+    # float nan, for which nan <= 0 is false, needs the nan test too
+    with pytest.raises(error):
+        modified_lagrangian_mod3(HarmonicOscillator(), 1.0, 0.0, tp, 0.1)
+    with pytest.raises(error):
+        Jet1D(q=1.0, qp=0.0, tp=tp, tpp=0.0, delta_a=0.1)
 
 
 def test_mod3_leading_term_homogeneity():

@@ -48,12 +48,12 @@ def test_parse_config_rejects_unknown_key(tmp_path):
 
 def test_validation_rejects_unknown_integrator():
     with pytest.raises(ConfigurationError):
-        ExperimentConfig(integrator="rk4").validate()
+        ExperimentConfig(integrator="rk4").build()
 
 
 def test_validation_rejects_low_digits():
     with pytest.raises(ConfigurationError):
-        ExperimentConfig(digits=8).validate()
+        ExperimentConfig(digits=8).build()
 
 
 @pytest.mark.parametrize("setting", ["tol=nan", "T_final=nan"])
@@ -69,13 +69,13 @@ def test_main_rejects_a_nan_setting(tmp_path, capsys, setting):
 def test_parse_config_rejects_an_infinite_setting(setting):
     # never run: a run has no step budget, so an infinite span would not return
     with pytest.raises(ConfigurationError, match="must be positive and finite"):
-        parse_config(overrides=[setting])
+        parse_config(overrides=[setting]).build()
 
 
 def test_parse_config_rejects_periods_with_t_final():
     # one span: periods would otherwise be ignored in favour of T_final
     with pytest.raises(ConfigurationError, match="periods or T_final, not both"):
-        parse_config(overrides=["periods=2", "T_final=1"])
+        parse_config(overrides=["periods=2", "T_final=1"]).build()
 
 
 @pytest.mark.parametrize("setting,integrator,message", [
@@ -91,8 +91,9 @@ def test_main_rejects_a_non_finite_oscillator(tmp_path, capsys, setting, integra
     assert message in capsys.readouterr().err
 
 
-def test_a_suite_member_builds_one_model(tmp_path, monkeypatch):
-    # the start is the built model's own: it built a second model to evaluate H
+@pytest.fixture
+def built_models(monkeypatch):
+    """The class names of the models built while the test runs, in order."""
     built = []
     init = LagrangianModel.__init__
 
@@ -101,8 +102,20 @@ def test_a_suite_member_builds_one_model(tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(LagrangianModel, "__init__", counting)
+    return built
+
+
+def test_a_suite_member_builds_one_model(tmp_path, built_models):
+    # the start is the built model's own: it built a second model to evaluate H
     summary = run_experiment(varint.cli.SUITES["fig_e01"]["epavi_tol1e-15"], tmp_path)
-    assert summary["success"] and built == ["KeplerTwoBody"]
+    assert summary["success"] and built_models == ["KeplerTwoBody"]
+
+
+def test_a_cli_run_builds_one_model(tmp_path, built_models):
+    # parse_config built the context, solver config and model to check them,
+    # and run_experiment built them again
+    assert main(["run", f"--outdir={tmp_path}", "problem=oscillator", "T_final=0.1", "reference=false"]) == 0
+    assert built_models == ["HarmonicOscillator"]
 
 
 @pytest.mark.parametrize("setting", ["digits=8", "tol=0", "problem=three_body", "m=nan", "k=nan",
@@ -155,10 +168,16 @@ def test_avi2_off_kepler_is_a_configuration_error(tmp_path, problem):
     assert "avi2 is only defined for the kepler problem" in proc.stderr
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_list_prints_the_registered_names(capsys):
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    assert "epavi" in out and "kepler" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "problems:    kepler oscillator pendulum",
+        "integrators: epavi avi1 avi2 midpoint_fixed reference",
+        "suites:      fig_e01 fig_e07 vpa_study bea_orders h0_sensitivity",
+    ]
+
+
+def test_main_exit_codes(tmp_path, capsys):
     # unknown integrator: configuration error -> exit 2
     assert main(["run", f"--outdir={tmp_path}", "integrator=rk99"]) == 2
     # the reference tolerances are fixed, not config keys

@@ -23,7 +23,7 @@ from varint import (
     with_precision,
 )
 from varint.bea import SineProfile
-from varint.models import LagrangianModel
+from varint.models import MODELS, LagrangianModel
 
 ALL_MODELS = [KeplerTwoBody(), HarmonicOscillator(k=1.3, m=0.8), Pendulum(m=1.1)]
 
@@ -180,6 +180,24 @@ def test_make_model_registry():
     assert make_model("pendulum").name == "pendulum"
     with pytest.raises(ConfigurationError):
         make_model("three_body")
+
+
+def test_make_model_passes_each_constructor_only_its_own_params():
+    # each default is the constructor's, read from its signature: a table of
+    # builders restated them; Kepler's constructor takes no keyword but ctx,
+    # so one that got any would raise a TypeError
+    params = {"e": 0.3, "k": 2.0, "m": 0.5, "q0": 0.2, "p0": 0.1}
+    ctx = with_precision(18)
+    oscillator = make_model("oscillator", params, ctx)
+    assert oscillator.params == {"k": 2.0, "m": 0.5} and oscillator.ctx is ctx
+    assert make_model("pendulum", params).params == {"m": 0.5}
+    kepler = make_model("kepler", params, ctx)
+    assert type(kepler) is KeplerTwoBody and kepler.params == {} and kepler.ctx is ctx
+    assert make_model("oscillator", {}).params == {"k": 1.0, "m": 1.0}
+    assert make_model("pendulum", {}).params == {"m": 1.0}
+    assert sorted(MODELS) == ["kepler", "oscillator", "pendulum"]
+    with pytest.raises(ConfigurationError, match=r"^unknown problem 'three_body'; known: \['kepler', 'oscillator', 'pendulum'\]$"):
+        make_model("three_body", params)
 
 
 @pytest.mark.parametrize("name,key,value,message", [
