@@ -136,7 +136,12 @@ def parse_config(path: Optional[str] = None, overrides: Optional[List[str]] = No
         values[key] = _parse_value(key, raw)
 
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:  # missing, or a directory
+            raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"config file {path} is not UTF-8: {exc}") from None
         for lineno, line in enumerate(text.splitlines(), 1):
             ingest(line, f"{path}:{lineno}")
     for item in overrides or []:
@@ -172,23 +177,23 @@ def _reference_trajectory_outputs(cfg, model, state0, outdir):
     max_drift = max([0.0] + [abs(float(h - H0)) for h in H])
     rows = ((k, t, *q, *p, h) for k, (t, q, p, h) in enumerate(zip(times, Q.T, P.T, H)))
     diagnostics.write_csv(outdir / "trajectory.csv", diagnostics.state_header(model.n), rows, DOUBLE)
-    return {
-        "n_steps": len(times) - 1,
-        "max_energy_error": max_drift,
-        "success": True,
-    }
+    return {"n_steps": len(times) - 1, "max_energy_error": max_drift}
 
 
 def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict:
     """Execute one configured run and write its output bundle.
 
     Returns the machine-readable summary (also written as summary.txt).
-    Numerical failures produce a summary with success=False: a failed run,
-    in its setup or in a step, writes the outputs of the trajectory it
-    reached; a failure before the run (e.g. a start inside the Kepler
-    collision guard) writes none.  A :class:`ConfigurationError` propagates;
-    one from :meth:`ExperimentConfig.build` or the start (an eccentricity
-    outside [0, 1), say), both taken first, leaves no output directory.
+    Its ``error`` is the first numerical failure, and ``success`` is True
+    exactly when there is none.  A failed start (e.g. inside the Kepler
+    collision guard) writes no trajectory outputs; a failed run, in its
+    setup or in a step, writes the outputs of the trajectory it reached, and
+    its own message stays the error when that trajectory's reference solve
+    fails too; a run that completed fails when its outputs do (its reference
+    solve, say).  A :class:`ConfigurationError` propagates; one from
+    :meth:`ExperimentConfig.build` or the start (an eccentricity outside
+    [0, 1), say), both taken first, leaves no output directory, and so does
+    an output directory that cannot be made.
     The start, the run and its diagnostics compute under the context's
     :meth:`~varint.precision.PrecisionContext.arithmetic`, so the states and
     output bytes of an extended run do not depend on the caller's decimal
@@ -203,8 +208,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
             raise
         except VarintError as exc:  # a numerical failure, which writes its summary below
             state0 = exc
-    outdir = Path(outdir if outdir is not None else cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(outdir if outdir is not None else cfg.outdir)
     (outdir / "config.txt").write_text("\n".join(cfg.as_lines()) + "\n")
 
     summary = {
@@ -224,16 +228,14 @@ def run_experiment(cfg: ExperimentConfig, outdir: Optional[Path] = None) -> dict
             else:
                 try:
                     traj = _run_integrator(cfg, model, state0, scfg)
-                    summary["success"] = True
                 except IntegrationError as exc:
-                    summary.update(success=False, error=str(exc))
-                    traj = exc.trajectory
+                    summary["error"], traj = str(exc), exc.trajectory
                 _trajectory_outputs(cfg, model, traj, outdir, summary)
         except ConfigurationError:
             raise
-        except VarintError as exc:
-            summary.setdefault("success", False)
-            summary["error"] = str(exc)
+        except VarintError as exc:  # a failed run's error stays when its reference solve fails too
+            summary.setdefault("error", str(exc))
+    summary["success"] = "error" not in summary
     summary["wall_time_s"] = round(time.perf_counter() - started, 3)
 
     _write_summary(outdir / "summary.txt", summary)
@@ -280,6 +282,17 @@ def _trajectory_outputs(cfg, model, traj, outdir, summary):
             summary[f"max_{s.label}"] = s.max()
 
 
+def _make_outdir(path) -> Path:
+    """``path`` as a directory, made with its parents if missing; one that
+    cannot be made (a file is in the way, say) is a :class:`ConfigurationError`."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot make output directory {path}: {exc.strerror}") from None
+    return path
+
+
 def _write_summary(path: Path, summary: dict):
     lines = [f"{key}={summary[key]}" for key in sorted(summary)]
     path.write_text("\n".join(lines) + "\n")
@@ -308,32 +321,23 @@ _VPA = dict(_KEPLER_E07, integrator="epavi", h0=0.01)
 def _run_bea_orders(outdir: Path) -> dict:
     from .models import HarmonicOscillator, Pendulum
 
-    cases = [
+    rows = []
+    summary = {"suite": "bea_orders", "success": True}
+    for label, model, profile in [
         ("oscillator", HarmonicOscillator(), bea.IdentityProfile()),
         ("pendulum", Pendulum(), bea.SineProfile(0.1)),
-    ]
-    rows = []
-    slopes = {}
-    for label, model, profile in cases:
-        for flag in (False, True):
-            est = bea.residual_order_estimate(model, profile, flag)
-            slopes[(label, flag)] = est
-            for da, el, en in est.samples:
-                rows.append([label, profile.label, flag, da, el, en])
+    ]:
+        leading, modified = (bea.residual_order_estimate(model, profile, flag) for flag in (False, True))
+        for flag, tag, est in ((False, "leading", leading), (True, "modified", modified)):
+            rows += ([label, profile.label, flag, *sample] for sample in est.samples)
+            summary[f"slope_{label}_{tag}"] = round(est.slope, 3)
+            summary[f"slope_energy_{label}_{tag}"] = round(est.slope_energy, 3)
+        summary[f"improvement_{label}"] = round(modified.slope - leading.slope, 3)
     diagnostics.write_csv(
         outdir / "bea_orders.csv",
         ["problem", "profile", "modified", "delta_a", "residual_inf_norm", "energy_residual_inf_norm"],
         rows,
     )
-    summary = {"suite": "bea_orders", "success": True}
-    for (label, flag), est in slopes.items():
-        tag = "modified" if flag else "leading"
-        summary[f"slope_{label}_{tag}"] = round(est.slope, 3)
-        summary[f"slope_energy_{label}_{tag}"] = round(est.slope_energy, 3)
-    for label, _, _ in cases:
-        summary[f"improvement_{label}"] = round(
-            slopes[(label, True)].slope - slopes[(label, False)].slope, 3
-        )
     _write_summary(outdir / "summary.txt", summary)
     return summary
 
@@ -367,8 +371,7 @@ def run_suite(name: str, outdir, workers: int = 2) -> dict:
         suite = SUITES[name]
     except KeyError:
         raise ConfigurationError(f"unknown suite {name!r}; known: {list(SUITES)}") from None
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(outdir)
     if callable(suite):
         return suite(outdir)
 
@@ -381,12 +384,7 @@ def run_suite(name: str, outdir, workers: int = 2) -> dict:
 
     keys = ["label", "integrator", "digits", "tol", "h0", "success", "n_steps",
             "mean_step_ratio", "max_step_ratio", "max_energy_error", "max_step_defect"]
-    rows = []
-    for (label, cfg), summary in zip(suite.items(), summaries):
-        row = dict.fromkeys(keys, "")
-        row.update({k: v for k, v in summary.items() if k in keys})
-        row.update(label=label, digits=cfg.digits)
-        rows.append([row[k] for k in keys])
+    rows = [[{"label": label, **summary}.get(k, "") for k in keys] for label, summary in zip(suite, summaries)]
     diagnostics.write_csv(outdir / "comparison.csv", keys, rows)
 
     ok = all(s.get("success") for s in summaries)
@@ -478,21 +476,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "run":
             cfg = parse_config(args.config, args.overrides)
             summary = run_experiment(cfg, Path(args.outdir) if args.outdir else None)
-            status = "ok" if summary.get("success") else f"FAILED: {summary.get('error')}"
+            status = "ok" if summary["success"] else f"FAILED: {summary['error']}"
             print(f"{cfg.integrator} on {cfg.problem}: {status}")
-            return 0 if summary.get("success") else 1
-        if args.command == "suite":
-            outdir = args.outdir or f"suite_{args.name}"
-            summary = run_suite(args.name, outdir, workers=args.workers)
-            print(f"suite {args.name}: {'ok' if summary['success'] else 'member failures'}")
             return 0 if summary["success"] else 1
+        # argparse requires a command, and "suite" is the one left
+        summary = run_suite(args.name, args.outdir or f"suite_{args.name}", workers=args.workers)
+        print(f"suite {args.name}: {'ok' if summary['success'] else 'member failures'}")
+        return 0 if summary["success"] else 1
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except VarintError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -48,12 +48,12 @@ class IllPosednessError(SolverError):
 
 
 class IntegrationError(VarintError):
-    """A trajectory run aborted mid-way.  Carries the partial trajectory."""
+    """A trajectory run aborted mid-way.  Carries the partial trajectory; the
+    failure that aborted it is its ``__cause__``."""
 
-    def __init__(self, message, trajectory=None, cause=None):
+    def __init__(self, message, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
-        self.cause = cause
 
 
 class StiffnessError(VarintError):

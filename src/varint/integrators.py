@@ -403,7 +403,7 @@ def _march(model, name, setup: Callable, state0, T_final, cfg, **meta) -> Trajec
                 traj.append(state, record)
     except VarintError as exc:
         message = f"{name} run aborted at t = {float(traj.states[-1].t):.6g} after {len(traj.steps)} steps: {exc}"
-        raise IntegrationError(message, trajectory=traj, cause=exc) from exc
+        raise IntegrationError(message, trajectory=traj) from exc
     return traj
 
 
@@ -683,7 +683,8 @@ def avi_run(model: LagrangianModel, monitor: Monitor, state0: ExtendedState, T_f
             cfg: Optional[SolverConfig] = None, *, h0) -> Trajectory:
     """Fixed-da monitor-adaptive run until t >= T_final, with da calibrated
     so that the first physical step is ``h0`` (:func:`avi_calibrate_delta_a`);
-    the meta's ``delta_a`` is that da, or None if the calibration failed.
+    the meta's ``delta_a`` is that da, or None if the calibration failed or
+    the span is empty, which calibrates nothing.
     Recorded energies are H(q_k, p_k).  Each Newton solve after the first
     starts from the dq part of :func:`_march`'s warm start, as in
     :func:`epavi_run`; on the one-period Kepler runs at e = 0.7 this takes
@@ -692,8 +693,10 @@ def avi_run(model: LagrangianModel, monitor: Monitor, state0: ExtendedState, T_f
     state0, cfg = _run_config(model, state0, T_final, cfg, h0=h0)
 
     def setup(state0, meta):
-        da = avi_calibrate_delta_a(model, monitor, state0, h0, cfg)
-        meta["delta_a"] = float(da)
+        da = None  # an empty span takes no step, and no solve to size one
+        if T_final > state0.t:
+            da = avi_calibrate_delta_a(model, monitor, state0, h0, cfg)
+            meta["delta_a"] = float(da)
         return _avi_start(model, monitor, state0, da, cfg)
 
     return _march(model, f"avi_{monitor.identifier}", setup, state0, T_final, cfg, monitor=monitor.identifier,

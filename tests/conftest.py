@@ -86,12 +86,16 @@ def reference_state(reference, model, t) -> ExtendedState:
 
 
 def read_summary(path) -> dict:
-    """The key=value lines of a summary.txt as a dict of strings."""
+    """The key=value lines of a summary.txt as a dict of strings.  A run's
+    summary (one with an integrator) is held to the outcome rule on the way:
+    it has an error line exactly when it has success=False."""
     out = {}
     for line in Path(path).read_text().splitlines():
         if "=" in line:
             key, val = line.split("=", 1)
             out[key] = val
+    if "integrator" in out:
+        assert ("error" in out) == (out["success"] == "False"), out
     return out
 
 

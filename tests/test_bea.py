@@ -128,6 +128,12 @@ def test_modified_rhs_truncation_identity():
     assert modified_rhs_order2(model, jet0) == pytest.approx(leading, rel=1e-14)
 
 
+def test_modified_rhs_needs_one_degree_of_freedom():
+    jet = Jet1D(q=0.7, qp=0.3, tp=1.0, tpp=0.0, delta_a=0.1)
+    with pytest.raises(ConfigurationError, match="^this operation is defined for 1-DOF separable models$"):
+        modified_rhs_order2(varint.KeplerTwoBody(), jet)
+
+
 def test_modified_rhs_rejects_bad_jet():
     with pytest.raises(NonMonotoneTimeError):
         Jet1D(q=0.0, qp=0.0, tp=-1.0, tpp=0.0)

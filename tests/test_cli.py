@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import os
 import py_compile
+import re
 import subprocess
 import sys
 from decimal import getcontext, localcontext
@@ -70,6 +71,39 @@ def test_parse_config_rejects_an_infinite_setting(setting):
     # never run: a run has no step budget, so an infinite span would not return
     with pytest.raises(ConfigurationError, match="must be positive and finite"):
         parse_config(overrides=[setting]).build()
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (["reference=maybe"], "cannot parse boolean reference='maybe'"),
+    (["h0=abc"], "cannot parse h0='abc'"),
+    (["h0"], "override: expected key=value, got 'h0'"),
+    (["problem=oscillator", "periods=1"], "periods is only defined for the kepler problem"),
+])
+def test_a_setting_the_runner_cannot_take_is_refused(overrides, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        parse_config(overrides=overrides).build()
+
+
+@pytest.mark.parametrize("case", ["missing config", "config is a directory", "config is not UTF-8",
+                                  "run outdir is a file", "suite outdir is a file"])
+def test_unreadable_settings_are_configuration_errors(tmp_path, capsys, case):
+    # each ended in a traceback and exit 1, the code of a numerical failure
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("problem = oscillator  # r\xe9sum\xe9\n".encode("latin-1"))
+    run = ["problem=oscillator", "T_final=0.1", "reference=false"]
+    args = {
+        "missing config": ["run", "--config", str(tmp_path / "missing.cfg"), *run, f"outdir={tmp_path / 'out'}"],
+        "config is a directory": ["run", "--config", str(tmp_path), *run, f"outdir={tmp_path / 'out'}"],
+        "config is not UTF-8": ["run", "--config", str(latin1), *run, f"outdir={tmp_path / 'out'}"],
+        "run outdir is a file": ["run", *run, f"outdir={blocker}"],
+        "suite outdir is a file": ["suite", "fig_e01", "--outdir", str(blocker)],
+    }[case]
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: "), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_config_rejects_periods_with_t_final():
@@ -157,6 +191,24 @@ def test_reference_run_of_a_vanishing_period_returns(tmp_path):
     assert stored["success"] == "False"
     assert stored["error"].startswith("reference step ")
     assert stored["error"].endswith(" at t = 0 is below 1e-12 of the span")
+
+
+@pytest.mark.parametrize("integrator,error", [
+    ("epavi", "epavi run aborted at t = "),
+    ("midpoint_fixed", "reference step "),
+])
+def test_a_failed_bundle_reports_its_first_failure(tmp_path, integrator, error):
+    # m = 1e-300, a period of ~6e-150: EpAVI's step underflows after 2652
+    # steps, and the reference solve of the trajectory it reached fails
+    # after it, so the run's own abort is the error; the fixed step
+    # completes its 100 steps, and its failed reference solve fails the bundle
+    code = main(["run", f"--outdir={tmp_path}", "problem=oscillator", "m=1e-300", "T_final=0.1",
+                 f"integrator={integrator}"])
+    assert code == 1
+    stored = read_summary(tmp_path / "summary.txt")
+    assert stored["success"] == "False"
+    assert stored["error"].startswith(error)
+    assert not (tmp_path / "traj_error.csv").exists()
 
 
 @pytest.mark.parametrize("problem", ["oscillator", "pendulum"])

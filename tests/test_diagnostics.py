@@ -63,6 +63,11 @@ def test_telescoping_needs_two_states():
         telescoping_bound_check(_synthetic_trajectory([-0.5]))
 
 
+def test_step_statistics_need_a_step():
+    with pytest.raises(ConfigurationError, match="^step statistics need at least one step$"):
+        timestep_stats(_synthetic_trajectory([-0.5]))
+
+
 def test_telescoping_on_real_run(epavi_e07):
     report = telescoping_bound_check(epavi_e07)
     assert report.holds

@@ -372,6 +372,20 @@ def test_epavi_run_empty_when_T_equals_t0():
     assert len(traj.states) == 1 and not traj.steps
 
 
+def test_avi_run_over_an_empty_span_calibrates_nothing(monkeypatch):
+    # at e = 0.95 the calibration overflows the Kepler Jacobian (see
+    # test_failed_avi_calibration_aborts_the_run_at_its_start): a run that
+    # takes no step must not fail sizing one, as EpAVI takes no energy solve
+    def calibrate(*args):
+        raise AssertionError("an empty span was calibrated")
+
+    monkeypatch.setattr(varint.integrators, "avi_calibrate_delta_a", calibrate)
+    model, s0 = KeplerTwoBody(), kepler_initial_state(0.95)
+    traj = avi_run(model, make_monitor("g2", model, s0), s0, 0.0, CFG13, h0=0.05)
+    assert len(traj.states) == 1 and not traj.steps
+    assert traj.meta["delta_a"] is None
+
+
 def test_epavi_run_short_invariants():
     model = KeplerTwoBody()
     s = kepler_initial_state(0.7)
@@ -546,7 +560,7 @@ def test_failed_avi_calibration_aborts_the_run_at_its_start():
     with pytest.raises(IntegrationError) as info:
         avi_run(model, make_monitor("g2", model, s0), s0, 2 * math.pi, CFG13, h0=0.05)
     assert str(info.value).startswith("avi_g2 run aborted at t = 0 after 0 steps: Jacobian overflows")
-    assert isinstance(info.value.cause, NonconvergenceError)
+    assert isinstance(info.value.__cause__, NonconvergenceError)
     assert len(info.value.trajectory) == 1 and not info.value.trajectory.steps
 
 
@@ -588,6 +602,19 @@ def test_avi_monitor_domain_error_propagates():
     bad = ExtendedState(t=0.0, q=np.array([3.0]), p=np.array([0.0]), E=0.0)
     with pytest.raises(MonitorDomainError):
         avi_step(model, monitor, bad, 0.1, CFG13)
+
+
+@pytest.mark.parametrize("call,where", [
+    (lambda model, monitor, s0: avi_step(model, monitor, s0, 0.1, CFG13), "step start"),
+    (lambda model, monitor, s0: avi_calibrate_delta_a(model, monitor, s0, 0.1, CFG13), "initial state"),
+])
+def test_a_cold_avi_start_at_the_zero_of_g2_is_refused(call, where):
+    # g2 = q'q is 0 at q = 0: the explicit-Euler start da g(q_k) M^{-1} p_k
+    # and the calibration's da = h0 / g(q_0) need g(q_0) > 0
+    model = HarmonicOscillator()
+    s0 = model.initial_state({"q0": 0.0, "p0": 1.0})
+    with pytest.raises(MonitorDomainError, match=f"^monitor value 0.0 at the {where} is not positive$"):
+        call(model, make_monitor("g2", model, s0), s0)
 
 
 @pytest.mark.parametrize("digits", [16, 18])
@@ -1126,7 +1153,7 @@ def test_run_aborts_on_step_underflow():
     s0 = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.5)
     with pytest.raises(IntegrationError) as info:
         midpoint_fixed_run(HarmonicOscillator(), s0, 1e-15, 1.0)
-    assert isinstance(info.value.cause, NonMonotoneTimeError)
+    assert isinstance(info.value.__cause__, NonMonotoneTimeError)
     assert str(info.value).startswith("midpoint_fixed run aborted at t = 0 after 0 steps: ")
     assert len(info.value.trajectory.states) == 1
 

@@ -23,7 +23,7 @@ from varint import (
     with_precision,
 )
 from varint.bea import SineProfile
-from varint.models import MODELS, LagrangianModel
+from varint.models import MODELS, ExtendedState, LagrangianModel
 
 ALL_MODELS = [KeplerTwoBody(), HarmonicOscillator(k=1.3, m=0.8), Pendulum(m=1.1)]
 
@@ -291,6 +291,12 @@ def test_state_validation():
     s.validate(2)
     with pytest.raises(ConfigurationError):
         s.validate(1)
+
+
+@pytest.mark.parametrize("q,p", [((1.0, 0.0), (0.5,)), ((1.0,), (0.5, 0.0))])
+def test_state_validation_refuses_q_and_p_of_unequal_length(q, p):
+    with pytest.raises(ConfigurationError, match="^q and p must have equal dimension$"):
+        ExtendedState(t=0.0, q=q, p=p, E=0.0).validate()
 
 
 def test_extended_precision_model_evaluation():

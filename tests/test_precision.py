@@ -312,6 +312,13 @@ def test_a_decimal_nan_or_inf_reads_as_a_float_one_does(bad):
                 assert inf_norm([Decimal(1), value]) == math.inf
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("name", ["cos", "sin"])
+def test_extended_cos_and_sin_of_a_nan_or_inf_are_nan(name, bad):
+    # a nan or infinite argument skips the reduction and the series
+    assert getattr(with_precision(18), name)(Decimal(bad)).is_nan()
+
+
 def test_import_varint_loads_no_mpmath():
     # extended precision is the standard library's decimal: importing the
     # package and its CLI, and an 18-digit run whose pendulum needs cos and

@@ -147,7 +147,7 @@ def test_a_run_through_a_singular_jacobian_warns_of_nothing():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError) as info:
             epavi_run(model, state, 0.1, 1.0, SolverConfig(tol=1e-12))
-    assert isinstance(info.value.cause, IllPosednessError)
+    assert isinstance(info.value.__cause__, IllPosednessError)
 
 
 def test_free_particle_2x2_system_singular_directly():
@@ -164,6 +164,13 @@ def test_free_particle_2x2_system_singular_directly():
 def test_fd_jacobian_linear_map_exact():
     J = fd_jacobian(lambda x: list(x), [0.3, -1.7], 1e-5)
     assert np.allclose(J, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fd_jacobian_refuses_a_non_finite_column(bad):
+    # column 0 is finite, column 1 differences a residual that is not
+    with pytest.raises(NonconvergenceError, match="^non-finite residual while differencing column 1$"):
+        fd_jacobian(lambda x: [x[0], bad if x[1] > 0.5 else x[1]], [0.3, 0.5], 1e-5)
 
 
 def test_fd_jacobian_polynomial():
