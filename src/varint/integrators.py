@@ -46,11 +46,11 @@ the Newton solution from ``SolveReport.aux``.  The kernel, the residuals and
 Jacobians, the Newton iterate from its start to ``SolveReport.solution``,
 the monitors and the warm start are Python lists of context scalars: on two
 or three components NumPy's fixed cost per call outweighs the arithmetic.
-The states' q and p are tuples of context scalars.  NumPy keeps the LAPACK
-solve (``PrecisionContext.solve`` and ``cond_inf``), whose gufuncs run under
-the one error state ``_march`` sets for a whole run.  Each operation is the
-array formula's, in its order (sums from 0 in index order; ``np.dot`` where
-BLAS fuses a multiply-add), so no bit moves.  The mass enters only through
+The states' q and p are tuples of context scalars.  The Newton step's
+linear algebra (``PrecisionContext.solve`` and ``cond_inf``) works on the
+Jacobian's own rows in Python floats too, so no BLAS or LAPACK kernel
+chooses a bit of a step.  Each operation is the array formula's, in its
+order (sums from 0 in index order).  The mass enters only through
 the model's ``mass_times`` and ``inverse_mass_times``.
 :func:`_momentum_system` is the momentum equation above, with its Jacobian:
 one system for an AVI step, a fixed step (the unit monitor, da = h, which
@@ -370,18 +370,16 @@ def _march(model, name, setup: Callable, state0, T_final, cfg, **meta) -> Trajec
     ``Decimal``s.  A failed setup or step raises an :class:`IntegrationError`
     carrying the trajectory so far, with the run's meta either way; after a
     failed setup it holds ``state0`` alone.  The setup and the steps run
-    under one ``np.errstate(all="ignore")``: a singular Jacobian's all-nan
-    step and inverse are judged by the solve, not warned of, and no solve
-    enters an error state of its own.  They run under the context's
-    :meth:`~varint.precision.PrecisionContext.arithmetic` too: an extended
-    run's ``Decimal`` operations round at its working precision whatever
-    decimal context the caller holds, and no step enters one of its own.
+    under the context's :meth:`~varint.precision.PrecisionContext.arithmetic`:
+    an extended run's ``Decimal`` operations round at its working precision
+    whatever decimal context the caller holds, and no step enters one of its
+    own.
     """
     meta = {"integrator": name, "model": model.name, "params": dict(model.params), **meta,
             "T_final": float(T_final), "tol": float(cfg.tol), "digits": model.ctx.digits}
     traj = Trajectory([state0], model.ctx, meta)
     try:
-        with np.errstate(all="ignore"), model.ctx.arithmetic():
+        with model.ctx.arithmetic():
             state, step, h = setup(state0, meta)
             traj = Trajectory([state], model.ctx, meta)
             end = type(state.t)(T_final) if isinstance(T_final, float) else T_final
@@ -560,8 +558,8 @@ def make_monitor(name: str, model: LagrangianModel, state0: ExtendedState) -> Mo
             return 1 / model.ctx.sqrt(radicand)
 
         def arclength_grad(q, g, dV, d2V) -> list:
-            # np.dot of the 2 x 2 Hessian fuses multiply-adds, so it stays
-            return ((np.array(dV) - np.dot(d2V, dm.inverse_mass_times(dV))) * g ** 3).tolist()
+            u, g3 = dm.inverse_mass_times(dV), g ** 3
+            return [(d - sum(map(mul, row, u))) * g3 for d, row in zip(dV, d2V)]
 
         return Monitor("g1", arclength, arclength_grad)
     if name == "g2":
@@ -831,7 +829,7 @@ def _kepler_flow(q0, p0, t0, inv_a) -> Callable:
     At t0, x = 0 gives f = g' = 1 and g = f' = 0: the start comes back bit
     for bit, with no perifocal frame and no special case for a circle.
     """
-    r0, s0, root = math.hypot(*q0), float(q0 @ p0), math.sqrt(inv_a)
+    r0, s0, root = math.hypot(*q0), sum(map(mul, q0.tolist(), p0.tolist())), math.sqrt(inv_a)
     a, sqrt_a, n = 1 / inv_a, 1 / root, inv_a * root
     ec, es = 1 - r0 * inv_a, s0 * root
 

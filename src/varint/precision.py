@@ -18,9 +18,10 @@ themselves.  :meth:`PrecisionContext.real` and ``array`` round through the
 context itself, inside a run or not, as do ``sqrt``, ``cos`` and ``sin``,
 and bring values of another precision in.  Context constants and these
 elementary functions (``math``'s in double) are chosen once per context.
-The double linear algebra, ``solve`` and ``cond_inf``, calls numpy's LAPACK
-gufuncs bare, so it follows the caller's numpy error state; the
-integrators' runs set one that ignores a singular matrix.
+The double linear algebra, ``solve`` and ``cond_inf``, is Gaussian
+elimination and the adjugate on Python floats, one rounding per operation
+in a fixed order: its bits depend on no BLAS or LAPACK kernel, and a
+singular matrix is judged by its outcome, not warned of.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from functools import cached_property, lru_cache, partial
 from operator import ne
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import ConfigurationError
 
@@ -90,6 +90,185 @@ def _taylor(r: Decimal, odd: int) -> Decimal:
         term = -term * r2 / ((i - 1) * i)
         s += term
     return s
+
+
+# -- small dense systems in double ------------------------------------------------
+#
+# Gaussian elimination with partial pivoting (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., 2002, ch. 9) on Python floats: each entry
+# is rounded to double by ``float`` first, each operation rounds once, and
+# the multipliers are divided by the pivot, not scaled by its reciprocal.
+# :func:`_solve1` to :func:`_solve3` unroll :func:`_gauss` for one right side
+# and give its bits.  A zero or non-finite pivot, or a non-finite first
+# component of x (which every other component enters), makes x all nan.
+
+_NAN, _INF = math.nan, math.inf
+
+#: Norms within which a 3 x 3 matrix's cofactors and determinant stay in the
+#: normal double range; :func:`_cond2` and :func:`_cond3` first scale a matrix
+#: outside them by a power of two, which is exact.
+_LOW, _HIGH = 2.0 ** -300, 2.0 ** 300
+
+
+def _gauss(rows) -> Optional[list]:
+    """X = A^{-1} B from the augmented float rows [A | B] of an n x n A,
+    eliminated in place; None at a zero or non-finite pivot or a non-finite
+    entry in X's first row."""
+    n = len(rows)
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))  # the first largest
+        rows[k], rows[p] = rows[p], rows[k]
+        top = rows[k]
+        if not 0 < abs(top[k]) < _INF:
+            return None
+        for row in rows[k + 1:]:
+            m = row[k] / top[k]
+            for j in range(k + 1, len(row)):
+                row[j] -= m * top[j]
+    for k in reversed(range(n)):
+        row = rows[k]
+        for j in range(n, len(row)):
+            s = row[j]
+            for i in range(k + 1, n):
+                s -= row[i] * rows[i][j]
+            row[j] = s / row[k]
+    X = [row[n:] for row in rows]
+    return X if all(abs(v) < _INF for v in X[0]) else None
+
+
+def _solve_n(A, b) -> list:
+    X = _gauss([[*map(float, row), float(y)] for row, y in zip(A, b)])
+    return [_NAN] * len(b) if X is None else [x for x, in X]
+
+
+def _solve1(A, b) -> list:
+    a, y = float(A[0][0]), float(b[0])
+    if not 0 < abs(a) < _INF:
+        return [_NAN]
+    x = y / a
+    return [x] if abs(x) < _INF else [_NAN]
+
+
+def _solve2(A, b) -> list:
+    (a00, a01), (a10, a11) = A
+    y0, y1 = b
+    a00, a01, a10, a11, y0, y1 = float(a00), float(a01), float(a10), float(a11), float(y0), float(y1)
+    if abs(a10) > abs(a00):
+        a00, a01, y0, a10, a11, y1 = a10, a11, y1, a00, a01, y0
+    if not 0 < abs(a00) < _INF:
+        return [_NAN, _NAN]
+    m = a10 / a00
+    a11 -= m * a01
+    y1 -= m * y0
+    if not 0 < abs(a11) < _INF:
+        return [_NAN, _NAN]
+    x1 = y1 / a11
+    x0 = (y0 - a01 * x1) / a00
+    return [x0, x1] if abs(x0) < _INF else [_NAN, _NAN]
+
+
+def _solve3(A, b) -> list:
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A
+    y0, y1, y2 = b
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = (
+        float(a00), float(a01), float(a02), float(a10), float(a11), float(a12), float(a20), float(a21), float(a22))
+    y0, y1, y2 = float(y0), float(y1), float(y2)
+    p0, p1, p2 = abs(a00), abs(a10), abs(a20)
+    if p1 > p0:
+        if p2 > p1:
+            a00, a01, a02, y0, a20, a21, a22, y2 = a20, a21, a22, y2, a00, a01, a02, y0
+        else:
+            a00, a01, a02, y0, a10, a11, a12, y1 = a10, a11, a12, y1, a00, a01, a02, y0
+    elif p2 > p0:
+        a00, a01, a02, y0, a20, a21, a22, y2 = a20, a21, a22, y2, a00, a01, a02, y0
+    if not 0 < abs(a00) < _INF:
+        return [_NAN, _NAN, _NAN]
+    m1, m2 = a10 / a00, a20 / a00
+    a11 -= m1 * a01
+    a12 -= m1 * a02
+    y1 -= m1 * y0
+    a21 -= m2 * a01
+    a22 -= m2 * a02
+    y2 -= m2 * y0
+    if abs(a21) > abs(a11):
+        a11, a12, y1, a21, a22, y2 = a21, a22, y2, a11, a12, y1
+    if not 0 < abs(a11) < _INF:
+        return [_NAN, _NAN, _NAN]
+    m2 = a21 / a11
+    a22 -= m2 * a12
+    y2 -= m2 * y1
+    if not 0 < abs(a22) < _INF:
+        return [_NAN, _NAN, _NAN]
+    x2 = y2 / a22
+    x1 = (y1 - a12 * x2) / a11
+    x0 = (y0 - a01 * x1 - a02 * x2) / a00
+    return [x0, x1, x2] if abs(x0) < _INF else [_NAN, _NAN, _NAN]
+
+
+def _inverse_norm(adj_norm, det, e) -> float:
+    """||A^{-1}|| = ||adj B|| / |det B| 2^-e of A = 2^e B; inf for a zero or
+    nan determinant or a norm past the largest double."""
+    if not 0 < abs(det) < _INF:
+        return _INF
+    inv = adj_norm / abs(det)
+    if e:
+        try:
+            return math.ldexp(inv, -e)
+        except OverflowError:
+            return _INF
+    return inv
+
+
+def _cond_n(A) -> float:
+    n = len(A)
+    rows = [[*map(float, row), *(float(i == j) for j in range(n))] for i, row in enumerate(A)]
+    norm = max(sum(map(abs, row[:n])) for row in rows)
+    X = _gauss(rows)
+    return _INF if X is None or not norm < _INF else norm * max(sum(map(abs, row)) for row in X)
+
+
+def _cond1(A) -> float:
+    a = abs(float(A[0][0]))
+    return a * (1 / a) if 0 < a < _INF else _INF
+
+
+def _cond2(A) -> float:
+    (a00, a01), (a10, a11) = A
+    a00, a01, a10, a11 = float(a00), float(a01), float(a10), float(a11)
+    norm, e = max(abs(a00) + abs(a01), abs(a10) + abs(a11)), 0
+    if not _LOW <= norm <= _HIGH:
+        if not 0 < norm < _INF:
+            return _INF
+        e = math.frexp(norm)[1]
+        a00, a01, a10, a11 = (math.ldexp(a, -e) for a in (a00, a01, a10, a11))
+    # adj A = [[a11, -a01], [-a10, a00]]
+    adj_norm = max(abs(a11) + abs(a01), abs(a10) + abs(a00))
+    return norm * _inverse_norm(adj_norm, a00 * a11 - a01 * a10, e)
+
+
+def _cond3(A) -> float:
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = (
+        float(a00), float(a01), float(a02), float(a10), float(a11), float(a12), float(a20), float(a21), float(a22))
+    norm, e = max(abs(a00) + abs(a01) + abs(a02), abs(a10) + abs(a11) + abs(a12),
+                  abs(a20) + abs(a21) + abs(a22)), 0
+    if not _LOW <= norm <= _HIGH:
+        if not 0 < norm < _INF:
+            return _INF
+        e = math.frexp(norm)[1]
+        a00, a01, a02, a10, a11, a12, a20, a21, a22 = (
+            math.ldexp(a, -e) for a in (a00, a01, a02, a10, a11, a12, a20, a21, a22))
+    # the cofactors c_ij; row i of adj A is column i of them
+    c00, c01, c02 = a11 * a22 - a12 * a21, a12 * a20 - a10 * a22, a10 * a21 - a11 * a20
+    c10, c11, c12 = a02 * a21 - a01 * a22, a00 * a22 - a02 * a20, a01 * a20 - a00 * a21
+    c20, c21, c22 = a01 * a12 - a02 * a11, a02 * a10 - a00 * a12, a00 * a11 - a01 * a10
+    adj_norm = max(abs(c00) + abs(c10) + abs(c20), abs(c01) + abs(c11) + abs(c21),
+                   abs(c02) + abs(c12) + abs(c22))
+    return norm * _inverse_norm(adj_norm, a00 * c00 + a01 * c01 + a02 * c02, e)
+
+
+_SOLVES = {1: _solve1, 2: _solve2, 3: _solve3}
+_CONDS = {1: _cond1, 2: _cond2, 3: _cond3}
 
 
 @dataclass(frozen=True)
@@ -206,40 +385,32 @@ class PrecisionContext:
 
     # -- linear algebra (systems here are tiny: n or n+1 unknowns) -----------
 
-    def solve(self, A: np.ndarray, b) -> list:
-        """Solve ``A x = b`` for a float64 ``A`` in double (the LAPACK ``dgesv``
-        gufunc behind ``numpy.linalg.solve``, the bits of ``dgetrf`` and
-        ``dgetrs``), x as a list, all nan for a singular ``A`` (a zero pivot,
-        LAPACK ``info > 0``): of floats, or in an extended context of the
-        ``Decimal`` of each double component, exactly.  The residual ``b``
-        comes in context precision, so a double step refines an extended
-        iterate to the context's accuracy (iterative refinement; Moler,
-        JACM 14, 1967).
-
-        The gufunc is called bare, under the caller's numpy error state: a
-        run sets ``np.errstate(all="ignore")`` once around all its solves,
-        while a direct call on a singular ``A`` under numpy's default state
-        warns "invalid value encountered in solve1" (a ``RuntimeWarning``).
+    def solve(self, A, b) -> list:
+        """Solve ``A x = b`` in double, for the rows ``A`` of an n x n matrix,
+        as a list x: of floats, or in an extended context of the ``Decimal``
+        of each double component, exactly.  Every entry of ``A`` and of the
+        right side ``b`` is rounded to double first (a ``Decimal`` or a numpy
+        scalar included), then eliminated with partial pivoting in Python
+        floats (:func:`_gauss`, unrolled up to 3 x 3), so the bits depend on
+        no library kernel.  x is all nan at a zero or non-finite pivot, or
+        when it is not finite.  ``b`` comes in context precision, so a double
+        step refines an extended iterate to the context's accuracy (iterative
+        refinement; Moler, JACM 14, 1967).
         """
-        x = _umath_linalg.solve1(A, np.asarray(b, dtype=float)).tolist()
+        x = _SOLVES.get(len(b), _solve_n)(A, b)
         return x if self.is_native else list(map(Decimal, x))
 
-    def cond_inf(self, A: np.ndarray) -> float:
-        """Infinity-norm condition number ||A|| ||A^{-1}|| of a float64 ``A`` in
-        double, the precision :meth:`solve` works in, from its inverse (the
-        gufunc behind ``numpy.linalg.inv``, under the caller's error state as
-        :meth:`solve`'s, warning "... in inv"): exact up to rounding, each
-        norm the largest absolute row sum with every row summed exactly
-        (``math.fsum``), and ``inf`` for a singular matrix or a row sum
-        beyond the largest double.
+    def cond_inf(self, A) -> float:
+        """Infinity-norm condition number ||A|| ||A^{-1}|| of the rows ``A``
+        in double, the precision :meth:`solve` works in, each entry rounded to
+        double first: up to 3 x 3 from the adjugate, A^{-1} = adj A / det A
+        (of A scaled by a power of two when its norm lies outside
+        [2^-300, 2^300]), above that from :func:`_gauss`'s inverse.  The
+        norms are the largest absolute row sums, summed in index order; the
+        result is ``inf`` for a singular matrix (a zero determinant or pivot),
+        a nan or infinite entry, or a row sum beyond the largest double.
         """
-        inv = _umath_linalg.inv(A)
-        if math.isnan(inv[0, 0]):
-            return math.inf
-        try:
-            return max(map(math.fsum, abs(A).tolist())) * max(map(math.fsum, abs(inv).tolist()))
-        except OverflowError:  # math.fsum past the largest double
-            return math.inf
+        return _CONDS.get(len(A), _cond_n)(A)
 
     # -- textual serialization (decimal scientific notation) -----------------
 

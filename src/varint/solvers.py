@@ -28,8 +28,9 @@ The solve ends once :data:`POLISH` accepted iterates lie within the
 tolerance, the one that first met it included (with POLISH = 2, one polish
 step after a Newton step meets it, two from a starting guess within it),
 or at the first polish step that does not lower the residual or move the
-iterate.  The condition number is exact, ||J|| ||J^-1|| in the infinity
-norm of the last Jacobian, whose inverse is formed once, at the end.
+iterate.  The condition number is ||J|| ||J^-1|| in the infinity norm of
+the last Jacobian, computed once, at the end, from J's adjugate (its
+inverse above 3 x 3).
 
 The residual hands back its by-products with its value, and the solver
 carries those of its solution to the caller and to the caller's analytic
@@ -44,8 +45,6 @@ from decimal import InvalidOperation
 from itertools import repeat
 from operator import mul, sub
 from typing import Any, Callable
-
-import numpy as np
 
 from .errors import (
     IllPosednessError,
@@ -111,7 +110,7 @@ class SolveReport:
     """Outcome of :func:`newton_solve`.
 
     ``residual_norm`` <= the tolerance marks a converged solve; ``stalled``
-    one accepted at its floor above it.  ``condition_estimate`` is the exact
+    one accepted at its floor above it.  ``condition_estimate`` is the
     infinity-norm condition number of the last Jacobian formed: in a
     polished solve, the Jacobian at the last iterate whose residual exceeded
     the tolerance, not at ``solution``.
@@ -171,10 +170,8 @@ def newton_solve(
     out, the residual stalls far from tol and its floor, the Jacobian overflows or is singular),
     and :class:`IllPosednessError` when an accepted solve's estimate reaches :data:`COND_LIMIT`.
 
-    The Jacobian is solved with and inverted (:meth:`PrecisionContext.solve`
-    and ``cond_inf``) under the caller's numpy error state: the integrators'
-    runs ignore a singular Jacobian's invalid-value flags, and a direct call
-    under numpy's default state warns of each.
+    The Jacobian's rows go to :meth:`PrecisionContext.solve` and ``cond_inf``
+    as ``jacobian`` returns them, each entry rounded to double there.
     """
     tol, one = ctx.real(cfg.tol), ctx.real(1)
 
@@ -193,7 +190,7 @@ def newton_solve(
         polishing = r <= tol
         if J is None or not polishing:
             try:
-                J = np.asarray(jacobian(x, aux), dtype=float)
+                J = jacobian(x, aux)
             except OverflowError:
                 raise NonconvergenceError(f"Jacobian overflows after {iterations} iterations") from None
         dx = ctx.solve(J, Fx)  # the Newton step is -dx

@@ -1,9 +1,8 @@
 """Shared fixtures: the long Kepler runs are computed once per session.
 Also the bit-for-bit comparison of context scalars that several test modules
-use, numpy's singular-solve and singular-inverse warning texts, and the
-helpers only tests call: the Lagrangian, the midpoint discrete Lagrangian, a
-linear time profile, a trajectory built from given states and step records,
-a reference state and the summary reader."""
+use, and the helpers only tests call: the Lagrangian, the midpoint discrete
+Lagrangian, a linear time profile, a trajectory built from given states and
+step records, a reference state and the summary reader."""
 
 import math
 from decimal import Decimal
@@ -30,12 +29,6 @@ from varint.models import ExtendedState
 from varint.precision import DOUBLE
 
 PERIOD = 2 * math.pi
-
-#: numpy's warnings for a singular matrix's solve and inverse under its default
-#: error state: a direct solve or cond_inf call follows the caller's state, only
-#: a run ignores it.
-SINGULAR_SOLVE = "invalid value encountered in solve1"
-SINGULAR_INVERSE = "invalid value encountered in inv"
 
 
 def lagrangian(model, q, v):

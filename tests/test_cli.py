@@ -303,11 +303,15 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 #: SHA-256 of the CSV output of the reference-free quick oscillator run,
-#: recorded before the reference and solver settings became constants.
+#: recorded before the reference and solver settings became constants, and
+#: again when the Newton step moved from numpy's LAPACK gufuncs to Python
+#: floats, which moved the run's EpAVI states: 41 steps and 105 Newton
+#: iterations, against 40 and 102 under OpenBLAS's SkylakeX kernels and 41
+#: and 105 under its Haswell ones.
 CSV_DIGESTS = {
-    "trajectory.csv": "65b9c0efa1a2edf1f67362e8335327c8a93ca80a21bdaefbca9c675d229fbec1",
-    "energy_error.csv": "268c576ca3dc1db668b7c202f7abb762b9164e97605f04ab66ee713e5fc302e2",
-    "stats.csv": "61ba05f9299c1ae80e9959817d860acf5ce0ebf29721b1a1bcc9f87b091a0532",
+    "trajectory.csv": "e72fc615bbb52f9d3271c4f4d1838902572913d86eb26d1102a90850fab7e5c4",
+    "energy_error.csv": "04e69659595ada0a764053838e34005d2ef19eab68a9e3daa4e1f6a02d255bee",
+    "stats.csv": "11ad1ef7e12362d87c09070102e45451e318a589c76e028dee57fe426bcf5881",
 }
 
 
@@ -481,11 +485,12 @@ def test_energy_initialization_failure_writes_failure_summary(tmp_path):
 
 
 def test_jacobian_overflow_writes_failure_summary(tmp_path):
-    # AVI's delta_a calibration at e = 0.95 runs the Newton iterates away
-    # (|q_k + dq| ~ 1e71) until the Kepler Hessian's r ** 5 overflows a
-    # float: a failed run (exit 1, summary written), not a traceback
+    # AVI's delta_a calibration over h0 = 1e80 starts its Newton solve from
+    # dq = h0 p0, whose midpoint lies at |q| ~ 3e80: the residual's r ** 3
+    # is finite there and the Kepler Hessian's r ** 5 overflows a float,
+    # on every host: a failed run (exit 1, summary written), not a traceback
     code = main(["run", f"--outdir={tmp_path}", "problem=kepler", "e=0.95", "integrator=avi2",
-                 "h0=0.05", "periods=1", "reference=false"])
+                 "h0=1e80", "periods=1", "reference=false"])
     assert code == 1
     stored = read_summary(tmp_path / "summary.txt")
     assert stored["success"] == "False"

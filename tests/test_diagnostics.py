@@ -194,12 +194,14 @@ def test_csv_writers(tmp_path, epavi_e07):
 #: recorded again when extended precision moved to 23-digit decimals: its
 #: trajectory moved (see TRAJECTORY_DIGESTS), and each real is written with
 #: the 23 digits of the context in scientific notation, "0.0000000000000000000000e+0"
-#: for a zero.
+#: for a zero.  The "epavi_e07" and 18-digit CSVs were recorded again when
+#: the Newton step moved from numpy's LAPACK gufuncs to Python floats: their
+#: trajectories moved (see TRAJECTORY_DIGESTS).
 BUNDLE_CSV_DIGESTS = {
     "epavi_e07": {
-        "trajectory.csv": "c256c7e2ffa82cf28ffb88cd702cdc82065dcd51c2109f0ff3ab23a9e1d5522f",
-        "energy_error.csv": "c383989967b4cf454d8e8ebd62898ee1ed82307aeffe0adc1e2323f29a40bb31",
-        "stats.csv": "ff29e9ebc3274989559c16af5b28dac4a8afc18bf8d5cd2f40e5e5b722ffd1ef",
+        "trajectory.csv": "76aaad34ef95e8da019951e1b89768698e6baf17e2f2e50d5a476c54de26076c",
+        "energy_error.csv": "9b533475492301a0bf0446962ac7602d9f4fe414bf86a08e7b235cea4db1e101",
+        "stats.csv": "3d7b897ef220515e6e3cce5d3a247e36539025b04528410c250ba51264975eab",
     },
     "avi1_e07": {
         "trajectory.csv": "31bdc6e0e431324a9f4cb58ae2038cfaec7f1d7fd986a5aff4bba58f5583de80",
@@ -207,9 +209,9 @@ BUNDLE_CSV_DIGESTS = {
         "stats.csv": "4f197d4ba47e81d88ddd98262db250ba58f99374b52fe372273c55bb655fe948",
     },
     "vpa_extended_tol17": {
-        "trajectory.csv": "f9abc05b288397fec77f93c45ed1cb00318e0400dd0888a9042fe5fba691dfe3",
-        "energy_error.csv": "6b016c3e0e49734113730ead76b958f3a01ec88ac5bd11ab38a217e58ac643ac",
-        "stats.csv": "b4b2da4836e0eb5a38710fee53a9d881222adf717c12279ccd4f580d08ddc146",
+        "trajectory.csv": "bc300c4a02d2ce4fbcf4022afd8bcd1d208b046e04830b263a982273c2a34adb",
+        "energy_error.csv": "648d9805f44c6e09d94633d99aac72bb78609d62d85e96c50520fb9bceff39aa",
+        "stats.csv": "c31e5d6574a0433562aa70679fb59cc951a86309f65ff05f2246351c0721f79d",
     },
 }
 

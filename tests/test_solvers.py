@@ -1,16 +1,11 @@
 import math
 import warnings
-from contextlib import contextmanager, nullcontext
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import SINGULAR_INVERSE, SINGULAR_SOLVE
-from numpy.linalg import _umath_linalg
 
 import varint.integrators
-import varint.precision
 import varint.solvers
 from varint import (
     DOUBLE,
@@ -36,6 +31,7 @@ from varint import (
 )
 from varint.integrators import _double_partials, _epavi_system, _momentum_system
 from varint.models import ExtendedState
+from varint.precision import PrecisionContext
 
 
 def _diagonal(x, dF):
@@ -98,24 +94,16 @@ def test_jacobian_overflow_fails_the_solve():
                      jacobian=jacobian, scale=_no_floor)
 
 
-@contextmanager
-def _warns_singular():
-    """numpy's two warnings of a singular Jacobian under its default error
-    state: the all-nan Newton step, then the condition number's inverse."""
-    with pytest.warns(RuntimeWarning) as seen:
-        yield
-    assert [str(w.message) for w in seen] == [SINGULAR_SOLVE, SINGULAR_INVERSE]
-
-
 @pytest.mark.parametrize("y0", [1e-15, 0.0])
 def test_failed_solve_at_an_ill_conditioned_iterate_does_not_converge(y0):
     # F(x, y) = (x, y^2 + 1) has no root; from y = 1e-15, where J = diag(1, 2y)
     # has condition 5e14 >= COND_LIMIT, every damped trial raises |F|, and at
     # y = 0 J is exactly singular, so the solve stalls at |F| = 1: a failed
-    # solve, not an ill-posed one; outside a run the singular solve and the
-    # condition number's inverse are warned of, under numpy's default error state
-    warns = _warns_singular() if y0 == 0 else nullcontext()
-    with warns, pytest.raises(NonconvergenceError, match="^no convergence: residual 1.000e[+]00 after 0 ") as info:
+    # solve, not an ill-posed one; a direct call warns of nothing, the
+    # singular Jacobian's all-nan step and infinite condition number included
+    with warnings.catch_warnings(), \
+            pytest.raises(NonconvergenceError, match="^no convergence: residual 1.000e[+]00 after 0 ") as info:
+        warnings.simplefilter("error")
         newton_solve(lambda x: ([x[0], x[1] ** 2 + 1], x), [0.0, y0],
                      SolverConfig(tol=1e-12), jacobian=lambda x, _: np.diag([1, 2 * x[1]]), scale=_no_floor)
     assert info.value.report.condition_estimate >= varint.solvers.COND_LIMIT
@@ -133,14 +121,15 @@ def test_free_particle_rest_state_is_ill_posed():
     # of the Jacobian is zero
     model = HarmonicOscillator(k=0.0)
     state = ExtendedState(t=0.0, q=np.array([1.0]), p=np.array([0.0]), E=0.0)
-    # a direct step, outside a run, follows numpy's default error state
-    with _warns_singular(), pytest.raises(IllPosednessError):
+    # a direct step, outside a run, warns of nothing either
+    with warnings.catch_warnings(), pytest.raises(IllPosednessError):
+        warnings.simplefilter("error")
         epavi_step(model, state, 0.1, SolverConfig(tol=1e-12))
 
 
 def test_a_run_through_a_singular_jacobian_warns_of_nothing():
-    # a run sets one error state for all its solves: the singular Jacobian of
-    # the free particle at rest gets a nan inverse, judged and not warned of
+    # the singular Jacobian of the free particle at rest gets an all-nan step
+    # and an infinite condition number, judged and not warned of
     model = HarmonicOscillator(k=0.0)
     state = ExtendedState(t=0.0, q=(1.0,), p=(0.0,), E=0.0)
     with warnings.catch_warnings():
@@ -452,26 +441,25 @@ def test_epavi_forms_about_one_jacobian_per_step(monkeypatch):
     assert len(formed) <= 1.1 * len(traj.steps)
 
 
-def test_epavi_forms_one_inverse_per_newton_solve(monkeypatch):
-    # the epavi_e07 run: the condition number inverts the solve's last
-    # Jacobian once, at the end, and no Newton step inverts one (1,011 solves
-    # and inverses; 1,056 inverses when each Jacobian was inverted)
-    solves, inverses = [], []
-    solve = varint.integrators.newton_solve
+def test_epavi_forms_one_condition_number_per_newton_solve(monkeypatch):
+    # the epavi_e07 run: each Newton solve computes the condition number of
+    # its last Jacobian once, at the end, and no Newton step computes one
+    # (1,011 solves; 1,056 inverses when each Jacobian was inverted)
+    solves, conds = [], []
+    solve, cond_inf = varint.integrators.newton_solve, PrecisionContext.cond_inf
 
     def counting_solve(*args, **kwargs):
         solves.append(1)
         return solve(*args, **kwargs)
 
-    def counting_inv(A):
-        inverses.append(1)
-        return _umath_linalg.inv(A)
+    def counting_cond(self, A):
+        conds.append(1)
+        return cond_inf(self, A)
 
     monkeypatch.setattr(varint.integrators, "newton_solve", counting_solve)
-    monkeypatch.setattr(varint.precision, "_umath_linalg",
-                        SimpleNamespace(inv=counting_inv, solve1=_umath_linalg.solve1))
+    monkeypatch.setattr(PrecisionContext, "cond_inf", counting_cond)
     epavi_run(KeplerTwoBody(), kepler_initial_state(0.7), 1e-3, 2 * np.pi, SolverConfig(tol=1e-15))
-    assert len(solves) == len(inverses) == 1011
+    assert len(solves) == len(conds) == 1011
 
 
 @pytest.mark.parametrize(
