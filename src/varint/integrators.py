@@ -38,11 +38,13 @@
   adaptive Runge-Kutta otherwise.
 
 Four shared pieces carry the stepping schemes.  ``_increment`` is the
-midpoint kernel: (v, Mv, (h/2) grad V(mid), V(mid), h) from (q_k, dq, h),
+midpoint kernel: (v, Mv, (h/2) grad V(mid), V(mid), h, mid) from (q_k, dq, h),
 with h scaled by the monitor density when one is given, under the partials
 of L_d, the EpAVI and momentum residuals and the step updates; each residual
-returns its kernel with its value, and the step update reads the kernel at
-the Newton solution from ``SolveReport.aux``.  The kernel, the residuals and
+returns its kernel with its value, each Jacobian ``jacobian(x, aux)`` is
+formed from that kernel's mid, v, Mv and h rounded to double
+(:func:`_double_partials`), and the step update reads the kernel at the
+Newton solution from ``SolveReport.aux``.  The kernel, the residuals and
 Jacobians, the Newton iterate from its start to ``SolveReport.solution``,
 the monitors and the warm start are Python lists of context scalars: on two
 or three components NumPy's fixed cost per call outweighs the arithmetic.
@@ -124,7 +126,7 @@ def _step_length(t_k, t_k1):
 
 
 def _increment(model, q_k, dq, h, g=None):
-    """Midpoint kernel of the step increments: (v, Mv, (h/2) grad V(mid), V(mid), h),
+    """Midpoint kernel of the step increments: (v, Mv, (h/2) grad V(mid), V(mid), h, mid),
     the vectors as lists, from the sequences ``q_k`` and ``dq``.
 
     Given a monitor density ``g``, the step is h g(mid, V(mid), grad V(mid))
@@ -141,24 +143,33 @@ def _increment(model, q_k, dq, h, g=None):
         h = h * g_mid
     v = [d / h for d in dq]
     half_h = h / 2
-    return v, model.mass_times(v), [x * half_h for x in grad], V, h
+    return v, model.mass_times(v), [x * half_h for x in grad], V, h, mid
 
 
-def _double_partials(dm, q_kd, dq, h):
-    """Both step Jacobians' pieces at (dq, h), in double from the double twin
-    ``dm``, as lists: (mid, grad V, hess V, v, Mv, A, c), where the momentum
-    residual's dq block is A = M/h + (h/4) hess V and its h column
-    c = grad V/2 - Mv/h."""
-    dq = list(map(float, dq))
-    mid = [a + b / 2 for a, b in zip(q_kd, dq)]
+def _double_partials(dm, kernel):
+    """Both step Jacobians' pieces at the :func:`_increment` ``kernel``, in
+    double from the double twin ``dm``, as lists: (mid, grad V, hess V, v,
+    Mv, h, A, c), where the momentum residual's dq block is
+    A = M/h + (h/4) hess V and its h column c = grad V/2 - Mv/h.
+
+    The kernel's mid, v, Mv and h are read rounded to double, which in a
+    double run leaves them as they are: there they are the bits that
+    (q_k + dq/2, dq/h, M dq/h) formed in double would have, so only grad V
+    and hess V at mid are evaluated here.  In an extended run they are the
+    context's values rounded once, not their double recomputation."""
+    v, Mv, _, _, h, mid = kernel[:6]
+    if type(h) is not float:
+        mid, h, rounded = list(map(float, mid)), float(h), list(map(float, v))
+        v, Mv = rounded, rounded if Mv is v else list(map(float, Mv))  # Kepler's M v is v itself
     grad, hess = dm.potential_gradient_and_hessian(mid)
-    v = [d / h for d in dq]
-    Mv = dm.mass_times(v)
     quarter_h = h / 4
-    A = [[x * quarter_h for x in row] for row in hess]
-    for i, m in enumerate(dm.masses):
-        A[i][i] = m / h + A[i][i]
-    return mid, grad, hess, v, Mv, A, [g / 2 - y / h for g, y in zip(grad, Mv)]
+    A, c = [], []
+    for i, (row, m, g, y) in enumerate(zip(hess, dm.masses, grad, Mv)):
+        row = [x * quarter_h for x in row]
+        row[i] = m / h + row[i]
+        A.append(row)
+        c.append(g / 2 - y / h)
+    return mid, grad, hess, v, Mv, h, A, c
 
 
 def _discrete_energy(v, Mv, V) -> Real:
@@ -174,7 +185,7 @@ def discrete_partials_midpoint(model: LagrangianModel, t_k, q_k, t_k1, q_k1) -> 
     midpoint:  d1 = v'Mv/2 + V  (the discrete energy), and
     d2 = -Mv - (h/2) grad V,  d4 = Mv - (h/2) grad V.
     """
-    v, Mv, half_grad, V, _ = _increment(model, q_k, list(map(sub, q_k1, q_k)), _step_length(t_k, t_k1))
+    v, Mv, half_grad, V, _, _ = _increment(model, q_k, list(map(sub, q_k1, q_k)), _step_length(t_k, t_k1))
     d1 = _discrete_energy(v, Mv, V)
     return DiscretePartials(d1=d1, d2=[-a - b for a, b in zip(Mv, half_grad)],
                             d4=[a - b for a, b in zip(Mv, half_grad)])
@@ -311,18 +322,19 @@ class Trajectory:
 # -- the run driver -----------------------------------------------------------------
 
 
-#: Extrapolation through the last m = 1..5 accepted increments per component,
+#: Extrapolation through the last m = 1..5 accepted increments, componentwise,
 #: oldest first: form m - 1, sum_j w_j z_j with the integer weights (1,), (-1, 2),
 #: (1, -3, 3), (-1, 4, -6, 4) or (1, -5, 10, -10, 5), reproduces the next term of
 #: a polynomial of degree < m in the step index.  It sums from 0, oldest first,
 #: a negative weight's term subtracted: x + b*-w is x - b*w in every bit, for a
 #: float and a ``Decimal``, which multiplies an integer exactly (a float not at all).
+#: Each form takes the m increments and returns the prediction as a list.
 _PREDICTORS = (
-    lambda a: 0 + a,
-    lambda a, b: 0 - a + b * 2,
-    lambda a, b, c: 0 + a - b * 3 + c * 3,
-    lambda a, b, c, d: 0 - a + b * 4 - c * 6 + d * 4,
-    lambda a, b, c, d, e: 0 + a - b * 5 + c * 10 - d * 10 + e * 5,
+    lambda A: [0 + a for a in A],
+    lambda A, B: [0 - a + b * 2 for a, b in zip(A, B)],
+    lambda A, B, C: [0 + a - b * 3 + c * 3 for a, b, c in zip(A, B, C)],
+    lambda A, B, C, D: [0 - a + b * 4 - c * 6 + d * 4 for a, b, c, d in zip(A, B, C, D)],
+    lambda A, B, C, D, E: [0 + a - b * 5 + c * 10 - d * 10 + e * 5 for a, b, c, d, e in zip(A, B, C, D, E)],
 )
 
 
@@ -330,7 +342,7 @@ def _extrapolate(history) -> list:
     """Predicted next increment from the accepted increments ``history``
     (oldest first, one to five sequences), the predictor of Hairer & Wanner,
     Solving ODEs II, 1996, sec. IV.8 (:data:`_PREDICTORS`), as a list."""
-    return list(map(_PREDICTORS[len(history) - 1], *history))
+    return _PREDICTORS[len(history) - 1](*history)
 
 
 def _run_config(model, state0: ExtendedState, T_final, cfg: Optional[SolverConfig], **steps):
@@ -425,25 +437,25 @@ def _epavi_system(model, state):
     The residual is in the context's arithmetic and returns the kernel
     :func:`_increment` at z, with the discrete energy D1 L_d there appended,
     with its value; the Jacobian is formed in double from the model's
-    double twin, the precision the Newton step is solved in.
+    double twin, the precision the Newton step is solved in, at that
+    kernel's mid, v, Mv and h (:func:`_double_partials`).
     """
     p_k, E_k, q_k = state.p, state.E, state.q
-    dm, q_kd = model.double, list(map(float, q_k))
+    dm = model.double
 
     def residual(z):
         dq, h = z[:-1], z[-1]
         if not h > 0:  # a nan h included
             raise NonMonotoneTimeError(f"time step {h} must be positive")
         kernel = _increment(model, q_k, dq, h)
-        v, Mv, half_grad, V, _ = kernel
+        v, Mv, half_grad, V, _, _ = kernel
         out = [a + b - c for a, b, c in zip(Mv, half_grad, p_k)]
         energy = _discrete_energy(v, Mv, V)
         out.append(energy - E_k)
         return out, (*kernel, energy)
 
-    def jacobian(z, _):
-        h = float(z[-1])
-        _, grad, _, v, Mv, J, c = _double_partials(dm, q_kd, z[:-1], h)
+    def jacobian(z, kernel):
+        _, grad, _, v, Mv, h, J, c = _double_partials(dm, kernel)
         for row, c_i in zip(J, c):
             row.append(c_i)
         J.append([y / h + g / 2 for y, g in zip(Mv, grad)] + [-sum(map(mul, v, Mv)) / h])
@@ -476,7 +488,7 @@ def epavi_step(model: LagrangianModel, state: ExtendedState, h_guess, cfg: Solve
         fixed = _solve_momentum(model, _UNIT, state, h_guess, cfg)
         report = newton_solve(residual, [*fixed.solution, h_guess], cfg, ctx, jacobian=jacobian, scale=scale)
         report, retried = replace(report, iterations=fixed.iterations + report.iterations), True
-    z, (_, Mv, half_grad, _, h, E) = report.solution, report.aux  # z = (dq, h): q + z stops at q's end
+    z, (_, Mv, half_grad, _, h, _, E) = report.solution, report.aux  # z = (dq, h): q + z stops at q's end
     new_state = ExtendedState(t=state.t + h, q=tuple(map(add, state.q, z)), p=tuple(map(sub, Mv, half_grad)), E=E)
     return new_state, _record(h, report, retried=retried)
 
@@ -491,7 +503,7 @@ def initial_discrete_energy(model: LagrangianModel, state: ExtendedState, h0, cf
     this level, and its first solution lands on h = h0.
     """
     check_finite(h0, "h0 must be positive and finite, got {}")
-    v, Mv, _, V, _ = _solve_momentum(model, _UNIT, state, model.ctx.real(h0), cfg).aux
+    v, Mv, _, V, _, _ = _solve_momentum(model, _UNIT, state, model.ctx.real(h0), cfg).aux
     return _discrete_energy(v, Mv, V)
 
 
@@ -581,7 +593,7 @@ def _momentum_system(model, monitor, state, delta_a):
     A = M/h + (h/4) hess V(q_av) plus the rank-one term
     c (delta_a/2) grad g', where c = grad V/2 - Mv/h is the h column of the
     EpAVI Jacobian.  It is formed in double, as in :func:`_epavi_system`,
-    with h read from the kernel.
+    from the kernel's mid, v, Mv and h.
 
     The unit monitor is no monitor: its system is the fixed step
     h = delta_a, with no g in the kernel (h times 1 is h) and the Jacobian
@@ -592,16 +604,15 @@ def _momentum_system(model, monitor, state, delta_a):
     p_k, q_k = state.p, state.q
     unit = monitor is _UNIT
     g = None if unit else monitor.g
-    dm, q_kd, dad = model.double, [float(x) for x in q_k], float(delta_a)
+    dm, dad = model.double, float(delta_a)
 
     def residual(dq):
         kernel = _increment(model, q_k, dq, delta_a, g)
-        _, Mv, half_grad, _, _ = kernel
+        _, Mv, half_grad, _, _, _ = kernel
         return [a + b - c for a, b, c in zip(Mv, half_grad, p_k)], kernel
 
     def jacobian(dq, kernel):
-        h = float(kernel[4])
-        mid, grad, hess, _, _, A, c = _double_partials(dm, q_kd, dq, h)
+        mid, grad, hess, _, _, h, A, c = _double_partials(dm, kernel)
         if unit:
             return A
         half_da = dad / 2
@@ -620,7 +631,7 @@ def _explicit_euler(model, state, h) -> list:
 def _solve_momentum(model, monitor, state, delta_a, cfg, dq0=None) -> SolveReport:
     """Solve :func:`_momentum_system` from ``dq0``, by default the
     explicit-Euler guess delta_a M^{-1} p_k; the report's ``aux`` is the
-    kernel (v, Mv, (h/2) grad V, V, h) at its solution."""
+    kernel (v, Mv, (h/2) grad V, V, h, mid) at its solution."""
     residual, jacobian = _momentum_system(model, monitor, state, delta_a)
     if dq0 is None:
         dq0 = _explicit_euler(model, state, delta_a)
@@ -650,7 +661,7 @@ def avi_step(model: LagrangianModel, monitor: Monitor, state: ExtendedState, del
             raise MonitorDomainError(f"monitor value {g0} at the step start is not positive")
         dq0 = _explicit_euler(model, state, delta_a * g0)
     report = _solve_momentum(model, monitor, state, delta_a, cfg, dq0)
-    _, Mv, half_grad, _, h = report.aux
+    _, Mv, half_grad, _, h, _ = report.aux
     q1, p1 = tuple(map(add, state.q, report.solution)), tuple(map(sub, Mv, half_grad))
     new_state = ExtendedState(t=state.t + h, q=q1, p=p1, E=model.hamiltonian(q1, p1))
     return new_state, _record(h, report)

@@ -9,7 +9,9 @@ list of rows.  Models are immutable after construction and safe for shared
 reads.  What a model or a start state holds is computed under its context's
 arithmetic (:meth:`~varint.precision.PrecisionContext.arithmetic`), so it
 does not depend on the caller's decimal context; the methods compute in the
-context the caller holds, which a run sets.
+context the caller holds, which a run sets.  A state is an
+:class:`ExtendedState`, a slotted dataclass that is not frozen: each step
+makes a new one, and none is changed after it is made.
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ from .precision import DOUBLE, PrecisionContext, Real
 KEPLER_RADIUS_GUARD = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExtendedState:
     """One point of the extended discrete trajectory: (t, q, p, E), with q
     and p tuples of context scalars.  The runs bring a start given with other
-    sequences (arrays, say) into this form once, before the first step."""
+    sequences (arrays, say) into this form once, before the first step.  Not
+    frozen: a frozen dataclass sets each field through ``object.__setattr__``,
+    which doubles the cost of the state that every step builds."""
 
     t: Real
     q: tuple

@@ -442,14 +442,24 @@ DOUBLE = PrecisionContext(DOUBLE_DIGITS)
 
 def inf_norm(v) -> Real:
     """Max-abs of a sequence of context scalars, ``inf`` if any component is
-    nan or infinite, for a float and a ``Decimal`` alike: a nan is the one
-    value unequal to itself, wherever ``max`` leaves it, and without one the
+    nan or infinite, for a float and a ``Decimal`` alike: without a nan the
     max-abs is below inf unless a component is infinite (a ``Decimal``
-    beyond the double range is finite).  A ``Decimal`` nan ordered under a
-    context that traps invalid operations (Python's default) raises
-    ``InvalidOperation`` instead, and reads inf too."""
+    beyond the double range is finite), but ``max`` may pass a nan over.  A
+    finite sum of the components proves each of them finite; only when the
+    sum is not finite (it may overflow) or cannot be formed (a float and a
+    ``Decimal`` do not add) is each component tested, a nan being the one
+    value unequal to itself.  A ``Decimal`` nan ordered under a context that
+    traps invalid operations (Python's default) raises ``InvalidOperation``
+    instead, and reads inf too."""
     try:
         m = max(map(abs, v))
-        return m if m < math.inf and not any(map(ne, v, v)) else math.inf
+        if not m < math.inf:
+            return math.inf
     except ArithmeticError:
         return math.inf
+    try:
+        if abs(sum(v)) < math.inf:
+            return m
+    except (TypeError, ArithmeticError):
+        pass
+    return math.inf if any(map(ne, v, v)) else m

@@ -13,7 +13,8 @@ is judged ill-posed.
 The residual is evaluated in the context's precision, ``Decimal`` in an
 extended context, rounding in the thread's decimal context (a run's
 :meth:`~varint.precision.PrecisionContext.arithmetic`); every integrator
-hands in a Jacobian formed in double, and the Newton step is solved in
+hands in a Jacobian formed in double, from the by-products its residual
+returned at the iterate rounded to double, and the Newton step is solved in
 double: in an extended context this is iterative refinement, which reaches
 the residual's precision while the Jacobian is well conditioned in double.
 
@@ -42,8 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import InvalidOperation
-from itertools import repeat
-from operator import mul, sub
+from functools import lru_cache
 from typing import Any, Callable
 
 from .errors import (
@@ -105,7 +105,7 @@ class SolverConfig:
         return cls(tol=tol)
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveReport:
     """Outcome of :func:`newton_solve`.
 
@@ -141,6 +141,14 @@ def fd_jacobian(F: Callable, x, fd_step) -> list:
     return [list(row) for row in zip(*cols)]
 
 
+@lru_cache(maxsize=64)
+def _tol_and_one(digits: int, tol) -> tuple:
+    """``tol`` and 1 as scalars of the context of ``digits``, converted once
+    per pair (a context is its digits) rather than once per solve."""
+    ctx = PrecisionContext(digits)
+    return ctx.real(tol), ctx.real(1)
+
+
 def newton_solve(
     F: Callable,
     x0,
@@ -173,7 +181,7 @@ def newton_solve(
     The Jacobian's rows go to :meth:`PrecisionContext.solve` and ``cond_inf``
     as ``jacobian`` returns them, each entry rounded to double there.
     """
-    tol, one = ctx.real(cfg.tol), ctx.real(1)
+    tol, one = _tol_and_one(ctx.digits, cfg.tol)
 
     x = list(x0)
     Fx, aux = F(x)
@@ -194,7 +202,7 @@ def newton_solve(
             except OverflowError:
                 raise NonconvergenceError(f"Jacobian overflows after {iterations} iterations") from None
         dx = ctx.solve(J, Fx)  # the Newton step is -dx
-        if math.isnan(dx[0]):  # an exactly singular Jacobian: its condition number reads inf
+        if dx[0] != dx[0]:  # nan: an exactly singular Jacobian, whose condition number reads inf
             stalled = True
             break
 
@@ -202,7 +210,7 @@ def newton_solve(
         # none does, or when a polish step does not move the iterate
         lam, rn = one, r  # a Decimal times a float raises TypeError
         for _ in range(1 if polishing else MAX_HALVINGS + 1):
-            xn = list(map(sub, x, map(mul, repeat(lam), dx)))
+            xn = [a - lam * d for a, d in zip(x, dx)]
             lam = lam / 2
             if polishing and xn == x:
                 break

@@ -196,7 +196,9 @@ def test_csv_writers(tmp_path, epavi_e07):
 #: the 23 digits of the context in scientific notation, "0.0000000000000000000000e+0"
 #: for a zero.  The "epavi_e07" and 18-digit CSVs were recorded again when
 #: the Newton step moved from numpy's LAPACK gufuncs to Python floats: their
-#: trajectories moved (see TRAJECTORY_DIGESTS).
+#: trajectories moved (see TRAJECTORY_DIGESTS).  The 18-digit CSVs were
+#: recorded again when the Jacobians came to be formed from the residual's
+#: kernel rounded to double: that trajectory moved (see TRAJECTORY_DIGESTS).
 BUNDLE_CSV_DIGESTS = {
     "epavi_e07": {
         "trajectory.csv": "76aaad34ef95e8da019951e1b89768698e6baf17e2f2e50d5a476c54de26076c",
@@ -209,9 +211,9 @@ BUNDLE_CSV_DIGESTS = {
         "stats.csv": "4f197d4ba47e81d88ddd98262db250ba58f99374b52fe372273c55bb655fe948",
     },
     "vpa_extended_tol17": {
-        "trajectory.csv": "bc300c4a02d2ce4fbcf4022afd8bcd1d208b046e04830b263a982273c2a34adb",
-        "energy_error.csv": "648d9805f44c6e09d94633d99aac72bb78609d62d85e96c50520fb9bceff39aa",
-        "stats.csv": "c31e5d6574a0433562aa70679fb59cc951a86309f65ff05f2246351c0721f79d",
+        "trajectory.csv": "cd8ba1ee9a761802c0498821f06996aa84ceb4b95065a7e1cc09f1b8c0008ecd",
+        "energy_error.csv": "d209116022151c6e21c512b82b59c887f7ce8ef3e209d4b88405ea7ea29d9e10",
+        "stats.csv": "ce1a0a8b97a512c1a345562f9ef2391871188387f25dd30b7dda80358f2beffd",
     },
 }
 

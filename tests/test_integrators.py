@@ -142,26 +142,24 @@ def test_discrete_partials_match_finite_differences(model_case):
 def _array_kernel(model, q_k, dq, h, g=None):
     """The midpoint kernel as array formulas: mid = q_k + dq/2, h g(mid),
     v = dq/h, Mv (v itself for Kepler's identity M, else np.dot),
-    grad V(mid) (h/2), V(mid)."""
+    grad V(mid) (h/2), V(mid), h and mid."""
     mid = q_k + dq / 2
     V, grad = model.potential(mid), np.array(model.potential_gradient(mid))
     if g is not None:
         h = h * g(mid, V, grad)
     v = dq / h
-    return v, v if model.name == "kepler" else np.dot(np.diag(model.masses), v), grad * (h / 2), V, h
+    return v, v if model.name == "kepler" else np.dot(np.diag(model.masses), v), grad * (h / 2), V, h, mid
 
 
-def _array_partials(model, q_k, dq, h):
-    """The double Jacobians' pieces as array formulas: mid, grad V, hess V,
-    v, Mv, A = M/h + hess V (h/4) and c = grad V/2 - Mv/h."""
+def _array_partials(model, kernel):
+    """The double Jacobians' pieces as array formulas from the array
+    kernel's mid, v, Mv and h rounded to double: mid, grad V, hess V, v, Mv,
+    h, A = M/h + hess V (h/4) and c = grad V/2 - Mv/h."""
     dm = model.double
-    dq = np.asarray(dq, dtype=float)
-    mid = np.asarray(q_k, dtype=float) + dq / 2
+    v, Mv, _, _, h, mid = kernel
+    mid, v, Mv, h = np.asarray(mid, dtype=float), np.asarray(v, dtype=float), np.asarray(Mv, dtype=float), float(h)
     grad, hess = np.array(dm.potential_gradient(mid)), np.array(dm.potential_hessian(mid))
-    v = dq / h
-    M = np.diag(dm.masses)
-    Mv = v if dm.name == "kepler" else np.dot(M, v)
-    return mid, grad, hess, v, Mv, M / h + hess * (h / 4), grad / 2 - Mv / h
+    return mid, grad, hess, v, Mv, h, np.diag(dm.masses) / h + hess * (h / 4), grad / 2 - Mv / h
 
 
 def _array_monitor(name, model, state0):
@@ -206,7 +204,8 @@ def test_step_kernel_is_bitwise_the_array_formulas(name, digits):
     # the kernel, both residuals, both Jacobians and the monitors compute on
     # lists of context scalars; each must reproduce, bit for bit and with
     # each component's type, the array formula it replaced, zero signs
-    # included, both in the run's arithmetic
+    # included, both in the run's arithmetic; the Jacobians from the
+    # kernel's mid, v, Mv and h rounded to double
     ctx = with_precision(digits)
     model = make_model(name, {"k": 1.3, "m": 0.8}, ctx)
     rng = np.random.default_rng(17)
@@ -219,11 +218,11 @@ def test_step_kernel_is_bitwise_the_array_formulas(name, digits):
             z = [*dq.tolist(), h]
             residual, jacobian = varint.integrators._epavi_system(model, state)
             F, kernel = residual(z)
-            v, Mv, half_grad, V, _ = _array_kernel(model, state.q, dq, h)
+            array_kernel = _array_kernel(model, state.q, dq, h)
+            v, Mv, half_grad, V, _, _ = array_kernel
             want = np.append(Mv + half_grad - state.p, (v * Mv).sum() / 2 + V - state.E)
             assert isinstance(F, list) and typed_bits(ctx, F) == typed_bits(ctx, want)
-            hd = float(h)
-            _, grad, _, v, Mv, A, c = _array_partials(model, state.q, dq, hd)
+            _, grad, _, v, Mv, hd, A, c = _array_partials(model, array_kernel)
             J = np.vstack([np.column_stack([A, c]), np.append(Mv / hd + grad / 2, -(v * Mv).sum() / hd)])
             got = jacobian(z, kernel)
             assert isinstance(got, list) and typed_bits(DOUBLE, got) == typed_bits(DOUBLE, J)
@@ -237,18 +236,95 @@ def test_step_kernel_is_bitwise_the_array_formulas(name, digits):
                     with pytest.raises(MonitorDomainError):  # g2 at mid = 0
                         residual(dq.tolist())
                     continue
-                v, Mv, half_grad, V, h_g = _array_kernel(model, state.q, dq, h, reference.g)
+                array_kernel = _array_kernel(model, state.q, dq, h, reference.g)
+                _, Mv, half_grad, _, _, _ = array_kernel
                 F, kernel = residual(dq.tolist())
                 assert isinstance(F, list)
                 assert typed_bits(ctx, F) == typed_bits(ctx, Mv + half_grad - state.p)
-                dad, h_g = float(h), float(h_g)
-                mid, grad, hess, _, _, A, c = _array_partials(model, state.q, dq, h_g)
+                dad = float(h)
+                mid, grad, hess, _, _, h_g, A, c = _array_partials(model, array_kernel)
                 want_grad = reference.grad(mid, h_g / dad, grad, hess)
                 got_grad = monitor.grad(mid.tolist(), h_g / dad, grad.tolist(), hess.tolist())
                 assert typed_bits(DOUBLE, got_grad) == typed_bits(DOUBLE, want_grad)
                 got = jacobian(dq.tolist(), kernel)
                 want = A + np.outer(c, want_grad * (dad / 2))
                 assert isinstance(got, list) and typed_bits(DOUBLE, got) == typed_bits(DOUBLE, want)
+
+
+def _double_partials_before(dm, q_kd, dq, h):
+    """The Jacobians' double pieces as they were formed before the kernel
+    carried its midpoint: (mid, grad V, hess V, v, Mv, A, c), recomputed
+    from q_k and dq rounded to double at h."""
+    dq = list(map(float, dq))
+    mid = [a + b / 2 for a, b in zip(q_kd, dq)]
+    grad, hess = dm.potential_gradient_and_hessian(mid)
+    v = [d / h for d in dq]
+    Mv = dm.mass_times(v)
+    quarter_h = h / 4
+    A = [[x * quarter_h for x in row] for row in hess]
+    for i, m in enumerate(dm.masses):
+        A[i][i] = m / h + A[i][i]
+    return mid, grad, hess, v, Mv, A, [g / 2 - y / h for g, y in zip(grad, Mv)]
+
+
+def _epavi_jacobian_before(model, state, z):
+    h = float(z[-1])
+    _, grad, _, v, Mv, J, c = _double_partials_before(model.double, list(map(float, state.q)), z[:-1], h)
+    for row, c_i in zip(J, c):
+        row.append(c_i)
+    J.append([y / h + g / 2 for y, g in zip(Mv, grad)] + [-sum(map(mul, v, Mv)) / h])
+    return J
+
+
+def _momentum_jacobian_before(model, monitor, state, delta_a, dq, kernel):
+    h, dad = float(kernel[4]), float(delta_a)
+    mid, grad, hess, _, _, A, c = _double_partials_before(model.double, list(map(float, state.q)), dq, h)
+    if monitor.identifier == "unit":
+        return A
+    w = [x * (dad / 2) for x in monitor.grad(mid, h / dad, grad, hess)]
+    return [[a + c_i * w_j for a, w_j in zip(row, w)] for row, c_i in zip(A, c)]
+
+
+#: The largest difference, relative to the largest entry, between an
+#: 18-digit Jacobian formed from its kernel rounded to double and one
+#: recomputed from q_k and dq rounded to double.  The two differ only in
+#: how mid, v, Mv and h reach double: each is within an ulp or two either
+#: way, and the entries are a few operations on them.
+JACOBIAN_ROUNDING_BOUND = 8 * DOUBLE.eps
+
+
+@pytest.mark.parametrize("digits", [16, 18])
+@pytest.mark.parametrize("name", ["kepler", "oscillator", "pendulum"])
+def test_jacobians_from_the_kernel_are_the_recomputed_ones(name, digits):
+    # in double the kernel's mid, v, Mv and h are the bits that recomputing
+    # them from q_k and dq gave, so every Jacobian entry keeps its bits; in
+    # 18 digits they are the context's values rounded once, which moves an
+    # entry by a few roundings of the largest
+    ctx = with_precision(digits)
+    model = make_model(name, {"k": 1.3, "m": 0.8}, ctx)
+    rng = np.random.default_rng(39)
+    worst = 0.0
+    with ctx.arithmetic():
+        for state, dq, h in _random_states(model, rng, 60):
+            dq = dq.tolist()
+            z = [*dq, h]
+            residual, jacobian = varint.integrators._epavi_system(model, state)
+            pairs = [(jacobian(z, residual(z)[1]), _epavi_jacobian_before(model, state, z))]
+            for monitor_name in ("g1", "g2", "unit"):
+                monitor = make_monitor(monitor_name, model, state)
+                residual, jacobian = varint.integrators._momentum_system(model, monitor, state, h)
+                try:
+                    kernel = residual(dq)[1]
+                except MonitorDomainError:  # g2 at mid = 0
+                    continue
+                pairs.append((jacobian(dq, kernel), _momentum_jacobian_before(model, monitor, state, h, dq, kernel)))
+            for got, want in pairs:
+                if ctx.is_native:
+                    assert typed_bits(DOUBLE, got) == typed_bits(DOUBLE, want)
+                else:
+                    got, want = np.array(got), np.array(want)
+                    worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    assert worst <= JACOBIAN_ROUNDING_BOUND
 
 
 # -- the warm-start predictor -----------------------------------------------------
@@ -953,19 +1029,30 @@ def trajectory_digest(traj) -> str:
 #: 1,305 for the oscillator and 392 -> 393 in 18 digits).  "pendulum_fixed",
 #: whose 1 x 1 systems divide once, kept its digest.  One set of digests
 #: holds under the Prescott, Haswell and SkylakeX kernels.
+#:
+#: Two 18-digit entries were recorded again when the Jacobians came to be
+#: formed from the residual's kernel, its mid, v, Mv and h rounded to double,
+#: instead of from q_k and dq rounded to double (see
+#: test_jacobians_from_the_kernel_are_the_recomputed_ones); every double
+#: entry kept its digest.  "avi2_d18_e07" keeps every state bit and its 25
+#: steps and 77 Newton iterations; one condition_estimate moved by 1.9e-16
+#: relative.  "vpa_extended_tol17" keeps its 109 steps and takes new states,
+#: t, q and p within 1.9e-18 and E within 1.0e-21 of the recomputed-Jacobian
+#: run's: Newton iterations 393 -> 386, max |E - E0| 9.0e-22 -> 1.3e-21.
+#: "midpoint_fixed_d18_e07" kept its digest.
 TRAJECTORY_DIGESTS = {
     "epavi_e07": "0859ccec33636f168fa443d24fd924e0cbe09ffaef4ef9ab8cdb727c9cf56618",
     "avi1_e07": "cd5c9b613b93b3ced95d345e1c964c8eb72b09c7558006b982627d419f6e5b2d",
     "avi2_e07": "54bc6ea75e5664faf662f96657fc16db4b031acec20b1632599409e675fc3142",
     "midpoint_fixed_e07": "04917151f6e88530e163f09ebe49b9710a9b4278c3f359c41a34b56555686057",
-    "vpa_extended_tol17": "3de9635bf9cd7f97197183e3c67e610f0e0ab22534f4c93e42985aba0951a164",
+    "vpa_extended_tol17": "3c26553db43df15e8d55017f22ecfe51fea17644be19b40e88e93ee4f9ab8e07",
     "epavi_e01": "8bfa419940763c2cba531925dedb217e6ce74273a35bae536cb659fee80d75d4",
     "avi1_e01": "2de7d23044f2787ade57f64bc886dd5d0c700b3d2fcbb87a9c3f266dd03ab5d7",
     "avi2_e01": "9a0e26dc8a4926af8bf2a9a618f13bf76efad08e3f5e315684cc42a78ca6dc96",
     "oscillator_epavi_from_rest": "f1f387688da18c305f6711a02d84749eeb1c1bb2daabb6489a2f61e7099b2490",
     "pendulum_fixed": "6a6c07a88ae1b8826e31fceaa9c16b879e223f83b323be5a1e21b16946f13114",
     "pendulum_epavi": "2dd440c1844e4214db749c675e8366fe3856d25612c413d753ecd46f66edae3f",
-    "avi2_d18_e07": "da0c430e6692c57697bcc901cfa22765a421bf4c47c2d3cd081e3cf9374a43d7",
+    "avi2_d18_e07": "670846ff00174e2ab80ab9efb3c7bb577acf997752431e91def8c47b7a88747f",
     "midpoint_fixed_d18_e07": "3392fccef34aa2f0f6dc2154304ff723f42912e8e9d2b8eb21de2ac759b35a55",
 }
 

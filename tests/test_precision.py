@@ -258,6 +258,20 @@ def test_inf_norm_is_the_rule_it_replaced():
                         v[j] = specials[rng.integers(len(specials))]
                 got, expected = inf_norm(v), _inf_norm_before(v)
                 assert type(got) is type(expected) and repr(got) == repr(expected), v
+            # a finite sum proves the components finite; a sum that overflows
+            # or cannot be formed (a float and a Decimal) proves nothing
+            big = Decimal("9e999999")  # its sum overflows Python's default context
+            cases = [([1e308, 1e308], 1e308), ([-1e308, -1e308, 1.0], 1e308), ([big, big], big),
+                     ([math.inf, -math.inf], math.inf), ([math.nan, 1.0, 2.0], math.inf),
+                     ([1.0, 2.0, math.nan], math.inf), ([Decimal("NaN"), Decimal(1)], math.inf),
+                     ([Decimal(1), Decimal("NaN")], math.inf), ([Decimal("1.5"), -2.5], 2.5),
+                     ([2.5, Decimal("-3.5")], Decimal("3.5")), ([Decimal(1), math.nan], math.inf),
+                     ([math.nan, Decimal(1)], math.inf), ([Decimal("NaN"), 1.0], math.inf),
+                     ([1.0, Decimal("-Infinity")], math.inf)]
+            for v, want in cases:
+                got, expected = inf_norm(v), _inf_norm_before(v)
+                assert type(got) is type(expected) and repr(got) == repr(expected), v
+                assert type(got) is type(want) and got == want, v
 
 
 def _backward_error(A, b, x) -> Fraction:
