@@ -149,16 +149,15 @@ def _derivs(model: LagrangianModel, q: Real):
             model.potential_third(q))
 
 
-def discrete_residual(model, prev: Tuple, mid: Tuple, nxt: Tuple, delta_a) -> ResidualPair:
+def discrete_residual(model, prev: Tuple, mid: Tuple, nxt: Tuple) -> ResidualPair:
     """Residual of the discrete equations at the middle of three (t, q) points.
 
     ``psi_el`` sums the configuration partials of the two adjacent discrete
     Lagrangians at the middle point; ``psi_e`` sums the time partials.  In
     the transformed setting the discrete Lagrangian takes identical values
-    to the physical midpoint L_d at the same points, so ``delta_a`` only
-    describes the sampling and does not enter the value.
+    to the physical midpoint L_d at the same points, so the fictitious step
+    that spaced the points does not enter the value.
     """
-    check_finite(delta_a, "delta_a must be positive and finite, got {}")
     (t_m, q_m), (t_0, q_0), (t_p, q_p) = prev, mid, nxt
     q_m, q_0, q_p = (np.atleast_1d(x).tolist() for x in (q_m, q_0, q_p))
     if not (t_m < t_0 < t_p):
@@ -240,7 +239,6 @@ class OrderEstimate:
     slope: float
     slope_energy: float
     samples: List[Tuple[float, float, float]]  # (delta_a, |psi_el|_inf, |psi_e|_inf)
-    use_modified: bool
 
 
 def residual_order_estimate(
@@ -279,7 +277,7 @@ def residual_order_estimate(
             pts = [
                 (profile.value(x), sol.sol(x)[0]) for x in (a - da, a, a + da)
             ]
-            pair = discrete_residual(model, *pts, delta_a=da)
+            pair = discrete_residual(model, *pts)
             el_max = max(el_max, float(inf_norm(pair.psi_el)))
             e_max = max(e_max, abs(float(pair.psi_e)))
         samples.append((da, el_max, e_max))
@@ -287,7 +285,7 @@ def residual_order_estimate(
     logs = np.log(np.asarray(samples, dtype=float))
     slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
     slope_e = float(np.polyfit(logs[:, 0], logs[:, 2], 1)[0])
-    return OrderEstimate(slope=slope, slope_energy=slope_e, samples=samples, use_modified=use_modified)
+    return OrderEstimate(slope=slope, slope_energy=slope_e, samples=samples)
 
 
 def lemma1_reparametrization_check(

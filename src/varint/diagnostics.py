@@ -29,7 +29,7 @@ class ErrorSeries:
 
     times: np.ndarray
     values: list
-    label: str = ""
+    label: str
 
     def max(self) -> float:
         return max(float(v) for v in self.values)
@@ -225,7 +225,7 @@ def write_trajectory_csv(traj: Trajectory, path):
 
 
 def write_error_series_csv(series_list: List[ErrorSeries], path, ctx: PrecisionContext = DOUBLE):
-    header = ["k", "t"] + [s.label or f"series{i}" for i, s in enumerate(series_list)]
+    header = ["k", "t"] + [s.label for s in series_list]
     times = series_list[0].times.tolist()
     rows = zip(range(len(times)), times, *(s.values for s in series_list))
     write_csv(path, header, rows, ctx)

@@ -71,9 +71,7 @@ absolute magnitude of t, which keeps the attainable residual floor at the
 representation level over a full period.  Every solve is given its analytic
 Jacobian, formed in double.  ``_march`` starts each Newton solve after the
 first from :func:`_extrapolate`, the polynomial extrapolation through the
-last five accepted increments z = (dq, h), whatever the integrator; on the
-one-period Kepler runs that leaves 1.3-1.4 iterations per EpAVI step, and
-at e = 0.7 1.7-1.8 per AVI step and 1.3 per fixed step.
+last five accepted increments z = (dq, h), whatever the integrator.
 """
 
 from __future__ import annotations
@@ -147,10 +145,11 @@ def _increment(model, q_k, dq, h, g=None):
 
 
 def _double_partials(dm, kernel):
-    """Both step Jacobians' pieces at the :func:`_increment` ``kernel``, in
+    """What every step Jacobian reads at the :func:`_increment` ``kernel``, in
     double from the double twin ``dm``, as lists: (mid, grad V, hess V, v,
-    Mv, h, A, c), where the momentum residual's dq block is
-    A = M/h + (h/4) hess V and its h column c = grad V/2 - Mv/h.
+    Mv, h, A), where A = M/h + (h/4) hess V is the momentum residual's dq
+    block.  The h column grad V/2 - Mv/h is formed only by the two Jacobians
+    that read it, EpAVI's and the monitored momentum Jacobian.
 
     The kernel's mid, v, Mv and h are read rounded to double, which in a
     double run leaves them as they are: there they are the bits that
@@ -163,13 +162,12 @@ def _double_partials(dm, kernel):
         v, Mv = rounded, rounded if Mv is v else list(map(float, Mv))  # Kepler's M v is v itself
     grad, hess = dm.potential_gradient_and_hessian(mid)
     quarter_h = h / 4
-    A, c = [], []
-    for i, (row, m, g, y) in enumerate(zip(hess, dm.masses, grad, Mv)):
+    A = []
+    for i, (row, m) in enumerate(zip(hess, dm.masses)):
         row = [x * quarter_h for x in row]
         row[i] = m / h + row[i]
         A.append(row)
-        c.append(g / 2 - y / h)
-    return mid, grad, hess, v, Mv, h, A, c
+    return mid, grad, hess, v, Mv, h, A
 
 
 def _discrete_energy(v, Mv, V) -> Real:
@@ -252,9 +250,9 @@ class Trajectory:
     :meth:`rows` and the columns.
     """
 
-    def __init__(self, states, ctx: PrecisionContext, meta: Optional[dict] = None):
+    def __init__(self, states, ctx: PrecisionContext, meta: dict):
         self.ctx = ctx
-        self.meta = {} if meta is None else meta
+        self.meta = meta
         self.n = len(states[0].q)
         self._width = 2 * self.n + 2
         real = partial(array, "d") if ctx.is_native else list
@@ -455,9 +453,9 @@ def _epavi_system(model, state):
         return out, (*kernel, energy)
 
     def jacobian(z, kernel):
-        _, grad, _, v, Mv, h, J, c = _double_partials(dm, kernel)
-        for row, c_i in zip(J, c):
-            row.append(c_i)
+        _, grad, _, v, Mv, h, J = _double_partials(dm, kernel)
+        for row, g, y in zip(J, grad, Mv):
+            row.append(g / 2 - y / h)
         J.append([y / h + g / 2 for y, g in zip(Mv, grad)] + [-sum(map(mul, v, Mv)) / h])
         return J
 
@@ -589,17 +587,17 @@ def _momentum_system(model, monitor, state, delta_a):
 
     The residual is Mv + (h/2) grad V(q_av) - p_k with v = dq/h and
     h = delta_a g(q_av).  It returns the kernel :func:`_increment` at dq
-    with its value.  The Jacobian is the fixed-h block
-    A = M/h + (h/4) hess V(q_av) plus the rank-one term
-    c (delta_a/2) grad g', where c = grad V/2 - Mv/h is the h column of the
-    EpAVI Jacobian.  It is formed in double, as in :func:`_epavi_system`,
-    from the kernel's mid, v, Mv and h.
+    with its value.  The Jacobian, formed in double as in
+    :func:`_epavi_system` from the kernel's mid, v, Mv and h, is the fixed-h
+    block A = M/h + (h/4) hess V(q_av) of :func:`_double_partials` plus the
+    rank-one term c (delta_a/2) grad g', with c = grad V/2 - Mv/h, the h
+    column of the EpAVI Jacobian, formed here.
 
     The unit monitor is no monitor: its system is the fixed step
     h = delta_a, with no g in the kernel (h times 1 is h) and the Jacobian
-    A alone.  Its rank-one term would be c times a zero gradient, an exact
-    zero wherever c is finite, and adding a zero changes an entry of A only
-    where that entry is -0.0.
+    A alone, with no c formed.  Its rank-one term would be c times a zero
+    gradient, an exact zero wherever c is finite, and adding a zero changes
+    an entry of A only where that entry is -0.0.
     """
     p_k, q_k = state.p, state.q
     unit = monitor is _UNIT
@@ -612,11 +610,12 @@ def _momentum_system(model, monitor, state, delta_a):
         return [a + b - c for a, b, c in zip(Mv, half_grad, p_k)], kernel
 
     def jacobian(dq, kernel):
-        mid, grad, hess, _, _, h, A, c = _double_partials(dm, kernel)
+        mid, grad, hess, _, Mv, h, A = _double_partials(dm, kernel)
         if unit:
             return A
         half_da = dad / 2
         w = [x * half_da for x in monitor.grad(mid, h / dad, grad, hess)]
+        c = [g / 2 - y / h for g, y in zip(grad, Mv)]
         return [[a + c_i * w_j for a, w_j in zip(row, w)] for row, c_i in zip(A, c)]
 
     return residual, jacobian
@@ -671,8 +670,9 @@ def avi_calibrate_delta_a(model, monitor, state0, h0, cfg: SolverConfig) -> Real
     """Fictitious step giving a first physical step of h0 (within 1%).
 
     Starts from da = h0 / g(q_0) and refines with implicit solves until the
-    realized first step matches h0 to one percent.  The unit monitor's da
-    is h0 itself, bit for bit.
+    realized first step matches h0 to one percent; the da returned is the
+    one whose solve did.  The unit monitor's da is h0 itself, bit for bit.
+    Raises :class:`NonconvergenceError` when five solves miss h0.
     """
     check_finite(h0, "h0 must be positive and finite, got {}")
     h0 = model.ctx.real(h0)
@@ -683,9 +683,10 @@ def avi_calibrate_delta_a(model, monitor, state0, h0, cfg: SolverConfig) -> Real
     for _ in range(5):
         _, record = avi_step(model, monitor, state0, delta_a, cfg)
         if abs(record.h - h0) <= model.ctx.real(0.01) * h0:
-            break
+            return delta_a
         delta_a = delta_a * (h0 / record.h)
-    return delta_a
+    raise NonconvergenceError(f"delta_a calibration missed h0 = {float(h0):.6g} by more than 1% "
+                              f"after 5 solves (last first step {float(record.h):.6g})")
 
 
 def avi_run(model: LagrangianModel, monitor: Monitor, state0: ExtendedState, T_final,

@@ -121,8 +121,8 @@ class SolveReport:
     residual_norm: Real
     iterations: int
     condition_estimate: float
-    stalled: bool = False
-    aux: Any = None
+    stalled: bool
+    aux: Any
 
 
 def fd_jacobian(F: Callable, x, fd_step) -> list:

@@ -38,7 +38,7 @@ from varint.models import ExtendedState
 def test_residual_zero_at_equilibrium():
     model = Pendulum()
     q = np.array([0.0])  # V_q = 0 there
-    pair = discrete_residual(model, (0.0, q), (0.1, q), (0.2, q), delta_a=0.1)
+    pair = discrete_residual(model, (0.0, q), (0.1, q), (0.2, q))
     assert pair.psi_el[0] == 0.0
     assert pair.psi_e == 0.0
 
@@ -47,7 +47,7 @@ def test_residual_requires_monotone_times():
     model = Pendulum()
     q = np.array([0.0])
     with pytest.raises(NonMonotoneTimeError):
-        discrete_residual(model, (0.0, q), (0.0, q), (0.1, q), delta_a=0.1)
+        discrete_residual(model, (0.0, q), (0.0, q), (0.1, q))
 
 
 def test_residual_third_order_on_exact_oscillator_solution():
@@ -59,7 +59,7 @@ def test_residual_third_order_on_exact_oscillator_solution():
         worst = 0.0
         for a in np.linspace(0.5, 5.5, 10):
             pts = [(x, np.array([math.cos(x)])) for x in (a - da, a, a + da)]
-            pair = discrete_residual(model, *pts, delta_a=da)
+            pair = discrete_residual(model, *pts)
             worst = max(worst, abs(pair.psi_el[0]))
         norms.append(worst)
     slope = np.polyfit(np.log(das), np.log(norms), 1)[0]
@@ -76,7 +76,7 @@ def test_residual_matches_action_differences():
         t0 = rng.uniform(0.0, 1.0)
         ts = (t0, t0 + rng.uniform(0.05, 0.15), t0 + rng.uniform(0.25, 0.35))
         qs = [np.array([v]) for v in rng.uniform(-1.0, 1.0, 3)]
-        pair = discrete_residual(model, (ts[0], qs[0]), (ts[1], qs[1]), (ts[2], qs[2]), delta_a=0.1)
+        pair = discrete_residual(model, (ts[0], qs[0]), (ts[1], qs[1]), (ts[2], qs[2]))
 
         def action(t_mid, q_mid):
             return Ld(model, ts[0], qs[0], t_mid, q_mid) + Ld(model, t_mid, q_mid, ts[2], qs[2])
@@ -95,7 +95,7 @@ def test_energy_residual_bounded_by_velocity_times_el_residual():
     el_max, e_max, vel_max = 0.0, 0.0, 0.0
     for a in np.linspace(2 * da, 2 * math.pi - 2 * da, 10):
         pts = [(x, np.array([math.cos(x)])) for x in (a - da, a, a + da)]
-        pair = discrete_residual(model, *pts, delta_a=da)
+        pair = discrete_residual(model, *pts)
         el_max = max(el_max, abs(pair.psi_el[0]))
         e_max = max(e_max, abs(pair.psi_e))
         vel_max = max(vel_max, abs(math.sin(a)))
@@ -287,7 +287,7 @@ def _bea_digest(name, digits):
             values.append(meshed_lagrangian_order2(model, Jet1D(q=q, qp=qp, tp=tp, tpp=tpp, delta_a=da, qpp=qpp)))
             t0 = draw(-3.0, 3.0)
             points = [(t0 - draw(0.1, 1.0), [draw(-4.5, 4.5)]), (t0, [q]), (t0 + draw(0.1, 1.0), [draw(-4.5, 4.5)])]
-            pair = discrete_residual(model, *points, delta_a=da)
+            pair = discrete_residual(model, *points)
             values += [list(pair.psi_el), pair.psi_e]
 
     return hashlib.sha256(repr(typed_bits(ctx, values)).encode()).hexdigest()

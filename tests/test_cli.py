@@ -498,6 +498,19 @@ def test_jacobian_overflow_writes_failure_summary(tmp_path):
     assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 2
 
 
+def test_missed_avi_calibration_writes_failure_summary(tmp_path):
+    # five g2 calibration trials miss h0 = 0.3 by more than 1%: exit 1, not
+    # a run whose first step is 13% of h0
+    code = main(["run", f"--outdir={tmp_path}", "problem=kepler", "e=0.7", "integrator=avi2",
+                 "h0=0.3", "periods=1"])
+    assert code == 1
+    stored = read_summary(tmp_path / "summary.txt")
+    assert stored["success"] == "False"
+    assert stored["error"].startswith("avi_g2 run aborted at t = 0 after 0 steps: "
+                                      "delta_a calibration missed h0 = 0.3 by more than 1% after 5 solves")
+    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 2
+
+
 @pytest.mark.parametrize("problem", ["oscillator", "pendulum"])
 def test_default_run_from_rest_retries_its_second_step(tmp_path, problem):
     # EpAVI from rest: step 2's warm start walks towards the degenerate h -> 0

@@ -45,7 +45,6 @@ from varint import (
     telescoping_bound_check,
     with_precision,
 )
-from varint.bea import discrete_residual
 from varint.integrators import Monitor, StepRecord, _extrapolate, _increment, _largest_term, _march
 from varint.models import ExtendedState
 from varint.solvers import FLOOR_ULPS, STALL_FACTOR
@@ -641,6 +640,24 @@ def test_failed_avi_calibration_aborts_the_run_at_its_start():
     assert str(info.value).startswith("avi_g2 run aborted at t = 0 after 0 steps: Jacobian overflows")
     assert isinstance(info.value.__cause__, NonconvergenceError)
     assert len(info.value.trajectory) == 1 and not info.value.trajectory.steps
+
+
+# (monitor, e, h0, the fifth trial's first step) of calibrations whose
+# five trials all miss h0 by more than 1%
+@pytest.mark.parametrize("monitor, e, h0, last", [("g2", 0.7, 0.3, "2.30"), ("g2", 0.7, 0.2, "1.40"),
+                                                  ("g1", 0.7, 0.3, "1.43"), ("g1", 0.9, 0.1, "4.63")])
+def test_avi_calibration_that_misses_h0_fails_the_run(monitor, e, h0, last):
+    # the da rescaled after the fifth miss was never solved with, and a run
+    # stepping with it began at 2-13% of h0: the run fails at its start
+    model, s0 = KeplerTwoBody(), kepler_initial_state(e)
+    with pytest.raises(IntegrationError) as info:
+        avi_run(model, make_monitor(monitor, model, s0), s0, 2 * math.pi, CFG13, h0=h0)
+    assert str(info.value).startswith(
+        f"avi_{monitor} run aborted at t = 0 after 0 steps: delta_a calibration missed h0 = {h0} "
+        f"by more than 1% after 5 solves (last first step {last}")
+    assert isinstance(info.value.__cause__, NonconvergenceError)
+    traj = info.value.trajectory
+    assert len(traj) == 1 and not traj.steps and traj.meta["delta_a"] is None
 
 
 def test_setup_failures_carry_the_meta_of_a_step_failure():
@@ -1381,8 +1398,6 @@ def _argument_entries():
         "midpoint_fixed_run:T_final": lambda x: midpoint_fixed_run(model, s0, 1e-3, x, CFG13),
         "reference_solve:T_final": lambda x: reference_solve(model, s0, x),
         "SolverConfig:tol": lambda x: SolverConfig(x),
-        "discrete_residual:delta_a": lambda x: discrete_residual(model, (0.0, [1.0, 0.0]), (0.1, [0.9, 0.1]),
-                                                                 (0.2, [0.8, 0.2]), x),
     }
 
 
